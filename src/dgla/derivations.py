@@ -16,20 +16,23 @@ from fractions import Fraction
 from . import linalg
 from .errors import ModeUnavailable, RhoNotChainMap, SubMismatch
 from .morphisms import _rho_of
-from .presentation import ElementGenerated, GeneratorSplit, LieElement
+from .presentation import ElementGenerated, GeneratorSplit, LieElement, leibniz_extension
 from .slices import DgLieSlice
 
 
 class Derivation:
     """A degree-homogeneous derivation given by its generator values."""
 
-    __slots__ = ("ambient", "rel", "degree", "values")
+    __slots__ = ("ambient", "rel", "degree", "values", "_ext")
 
     def __init__(self, ambient, degree, values, rel=None, check=True):
         self.ambient = ambient
         self.degree = int(degree)
         self.rel = rel
         self.values = {}
+        # the Leibniz extension and its memo, built on the first eval_at so
+        # that derivations never evaluated (most der_bracket results) carry none
+        self._ext = None
         for name, v in values.items():
             if name not in ambient.generators.index:
                 raise ValueError("value on unknown generator %r" % name)
@@ -101,24 +104,11 @@ class Derivation:
 
     def eval_at(self, e):
         """Leibniz extension of the generator values, in normal form."""
-        if e.presentation is not self.ambient:
-            raise ValueError("element not in the derivation's ambient algebra")
-        p = self.ambient
-        out = p.zero(e.degree + self.degree)
-        basis = p.lie_basis(e.degree)
-        for i, c in e.coords.items():
-            out = out + self._eval_tree(basis[i].tree).scale(c)
-        return out
-
-    def _eval_tree(self, itree):
-        p = self.ambient
-        if isinstance(itree, int):
-            return self.value(p.generators.entries[itree][0])
-        u, v = itree
-        eu = p.normal_form([(Fraction(1), p.tree_names(u))])
-        ev = p.normal_form([(Fraction(1), p.tree_names(v))])
-        sign = -1 if (self.degree * eu.degree) % 2 else 1
-        return p.bracket(self._eval_tree(u), ev) + p.bracket(eu, self._eval_tree(v)).scale(sign)
+        if self._ext is None:
+            self._ext = leibniz_extension(
+                self.ambient, self.ambient, self.degree, self.values.get
+            )
+        return self._ext(e, self.ambient.zero(e.degree + self.degree))
 
 
 def der_bracket(theta, psi):
@@ -199,9 +189,7 @@ class _HomLayout:
         )
 
     def unit(self, k):
-        v = [Fraction(0)] * self.total
-        v[k] = Fraction(1)
-        return self.from_vector(v)
+        return self.from_vector(linalg.unit_vector(self.total, k))
 
 
 def _der_space(p, rel, n):
@@ -431,12 +419,13 @@ def glue_derivations(theta, psi, po, inc_p, inc_q, rel=None):
 class FDerivation:
     """An f-derivation over a morphism m: values on source generators in the target."""
 
-    __slots__ = ("morphism", "degree", "values")
+    __slots__ = ("morphism", "degree", "values", "_ext")
 
     def __init__(self, morphism, degree, values):
         self.morphism = morphism
         self.degree = int(degree)
         self.values = {}
+        self._ext = None
         src = morphism.source
         tgt = morphism.target
         for name, v in values.items():
@@ -447,36 +436,14 @@ class FDerivation:
                     raise ValueError("f-derivation value degree mismatch at %r" % name)
                 self.values[name] = v
 
-    def value(self, name):
-        got = self.values.get(name)
-        if got is not None:
-            return got
-        return self.morphism.target.zero(
-            self.morphism.source.generators.degree(name) + self.degree
-        )
-
     def eval_at(self, e):
         """Twisted Leibniz extension: th[u,v] = [th u, m v] + (-1)^{n|u|}[m u, th v]."""
-        src = self.morphism.source
-        tgt = self.morphism.target
-        out = tgt.zero(e.degree + self.degree)
-        basis = src.lie_basis(e.degree)
-        for i, c in e.coords.items():
-            out = out + self._eval_tree(basis[i].tree).scale(c)
-        return out
-
-    def _eval_tree(self, itree):
-        src = self.morphism.source
-        tgt = self.morphism.target
-        if isinstance(itree, int):
-            return self.value(src.generators.entries[itree][0])
-        u, v = itree
-        eu = src.normal_form([(Fraction(1), src.tree_names(u))])
-        ev = src.normal_form([(Fraction(1), src.tree_names(v))])
-        sign = -1 if (self.degree * eu.degree) % 2 else 1
-        return tgt.bracket(self._eval_tree(u), self.morphism.apply(ev)) + tgt.bracket(
-            self.morphism.apply(eu), self._eval_tree(v)
-        ).scale(sign)
+        m = self.morphism
+        if self._ext is None:
+            self._ext = leibniz_extension(
+                m.source, m.target, self.degree, self.values.get, along=m
+            )
+        return self._ext(e, m.target.zero(e.degree + self.degree))
 
 
 def f_der_dims(m, rel_source, window):
@@ -508,9 +475,8 @@ def f_der_dims(m, rel_source, window):
                 off = 0
                 for name, d in slots:
                     for i in range(tgt.dim(d + n)):
-                        unit = FDerivation(
-                            m, n, {name: tgt.element_from_vector(d + n, _unit_vec(tgt.dim(d + n), i))}
-                        )
+                        vec = linalg.unit_vector(tgt.dim(d + n), i)
+                        unit = FDerivation(m, n, {name: tgt.element_from_vector(d + n, vec)})
                         img = unit.eval_at(e)
                         for r, c in img.coords.items():
                             block[r][off + i] = c
@@ -518,12 +484,6 @@ def f_der_dims(m, rel_source, window):
                 rows.extend(block)
             dims[n] = total - (linalg.rank(rows, total) if rows else 0)
     return dims
-
-
-def _unit_vec(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
 
 
 def homology_map_is_iso(m, lo, hi):

@@ -10,6 +10,7 @@ from math import factorial
 
 from .errors import ClassExceeded, NotNilpotent
 from .morphisms import GeneratorMorphism
+from .presentation import TreeMap
 from .slices import SliceElement
 
 
@@ -370,25 +371,10 @@ def homotopy_check(h_values, f, g, rel=None):
             )
         hmap[name] = val
 
-    cache = {}
-
-    def h_tree(itree):
-        got = cache.get(itree)
-        if got is not None:
-            return got
-        if isinstance(itree, int):
-            out = hmap[src.generators.entries[itree][0]]
-        else:
-            out = h_tree(itree[0]).bracket(h_tree(itree[1]))
-        cache[itree] = out
-        return out
+    h_map = TreeMap(src, hmap.__getitem__, lambda u, v, f: f(u).bracket(f(v)))
 
     def h_elem(e):
-        out = PolyLie(tgt, e.degree)
-        basis = src.lie_basis(e.degree)
-        for i, c in e.coords.items():
-            out = out + h_tree(basis[i].tree).scale(c)
-        return out
+        return h_map(e, PolyLie(tgt, e.degree))
 
     checks = []
     ok = True

@@ -21,11 +21,16 @@ from .errors import GrammarError
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789'")
 
+# Deepest bracket nesting accepted; far below the interpreter's recursion
+# limit, so a malformed input is a GrammarError and never a RecursionError.
+MAX_NESTING = 256
+
 
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         raise GrammarError(message, self.pos)
@@ -83,11 +88,15 @@ class _Parser:
     def parse_tree(self):
         c = self.peek()
         if c == "[":
+            if self.depth == MAX_NESTING:
+                self.error("brackets nested deeper than %d" % MAX_NESTING)
             self.pos += 1
+            self.depth += 1
             left = self.parse_tree()
             self.expect(",")
             right = self.parse_tree()
             self.expect("]")
+            self.depth -= 1
             return (left, right)
         return self.parse_ident()
 
@@ -131,6 +140,13 @@ def tree_to_str(tree):
     if isinstance(tree, str):
         return tree
     return "[%s,%s]" % (tree_to_str(tree[0]), tree_to_str(tree[1]))
+
+
+def rename_tree(tree, mapping):
+    """The bracket tree with each generator name replaced by mapping[name]."""
+    if isinstance(tree, str):
+        return mapping[tree]
+    return (rename_tree(tree[0], mapping), rename_tree(tree[1], mapping))
 
 
 def _rational_to_str(q):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from . import linalg
 from .derivations import Derivation, forget_pullback
 from .errors import DimensionMismatch, SemisimplicityNotAsserted, SubMismatch
+from .expr import rename_tree
 from .graded import betti_numbers
 from .models import manifold_model, tilde_model
 
@@ -55,11 +56,6 @@ def boundary_connected_sum(m, n):
     for i in range(l):
         for j in range(l):
             pairing[k + i][k + j] = n.v.pairing[i][j]
-
-    def rename_tree(tree, mapping):
-        if isinstance(tree, str):
-            return mapping[tree]
-        return (rename_tree(tree[0], mapping), rename_tree(tree[1], mapping))
 
     diff = {}
     for nm, v in m.presentation.differential.items():
@@ -117,15 +113,9 @@ def _extend_derivation(theta, glued_p, names):
     vals = {}
     for gname, v in theta.values.items():
         vals[names[gname]] = glued_p.normal_form(
-            [(c, _rename(t, names)) for c, t in v.terms()]
+            [(c, rename_tree(t, names)) for c, t in v.terms()]
         )
     return Derivation(glued_p, theta.degree, vals, rel=None, check=False)
-
-
-def _rename(tree, names):
-    if isinstance(tree, str):
-        return names[tree]
-    return (_rename(tree[0], names), _rename(tree[1], names))
 
 
 def _factor_block(g_factor, g_glued, names, d):

@@ -82,6 +82,8 @@ def _load_generators(lst, pointer):
         _require_keys(it, {"name", "degree"}, {"name", "degree"}, pt)
         if not isinstance(it["name"], str):
             raise SchemaError("generator name must be a string", pt + "/name")
+        if any(it["name"] == n for n, _ in out):
+            raise SchemaError("duplicate generator name %r" % it["name"], pt + "/name")
         if not isinstance(it["degree"], int) or isinstance(it["degree"], bool):
             raise SchemaError("generator degree must be an integer", pt + "/degree")
         out.append((it["name"], it["degree"]))
@@ -96,11 +98,15 @@ def load_presentation(obj):
     diff = obj.get("differential", {})
     if not isinstance(diff, dict) or any(not isinstance(v, str) for v in diff.values()):
         raise SchemaError("differential must map names to expression strings", "/differential")
+    known = [n for n, _ in gens]
     subs = {}
     for name, spec in (obj.get("subalgebras") or {}).items():
         pt = "/subalgebras/%s" % name
         if not isinstance(spec, dict) or set(spec) not in ({"generators"}, {"elements"}):
             raise SchemaError("subalgebra must be {'generators': [...]} or {'elements': [...]}", pt)
+        names = spec.get("generators", [])
+        if not isinstance(names, list) or any(n not in known for n in names):
+            raise SchemaError("subalgebra generators must be generator names", pt)
         subs[name] = spec
     return DgLaPresentation(gens, diff, subs)
 

@@ -153,6 +153,13 @@ def zero_matrix(nrows, ncols):
     return [[Fraction(0)] * ncols for _ in range(nrows)]
 
 
+def unit_vector(n, i):
+    """The i-th standard basis vector of length n."""
+    v = [Fraction(0)] * n
+    v[i] = Fraction(1)
+    return v
+
+
 def identity_matrix(n):
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 

@@ -310,16 +310,16 @@ def outer_action_check(a, window=None):
                         if not mod_ok(n + m + k):
                             continue
                         for l in range(L.dim(k)):
-                            x = _unit(L.dim(k), l)
+                            x = linalg.unit_vector(L.dim(k), l)
                             lhs = a.act_vectors(n + m, br, k, x)
                             t1 = a.act_vectors(
-                                n, _unit(g.dim(n), i), m + k,
-                                a.act_vectors(m, _unit(g.dim(m), j), k, x),
+                                n, linalg.unit_vector(g.dim(n), i), m + k,
+                                a.act_vectors(m, linalg.unit_vector(g.dim(m), j), k, x),
                             )
                             sign = Fraction(-1 if (n * m) % 2 else 1)
                             t2 = a.act_vectors(
-                                m, _unit(g.dim(m), j), n + k,
-                                a.act_vectors(n, _unit(g.dim(n), i), k, x),
+                                m, linalg.unit_vector(g.dim(m), j), n + k,
+                                a.act_vectors(n, linalg.unit_vector(g.dim(n), i), k, x),
                             )
                             if lhs != [u - sign * w for u, w in zip(t1, t2)]:
                                 ok = False
@@ -332,7 +332,7 @@ def outer_action_check(a, window=None):
         if not (mod_ok(n - 1) and mod_ok(n - 2)):
             continue
         for i in range(g.dim(n)):
-            x = _unit(g.dim(n), i)
+            x = linalg.unit_vector(g.dim(n), i)
             lhs = L.d_apply(n - 1, a.chi_vector(n, x))
             rhs = a.chi_vector(n - 1, g.d_apply(n, x))
             if [u + w for u, w in zip(lhs, rhs)] != [Fraction(0)] * L.dim(n - 2):
@@ -357,13 +357,13 @@ def outer_action_check(a, window=None):
                     if mod_ok(n - 1):
                         chit = a.chi(n, i)
                         sgn1 = Fraction(-1 if ((n - 1) * m) % 2 == 0 else 1)
-                        t1 = a.act_vectors(m, _unit(g.dim(m), j), n - 1, chit)
+                        t1 = a.act_vectors(m, linalg.unit_vector(g.dim(m), j), n - 1, chit)
                         t1 = [sgn1 * u for u in t1]
                     else:
                         t1 = [Fraction(0)] * L.dim(n + m - 1)
                     if mod_ok(m - 1):
                         sgn2 = Fraction(-1 if n % 2 else 1)
-                        t2 = a.act_vectors(n, _unit(g.dim(n), i), m - 1, a.chi(m, j))
+                        t2 = a.act_vectors(n, linalg.unit_vector(g.dim(n), i), m - 1, a.chi(m, j))
                         t2 = [sgn2 * u for u in t2]
                     else:
                         t2 = [Fraction(0)] * L.dim(n + m - 1)
@@ -384,9 +384,9 @@ def outer_action_check(a, window=None):
                     and chi_known and dx_known and dtheta_known):
                 continue
             for i in range(g.dim(n)):
-                t = _unit(g.dim(n), i)
+                t = linalg.unit_vector(g.dim(n), i)
                 for l in range(L.dim(k)):
-                    x = _unit(L.dim(k), l)
+                    x = linalg.unit_vector(L.dim(k), l)
                     lhs = L.d_apply(n + k, a.act_vectors(n, t, k, x))
                     if n - 1 >= g.lo:
                         dt = g.d_apply(n, t)
@@ -411,12 +411,6 @@ def outer_action_check(a, window=None):
     from .presentation import ValidationReport
 
     return ValidationReport(checks)
-
-
-def _unit(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
 
 
 def semidirect(g, L, a, window=None, check=True):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import NonMinimalAmbient, NotInvertibleLinearPart
 from .graded import GradedBasis, GradedLinearMap
-from .presentation import GeneratorSplit
+from .presentation import GeneratorSplit, TreeMap
 
 
 class GeneratorMorphism:
@@ -22,7 +22,6 @@ class GeneratorMorphism:
         self.source = source
         self.target = target
         self.images = {}
-        self._apply_cache = {}
         for name, _ in source.generators.entries:
             if name not in images:
                 raise ValueError("missing image for generator %r" % name)
@@ -31,33 +30,17 @@ class GeneratorMorphism:
                 raise ValueError("image for unknown generator %r" % name)
             img = target.normal_form(img)
             self.images[name] = img
+        self.tree_map = TreeMap(
+            source, self.images.__getitem__, lambda u, v, f: target.bracket(f(u), f(v))
+        )
 
     @classmethod
     def identity(cls, p):
         return cls(p, p, {n: p.gen(n) for n, _ in p.generators.entries})
 
-    def _apply_tree(self, itree):
-        cached = self._apply_cache.get(itree)
-        if cached is not None:
-            return cached
-        if isinstance(itree, int):
-            out = self.images[self.source.generators.entries[itree][0]]
-        else:
-            left = self._apply_tree(itree[0])
-            right = self._apply_tree(itree[1])
-            out = self.target.bracket(left, right)
-        self._apply_cache[itree] = out
-        return out
-
     def apply(self, x):
         """Image of an element: substitute generator images, renormalize."""
-        if x.presentation is not self.source:
-            raise ValueError("element not in the morphism's source")
-        out = self.target.zero(x.degree)
-        basis = self.source.lie_basis(x.degree)
-        for i, c in x.coords.items():
-            out = out + self._apply_tree(basis[i].tree).scale(c)
-        return out
+        return self.tree_map(x, self.target.zero(x.degree))
 
     def compose(self, other):
         """self after other (other's target must be self's source)."""
@@ -122,7 +105,7 @@ def check_morphism(f, fixed_sub=None, rho=None):
         ok_fix = True
         if isinstance(spec, GeneratorSplit):
             for n in spec.names:
-                expected = f.target.normal_form([(Fraction(1), n)])
+                expected = f.target.gen(n)
                 if f.images[n] != expected:
                     checks.append(("fixes_sub", False, n))
                     ok_fix = False

@@ -6,9 +6,10 @@ subset of the generators or a list of elements).  Elements are kept in
 normal form: sparse rational coordinate vectors in the canonical
 super-Lyndon basis of their degree.
 
-Presentations and elements are immutable after construction; normal-form and
-bracket caches are per-presentation dicts (atomic updates under the GIL), so
-instances may be shared freely across threads.
+Presentations and elements are immutable after construction; the basis,
+bracket and tree caches are per-presentation dicts of immutable values
+(atomic updates under the GIL), so instances may be shared freely across
+threads.
 """
 
 from fractions import Fraction
@@ -58,11 +59,11 @@ class LieElement:
         return not self.coords
 
     def __add__(self, other):
-        self._compat(other)
+        degree = self._compat(other)
         out = dict(self.coords)
         for i, c in other.coords.items():
             out[i] = out.get(i, Fraction(0)) + c
-        return LieElement(self.presentation, self.degree, out)
+        return LieElement(self.presentation, degree, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -86,19 +87,21 @@ class LieElement:
         return self.degree == other.degree and self.coords == other.coords
 
     def __hash__(self):
-        return hash((id(self.presentation), self.degree, tuple(sorted(self.coords.items()))))
+        # zeros of every degree are equal, so the degree of zero is not hashed
+        degree = self.degree if self.coords else None
+        return hash((id(self.presentation), degree, tuple(sorted(self.coords.items()))))
 
     def _compat(self, other):
+        """Degree of self + other: zero takes the degree of the other summand."""
         if self.presentation is not other.presentation:
             raise ValueError("elements of different presentations")
         if self.is_zero():
-            self.degree = other.degree  # zero is degree-flexible
-        elif other.is_zero():
-            other.degree = self.degree
-        elif self.degree != other.degree:
+            return other.degree
+        if not other.is_zero() and self.degree != other.degree:
             raise InhomogeneousExpression(
                 "cannot add degrees %d and %d" % (self.degree, other.degree)
             )
+        return self.degree
 
     def terms(self):
         """AST terms [(coeff, name-tree), ...] in basis order."""
@@ -132,6 +135,64 @@ class LieElement:
         return v
 
 
+class TreeMap:
+    """A map given on generators and extended over bracket trees.
+
+    ``leaf(name)`` is the image of a generator and ``node(u, v, f)`` the
+    image of the index tree (u, v), where ``f`` maps subtrees.  One image is
+    memoized per index tree for the life of the map, so images must be
+    immutable.  Calling the map on an element of ``source`` sums the tree
+    images over its coordinates, starting from ``zero``.
+    """
+
+    __slots__ = ("source", "leaf", "node", "memo")
+
+    def __init__(self, source, leaf, node):
+        self.source = source
+        self.leaf = leaf
+        self.node = node
+        self.memo = {}
+
+    def tree(self, itree):
+        if isinstance(itree, int):
+            return self.leaf(self.source.generators.entries[itree][0])
+        got = self.memo.get(itree)
+        if got is None:
+            got = self.memo[itree] = self.node(itree[0], itree[1], self.tree)
+        return got
+
+    def __call__(self, x, zero):
+        if x.presentation is not self.source:
+            raise ValueError("element not in the map's source presentation")
+        out = zero
+        basis = self.source.lie_basis(x.degree)
+        for i, c in x.coords.items():
+            out = out + self.tree(basis[i].tree).scale(c)
+        return out
+
+
+def leibniz_extension(source, target, degree, leaf, along=None):
+    """The derivation of a degree with generator values leaf(name), None for 0.
+
+    Extended by th[u,v] = [th u, m v] + (-1)^{degree |u|} [m u, th v], where
+    m is the GeneratorMorphism ``along``, or the identity when it is None.
+    """
+    m = source.tree_element if along is None else along.tree_map.tree
+    degrees = source._deg_list
+
+    def value(name):
+        got = leaf(name)
+        if got is None:
+            return target.zero(source.generators.degree(name) + degree)
+        return got
+
+    def node(u, v, f):
+        sign = -1 if degree * freelie.tree_degree(u, degrees) % 2 else 1
+        return target.bracket(f(u), m(v)) + target.bracket(m(u), f(v)).scale(sign)
+
+    return TreeMap(source, value, node)
+
+
 class DgLaPresentation:
     """A quasi-free dg Lie algebra given on generators.
 
@@ -148,9 +209,12 @@ class DgLaPresentation:
         self.generators = GradedBasis(generators)
         self._deg_list = [d for _, d in self.generators.entries]
         self._basis_cache = {}
-        self._dtree_cache = {}
         self._bracket_cache = {}
         self.differential = {}
+        self._tree_elements = TreeMap(
+            self, self.gen, lambda u, v, f: self.bracket(f(u), f(v))
+        )
+        self._d = leibniz_extension(self, self, -1, self.differential.get)
         for name, value in (differential or {}).items():
             if name not in self.generators.index:
                 raise UnknownGenerator("differential on unknown generator %r" % name)
@@ -257,6 +321,10 @@ class DgLaPresentation:
         coords = freelie.solve_against_basis(self.lie_basis(degree), tensor)
         return LieElement(self, degree, coords)
 
+    def tree_element(self, itree):
+        """Normal form of one index tree (memoized)."""
+        return self._tree_elements.tree(itree)
+
     def element_from_vector(self, degree, vector):
         return LieElement(self, degree, {i: c for i, c in enumerate(vector) if c})
 
@@ -294,32 +362,11 @@ class DgLaPresentation:
         )
 
     def _d_tree(self, itree):
-        key = itree
-        cached = self._dtree_cache.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(itree, int):
-            out = self.d_gen(self.generators.entries[itree][0])
-        else:
-            u, v = itree
-            eu = self.normal_form([(Fraction(1), self.tree_names(u))])
-            ev = self.normal_form([(Fraction(1), self.tree_names(v))])
-            du = self._d_tree(u)
-            dv = self._d_tree(v)
-            sign = -1 if freelie.tree_degree(u, self._deg_list) % 2 else 1
-            out = self.bracket(du, ev) + self.bracket(eu, dv).scale(sign)
-        self._dtree_cache[key] = out
-        return out
+        return self._d.tree(itree)
 
     def differential_of(self, x):
         """The differential as a degree -1 derivation, applied to an element."""
-        if x.presentation is not self:
-            raise ValueError("differential of foreign element")
-        out = self.zero(x.degree - 1)
-        basis = self.lie_basis(x.degree)
-        for i, c in x.coords.items():
-            out = out + self._d_tree(basis[i].tree).scale(c)
-        return out
+        return self._d(x, self.zero(x.degree - 1))
 
     # -- designated subalgebras -------------------------------------------------
 
@@ -605,11 +652,6 @@ def pushout(p, q, along, correspondence=None):
         if q.generators.degree(qa) != p.generators.degree(pa):
             raise IncompatibleSubs("degree mismatch at %r -> %r" % (qa, pa))
 
-    def rename_tree(tree, mapping):
-        if isinstance(tree, str):
-            return mapping[tree]
-        return (rename_tree(tree[0], mapping), rename_tree(tree[1], mapping))
-
     p_names = [n for n, _ in p.generators.entries]
     q_free = [n for n, _ in q.generators.entries if n not in set(sq.names)]
     taken = set(p_names)
@@ -632,20 +674,18 @@ def pushout(p, q, along, correspondence=None):
     for n in q_free:
         dv = q.d_gen(n)
         if not dv.is_zero():
-            diff[qmap[n]] = [(c, rename_tree(t, qmap)) for c, t in dv.terms()]
+            diff[qmap[n]] = [(c, expr_mod.rename_tree(t, qmap)) for c, t in dv.terms()]
     subs = {along: GeneratorSplit(sp.names)}
     po = DgLaPresentation(gens, diff, subs)
 
     for qa, pa in correspondence.items():
         dq = q.d_gen(qa)
-        dq_terms = [(c, rename_tree(t, qmap)) for c, t in dq.terms()]
+        dq_terms = [(c, expr_mod.rename_tree(t, qmap)) for c, t in dq.terms()]
         if po.normal_form(dq_terms) != po.normal_form(p.d_gen(pa).terms() if not p.d_gen(pa).is_zero() else []):
             raise IncompatibleSubs("correspondence does not commute with d at %r" % qa)
 
-    inc_p = GeneratorMorphism(
-        p, po, {n: po.normal_form([(Fraction(1), n)]) for n, _ in p.generators.entries}
-    )
+    inc_p = GeneratorMorphism(p, po, {n: po.gen(n) for n, _ in p.generators.entries})
     inc_q = GeneratorMorphism(
-        q, po, {n: po.normal_form([(Fraction(1), qmap.get(n, n))]) for n, _ in q.generators.entries}
+        q, po, {n: po.gen(qmap.get(n, n)) for n, _ in q.generators.entries}
     )
     return po, inc_p, inc_q

@@ -139,9 +139,7 @@ class DgLieSlice:
                 )
 
     def _unit(self, n, i):
-        v = [Fraction(0)] * self.dim(n)
-        v[i] = Fraction(1)
-        return v
+        return linalg.unit_vector(self.dim(n), i)
 
     def check_d_leibniz(self, pair_budget=400):
         """d[x,y] = [dx,y] + (-1)^{|x|}[x,dy] on a budget of basis pairs."""
@@ -328,9 +326,7 @@ class SliceElement:
 
     @classmethod
     def unit(cls, slc, degree, i):
-        v = [Fraction(0)] * slc.dim(degree)
-        v[i] = Fraction(1)
-        return cls(slc, degree, v)
+        return cls(slc, degree, linalg.unit_vector(slc.dim(degree), i))
 
     def is_zero(self):
         return all(x == 0 for x in self.vector)

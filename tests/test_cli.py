@@ -196,3 +196,37 @@ def test_window_too_narrow_is_exit_2(tmp_path):
     )
     code, payload = _run("ce", str(f), "--min", "0", "--max", "4")
     assert code == 2 and payload is None
+
+
+_NESTED = "[" * 3000 + "a" + ",a]" * 3000
+
+
+@pytest.mark.parametrize(
+    "obj, where",
+    [
+        (
+            {"generators": [{"name": "a", "degree": 2}, {"name": "a", "degree": 3}]},
+            "at /generators/1/name",
+        ),
+        (
+            {
+                "generators": [{"name": "a", "degree": 2}],
+                "subalgebras": {"s": {"generators": ["a", "zz"]}},
+            },
+            "at /subalgebras/s",
+        ),
+        (
+            {
+                "generators": [{"name": "a", "degree": 2}, {"name": "b", "degree": 3}],
+                "differential": {"b": _NESTED},
+            },
+            "at offset 256",
+        ),
+    ],
+)
+def test_malformed_presentation_is_exit_2(tmp_path, capsys, obj, where):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    code, payload = _run("check", str(f))
+    assert code == 2 and payload is None
+    assert where in capsys.readouterr().err

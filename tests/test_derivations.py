@@ -11,6 +11,7 @@ from dgla.derivations import (
     der_differential,
     deru,
     eval_at,
+    FDerivation,
     f_der_dims,
     forget_pullback,
     glue_derivations,
@@ -310,3 +311,27 @@ def test_element_generated_rel_kills_bracket_words():
         for th in slc.derivations[n]:
             for w in words:
                 assert th.eval_at(w).is_zero()
+
+
+def _random_element(p, degree, rng):
+    return p.element_from_vector(
+        degree, [Fraction(rng.randint(-2, 2)) for _ in range(p.dim(degree))]
+    )
+
+
+def test_f_derivation_along_identity_is_the_derivation():
+    p = DgLaPresentation([("x", 1), ("a", 2), ("y", 3)], {"y": "[x,a]"})
+    ident = GeneratorMorphism.identity(p)
+    rng = random.Random(11)
+    for n in (-1, 0, 1, 2):
+        values = {g: _random_element(p, d + n, rng) for g, d in p.generators.entries}
+        theta = Derivation(p, n, values)
+        f = FDerivation(ident, n, values)
+        for degree in range(1, 7):
+            for _ in range(3):
+                e = _random_element(p, degree, rng)
+                warm = theta.eval_at(e)
+                assert f.eval_at(e) == warm
+                # a fresh derivation starts with an empty memo
+                assert Derivation(p, n, values).eval_at(e) == warm
+                assert theta.eval_at(e) == warm

@@ -180,3 +180,33 @@ def test_subalgebra_span_membership():
     )
     assert r.sub_contains("s", r.bracket(r.normal_form("[x,x]"), r.normal_form("[x,y]")))
     assert not r.sub_contains("s", r.normal_form("[y,y]"))
+
+
+def test_zero_elements_are_immutable_and_hash_like_eq():
+    p = DgLaPresentation([("a", 2), ("b", 2)])
+    aa = p.basis_bracket(2, 0, 2, 0)
+    assert aa.is_zero() and aa.degree == 4
+    assert (aa + p.gen("b")).degree == 2
+    assert (p.gen("b") + aa).degree == 2
+    assert aa.degree == 4 and p.basis_bracket(2, 0, 2, 0).degree == 4
+    assert p.zero(3) == p.zero(5)
+    assert hash(p.zero(3)) == hash(p.zero(5))
+    assert len({p.zero(3), aa, p.zero()}) == 1
+
+
+def _subtrees(tree):
+    yield tree
+    if not isinstance(tree, int):
+        yield from _subtrees(tree[0])
+        yield from _subtrees(tree[1])
+
+
+def test_tree_element_matches_name_round_trip():
+    p = DgLaPresentation([("x", 1), ("a", 2), ("y", 3)])
+    trees = {t for d in range(1, 9) for b in p.lie_basis(d) for t in _subtrees(b.tree)}
+    # swapped brackets are not basis trees, and [a,a] is zero
+    trees |= {(t[1], t[0]) for t in trees if not isinstance(t, int)} | {(1, 1)}
+    for t in trees:
+        expected = p.normal_form([(Fraction(1), p.tree_names(t))])
+        got = p.tree_element(t)
+        assert got == expected and got.degree == expected.degree, t
