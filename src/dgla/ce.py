@@ -126,9 +126,10 @@ class CESlice:
 
     def d_matrix(self, k):
         """Matrix of the CE differential C_k -> C_{k-1}."""
-        rows = self.dim(k - 1)
-        cols = self.dim(k)
-        m = linalg.zero_matrix(rows, cols)
+        return linalg.matrix(self.dim(k - 1), self.dim(k), self._d_terms(k))
+
+    def _d_terms(self, k):
+        """The (row, column, coefficient) terms of the CE differential out of C_k."""
         for j, w in enumerate(self.words[k]):
             for letter_pos in range(len(w)):
                 eps = sum(_sdeg(l) for l in w[:letter_pos]) % 2
@@ -141,7 +142,7 @@ class CESlice:
                     ww, s = sorted_
                     i = self.index[k - 1].get(ww)
                     if i is not None:
-                        m[i][j] += outer_sign * s * c
+                        yield i, j, outer_sign * s * c
             for a in range(len(w)):
                 for b in range(a + 1, len(w)):
                     pre_a = sum(_sdeg(l) for l in w[:a])
@@ -156,15 +157,10 @@ class CESlice:
                         ww, s = sorted_
                         i = self.index[k - 1].get(ww)
                         if i is not None:
-                            m[i][j] += outer_sign * s * c
-        return m
+                            yield i, j, outer_sign * s * c
 
     def check_d_squared(self):
-        for k in range(2, self.top + 1):
-            if not linalg.is_zero_matrix(
-                linalg.matmul(self.d_matrix(k - 1), self.d_matrix(k))
-            ):
-                raise AssertionError("CE differential does not square to zero at %d" % k)
+        linalg.check_d_squared(self.d_matrix, 0, self.top)
 
 
 def ce_cohomology(g, coefficient_dim, degree_range, certify=True):

@@ -198,19 +198,18 @@ def _der_space(p, rel, n):
     spec = p.sub(rel)
     if isinstance(spec, GeneratorSplit) or not spec.elements:
         return layout, linalg.Subspace.full(layout.total)
-    rows = []
+    ents = []
+    nrows = 0
     for e in spec.elements:
         tgt_dim = p.dim(e.degree + n)
         if tgt_dim == 0:
             continue
-        block = [[Fraction(0)] * layout.total for _ in range(tgt_dim)]
         for k in range(layout.total):
-            img = layout.unit(k).eval_at(e)
-            for i, c in img.coords.items():
-                block[i][k] = c
-        rows.extend(block)
-    if not rows:
+            ents += [(nrows + i, k, c) for i, c in layout.unit(k).eval_at(e).coords.items()]
+        nrows += tgt_dim
+    if not nrows:
         return layout, linalg.Subspace.full(layout.total)
+    rows = linalg.matrix(nrows, layout.total, ents)
     return layout, linalg.Subspace.from_kernel(rows, layout.total)
 
 
@@ -236,15 +235,10 @@ class DerSlice(DgLieSlice):
             labels[n] = ["theta%d" % i for i in range(len(vecs))]
         d_blocks = {}
         for n in range(lo + 1, hi + 1):
-            cols = len(self.derivations[n])
-            rows = len(self.derivations[n - 1])
-            m = linalg.zero_matrix(rows, cols)
-            for j, th in enumerate(self.derivations[n]):
-                img = der_differential(th)
-                c = self.coords(img, n - 1)
-                for i, x in enumerate(c):
-                    m[i][j] = x
-            d_blocks[n] = m
+            cols = [self.coords(der_differential(th), n - 1) for th in self.derivations[n]]
+            d_blocks[n] = linalg.matrix(
+                len(self.derivations[n - 1]), len(cols), linalg.entries(zip(*cols))
+            )
         super().__init__(window, labels, d_blocks, bracket_fn=self._bracket_coords)
 
     def coords(self, theta, degree=None):
@@ -280,54 +274,47 @@ def der_complex(p, rel, window):
     return DerSlice(p, rel, (lo, hi), spaces, layouts)
 
 
+def _generator_columns(p, degree, off):
+    """{generator name: Hom column} of the generators in one slot of a layout."""
+    gens = p.generators.entries
+    return {
+        gens[b.tree][0]: off + i
+        for i, b in enumerate(p.lie_basis(degree))
+        if isinstance(b.tree, int)
+    }
+
+
 def _indec_rows(p, rel, layout):
-    """Rows expressing 'the induced map on indecomposables vanishes'."""
+    """Rows expressing 'the induced map on indecomposables vanishes'.
+
+    Each row is a {column: coefficient} dict, as in ``_rho_rows``.
+    """
     gens = p.nonsub_generators(rel)
     keep = {n for n, _ in gens}
     rows = []
     n = layout.n
-    for name, deg, off, dim in layout.slots:
-        if name not in keep:
-            continue
-        tgt = [g for g, gd in gens if gd == deg + n]
-        if not tgt:
-            continue
-        basis = p.lie_basis(deg + n)
-        for t in tgt:
-            row = [Fraction(0)] * layout.total
-            for i in range(dim):
-                tree = basis[i].tree
-                if isinstance(tree, int) and p.generators.entries[tree][0] == t:
-                    row[off + i] = Fraction(1)
-            rows.append(row)
+    for name, deg, off, _ in layout.slots:
+        if name in keep:
+            col = _generator_columns(p, deg + n, off)
+            rows += [{col[g]: Fraction(1)} for g, gd in gens if gd == deg + n]
     return rows
 
 
 def _rho_rows(p, rho, layout):
-    """Rows expressing rho . theta = 0 on generators."""
+    """Rows, as {column: coefficient} dicts, expressing rho . theta = 0 on generators."""
     rows = []
     n = layout.n
-    for name, deg, off, dim in layout.slots:
-        basis = p.lie_basis(deg + n)
+    for _, deg, off, _ in layout.slots:
         src = rho.source.in_degree(deg + n)
         tgt = rho.target.in_degree(deg + n + rho.degree)
         if not src or not tgt:
             continue
-        block = rho.block(deg + n)
-        for r in range(len(tgt)):
-            row = [Fraction(0)] * layout.total
-            any_nonzero = False
-            for i in range(dim):
-                tree = basis[i].tree
-                if isinstance(tree, int):
-                    gname = p.generators.entries[tree][0]
-                    if gname in src:
-                        c = block[r][src.index(gname)]
-                        if c:
-                            row[off + i] = c
-                            any_nonzero = True
-            if any_nonzero:
-                rows.append(row)
+        col = _generator_columns(p, deg + n, off)
+        block_rows = [{} for _ in tgt]
+        for r, k, c in linalg.entries(rho.block(deg + n)):
+            if src[k] in col:
+                block_rows[r][col[src[k]]] = c
+        rows += [row for row in block_rows if row]
     return rows
 
 
@@ -363,21 +350,26 @@ def deru(p, rel, rho, window, mode="semisimple-indec"):
         layout, space = _der_space(p, rel, n)
         layouts[n] = layout
         if n == 0:
-            rows = []
+            rows = []  # each a {column: coefficient} dict
             if mode == "semisimple-indec" and p.differential:
                 lay_m1, _ = _der_space(p, rel, -1)
-                dmat = []
-                for k in range(layout.total):
-                    img = der_differential(layout.unit(k))
-                    dmat.append(lay_m1.to_vector(img))
-                for r in range(lay_m1.total):
-                    rows.append([dmat[k][r] for k in range(layout.total)])
-            rows.extend(_indec_rows(p, rel, layout))
+                images = [
+                    lay_m1.to_vector(der_differential(layout.unit(k)))
+                    for k in range(layout.total)
+                ]
+                rows += [
+                    {k: v[r] for k, v in enumerate(images) if v[r]} for r in range(lay_m1.total)
+                ]
+            rows += _indec_rows(p, rel, layout)
             if rho is not None:
-                rows.extend(_rho_rows(p, rho, layout))
+                rows += _rho_rows(p, rho, layout)
             if rows:
-                cond = linalg.Subspace.from_kernel(rows, layout.total)
-                space = space.intersection(cond)
+                cond = linalg.matrix(
+                    len(rows),
+                    layout.total,
+                    ((i, k, c) for i, row in enumerate(rows) for k, c in row.items()),
+                )
+                space = space.intersection(linalg.Subspace.from_kernel(cond, layout.total))
         spaces[n] = space
     slc = DerSlice(p, rel, (lo, hi), spaces, layouts)
     # tau_{>=0}: with the degree-0 part cut to cycles (plus conditions), the
@@ -466,22 +458,21 @@ def f_der_dims(m, rel_source, window):
         else:
             slots = [(name, d) for name, d in src.generators.entries]
             total = sum(tgt.dim(d + n) for _, d in slots)
-            rows = []
+            ents = []
+            nrows = 0
             for e in spec.elements:
                 tdim = tgt.dim(e.degree + n)
                 if tdim == 0:
                     continue
-                block = [[Fraction(0)] * total for _ in range(tdim)]
                 off = 0
                 for name, d in slots:
                     for i in range(tgt.dim(d + n)):
                         vec = linalg.unit_vector(tgt.dim(d + n), i)
                         unit = FDerivation(m, n, {name: tgt.element_from_vector(d + n, vec)})
-                        img = unit.eval_at(e)
-                        for r, c in img.coords.items():
-                            block[r][off + i] = c
+                        ents += [(nrows + r, off + i, c) for r, c in unit.eval_at(e).coords.items()]
                     off += tgt.dim(d + n)
-                rows.extend(block)
+                nrows += tdim
+            rows = linalg.matrix(nrows, total, ents)
             dims[n] = total - (linalg.rank(rows, total) if rows else 0)
     return dims
 
@@ -545,24 +536,21 @@ def forget_pullback(m, rel_target, rel_source, window, rho_target=None,
     for n in range(lo, hi + 1):
         nl = len(left.derivations[n])
         nr = len(right.derivations[n])
-        rows = []
+        ents = []
+        nrows = 0
         for name, deg in src_gens:
             tdim = m.target.dim(deg + n)
             if tdim == 0:
                 continue
-            block = [[Fraction(0)] * (nl + nr) for _ in range(tdim)]
             mx = m.images[name]
             for j, th in enumerate(left.derivations[n]):
-                img = th.eval_at(mx)
-                for i, c in img.coords.items():
-                    block[i][j] = c
+                ents += [(nrows + i, j, c) for i, c in th.eval_at(mx).coords.items()]
             for j, thp in enumerate(right.derivations[n]):
                 img = m.apply(thp.value(name))
-                for i, c in img.coords.items():
-                    block[i][nl + j] -= c
-            rows.extend(block)
-        if rows:
-            space = linalg.Subspace.from_kernel(rows, nl + nr)
+                ents += [(nrows + i, nl + j, -c) for i, c in img.coords.items()]
+            nrows += tdim
+        if nrows:
+            space = linalg.Subspace.from_kernel(linalg.matrix(nrows, nl + nr, ents), nl + nr)
         else:
             space = linalg.Subspace.full(nl + nr)
         pair_spaces[n] = space
@@ -580,20 +568,17 @@ def forget_pullback(m, rel_target, rel_source, window, rho_target=None,
     diff = {}
     for n in range(lo + 1, hi + 1):
         nl = len(left.derivations[n])
-        rows = pair_spaces[n - 1].dim
-        cols = pair_spaces[n].dim
-        mmat = linalg.zero_matrix(rows, cols)
         dl = left.d_matrix(n)
         dr = right.d_matrix(n)
-        for j, v in enumerate(pair_spaces[n].vectors):
+        cols = []
+        for v in pair_spaces[n].vectors:
             dv = linalg.matvec(dl, v[:nl]) + linalg.matvec(dr, v[nl:])
             c = pair_spaces[n - 1].coords(dv)
             if c is None:
                 raise WindowTooNarrow(
                     "pullback differential leaves the pullback at degree %d" % n
                 )
-            for i, x in enumerate(c):
-                mmat[i][j] = x
-        diff[n] = mmat
+            cols.append(c)
+        diff[n] = linalg.matrix(pair_spaces[n - 1].dim, len(cols), linalg.entries(zip(*cols)))
     slc = ChainComplexSlice((lo, hi), spaces, diff)
     return slc, left, right, pairs

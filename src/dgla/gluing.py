@@ -8,6 +8,7 @@ ranks of both projections and deliberately claims nothing more.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
 from .derivations import Derivation, forget_pullback
@@ -48,14 +49,12 @@ def boundary_connected_sum(m, n):
     gens = [(nm, d) for nm, d in m.v.basis.entries] + [
         (right_names[nm], d) for nm, d in n.v.basis.entries
     ]
-    k, l = len(m.v.basis), len(n.v.basis)
-    pairing = [[Fraction(0)] * (k + l) for _ in range(k + l)]
-    for i in range(k):
-        for j in range(k):
-            pairing[i][j] = m.v.pairing[i][j]
-    for i in range(l):
-        for j in range(l):
-            pairing[k + i][k + j] = n.v.pairing[i][j]
+    k = len(m.v.basis)
+    pairing = linalg.matrix(
+        len(gens),
+        len(gens),
+        chain(linalg.entries(m.v.pairing), linalg.entries(n.v.pairing, k, k)),
+    )
 
     diff = {}
     for nm, v in m.presentation.differential.items():
@@ -118,24 +117,20 @@ def _extend_derivation(theta, glued_p, names):
     return Derivation(glued_p, theta.degree, vals, rel=None, check=False)
 
 
-def _factor_block(g_factor, g_glued, names, d):
-    """Matrix embedding one factor's degree-d part into the glued algebra."""
+def _factor_entries(g_factor, g_glued, names, d, col):
+    """Entries of the matrix embedding one factor's degree-d part into the glued algebra.
+
+    The factor's columns start at ``col``.
+    """
     gf = g_factor.acting
     gg = g_glued.acting
     hf = g_factor.hom_module
     hg = g_glued.hom_module
-    nf_der = gf.dim(d)
-    nf_hom = g_factor.module.dim(d)
-    cols = []
-    for i in range(nf_der):
-        theta = gf.derivations[d][i]
+    for i, theta in enumerate(gf.derivations[d]):
         ext = _extend_derivation(theta, gg.p, names)
-        c = gg.coords(ext, d)
-        vec = [Fraction(0)] * g_glued.dim(d)
-        for k, x in enumerate(c):
-            vec[k] = x
-        cols.append(vec)
-    for j in range(nf_hom):
+        yield from ((k, col + i, x) for k, x in enumerate(gg.coords(ext, d)))
+    col += gf.dim(d)
+    for j in range(g_factor.module.dim(d)):
         raw = hf.raw_basis_vector(d, j)
         glued_raw = [Fraction(0)] * hg.full.dim(d)
         for (fd, sname, tname), pos in hf.index.items():
@@ -150,12 +145,7 @@ def _factor_block(g_factor, g_glued, names, d):
                 raise SubMismatch("Hom functional %r has no glued counterpart" % sname)
             glued_raw[tgt] += cval
         mod_coords = hg.to_module_coords(d, glued_raw)
-        vec = [Fraction(0)] * g_glued.dim(d)
-        off = gg.dim(d)
-        for k, x in enumerate(mod_coords):
-            vec[off + k] = x
-        cols.append(vec)
-    return cols
+        yield from ((gg.dim(d) + k, col + j, x) for k, x in enumerate(mod_coords))
 
 
 def glue_headline_g(g_left, g_right, g_glued, left_names, right_names,
@@ -177,16 +167,15 @@ def glue_headline_g(g_left, g_right, g_glued, left_names, right_names,
     hi = min(g_left.hi, g_right.hi, g_glued.hi)
     blocks = {}
     for d in range(lo, hi + 1):
-        cols_l = _factor_block(g_left, g_glued, left_names, d)
-        cols_r = _factor_block(g_right, g_glued, right_names, d)
-        ncols = g_left.dim(d) + g_right.dim(d)
-        rows = g_glued.dim(d)
         # column order: left (derivations, Hom) then right (derivations, Hom)
-        mat = linalg.zero_matrix(rows, ncols)
-        for j, col in enumerate(cols_l + cols_r):
-            for i, x in enumerate(col):
-                mat[i][j] = x
-        blocks[d] = mat
+        blocks[d] = linalg.matrix(
+            g_glued.dim(d),
+            g_left.dim(d) + g_right.dim(d),
+            chain(
+                _factor_entries(g_left, g_glued, left_names, d, 0),
+                _factor_entries(g_right, g_glued, right_names, d, g_left.dim(d)),
+            ),
+        )
     report = []
     if check:
         ok = True

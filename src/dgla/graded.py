@@ -86,7 +86,7 @@ class GradedLinearMap:
     def block(self, d):
         if d in self.blocks:
             return self.blocks[d]
-        return linalg.zero_matrix(self.target.dim(d + self.degree), self.source.dim(d))
+        return linalg.matrix(self.target.dim(d + self.degree), self.source.dim(d))
 
     def apply(self, d, vector):
         """Apply the degree-d block to a coordinate vector."""
@@ -158,15 +158,12 @@ class ChainComplexSlice:
             )
         m = self.differential.get(d)
         if m is None:
-            return linalg.zero_matrix(self.dim(d - 1), self.dim(d))
+            return linalg.matrix(self.dim(d - 1), self.dim(d))
         return m
 
     def check_complex(self):
         """Assert d . d = 0 wherever both blocks lie in the window."""
-        for d in range(self.lo + 2, self.hi + 1):
-            prod = linalg.matmul(self.d_matrix(d - 1), self.d_matrix(d))
-            if not linalg.is_zero_matrix(prod):
-                raise NotAComplex("d^2 != 0 from degree %d" % d)
+        linalg.check_d_squared(self.d_matrix, self.lo, self.hi)
 
     def homology_degree(self, k):
         """(betti, cycle_representatives) at one degree.

@@ -28,6 +28,8 @@ import os
 import tempfile
 from fractions import Fraction
 
+from . import expr as expr_mod
+from . import linalg
 from .errors import SchemaError
 from .graded import GradedBasis, GradedLinearMap
 from .presentation import DgLaPresentation, GeneratorSplit
@@ -98,7 +100,11 @@ def load_presentation(obj):
     diff = obj.get("differential", {})
     if not isinstance(diff, dict) or any(not isinstance(v, str) for v in diff.values()):
         raise SchemaError("differential must map names to expression strings", "/differential")
-    known = [n for n, _ in gens]
+    known = {n for n, _ in gens}
+    for name in diff:
+        if name not in known:
+            raise SchemaError("differential of an unknown generator", "/differential/%s" % name)
+    diff = {n: _parse_known(v, known, "/differential/%s" % n) for n, v in diff.items()}
     subs = {}
     for name, spec in (obj.get("subalgebras") or {}).items():
         pt = "/subalgebras/%s" % name
@@ -107,13 +113,26 @@ def load_presentation(obj):
         names = spec.get("generators", [])
         if not isinstance(names, list) or any(n not in known for n in names):
             raise SchemaError("subalgebra generators must be generator names", pt)
+        elements = spec.get("elements", [])
+        if not isinstance(elements, list) or any(not isinstance(e, str) for e in elements):
+            raise SchemaError("subalgebra elements must be expression strings", pt)
+        if "elements" in spec:
+            spec = {"elements": [_parse_known(e, known, pt) for e in elements]}
         subs[name] = spec
     return DgLaPresentation(gens, diff, subs)
 
 
-def serialize_presentation(p):
-    from . import expr as expr_mod
+def _parse_known(text, known, pointer):
+    """Terms of an expression string whose generators all lie in ``known``."""
+    terms = expr_mod.parse_expression(text)
+    for _, tree in terms:
+        unknown = expr_mod.tree_generators(tree) - known
+        if unknown:
+            raise SchemaError("unknown generator %r" % min(unknown), pointer)
+    return terms
 
+
+def serialize_presentation(p):
     out = {"generators": [{"name": n, "degree": d} for n, d in p.generators.entries]}
     diff = {}
     for n, _ in p.generators.entries:
@@ -174,8 +193,6 @@ def load_manifold(obj):
 
 
 def serialize_manifold(m):
-    from . import expr as expr_mod
-
     out = {
         "dimension": m.dimension,
         "generators": [{"name": n, "degree": d} for n, d in m.v.basis.entries],
@@ -222,23 +239,30 @@ def load_slice(obj):
         names[n] = (d, len(labels[d]))
         degrees[n] = d
         labels[d].append(n)
-    d_blocks = {}
+    d_entries = {}
     for src, row in (obj.get("differential") or {}).items():
         if src not in names:
             raise SchemaError("unknown basis name %r" % src, "/differential")
         d, j = names[src]
         if d - 1 < lo:
             raise SchemaError("differential leaves the window at %r" % src, "/differential")
-        m = d_blocks.setdefault(
-            d, [[Fraction(0)] * len(labels[d]) for _ in range(len(labels[d - 1]))]
-        )
         for tgt, c in row.items():
             if tgt not in names or degrees[tgt] != d - 1:
                 raise SchemaError(
                     "differential of %r must land in degree %d" % (src, d - 1),
                     "/differential/%s" % src,
                 )
-            m[names[tgt][1]][j] = parse_rational(c, "/differential/%s/%s" % (src, tgt))
+            c = parse_rational(c, "/differential/%s/%s" % (src, tgt))
+            d_entries.setdefault(d, []).append((names[tgt][1], j, c))
+    d_blocks = {
+        d: linalg.matrix(len(labels[d - 1]), len(labels[d]), ents)
+        for d, ents in d_entries.items()
+    }
+
+    def zero_table(n, m):
+        zero = [Fraction(0)] * len(labels[n + m])
+        return [[zero] * len(labels[m]) for _ in labels[n]]
+
     tables = {}
     for k, br in enumerate(obj.get("brackets") or []):
         pt = "/brackets/%d" % k
@@ -255,23 +279,14 @@ def load_slice(obj):
             if tgt not in names or degrees[tgt] != dn + dm:
                 raise SchemaError("bracket value must be in degree %d" % (dn + dm), pt)
             vec[names[tgt][1]] = parse_rational(c, pt)
-        tab = tables.setdefault(
-            (dn, dm),
-            [
-                [[Fraction(0)] * len(labels[dn + dm]) for _ in range(len(labels[dm]))]
-                for _ in range(len(labels[dn]))
-            ],
-        )
-        tab[i][j] = vec
+        if (dn, dm) not in tables:
+            tables[(dn, dm)] = zero_table(dn, dm)
+        tables[(dn, dm)][i][j] = vec
         # graded-antisymmetric partner
         sign = Fraction(1 if (dn * dm) % 2 else -1)
-        tab2 = tables.setdefault(
-            (dm, dn),
-            [
-                [[Fraction(0)] * len(labels[dn + dm]) for _ in range(len(labels[dn]))]
-                for _ in range(len(labels[dm]))
-            ],
-        )
+        if (dm, dn) not in tables:
+            tables[(dm, dn)] = zero_table(dm, dn)
+        tab2 = tables[(dm, dn)]
         if all(x == 0 for x in tab2[j][i]):
             tab2[j][i] = [sign * x for x in vec]
     slc = DgLieSlice((lo, hi), labels, d_blocks, bracket_tables=tables)
@@ -305,16 +320,14 @@ def load_rho(obj, p):
         tgt = pi.in_degree(d)
         if not tgt:
             continue
-        m = [[Fraction(0)] * len(src) for _ in tgt]
-        nonzero = False
-        for j, g in enumerate(src):
-            for i, t in enumerate(tgt):
-                c = cells.get((g, t))
-                if c:
-                    m[i][j] = c
-                    nonzero = True
-        if nonzero:
-            rho.set_block(d, m)
+        ents = [
+            (i, j, cells[(g, t)])
+            for j, g in enumerate(src)
+            for i, t in enumerate(tgt)
+            if cells.get((g, t))
+        ]
+        if ents:
+            rho.set_block(d, linalg.matrix(len(tgt), len(src), ents))
     return rho, pi
 
 

@@ -1,18 +1,25 @@
 """Exact linear algebra over Q.
 
 Everything here works on dense matrices given as lists of rows of
-``fractions.Fraction`` (integers are accepted and coerced).  The elimination
-core is fraction-free: rows are scaled to integers and reduced by
-Bareiss-style elimination, with the pivot in each column chosen among the
-candidate rows to minimize the bit length of the pivot entry.  Coefficient
-growth, not row count, is the dominant cost on free-Lie-algebra matrices,
-which is why floats are banned and pivoting is by entry size.
+``fractions.Fraction`` (integers are accepted and coerced).  Rows index the
+target basis and columns the source basis.  The library builds every matrix
+block with ``matrix`` from (row, column, value) triples and takes blocks
+apart with ``entries``, so only this module knows how a matrix is stored.
+
+The elimination core is fraction-free: rows are scaled to integers and
+reduced by Bareiss-style elimination, with the pivot in each column chosen
+among the candidate rows to minimize the bit length of the pivot entry.
+Coefficient growth, not row count, is the dominant cost on
+free-Lie-algebra matrices, which is why floats are banned and pivoting is
+by entry size.
 
 Desk scale only: matrices of a few thousand rows/columns.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from .errors import NotAComplex
 
 
 def _as_fraction_rows(rows):
@@ -138,6 +145,16 @@ def solve(rows, ncols, rhs):
     return x
 
 
+def inverse(rows):
+    """The inverse of a square matrix, or None if it is singular."""
+    n = len(rows)
+    aug = [list(r) + e for r, e in zip(rows, identity_matrix(n))]
+    red, pivots = rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [r[n:] for r in red[:n]]
+
+
 def matvec(rows, x):
     return [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
 
@@ -149,8 +166,34 @@ def matmul(a, b):
     return [[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in cols] for r in a]
 
 
-def zero_matrix(nrows, ncols):
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
+def matrix(nrows, ncols, entries=()):
+    """An nrows x ncols matrix with the sum of the c of all (i, j, c) in entries at (i, j).
+
+    Positions no triple names are zero.
+    """
+    m = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for i, j, c in entries:
+        m[i][j] += c
+    return m
+
+
+def entries(m, row=0, col=0):
+    """The (i + row, j + col, c) triples of the nonzero entries c of m."""
+    for i, r in enumerate(m):
+        for j, c in enumerate(r):
+            if c:
+                yield i + row, j + col, c
+
+
+def check_d_squared(d_matrix, lo, hi):
+    """The d^2 = 0 certificate of a complex on the degree window [lo, hi].
+
+    ``d_matrix(d)`` is the differential out of degree d.  Raises NotAComplex
+    unless d_matrix(d - 1) . d_matrix(d) = 0 for lo + 2 <= d <= hi.
+    """
+    for d in range(lo + 2, hi + 1):
+        if not is_zero_matrix(matmul(d_matrix(d - 1), d_matrix(d))):
+            raise NotAComplex("d^2 != 0 from degree %d" % d)
 
 
 def unit_vector(n, i):

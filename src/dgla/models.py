@@ -8,6 +8,7 @@ algebra over a triple of designated subs, and its block specialization.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
 from .derivations import Derivation, deru
@@ -25,6 +26,7 @@ from .presentation import (
     DgLaPresentation,
     ElementGenerated,
     GeneratorSplit,
+    linear_part_block,
 )
 from .slices import DgLieSlice, hom_slice, shifted_basis
 
@@ -61,12 +63,11 @@ class SymplecticGVS:
     def dual_basis_matrix(self):
         """Columns c_i with <sum_k c_i[k] alpha_k, alpha_i> = delta_ij."""
         n = len(self.basis)
+        # unknown x with sum_k x_k <alpha_k, alpha_j> = delta_ij
+        rows = linalg.transpose(self.pairing, n)
         out = []
         for i in range(n):
-            rhs = [Fraction(1 if j == i else 0) for j in range(n)]
-            # unknown x with sum_k x_k <alpha_k, alpha_j> = delta_ij
-            rows = [[self.pairing[k][j] for k in range(n)] for j in range(n)]
-            x = linalg.solve(rows, n, rhs)
+            x = linalg.solve(rows, n, linalg.unit_vector(n, i))
             if x is None:
                 raise NotUnimodular("pairing matrix is singular")
             out.append(x)
@@ -150,12 +151,9 @@ class ManifoldModel:
                 continue
             # functionals land on the first pi line of the degree (pi_* SO
             # has exactly one per degree 4i-1)
-            m = [[Fraction(0)] * len(src) for _ in tgt]
-            names = self.v.basis.in_degree(deg)
-            for j, n in enumerate(src):
-                if n in names:
-                    m[0][j] = values[names.index(n)]
-            rho.set_block(deg, m)
+            value = dict(zip(self.v.basis.in_degree(deg), values))
+            ents = [(0, j, value[n]) for j, n in enumerate(src) if n in value]
+            rho.set_block(deg, linalg.matrix(len(tgt), len(src), ents))
         return rho
 
 
@@ -433,21 +431,13 @@ def semidirect(g, L, a, window=None, check=True):
     }
     d_blocks = {}
     for d in range(lo + 1, hi + 1):
-        gd, ld = g.dim(d), L.dim(d)
-        rows = g.dim(d - 1) + L.dim(d - 1)
-        m = linalg.zero_matrix(rows, gd + ld)
-        dg = g.d_matrix(d)
-        for j in range(gd):
-            for i in range(g.dim(d - 1)):
-                m[i][j] = dg[i][j]
-            chi = a.chi(d, j)
-            for i in range(L.dim(d - 1)):
-                m[g.dim(d - 1) + i][j] = chi[i]
-        dl = L.d_matrix(d)
-        for j in range(ld):
-            for i in range(L.dim(d - 1)):
-                m[g.dim(d - 1) + i][gd + j] = dl[i][j]
-        d_blocks[d] = m
+        gd, top = g.dim(d), g.dim(d - 1)
+        chi = ((top + i, j, c) for j in range(gd) for i, c in enumerate(a.chi(d, j)))
+        d_blocks[d] = linalg.matrix(
+            top + L.dim(d - 1),
+            gd + L.dim(d),
+            chain(linalg.entries(g.d_matrix(d)), chi, linalg.entries(L.d_matrix(d), top, gd)),
+        )
 
     def bracket_fn(n, i, m, j):
         gn, gm = g.dim(n), g.dim(m)
@@ -476,41 +466,19 @@ def semidirect(g, L, a, window=None, check=True):
     return slc
 
 
-def _indec_slice_data(p, sub):
-    """(basis, d_blocks) of the relative indecomposables, unsuspended."""
-    gens = p.nonsub_generators(sub)
-    basis = GradedBasis(gens)
-    keep = {n for n, _ in gens}
-    d_blocks = {}
-    degs = sorted({d for _, d in gens})
-    for d in degs:
-        src = basis.in_degree(d)
-        tgt = basis.in_degree(d - 1)
-        if not src or not tgt:
-            continue
-        m = [[Fraction(0)] * len(src) for _ in tgt]
-        nonzero = False
-        for j, n in enumerate(src):
-            for tn, c in p.d_gen(n).linear_part().items():
-                if tn in keep and tn in tgt:
-                    m[tgt.index(tn)][j] = c
-                    nonzero = True
-        if nonzero:
-            d_blocks[d] = m
-    return basis, d_blocks
-
-
 def _suspended_hom(p, sub, pi, window):
     """tau_{>=0} Hom(s indec_sub(p), pi) plus index bookkeeping.
 
     The suspension has degrees raised by one and differential negated:
     d(s x) = -s(d x).
     """
-    basis, d_blocks = _indec_slice_data(p, sub)
+    basis = GradedBasis(p.nonsub_generators(sub))
     sbasis = shifted_basis(basis.entries)
     s_blocks = {}
-    for d, m in d_blocks.items():
-        s_blocks[d + 1] = [[-x for x in row] for row in m]
+    for d in basis.degrees():
+        src, tgt = basis.in_degree(d), basis.in_degree(d - 1)
+        if src and tgt:
+            s_blocks[d + 1] = linear_part_block(lambda n: p.d_gen(n).scale(-1), src, tgt)
     lo = min(window[0] - 1, -1)
     full = hom_slice(sbasis, s_blocks, pi, (lo, window[1]))
     return full.truncate_nonneg(), full, basis, sbasis
@@ -631,9 +599,8 @@ def build_g(p, sub_b, sub_a, rho, pi, window, mode="semisimple-indec", check=Tru
                         raise RhoNotChainMap(
                             "rho does not vanish on sub generator %r" % nm
                         )
-    basis, _ = _indec_slice_data(p, sub_b)
     if pi is None:
-        top = max((d for _, d in basis.entries), default=0) + 1
+        top = max((d for _, d in p.nonsub_generators(sub_b)), default=0) + 1
         pi = pi_so_basis(top)
     hm = _HomModule(p, sub_b, pi, (lo, hi))
     g = deru(p, sub_a, rho, (lo, hi), mode=mode)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import NonMinimalAmbient, NotInvertibleLinearPart
 from .graded import GradedBasis, GradedLinearMap
-from .presentation import GeneratorSplit, TreeMap
+from .presentation import GeneratorSplit, TreeMap, linear_part_block
 
 
 class GeneratorMorphism:
@@ -63,15 +63,11 @@ class GeneratorMorphism:
 
     def linear_block(self, degree):
         """Matrix of the linear part on degree-d generators (rows = target)."""
-        src = self.source.generators.in_degree(degree)
-        tgt = self.target.generators.in_degree(degree)
-        m = [[Fraction(0)] * len(src) for _ in tgt]
-        for j, n in enumerate(src):
-            lin = self.images[n].linear_part()
-            for tn, c in lin.items():
-                if tn in tgt:
-                    m[tgt.index(tn)][j] = c
-        return m
+        return linear_part_block(
+            self.images.__getitem__,
+            self.source.generators.in_degree(degree),
+            self.target.generators.in_degree(degree),
+        )
 
 
 def check_morphism(f, fixed_sub=None, rho=None):
@@ -179,22 +175,13 @@ def indec_action(x, sub=None):
         value = lambda n: x.value(n)
     else:
         raise TypeError("expected GeneratorMorphism or Derivation")
-    gens = p.nonsub_generators(sub)
-    basis = GradedBasis(gens)
-    keep = {n for n, _ in gens}
+    basis = GradedBasis(p.nonsub_generators(sub))
     out = GradedLinearMap(basis, basis, degree)
-    for d in sorted({deg for _, deg in gens}):
+    for d in basis.degrees():
         src = basis.in_degree(d)
         tgt = basis.in_degree(d + degree)
-        if not src or not tgt:
-            continue
-        m = [[Fraction(0)] * len(src) for _ in tgt]
-        for j, n in enumerate(src):
-            lin = value(n).linear_part()
-            for tn, c in lin.items():
-                if tn in keep and tn in tgt:
-                    m[tgt.index(tn)][j] = c
-        out.set_block(d, m)
+        if src and tgt:
+            out.set_block(d, linear_part_block(value, src, tgt))
     return out
 
 
@@ -215,28 +202,17 @@ def invert_automorphism(f, rel=None):
     if not p.is_minimal(rel):
         raise NonMinimalAmbient("presentation is not minimal relative to %r" % rel)
 
-    lin_inverse_blocks = {}
-    for d in sorted({deg for _, deg in p.generators.entries}):
-        block = f.linear_block(d)
-        n = len(block)
-        if n == 0:
-            continue
-        aug = [row + ident_row for row, ident_row in zip(block, linalg.identity_matrix(n))]
-        red, pivots = linalg.rref(aug, 2 * n)
-        if pivots[:n] != list(range(n)):
-            raise NotInvertibleLinearPart("linear part singular in degree %d" % d)
-        lin_inverse_blocks[d] = [row[n:] for row in red[:n]]
-
     g0_images = {}
-    for d, names in ((d, p.generators.in_degree(d)) for d in sorted({deg for _, deg in p.generators.entries})):
-        inv = lin_inverse_blocks.get(d)
-        for j, n in enumerate(names):
-            terms = []
-            for i, tn in enumerate(names):
-                c = inv[i][j]
-                if c:
-                    terms.append((c, tn))
-            g0_images[n] = p.normal_form(terms)
+    for d in sorted({deg for _, deg in p.generators.entries}):
+        inv = linalg.inverse(f.linear_block(d))
+        if inv is None:
+            raise NotInvertibleLinearPart("linear part singular in degree %d" % d)
+        names = p.generators.in_degree(d)
+        terms = {n: [] for n in names}
+        for i, j, c in linalg.entries(inv):
+            terms[names[j]].append((c, names[i]))
+        for n in names:
+            g0_images[n] = p.normal_form(terms[n])
     g0 = GeneratorMorphism(p, p, g0_images)
 
     h = g0.compose(f)

@@ -193,6 +193,21 @@ def leibniz_extension(source, target, degree, leaf, along=None):
     return TreeMap(source, value, node)
 
 
+def linear_part_block(value, src, tgt):
+    """Matrix of the linear parts of value(n) for the generators n in src.
+
+    Column j holds the coefficients of value(src[j]) on the generators tgt,
+    one row each; terms on other generators are left out.
+    """
+    row = {t: i for i, t in enumerate(tgt)}
+    return linalg.matrix(len(tgt), len(src), (
+        (row[t], j, c)
+        for j, n in enumerate(src)
+        for t, c in value(n).linear_part().items()
+        if t in row
+    ))
+
+
 class DgLaPresentation:
     """A quasi-free dg Lie algebra given on generators.
 
@@ -518,19 +533,11 @@ class DgLaPresentation:
         for d in range(lo, hi + 1):
             spaces[d] = GradedBasis([(n, d) for n, gd in gens if gd == d])
         diff = {}
-        keep = {n for n, _ in gens}
         for d in range(lo + 1, hi + 1):
             src = spaces[d].names()
             tgt = spaces[d - 1].names()
-            if not src or not tgt:
-                continue
-            m = [[Fraction(0)] * len(src) for _ in tgt]
-            for j, n in enumerate(src):
-                lin = self.d_gen(n).linear_part()
-                for tn, c in lin.items():
-                    if tn in keep:
-                        m[tgt.index(tn)][j] = c
-            diff[d] = m
+            if src and tgt:
+                diff[d] = linear_part_block(self.d_gen, src, tgt)
         return ChainComplexSlice((lo, hi), spaces, diff)
 
     def is_minimal(self, subname=None):
@@ -571,20 +578,20 @@ def lie_chain_slice(p, lo, hi):
     from . import expr as _expr
 
     spaces = {}
-    diff = {}
     for d in range(lo, hi + 1):
         labels = [_expr.tree_to_str(p.tree_names(b.tree)) for b in p.lie_basis(d)]
         spaces[d] = GradedBasis([(s, d) for s in labels])
-    for d in range(lo + 1, hi + 1):
-        rows = p.dim(d - 1)
-        cols = p.dim(d)
-        m = [[Fraction(0)] * cols for _ in range(rows)]
-        for j, b in enumerate(p.lie_basis(d)):
-            img = p._d_tree(b.tree)
-            for i, c in img.coords.items():
-                m[i][j] = c
-        diff[d] = m
+    diff = {d: _d_block(p, d) for d in range(lo + 1, hi + 1)}
     return ChainComplexSlice((lo, hi), spaces, diff)
+
+
+def _d_block(p, d):
+    """Matrix of the differential from degree d to d - 1 in the Lie bases."""
+    return linalg.matrix(p.dim(d - 1), p.dim(d), (
+        (i, j, c)
+        for j, b in enumerate(p.lie_basis(d))
+        for i, c in p._d_tree(b.tree).coords.items()
+    ))
 
 
 def presentation_slice(p, lo, hi):
@@ -593,8 +600,6 @@ def presentation_slice(p, lo, hi):
     Positively graded, so degrees <= 0 are genuinely empty and the window
     may start anywhere below 1.
     """
-    from fractions import Fraction as _F
-
     from . import expr as _expr
     from .slices import DgLieSlice
 
@@ -606,20 +611,12 @@ def presentation_slice(p, lo, hi):
             labels[d] = [
                 _expr.tree_to_str(p.tree_names(b.tree)) for b in p.lie_basis(d)
             ]
-    d_blocks = {}
-    for d in range(max(lo + 1, 1), hi + 1):
-        rows = p.dim(d - 1) if d - 1 >= 1 else 0
-        cols = p.dim(d)
-        if rows == 0 or cols == 0:
-            continue
-        m = [[_F(0)] * cols for _ in range(rows)]
-        for j, b in enumerate(p.lie_basis(d)):
-            for i, c in p._d_tree(b.tree).coords.items():
-                m[i][j] = c
-        d_blocks[d] = m
+    d_blocks = {
+        d: _d_block(p, d) for d in range(max(lo + 1, 1), hi + 1) if p.dim(d - 1) and p.dim(d)
+    }
 
     def bracket_fn(n, i, m_, j):
-        out = [_F(0)] * (p.dim(n + m_) if n + m_ >= 1 else 0)
+        out = [Fraction(0)] * p.dim(n + m_)
         for k, c in p.basis_bracket(n, i, m_, j).coords.items():
             out[k] = c
         return out

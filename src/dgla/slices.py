@@ -9,6 +9,7 @@ WindowTooNarrow.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
 from .errors import NotAComplex, WindowTooNarrow
@@ -50,7 +51,7 @@ class DgLieSlice:
             )
         m = self._d.get(d)
         if m is None:
-            return linalg.zero_matrix(self.dim(d - 1), self.dim(d))
+            return linalg.matrix(self.dim(d - 1), self.dim(d))
         return m
 
     def d_apply(self, d, vector):
@@ -89,9 +90,7 @@ class DgLieSlice:
     # -- verification -------------------------------------------------------
 
     def check_d_squared(self):
-        for d in range(self.lo + 2, self.hi + 1):
-            if not linalg.is_zero_matrix(linalg.matmul(self.d_matrix(d - 1), self.d_matrix(d))):
-                raise NotAComplex("slice differential does not square to zero at %d" % d)
+        linalg.check_d_squared(self.d_matrix, self.lo, self.hi)
 
     def check_bracket_axioms(self, triple_budget=200):
         """Antisymmetry on all in-window pairs, Jacobi on a budget of triples."""
@@ -198,18 +197,14 @@ class DgLieSlice:
         }
         d_blocks = {}
         for d in range(lo + 1, hi + 1):
-            a = self.d_matrix(d)
-            b = other.d_matrix(d)
-            rows = len(a) + len(b)
-            cols = self.dim(d) + other.dim(d)
-            m = linalg.zero_matrix(rows, cols)
-            for i, r in enumerate(a):
-                for j, x in enumerate(r):
-                    m[i][j] = x
-            for i, r in enumerate(b):
-                for j, x in enumerate(r):
-                    m[len(a) + i][self.dim(d) + j] = x
-            d_blocks[d] = m
+            d_blocks[d] = linalg.matrix(
+                self.dim(d - 1) + other.dim(d - 1),
+                self.dim(d) + other.dim(d),
+                chain(
+                    linalg.entries(self.d_matrix(d)),
+                    linalg.entries(other.d_matrix(d), self.dim(d - 1), self.dim(d)),
+                ),
+            )
 
         def bracket_fn(n, i, m, j):
             na, ma = self.dim(n), self.dim(m)
@@ -252,15 +247,10 @@ class DgLieSlice:
         for d in range(2, hi + 1):
             d_blocks[d] = self.d_matrix(d)
         if hi >= 1:
-            m1 = []
-            cols = self.dim(1)
-            imgs = [self.d_apply(1, self._unit(1, j)) for j in range(cols)]
-            coords = [z0.coords(v) for v in imgs]
-            for v, c in zip(imgs, coords):
-                if c is None:
-                    raise NotAComplex("boundary of degree 1 is not a cycle")
-            m1 = [[coords[j][i] for j in range(cols)] for i in range(z0.dim)]
-            d_blocks[1] = m1
+            cols = [z0.coords(self.d_apply(1, self._unit(1, j))) for j in range(self.dim(1))]
+            if None in cols:
+                raise NotAComplex("boundary of degree 1 is not a cycle")
+            d_blocks[1] = linalg.matrix(z0.dim, len(cols), linalg.entries(zip(*cols)))
 
         outer = self
 
@@ -394,11 +384,8 @@ def hom_slice(source_basis, source_d_blocks, target_basis, window):
     for d, m in (source_d_blocks or {}).items():
         cols = [n for n in src_names if src_deg[n] == d]
         rows = [n for n in src_names if src_deg[n] == d - 1]
-        for j, cn in enumerate(cols):
-            for i, rn in enumerate(rows):
-                c = m[i][j]
-                if c:
-                    dmat[(rn, cn)] = Fraction(c)
+        for i, j, c in linalg.entries(m):
+            dmat[(rows[i], cols[j])] = Fraction(c)
     for n in range(lo + 1, hi + 1):
         rows = len(labels[n - 1])
         cols = len(labels[n])
@@ -406,17 +393,12 @@ def hom_slice(source_basis, source_d_blocks, target_basis, window):
             continue
         # (d E(t,s))(s1) = -(-1)^n E(t,s)(d s1), so E(t,s1) picks up the
         # coefficient of s in d(s1).
-        m = linalg.zero_matrix(rows, cols)
         sign = Fraction(-1 if n % 2 == 0 else 1)
-        for (nn, s, t), j in index.items():
-            if nn != n:
-                continue
-            for (s2, s1), c in dmat.items():
-                if s2 == s:
-                    i = index.get((n - 1, s1, t))
-                    if i is not None:
-                        m[i][j] += sign * c
-        d_blocks[n] = m
+        d_blocks[n] = linalg.matrix(rows, cols, (
+            (index[(n - 1, s1, t)], j, sign * c)
+            for (nn, s, t), j in index.items() if nn == n
+            for (s2, s1), c in dmat.items() if s2 == s and (n - 1, s1, t) in index
+        ))
     slc = DgLieSlice((lo, hi), labels, d_blocks)
     slc.hom_index = index
     slc.hom_source = source_basis

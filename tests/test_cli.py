@@ -198,6 +198,25 @@ def test_window_too_narrow_is_exit_2(tmp_path):
     assert code == 2 and payload is None
 
 
+def test_ce_of_a_bracket_failing_jacobi_is_a_failed_verdict(tmp_path):
+    # [[x,y],z] + [[y,z],x] + [[z,x],y] = [z,z] + [x,x] + [x,y] = z != 0
+    f = tmp_path / "not_lie.json"
+    f.write_text(json.dumps({
+        "window": [0, 0],
+        "basis": [{"name": n, "degree": 0} for n in "xyz"],
+        "brackets": [
+            {"left": "x", "right": "y", "value": {"z": "1"}},
+            {"left": "y", "right": "z", "value": {"x": "1"}},
+            {"left": "z", "right": "x", "value": {"x": "1"}},
+        ],
+        "bounded": True,
+    }))
+    code, payload = _run("ce", str(f), "--min", "0", "--max", "3")
+    assert code == 1
+    verdicts = _body(payload)["verdicts"]
+    assert [(v["name"], v["pass"]) for v in verdicts] == [("NotAComplex", False)]
+
+
 _NESTED = "[" * 3000 + "a" + ",a]" * 3000
 
 
@@ -221,6 +240,20 @@ _NESTED = "[" * 3000 + "a" + ",a]" * 3000
                 "differential": {"b": _NESTED},
             },
             "at offset 256",
+        ),
+        (
+            {
+                "generators": [{"name": "a", "degree": 2}, {"name": "b", "degree": 3}],
+                "differential": {"b": "[a,zz]"},
+            },
+            "at /differential/b",
+        ),
+        (
+            {
+                "generators": [{"name": "a", "degree": 2}],
+                "subalgebras": {"s": {"elements": ["[a,zz]"]}},
+            },
+            "at /subalgebras/s",
         ),
     ],
 )

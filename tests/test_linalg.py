@@ -1,11 +1,17 @@
+import os
 import random
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgla import linalg
+from dgla.errors import NotAComplex
 from oracles import gauss_rank
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "dgla")
 
 
 def test_rank_examples():
@@ -90,3 +96,70 @@ def test_bit_length_pivoting_stays_exact():
     ]
     r = linalg.rank(rows, 6)
     assert r == gauss_rank(rows)
+
+
+def test_matrix_sums_repeated_entries():
+    m = linalg.matrix(2, 3, [(0, 1, 2), (1, 2, Fraction(1, 3)), (0, 1, Fraction(-1, 2))])
+    assert m == [[0, Fraction(3, 2), 0], [0, 0, Fraction(1, 3)]]
+    assert all(type(x) is Fraction for r in m for x in r)
+    assert linalg.matrix(1, 1, [(0, 0, 1), (0, 0, -1)]) == [[0]]
+
+
+@pytest.mark.parametrize("nrows, ncols", [(0, 0), (0, 3), (3, 0), (2, 2)])
+def test_matrix_without_entries_is_zero_of_that_shape(nrows, ncols):
+    m = linalg.matrix(nrows, ncols)
+    assert len(m) == nrows and all(len(r) == ncols for r in m)
+    assert linalg.is_zero_matrix(m)
+    if nrows > 1 and ncols:
+        m[0][0] = Fraction(1)
+        assert m[1][0] == 0  # each row is its own list
+
+
+def test_matrix_of_entries_places_a_block_at_an_offset():
+    m = [[1, 0], [Fraction(2, 3), -4]]
+    assert list(linalg.entries(m)) == [(0, 0, 1), (1, 0, Fraction(2, 3)), (1, 1, -4)]
+    big = linalg.matrix(4, 5, linalg.entries(m, 1, 2))
+    assert big == [
+        [0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0],
+        [0, 0, Fraction(2, 3), -4, 0],
+        [0, 0, 0, 0, 0],
+    ]
+    assert linalg.matrix(2, 2, linalg.entries(m)) == m
+
+
+def test_check_d_squared_raises_at_the_first_failing_degree():
+    # C_0 <- C_1 <- C_2 <- C_3 <- C_4, each of dimension one: d_1 d_2 and
+    # d_2 d_3 vanish, d_3 d_4 does not
+    blocks = {1: [[1]], 2: [[0]], 3: [[1]], 4: [[1]]}
+    linalg.check_d_squared(blocks.__getitem__, 0, 3)
+    with pytest.raises(NotAComplex, match="degree 4"):
+        linalg.check_d_squared(blocks.__getitem__, 0, 4)
+    blocks[2] = [[5]]
+    with pytest.raises(NotAComplex, match="degree 2"):
+        linalg.check_d_squared(blocks.__getitem__, 0, 4)
+    linalg.check_d_squared(blocks.__getitem__, 1, 2)  # no composite in [1, 2]
+
+
+def test_only_linalg_builds_matrices_and_certifies_d_squared():
+    """The matrix format stays a decision of linalg alone."""
+    literal = re.compile(r"\[\[\s*Fraction\(0\)\]")
+    offenders = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "linalg.py":
+            continue
+        with open(os.path.join(SRC, name)) as f:
+            text = f.read()
+        if literal.search(text):
+            offenders.append("%s builds a matrix literal" % name)
+        if "matmul(" in text:
+            offenders.append("%s runs its own d^2 loop" % name)
+    assert not offenders
+
+
+def test_inverse_of_square_matrices():
+    m = [[2, 1], [Fraction(1, 2), 1]]
+    inv = linalg.inverse(m)
+    assert linalg.matmul(m, inv) == linalg.identity_matrix(2)
+    assert linalg.inverse([[1, 2], [2, 4]]) is None
+    assert linalg.inverse([]) == []
