@@ -492,18 +492,9 @@ def homology_map_is_iso(m, lo, hi):
         b_tgt, _ = tgt.homology_degree(k)
         if b_src != b_tgt:
             return False
-        boundary_cols = linalg.transpose(
-            tgt.d_matrix(k + 1), tgt.dim(k + 1)
-        ) if tgt.dim(k + 1) else []
-        base = list(boundary_cols)
-        images = []
-        for r in reps_src:
-            elt = m.source.element_from_vector(k, r)
-            img = m.apply(elt)
-            images.append(img.vector())
-        r0 = linalg.rank(base, tgt.dim(k)) if base else 0
-        r1 = linalg.rank(base + images, tgt.dim(k)) if base + images else 0
-        if r1 - r0 != b_tgt:
+        boundaries = linalg.transpose(tgt.d_matrix(k + 1), tgt.dim(k + 1))
+        images = [m.apply(m.source.element_from_vector(k, r)).vector() for r in reps_src]
+        if len(linalg.extend_independent(boundaries, images, tgt.dim(k))) != b_tgt:
             return False
     return True
 

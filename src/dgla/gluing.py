@@ -182,8 +182,7 @@ def glue_headline_g(g_left, g_right, g_glued, left_names, right_names,
         witness = None
         for d in range(lo + 1, hi + 1):
             for j in range(g_left.dim(d) + g_right.dim(d)):
-                unit = [Fraction(0)] * (g_left.dim(d) + g_right.dim(d))
-                unit[j] = Fraction(1)
+                unit = linalg.unit_vector(g_left.dim(d) + g_right.dim(d), j)
                 lv, rv = unit[: g_left.dim(d)], unit[g_left.dim(d) :]
                 mapped = linalg.matvec(blocks[d], unit)
                 dmapped = g_glued.d_apply(d, mapped)
@@ -208,10 +207,8 @@ def glue_headline_g(g_left, g_right, g_glued, left_names, right_names,
                         if budget <= 0:
                             break
                         budget -= 1
-                        u = [Fraction(0)] * nl
-                        u[i] = Fraction(1)
-                        v = [Fraction(0)] * ml
-                        v[j] = Fraction(1)
+                        u = linalg.unit_vector(nl, i)
+                        v = linalg.unit_vector(ml, j)
                         bl = g_left.bracket_vectors(n, u[: g_left.dim(n)], m, v[: g_left.dim(m)])
                         br = g_right.bracket_vectors(n, u[g_left.dim(n) :], m, v[g_left.dim(m) :])
                         lhs = linalg.matvec(blocks[n + m], list(bl) + list(br))

@@ -180,12 +180,8 @@ class ChainComplexSlice:
         d_in = self.d_matrix(k + 1)
         n = self.dim(k)
         cycles, _ = linalg.kernel_basis(d_out, n)
-        rk_in = linalg.rank(d_in, self.dim(k + 1)) if self.dim(k + 1) else 0
-        betti = len(cycles) - rk_in
-        boundaries = []
-        cols = linalg.transpose(d_in, self.dim(k + 1)) if self.dim(k + 1) else []
-        for p in linalg.pivot_columns(d_in, self.dim(k + 1)) if self.dim(k + 1) else []:
-            boundaries.append(list(cols[p]))
+        betti = len(cycles) - linalg.rank(d_in, self.dim(k + 1))
+        boundaries = linalg.transpose(d_in, self.dim(k + 1))
         keep = linalg.extend_independent(boundaries, cycles, n)
         reps = [cycles[i] for i in keep]
         if len(reps) != betti:

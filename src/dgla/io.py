@@ -97,14 +97,8 @@ def load_presentation(obj):
         obj, {"generators", "differential", "subalgebras"}, {"generators"}, ""
     )
     gens = _load_generators(obj["generators"], "/generators")
-    diff = obj.get("differential", {})
-    if not isinstance(diff, dict) or any(not isinstance(v, str) for v in diff.values()):
-        raise SchemaError("differential must map names to expression strings", "/differential")
     known = {n for n, _ in gens}
-    for name in diff:
-        if name not in known:
-            raise SchemaError("differential of an unknown generator", "/differential/%s" % name)
-    diff = {n: _parse_known(v, known, "/differential/%s" % n) for n, v in diff.items()}
+    diff = _load_differential(obj, known)
     subs = {}
     for name, spec in (obj.get("subalgebras") or {}).items():
         pt = "/subalgebras/%s" % name
@@ -120,6 +114,17 @@ def load_presentation(obj):
             spec = {"elements": [_parse_known(e, known, pt) for e in elements]}
         subs[name] = spec
     return DgLaPresentation(gens, diff, subs)
+
+
+def _load_differential(obj, known):
+    """The "differential" of a file, parsed; its generators all lie in ``known``."""
+    diff = obj.get("differential", {})
+    if not isinstance(diff, dict) or any(not isinstance(v, str) for v in diff.values()):
+        raise SchemaError("differential must map names to expression strings", "/differential")
+    for name in diff:
+        if name not in known:
+            raise SchemaError("differential of an unknown generator", "/differential/%s" % name)
+    return {n: _parse_known(v, known, "/differential/%s" % n) for n, v in diff.items()}
 
 
 def _parse_known(text, known, pointer):
@@ -174,9 +179,7 @@ def load_manifold(obj):
         mat.append([parse_rational(x, "/pairing/%d/%d" % (i, j)) for j, x in enumerate(row)])
     if len(mat) != len(gens):
         raise SchemaError("pairing must be %dx%d" % (len(gens), len(gens)), "/pairing")
-    diff = obj.get("differential", {})
-    if not isinstance(diff, dict) or any(not isinstance(v, str) for v in diff.values()):
-        raise SchemaError("differential must map names to expression strings", "/differential")
+    diff = _load_differential(obj, {n for n, _ in gens})
     pont = {}
     for key, vals in (obj.get("pontryagin") or {}).items():
         pt = "/pontryagin/%s" % key

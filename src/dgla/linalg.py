@@ -299,17 +299,12 @@ def extend_independent(base_rows, candidates, ncols):
     """Indices of candidate vectors extending the span of base_rows.
 
     Greedy: a candidate is kept iff it is independent of base_rows plus the
-    candidates already kept.  Used to pick homology representatives among
-    cycles modulo boundaries.
+    candidates already kept.  These are the pivot columns past the base of
+    the matrix with columns base_rows followed by candidates, so one
+    elimination finds them all.  Used to pick homology representatives
+    among cycles modulo boundaries.
     """
-    kept = []
-    current = list(base_rows)
-    r = rank(current, ncols) if current else 0
-    for i, c in enumerate(candidates):
-        trial = current + [c]
-        r2 = rank(trial, ncols)
-        if r2 > r:
-            kept.append(i)
-            current = trial
-            r = r2
-    return kept
+    nbase = len(base_rows)
+    cols = list(base_rows) + list(candidates)
+    pivots = pivot_columns(transpose(cols, ncols), len(cols))
+    return [p - nbase for p in pivots if p >= nbase]

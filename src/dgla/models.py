@@ -21,7 +21,7 @@ from .errors import (
     RhoNotChainMap,
 )
 from .graded import GradedBasis, GradedLinearMap
-from .morphisms import GeneratorMorphism
+from .morphisms import GeneratorMorphism, _rho_of
 from .presentation import (
     DgLaPresentation,
     ElementGenerated,
@@ -57,21 +57,14 @@ class SymplecticGVS:
                 sign = Fraction(1 if (degs[i] * degs[j]) % 2 else -1)
                 if self.pairing[i][j] != sign * self.pairing[j][i]:
                     raise ValueError("pairing is not graded antisymmetric")
-        if n and linalg.rank(self.pairing, n) != n:
+        # row i of the inverse solves sum_k x_k <alpha_k, alpha_j> = delta_ij
+        self._duals = linalg.inverse(self.pairing)
+        if self._duals is None:
             raise NotUnimodular("pairing matrix is singular")
 
     def dual_basis_matrix(self):
-        """Columns c_i with <sum_k c_i[k] alpha_k, alpha_i> = delta_ij."""
-        n = len(self.basis)
-        # unknown x with sum_k x_k <alpha_k, alpha_j> = delta_ij
-        rows = linalg.transpose(self.pairing, n)
-        out = []
-        for i in range(n):
-            x = linalg.solve(rows, n, linalg.unit_vector(n, i))
-            if x is None:
-                raise NotUnimodular("pairing matrix is singular")
-            out.append(x)
-        return out
+        """Columns c_i with <sum_k c_i[k] alpha_k, alpha_j> = delta_ij."""
+        return [list(c) for c in self._duals]
 
 
 def omega_element(v, presentation=None):
@@ -503,9 +496,7 @@ class _HomModule:
 
     def raw_basis_vector(self, m, j):
         if m > 0:
-            v = [Fraction(0)] * self.full.dim(m)
-            v[j] = Fraction(1)
-            return v
+            return linalg.unit_vector(self.full.dim(m), j)
         return list(self.module.z0.vectors[j])
 
     def to_module_coords(self, m, raw):
@@ -546,31 +537,11 @@ class _HomModule:
             val = theta.value(x)
             if val.is_zero():
                 continue
-            comps = _rho_components(self.p, rho, val)
-            for tname, c in comps.items():
+            for tname, c in _rho_of(rho, val).items():
                 tgt = self.index.get((n - 1, "s%s" % x, tname))
                 if tgt is not None:
                     out[tgt] += sign * c
         return out
-
-
-def _rho_components(p, rho, element):
-    """rho applied to an element's linear part: dict pi-name -> Fraction."""
-    out = {}
-    lin = element.linear_part()
-    if not lin:
-        return out
-    d = element.degree
-    src = rho.source.in_degree(d)
-    tgt = rho.target.in_degree(d + rho.degree)
-    if not src or not tgt:
-        return out
-    vec = [lin.get(nm, Fraction(0)) for nm in src]
-    img = rho.apply(d, vec)
-    for i, c in enumerate(img):
-        if c:
-            out[tgt[i]] = c
-    return out
 
 
 def build_g(p, sub_b, sub_a, rho, pi, window, mode="semisimple-indec", check=True):
@@ -595,7 +566,7 @@ def build_g(p, sub_b, sub_a, rho, pi, window, mode="semisimple-indec", check=Tru
             spec = p.sub(sub_b)
             if isinstance(spec, GeneratorSplit):
                 for nm in spec.names:
-                    if _rho_components(p, rho, p.gen(nm)):
+                    if _rho_of(rho, p.gen(nm)):
                         raise RhoNotChainMap(
                             "rho does not vanish on sub generator %r" % nm
                         )

@@ -429,8 +429,7 @@ class DgLaPresentation:
                     if b.is_zero():
                         continue
                     vecs = [e.vector() for e in layers.get(b.degree, [])]
-                    sub = linalg.Subspace.from_vectors(vecs, self.dim(b.degree))
-                    if not sub.contains(b.vector()):
+                    if linalg.extend_independent(vecs, [b.vector()], self.dim(b.degree)):
                         layers.setdefault(b.degree, []).append(b)
                         if b.degree <= degree:
                             frontier.append((b.degree, b))

@@ -263,3 +263,21 @@ def test_malformed_presentation_is_exit_2(tmp_path, capsys, obj, where):
     code, payload = _run("check", str(f))
     assert code == 2 and payload is None
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "differential",
+    [{"b": "[a,zz]"}, {"zz": "[a,b]"}],
+    ids=["unknown-in-value", "unknown-key"],
+)
+@pytest.mark.parametrize(
+    "command", [["model"], ["xi", "--min", "0", "--max", "3"]], ids=["model", "xi"]
+)
+def test_malformed_manifold_is_exit_2(tmp_path, capsys, fixture_path, differential, command):
+    obj = io_mod.load_json_file(fixture_path("w11.json"))
+    obj["differential"] = differential
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    code, payload = _run(command[0], str(f), *command[1:])
+    assert code == 2 and payload is None
+    assert "at /differential/%s" % next(iter(differential)) in capsys.readouterr().err

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dgla import linalg
 from dgla.errors import NotAComplex, WindowTooNarrow
 from dgla.graded import (
     ChainComplexSlice,
@@ -117,3 +118,18 @@ def test_cp2_model_matches_rational_homotopy():
     p = DgLaPresentation([("v", 1), ("w", 3)], {"w": "1/2*[v,v]"})
     c = lie_chain_slice(p, 0, 6)
     assert betti_numbers(c, (1, 5)) == {1: 1, 2: 0, 3: 0, 4: 1, 5: 0}
+
+
+def test_homology_degree_eliminates_a_bounded_number_of_times(monkeypatch):
+    # zero differential: every basis element is a cycle, and the number of
+    # eliminations must not grow with the number of representatives
+    p = DgLaPresentation([("x", 1), ("y", 1), ("z", 2)])
+    c = lie_chain_slice(p, 4, 6)
+    calls = []
+    echelon = linalg._bareiss_echelon
+    monkeypatch.setattr(
+        linalg, "_bareiss_echelon", lambda *a: calls.append(1) or echelon(*a)
+    )
+    betti, reps = c.homology_degree(5)
+    assert betti == len(reps) == c.dim(5) > 3
+    assert len(calls) <= 3

@@ -163,3 +163,40 @@ def test_inverse_of_square_matrices():
     assert linalg.matmul(m, inv) == linalg.identity_matrix(2)
     assert linalg.inverse([[1, 2], [2, 4]]) is None
     assert linalg.inverse([]) == []
+
+
+def _greedy_extension(base, candidates):
+    """The definition: keep a candidate iff it raises the rank of what is kept."""
+    kept, current = [], list(base)
+    for i, c in enumerate(candidates):
+        if gauss_rank(current + [c]) > gauss_rank(current):
+            kept.append(i)
+            current.append(c)
+    return kept
+
+
+_small_vectors = st.lists(st.lists(st.integers(-1, 1), min_size=3, max_size=3), max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_vectors, _small_vectors, st.lists(st.integers(0, 5), max_size=3))
+def test_extend_independent_is_the_greedy_choice(base, candidates, repeats):
+    # repeats copies some candidates to the end, so repeated vectors always occur
+    candidates = candidates + [candidates[i] for i in repeats if i < len(candidates)]
+    assert linalg.extend_independent(base, candidates, 3) == _greedy_extension(base, candidates)
+
+
+@pytest.mark.parametrize(
+    "base, candidates, kept",
+    [
+        ([[1, 0, 0], [2, 0, 0]], [[3, 0, 0], [0, 1, 0], [1, 1, 0]], [1]),  # dependent base
+        ([[1, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 2]], [1, 3]),  # zero, repeat
+        ([], [[0, 0, 0], [1, 1, 0], [2, 2, 0], [0, 0, 1]], [1, 3]),  # empty base
+        ([[1, 0, 0]], [], []),  # no candidates
+        ([], [], []),
+    ],
+)
+def test_extend_independent_examples(base, candidates, kept):
+    assert linalg.extend_independent(base, candidates, 3) == kept == _greedy_extension(
+        base, candidates
+    )

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgla import linalg
+from dgla import io, linalg
 from dgla.derivations import Derivation, der_differential, deru
 from dgla.errors import (
     BadPontryaginDegrees,
@@ -87,6 +87,20 @@ def test_omega_basis_independent_under_random_symplectic_changes():
         f = GeneratorMorphism(p, p, sub)
         assert f.apply(base) == base
     assert count == 8
+
+
+@pytest.mark.parametrize(
+    "name", ["cp2", "empty_model", "hp2", "hp2_sum", "s4s4", "twisted9", "w11", "w21"]
+)
+def test_dual_basis_matrix_inverts_the_pairing(fixture_path, name):
+    v = io.load_manifold(io.load_json_file(fixture_path(name + ".json"))).v
+    n = len(v.basis)
+    duals = v.dual_basis_matrix()
+    assert len(duals) == n
+    for i, c in enumerate(duals):
+        for j in range(n):
+            pairing = sum((c[k] * v.pairing[k][j] for k in range(n)), Fraction(0))
+            assert pairing == (1 if i == j else 0)
 
 
 def test_manifold_validation_errors():
