@@ -110,7 +110,11 @@ class GrammarError(DglaError):
 
 
 class SchemaError(DglaError):
-    """A JSON input violates the schema; ``pointer`` is a JSON pointer."""
+    """Input data violates the schema; ``pointer`` is a JSON pointer to it.
+
+    The pointer addresses the offending value in the input's JSON form, also
+    when the check lives in the library (a pairing entry, a generator degree).
+    """
 
     def __init__(self, message, pointer=""):
         super().__init__("%s (at %s)" % (message, pointer or "/"))

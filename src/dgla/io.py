@@ -75,6 +75,16 @@ def _require_keys(obj, allowed, required, pointer):
             raise SchemaError("missing key %r" % k, pointer)
 
 
+def _optional_object(obj, key):
+    """The object at obj[key]; {} when the key is absent or null."""
+    value = obj.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SchemaError("%s must be an object" % key, "/" + key)
+    return value
+
+
 def _load_generators(lst, pointer):
     if not isinstance(lst, list):
         raise SchemaError("expected a list of generators", pointer)
@@ -100,7 +110,7 @@ def load_presentation(obj):
     known = {n for n, _ in gens}
     diff = _load_differential(obj, known)
     subs = {}
-    for name, spec in (obj.get("subalgebras") or {}).items():
+    for name, spec in _optional_object(obj, "subalgebras").items():
         pt = "/subalgebras/%s" % name
         if not isinstance(spec, dict) or set(spec) not in ({"generators"}, {"elements"}):
             raise SchemaError("subalgebra must be {'generators': [...]} or {'elements': [...]}", pt)
@@ -174,14 +184,12 @@ def load_manifold(obj):
         raise SchemaError("pairing must be a matrix", "/pairing")
     mat = []
     for i, row in enumerate(pairing):
-        if not isinstance(row, list) or len(row) != len(gens):
-            raise SchemaError("pairing rows must have length %d" % len(gens), "/pairing/%d" % i)
+        if not isinstance(row, list):
+            raise SchemaError("pairing rows must be lists", "/pairing/%d" % i)
         mat.append([parse_rational(x, "/pairing/%d/%d" % (i, j)) for j, x in enumerate(row)])
-    if len(mat) != len(gens):
-        raise SchemaError("pairing must be %dx%d" % (len(gens), len(gens)), "/pairing")
     diff = _load_differential(obj, {n for n, _ in gens})
     pont = {}
-    for key, vals in (obj.get("pontryagin") or {}).items():
+    for key, vals in _optional_object(obj, "pontryagin").items():
         pt = "/pontryagin/%s" % key
         try:
             deg = int(key)

@@ -1,82 +1,138 @@
 """Exact linear algebra over Q.
 
-Everything here works on dense matrices given as lists of rows of
-``fractions.Fraction`` (integers are accepted and coerced).  Rows index the
-target basis and columns the source basis.  The library builds every matrix
-block with ``matrix`` from (row, column, value) triples and takes blocks
-apart with ``entries``, so only this module knows how a matrix is stored.
+The interface is dense: a matrix is a list of rows of ``fractions.Fraction``
+(integers are accepted).  Rows index the target basis and columns the
+source basis.  The library builds every matrix block with ``matrix`` from
+(row, column, value) triples and takes blocks apart with ``entries``, so
+only this module knows how a matrix is stored.
 
-The elimination core is fraction-free: rows are scaled to integers and
-reduced by Bareiss-style elimination, with the pivot in each column chosen
-among the candidate rows to minimize the bit length of the pivot entry.
-Coefficient growth, not row count, is the dominant cost on
-free-Lie-algebra matrices, which is why floats are banned and pivoting is
-by entry size.
+The kernels behind that interface are sparse, because the matrices the
+library builds are about 1% nonzero with entries of a few bits.  Each
+kernel reads a row's nonzeros once and works on them alone: products
+multiply nonzero pairs only, and elimination scales each row's nonzeros to
+integers, a ``{column: int}`` dict, and runs one fraction-free core.  That
+core is sparse Bareiss elimination (Bareiss 1968), column by column, with
+Markowitz-style pivoting (Markowitz 1957): in each column the pivot row is
+the one with the fewest nonzeros, then the smallest pivot entry, which
+limits both fill-in and coefficient growth.  Floats are banned.  Dense rows
+are rebuilt only for the results.
 
 Desk scale only: matrices of a few thousand rows/columns.
 """
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import NotAComplex
 
-
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in r] for r in rows]
+_ZERO = Fraction(0)
 
 
-def _integer_rows(rows):
-    """Scale each row by the lcm of its denominators; returns int rows."""
-    out = []
-    for r in rows:
-        den = 1
-        for x in r:
-            d = x.denominator
-            den = den * d // gcd(den, d)
-        out.append([int(x * den) for x in r])
-    return out
+def _combination(a, r, b, s):
+    """The nonzeros of a * r - b * s for sparse rows r and s."""
+    out = {j: a * v for j, v in r.items()}
+    for j, v in s.items():
+        out[j] = out.get(j, 0) - b * v
+    return {j: v for j, v in out.items() if v}
 
 
-def _bareiss_echelon(int_rows, ncols):
-    """Fraction-free row echelon form of an integer matrix.
+def _bareiss_echelon(rows, ncols):
+    """Sparse fraction-free row echelon form of integer rows ``{column: int}``.
 
-    Returns (echelon_rows, pivot_cols) where echelon_rows are integer rows
-    with staircase structure and pivot_cols[i] is the pivot column of row i.
+    Columns below ``ncols`` are taken left to right; in each, the pivot is
+    the row with the fewest nonzeros, then the smallest pivot entry.  The
+    rows with an entry in the pivot column become (pv * r - r[col] * piv) /
+    prev, an exact division that keeps every entry an integer minor of the
+    input.  The other rows would only be scaled by pv / prev: each is
+    stored with the prev it was last reduced by and brought up to date when
+    it next meets a pivot column, so a step touches only the rows it
+    eliminates.  Returns (echelon_rows, pivot_cols): integer rows with
+    staircase structure, and the pivot column of each.
     """
-    rows = [r[:] for r in int_rows if any(r)]
-    ech = []
-    pivots = []
+    by_lead = {}  # leading column -> [(row, prev the row was reduced by)]
+    for r in rows:
+        if r:
+            by_lead.setdefault(min(r), []).append((r, 1))
+    heap = list(by_lead)
+    heapify(heap)
+    ech, pivots = [], []
     prev = 1
-    col = 0
-    while rows and col < ncols:
-        cands = [i for i, r in enumerate(rows) if r[col] != 0]
-        if not cands:
-            col += 1
-            continue
-        best = min(cands, key=lambda i: abs(rows[i][col]).bit_length())
-        piv = rows.pop(best)
+    while heap and heap[0] < ncols:
+        col = heappop(heap)
+        cands = [
+            r if base == prev else {j: v * prev // base for j, v in r.items()}
+            for r, base in by_lead.pop(col)
+        ]
+        piv = min(cands, key=lambda r: (len(r), abs(r[col]).bit_length()))
         pv = piv[col]
-        nxt = []
-        for r in rows:
-            rc = r[col]
-            nr = [(pv * r[j] - rc * piv[j]) // prev for j in range(ncols)]
-            if any(nr):
-                nxt.append(nr)
+        for r in cands:
+            if r is piv:
+                continue
+            nr = {j: v // prev for j, v in _combination(pv, r, r[col], piv).items()}
+            if nr:
+                lead = min(nr)
+                if lead not in by_lead:
+                    by_lead[lead] = []
+                    heappush(heap, lead)
+                by_lead[lead].append((nr, pv))
         ech.append(piv)
         pivots.append(col)
-        rows = nxt
         prev = pv
-        col += 1
     return ech, pivots
 
 
+def _echelon(rows, ncols):
+    """``_bareiss_echelon`` of rows given as iterables of (column, value) pairs.
+
+    Each row's nonzeros are scaled by the lcm of their denominators; zero
+    entries cost a truth test and nothing else.
+    """
+    int_rows = []
+    for pairs in rows:
+        nz = [(j, x) for j, x in pairs if x]
+        den = lcm(*(x.denominator for _, x in nz))
+        int_rows.append({j: x.numerator * (den // x.denominator) for j, x in nz})
+    return _bareiss_echelon(int_rows, ncols)
+
+
+def _rref(rows, ncols):
+    """Sparse reduced row echelon form of rows given as (column, value) pairs.
+
+    Returns (rows as ``{column: Fraction}`` with 1 at the pivot, pivot
+    columns).  Back-substitution runs bottom-up on primitive integer rows:
+    each row clears its entries at the pivots of the rows below it, which
+    are already reduced and so vanish at every other pivot.
+    """
+    ech, pivots = _echelon(rows, ncols)
+    below = {}  # pivot column -> reduced primitive integer row
+    for r, pc in zip(reversed(ech), reversed(pivots)):
+        for p in [j for j in r if j in below]:
+            s = below[p]
+            g = gcd(s[p], r[p])
+            r = _combination(s[p] // g, r, r[p] // g, s)
+        g = gcd(*r.values())
+        below[pc] = {j: v // g for j, v in r.items()}
+    red = []
+    for pc in pivots:
+        r = below[pc]
+        red.append({j: Fraction(v, r[pc]) for j, v in r.items()})
+    return red, pivots
+
+
+def _dense(row, ncols):
+    """The dense row of length ncols with the entries of ``{column: value}``."""
+    out = [_ZERO] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
 def rank(rows, ncols=None):
-    rows = _as_fraction_rows(rows)
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    _, pivots = _bareiss_echelon(_integer_rows(rows), ncols)
-    return len(pivots)
+    return len(_echelon(map(enumerate, rows), ncols)[1])
 
 
 def rref(rows, ncols):
@@ -85,18 +141,8 @@ def rref(rows, ncols):
     Returns (rref_rows, pivot_cols); rref_rows have leading entry 1 at their
     pivot column and zeros above and below it.
     """
-    rows = _as_fraction_rows(rows)
-    ech, pivots = _bareiss_echelon(_integer_rows(rows), ncols)
-    red = [[Fraction(x) for x in r] for r in ech]
-    for i in range(len(red) - 1, -1, -1):
-        pc = pivots[i]
-        lead = red[i][pc]
-        red[i] = [x / lead for x in red[i]]
-        for k in range(i):
-            f = red[k][pc]
-            if f:
-                red[k] = [a - f * b for a, b in zip(red[k], red[i])]
-    return red, pivots
+    red, pivots = _rref(map(enumerate, rows), ncols)
+    return [_dense(r, ncols) for r in red], pivots
 
 
 def pivot_columns(rows, ncols):
@@ -106,9 +152,7 @@ def pivot_columns(rows, ncols):
     the pivot columns of the echelon form index an image basis among the
     original columns.
     """
-    rows = _as_fraction_rows(rows)
-    _, pivots = _bareiss_echelon(_integer_rows(rows), ncols)
-    return pivots
+    return _echelon(map(enumerate, rows), ncols)[1]
 
 
 def kernel_basis(rows, ncols):
@@ -118,52 +162,55 @@ def kernel_basis(rows, ncols):
     other free columns, so reading off the free coordinates of any kernel
     vector gives its coordinates in this basis.  Returns (vectors, free_cols).
     """
-    red, pivots = rref(rows, ncols)
+    red, pivots = _rref(map(enumerate, rows), ncols)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
-    vecs = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][f]
-        vecs.append(v)
-    return vecs, free
+    vecs = {f: unit_vector(ncols, f) for f in free}
+    for r, pc in zip(red, pivots):
+        for j, x in r.items():
+            if j != pc:
+                vecs[j][pc] = -x
+    return [vecs[f] for f in free], free
 
 
 def solve(rows, ncols, rhs):
     """One solution of A x = rhs, or None if inconsistent."""
-    rows = _as_fraction_rows(rows)
-    rhs = [Fraction(x) for x in rhs]
-    aug = [r + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ncols + 1)
+    aug = (chain(enumerate(r), [(ncols, b)]) for r, b in zip(rows, rhs))
+    red, pivots = _rref(aug, ncols + 1)
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return x
+    return _dense({pc: r.get(ncols, _ZERO) for r, pc in zip(red, pivots)}, ncols)
 
 
 def inverse(rows):
     """The inverse of a square matrix, or None if it is singular."""
     n = len(rows)
-    aug = [list(r) + e for r, e in zip(rows, identity_matrix(n))]
-    red, pivots = rref(aug, 2 * n)
+    aug = (chain(enumerate(r), [(n + i, 1)]) for i, r in enumerate(rows))
+    red, pivots = _rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         return None
-    return [r[n:] for r in red[:n]]
+    return [_dense({j - n: x for j, x in r.items() if j >= n}, n) for r in red]
 
 
 def matvec(rows, x):
-    return [sum((a * b for a, b in zip(r, x)), Fraction(0)) for r in rows]
+    nz = [(j, v) for j, v in enumerate(x) if v]
+    return [sum((r[j] * v for j, v in nz if r[j]), _ZERO) for r in rows]
 
 
 def matmul(a, b):
     if not a:
         return []
-    cols = list(zip(*b)) if b else []
-    return [[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in cols] for r in a]
+    ncols = len(b[0]) if b else 0
+    b_rows = [[(j, y) for j, y in enumerate(r) if y] for r in b]
+    out = []
+    for r in a:
+        acc = {}
+        for k, x in enumerate(r):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] = acc.get(j, _ZERO) + x * y
+        out.append(_dense(acc, ncols))
+    return out
 
 
 def matrix(nrows, ncols, entries=()):

@@ -19,6 +19,7 @@ from .errors import (
     NotUnimodular,
     OmegaNotClosed,
     RhoNotChainMap,
+    SchemaError,
 )
 from .graded import GradedBasis, GradedLinearMap
 from .morphisms import GeneratorMorphism, _rho_of
@@ -45,18 +46,19 @@ class SymplecticGVS:
         n = len(self.basis)
         self.pairing = [[Fraction(x) for x in row] for row in pairing]
         if len(self.pairing) != n or any(len(r) != n for r in self.pairing):
-            raise ValueError("pairing matrix must be square of the basis size")
+            raise SchemaError("pairing must be %dx%d, the basis size" % (n, n), "/pairing")
         degs = [d for _, d in self.basis.entries]
         for i in range(n):
             for j in range(n):
                 if self.pairing[i][j] and degs[i] + degs[j] != self.m:
-                    raise ValueError(
-                        "pairing nonzero off the complementary degrees at (%d,%d)"
-                        % (i, j)
+                    raise SchemaError(
+                        "pairing nonzero off the complementary degrees", "/pairing/%d/%d" % (i, j)
                     )
                 sign = Fraction(1 if (degs[i] * degs[j]) % 2 else -1)
                 if self.pairing[i][j] != sign * self.pairing[j][i]:
-                    raise ValueError("pairing is not graded antisymmetric")
+                    raise SchemaError(
+                        "pairing is not graded antisymmetric", "/pairing/%d/%d" % (i, j)
+                    )
         # row i of the inverse solves sum_k x_k <alpha_k, alpha_j> = delta_ij
         self._duals = linalg.inverse(self.pairing)
         if self._duals is None:
@@ -124,7 +126,10 @@ class ManifoldModel:
             names = v.basis.in_degree(deg)
             values = [Fraction(x) for x in values]
             if len(values) != len(names):
-                raise ValueError("pontryagin values do not match the degree-%d basis" % deg)
+                raise SchemaError(
+                    "pontryagin values do not match the degree-%d basis" % deg,
+                    "/pontryagin/%d" % deg,
+                )
             if any(values):
                 self.pontryagin[deg] = values
 

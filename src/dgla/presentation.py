@@ -19,6 +19,7 @@ from . import freelie, linalg
 from .errors import (
     IncompatibleSubs,
     InhomogeneousExpression,
+    SchemaError,
     UnknownGenerator,
     UnsupportedSub,
 )
@@ -223,6 +224,9 @@ class DgLaPresentation:
     def __init__(self, generators, differential=None, subalgebras=None):
         self.generators = GradedBasis(generators)
         self._deg_list = [d for _, d in self.generators.entries]
+        low = [i for i, d in enumerate(self._deg_list) if d < 1]
+        if low:
+            raise SchemaError("generators must have positive degree", "/generators/%d/degree" % low[0])
         self._basis_cache = {}
         self._bracket_cache = {}
         self.differential = {}
@@ -269,8 +273,6 @@ class DgLaPresentation:
             if degree < 1 or not self._deg_list:
                 self._basis_cache[degree] = []
             else:
-                if min(self._deg_list) < 1:
-                    raise ValueError("generators must have positive degree")
                 self._basis_cache[degree] = freelie.basis_in_degree(self._deg_list, degree)
         return self._basis_cache[degree]
 

@@ -44,6 +44,34 @@ def gauss_rank(rows):
     return rank
 
 
+def gauss_jordan(rows, ncols):
+    """(rref rows, pivot columns) over Q by textbook dense Gauss-Jordan."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        lead = rows[top][col]
+        rows[top] = [x / lead for x in rows[top]]
+        for i, r in enumerate(rows):
+            if i != top and r[col]:
+                f = r[col]
+                rows[i] = [a - f * b for a, b in zip(r, rows[top])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+def naive_matmul(a, b, ncols):
+    """The product of an n x k and a k x ncols matrix by the triple loop."""
+    return [
+        [sum((r[t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(ncols)]
+        for r in a
+    ]
+
+
 def betti_by_rank_nullity(dims, d_matrices, k0, k1):
     """Betti numbers from dim C_k - rank d_k - rank d_{k+1} (plain Gauss)."""
     ranks = {}

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgla import io as io_mod
 from dgla.cli import run
 from dgla.errors import SchemaError
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def _run(*argv):
@@ -255,6 +262,14 @@ _NESTED = "[" * 3000 + "a" + ",a]" * 3000
             },
             "at /subalgebras/s",
         ),
+        ({"generators": [{"name": "a", "degree": 2}], "subalgebras": 7}, "at /subalgebras"),
+        (
+            {
+                "generators": [{"name": "a", "degree": -1}, {"name": "b", "degree": 2}],
+                "subalgebras": {"s": {"elements": ["[a,b]"]}},
+            },
+            "at /generators/0/degree",
+        ),
     ],
 )
 def test_malformed_presentation_is_exit_2(tmp_path, capsys, obj, where):
@@ -281,3 +296,85 @@ def test_malformed_manifold_is_exit_2(tmp_path, capsys, fixture_path, differenti
     code, payload = _run(command[0], str(f), *command[1:])
     assert code == 2 and payload is None
     assert "at /differential/%s" % next(iter(differential)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("dimension", 0), ("pairing", [["0", 0], ["-1", "0"]])],
+    ids=["off-degree", "not-antisymmetric"],
+)
+def test_malformed_pairing_is_exit_2(tmp_path, capsys, fixture_path, key, value):
+    obj = io_mod.load_json_file(fixture_path("w11.json"))
+    obj[key] = value
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    code, payload = _run("xi", str(f), "--min", "0", "--max", "2")
+    assert code == 2 and payload is None
+    assert "at /pairing/0/1" in capsys.readouterr().err
+
+
+# Each fixture with the commands its mutations are run through.
+_FUZZED = [
+    ("w11.json", [["model"], ["xi", "--min", "0", "--max", "2"]]),
+    (
+        "presentation_w11.json",
+        [["check"], ["der", "--sub", "omega", "--min", "0", "--max", "4"]],
+    ),
+]
+_WRONG_TYPES = [7, "7", True, 1.5, [], [7], {}, {"x": 7}]
+
+
+def _places(obj, path=()):
+    """(path, value) of every value inside obj, below the root."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield path + (k,), v
+        yield from _places(v, path + (k,))
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """A fixture, the commands to run on it, and one mutation of its JSON."""
+    name, commands = draw(st.sampled_from(_FUZZED))
+    with open(os.path.join(FIXTURES, name)) as f:
+        obj = json.load(f)
+    places = list(_places(obj))
+    kind = draw(st.sampled_from(["delete", "null", "wrong-type", "name", "degree"]))
+    if kind == "name":
+        places = [(p, v) for p, v in places if isinstance(v, str) or isinstance(p[-1], str)]
+    elif kind == "degree":
+        places = [(p, v) for p, v in places if p[-1] in ("degree", "dimension")]
+    path, value = draw(st.sampled_from(places))
+    parent = obj
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    if kind == "delete":
+        del parent[key]
+    elif kind == "null":
+        parent[key] = None
+    elif kind == "wrong-type":
+        parent[key] = draw(st.sampled_from([v for v in _WRONG_TYPES if type(v) is not type(value)]))
+    elif kind == "name":
+        new = draw(st.sampled_from(["", "zz"]))
+        if isinstance(value, str):
+            parent[key] = new
+        else:  # rename an object key
+            parent[new] = parent.pop(key)
+    else:
+        parent[key] = draw(st.sampled_from([0, -1, -4]))
+    return obj, commands
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_fixture())
+def test_mutated_fixtures_never_traceback(case):
+    obj, commands = case
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "mutated.json")
+        with open(path, "w") as f:
+            json.dump(obj, f)
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code, _ = run([command[0], path] + command[1:])
+            assert code in (0, 1, 2)

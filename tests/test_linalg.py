@@ -4,12 +4,12 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgla import linalg
 from dgla.errors import NotAComplex
-from oracles import gauss_rank
+from oracles import gauss_jordan, gauss_rank, naive_matmul
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "dgla")
 
@@ -200,3 +200,124 @@ def test_extend_independent_examples(base, candidates, kept):
     assert linalg.extend_independent(base, candidates, 3) == kept == _greedy_extension(
         base, candidates
     )
+
+
+_nonzero = st.one_of(
+    st.integers(-(2**12), 2**12),
+    st.fractions(min_value=-(2**12), max_value=2**12, max_denominator=2**6),
+).filter(bool)
+
+
+@st.composite
+def _sparse_matrix(draw, nrows=None, ncols=None):
+    """An nrows x ncols matrix with a random set of nonzero int or Fraction entries."""
+    n = draw(st.integers(0, 7)) if nrows is None else nrows
+    m = draw(st.integers(0, 7)) if ncols is None else ncols
+    rows = [[0] * m for _ in range(n)]
+    if n and m:
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+        for i, j in draw(st.sets(cells, max_size=n * m)):
+            rows[i][j] = draw(_nonzero)
+    return rows, m
+
+
+def _all_fractions(rows):
+    return all(type(x) is Fraction for r in rows for x in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_matrix(), st.data())
+@example(([], 0), None)
+@example(([], 3), None)
+@example(([[], []], 0), None)
+@example(([[Fraction(-7, 3)]], 1), None)
+@example(([[0]], 1), None)
+def test_elimination_agrees_with_gauss_jordan(case, data):
+    rows, ncols = case
+    red, pivots = gauss_jordan(rows, ncols)
+    got, got_pivots = linalg.rref(rows, ncols)
+    assert (got, got_pivots) == (red, pivots) and _all_fractions(got)
+    assert linalg.pivot_columns(rows, ncols) == pivots
+    assert linalg.rank(rows, ncols) == len(pivots)
+    free = [c for c in range(ncols) if c not in pivots]
+    kernel = []
+    for f in free:
+        v = [Fraction(int(c == f)) for c in range(ncols)]
+        for r, pc in zip(red, pivots):
+            v[pc] = -r[f]
+        kernel.append(v)
+    got_kernel, got_free = linalg.kernel_basis(rows, ncols)
+    assert (got_kernel, got_free) == (kernel, free) and _all_fractions(got_kernel)
+    rhs = [0] * len(rows) if data is None else data.draw(_sparse_matrix(1, len(rows)))[0][0]
+    aug, aug_pivots = gauss_jordan([r + [b] for r, b in zip(rows, rhs)], ncols + 1)
+    x = linalg.solve(rows, ncols, rhs)
+    if ncols in aug_pivots:
+        assert x is None
+    else:
+        want = [Fraction(0)] * ncols
+        for r, pc in zip(aug, aug_pivots):
+            want[pc] = r[ncols]
+        assert x == want and _all_fractions([x])
+        assert naive_matmul(rows, [[c] for c in x], 1) == [[b] for b in rhs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: _sparse_matrix(n, n)))
+@example(([], 0))
+@example(([[Fraction(5, 3)]], 1))
+@example(([[0]], 1))
+def test_inverse_agrees_with_gauss_jordan(case):
+    rows, n = case
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    red, pivots = gauss_jordan([r + e for r, e in zip(rows, identity)], 2 * n)
+    inv = linalg.inverse(rows)
+    if pivots[:n] != list(range(n)):
+        assert inv is None
+    else:
+        assert inv == [r[n:] for r in red] and _all_fractions(inv)
+        assert naive_matmul(rows, inv, n) == naive_matmul(inv, rows, n) == identity
+
+
+@st.composite
+def _product_operands(draw):
+    """An n x k and a k x m matrix; m is 0 when k is, since [] has no columns."""
+    n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    a, _ = draw(_sparse_matrix(n, k))
+    b, _ = draw(_sparse_matrix(k, m if k else 0))
+    return a, b, m if k else 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_product_operands())
+def test_products_agree_with_the_triple_loop(operands):
+    a, b, m = operands
+    product = linalg.matmul(a, b)
+    assert product == naive_matmul(a, b, m) and _all_fractions(product)
+    if b:
+        x = [r[0] for r in b] if m else [0] * len(b)
+        y = linalg.matvec(a, x)
+        assert y == [r[0] for r in naive_matmul(a, [[c] for c in x], 1)] and _all_fractions([y])
+
+
+def test_products_touch_only_nonzeros():
+    """Permutation matrices: one product per nonzero, where the dense loops make n^3."""
+    n = 300
+    products = []
+
+    class Counted(Fraction):
+        def __mul__(self, other):
+            products.append(1)
+            assert len(products) <= n, "a product with a zero entry"
+            return Fraction.__mul__(self, other)
+
+    zero, one = Counted(0), Counted(1)
+    rng = random.Random(11)
+    perms = [rng.sample(range(n), n) for _ in range(2)]
+    a, b = ([[one if j == p[i] else zero for j in range(n)] for i in range(n)] for p in perms)
+    product = linalg.matmul(a, b)
+    assert len(products) == n
+    assert product == [[int(j == perms[1][perms[0][i]]) for j in range(n)] for i in range(n)]
+    products.clear()
+    x = [Counted(j + 1) for j in range(n)]
+    assert linalg.matvec(a, x) == [x[perms[0][i]] for i in range(n)]
+    assert len(products) == n
