@@ -198,8 +198,6 @@ def matvec(rows, x):
 
 
 def matmul(a, b):
-    if not a:
-        return []
     ncols = len(b[0]) if b else 0
     b_rows = [[(j, y) for j, y in enumerate(r) if y] for r in b]
     out = []
