@@ -122,7 +122,7 @@ class CESlice:
         (da, ia), (db, ib) = la, lb
         v = self.g.bracket(da, ia, db, ib)
         sign = Fraction(-1 if da % 2 else 1)
-        return [((da + db, k), sign * c) for k, c in enumerate(v) if c]
+        return [((da + db, k), sign * c) for k, c in v.items()]
 
     def d_matrix(self, k):
         """Matrix of the CE differential C_k -> C_{k-1}."""

@@ -270,8 +270,8 @@ def cmd_mc(args, inputs):
     inputs.append(args.file)
     slc = io_mod.load_slice(obj)
     cand = obj.get("candidate")
-    if cand is None:
-        raise SchemaError("mc needs a 'candidate' field in the slice file", "/candidate")
+    if not isinstance(cand, dict):
+        raise SchemaError("mc needs a 'candidate' object in the slice file", "/candidate")
     if not slc.in_window(-1) or not slc.in_window(-2):
         raise SchemaError("mc needs the slice window to cover degrees -1 and -2", "/window")
     vec = [io_mod.parse_rational(cand.get(nm, 0), "/candidate") for nm in slc.labels[-1]]

@@ -259,7 +259,7 @@ class DerSlice(DgLieSlice):
 
     def _bracket_coords(self, n, i, m, j):
         br = der_bracket(self.derivations[n][i], self.derivations[m][j])
-        return self.coords(br, n + m)
+        return linalg.sparse(self.coords(br, n + m))
 
 
 def der_complex(p, rel, window):

@@ -82,7 +82,7 @@ class RhoNotChainMap(DglaError):
 
 
 class AxiomFailure(DglaError):
-    """An outer-action axiom fails on a basis pair."""
+    """A dg Lie or outer-action axiom fails on a basis pair or triple."""
 
 
 class ClassExceeded(DglaError):

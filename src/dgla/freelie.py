@@ -22,6 +22,12 @@ of at most a few thousand.
 
 from fractions import Fraction
 
+# Largest generator degree accepted.  Word enumeration recurses once per
+# letter, so the degrees met by brackets of a few generators stay far below
+# the interpreter's recursion limit: a larger degree is a SchemaError, never
+# a RecursionError.
+MAX_DEGREE = 128
+
 
 def words_of_degree(degrees, d):
     """All words (tuples of generator indices) with total degree d.

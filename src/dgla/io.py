@@ -75,14 +75,21 @@ def _require_keys(obj, allowed, required, pointer):
             raise SchemaError("missing key %r" % k, pointer)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _object(value, pointer):
+    """``value`` itself, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise SchemaError("expected an object", pointer)
+    return value
+
+
 def _optional_object(obj, key):
     """The object at obj[key]; {} when the key is absent or null."""
     value = obj.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise SchemaError("%s must be an object" % key, "/" + key)
-    return value
+    return {} if value is None else _object(value, "/" + key)
 
 
 def _load_generators(lst, pointer):
@@ -96,7 +103,7 @@ def _load_generators(lst, pointer):
             raise SchemaError("generator name must be a string", pt + "/name")
         if any(it["name"] == n for n, _ in out):
             raise SchemaError("duplicate generator name %r" % it["name"], pt + "/name")
-        if not isinstance(it["degree"], int) or isinstance(it["degree"], bool):
+        if not _is_int(it["degree"]):
             raise SchemaError("generator degree must be an integer", pt + "/degree")
         out.append((it["name"], it["degree"]))
     return out
@@ -108,7 +115,7 @@ def load_presentation(obj):
     )
     gens = _load_generators(obj["generators"], "/generators")
     known = {n for n, _ in gens}
-    diff = _load_differential(obj, known)
+    diff = _load_expressions(obj, "differential", known)
     subs = {}
     for name, spec in _optional_object(obj, "subalgebras").items():
         pt = "/subalgebras/%s" % name
@@ -126,15 +133,18 @@ def load_presentation(obj):
     return DgLaPresentation(gens, diff, subs)
 
 
-def _load_differential(obj, known):
-    """The "differential" of a file, parsed; its generators all lie in ``known``."""
-    diff = obj.get("differential", {})
-    if not isinstance(diff, dict) or any(not isinstance(v, str) for v in diff.values()):
-        raise SchemaError("differential must map names to expression strings", "/differential")
-    for name in diff:
+def _load_expressions(obj, key, known):
+    """The {generator: expression string} object at obj[key], parsed.
+
+    Its keys and the generators of its expressions all lie in ``known``.
+    """
+    exprs = obj.get(key, {})
+    if not isinstance(exprs, dict) or any(not isinstance(v, str) for v in exprs.values()):
+        raise SchemaError("%s must map names to expression strings" % key, "/" + key)
+    for name in exprs:
         if name not in known:
-            raise SchemaError("differential of an unknown generator", "/differential/%s" % name)
-    return {n: _parse_known(v, known, "/differential/%s" % n) for n, v in diff.items()}
+            raise SchemaError("%s of an unknown generator" % key, "/%s/%s" % (key, name))
+    return {n: _parse_known(v, known, "/%s/%s" % (key, n)) for n, v in exprs.items()}
 
 
 def _parse_known(text, known, pointer):
@@ -176,7 +186,7 @@ def load_manifold(obj):
         {"dimension", "generators", "pairing"},
         "",
     )
-    if not isinstance(obj["dimension"], int) or isinstance(obj["dimension"], bool):
+    if not _is_int(obj["dimension"]):
         raise SchemaError("dimension must be an integer", "/dimension")
     gens = _load_generators(obj["generators"], "/generators")
     pairing = obj["pairing"]
@@ -187,7 +197,7 @@ def load_manifold(obj):
         if not isinstance(row, list):
             raise SchemaError("pairing rows must be lists", "/pairing/%d" % i)
         mat.append([parse_rational(x, "/pairing/%d/%d" % (i, j)) for j, x in enumerate(row)])
-    diff = _load_differential(obj, {n for n, _ in gens})
+    diff = _load_expressions(obj, "differential", {n for n, _ in gens})
     pont = {}
     for key, vals in _optional_object(obj, "pontryagin").items():
         pt = "/pontryagin/%s" % key
@@ -239,7 +249,10 @@ def load_slice(obj):
         {"window", "basis"},
         "",
     )
-    lo, hi = obj["window"]
+    window = obj["window"]
+    if not (isinstance(window, list) and len(window) == 2 and all(map(_is_int, window))):
+        raise SchemaError("window must be a list of two integers", "/window")
+    lo, hi = window
     entries = _load_generators(obj["basis"], "/basis")
     names = {}
     degrees = {}
@@ -251,13 +264,13 @@ def load_slice(obj):
         degrees[n] = d
         labels[d].append(n)
     d_entries = {}
-    for src, row in (obj.get("differential") or {}).items():
+    for src, row in _optional_object(obj, "differential").items():
         if src not in names:
             raise SchemaError("unknown basis name %r" % src, "/differential")
         d, j = names[src]
         if d - 1 < lo:
             raise SchemaError("differential leaves the window at %r" % src, "/differential")
-        for tgt, c in row.items():
+        for tgt, c in _object(row, "/differential/%s" % src).items():
             if tgt not in names or degrees[tgt] != d - 1:
                 raise SchemaError(
                     "differential of %r must land in degree %d" % (src, d - 1),
@@ -274,19 +287,22 @@ def load_slice(obj):
         zero = [Fraction(0)] * len(labels[n + m])
         return [[zero] * len(labels[m]) for _ in labels[n]]
 
+    brackets = obj.get("brackets") or []
+    if not isinstance(brackets, list):
+        raise SchemaError("brackets must be a list", "/brackets")
     tables = {}
-    for k, br in enumerate(obj.get("brackets") or []):
+    for k, br in enumerate(brackets):
         pt = "/brackets/%d" % k
         _require_keys(br, {"left", "right", "value"}, {"left", "right", "value"}, pt)
         ln, rn = br["left"], br["right"]
-        if ln not in names or rn not in names:
+        if not (isinstance(ln, str) and ln in names and isinstance(rn, str) and rn in names):
             raise SchemaError("unknown basis names in bracket", pt)
         dn, i = names[ln]
         dm, j = names[rn]
         if not lo <= dn + dm <= hi:
             raise SchemaError("bracket value outside the window", pt)
         vec = [Fraction(0)] * len(labels[dn + dm])
-        for tgt, c in br["value"].items():
+        for tgt, c in _object(br["value"], pt + "/value").items():
             if tgt not in names or degrees[tgt] != dn + dm:
                 raise SchemaError("bracket value must be in degree %d" % (dn + dm), pt)
             vec[names[tgt][1]] = parse_rational(c, pt)
@@ -300,8 +316,11 @@ def load_slice(obj):
         tab2 = tables[(dm, dn)]
         if all(x == 0 for x in tab2[j][i]):
             tab2[j][i] = [sign * x for x in vec]
+    bounded = obj.get("bounded")
+    if not isinstance(bounded, (bool, type(None))):
+        raise SchemaError("bounded must be a boolean", "/bounded")
     slc = DgLieSlice((lo, hi), labels, d_blocks, bracket_tables=tables)
-    slc.bounded = bool(obj.get("bounded", False))
+    slc.bounded = bool(bounded)
     return slc
 
 
@@ -314,10 +333,10 @@ def load_rho(obj, p):
     pi = GradedBasis(_load_generators(obj["pi"], "/pi"))
     rho = GradedLinearMap(p.generators, pi, 0)
     cells = {}
-    for gname, row in (obj.get("values") or {}).items():
+    for gname, row in _optional_object(obj, "values").items():
         if gname not in p.generators.index:
             raise SchemaError("unknown generator %r" % gname, "/values")
-        for tname, c in row.items():
+        for tname, c in _object(row, "/values/%s" % gname).items():
             if tname not in pi.index:
                 raise SchemaError("unknown pi element %r" % tname, "/values/%s" % gname)
             if pi.degree(tname) != p.generators.degree(gname):
@@ -347,13 +366,17 @@ def load_derivation(obj, p):
     _require_keys(obj, {"degree", "values", "rel"}, {"degree", "values"}, "")
     from .derivations import Derivation
 
-    return Derivation(
-        p,
-        obj["degree"],
-        {n: v for n, v in obj["values"].items()},
-        rel=obj.get("rel"),
-        check=obj.get("rel") is not None,
-    )
+    degree, rel = obj["degree"], obj.get("rel")
+    if not _is_int(degree):
+        raise SchemaError("degree must be an integer", "/degree")
+    if not isinstance(rel, (str, type(None))):
+        raise SchemaError("rel must be a subalgebra name", "/rel")
+    values = _load_expressions(obj, "values", set(p.generators.index))
+    values = {n: p.normal_form(terms) for n, terms in values.items()}
+    for name, v in values.items():
+        if not v.is_zero() and v.degree != p.generators.degree(name) + degree:
+            raise SchemaError("value on %r has the wrong degree" % name, "/values/%s" % name)
+    return Derivation(p, degree, values, rel=rel, check=rel is not None)
 
 
 def file_sha256(path):

@@ -15,7 +15,9 @@ core is sparse Bareiss elimination (Bareiss 1968), column by column, with
 Markowitz-style pivoting (Markowitz 1957): in each column the pivot row is
 the one with the fewest nonzeros, then the smallest pivot entry, which
 limits both fill-in and coefficient growth.  Floats are banned.  Dense rows
-are rebuilt only for the results.
+are rebuilt only for the results.  Callers that work on nonzeros convert
+with ``sparse`` and ``dense`` and read a matrix's ``columns`` as
+``{row: value}`` dicts.
 
 Desk scale only: matrices of a few thousand rows/columns.
 """
@@ -121,12 +123,17 @@ def _rref(rows, ncols):
     return red, pivots
 
 
-def _dense(row, ncols):
+def dense(row, ncols):
     """The dense row of length ncols with the entries of ``{column: value}``."""
     out = [_ZERO] * ncols
     for j, x in row.items():
         out[j] = x
     return out
+
+
+def sparse(row):
+    """The ``{column: value}`` dict of the nonzero entries of a dense row."""
+    return {j: x for j, x in enumerate(row) if x}
 
 
 def rank(rows, ncols=None):
@@ -142,7 +149,7 @@ def rref(rows, ncols):
     pivot column and zeros above and below it.
     """
     red, pivots = _rref(map(enumerate, rows), ncols)
-    return [_dense(r, ncols) for r in red], pivots
+    return [dense(r, ncols) for r in red], pivots
 
 
 def pivot_columns(rows, ncols):
@@ -179,7 +186,7 @@ def solve(rows, ncols, rhs):
     red, pivots = _rref(aug, ncols + 1)
     if ncols in pivots:
         return None
-    return _dense({pc: r.get(ncols, _ZERO) for r, pc in zip(red, pivots)}, ncols)
+    return dense({pc: r.get(ncols, _ZERO) for r, pc in zip(red, pivots)}, ncols)
 
 
 def inverse(rows):
@@ -189,7 +196,7 @@ def inverse(rows):
     red, pivots = _rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         return None
-    return [_dense({j - n: x for j, x in r.items() if j >= n}, n) for r in red]
+    return [dense({j - n: x for j, x in r.items() if j >= n}, n) for r in red]
 
 
 def matvec(rows, x):
@@ -207,7 +214,7 @@ def matmul(a, b):
             if x:
                 for j, y in b_rows[k]:
                     acc[j] = acc.get(j, _ZERO) + x * y
-        out.append(_dense(acc, ncols))
+        out.append(dense(acc, ncols))
     return out
 
 
@@ -228,6 +235,14 @@ def entries(m, row=0, col=0):
         for j, c in enumerate(r):
             if c:
                 yield i + row, j + col, c
+
+
+def columns(m, ncols):
+    """The ncols columns of m, each as the ``{row: value}`` dict of its nonzeros."""
+    cols = [{} for _ in range(ncols)]
+    for i, j, c in entries(m):
+        cols[j][i] = c
+    return cols
 
 
 def check_d_squared(d_matrix, lo, hi):

@@ -8,9 +8,9 @@ algebra over a triple of designated subs, and its block specialization.
 """
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
-from . import linalg
+from . import freelie, linalg
 from .derivations import Derivation, deru
 from .errors import (
     AxiomFailure,
@@ -29,7 +29,7 @@ from .presentation import (
     GeneratorSplit,
     linear_part_block,
 )
-from .slices import DgLieSlice, hom_slice, shifted_basis
+from .slices import DgLieSlice, bilinear, combination, hom_slice, shifted_basis
 
 
 class SymplecticGVS:
@@ -176,10 +176,18 @@ def tilde_model(model):
 
     d gamma = omega - beta; the designated sub "beta" is the free part on
     beta.  Returns (tilde_presentation, include_beta, project) where project
-    sends beta to omega and gamma to zero.
+    sends beta to omega and gamma to zero.  A dimension that puts beta or
+    gamma outside the generator degrees [1, freelie.MAX_DEGREE] is a
+    SchemaError at /dimension.
     """
     p = model.presentation
     m = model.v.m
+    if not 1 <= m < freelie.MAX_DEGREE:
+        raise SchemaError(
+            "the stabilized model needs beta of degree dimension - 2 in [1, %d)"
+            % freelie.MAX_DEGREE,
+            "/dimension",
+        )
     gens = list(p.generators.entries) + [("beta", m), ("gamma", m + 1)]
     diff = {n: v.terms() for n, v in p.differential.items()}
     omega_terms = model.omega.terms()
@@ -215,10 +223,11 @@ def xi_extend(theta, tilde):
 class OuterAction:
     """An outer action of a slice ``acting`` on a slice ``module``.
 
-    ``action(n, i, m, j)`` gives the left action of the acting basis element
-    (n, i) on the module basis element (m, j), as module coordinates in
-    degree n+m; ``chi(n, i)`` gives the degree -1 twist in module
-    coordinates.  Results are memoized.
+    ``action_fn(n, i, m, j)`` gives the left action of the acting basis
+    element (n, i) on the module basis element (m, j), as module coordinates
+    in degree n+m; ``act`` memoizes it as a sparse {k: c} table.
+    ``chi(n, i)`` gives the degree -1 twist in module coordinates.  Results
+    are memoized.
     """
 
     def __init__(self, acting, module, action_fn, chi_fn=None):
@@ -233,22 +242,14 @@ class OuterAction:
         key = (n, i, m, j)
         got = self._act_memo.get(key)
         if got is None:
-            got = self._action_fn(n, i, m, j)
+            got = linalg.sparse(self._action_fn(n, i, m, j))
             self._act_memo[key] = got
         return got
 
     def act_vectors(self, n, x, m, y):
-        out = [Fraction(0)] * self.module.dim(n + m)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(y):
-                if not cj:
-                    continue
-                for k, bk in enumerate(self.act(n, i, m, j)):
-                    if bk:
-                        out[k] += ci * cj * bk
-        return out
+        """Bilinear extension of the action to dense coordinate vectors."""
+        v = bilinear(self.act, n, linalg.sparse(x), m, linalg.sparse(y))
+        return linalg.dense(v, self.module.dim(n + m))
 
     def chi(self, n, i):
         if self._chi_fn is None:
@@ -261,13 +262,8 @@ class OuterAction:
         return got
 
     def chi_vector(self, n, x):
-        out = [Fraction(0)] * self.module.dim(n - 1)
-        for i, ci in enumerate(x):
-            if ci:
-                for k, bk in enumerate(self.chi(n, i)):
-                    if bk:
-                        out[k] += ci * bk
-        return out
+        terms = ((c, linalg.sparse(self.chi(n, i))) for i, c in linalg.sparse(x).items())
+        return linalg.dense(combination(terms), self.module.dim(n - 1))
 
 
 def outer_action_check(a, window=None):
@@ -295,31 +291,19 @@ def outer_action_check(a, window=None):
 
     ok = True
     witness = None
-    for n in range(lo, hi + 1):
-        for m in range(lo, hi + 1):
-            if not g_ok(n + m):
-                continue
-            for i in range(g.dim(n)):
-                for j in range(g.dim(m)):
-                    br = g.bracket(n, i, m, j)
-                    for k in range(L.lo, L.hi + 1):
-                        if not mod_ok(n + m + k):
-                            continue
-                        for l in range(L.dim(k)):
-                            x = linalg.unit_vector(L.dim(k), l)
-                            lhs = a.act_vectors(n + m, br, k, x)
-                            t1 = a.act_vectors(
-                                n, linalg.unit_vector(g.dim(n), i), m + k,
-                                a.act_vectors(m, linalg.unit_vector(g.dim(m), j), k, x),
-                            )
-                            sign = Fraction(-1 if (n * m) % 2 else 1)
-                            t2 = a.act_vectors(
-                                m, linalg.unit_vector(g.dim(m), j), n + k,
-                                a.act_vectors(n, linalg.unit_vector(g.dim(n), i), k, x),
-                            )
-                            if lhs != [u - sign * w for u, w in zip(t1, t2)]:
-                                ok = False
-                                witness = ("alpha_lie_map", n, i, m, j, k, l)
+    for n, m, k in product(range(lo, hi + 1), range(lo, hi + 1), range(L.lo, L.hi + 1)):
+        if not (g_ok(n + m) and mod_ok(n + m + k)):
+            continue
+        sign = -1 if (n * m) % 2 else 1
+        for i, j, l in product(range(g.dim(n)), range(g.dim(m)), range(L.dim(k))):
+            # [t,p].x = t.(p.x) - (-1)^{|t||p|} p.(t.x)
+            if combination([
+                (1, bilinear(a.act, n + m, g.bracket(n, i, m, j), k, {l: 1})),
+                (-1, bilinear(a.act, n, {i: 1}, m + k, a.act(m, j, k, l))),
+                (sign, bilinear(a.act, m, {j: 1}, n + k, a.act(n, i, k, l))),
+            ]):
+                ok = False
+                witness = ("alpha_lie_map", n, i, m, j, k, l)
     checks.append(("action_is_graded_lie_map", ok, witness))
 
     ok = True
@@ -347,7 +331,7 @@ def outer_action_check(a, window=None):
                 continue
             for i in range(g.dim(n)):
                 for j in range(g.dim(m)):
-                    br = g.bracket(n, i, m, j)
+                    br = linalg.dense(g.bracket(n, i, m, j), g.dim(n + m))
                     lhs = a.chi_vector(n + m, br)
                     # chi(t).p = -(-1)^{|chi t||p|} p.chi(t)
                     if mod_ok(n - 1):
@@ -438,21 +422,18 @@ def semidirect(g, L, a, window=None, check=True):
         )
 
     def bracket_fn(n, i, m, j):
-        gn, gm = g.dim(n), g.dim(m)
-        out_g = [Fraction(0)] * g.dim(n + m)
-        out_l = [Fraction(0)] * L.dim(n + m)
+        gn, gm, off = g.dim(n), g.dim(m), g.dim(n + m)
         if i < gn and j < gm:
-            out_g = g.bracket(n, i, m, j)
-        elif i < gn and j >= gm:
-            out_l = a.act(n, i, m, j - gm)
-        elif i >= gn and j < gm:
+            return g.bracket(n, i, m, j)
+        if i < gn:
+            v = a.act(n, i, m, j - gm)
+        elif j < gm:
             # x.p = -(-1)^{|x||p|} p.x
-            sgn = Fraction(-1 if ((n) * (m)) % 2 == 0 else 1)
-            v = a.act(m, j, n, i - gn)
-            out_l = [sgn * u for u in v]
+            sgn = -1 if (n * m) % 2 == 0 else 1
+            v = {k: sgn * u for k, u in a.act(m, j, n, i - gn).items()}
         else:
-            out_l = L.bracket(n, i - gn, m, j - gm)
-        return list(out_g) + list(out_l)
+            v = L.bracket(n, i - gn, m, j - gm)
+        return {off + k: u for k, u in v.items()}
 
     slc = DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
     slc.acting = g
@@ -460,7 +441,8 @@ def semidirect(g, L, a, window=None, check=True):
     slc.action = a
     if check:
         slc.check_d_squared()
-        slc.check_bracket_axioms(triple_budget=60)
+        slc.check_bracket_axioms()
+        slc.check_d_leibniz()
     return slc
 
 

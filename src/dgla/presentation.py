@@ -224,9 +224,12 @@ class DgLaPresentation:
     def __init__(self, generators, differential=None, subalgebras=None):
         self.generators = GradedBasis(generators)
         self._deg_list = [d for _, d in self.generators.entries]
-        low = [i for i, d in enumerate(self._deg_list) if d < 1]
-        if low:
-            raise SchemaError("generators must have positive degree", "/generators/%d/degree" % low[0])
+        bad = [i for i, d in enumerate(self._deg_list) if not 1 <= d <= freelie.MAX_DEGREE]
+        if bad:
+            raise SchemaError(
+                "generator degrees must lie in [1, %d]" % freelie.MAX_DEGREE,
+                "/generators/%d/degree" % bad[0],
+            )
         self._basis_cache = {}
         self._bracket_cache = {}
         self.differential = {}
@@ -617,10 +620,7 @@ def presentation_slice(p, lo, hi):
     }
 
     def bracket_fn(n, i, m_, j):
-        out = [Fraction(0)] * p.dim(n + m_)
-        for k, c in p.basis_bracket(n, i, m_, j).coords.items():
-            out[k] = c
-        return out
+        return p.basis_bracket(n, i, m_, j).coords
 
     slc = DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
     slc.bounded = False

@@ -3,17 +3,44 @@
 A DgLieSlice is the unit of everything downstream of the derivation
 complexes: it records per-degree bases (labels), differential blocks, and a
 bracket realized either by stored tables or by a callback (used by
-derivation complexes, which compute brackets lazily and memoize).  Degrees
+derivation complexes, which compute brackets lazily).  Either way the
+bracket is memoized as one sparse structure-constant table
+{(n, i, m, j): {k: c}}, and every bilinear computation on a slice goes
+through ``bilinear`` over such a table.  Degrees
 outside the window are unknown, not zero; any access outside raises
 WindowTooNarrow.
 """
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 
 from . import linalg
-from .errors import NotAComplex, WindowTooNarrow
+from .errors import AxiomFailure, NotAComplex, WindowTooNarrow
 from .graded import ChainComplexSlice, GradedBasis
+
+
+def combination(terms):
+    """The sparse vector sum of c * v over the (c, v) in ``terms``.
+
+    Vectors are ``{index: coefficient}`` dicts; the result holds no zeros,
+    so it is empty exactly when the sum vanishes.
+    """
+    out = {}
+    for c, v in terms:
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def bilinear(table, n, x, m, y):
+    """The bilinear extension of a basis table to sparse vectors.
+
+    ``table(n, i, m, j)`` is the sparse image of the basis pair (n, i),
+    (m, j); ``x`` and ``y`` are sparse vectors of degrees n and m.
+    """
+    return combination(
+        (a * b, table(n, i, m, j)) for i, a in x.items() for j, b in y.items()
+    )
 
 
 class DgLieSlice:
@@ -25,7 +52,7 @@ class DgLieSlice:
         self._d = {d: m for d, m in (d_blocks or {}).items()}
         self._bracket_fn = bracket_fn
         self._bracket_tables = dict(bracket_tables or {})
-        self._bracket_memo = {}
+        self._structure = {}
 
     # -- structure access -------------------------------------------------
 
@@ -58,112 +85,92 @@ class DgLieSlice:
         return linalg.matvec(self.d_matrix(d), vector)
 
     def bracket(self, n, i, m, j):
-        """Coordinates of [e_i^(n), e_j^(m)] in degree n+m."""
+        """The structure constants of [e_i^(n), e_j^(m)]: a sparse {k: c} in degree n+m.
+
+        Memoized; callers must not mutate the result.  A ``bracket_fn``
+        returns the same sparse form; ``bracket_tables`` are dense.
+        """
         key = (n, i, m, j)
-        got = self._bracket_memo.get(key)
-        if got is not None:
-            return got
-        if (n, m) in self._bracket_tables:
-            out = [Fraction(x) for x in self._bracket_tables[(n, m)][i][j]]
-        elif self._bracket_fn is not None:
-            out = self._bracket_fn(n, i, m, j)
-        else:
-            out = [Fraction(0)] * self.dim(n + m)
-        self._bracket_memo[key] = out
-        return out
+        got = self._structure.get(key)
+        if got is None:
+            if (n, m) in self._bracket_tables:
+                got = linalg.sparse(Fraction(x) for x in self._bracket_tables[(n, m)][i][j])
+            elif self._bracket_fn is not None:
+                got = self._bracket_fn(n, i, m, j)
+            else:
+                got = {}
+            self._structure[key] = got
+        return got
 
     def bracket_vectors(self, n, x, m, y):
-        """Bilinear extension of the basis bracket to coordinate vectors."""
-        out = [Fraction(0)] * self.dim(n + m)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(y):
-                if not cj:
-                    continue
-                b = self.bracket(n, i, m, j)
-                for k, bk in enumerate(b):
-                    if bk:
-                        out[k] += ci * cj * bk
-        return out
+        """Bilinear extension of the basis bracket to dense coordinate vectors."""
+        v = bilinear(self.bracket, n, linalg.sparse(x), m, linalg.sparse(y))
+        return linalg.dense(v, self.dim(n + m))
 
     # -- verification -------------------------------------------------------
 
     def check_d_squared(self):
         linalg.check_d_squared(self.d_matrix, self.lo, self.hi)
 
-    def check_bracket_axioms(self, triple_budget=200):
-        """Antisymmetry on all in-window pairs, Jacobi on a budget of triples."""
+    def _basis_pairs(self, n, m):
+        return product(range(self.dim(n)), range(self.dim(m)))
+
+    def check_bracket_axioms(self):
+        """Antisymmetry on every in-window basis pair, Jacobi on every triple.
+
+        [x,y] = -(-1)^{|x||y|}[y,x] and
+        [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]] for all basis
+        elements whose brackets stay in the window; raises AxiomFailure at
+        the first pair or triple that fails.
+        """
         degs = [d for d in range(self.lo, self.hi + 1) if self.labels[d]]
-        for n in degs:
-            for m in degs:
-                if not self.in_window(n + m):
-                    continue
-                for i in range(self.dim(n)):
-                    for j in range(self.dim(m)):
-                        lhs = self.bracket(n, i, m, j)
-                        rhs = self.bracket(m, j, n, i)
-                        sign = -1 if (n * m) % 2 == 0 else 1
-                        for a, b in zip(lhs, rhs):
-                            if a != sign * b:
-                                raise AssertionError(
-                                    "bracket antisymmetry fails at (%d,%d,%d,%d)" % (n, i, m, j)
-                                )
-        count = 0
-        for n in degs:
-            for m in degs:
-                for k in degs:
-                    if not (self.in_window(n + m + k) and self.in_window(n + m) and self.in_window(m + k) and self.in_window(n + k)):
-                        continue
-                    for i in range(self.dim(n)):
-                        for j in range(self.dim(m)):
-                            for l in range(self.dim(k)):
-                                if count >= triple_budget:
-                                    return
-                                count += 1
-                                self._jacobi_triple(n, i, m, j, k, l)
+        br = self.bracket
+        for n, m in product(degs, repeat=2):
+            if not self.in_window(n + m):
+                continue
+            sign = 1 if (n * m) % 2 else -1
+            for i, j in self._basis_pairs(n, m):
+                if combination([(1, br(n, i, m, j)), (-sign, br(m, j, n, i))]):
+                    raise AxiomFailure(
+                        "bracket antisymmetry fails at (%d,%d,%d,%d)" % (n, i, m, j)
+                    )
+        for n, m, k in product(degs, repeat=3):
+            if not all(self.in_window(d) for d in (n + m + k, n + m, m + k, n + k)):
+                continue
+            sign = -1 if (n * m) % 2 else 1
+            for (i, j), l in product(self._basis_pairs(n, m), range(self.dim(k))):
+                x, y, z = {i: 1}, {j: 1}, {l: 1}
+                if combination([
+                    (1, bilinear(br, n, x, m + k, br(m, j, k, l))),
+                    (-1, bilinear(br, n + m, br(n, i, m, j), k, z)),
+                    (-sign, bilinear(br, m, y, n + k, br(n, i, k, l))),
+                ]):
+                    raise AxiomFailure(
+                        "Jacobi fails on triple (%d,%d),(%d,%d),(%d,%d)" % (n, i, m, j, k, l)
+                    )
 
-    def _jacobi_triple(self, n, i, m, j, k, l):
-        x = self._unit(n, i)
-        y = self._unit(m, j)
-        z = self._unit(k, l)
-        lhs = self.bracket_vectors(n, x, m + k, self.bracket_vectors(m, y, k, z))
-        t1 = self.bracket_vectors(n + m, self.bracket_vectors(n, x, m, y), k, z)
-        t2 = self.bracket_vectors(m, y, n + k, self.bracket_vectors(n, x, k, z))
-        sign = Fraction(-1 if (n * m) % 2 else 1)
-        for a, b, c in zip(lhs, t1, t2):
-            if a != b + sign * c:
-                raise AssertionError(
-                    "Jacobi fails on triple (%d,%d),(%d,%d),(%d,%d)" % (n, i, m, j, k, l)
-                )
+    def check_d_leibniz(self):
+        """d[x,y] = [dx,y] + (-1)^{|x|}[x,dy] on every in-window basis pair.
 
-    def _unit(self, n, i):
-        return linalg.unit_vector(self.dim(n), i)
-
-    def check_d_leibniz(self, pair_budget=400):
-        """d[x,y] = [dx,y] + (-1)^{|x|}[x,dy] on a budget of basis pairs."""
-        count = 0
-        for n in range(self.lo + 1, self.hi + 1):
-            for m in range(self.lo + 1, self.hi + 1):
-                if not (self.in_window(n + m) and self.in_window(n + m - 1)):
-                    continue
-                for i in range(self.dim(n)):
-                    for j in range(self.dim(m)):
-                        if count >= pair_budget:
-                            return
-                        count += 1
-                        br = self.bracket(n, i, m, j)
-                        lhs = self.d_apply(n + m, br)
-                        dx = self.d_apply(n, self._unit(n, i))
-                        dy = self.d_apply(m, self._unit(m, j))
-                        t1 = self.bracket_vectors(n - 1, dx, m, self._unit(m, j))
-                        t2 = self.bracket_vectors(n, self._unit(n, i), m - 1, dy)
-                        sign = Fraction(-1 if n % 2 else 1)
-                        for a, b, c in zip(lhs, t1, t2):
-                            if a != b + sign * c:
-                                raise AssertionError(
-                                    "d is not a derivation at pair (%d,%d),(%d,%d)" % (n, i, m, j)
-                                )
+        Raises AxiomFailure at the first pair that fails.
+        """
+        degrees = range(self.lo + 1, self.hi + 1)
+        cols = {d: linalg.columns(self.d_matrix(d), self.dim(d)) for d in degrees}
+        br = self.bracket
+        for n, m in product(degrees, repeat=2):
+            if not (self.in_window(n + m) and self.in_window(n + m - 1)):
+                continue
+            sign = -1 if n % 2 else 1
+            for i, j in self._basis_pairs(n, m):
+                terms = [(c, cols[n + m][k]) for k, c in br(n, i, m, j).items()]
+                terms += [
+                    (-1, bilinear(br, n - 1, cols[n][i], m, {j: 1})),
+                    (-sign, bilinear(br, n, {i: 1}, m - 1, cols[m][j])),
+                ]
+                if combination(terms):
+                    raise AxiomFailure(
+                        "d is not a derivation at pair (%d,%d),(%d,%d)" % (n, i, m, j)
+                    )
 
     # -- derived objects ---------------------------------------------------------
 
@@ -208,14 +215,12 @@ class DgLieSlice:
 
         def bracket_fn(n, i, m, j):
             na, ma = self.dim(n), self.dim(m)
-            out = [Fraction(0)] * (self.dim(n + m) + other.dim(n + m))
             if i < na and j < ma:
-                for k, x in enumerate(self.bracket(n, i, m, j)):
-                    out[k] = x
-            elif i >= na and j >= ma:
-                for k, x in enumerate(other.bracket(n, i - na, m, j - ma)):
-                    out[self.dim(n + m) + k] = x
-            return out
+                return self.bracket(n, i, m, j)
+            if i >= na and j >= ma:
+                off = self.dim(n + m)
+                return {off + k: x for k, x in other.bracket(n, i - na, m, j - ma).items()}
+            return {}
 
         return DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
 
@@ -247,7 +252,10 @@ class DgLieSlice:
         for d in range(2, hi + 1):
             d_blocks[d] = self.d_matrix(d)
         if hi >= 1:
-            cols = [z0.coords(self.d_apply(1, self._unit(1, j))) for j in range(self.dim(1))]
+            cols = [
+                z0.coords(linalg.dense(c, self.dim(0)))
+                for c in linalg.columns(self.d_matrix(1), self.dim(1))
+            ]
             if None in cols:
                 raise NotAComplex("boundary of degree 1 is not a cycle")
             d_blocks[1] = linalg.matrix(z0.dim, len(cols), linalg.entries(zip(*cols)))
@@ -255,14 +263,14 @@ class DgLieSlice:
         outer = self
 
         def bracket_fn(n, i, m, j):
-            x = outer._unit(n, i) if n > 0 else z0.vectors[i]
-            y = outer._unit(m, j) if m > 0 else z0.vectors[j]
-            v = outer.bracket_vectors(n, list(x), m, list(y))
+            x = {i: 1} if n > 0 else linalg.sparse(z0.vectors[i])
+            y = {j: 1} if m > 0 else linalg.sparse(z0.vectors[j])
+            v = bilinear(outer.bracket, n, x, m, y)
             if n + m == 0:
-                c = z0.coords(v)
+                c = z0.coords(linalg.dense(v, outer.dim(0)))
                 if c is None:
                     raise NotAComplex("bracket of cycles is not a cycle")
-                return c
+                return linalg.sparse(c)
             return v
 
         out = DgLieSlice((0, hi), labels, d_blocks, bracket_fn=bracket_fn)
@@ -285,19 +293,10 @@ class DgLieSlice:
         outer = self
 
         def bracket_fn(n, i, m, j):
-            if outer.in_window(n) and outer.in_window(m):
-                v = outer.bracket(n, i, m, j)
-                if outer.in_window(n + m):
-                    return v
-                return [Fraction(0)] * 0
-            raise IndexError("no basis elements outside the original window")
+            return outer.bracket(n, i, m, j) if outer.in_window(n + m) else {}
 
         out = DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
         return out
-
-    @classmethod
-    def abelian(cls, window, labels, d_blocks=None):
-        return cls(window, labels, d_blocks or {})
 
 
 class SliceElement:

@@ -9,14 +9,25 @@ BCH.  Tests compare library output against these.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 
 # -- plain Gaussian elimination ------------------------------------------------
 
 
 def gauss_rank(rows):
-    """Rank over Q by textbook fraction elimination (no Bareiss, no pivots)."""
-    rows = [[Fraction(x) for x in r] for r in rows if any(r)]
+    """Rank over Q by textbook fraction-free elimination (no Bareiss, no pivots).
+
+    Rows of ints or Fractions are scaled to integers by the lcm of their
+    denominators; eliminating r against the pivot row p replaces r by
+    p[col] * r - r[col] * p, divided by the gcd of its entries.
+    """
+    ints = []
+    for r in rows:
+        if any(r):
+            den = lcm(*(x.denominator for x in r))
+            ints.append([x.numerator * (den // x.denominator) for x in r])
+    rows = ints
     rank = 0
     col = 0
     ncols = len(rows[0]) if rows else 0
@@ -34,8 +45,11 @@ def gauss_rank(rows):
         nxt = []
         for r in rows:
             if r[col]:
-                f = r[col] / pv
-                r = [a - f * b for a, b in zip(r, pr)]
+                f = r[col]
+                r = [pv * a - f * b for a, b in zip(r, pr)]
+                g = gcd(*r)
+                if g > 1:
+                    r = [a // g for a in r]
             if any(r):
                 nxt.append(r)
         rows = nxt
@@ -131,9 +145,9 @@ def witt_dimensions(degrees, max_length, max_degree):
 
 
 def _expand_bracket(tree, degrees):
-    """Independent tensor expansion; tree leaves are generator indices."""
+    """Independent tensor expansion with int coefficients; tree leaves are generator indices."""
     if isinstance(tree, int):
-        return {(tree,): Fraction(1)}
+        return {(tree,): 1}
     a = _expand_bracket(tree[0], degrees)
     b = _expand_bracket(tree[1], degrees)
 
@@ -142,12 +156,12 @@ def _expand_bracket(tree, degrees):
             return degrees[t]
         return tdeg(t[0]) + tdeg(t[1])
 
-    sgn = Fraction(-1 if (tdeg(tree[0]) * tdeg(tree[1])) % 2 else 1)
+    sgn = -1 if (tdeg(tree[0]) * tdeg(tree[1])) % 2 else 1
     out = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            out[wa + wb] = out.get(wa + wb, Fraction(0)) + ca * cb
-            out[wb + wa] = out.get(wb + wa, Fraction(0)) - sgn * ca * cb
+            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+            out[wb + wa] = out.get(wb + wa, 0) - sgn * ca * cb
     return out
 
 
@@ -183,9 +197,10 @@ def brute_force_lie_dims(degrees, max_length):
                 vec = {u: c for u, c in _expand_bracket(tree, degrees).items() if c}
                 if not vec:
                     continue
-                lead = min(vec)
-                scale = vec[lead]
-                key = tuple(sorted((u, c / scale) for u, c in vec.items()))
+                # the primitive integer vector with a positive leading entry
+                # names the line that vec spans
+                scale = gcd(*vec.values()) * (1 if vec[min(vec)] > 0 else -1)
+                key = tuple(sorted((u, c // scale) for u, c in vec.items()))
                 if key not in seen:
                     seen[key] = vec
         for deg, vecs in vectors_by_degree.items():
@@ -194,7 +209,7 @@ def brute_force_lie_dims(degrees, max_length):
             pos = {w: i for i, w in enumerate(support)}
             rows = []
             for v in vecs:
-                row = [Fraction(0)] * len(support)
+                row = [0] * len(support)
                 for w, c in v.items():
                     row[pos[w]] = c
                 rows.append(row)

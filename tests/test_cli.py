@@ -313,6 +313,41 @@ def test_malformed_pairing_is_exit_2(tmp_path, capsys, fixture_path, key, value)
     assert "at /pairing/0/1" in capsys.readouterr().err
 
 
+_TWISTED9_G = ["g", "presentation_twisted9.json", "--sub", "omega", "--min", "0", "--max", "3",
+               "--assert-semisimple", "--rho"]
+
+
+@pytest.mark.parametrize(
+    "name, path, value, command, pointer",
+    [
+        ("sl2.json", ["differential"], 7, ["ce", "@", "--min", "0", "--max", "3"], "/differential"),
+        ("mc_slice.json", ["brackets"], 7, ["mc", "@"], "/brackets"),
+        ("rho_twisted9.json", ["values"], 7, _TWISTED9_G + ["@"], "/values"),
+        ("exp_derivation.json", ["values"], 7,
+         ["exp", "presentation_w11.json", "--derivation", "@"], "/values"),
+        ("presentation_w11.json", ["generators", 0, "degree"], 10**6, ["check", "@"],
+         "/generators/0/degree"),
+        ("empty_model.json", ["dimension"], 2, ["tilde", "@"], "/dimension"),
+    ],
+    ids=["slice-differential", "slice-brackets", "rho-values", "derivation-values",
+         "huge-degree", "tilde-dimension"],
+)
+def test_malformed_value_is_exit_2_at_its_pointer(
+    tmp_path, capsys, fixture_path, name, path, value, command, pointer
+):
+    obj = io_mod.load_json_file(fixture_path(name))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    argv = [str(f) if a == "@" else fixture_path(a) if a.endswith(".json") else a for a in command]
+    code, payload = _run(*argv)
+    assert code == 2 and payload is None
+    assert capsys.readouterr().err.endswith("(at %s)\n" % pointer)
+
+
 # Each fixture with the commands its mutations are run through.
 _FUZZED = [
     ("w11.json", [["model"], ["xi", "--min", "0", "--max", "2"]]),
@@ -320,6 +355,8 @@ _FUZZED = [
         "presentation_w11.json",
         [["check"], ["der", "--sub", "omega", "--min", "0", "--max", "4"]],
     ),
+    ("sl2.json", [["ce", "--min", "0", "--max", "3"]]),
+    ("mc_slice.json", [["mc"]]),
 ]
 _WRONG_TYPES = [7, "7", True, 1.5, [], [7], {}, {"x": 7}]
 

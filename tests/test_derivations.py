@@ -118,8 +118,8 @@ def test_der_slice_jacobi_and_leibniz():
     t = tilde_w11()
     slc = der_complex(t, "beta", (0, 2))
     slc.check_d_squared()
-    slc.check_bracket_axioms(triple_budget=40)
-    slc.check_d_leibniz(pair_budget=60)
+    slc.check_bracket_axioms()
+    slc.check_d_leibniz()
 
 
 def test_deru_examples():

@@ -235,7 +235,7 @@ def test_block_g_w11_dims_and_homology():
     assert g.dim(0) == 2
     assert [g.dim(n) for n in range(4)] == [2, 0, 0, 0]
     g.check_d_squared()
-    g.check_bracket_axioms(triple_budget=40)
+    g.check_bracket_axioms()
 
 
 def test_block_g_via_general_build_matches():
@@ -269,7 +269,7 @@ def test_block_g_twisted_by_pontryagin():
     assert m.omega == m.presentation.normal_form("[a,y]+[x,b]")
     g = build_block_g(m, (0, 3))
     g.check_d_squared()
-    g.check_bracket_axioms(triple_budget=40)
+    g.check_bracket_axioms()
     act = g.action
     found = [
         (n, i)

@@ -1,0 +1,46 @@
+"""Whole-window axiom certificates of explicit dg Lie slices.
+
+Each broken slice below fails its axiom on exactly one basis pair or
+triple, placed late in the iteration order, so a check that samples only
+the first few hundred pairs or triples passes it.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from dgla.errors import AxiomFailure
+from dgla.slices import DgLieSlice
+
+
+def _table(n_left, n_right, n_value, brackets):
+    """Dense bracket table with the given {(i, j): {k: c}} entries."""
+    tab = [[[Fraction(0)] * n_value for _ in range(n_right)] for _ in range(n_left)]
+    for (i, j), value in brackets.items():
+        for k, c in value.items():
+            tab[i][j][k] = Fraction(c)
+    return tab
+
+
+def test_jacobi_is_checked_on_every_triple():
+    # e0..e3 central; a = e4, b = e5, c = e6 with [a,b] = a, [a,c] = b, so
+    # [a,[b,c]] - [[a,b],c] - [b,[a,c]] = -b on the triple (4, 5, 6), the
+    # 238th of 343 in iteration order; every earlier triple satisfies Jacobi
+    brackets = {(4, 5): {4: 1}, (5, 4): {4: -1}, (4, 6): {5: 1}, (6, 4): {5: -1}}
+    slc = DgLieSlice((0, 0), {0: ["e%d" % i for i in range(7)]},
+                     bracket_tables={(0, 0): _table(7, 7, 7, brackets)})
+    with pytest.raises(AxiomFailure, match=r"Jacobi fails on triple \(0,4\),\(0,5\),\(0,6\)"):
+        slc.check_bracket_axioms()
+
+
+def test_d_leibniz_is_checked_on_every_pair():
+    # 21 odd generators u0..u20 with [u20,u20] = w and dw = u0: the pair
+    # (u20, u20), the 441st and last, breaks d[x,y] = [dx,y] - [x,dy]
+    labels = {0: [], 1: ["u%d" % i for i in range(21)], 2: ["w"]}
+    d_blocks = {2: [[Fraction(1 if i == 0 else 0)] for i in range(21)]}
+    tables = {(1, 1): _table(21, 21, 1, {(20, 20): {0: 1}})}
+    slc = DgLieSlice((0, 2), labels, d_blocks, bracket_tables=tables)
+    slc.check_d_squared()
+    slc.check_bracket_axioms()
+    with pytest.raises(AxiomFailure, match=r"pair \(1,20\),\(1,20\)"):
+        slc.check_d_leibniz()
