@@ -15,6 +15,7 @@ import sys
 import time
 
 from . import expr as expr_mod
+from . import freelie
 from . import io as io_mod
 from .ce import ce_cohomology
 from .derivations import der_complex, deru
@@ -29,8 +30,16 @@ from .slices import SliceElement
 
 
 def _window(args):
+    """The requested degree window; call before any use of --min or --max.
+
+    Bounded like generator degrees, so word enumeration never nears the
+    interpreter's recursion limit.
+    """
     if args.min > args.max:
         raise SchemaError("window min exceeds max", "")
+    bound = freelie.MAX_DEGREE
+    if max(-args.min, args.max) > bound:
+        raise SchemaError("window bounds must lie in [-%d, %d]" % (bound, bound), "")
     return (args.min, args.max)
 
 
@@ -63,8 +72,9 @@ def cmd_homology(args, inputs):
 
     p = io_mod.load_presentation(io_mod.load_json_file(args.file))
     inputs.append(args.file)
+    w = _window(args)
     c = lie_chain_slice(p, max(0, args.min - 1), args.max + 1)
-    res = homology_op(c, _window(args))
+    res = homology_op(c, w)
     betti = {str(k): v[0] for k, v in res.items()}
     reps = {}
     for k, (_, vectors) in res.items():
@@ -113,6 +123,7 @@ def cmd_der(args, inputs):
 
 
 def cmd_ce(args, inputs):
+    w = _window(args)
     obj = io_mod.load_json_file(args.file)
     inputs.append(args.file)
     if "window" in obj:
@@ -122,7 +133,7 @@ def cmd_ce(args, inputs):
     else:
         p = io_mod.load_presentation(obj)
         g = presentation_slice(p, 0, args.max)
-    b = ce_cohomology(g, args.coeff_dim, _window(args))
+    b = ce_cohomology(g, args.coeff_dim, w)
     return {"betti": _betti_table(b)}, []
 
 

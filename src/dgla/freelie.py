@@ -21,6 +21,7 @@ of at most a few thousand.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 # Largest generator degree accepted.  Word enumeration recurses once per
 # letter, so the degrees met by brackets of a few generators stay far below
@@ -81,20 +82,35 @@ def tree_degree(tree, degrees):
     return tree_degree(tree[0], degrees) + tree_degree(tree[1], degrees)
 
 
-def expand_tree(tree, degrees):
-    """Tensor-algebra expansion of a bracket tree: dict word -> Fraction."""
+def expand_tree(tree, degrees, memo=None):
+    """Tensor-algebra expansion of a bracket tree: dict word -> int.
+
+    A subtree found in ``memo`` (tree -> expansion) is taken from it rather
+    than expanded again.  The memo is only read here, and the expansion
+    returned may be the memo's own dict, so callers must not mutate it.
+    """
     if isinstance(tree, int):
-        return {(tree,): Fraction(1)}
-    left = expand_tree(tree[0], degrees)
-    right = expand_tree(tree[1], degrees)
-    sign = -1 if (tree_degree(tree[0], degrees) * tree_degree(tree[1], degrees)) % 2 else 1
+        return {(tree,): 1}
+    if memo is not None:
+        got = memo.get(tree)
+        if got is not None:
+            return got
+    left = expand_tree(tree[0], degrees, memo)
+    right = expand_tree(tree[1], degrees, memo)
+    if not left or not right:
+        return {}
+    du = sum(degrees[i] for i in next(iter(left)))
+    dv = sum(degrees[i] for i in next(iter(right)))
+    sign = -1 if du * dv % 2 else 1
     out = {}
+    get = out.get
     for wu, cu in left.items():
         for wv, cv in right.items():
+            c = cu * cv
             w = wu + wv
-            out[w] = out.get(w, Fraction(0)) + cu * cv
-            w2 = wv + wu
-            out[w2] = out.get(w2, Fraction(0)) - sign * cu * cv
+            out[w] = get(w, 0) + c
+            w = wv + wu
+            out[w] = get(w, 0) - sign * c
     return {w: c for w, c in out.items() if c}
 
 
@@ -103,10 +119,10 @@ class BasisBracket:
 
     __slots__ = ("tree", "degree", "length", "expansion", "lead", "lead_coeff")
 
-    def __init__(self, tree, degrees):
+    def __init__(self, tree, degrees, memo=None):
         self.tree = tree
         self.degree = tree_degree(tree, degrees)
-        self.expansion = expand_tree(tree, degrees)
+        self.expansion = expand_tree(tree, degrees, memo)
         if not self.expansion:
             raise ValueError("basis bracket expands to zero: %r" % (tree,))
         self.lead = min(self.expansion)
@@ -114,24 +130,27 @@ class BasisBracket:
         self.lead_coeff = self.expansion[self.lead]
 
 
-def basis_in_degree(degrees, d):
+def basis_in_degree(degrees, d, memo=None):
     """Canonical basis of the degree-d piece, as BasisBracket objects.
 
     Deterministic order: by word length, then leading word lexicographically.
     Certifies the triangular structure (distinct leading words, each
-    expansion supported on words >= its lead).
+    expansion supported on words >= its lead).  Subtree expansions are read
+    from ``memo`` (tree -> expansion) when given, and the expansion of every
+    certified composite element is then stored in it: the same dict object,
+    never copied and never mutated.
     """
     elems = []
     for w in words_of_degree(degrees, d):
         if is_lyndon(w):
-            elems.append(BasisBracket(standard_bracketing(w), degrees))
+            elems.append(BasisBracket(standard_bracketing(w), degrees, memo))
     if d % 2 == 0:
         half = d // 2
         if half % 2 == 1:
             for w in words_of_degree(degrees, half):
                 if is_lyndon(w):
                     t = standard_bracketing(w)
-                    elems.append(BasisBracket((t, t), degrees))
+                    elems.append(BasisBracket((t, t), degrees, memo))
     elems.sort(key=lambda b: (b.length, b.lead))
     seen = {}
     for b in elems:
@@ -145,30 +164,48 @@ def basis_in_degree(degrees, d):
                 raise AssertionError(
                     "expansion below leading word in degree %d: %r" % (d, b.tree)
                 )
+    if memo is not None:
+        for b in elems:
+            if not isinstance(b.tree, int):
+                memo[b.tree] = b.expansion
     return elems
 
 
 def solve_against_basis(basis, tensor):
     """Coordinates of a tensor vector in the span of the basis expansions.
 
-    Greedy triangular substitution on leading words; raises ValueError if the
-    vector is not in the span (which certifies exactness: the residual must
-    vanish term by term).  Returns a dict index -> Fraction.
+    Greedy triangular substitution on leading words, on integers: the tensor
+    (rational or integer coefficients) is scaled by the lcm of its
+    denominators, and when a leading coefficient does not divide the entry
+    it must clear, everything is scaled by the missing factor.  That one
+    denominator is divided out at the end.  Raises ValueError if the vector
+    is not in the span (which certifies exactness: the residual must vanish
+    term by term).  Returns a dict index -> Fraction.
     """
     lead_map = {b.lead: i for i, b in enumerate(basis)}
-    work = {w: Fraction(c) for w, c in tensor.items() if c}
+    scale = lcm(*(c.denominator for c in tensor.values()))
+    work = {w: c.numerator * (scale // c.denominator) for w, c in tensor.items() if c}
     coords = {}
     while work:
         w = min(work)
         i = lead_map.get(w)
         if i is None:
             raise ValueError("vector outside the free Lie span (word %r)" % (w,))
-        f = work[w] / basis[i].lead_coeff
-        coords[i] = coords.get(i, Fraction(0)) + f
-        for u, c in basis[i].expansion.items():
-            nv = work.get(u, Fraction(0)) - f * c
+        c = work[w]
+        lc = basis[i].lead_coeff
+        if c % lc:
+            m = abs(lc) // gcd(c, lc)
+            scale *= m
+            c *= m
+            work = {u: v * m for u, v in work.items()}
+            coords = {j: v * m for j, v in coords.items()}
+        f = c // lc
+        coords[i] = f
+        get = work.get
+        for u, cu in basis[i].expansion.items():
+            nv = get(u, 0) - f * cu
             if nv:
                 work[u] = nv
             else:
-                work.pop(u, None)
-    return {i: c for i, c in coords.items() if c}
+                del work[u]
+    return {i: Fraction(c, scale) for i, c in coords.items()}

@@ -7,9 +7,10 @@ normal form: sparse rational coordinate vectors in the canonical
 super-Lyndon basis of their degree.
 
 Presentations and elements are immutable after construction; the basis,
-bracket and tree caches are per-presentation dicts of immutable values
-(atomic updates under the GIL), so instances may be shared freely across
-threads.
+expansion, bracket and tree caches are per-presentation dicts of values that
+are never mutated (atomic updates under the GIL), so instances may be shared
+freely across threads.  The expansion memo holds only the certified
+expansions of composite basis elements.
 """
 
 from fractions import Fraction
@@ -231,6 +232,7 @@ class DgLaPresentation:
                 "/generators/%d/degree" % bad[0],
             )
         self._basis_cache = {}
+        self._expansions = {}
         self._bracket_cache = {}
         self.differential = {}
         self._tree_elements = TreeMap(
@@ -276,7 +278,9 @@ class DgLaPresentation:
             if degree < 1 or not self._deg_list:
                 self._basis_cache[degree] = []
             else:
-                self._basis_cache[degree] = freelie.basis_in_degree(self._deg_list, degree)
+                self._basis_cache[degree] = freelie.basis_in_degree(
+                    self._deg_list, degree, self._expansions
+                )
         return self._basis_cache[degree]
 
     def dim(self, degree):
@@ -333,7 +337,7 @@ class DgLaPresentation:
                 raise InhomogeneousExpression(
                     "terms of degrees %d and %d" % (degree, d)
                 )
-            for w, c in freelie.expand_tree(itree, self._deg_list).items():
+            for w, c in freelie.expand_tree(itree, self._deg_list, self._expansions).items():
                 tensor[w] = tensor.get(w, Fraction(0)) + coeff * c
         if degree is None:
             return self.zero()
@@ -356,7 +360,7 @@ class DgLaPresentation:
         if cached is None:
             t1 = self.lie_basis(d1)[i1].tree
             t2 = self.lie_basis(d2)[i2].tree
-            tensor = freelie.expand_tree((t1, t2), self._deg_list)
+            tensor = freelie.expand_tree((t1, t2), self._deg_list, self._expansions)
             coords = freelie.solve_against_basis(self.lie_basis(d1 + d2), tensor)
             cached = LieElement(self, d1 + d2, coords)
             self._bracket_cache[key] = cached

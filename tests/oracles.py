@@ -2,9 +2,10 @@
 
 Everything here is deliberately separate from the library's code paths:
 plain Gaussian elimination instead of the Bareiss core, a fresh tensor
-expansion instead of the cached one, generating-function dimension counts
-instead of basis enumeration, and matrix exponentials as ground truth for
-BCH.  Tests compare library output against these.
+expansion instead of the cached one, a Fraction triangular solve instead of
+the integer one, generating-function dimension counts instead of basis
+enumeration, and matrix exponentials as ground truth for BCH.  Tests
+compare library output against these.
 """
 
 import random
@@ -163,6 +164,31 @@ def _expand_bracket(tree, degrees):
             out[wa + wb] = out.get(wa + wb, 0) + ca * cb
             out[wb + wa] = out.get(wb + wa, 0) - sgn * ca * cb
     return out
+
+
+def solve_against_basis_fractions(basis, tensor):
+    """Coordinates of a tensor in the span of basis expansions, on Fractions.
+
+    Greedy triangular substitution on leading words, every coefficient a
+    Fraction; raises ValueError when a residual word is no basis lead.
+    """
+    lead_map = {b.lead: i for i, b in enumerate(basis)}
+    work = {w: Fraction(c) for w, c in tensor.items() if c}
+    coords = {}
+    while work:
+        w = min(work)
+        i = lead_map.get(w)
+        if i is None:
+            raise ValueError("vector outside the free Lie span (word %r)" % (w,))
+        f = work[w] / basis[i].lead_coeff
+        coords[i] = coords.get(i, Fraction(0)) + f
+        for u, c in basis[i].expansion.items():
+            nv = work.get(u, Fraction(0)) - f * c
+            if nv:
+                work[u] = nv
+            else:
+                work.pop(u, None)
+    return {i: c for i, c in coords.items() if c}
 
 
 def _all_bracketings(word):

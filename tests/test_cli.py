@@ -348,6 +348,27 @@ def test_malformed_value_is_exit_2_at_its_pointer(
     assert capsys.readouterr().err.endswith("(at %s)\n" % pointer)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["homology", "s2.json"], ["der", "presentation_w11.json", "--sub", "omega"]],
+    ids=["homology", "der"],
+)
+def test_window_past_max_degree_is_exit_2(capsys, fixture_path, command):
+    # the window is bounded like generator degrees, not by the recursion limit
+    argv = [fixture_path(a) if a.endswith(".json") else a for a in command]
+    code, payload = _run(*argv, "--min", "2500", "--max", "2502")
+    assert code == 2 and payload is None
+    assert "window bounds must lie in [-128, 128]" in capsys.readouterr().err
+    code, _ = _run(*argv, "--min", "-2502", "--max", "0")
+    assert code == 2
+
+
+def test_window_at_max_degree_runs(fixture_path):
+    code, payload = _run("homology", fixture_path("s2.json"), "--min", "127", "--max", "128")
+    assert code == 0
+    assert _body(payload)["tables"]["betti"] == {"127": 0, "128": 0}
+
+
 # Each fixture with the commands its mutations are run through.
 _FUZZED = [
     ("w11.json", [["model"], ["xi", "--min", "0", "--max", "2"]]),

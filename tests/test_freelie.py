@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from dgla import freelie
 from dgla.errors import InhomogeneousExpression, UnknownGenerator
 from dgla.presentation import DgLaPresentation
-from oracles import brute_force_lie_dims, witt_dimensions
+from oracles import brute_force_lie_dims, solve_against_basis_fractions, witt_dimensions
 
 
 def dims_by_length(p, max_length, max_degree):
@@ -170,3 +173,129 @@ def test_normal_form_tensor_faithful_random():
                 got[w] = got.get(w, Fraction(0)) + c * cc
         got = {w: c for w, c in got.items() if c}
         assert got == expected
+
+
+# -- the integer core: triangular solve and the expansion memo --------------
+
+_PRESENTATIONS = {}
+
+
+def _presentation(degs):
+    """One presentation per degree list, so bases are built once per run."""
+    if degs not in _PRESENTATIONS:
+        _PRESENTATIONS[degs] = DgLaPresentation([("g%d" % i, d) for i, d in enumerate(degs)])
+    return _PRESENTATIONS[degs]
+
+
+@st.composite
+def _rational_combination(draw):
+    """(basis, coordinates) of a random rational combination of basis elements."""
+    # odd generator degrees make odd squares, whose lead coefficient is 2
+    degs = draw(st.sampled_from([(1,), (1, 1), (1, 2), (3, 3), (1, 2, 3)]))
+    d = draw(st.integers(1, 8))
+    basis = _presentation(degs).lie_basis(d)
+    assume(basis)
+    coords = draw(st.dictionaries(
+        st.integers(0, len(basis) - 1),
+        st.fractions(-50, 50, max_denominator=64).filter(bool),
+        min_size=1,
+    ))
+    return degs, basis, coords
+
+
+def _tensor(basis, coords):
+    out = {}
+    for i, c in coords.items():
+        for w, cw in basis[i].expansion.items():
+            out[w] = out.get(w, Fraction(0)) + c * cw
+    return {w: c for w, c in out.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_combination(), st.fractions(-5, 5, max_denominator=64).filter(bool),
+       st.randoms(use_true_random=False))
+def test_integer_solve_matches_fraction_oracle(combination, delta, rng):
+    degs, basis, coords = combination
+    tensor = _tensor(basis, coords)
+    got = freelie.solve_against_basis(basis, tensor)
+    assert got == solve_against_basis_fractions(basis, tensor) == coords
+    assert all(type(c) is Fraction for c in got.values())
+    # a word that leads no basis element is outside the span, and so is any
+    # vector of the span plus a nonzero multiple of it
+    leads = {b.lead for b in basis}
+    others = [w for w in freelie.words_of_degree(list(degs), basis[0].degree) if w not in leads]
+    assume(others)
+    w = rng.choice(others)
+    tensor[w] = tensor.get(w, Fraction(0)) + delta
+    with pytest.raises(ValueError):
+        freelie.solve_against_basis(basis, tensor)
+
+
+def test_solve_divides_by_an_odd_square_lead():
+    # i([x,x]) = 2xx for odd x, so the word xx alone is 1/2 [x,x]
+    p = DgLaPresentation([("x", 1)])
+    (square,) = p.lie_basis(2)
+    assert square.lead_coeff == 2
+    assert freelie.solve_against_basis([square], {(0, 0): 1}) == {0: Fraction(1, 2)}
+    assert p.normal_form("1/3*[x,x]").coords == {0: Fraction(1, 3)}
+    # the square comes after [x,y], whose coordinate must be rescaled with it
+    q = DgLaPresentation([("x", 1), ("y", 1)])
+    basis = q.lie_basis(2)
+    assert [b.lead for b in basis] == [(0, 0), (0, 1), (1, 1)]
+    tensor = {(0, 1): 1, (1, 0): 1, (1, 1): 1}
+    assert freelie.solve_against_basis(basis, tensor) == {1: 1, 2: Fraction(1, 2)}
+    assert q.normal_form("[x,y] + 1/2*[y,y]").coords == {1: 1, 2: Fraction(1, 2)}
+
+
+def test_basis_expansions_are_int_and_match_a_memo_free_expansion():
+    p = DgLaPresentation([("x", 1), ("y", 2), ("z", 3)])
+    degs = [1, 2, 3]
+    for d in range(1, 11):
+        for b in p.lie_basis(d):
+            assert all(type(c) is int for c in b.expansion.values()), b.tree
+            assert b.expansion == freelie.expand_tree(b.tree, degs)
+
+
+def test_cold_basis_bracket_is_one_product_step(monkeypatch):
+    p = DgLaPresentation([("x", 1), ("y", 2), ("z", 3)])
+    d1, d2 = 4, 5  # every pair of basis elements here has two composite factors
+    for d in (d1, d2, d1 + d2):
+        p.lie_basis(d)
+    steps = []
+    expand = freelie.expand_tree
+
+    def counting(tree, degrees, memo=None):
+        if not isinstance(tree, int) and tree not in p._expansions:
+            steps.append(tree)
+        return expand(tree, degrees, memo)
+
+    monkeypatch.setattr(freelie, "expand_tree", counting)
+    pairs = 0
+    for i1, b1 in enumerate(p.lie_basis(d1)):
+        for i2, b2 in enumerate(p.lie_basis(d2)):
+            if (b1.tree, b2.tree) in p._expansions:
+                continue
+            del steps[:]
+            p.basis_bracket(d1, i1, d2, i2)
+            assert steps == [(b1.tree, b2.tree)]
+            pairs += 1
+    assert pairs > 4
+
+
+def test_expansion_memo_holds_only_composite_basis_elements():
+    rng = random.Random(7)
+    p = DgLaPresentation([("x", 1), ("y", 2), ("z", 3)])
+    elements = [p.gen(n) for n in "xyz"]
+    for _ in range(30):
+        u, v = rng.choice(elements), rng.choice(elements)
+        if u.degree + v.degree <= 9:
+            elements.append(p.bracket(u, v))
+    p.normal_form("[[x,y],[z,[x,x]]] + 1/2*[[x,z],[x,[y,x]]]")
+    basis = {b.tree: b for d in p._basis_cache for b in p.lie_basis(d)}
+    composite = {t for t in basis if not isinstance(t, int)}
+    assert len(p._bracket_cache) > 10 and len(composite) > 10
+    # no bracket product is retained, and the memo shares the basis dicts
+    assert set(p._expansions) == composite
+    for t in composite:
+        assert p._expansions[t] is basis[t].expansion
+        assert basis[t].expansion == freelie.expand_tree(t, [1, 2, 3])
