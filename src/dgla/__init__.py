@@ -38,7 +38,6 @@ from .graded import (
     GradedLinearMap,
     betti_numbers,
     homology,
-    rank_profile,
 )
 from .models import (
     ManifoldModel,
@@ -122,7 +121,6 @@ __all__ = [
     "pi_so_basis",
     "presentation_slice",
     "pushout",
-    "rank_profile",
     "semidirect",
     "tilde_model",
     "transfer",

@@ -285,6 +285,10 @@ def cmd_mc(args, inputs):
         raise SchemaError("mc needs a 'candidate' object in the slice file", "/candidate")
     if not slc.in_window(-1) or not slc.in_window(-2):
         raise SchemaError("mc needs the slice window to cover degrees -1 and -2", "/window")
+    for nm in cand:
+        if nm not in slc.labels[-1]:
+            raise SchemaError("candidate %r is not a degree -1 basis element" % nm,
+                              "/candidate/%s" % nm)
     vec = [io_mod.parse_rational(cand.get(nm, 0), "/candidate") for nm in slc.labels[-1]]
     tau = SliceElement(slc, -1, vec)
     ok, residual = mc_check(tau)

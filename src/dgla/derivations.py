@@ -11,10 +11,12 @@ finitely many linear equations theta(listed element) = 0, which by the
 Leibniz rule forces vanishing on the whole generated subalgebra.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from . import linalg
 from .errors import ModeUnavailable, RhoNotChainMap, SubMismatch
+from .linalg import combination
 from .morphisms import _rho_of
 from .presentation import ElementGenerated, GeneratorSplit, LieElement, leibniz_extension
 from .slices import DgLieSlice
@@ -168,28 +170,30 @@ class _HomLayout:
             self.slots.append((name, deg, offset, dim))
             offset += dim
         self.total = offset
+        self.offsets = [off for _, _, off, _ in self.slots]
 
     def to_vector(self, theta):
-        out = [Fraction(0)] * self.total
+        """The sparse Hom coordinates of a derivation."""
+        out = {}
         for name, deg, off, dim in self.slots:
             v = theta.values.get(name)
             if v is not None:
-                for i, c in v.coords.items():
-                    out[off + i] = c
+                out.update((off + i, c) for i, c in v.coords.items())
         return out
 
     def from_vector(self, vec, check_rel=False):
-        vals = {}
-        for name, deg, off, dim in self.slots:
-            coords = {i: vec[off + i] for i in range(dim) if vec[off + i]}
-            if coords:
-                vals[name] = LieElement(self.p, deg + self.n, coords)
+        """The derivation with the sparse Hom coordinates vec."""
+        coords = {}
+        for k in sorted(vec):
+            name, deg, off, _ = self.slots[bisect_right(self.offsets, k) - 1]
+            coords.setdefault((name, deg), {})[k - off] = vec[k]
+        vals = {name: LieElement(self.p, deg + self.n, c) for (name, deg), c in coords.items()}
         return Derivation(
             self.p, self.n, vals, rel=self.rel, check=check_rel
         )
 
     def unit(self, k):
-        return self.from_vector(linalg.unit_vector(self.total, k))
+        return self.from_vector({k: Fraction(1)})
 
 
 def _der_space(p, rel, n):
@@ -235,31 +239,31 @@ class DerSlice(DgLieSlice):
             labels[n] = ["theta%d" % i for i in range(len(vecs))]
         d_blocks = {}
         for n in range(lo + 1, hi + 1):
-            cols = [self.coords(der_differential(th), n - 1) for th in self.derivations[n]]
-            d_blocks[n] = linalg.matrix(
-                len(self.derivations[n - 1]), len(cols), linalg.entries(zip(*cols))
-            )
+            cols = [self.sparse_coords(der_differential(th), n - 1) for th in self.derivations[n]]
+            d_blocks[n] = linalg.from_columns(len(self.derivations[n - 1]), cols)
         super().__init__(window, labels, d_blocks, bracket_fn=self._bracket_coords)
 
-    def coords(self, theta, degree=None):
-        """Coordinates of a derivation in this slice's basis at its degree."""
-        n = theta.degree if degree is None else degree
-        vec = self.layouts[n].to_vector(theta)
-        c = self.spaces[n].coords(vec)
+    def sparse_coords(self, theta, n):
+        """Coordinates of a degree-n derivation in this slice's basis, sparse."""
+        c = self.spaces[n].coords(self.layouts[n].to_vector(theta))
         if c is None:
             raise SubMismatch(
                 "derivation of degree %d is not in the slice subspace" % n
             )
         return c
 
-    def derivation(self, n, vector):
-        """The derivation with the given coordinates in degree n."""
-        hom = self.spaces[n].vector(vector)
-        return self.layouts[n].from_vector(hom)
+    def coords(self, theta, degree=None):
+        """Coordinates of a derivation in this slice's basis at its degree, dense."""
+        n = theta.degree if degree is None else degree
+        return linalg.dense(self.sparse_coords(theta, n), self.dim(n))
+
+    def derivation(self, n, coords):
+        """The derivation with the sparse coordinates ``coords`` in degree n."""
+        return self.layouts[n].from_vector(self.spaces[n].vector(coords))
 
     def _bracket_coords(self, n, i, m, j):
         br = der_bracket(self.derivations[n][i], self.derivations[m][j])
-        return linalg.sparse(self.coords(br, n + m))
+        return self.sparse_coords(br, n + m)
 
 
 def der_complex(p, rel, window):
@@ -352,14 +356,14 @@ def deru(p, rel, rho, window, mode="semisimple-indec"):
         if n == 0:
             rows = []  # each a {column: coefficient} dict
             if mode == "semisimple-indec" and p.differential:
+                # the cycle condition: the rows of the matrix whose column k
+                # is the image of the k-th unit derivation
                 lay_m1, _ = _der_space(p, rel, -1)
-                images = [
-                    lay_m1.to_vector(der_differential(layout.unit(k)))
-                    for k in range(layout.total)
-                ]
-                rows += [
-                    {k: v[r] for k, v in enumerate(images) if v[r]} for r in range(lay_m1.total)
-                ]
+                cycle_rows = [{} for _ in range(lay_m1.total)]
+                for k in range(layout.total):
+                    for r, c in lay_m1.to_vector(der_differential(layout.unit(k))).items():
+                        cycle_rows[r][k] = c
+                rows += [row for row in cycle_rows if row]
             rows += _indec_rows(p, rel, layout)
             if rho is not None:
                 rows += _rho_rows(p, rho, layout)
@@ -545,31 +549,32 @@ def forget_pullback(m, rel_target, rel_source, window, rho_target=None,
         else:
             space = linalg.Subspace.full(nl + nr)
         pair_spaces[n] = space
-        pairs[n] = [
-            (
-                left.derivation(n, v[:nl]),
-                right.derivation(n, v[nl:]),
-            )
-            for v in space.vectors
-        ]
+        pairs[n] = []
+        for v in space.vectors:
+            vl = {j: x for j, x in v.items() if j < nl}
+            vr = {j - nl: x for j, x in v.items() if j >= nl}
+            pairs[n].append((left.derivation(n, vl), right.derivation(n, vr)))
     spaces = {
         n: GradedBasis([("pair%d" % i, n) for i in range(pair_spaces[n].dim)])
         for n in range(lo, hi + 1)
     }
     diff = {}
     for n in range(lo + 1, hi + 1):
-        nl = len(left.derivations[n])
-        dl = left.d_matrix(n)
-        dr = right.d_matrix(n)
+        # the product differential's columns: left's, then right's shifted
+        # below left's degree n - 1 part
+        nl1 = left.dim(n - 1)
+        d_cols = linalg.columns(left.d_matrix(n), left.dim(n)) + [
+            {nl1 + i: c for i, c in col.items()}
+            for col in linalg.columns(right.d_matrix(n), right.dim(n))
+        ]
         cols = []
         for v in pair_spaces[n].vectors:
-            dv = linalg.matvec(dl, v[:nl]) + linalg.matvec(dr, v[nl:])
-            c = pair_spaces[n - 1].coords(dv)
+            c = pair_spaces[n - 1].coords(combination((x, d_cols[j]) for j, x in v.items()))
             if c is None:
                 raise WindowTooNarrow(
                     "pullback differential leaves the pullback at degree %d" % n
                 )
             cols.append(c)
-        diff[n] = linalg.matrix(pair_spaces[n - 1].dim, len(cols), linalg.entries(zip(*cols)))
+        diff[n] = linalg.from_columns(pair_spaces[n - 1].dim, cols)
     slc = ChainComplexSlice((lo, hi), spaces, diff)
     return slc, left, right, pairs

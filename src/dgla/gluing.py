@@ -16,7 +16,8 @@ from .errors import DimensionMismatch, SemisimplicityNotAsserted, SubMismatch
 from .expr import rename_tree
 from .graded import betti_numbers
 from .models import manifold_model, tilde_model
-from .slices import bilinear, combination
+from .linalg import combination
+from .slices import bilinear
 
 
 def _fresh_names(taken, names):
@@ -129,29 +130,38 @@ def _factor_entries(g_factor, g_glued, names, d, col):
     hg = g_glued.hom_module
     for i, theta in enumerate(gf.derivations[d]):
         ext = _extend_derivation(theta, gg.p, names)
-        yield from ((k, col + i, x) for k, x in enumerate(gg.coords(ext, d)))
+        yield from ((k, col + i, x) for k, x in gg.sparse_coords(ext, d).items())
     col += gf.dim(d)
     for j in range(g_factor.module.dim(d)):
-        raw = hf.raw_basis_vector(d, j)
-        glued_raw = [Fraction(0)] * hg.full.dim(d)
-        for (fd, sname, tname), pos in hf.index.items():
-            if fd != d:
-                continue
-            cval = raw[pos]
-            if not cval:
-                continue
-            xname = sname[1:]
-            tgt = hg.index.get((d, "s%s" % names[xname], tname))
+        glued_raw = {}
+        for pos, cval in hf.raw_basis_vector(d, j).items():
+            sname, tname = hf.functional[d, pos]
+            tgt = hg.index.get((d, "s%s" % names[sname[1:]], tname))
             if tgt is None:
                 raise SubMismatch("Hom functional %r has no glued counterpart" % sname)
-            glued_raw[tgt] += cval
+            glued_raw[tgt] = cval
         mod_coords = hg.to_module_coords(d, glued_raw)
-        yield from ((gg.dim(d) + k, col + j, x) for k, x in enumerate(mod_coords))
+        yield from ((gg.dim(d) + k, col + j, x) for k, x in mod_coords.items())
 
 
-def _bracket_compatibility(source, g_glued, blocks, lo, hi):
+def _d_compatibility(source, g_glued, cols, lo, hi):
+    """The report entry: the map commutes with d on every basis element."""
+    ok = True
+    witness = None
+    for d in range(lo + 1, hi + 1):
+        d_glued = linalg.columns(g_glued.d_matrix(d), g_glued.dim(d))
+        d_source = linalg.columns(source.d_matrix(d), source.dim(d))
+        for j in range(source.dim(d)):
+            terms = [(c, d_glued[k]) for k, c in cols[d][j].items()]
+            terms += [(-c, cols[d - 1][k]) for k, c in d_source[j].items()]
+            if combination(terms):
+                ok = False
+                witness = ("d_compat", d, j)
+    return ("glue_commutes_with_d", ok, witness)
+
+
+def _bracket_compatibility(source, g_glued, cols, lo, hi):
     """The report entry: the map commutes with brackets on every basis pair."""
-    cols = {d: linalg.columns(block, source.dim(d)) for d, block in blocks.items()}
     for n, m in product(range(lo, hi + 1), repeat=2):
         if not lo <= n + m <= hi:
             continue
@@ -195,18 +205,9 @@ def glue_headline_g(g_left, g_right, g_glued, left_names, right_names,
     if check:
         # the source g_left x g_right, in the blocks' column order
         source = g_left.product(g_right)
-        ok = True
-        witness = None
-        for d in range(lo + 1, hi + 1):
-            for j in range(source.dim(d)):
-                unit = linalg.unit_vector(source.dim(d), j)
-                dmapped = g_glued.d_apply(d, linalg.matvec(blocks[d], unit))
-                mapped_d = linalg.matvec(blocks[d - 1], source.d_apply(d, unit))
-                if dmapped != mapped_d:
-                    ok = False
-                    witness = ("d_compat", d, j)
-        report.append(("glue_commutes_with_d", ok, witness))
-        report.append(_bracket_compatibility(source, g_glued, blocks, lo, hi))
+        cols = {d: linalg.columns(block, source.dim(d)) for d, block in blocks.items()}
+        report.append(_d_compatibility(source, g_glued, cols, lo, hi))
+        report.append(_bracket_compatibility(source, g_glued, cols, lo, hi))
     from .presentation import ValidationReport
 
     rep = ValidationReport(report) if check else ValidationReport([])

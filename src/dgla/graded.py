@@ -96,22 +96,6 @@ class GradedLinearMap:
         return all(linalg.is_zero_matrix(m) for m in self.blocks.values())
 
 
-def rank_profile(m, degree):
-    """(rank, kernel_basis, image_basis) of a GradedLinearMap block.
-
-    Kernel vectors are in source coordinates at ``degree``; image vectors in
-    target coordinates at ``degree + m.degree`` (original matrix columns at
-    the pivot positions, so the image basis consists of actual images).
-    """
-    mat = m.block(degree)
-    ncols = m.source.dim(degree)
-    kernel, _ = linalg.kernel_basis(mat, ncols)
-    pivots = linalg.pivot_columns(mat, ncols)
-    cols = linalg.transpose(mat, ncols)
-    image = [list(cols[p]) for p in pivots]
-    return len(pivots), kernel, image
-
-
 class ChainComplexSlice:
     """A finite degree window of a chain complex.
 

@@ -16,8 +16,10 @@ Markowitz-style pivoting (Markowitz 1957): in each column the pivot row is
 the one with the fewest nonzeros, then the smallest pivot entry, which
 limits both fill-in and coefficient growth.  Floats are banned.  Dense rows
 are rebuilt only for the results.  Callers that work on nonzeros convert
-with ``sparse`` and ``dense`` and read a matrix's ``columns`` as
-``{row: value}`` dicts.
+with ``sparse`` and ``dense``, read a matrix's ``columns`` as
+``{row: value}`` dicts and build one ``from_columns``.  A sparse vector is
+such a dict with no zero entries; ``combination`` sums them, and
+``Subspace`` keeps its basis, members and coordinates in that form.
 
 Desk scale only: matrices of a few thousand rows/columns.
 """
@@ -30,6 +32,19 @@ from math import gcd, lcm
 from .errors import NotAComplex
 
 _ZERO = Fraction(0)
+
+
+def combination(terms):
+    """The sparse vector sum of c * v over the (c, v) in ``terms``.
+
+    Vectors are ``{index: coefficient}`` dicts; the result holds no zeros,
+    so it is empty exactly when the sum vanishes.
+    """
+    out = {}
+    for c, v in terms:
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
 
 
 def _combination(a, r, b, s):
@@ -162,22 +177,33 @@ def pivot_columns(rows, ncols):
     return _echelon(map(enumerate, rows), ncols)[1]
 
 
-def kernel_basis(rows, ncols):
-    """Basis of {x : A x = 0} as a list of Fraction vectors.
+def _kernel(rows, ncols):
+    """Sparse kernel basis of rows given as (column, value) pairs.
 
     The basis vector attached to free column f has entry 1 at f and 0 at all
     other free columns, so reading off the free coordinates of any kernel
-    vector gives its coordinates in this basis.  Returns (vectors, free_cols).
+    vector gives its coordinates in this basis.  Its other entries are the
+    negated entries at f of the RREF rows, at their pivots.  Returns
+    (vectors as ``{column: Fraction}``, free_cols).
     """
-    red, pivots = _rref(map(enumerate, rows), ncols)
+    red, pivots = _rref(rows, ncols)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
-    vecs = {f: unit_vector(ncols, f) for f in free}
+    vecs = {f: {f: Fraction(1)} for f in free}
     for r, pc in zip(red, pivots):
         for j, x in r.items():
             if j != pc:
                 vecs[j][pc] = -x
     return [vecs[f] for f in free], free
+
+
+def kernel_basis(rows, ncols):
+    """Basis of {x : A x = 0} as a list of dense Fraction vectors; see ``_kernel``.
+
+    Returns (vectors, free_cols).
+    """
+    vecs, free = _kernel(map(enumerate, rows), ncols)
+    return [dense(v, ncols) for v in vecs], free
 
 
 def solve(rows, ncols, rhs):
@@ -245,6 +271,12 @@ def columns(m, ncols):
     return cols
 
 
+def from_columns(nrows, cols):
+    """The nrows x len(cols) matrix whose j-th column is the sparse vector cols[j]."""
+    ents = ((i, j, c) for j, col in enumerate(cols) for i, c in col.items())
+    return matrix(nrows, len(cols), ents)
+
+
 def check_d_squared(d_matrix, lo, hi):
     """The d^2 = 0 certificate of a complex on the degree window [lo, hi].
 
@@ -263,10 +295,6 @@ def unit_vector(n, i):
     return v
 
 
-def identity_matrix(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
 def is_zero_matrix(rows):
     return all(all(x == 0 for x in r) for r in rows)
 
@@ -278,63 +306,54 @@ def transpose(rows, ncols):
 
 
 class Subspace:
-    """A subspace of Q^n with an RREF basis and O(dim) coordinate extraction.
+    """A subspace of Q^n with a sparse RREF basis.
 
-    ``vectors`` are the basis in reduced row echelon form, so the coordinate
-    vector of any member is read off at the pivot columns.
+    ``vectors`` are the basis in reduced row echelon form, each a sparse
+    ``{column: Fraction}`` row with 1 at its pivot, so the coordinates of a
+    member are read off at the pivot columns.  Members are sparse vectors
+    with no zero entries, and coordinates are sparse ``{index: value}``
+    dicts.
     """
 
     def __init__(self, ambient_dim, vectors, pivots):
         self.ambient_dim = ambient_dim
         self.vectors = vectors
         self.pivots = pivots
+        self._index = {p: i for i, p in enumerate(pivots)}
 
     @classmethod
     def from_kernel(cls, rows, ncols):
-        vecs, free = kernel_basis(rows, ncols)
+        vecs, free = _kernel(map(enumerate, rows), ncols)
         return cls(ncols, vecs, free)
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim):
-        if not vectors:
-            return cls(ambient_dim, [], [])
-        red, pivots = rref(vectors, ambient_dim)
+        red, pivots = _rref((v.items() for v in vectors), ambient_dim)
         return cls(ambient_dim, red, pivots)
 
     @classmethod
     def full(cls, n):
-        return cls(n, identity_matrix(n), list(range(n)))
+        return cls(n, [{i: Fraction(1)} for i in range(n)], list(range(n)))
 
     @property
     def dim(self):
         return len(self.vectors)
 
-    def coords(self, v, check=True):
-        """Coordinates of v in the RREF basis; None if v is not a member."""
-        v = [Fraction(x) for x in v]
-        c = [v[p] for p in self.pivots]
-        if check:
-            rec = [Fraction(0)] * self.ambient_dim
-            for ci, bv in zip(c, self.vectors):
-                if ci:
-                    for j, x in enumerate(bv):
-                        if x:
-                            rec[j] += ci * x
-            if rec != v:
-                return None
-        return c
+    def coords(self, v):
+        """Coordinates of v in the RREF basis; None if v is not a member.
+
+        Certified on every call: the vector rebuilt from the coordinates
+        must be v.
+        """
+        index = self._index
+        c = {index[j]: x for j, x in v.items() if j in index}
+        return c if self.vector(c) == v else None
 
     def contains(self, v):
-        return self.coords(v, check=True) is not None
+        return self.coords(v) is not None
 
     def vector(self, coords):
-        out = [Fraction(0)] * self.ambient_dim
-        for ci, bv in zip(coords, self.vectors):
-            if ci:
-                for j, x in enumerate(bv):
-                    if x:
-                        out[j] += ci * x
-        return out
+        return combination((c, self.vectors[i]) for i, c in coords.items())
 
     def intersection(self, other):
         """Subspace intersection via the kernel of the stacked basis."""
@@ -342,16 +361,9 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         if not self.vectors or not other.vectors:
             return Subspace(self.ambient_dim, [], [])
-        cols = [list(v) for v in self.vectors] + [list(v) for v in other.vectors]
-        rows = transpose(cols, self.ambient_dim)
-        sol, _ = kernel_basis(rows, len(cols))
-        vecs = []
-        for s in sol:
-            v = [Fraction(0)] * self.ambient_dim
-            for ci, bv in zip(s[: self.dim], self.vectors):
-                for j, x in enumerate(bv):
-                    v[j] += ci * x
-            vecs.append(v)
+        stacked = from_columns(self.ambient_dim, self.vectors + other.vectors)
+        sol, _ = _kernel(map(enumerate, stacked), self.dim + other.dim)
+        vecs = [self.vector({i: c for i, c in s.items() if i < self.dim}) for s in sol]
         return Subspace.from_vectors(vecs, self.ambient_dim)
 
 

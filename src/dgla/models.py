@@ -29,7 +29,8 @@ from .presentation import (
     GeneratorSplit,
     linear_part_block,
 )
-from .slices import DgLieSlice, bilinear, combination, hom_slice, shifted_basis
+from .linalg import combination
+from .slices import DgLieSlice, bilinear, hom_slice, shifted_basis
 
 
 class SymplecticGVS:
@@ -226,8 +227,9 @@ class OuterAction:
     ``action_fn(n, i, m, j)`` gives the left action of the acting basis
     element (n, i) on the module basis element (m, j), as module coordinates
     in degree n+m; ``act`` memoizes it as a sparse {k: c} table.
-    ``chi(n, i)`` gives the degree -1 twist in module coordinates.  Results
-    are memoized.
+    ``chi_fn(n, i)`` gives the degree -1 twist of (n, i) in module
+    coordinates; ``twist`` memoizes it sparse, and ``chi`` returns it as a
+    dense list.  Both callbacks return dense lists.
     """
 
     def __init__(self, acting, module, action_fn, chi_fn=None):
@@ -251,18 +253,21 @@ class OuterAction:
         v = bilinear(self.act, n, linalg.sparse(x), m, linalg.sparse(y))
         return linalg.dense(v, self.module.dim(n + m))
 
-    def chi(self, n, i):
+    def twist(self, n, i):
         if self._chi_fn is None:
-            return [Fraction(0)] * self.module.dim(n - 1)
+            return {}
         key = (n, i)
         got = self._chi_memo.get(key)
         if got is None:
-            got = self._chi_fn(n, i)
+            got = linalg.sparse(self._chi_fn(n, i))
             self._chi_memo[key] = got
         return got
 
+    def chi(self, n, i):
+        return linalg.dense(self.twist(n, i), self.module.dim(n - 1))
+
     def chi_vector(self, n, x):
-        terms = ((c, linalg.sparse(self.chi(n, i))) for i, c in linalg.sparse(x).items())
+        terms = ((c, self.twist(n, i)) for i, c in linalg.sparse(x).items())
         return linalg.dense(combination(terms), self.module.dim(n - 1))
 
 
@@ -306,16 +311,20 @@ def outer_action_check(a, window=None):
                 witness = ("alpha_lie_map", n, i, m, j, k, l)
     checks.append(("action_is_graded_lie_map", ok, witness))
 
+    g_d = {d: linalg.columns(g.d_matrix(d), g.dim(d)) for d in range(g.lo + 1, g.hi + 1)}
+    L_d = {d: linalg.columns(L.d_matrix(d), L.dim(d)) for d in range(L.lo + 1, L.hi + 1)}
+    zb = getattr(L, "zero_below", False)
+
     ok = True
     witness = None
     for n in range(max(lo, g.lo + 1), hi + 1):
         if not (mod_ok(n - 1) and mod_ok(n - 2)):
             continue
         for i in range(g.dim(n)):
-            x = linalg.unit_vector(g.dim(n), i)
-            lhs = L.d_apply(n - 1, a.chi_vector(n, x))
-            rhs = a.chi_vector(n - 1, g.d_apply(n, x))
-            if [u + w for u, w in zip(lhs, rhs)] != [Fraction(0)] * L.dim(n - 2):
+            # d chi(t) + chi(dt) = 0
+            terms = [(1, linalg.sparse(L.d_apply(n - 1, a.chi(n, i))))]
+            terms += [(c, a.twist(n - 1, k)) for k, c in g_d[n][i].items()]
+            if combination(terms):
                 ok = False
                 witness = ("chi_chain", n, i)
     checks.append(("chi_anticommutes_with_d", ok, witness))
@@ -324,69 +333,46 @@ def outer_action_check(a, window=None):
     witness = None
     for n in range(lo, hi + 1):
         for m in range(lo, hi + 1):
-            zb = getattr(L, "zero_below", False)
             chi_n = mod_ok(n - 1) or (n - 1 < L.lo and zb)
             chi_m = mod_ok(m - 1) or (m - 1 < L.lo and zb)
             if not (g_ok(n + m) and mod_ok(n + m - 1) and chi_n and chi_m):
                 continue
-            for i in range(g.dim(n)):
-                for j in range(g.dim(m)):
-                    br = linalg.dense(g.bracket(n, i, m, j), g.dim(n + m))
-                    lhs = a.chi_vector(n + m, br)
-                    # chi(t).p = -(-1)^{|chi t||p|} p.chi(t)
-                    if mod_ok(n - 1):
-                        chit = a.chi(n, i)
-                        sgn1 = Fraction(-1 if ((n - 1) * m) % 2 == 0 else 1)
-                        t1 = a.act_vectors(m, linalg.unit_vector(g.dim(m), j), n - 1, chit)
-                        t1 = [sgn1 * u for u in t1]
-                    else:
-                        t1 = [Fraction(0)] * L.dim(n + m - 1)
-                    if mod_ok(m - 1):
-                        sgn2 = Fraction(-1 if n % 2 else 1)
-                        t2 = a.act_vectors(n, linalg.unit_vector(g.dim(n), i), m - 1, a.chi(m, j))
-                        t2 = [sgn2 * u for u in t2]
-                    else:
-                        t2 = [Fraction(0)] * L.dim(n + m - 1)
-                    if lhs != [u + w for u, w in zip(t1, t2)]:
-                        ok = False
-                        witness = ("axiom_chi_bracket", n, i, m, j)
+            # chi(t).p = -(-1)^{|chi t||p|} p.chi(t)
+            sgn1 = -1 if ((n - 1) * m) % 2 == 0 else 1
+            sgn2 = -1 if n % 2 else 1
+            for i, j in product(range(g.dim(n)), range(g.dim(m))):
+                terms = [(c, a.twist(n + m, k)) for k, c in g.bracket(n, i, m, j).items()]
+                if mod_ok(n - 1):
+                    terms.append((-sgn1, bilinear(a.act, m, {j: 1}, n - 1, a.twist(n, i))))
+                if mod_ok(m - 1):
+                    terms.append((-sgn2, bilinear(a.act, n, {i: 1}, m - 1, a.twist(m, j))))
+                if combination(terms):
+                    ok = False
+                    witness = ("axiom_chi_bracket", n, i, m, j)
     checks.append(("chi_of_bracket", ok, witness))
 
     ok = True
     witness = None
     for n in range(lo, hi + 1):
         for k in range(L.lo, L.hi + 1):
-            zb = getattr(L, "zero_below", False)
             chi_known = mod_ok(n - 1) or (n - 1 < L.lo and zb)
             dx_known = mod_ok(k - 1) or (k - 1 < L.lo and zb)
             dtheta_known = n - 1 >= g.lo or getattr(g, "zero_below", False)
             if not (mod_ok(n + k) and mod_ok(n + k - 1)
                     and chi_known and dx_known and dtheta_known):
                 continue
-            for i in range(g.dim(n)):
-                t = linalg.unit_vector(g.dim(n), i)
-                for l in range(L.dim(k)):
-                    x = linalg.unit_vector(L.dim(k), l)
-                    lhs = L.d_apply(n + k, a.act_vectors(n, t, k, x))
-                    if n - 1 >= g.lo:
-                        dt = g.d_apply(n, t)
-                        t1 = a.act_vectors(n - 1, dt, k, x)
-                    else:
-                        t1 = [Fraction(0)] * L.dim(n + k - 1)
-                    if mod_ok(k - 1):
-                        sgn = Fraction(-1 if n % 2 else 1)
-                        t2 = a.act_vectors(n, t, k - 1, L.d_apply(k, x))
-                        t2 = [sgn * u for u in t2]
-                    else:
-                        t2 = [Fraction(0)] * L.dim(n + k - 1)
-                    if mod_ok(n - 1):
-                        t3 = L.bracket_vectors(n - 1, a.chi_vector(n, t), k, x)
-                    else:
-                        t3 = [Fraction(0)] * L.dim(n + k - 1)
-                    rhs = [u + w + z for u, w, z in zip(t1, t2, t3)]
-                    if lhs != rhs:
-                        ok = False
-                        witness = ("axiom_d_of_action", n, i, k, l)
+            sgn = -1 if n % 2 else 1
+            for i, l in product(range(g.dim(n)), range(L.dim(k))):
+                terms = [(c, L_d[n + k][p]) for p, c in a.act(n, i, k, l).items()]
+                if n - 1 >= g.lo:
+                    terms.append((-1, bilinear(a.act, n - 1, g_d[n][i], k, {l: 1})))
+                if mod_ok(k - 1):
+                    terms.append((-sgn, bilinear(a.act, n, {i: 1}, k - 1, L_d[k][l])))
+                if mod_ok(n - 1):
+                    terms.append((-1, bilinear(L.bracket, n - 1, a.twist(n, i), k, {l: 1})))
+                if combination(terms):
+                    ok = False
+                    witness = ("axiom_d_of_action", n, i, k, l)
     checks.append(("d_of_action", ok, witness))
     from .presentation import ValidationReport
 
@@ -414,7 +400,7 @@ def semidirect(g, L, a, window=None, check=True):
     d_blocks = {}
     for d in range(lo + 1, hi + 1):
         gd, top = g.dim(d), g.dim(d - 1)
-        chi = ((top + i, j, c) for j in range(gd) for i, c in enumerate(a.chi(d, j)))
+        chi = ((top + i, j, c) for j in range(gd) for i, c in a.twist(d, j).items())
         d_blocks[d] = linalg.matrix(
             top + L.dim(d - 1),
             gd + L.dim(d),
@@ -479,14 +465,18 @@ class _HomModule:
             p, sub, pi, window
         )
         self.index = self.full.hom_index
+        # (degree, raw position) -> (source name, target name)
+        self.functional = {(d, pos): (s, t) for (d, s, t), pos in self.index.items()}
         self.keep = {n for n, _ in self.indec_basis.entries}
 
     def raw_basis_vector(self, m, j):
+        """The sparse raw Hom coordinates of module basis element j in degree m."""
         if m > 0:
-            return linalg.unit_vector(self.full.dim(m), j)
-        return list(self.module.z0.vectors[j])
+            return {j: Fraction(1)}
+        return self.module.z0.vectors[j]
 
     def to_module_coords(self, m, raw):
+        """The sparse module coordinates of sparse raw Hom coordinates in degree m."""
         if m > 0:
             return raw
         c = self.module.z0.coords(raw)
@@ -564,19 +554,17 @@ def build_g(p, sub_b, sub_a, rho, pi, window, mode="semisimple-indec", check=Tru
     g = deru(p, sub_a, rho, (lo, hi), mode=mode)
 
     def action_fn(n, i, m, j):
-        theta = g.derivations[n][i]
-        raw = hm.raw_basis_vector(m, j)
-        right = hm.right_action_raw(theta, m, raw)
-        sgn = Fraction(-1 if (n * m) % 2 == 0 else 1)
-        return hm.to_module_coords(n + m, [sgn * x for x in right])
+        raw = linalg.dense(hm.raw_basis_vector(m, j), hm.full.dim(m))
+        right = hm.right_action_raw(g.derivations[n][i], m, raw)
+        sgn = -1 if (n * m) % 2 == 0 else 1
+        coords = hm.to_module_coords(n + m, linalg.sparse(sgn * x for x in right))
+        return linalg.dense(coords, hm.module.dim(n + m))
 
     def chi_fn(n, i):
-        if rho is None:
-            return [Fraction(0)] * hm.module.dim(n - 1)
-        theta = g.derivations[n][i]
-        return hm.to_module_coords(n - 1, hm.chi_raw(theta, rho))
+        raw = linalg.sparse(hm.chi_raw(g.derivations[n][i], rho))
+        return linalg.dense(hm.to_module_coords(n - 1, raw), hm.module.dim(n - 1))
 
-    a = OuterAction(g, hm.module, action_fn, chi_fn)
+    a = OuterAction(g, hm.module, action_fn, chi_fn if rho is not None else None)
     slc = semidirect(g, hm.module, a, (lo, hi), check=check)
     slc.hom_module = hm
     return slc

@@ -442,7 +442,7 @@ class DgLaPresentation:
                         layers.setdefault(b.degree, []).append(b)
                         if b.degree <= degree:
                             frontier.append((b.degree, b))
-        vecs = [e.vector() for e in layers.get(degree, [])]
+        vecs = [e.coords for e in layers.get(degree, [])]
         return linalg.Subspace.from_vectors(vecs, self.dim(degree))
 
     def sub_contains(self, subname, x):
@@ -452,7 +452,7 @@ class DgLaPresentation:
         if isinstance(spec, GeneratorSplit):
             return self.in_generator_span(x, spec.names)
         span = self.subalgebra_span(spec.elements, x.degree)
-        return span.contains(x.vector())
+        return span.contains(x.coords)
 
     # -- validation ----------------------------------------------------------------
 
@@ -502,7 +502,7 @@ class DgLaPresentation:
                     if de.is_zero():
                         continue
                     span = self.subalgebra_span(spec.elements, de.degree)
-                    if not span.contains(de.vector()):
+                    if not span.contains(de.coords):
                         checks.append(("sub_closed:%s" % subname, False, "element %d" % k))
                         ok = False
                         break

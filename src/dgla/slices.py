@@ -17,19 +17,7 @@ from itertools import chain, product
 from . import linalg
 from .errors import AxiomFailure, NotAComplex, WindowTooNarrow
 from .graded import ChainComplexSlice, GradedBasis
-
-
-def combination(terms):
-    """The sparse vector sum of c * v over the (c, v) in ``terms``.
-
-    Vectors are ``{index: coefficient}`` dicts; the result holds no zeros,
-    so it is empty exactly when the sum vanishes.
-    """
-    out = {}
-    for c, v in terms:
-        for k, x in v.items():
-            out[k] = out.get(k, 0) + c * x
-    return {k: x for k, x in out.items() if x}
+from .linalg import combination
 
 
 def bilinear(table, n, x, m, y):
@@ -252,25 +240,21 @@ class DgLieSlice:
         for d in range(2, hi + 1):
             d_blocks[d] = self.d_matrix(d)
         if hi >= 1:
-            cols = [
-                z0.coords(linalg.dense(c, self.dim(0)))
-                for c in linalg.columns(self.d_matrix(1), self.dim(1))
-            ]
+            cols = [z0.coords(c) for c in linalg.columns(self.d_matrix(1), self.dim(1))]
             if None in cols:
                 raise NotAComplex("boundary of degree 1 is not a cycle")
-            d_blocks[1] = linalg.matrix(z0.dim, len(cols), linalg.entries(zip(*cols)))
+            d_blocks[1] = linalg.from_columns(z0.dim, cols)
 
         outer = self
 
         def bracket_fn(n, i, m, j):
-            x = {i: 1} if n > 0 else linalg.sparse(z0.vectors[i])
-            y = {j: 1} if m > 0 else linalg.sparse(z0.vectors[j])
+            x = {i: 1} if n > 0 else z0.vectors[i]
+            y = {j: 1} if m > 0 else z0.vectors[j]
             v = bilinear(outer.bracket, n, x, m, y)
             if n + m == 0:
-                c = z0.coords(linalg.dense(v, outer.dim(0)))
-                if c is None:
+                v = z0.coords(v)
+                if v is None:
                     raise NotAComplex("bracket of cycles is not a cycle")
-                return linalg.sparse(c)
             return v
 
         out = DgLieSlice((0, hi), labels, d_blocks, bracket_fn=bracket_fn)

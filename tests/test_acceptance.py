@@ -248,7 +248,7 @@ def _betti_independent(slc, k0, k1):
         layout = slc.layouts[k - 1]
         for th in slc.derivations[k]:
             img = der_differential(th)
-            rows.append(layout.to_vector(img))
+            rows.append(linalg.dense(layout.to_vector(img), layout.total))
         ranks[k] = gauss_rank(rows) if rows else 0
     return {
         k: dims.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)

@@ -322,6 +322,8 @@ _TWISTED9_G = ["g", "presentation_twisted9.json", "--sub", "omega", "--min", "0"
     [
         ("sl2.json", ["differential"], 7, ["ce", "@", "--min", "0", "--max", "3"], "/differential"),
         ("mc_slice.json", ["brackets"], 7, ["mc", "@"], "/brackets"),
+        ("mc_slice.json", ["candidate", "nosuch"], 5, ["mc", "@"], "/candidate/nosuch"),
+        ("mc_slice.json", ["candidate", "b"], 5, ["mc", "@"], "/candidate/b"),
         ("rho_twisted9.json", ["values"], 7, _TWISTED9_G + ["@"], "/values"),
         ("exp_derivation.json", ["values"], 7,
          ["exp", "presentation_w11.json", "--derivation", "@"], "/values"),
@@ -329,8 +331,9 @@ _TWISTED9_G = ["g", "presentation_twisted9.json", "--sub", "omega", "--min", "0"
          "/generators/0/degree"),
         ("empty_model.json", ["dimension"], 2, ["tilde", "@"], "/dimension"),
     ],
-    ids=["slice-differential", "slice-brackets", "rho-values", "derivation-values",
-         "huge-degree", "tilde-dimension"],
+    ids=["slice-differential", "slice-brackets", "candidate-unknown-name",
+         "candidate-wrong-degree", "rho-values", "derivation-values", "huge-degree",
+         "tilde-dimension"],
 )
 def test_malformed_value_is_exit_2_at_its_pointer(
     tmp_path, capsys, fixture_path, name, path, value, command, pointer
@@ -369,15 +372,18 @@ def test_window_at_max_degree_runs(fixture_path):
     assert _body(payload)["tables"]["betti"] == {"127": 0, "128": 0}
 
 
-# Each fixture with the commands its mutations are run through.
+# Each fixture with the commands its mutations are run through; "@" is the
+# mutated file and other .json names are fixtures.
 _FUZZED = [
-    ("w11.json", [["model"], ["xi", "--min", "0", "--max", "2"]]),
+    ("w11.json", [["model", "@"], ["xi", "@", "--min", "0", "--max", "2"]]),
     (
         "presentation_w11.json",
-        [["check"], ["der", "--sub", "omega", "--min", "0", "--max", "4"]],
+        [["check", "@"], ["der", "@", "--sub", "omega", "--min", "0", "--max", "4"]],
     ),
-    ("sl2.json", [["ce", "--min", "0", "--max", "3"]]),
-    ("mc_slice.json", [["mc"]]),
+    ("sl2.json", [["ce", "@", "--min", "0", "--max", "3"]]),
+    ("mc_slice.json", [["mc", "@"]]),
+    ("rho_twisted9.json", [_TWISTED9_G + ["@"]]),
+    ("exp_derivation.json", [["exp", "presentation_w11.json", "--derivation", "@"]]),
 ]
 _WRONG_TYPES = [7, "7", True, 1.5, [], [7], {}, {"x": 7}]
 
@@ -433,6 +439,8 @@ def test_mutated_fixtures_never_traceback(case):
         with open(path, "w") as f:
             json.dump(obj, f)
         for command in commands:
+            argv = [path if a == "@" else os.path.join(FIXTURES, a) if a.endswith(".json") else a
+                    for a in command]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code, _ = run([command[0], path] + command[1:])
+                code, _ = run(argv)
             assert code in (0, 1, 2)

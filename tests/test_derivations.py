@@ -270,7 +270,7 @@ def test_glue_image_is_derivations_vanishing_on_opposite_side():
             glued.append(glue_derivations(Derivation(p, n, {}), ps, po, ip, iq))
         # injectivity via coordinates in the pushout's full derivation space
         full = der_complex(po, None, (n, n))
-        rows = [full.layouts[n].to_vector(g) for g in glued]
+        rows = [linalg.dense(full.layouts[n].to_vector(g), full.layouts[n].total) for g in glued]
         assert linalg.rank(rows, full.layouts[n].total) == dp + dq
         # characterization: values stay in the originating side
         for g in glued:

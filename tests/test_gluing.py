@@ -107,6 +107,30 @@ def test_glue_twisted_factors():
     assert gmap.report.passed
 
 
+def test_glue_d_compatibility_failure_witnessed(monkeypatch):
+    from dgla import gluing
+    from dgla.errors import SubMismatch
+
+    m = twisted9()
+    mn = boundary_connected_sum(m, m)
+    g, gmn = build_block_g(m, (0, 1)), build_block_g(mn, (0, 1))
+    factor_entries = gluing._factor_entries
+
+    def corrupted(g_factor, g_glued, names, d, col):
+        # one stray block entry: the left factor's degree-1 column 0, a
+        # cycle, also hits glued column 1, whose differential is nonzero
+        yield from factor_entries(g_factor, g_glued, names, d, col)
+        if d == 1 and col == 0:
+            yield (1, 0, Fraction(1))
+
+    monkeypatch.setattr(gluing, "_factor_entries", corrupted)
+    with pytest.raises(SubMismatch) as exc:
+        glue_headline_g(g, g, gmn, mn.left_names, mn.right_names, assert_semisimple=True)
+    assert str(exc.value) == (
+        "gluing map failed verification: [('glue_commutes_with_d', ('d_compat', 1, 0))]"
+    )
+
+
 def test_glue_with_trivial_factor_is_injection():
     m = w11()
     point = manifold_model(6, [], [])

@@ -7,10 +7,8 @@ from dgla.errors import NotAComplex, WindowTooNarrow
 from dgla.graded import (
     ChainComplexSlice,
     GradedBasis,
-    GradedLinearMap,
     betti_numbers,
     homology,
-    rank_profile,
 )
 from dgla.presentation import DgLaPresentation, lie_chain_slice
 from oracles import witt_dimensions
@@ -83,22 +81,6 @@ def test_homology_basis_order_independent():
     b1 = betti_numbers(lie_chain_slice(p1, 1, 7), (2, 6))
     b2 = betti_numbers(lie_chain_slice(p2, 1, 7), (2, 6))
     assert b1 == b2
-
-
-def test_rank_profile_examples():
-    src = GradedBasis([("x", 1), ("y", 1)])
-    tgt = GradedBasis([("u", 1), ("v", 1)])
-    zero = GradedLinearMap(src, tgt, 0)
-    rank, kernel, image = rank_profile(zero, 1)
-    assert rank == 0 and len(kernel) == 2 and image == []
-    ident = GradedLinearMap(src, src, 0, {1: [[1, 0], [0, 1]]})
-    rank, kernel, image = rank_profile(ident, 1)
-    assert rank == 2 and kernel == []
-    m = GradedLinearMap(src, tgt, 0, {1: [[1, 2], [2, 4]]})
-    rank, kernel, image = rank_profile(m, 1)
-    assert rank == 1 and len(kernel) == 1
-    x, y = kernel[0]
-    assert x + 2 * y == 0
 
 
 def test_rank_nullity_invariant():

@@ -217,6 +217,41 @@ def test_outer_action_failure_witnessed():
     assert ("d_of_action", ("axiom_d_of_action", 1, 0, 0, 0)) in rep.failures()
 
 
+def test_chi_chain_failure_witnessed():
+    from dgla.models import OuterAction
+    from dgla.slices import DgLieSlice
+
+    # chi sends the cycle u to y, and d y = x, so d chi(u) = x but chi(d u) = 0
+    g = DgLieSlice((0, 2), {2: ["u"]})
+    L = DgLieSlice((0, 1), {0: ["x"], 1: ["y"]}, {1: [[Fraction(1)]]})
+
+    def act_zero(n, i, m, j):
+        return [Fraction(0)] * L.dim(n + m)
+
+    assert outer_action_check(OuterAction(g, L, act_zero, None)).passed
+    rep = outer_action_check(OuterAction(g, L, act_zero, lambda n, i: [Fraction(1)]))
+    assert rep.failures() == [("chi_anticommutes_with_d", ("chi_chain", 2, 0))]
+
+
+def test_chi_of_bracket_failure_witnessed():
+    from dgla.models import OuterAction
+    from dgla.slices import DgLieSlice
+
+    # [t, s] = s and the action is zero, so chi([t, s]) = chi(s) = x must
+    # vanish; the last failing pair is (s, t)
+    tables = {(0, 1): [[[Fraction(1)]]], (1, 0): [[[Fraction(-1)]]]}
+    g = DgLieSlice((0, 1), {0: ["t"], 1: ["s"]}, bracket_tables=tables)
+    L = DgLieSlice((0, 1), {0: ["x"], 1: []})
+    g.zero_below = L.zero_below = True
+
+    def act_zero(n, i, m, j):
+        return [Fraction(0)] * L.dim(n + m)
+
+    assert outer_action_check(OuterAction(g, L, act_zero, None)).passed
+    rep = outer_action_check(OuterAction(g, L, act_zero, lambda n, i: [Fraction(1)]))
+    assert rep.failures() == [("chi_of_bracket", ("axiom_chi_bracket", 1, 0, 0, 0))]
+
+
 def test_semidirect_untwisted_abelian():
     from dgla.models import OuterAction
     from dgla.slices import DgLieSlice
