@@ -124,7 +124,7 @@ def der_bracket(theta, psi):
     names = set(p.generators.index)
     vals = {}
     for n in names:
-        v = theta.eval_at(psi.value(n)) - psi.eval_at(theta.value(n)).scale(sign)
+        v = theta.eval_at(psi.value(n)).add_scaled([(-sign, psi.eval_at(theta.value(n)))])
         if not v.is_zero():
             vals[n] = v
     return Derivation(p, theta.degree + psi.degree, vals, rel=theta.rel, check=False)
@@ -136,7 +136,7 @@ def der_differential(theta):
     sign = -1 if theta.degree % 2 else 1
     vals = {}
     for n, _ in p.generators.entries:
-        v = p.differential_of(theta.value(n)) - theta.eval_at(p.d_gen(n)).scale(sign)
+        v = p.differential_of(theta.value(n)).add_scaled([(-sign, theta.eval_at(p.d_gen(n)))])
         if not v.is_zero():
             vals[n] = v
     return Derivation(p, theta.degree - 1, vals, rel=theta.rel, check=False)

@@ -6,11 +6,12 @@ series here is a finite exact sum.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial
 
 from .errors import ClassExceeded, NotNilpotent
 from .morphisms import GeneratorMorphism
-from .presentation import TreeMap
+from .presentation import TreeMap, common_degree
 from .slices import SliceElement
 
 
@@ -22,9 +23,10 @@ def _dynkin_weight(x, y, bracket, weight):
 
     Sums over blocks (r_1,s_1),...,(r_n,s_n) != (0,0) with total weight w:
     coefficient (-1)^{n-1} / (n * w * prod r_i! s_i!) on the right-nested
-    bracketing of x^{r_1} y^{s_1} ... x^{r_n} y^{s_n}.
+    bracketing of x^{r_1} y^{s_1} ... x^{r_n} y^{s_n}.  Blocks that spell
+    the same word add into one coefficient, and each word with a nonzero
+    coefficient is bracketed once.
     """
-    total = None
 
     def compositions(rem, blocks):
         if rem == 0:
@@ -38,21 +40,25 @@ def _dynkin_weight(x, y, bracket, weight):
                 yield from compositions(rem - r - s, blocks)
                 blocks.pop()
 
+    coeffs = {}
     for blocks in compositions(weight, []):
         n = len(blocks)
         denom = n * weight
-        word = []
+        word = ()
         for r, s in blocks:
-            word.extend([x] * r)
-            word.extend([y] * s)
-            denom_rs = factorial(r) * factorial(s)
-            denom *= denom_rs
-        coeff = Fraction((-1) ** (n - 1), denom)
-        term = word[-1]
-        for z in reversed(word[:-1]):
-            term = bracket(z, term)
-        term = term.scale(coeff)
-        total = term if total is None else total + term
+            word += (0,) * r + (1,) * s
+            denom *= factorial(r) * factorial(s)
+        coeffs[word] = coeffs.get(word, 0) + Fraction((-1) ** (n - 1), denom)
+
+    letters = (x, y)
+    total = None
+    for word, coeff in coeffs.items():
+        if coeff:
+            term = letters[word[-1]]
+            for z in reversed(word[:-1]):
+                term = bracket(letters[z], term)
+            term = term.scale(coeff)
+            total = term if total is None else total + term
     return total
 
 
@@ -146,19 +152,17 @@ def exp_automorphism(theta, check=True):
         raise ValueError("exp needs a degree-0 derivation")
     images = {}
     for name, deg in p.generators.entries:
-        acc = p.gen(name)
         term = p.gen(name)
+        terms = []
         cap = p.dim(deg) + 1
-        n = 0
         while True:
             term = theta.eval_at(term)
-            n += 1
             if term.is_zero():
                 break
-            if n > cap:
+            if len(terms) >= cap:
                 raise NotNilpotent("theta does not act nilpotently on %r" % name)
-            acc = acc + term.scale(Fraction(1, factorial(n)))
-        images[name] = acc
+            terms.append((Fraction(1, factorial(len(terms) + 1)), term))
+        images[name] = p.gen(name).add_scaled(terms)
     f = GeneratorMorphism(p, p, images)
     if check:
         from .morphisms import check_morphism
@@ -265,14 +269,24 @@ class PolyLie:
     def is_zero(self):
         return not self.p and not self.q
 
+    def add_scaled(self, terms):
+        """self plus the sum of c * v over the (c, v) in ``terms``.
+
+        Each power of t in each part is summed once by
+        ``LieElement.add_scaled``, whose degree rule this follows.
+        """
+        degree = None
+        parts = ({}, {})
+        for c, v in chain(((1, self),), terms):
+            if not v.is_zero():
+                degree = common_degree(degree, v)
+                for part, vpart in zip(parts, (v.p, v.q)):
+                    for k, x in vpart.items():
+                        part.setdefault(k, []).append((c, x))
+        return _summed(self.target, self.degree if degree is None else degree, parts)
+
     def __add__(self, other):
-        p = dict(self.p)
-        for k, v in other.p.items():
-            p[k] = p[k] + v if k in p else v
-        q = dict(self.q)
-        for k, v in other.q.items():
-            q[k] = q[k] + v if k in q else v
-        return PolyLie(self.target, self.degree, p, q)
+        return self.add_scaled([(1, other)])
 
     def scale(self, c):
         return PolyLie(
@@ -285,41 +299,36 @@ class PolyLie:
     def bracket(self, other):
         """[x (x) w1, y (x) w2] = (-1)^{|w1||y|} [x,y] (x) w1 w2."""
         T = self.target
-        deg = self.degree + other.degree
-        p = {}
-        q = {}
+        p, q = parts = ({}, {})
         for a, xa in self.p.items():
             for b, yb in other.p.items():
-                _acc(p, a + b, T.bracket(xa, yb))
+                p.setdefault(a + b, []).append((1, T.bracket(xa, yb)))
             for b, yb in other.q.items():
-                _acc(q, a + b, T.bracket(xa, yb))
+                q.setdefault(a + b, []).append((1, T.bracket(xa, yb)))
         for a, xa in self.q.items():
             for b, yb in other.p.items():
                 sign = -1 if yb.degree % 2 else 1
-                _acc(q, a + b, T.bracket(xa, yb).scale(sign))
-        return PolyLie(T, deg, p, q)
+                q.setdefault(a + b, []).append((sign, T.bracket(xa, yb)))
+        return _summed(T, self.degree + other.degree, parts)
 
     def d(self):
         """d(x t^k) = (dx) t^k + (-1)^{|x|} k x t^{k-1} dt; d(y t^k dt) = (dy) t^k dt."""
         T = self.target
-        p = {}
-        q = {}
+        p, q = parts = ({}, {})
         for k, x in self.p.items():
-            _acc(p, k, T.differential_of(x))
+            p.setdefault(k, []).append((1, T.differential_of(x)))
             if k >= 1:
-                sign = Fraction(-k if x.degree % 2 else k)
-                _acc(q, k - 1, x.scale(sign))
+                q.setdefault(k - 1, []).append((-k if x.degree % 2 else k, x))
         for k, y in self.q.items():
-            _acc(q, k, T.differential_of(y))
-        return PolyLie(T, self.degree - 1, p, q)
+            q.setdefault(k, []).append((1, T.differential_of(y)))
+        return _summed(T, self.degree - 1, parts)
 
     def evaluate(self, t_value):
         """Set t = t_value, dt = 0."""
         t_value = Fraction(t_value)
-        out = self.target.zero(self.degree)
-        for k, x in self.p.items():
-            out = out + x.scale(t_value**k)
-        return out
+        return self.target.zero(self.degree).add_scaled(
+            (t_value**k, x) for k, x in self.p.items()
+        )
 
     def __eq__(self, other):
         return (
@@ -330,17 +339,17 @@ class PolyLie:
         )
 
 
-def _acc(d, k, v):
-    if v.is_zero():
-        return
-    if k in d:
-        w = d[k] + v
-        if w.is_zero():
-            del d[k]
-        else:
-            d[k] = w
-    else:
-        d[k] = v
+def _summed(target, degree, parts):
+    """A PolyLie from per-power terms, each power summed once.
+
+    ``parts[0][k]`` and ``parts[1][k]`` list the (c, element) terms of t^k in
+    the 1-part and in the dt-part, which sits one degree up.
+    """
+    p, q = (
+        {k: target.zero(degree + s).add_scaled(ts) for k, ts in part.items()}
+        for s, part in enumerate(parts)
+    )
+    return PolyLie(target, degree, p, q)
 
 
 def homotopy_check(h_values, f, g, rel=None):

@@ -171,9 +171,15 @@ def basis_in_degree(degrees, d, memo=None):
     return elems
 
 
-def solve_against_basis(basis, tensor):
+def lead_map(basis):
+    """The index of each basis element by its leading word."""
+    return {b.lead: i for i, b in enumerate(basis)}
+
+
+def solve_against_basis(basis, tensor, leads):
     """Coordinates of a tensor vector in the span of the basis expansions.
 
+    ``leads`` is ``lead_map(basis)``, built once per basis by the caller.
     Greedy triangular substitution on leading words, on integers: the tensor
     (rational or integer coefficients) is scaled by the lcm of its
     denominators, and when a leading coefficient does not divide the entry
@@ -182,13 +188,12 @@ def solve_against_basis(basis, tensor):
     is not in the span (which certifies exactness: the residual must vanish
     term by term).  Returns a dict index -> Fraction.
     """
-    lead_map = {b.lead: i for i, b in enumerate(basis)}
     scale = lcm(*(c.denominator for c in tensor.values()))
     work = {w: c.numerator * (scale // c.denominator) for w, c in tensor.items() if c}
     coords = {}
     while work:
         w = min(work)
-        i = lead_map.get(w)
+        i = leads.get(w)
         if i is None:
             raise ValueError("vector outside the free Lie span (word %r)" % (w,))
         c = work[w]

@@ -41,9 +41,11 @@ def combination(terms):
     so it is empty exactly when the sum vanishes.
     """
     out = {}
+    get = out.get
     for c, v in terms:
         for k, x in v.items():
-            out[k] = out.get(k, 0) + c * x
+            y = get(k)
+            out[k] = x * c if y is None else y + x * c
     return {k: x for k, x in out.items() if x}
 
 

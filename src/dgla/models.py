@@ -82,15 +82,14 @@ def omega_element(v, presentation=None):
         p = DgLaPresentation(list(v.basis.entries))
     duals = v.dual_basis_matrix()
     names = v.basis.names()
-    out = p.zero(v.m)
     half = Fraction(1, 2)
+    terms = []
     for i, name in enumerate(names):
-        sharp = p.zero(v.basis.degree(name))
-        for k, c in enumerate(duals[i]):
-            if c:
-                sharp = sharp + p.gen(names[k]).scale(c)
-        out = out + p.bracket(sharp, p.gen(name)).scale(half)
-    return out
+        sharp = p.zero(v.basis.degree(name)).add_scaled(
+            (c, p.gen(names[k])) for k, c in enumerate(duals[i]) if c
+        )
+        terms.append((half, p.bracket(sharp, p.gen(name))))
+    return p.zero(v.m).add_scaled(terms)
 
 
 class ManifoldModel:

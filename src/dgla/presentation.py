@@ -7,13 +7,15 @@ normal form: sparse rational coordinate vectors in the canonical
 super-Lyndon basis of their degree.
 
 Presentations and elements are immutable after construction; the basis,
-expansion, bracket and tree caches are per-presentation dicts of values that
-are never mutated (atomic updates under the GIL), so instances may be shared
-freely across threads.  The expansion memo holds only the certified
-expansions of composite basis elements.
+lead-word, generator, expansion, bracket and tree caches are per-presentation
+dicts of values that are never mutated (atomic updates under the GIL), so
+instances may be shared freely across threads.  The expansion memo holds only
+the certified expansions of composite basis elements.  Sums of elements
+accumulate their sparse coordinates once (``LieElement.add_scaled``).
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from . import expr as expr_mod
 from . import freelie, linalg
@@ -47,8 +49,20 @@ class ElementGenerated:
         return "ElementGenerated(<%d elements>)" % len(self.elements)
 
 
+def common_degree(degree, v):
+    """The degree of a sum so far (None before its first nonzero summand) with v added."""
+    if degree is not None and v.degree != degree:
+        raise InhomogeneousExpression("cannot add degrees %d and %d" % (degree, v.degree))
+    return v.degree
+
+
 class LieElement:
-    """Degree-homogeneous element in canonical basis coordinates."""
+    """Degree-homogeneous element in canonical basis coordinates.
+
+    ``coords`` holds only nonzero ``Fraction`` coordinates.  The public
+    constructor coerces and drops zeros; internal results come from
+    ``_trusted``, whose coordinates already have that form.
+    """
 
     __slots__ = ("presentation", "degree", "coords")
 
@@ -57,24 +71,49 @@ class LieElement:
         self.degree = degree
         self.coords = {i: Fraction(c) for i, c in coords.items() if c}
 
+    @classmethod
+    def _trusted(cls, presentation, degree, coords):
+        """An element on coords that are already nonzero Fractions, taken as is."""
+        self = object.__new__(cls)
+        self.presentation = presentation
+        self.degree = degree
+        self.coords = coords
+        return self
+
     def is_zero(self):
         return not self.coords
 
     def __add__(self, other):
         degree = self._compat(other)
-        out = dict(self.coords)
-        for i, c in other.coords.items():
-            out[i] = out.get(i, Fraction(0)) + c
-        return LieElement(self.presentation, degree, out)
+        coords = linalg.combination(((1, self.coords), (1, other.coords)))
+        return LieElement._trusted(self.presentation, degree, coords)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, q):
         q = Fraction(q)
-        return LieElement(
-            self.presentation, self.degree, {i: c * q for i, c in self.coords.items()}
-        )
+        coords = {i: c * q for i, c in self.coords.items()} if q else {}
+        return LieElement._trusted(self.presentation, self.degree, coords)
+
+    def add_scaled(self, terms):
+        """self plus the sum of c * v over the (c, v) in ``terms``, built once.
+
+        The result has the degree of the first nonzero of self and the v, or
+        self's degree when all vanish; a nonzero v of another degree raises
+        InhomogeneousExpression.
+        """
+        p = self.presentation
+        degree = None
+        vectors = []
+        for c, v in chain(((1, self),), terms):
+            if v.presentation is not p:
+                raise ValueError("elements of different presentations")
+            if v.coords:
+                degree = common_degree(degree, v)
+                vectors.append((c, v.coords))
+        return LieElement._trusted(p, self.degree if degree is None else degree,
+                                   linalg.combination(vectors))
 
     def __neg__(self):
         return self.scale(-1)
@@ -144,7 +183,7 @@ class TreeMap:
     image of the index tree (u, v), where ``f`` maps subtrees.  One image is
     memoized per index tree for the life of the map, so images must be
     immutable.  Calling the map on an element of ``source`` sums the tree
-    images over its coordinates, starting from ``zero``.
+    images over its coordinates in one ``zero.add_scaled`` call.
     """
 
     __slots__ = ("source", "leaf", "node", "memo")
@@ -166,11 +205,8 @@ class TreeMap:
     def __call__(self, x, zero):
         if x.presentation is not self.source:
             raise ValueError("element not in the map's source presentation")
-        out = zero
         basis = self.source.lie_basis(x.degree)
-        for i, c in x.coords.items():
-            out = out + self.tree(basis[i].tree).scale(c)
-        return out
+        return zero.add_scaled((c, self.tree(basis[i].tree)) for i, c in x.coords.items())
 
 
 def leibniz_extension(source, target, degree, leaf, along=None):
@@ -190,7 +226,7 @@ def leibniz_extension(source, target, degree, leaf, along=None):
 
     def node(u, v, f):
         sign = -1 if degree * freelie.tree_degree(u, degrees) % 2 else 1
-        return target.bracket(f(u), m(v)) + target.bracket(m(u), f(v)).scale(sign)
+        return target.bracket(f(u), m(v)).add_scaled([(sign, target.bracket(m(u), f(v)))])
 
     return TreeMap(source, value, node)
 
@@ -232,6 +268,8 @@ class DgLaPresentation:
                 "/generators/%d/degree" % bad[0],
             )
         self._basis_cache = {}
+        self._lead_maps = {}
+        self._gens = {}
         self._expansions = {}
         self._bracket_cache = {}
         self.differential = {}
@@ -276,11 +314,11 @@ class DgLaPresentation:
         """Canonical basis brackets of one degree (possibly empty)."""
         if degree not in self._basis_cache:
             if degree < 1 or not self._deg_list:
-                self._basis_cache[degree] = []
+                basis = []
             else:
-                self._basis_cache[degree] = freelie.basis_in_degree(
-                    self._deg_list, degree, self._expansions
-                )
+                basis = freelie.basis_in_degree(self._deg_list, degree, self._expansions)
+            self._lead_maps[degree] = freelie.lead_map(basis)
+            self._basis_cache[degree] = basis
         return self._basis_cache[degree]
 
     def dim(self, degree):
@@ -300,18 +338,19 @@ class DgLaPresentation:
         return (self.tree_indices(tree[0]), self.tree_indices(tree[1]))
 
     def zero(self, degree=0):
-        return LieElement(self, degree, {})
+        return LieElement._trusted(self, degree, {})
 
     def gen(self, name):
-        if name not in self.generators.index:
-            raise UnknownGenerator("unknown generator %r" % name)
-        d = self.generators.degree(name)
-        idx = self.generators.index[name]
-        basis = self.lie_basis(d)
-        for i, b in enumerate(basis):
-            if b.tree == idx:
-                return LieElement(self, d, {i: Fraction(1)})
-        raise AssertionError("generator %r missing from its degree basis" % name)
+        """The generator as an element (memoized)."""
+        got = self._gens.get(name)
+        if got is None:
+            if name not in self.generators.index:
+                raise UnknownGenerator("unknown generator %r" % name)
+            d = self.generators.degree(name)
+            self.lie_basis(d)
+            i = self._lead_maps[d][(self.generators.index[name],)]
+            got = self._gens[name] = LieElement._trusted(self, d, {i: Fraction(1)})
+        return got
 
     def normal_form(self, expression):
         """Normal form of a string / AST / LieElement; idempotent, Q-linear."""
@@ -342,8 +381,10 @@ class DgLaPresentation:
         if degree is None:
             return self.zero()
         tensor = {w: c for w, c in tensor.items() if c}
-        coords = freelie.solve_against_basis(self.lie_basis(degree), tensor)
-        return LieElement(self, degree, coords)
+        coords = freelie.solve_against_basis(
+            self.lie_basis(degree), tensor, self._lead_maps[degree]
+        )
+        return LieElement._trusted(self, degree, coords)
 
     def tree_element(self, itree):
         """Normal form of one index tree (memoized)."""
@@ -361,8 +402,9 @@ class DgLaPresentation:
             t1 = self.lie_basis(d1)[i1].tree
             t2 = self.lie_basis(d2)[i2].tree
             tensor = freelie.expand_tree((t1, t2), self._deg_list, self._expansions)
-            coords = freelie.solve_against_basis(self.lie_basis(d1 + d2), tensor)
-            cached = LieElement(self, d1 + d2, coords)
+            d = d1 + d2
+            coords = freelie.solve_against_basis(self.lie_basis(d), tensor, self._lead_maps[d])
+            cached = LieElement._trusted(self, d, coords)
             self._bracket_cache[key] = cached
         return cached
 
@@ -370,15 +412,13 @@ class DgLaPresentation:
         """Lie bracket of two elements; bilinear, result in normal form."""
         if x.presentation is not self or y.presentation is not self:
             raise ValueError("bracket of foreign elements")
-        if x.is_zero() or y.is_zero():
-            return self.zero(x.degree + y.degree)
-        out = self.zero(x.degree + y.degree)
-        for i, ci in x.coords.items():
-            for j, cj in y.coords.items():
-                term = self.basis_bracket(x.degree, i, y.degree, j)
-                if not term.is_zero():
-                    out = out + term.scale(ci * cj)
-        return out
+        dx, dy = x.degree, y.degree
+        coords = linalg.combination(
+            (ci * cj, self.basis_bracket(dx, i, dy, j).coords)
+            for i, ci in x.coords.items()
+            for j, cj in y.coords.items()
+        )
+        return LieElement._trusted(self, dx + dy, coords)
 
     def d_gen(self, name):
         return self.differential.get(

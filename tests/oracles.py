@@ -454,3 +454,100 @@ def random_unipotent_automorphism(rng, p, rel=None):
                     )
         images[name] = img
     return GeneratorMorphism(p, p, images)
+
+
+# -- sums of Lie elements by the per-term fold ---------------------------------------
+
+
+def folded_sum(zero, terms):
+    """The sum of c * v over the (c, v) in ``terms`` by the per-term fold.
+
+    Each step is ``out = out + v.scale(c)`` written out: the running
+    coordinates are copied, the term is added with ``Fraction(0)`` defaults,
+    and a new LieElement is built through the coercing public constructor.
+    A zero running sum takes the degree of the next term; nonzero summands
+    of two degrees raise InhomogeneousExpression.
+    """
+    from dgla.errors import InhomogeneousExpression
+    from dgla.presentation import LieElement
+
+    out = zero
+    for c, v in terms:
+        if out.coords and v.coords and out.degree != v.degree:
+            raise InhomogeneousExpression("cannot add degrees %d and %d" % (out.degree, v.degree))
+        coords = dict(out.coords)
+        for i, x in v.coords.items():
+            coords[i] = coords.get(i, Fraction(0)) + Fraction(c) * x
+        out = LieElement(zero.presentation, out.degree if out.coords else v.degree, coords)
+    return out
+
+
+def folded_poly_sum(zero, terms):
+    """``folded_sum`` for PolyLie values: one fold per power of t and part."""
+    from dgla.expmc import PolyLie
+
+    target = zero.target
+    parts = ({}, {})
+    for c, v in terms:
+        for out, vpart in zip(parts, (v.p, v.q)):
+            for k, x in vpart.items():
+                out[k] = folded_sum(out.get(k, target.zero(x.degree)), [(c, x)])
+    return PolyLie(target, zero.degree, *parts)
+
+
+def folded_bracket(p, x, y):
+    """The bracket of two elements as the fold of c_i c_j [b_i, b_j]."""
+    return folded_sum(p.zero(x.degree + y.degree), (
+        (ci * cj, p.basis_bracket(x.degree, i, y.degree, j))
+        for i, ci in x.coords.items()
+        for j, cj in y.coords.items()
+    ))
+
+
+def folded_tree_map(leaf, node_value, p, x, zero):
+    """A map on bracket trees, summed over the coordinates of x by the fold.
+
+    ``leaf(name)`` is the image of a generator and ``node_value(tree, rec)``
+    the image of a composite tree; nothing is memoized.
+    """
+
+    def rec(tree):
+        if isinstance(tree, int):
+            return leaf(p.generators.entries[tree][0])
+        return node_value(tree, rec)
+
+    basis = p.lie_basis(x.degree)
+    return folded_sum(zero, ((c, rec(basis[i].tree)) for i, c in x.coords.items()))
+
+
+def folded_apply(f, x):
+    """GeneratorMorphism.apply by the fold: images of trees bracketed by the fold."""
+    t = f.target
+    return folded_tree_map(
+        f.images.__getitem__,
+        lambda tree, rec: folded_bracket(t, rec(tree[0]), rec(tree[1])),
+        f.source, x, t.zero(x.degree),
+    )
+
+
+def folded_eval_at(theta, x):
+    """Derivation.eval_at by the fold, with the Leibniz rule on each tree."""
+    from dgla.freelie import tree_degree
+
+    p = theta.ambient
+
+    def element(tree):
+        if isinstance(tree, int):
+            return p.gen(p.generators.entries[tree][0])
+        return folded_bracket(p, element(tree[0]), element(tree[1]))
+
+    def node_value(tree, rec):
+        u, v = tree
+        degrees = [d for _, d in p.generators.entries]
+        sign = -1 if theta.degree * tree_degree(u, degrees) % 2 else 1
+        return folded_sum(p.zero(), [
+            (1, folded_bracket(p, rec(u), element(v))),
+            (sign, folded_bracket(p, element(u), rec(v))),
+        ])
+
+    return folded_tree_map(theta.value, node_value, p, x, p.zero(x.degree + theta.degree))

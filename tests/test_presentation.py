@@ -1,14 +1,28 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dgla.errors import IncompatibleSubs, UnsupportedSub
+from dgla.derivations import Derivation, der_bracket
+from dgla.errors import IncompatibleSubs, InhomogeneousExpression, UnsupportedSub
+from dgla.expmc import PolyLie
+from dgla.morphisms import GeneratorMorphism
 from dgla.presentation import (
     DgLaPresentation,
     ElementGenerated,
     GeneratorSplit,
+    LieElement,
+    TreeMap,
     pushout,
     transfer,
+)
+from oracles import (
+    folded_apply,
+    folded_bracket,
+    folded_eval_at,
+    folded_poly_sum,
+    folded_sum,
 )
 
 
@@ -210,3 +224,162 @@ def test_tree_element_matches_name_round_trip():
         expected = p.normal_form([(Fraction(1), p.tree_names(t))])
         got = p.tree_element(t)
         assert got == expected and got.degree == expected.degree, t
+
+
+# -- sums of elements: one accumulation, the fold's values ---------------------------
+
+# d^2 = 0: d(a) = d(b) = 1/2 [x,x] are cycles, and d(y) = a - b
+_SUMS = DgLaPresentation(
+    [("x", 1), ("a", 2), ("b", 2), ("y", 3)],
+    {"a": "1/2*[x,x]", "b": "1/2*[x,x]", "y": "a - b"},
+)
+_COEFFS = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+def _canonical(e):
+    """Every coordinate a nonzero Fraction: the invariant the sums keep."""
+    assert all(type(c) is Fraction and c for c in e.coords.values()), e.coords
+    return e
+
+
+@st.composite
+def _element(draw, p, degree):
+    coeffs = draw(st.lists(_COEFFS, min_size=p.dim(degree), max_size=p.dim(degree)))
+    return p.element_from_vector(degree, coeffs)
+
+
+@st.composite
+def _images(draw, p, shift):
+    """One image of degree |g| + shift per generator, some zero.
+
+    The images of a and b are sometimes opposite, so that sums over
+    elements with equal a- and b-coordinates cancel.
+    """
+    images = {n: draw(_element(p, d + shift)) for n, d in p.generators.entries}
+    if draw(st.booleans()):
+        images["b"] = images["a"].scale(-1)
+    return images
+
+
+@st.composite
+def _argument(draw, p):
+    """An element of degree 1..4, and its a- and b-coordinates made equal."""
+    degree = draw(st.integers(1, 4))
+    x = draw(_element(p, degree))
+    if degree == 2 and draw(st.booleans()):
+        c = draw(_COEFFS.filter(bool))
+        x = x + (p.gen("a") + p.gen("b")).scale(c)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sums_agree_with_the_per_term_fold(data):
+    p = _SUMS
+    x = data.draw(_argument(p))
+    y = x if data.draw(st.booleans()) else data.draw(_argument(p))
+    assert _canonical(p.bracket(x, y)) == folded_bracket(p, x, y)
+
+    images = data.draw(_images(p, 0))
+    f = GeneratorMorphism(p, p, images)
+    assert _canonical(f.apply(x)) == folded_apply(f, x)
+    tm = TreeMap(p, images.__getitem__, lambda u, v, g: p.bracket(g(u), g(v)))
+    basis = p.lie_basis(x.degree)
+    terms = [(c, tm.tree(basis[i].tree)) for i, c in x.coords.items()]
+    assert _canonical(tm(x, p.zero(x.degree))) == folded_sum(p.zero(x.degree), terms)
+
+    shift = data.draw(st.integers(-1, 1))
+    theta = Derivation(p, shift, data.draw(_images(p, shift)))
+    assert _canonical(theta.eval_at(x)) == folded_eval_at(theta, x)
+
+    def poly(name):
+        img = images[name]
+        dt_part = p.bracket(p.gen("x"), img)
+        return PolyLie(p, img.degree, {0: img, 2: img.scale(3)}, {1: dt_part})
+
+    hm = TreeMap(p, poly, lambda u, v, g: g(u).bracket(g(v)))
+    got = hm(x, PolyLie(p, x.degree))
+    terms = [(c, hm.tree(basis[i].tree)) for i, c in x.coords.items()]
+    assert got == folded_poly_sum(PolyLie(p, x.degree), terms)
+    for part in (got.p, got.q):
+        for v in part.values():
+            _canonical(v)
+
+
+def test_inhomogeneous_images_raise():
+    p = _SUMS
+    f = GeneratorMorphism(p, p, {"x": "x", "a": "a", "b": "y", "y": "y"})
+    assert f.apply(p.normal_form("2*a")) == p.normal_form("2*a")
+    with pytest.raises(InhomogeneousExpression):
+        f.apply(p.normal_form("a + b"))
+    with pytest.raises(InhomogeneousExpression):
+        p.gen("a").add_scaled([(1, p.gen("y"))])
+    # a vanishing sum of one degree does not hide a term of another
+    with pytest.raises(InhomogeneousExpression):
+        p.gen("a").add_scaled([(-1, p.gen("a")), (1, p.gen("y"))])
+
+
+def test_results_hold_only_nonzero_fractions():
+    p = _SUMS
+    a, b, x = p.gen("a"), p.gen("b"), p.gen("x")
+    assert p.gen("a") is a and p.gen("y") is p.gen("y")
+    f = GeneratorMorphism(p, p, {"x": "x", "a": "b", "b": "a", "y": p.gen("y").scale(-1)})
+    theta = Derivation(p, 0, {"a": "2*b", "y": "[x,a]"})
+    psi = Derivation(p, 0, {"b": "a"})
+    elements = [
+        a, x, p.bracket(x, p.bracket(x, a)),
+        p.bracket(a.scale(2), b) - p.bracket(b, a.scale(-2)),
+        a.scale(0), a - a, a.scale(Fraction(1, 2)) + b.scale(3),
+        f.apply(p.normal_form("[x,[x,a]] - 1/3*[x,[x,b]]")),
+        theta.eval_at(p.normal_form("[a,b] + 2*[x,y]")),
+    ]
+    elements += der_bracket(theta, psi).values.values()
+    for e in elements:
+        _canonical(e)
+    zeros = [a.scale(0), a - a, p.zero(7), p.bracket(x, x.scale(0)), p.bracket(a, a)]
+    assert [z.degree for z in zeros] == [2, 2, 7, 2, 4]
+    assert all(z.coords == {} for z in zeros)
+    assert len(set(zeros)) == 1 and all(z == p.zero() for z in zeros)
+
+
+def _count_built(monkeypatch):
+    """Count LieElements built, through either constructor."""
+    built = []
+    init = LieElement.__init__
+    trusted = LieElement._trusted.__func__
+
+    def counted_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counted_trusted(cls, *args):
+        built.append(1)
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(LieElement, "__init__", counted_init)
+    monkeypatch.setattr(LieElement, "_trusted", classmethod(counted_trusted))
+    return built
+
+
+def test_each_sum_builds_one_element(monkeypatch):
+    p = DgLaPresentation([("x", 1), ("a", 2), ("b", 2), ("c", 3)])
+    x = p.element_from_vector(4, [(-1) ** k for k in range(p.dim(4))])
+    y = p.element_from_vector(3, [k + 1 for k in range(p.dim(3))])
+    f = GeneratorMorphism(p, p, {"x": "x", "a": "a + [x,x]", "b": "b - a", "c": "c + [x,b]"})
+    assert len(x.coords) == 4 and len(y.coords) == 3
+    expected = (p.bracket(x, y), f.apply(x))  # fills the bracket and tree caches
+    built = _count_built(monkeypatch)
+    assert p.bracket(x, y) == expected[0]
+    assert len(built) == 1
+    built.clear()
+    assert f.apply(x) == expected[1]
+    # one zero for the sum to start from, one result
+    assert len(built) == 2
+    zero = p.zero(x.degree)
+    built.clear()
+    assert f.tree_map(x, zero) == expected[1]
+    assert len(built) == 1
+    first = p.gen("a")
+    built.clear()
+    assert p.gen("a") is first
+    assert built == []
