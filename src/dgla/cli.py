@@ -19,14 +19,13 @@ from . import freelie
 from . import io as io_mod
 from .ce import ce_cohomology
 from .derivations import der_complex, deru
-from .errors import DglaError, GrammarError, SchemaError, WindowTooNarrow
+from .errors import DglaError, SchemaError, WindowTooNarrow
 from .expmc import exp_automorphism, homotopy_check, mc_check
 from .gluing import boundary_connected_sum, forget_compare, glue_headline_g
 from .graded import betti_numbers
 from .models import build_block_g, build_g, tilde_model
 from .morphisms import GeneratorMorphism, check_morphism
-from .presentation import lie_chain_slice, presentation_slice
-from .slices import SliceElement
+from .presentation import DgLaPresentation, lie_chain_slice, presentation_slice
 
 
 def _window(args):
@@ -36,11 +35,18 @@ def _window(args):
     interpreter's recursion limit.
     """
     if args.min > args.max:
-        raise SchemaError("window min exceeds max", "")
+        raise SchemaError("window min exceeds max")
     bound = freelie.MAX_DEGREE
     if max(-args.min, args.max) > bound:
-        raise SchemaError("window bounds must lie in [-%d, %d]" % (bound, bound), "")
+        raise SchemaError("window bounds must lie in [-%d, %d]" % (bound, bound))
     return (args.min, args.max)
+
+
+def _load(inputs, path, loader, *args):
+    """The JSON file at ``path`` read by an io loader; ``path`` joins the inputs."""
+    out = loader(io_mod.load_json_file(path), *args)
+    inputs.append(path)
+    return out
 
 
 def _verdict(name, ok, witness=None):
@@ -61,8 +67,7 @@ def _betti_table(b):
 
 
 def cmd_check(args, inputs):
-    p = io_mod.load_presentation(io_mod.load_json_file(args.file))
-    inputs.append(args.file)
+    p = _load(inputs, args.file, io_mod.load_presentation)
     rep = p.validate()
     return {}, _report_validation(rep)
 
@@ -70,8 +75,7 @@ def cmd_check(args, inputs):
 def cmd_homology(args, inputs):
     from .graded import homology as homology_op
 
-    p = io_mod.load_presentation(io_mod.load_json_file(args.file))
-    inputs.append(args.file)
+    p = _load(inputs, args.file, io_mod.load_presentation)
     w = _window(args)
     c = lie_chain_slice(p, max(0, args.min - 1), args.max + 1)
     res = homology_op(c, w)
@@ -91,8 +95,7 @@ def cmd_homology(args, inputs):
 
 
 def cmd_indec(args, inputs):
-    p = io_mod.load_presentation(io_mod.load_json_file(args.file))
-    inputs.append(args.file)
+    p = _load(inputs, args.file, io_mod.load_presentation)
     slc = p.indecomposables(args.sub)
     dims = {str(d): slc.dim(d) for d in range(slc.lo + 1, slc.hi)}
     minimal = p.is_minimal(args.sub)
@@ -100,18 +103,14 @@ def cmd_indec(args, inputs):
 
 
 def cmd_der(args, inputs):
-    p = io_mod.load_presentation(io_mod.load_json_file(args.file))
-    inputs.append(args.file)
+    p = _load(inputs, args.file, io_mod.load_presentation)
     rho = None
     if args.rho:
-        rho, _ = io_mod.load_rho(io_mod.load_json_file(args.rho), p)
-        inputs.append(args.rho)
+        rho, _ = _load(inputs, args.rho, io_mod.load_rho, p)
     if args.deru:
         mode = "trivial-differential" if args.mode == "trivial-differential" else "semisimple-indec"
         if mode == "semisimple-indec" and p.differential and not args.assert_semisimple:
-            raise SchemaError(
-                "deru in semisimple-indec mode needs --assert-semisimple", ""
-            )
+            raise SchemaError("deru in semisimple-indec mode needs --assert-semisimple")
         slc = deru(p, args.sub, rho, _window(args), mode=mode)
         chain = slc.to_chain(pad_below=True)
     else:
@@ -124,39 +123,32 @@ def cmd_der(args, inputs):
 
 def cmd_ce(args, inputs):
     w = _window(args)
-    obj = io_mod.load_json_file(args.file)
-    inputs.append(args.file)
-    if "window" in obj:
-        g = io_mod.load_slice(obj)
-        if getattr(g, "bounded", False) and g.hi < args.max:
-            g = g.pad_to(min(g.lo, 0), args.max)
-    else:
-        p = io_mod.load_presentation(obj)
-        g = presentation_slice(p, 0, args.max)
+    g = _load(inputs, args.file, io_mod.load_slice_or_presentation)
+    if isinstance(g, DgLaPresentation):
+        g = presentation_slice(g, 0, args.max)
+    elif g.bounded and g.hi < args.max:
+        g = g.pad_to(min(g.lo, 0), args.max)
     b = ce_cohomology(g, args.coeff_dim, w)
     return {"betti": _betti_table(b)}, []
 
 
 def cmd_model(args, inputs):
     inputs.append(args.file)
-    verdicts = []
     try:
         m = io_mod.load_manifold(io_mod.load_json_file(args.file))
+    except SchemaError:
+        raise
     except DglaError as e:
-        if isinstance(e, (SchemaError, GrammarError)):
-            raise
         return {}, [_verdict("model_valid", False, e)]
-    verdicts.append(_verdict("model_valid", True))
     tables = {
         "omega": expr_mod.terms_to_str(m.omega.terms()) or "0",
         "model": io_mod.serialize_manifold(m),
     }
-    return tables, verdicts
+    return tables, [_verdict("model_valid", True)]
 
 
 def cmd_tilde(args, inputs):
-    m = io_mod.load_manifold(io_mod.load_json_file(args.file))
-    inputs.append(args.file)
+    m = _load(inputs, args.file, io_mod.load_manifold)
     tilde, inc, proj = tilde_model(m)
     verdicts = []
     verdicts.extend(_report_validation(tilde.validate(), "tilde_"))
@@ -166,10 +158,9 @@ def cmd_tilde(args, inputs):
 
 
 def cmd_xi(args, inputs):
-    m = io_mod.load_manifold(io_mod.load_json_file(args.file))
-    inputs.append(args.file)
+    m = _load(inputs, args.file, io_mod.load_manifold)
     if m.presentation.differential and not args.assert_semisimple:
-        raise SchemaError("xi on a model with nonzero differential needs --assert-semisimple", "")
+        raise SchemaError("xi on a model with nonzero differential needs --assert-semisimple")
     tilde, inc, proj = tilde_model(m)
     mode = "trivial-differential" if not m.presentation.differential else "semisimple-indec"
     lo, hi = _window(args)
@@ -191,24 +182,21 @@ def _g_tables(slc, lo, hi):
 
 
 def cmd_block_g(args, inputs):
-    m = io_mod.load_manifold(io_mod.load_json_file(args.file))
-    inputs.append(args.file)
+    m = _load(inputs, args.file, io_mod.load_manifold)
     if m.presentation.differential and not args.assert_semisimple:
-        raise SchemaError("block-g on a model with nonzero differential needs --assert-semisimple", "")
+        raise SchemaError("block-g on a model with nonzero differential needs --assert-semisimple")
     g = build_block_g(m, _window(args))
     g.check_d_squared()
     return _g_tables(g, args.min, args.max), [_verdict("d_squared_zero", True)]
 
 
 def cmd_g(args, inputs):
-    p = io_mod.load_presentation(io_mod.load_json_file(args.file))
-    inputs.append(args.file)
+    p = _load(inputs, args.file, io_mod.load_presentation)
     rho = pi = None
     if args.rho:
-        rho, pi = io_mod.load_rho(io_mod.load_json_file(args.rho), p)
-        inputs.append(args.rho)
+        rho, pi = _load(inputs, args.rho, io_mod.load_rho, p)
     if not args.mode == "trivial-differential" and p.differential and not args.assert_semisimple:
-        raise SchemaError("g in semisimple-indec mode needs --assert-semisimple", "")
+        raise SchemaError("g in semisimple-indec mode needs --assert-semisimple")
     mode = "trivial-differential" if args.mode == "trivial-differential" else "semisimple-indec"
     g = build_g(p, args.sub_b, args.sub, rho, pi, _window(args), mode=mode)
     g.check_d_squared()
@@ -216,11 +204,10 @@ def cmd_g(args, inputs):
 
 
 def cmd_glue(args, inputs):
-    m = io_mod.load_manifold(io_mod.load_json_file(args.left))
-    n = io_mod.load_manifold(io_mod.load_json_file(args.right))
-    inputs.extend([args.left, args.right])
+    m = _load(inputs, args.left, io_mod.load_manifold)
+    n = _load(inputs, args.right, io_mod.load_manifold)
     if not args.assert_semisimple:
-        raise SchemaError("glue needs --assert-semisimple", "")
+        raise SchemaError("glue needs --assert-semisimple")
     mn = boundary_connected_sum(m, n)
     w = _window(args)
     gm = build_block_g(m, w)
@@ -238,9 +225,8 @@ def cmd_glue(args, inputs):
 
 
 def cmd_connected_sum(args, inputs):
-    m = io_mod.load_manifold(io_mod.load_json_file(args.left))
-    n = io_mod.load_manifold(io_mod.load_json_file(args.right))
-    inputs.extend([args.left, args.right])
+    m = _load(inputs, args.left, io_mod.load_manifold)
+    n = _load(inputs, args.right, io_mod.load_manifold)
     mn = boundary_connected_sum(m, n)
     return (
         {
@@ -252,19 +238,16 @@ def cmd_connected_sum(args, inputs):
 
 
 def cmd_forget(args, inputs):
-    m = io_mod.load_manifold(io_mod.load_json_file(args.file))
-    inputs.append(args.file)
+    m = _load(inputs, args.file, io_mod.load_manifold)
     if m.presentation.differential and not args.assert_semisimple:
-        raise SchemaError("forget on a model with nonzero differential needs --assert-semisimple", "")
+        raise SchemaError("forget on a model with nonzero differential needs --assert-semisimple")
     rows = forget_compare(m, _window(args))
     return {"comparison": rows}, []
 
 
 def cmd_exp(args, inputs):
-    p = io_mod.load_presentation(io_mod.load_json_file(args.file))
-    inputs.append(args.file)
-    th = io_mod.load_derivation(io_mod.load_json_file(args.derivation), p)
-    inputs.append(args.derivation)
+    p = _load(inputs, args.file, io_mod.load_presentation)
+    th = _load(inputs, args.derivation, io_mod.load_derivation, p)
     e = exp_automorphism(th)
     e_inv = exp_automorphism(th.scale(-1))
     ident = GeneratorMorphism.identity(p)
@@ -277,52 +260,19 @@ def cmd_exp(args, inputs):
 
 
 def cmd_mc(args, inputs):
-    obj = io_mod.load_json_file(args.file)
-    inputs.append(args.file)
-    slc = io_mod.load_slice(obj)
-    cand = obj.get("candidate")
-    if not isinstance(cand, dict):
-        raise SchemaError("mc needs a 'candidate' object in the slice file", "/candidate")
-    if not slc.in_window(-1) or not slc.in_window(-2):
-        raise SchemaError("mc needs the slice window to cover degrees -1 and -2", "/window")
-    for nm in cand:
-        if nm not in slc.labels[-1]:
-            raise SchemaError("candidate %r is not a degree -1 basis element" % nm,
-                              "/candidate/%s" % nm)
-    vec = [io_mod.parse_rational(cand.get(nm, 0), "/candidate") for nm in slc.labels[-1]]
-    tau = SliceElement(slc, -1, vec)
+    tau = _load(inputs, args.file, io_mod.load_candidate)
     ok, residual = mc_check(tau)
     res = {
-        nm: io_mod.rational_str(c)
-        for nm, c in zip(slc.labels[-2], residual.vector)
+        nm: expr_mod.rational_str(c)
+        for nm, c in zip(tau.slice.labels[-2], residual.vector)
         if c
     }
     return {"residual": res}, [_verdict("maurer_cartan", ok, res if not ok else None)]
 
 
 def cmd_homotopy(args, inputs):
-    obj = io_mod.load_json_file(args.file)
-    inputs.append(args.file)
-    for key in ("source", "target", "f", "g", "h"):
-        if key not in obj:
-            raise SchemaError("homotopy input needs %r" % key, "/%s" % key)
-    src = io_mod.load_presentation(obj["source"])
-    tgt = io_mod.load_presentation(obj["target"])
-
-    def images(values):
-        out = {}
-        for name, deg in src.generators.entries:
-            v = values.get(name)
-            out[name] = tgt.zero(deg) if v is None else v
-        return out
-
-    f = GeneratorMorphism(src, tgt, images(obj["f"]))
-    g = GeneratorMorphism(src, tgt, images(obj["g"]))
-    h_values = {}
-    for name, parts in obj["h"].items():
-        h_values[name] = (parts.get("one", {}), parts.get("dt", {}))
-    rep = homotopy_check(h_values, f, g, rel=obj.get("rel"))
-    return {}, _report_validation(rep, "homotopy_")
+    homotopy = _load(inputs, args.file, io_mod.load_homotopy)
+    return {}, _report_validation(homotopy_check(*homotopy), "homotopy_")
 
 
 def build_parser():
@@ -406,7 +356,7 @@ def run(argv):
     inputs = []
     try:
         tables, verdicts = args.fn(args, inputs)
-    except (SchemaError, GrammarError) as e:
+    except SchemaError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2, None
     except WindowTooNarrow as e:

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from . import linalg
-from .errors import ModeUnavailable, RhoNotChainMap, SubMismatch
+from .errors import ModeUnavailable, RhoNotChainMap, SchemaError, SubMismatch
 from .linalg import combination
 from .morphisms import _rho_of
 from .presentation import ElementGenerated, GeneratorSplit, LieElement, leibniz_extension
@@ -42,9 +42,10 @@ class Derivation:
             if not v.is_zero():
                 expected = ambient.generators.degree(name) + self.degree
                 if v.degree != expected:
-                    raise ValueError(
+                    raise SchemaError(
                         "value on %r has degree %d, expected %d"
-                        % (name, v.degree, expected)
+                        % (name, v.degree, expected),
+                        "/values/%s" % name,
                     )
                 self.values[name] = v
         if check and rel is not None:

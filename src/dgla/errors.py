@@ -110,12 +110,16 @@ class GrammarError(DglaError):
 
 
 class SchemaError(DglaError):
-    """Input data violates the schema; ``pointer`` is a JSON pointer to it.
+    """Input data violates the schema; ``pointer`` is an RFC 6901 JSON pointer to it.
 
     The pointer addresses the offending value in the input's JSON form, also
     when the check lives in the library (a pairing entry, a generator degree).
+    An error that no document position explains (a command-line argument, an
+    unreadable file) has the pointer None.
     """
 
-    def __init__(self, message, pointer=""):
-        super().__init__("%s (at %s)" % (message, pointer or "/"))
+    def __init__(self, message, pointer=None):
+        where = "" if pointer is None else " (at %s)" % (pointer or "the document root")
+        super().__init__(message + where)
+        self.message = message
         self.pointer = pointer

@@ -149,7 +149,7 @@ def rename_tree(tree, mapping):
     return (rename_tree(tree[0], mapping), rename_tree(tree[1], mapping))
 
 
-def _rational_to_str(q):
+def rational_str(q):
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
@@ -166,15 +166,15 @@ def terms_to_str(terms):
             if coeff == 1:
                 parts.append(t)
             else:
-                parts.append("%s*%s" % (_rational_to_str(coeff), t))
+                parts.append("%s*%s" % (rational_str(coeff), t))
         elif coeff == 1:
             parts.append("+%s" % t)
         elif coeff == -1:
             parts.append("-%s" % t)
         elif coeff > 0:
-            parts.append("+%s*%s" % (_rational_to_str(coeff), t))
+            parts.append("+%s*%s" % (rational_str(coeff), t))
         else:
-            parts.append("-%s*%s" % (_rational_to_str(-coeff), t))
+            parts.append("-%s*%s" % (rational_str(-coeff), t))
     if not parts:
         return None
     return "".join(parts)

@@ -1,39 +1,208 @@
 """JSON input/output.
 
-Normative schemas (bit-exact):
+Each input file kind has one declarative schema below (PRESENTATION,
+MANIFOLD, SLICE, RHO, DERIVATION, HOMOTOPY), and one walker checks a
+document against it before anything is built.  A schema is one of:
 
-presentation:
-    {"generators": [{"name": str, "degree": int}, ...],
-     "differential": {name: expression-string},
-     "subalgebras": {name: {"generators": [names]} | {"elements": [expr]}}}
+    int, bool, str     a JSON value of that type (an int is never a boolean)
+    RATIONAL           a JSON integer or a string "p/q" (floats are rejected)
+    Name(kind)         a string naming a declared ``kind``
+    Expr(kind)         an expression string (grammar in dgla.expr) over
+                       declared ``kind`` names, read as AST terms
+    [s]                an array of s
+    (s, t)             an array of exactly these entries
+    {key: s}           an object with exactly these keys; Opt(s) marks an
+                       optional one
+    Map(key, s)        an object whose keys are ``key`` (str, a Name or a
+                       Key pattern) and whose values are s
+    One({key: s})      an object with exactly one of these keys
+    Declare(kind, s)   s, whose names (the "name" of each entry of an array,
+                       or the keys of an object) are the declared ``kind``
 
-manifold model:
-    {"dimension": int,
-     "generators": [{"name": str, "degree": int}, ...],
-     "pairing": [[rational, ...], ...],
-     "differential": {name: expression-string},
-     "pontryagin": {degree: [rational, ...]}}
-
-Expression strings follow the grammar in dgla.expr; rationals are JSON
-integers or strings "p/q" (floats are rejected everywhere).  Unknown keys
-are rejected with a JSON-pointer path.
-
-Non-normative (this artifact's own) schemas, documented in the README:
-explicit dg Lie slices, derivations, rho maps, and homotopy inputs.
+A null optional key, and a null Map value, is the same as an absent one.
+Any departure from the schema is a SchemaError at the RFC 6901 pointer of
+the offending value (of the missing key, for a missing key).  The walker
+recurses along the schema, never deeper than the schema is.
 """
 
 import hashlib
 import json
 import os
+import re
 import tempfile
+from collections import namedtuple
 from fractions import Fraction
 
 from . import expr as expr_mod
 from . import linalg
-from .errors import SchemaError
+from .derivations import Derivation
+from .errors import GrammarError, SchemaError
 from .graded import GradedBasis, GradedLinearMap
+from .models import manifold_model
+from .morphisms import GeneratorMorphism
 from .presentation import DgLaPresentation, GeneratorSplit
-from .slices import DgLieSlice
+from .slices import DgLieSlice, SliceElement
+
+Opt = namedtuple("Opt", "schema")
+Name = namedtuple("Name", "kind")
+Expr = namedtuple("Expr", "kind")
+Map = namedtuple("Map", "key value")
+One = namedtuple("One", "keys")
+Declare = namedtuple("Declare", "kind schema")
+Key = namedtuple("Key", "what pattern")
+RATIONAL = "rational"
+
+_ENTRIES = [{"name": str, "degree": int}]
+
+
+def _presentation_schema(gen, sub):
+    return {
+        "generators": Declare(gen, _ENTRIES),
+        "differential": Opt(Map(Name(gen), Expr(gen))),
+        "subalgebras": Opt(
+            Declare(sub, Map(str, One({"generators": [Name(gen)], "elements": [Expr(gen)]})))
+        ),
+    }
+
+
+PRESENTATION = _presentation_schema("generator", "subalgebra")
+
+MANIFOLD = {
+    "dimension": int,
+    "generators": Declare("generator", _ENTRIES),
+    "pairing": [[RATIONAL]],
+    "differential": Opt(Map(Name("generator"), Expr("generator"))),
+    "pontryagin": Opt(Map(Key("a degree", "0|-?[1-9][0-9]*"), [RATIONAL])),
+}
+
+_VECTOR = Map(Name("basis element"), RATIONAL)
+SLICE = {
+    "window": (int, int),
+    "basis": Declare("basis element", _ENTRIES),
+    "differential": Opt(Map(Name("basis element"), _VECTOR)),
+    "brackets": Opt(
+        [{"left": Name("basis element"), "right": Name("basis element"), "value": _VECTOR}]
+    ),
+    "bounded": Opt(bool),
+    "candidate": Opt(_VECTOR),
+}
+
+# Generator names come from the presentation the file is read against.
+RHO = {
+    "pi": Declare("pi element", _ENTRIES),
+    "values": Opt(Map(Name("generator"), Map(Name("pi element"), RATIONAL))),
+}
+DERIVATION = {
+    "degree": int,
+    "values": Map(Name("generator"), Expr("generator")),
+    "rel": Opt(Name("subalgebra")),
+}
+
+_POWERS = Opt(Map(Key("a power of t", "0|[1-9][0-9]*"), Expr("target generator")))
+HOMOTOPY = {
+    "source": _presentation_schema("source generator", "source subalgebra"),
+    "target": _presentation_schema("target generator", "target subalgebra"),
+    "f": Map(Name("source generator"), Expr("target generator")),
+    "g": Map(Name("source generator"), Expr("target generator")),
+    "h": Map(Name("source generator"), {"one": _POWERS, "dt": _POWERS}),
+    "rel": Opt(Name("source subalgebra")),
+}
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               bool: "a boolean", float: "a number", type(None): "null"}
+
+
+def _at(pointer, *tokens):
+    """``pointer`` extended by ``tokens``, escaped as RFC 6901 asks."""
+    return pointer + "".join("/" + str(t).replace("~", "~0").replace("/", "~1") for t in tokens)
+
+
+def _typed(value, kind, pointer):
+    if type(value) is not kind:
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise SchemaError("expected %s, got %s" % (_JSON_TYPES[kind], got), pointer)
+    return value
+
+
+def _declared(kind, name, pointer, names):
+    if name not in names.get(kind, ()):
+        raise SchemaError("unknown %s %r" % (kind, name), pointer)
+    return name
+
+
+def _walk(schema, value, pointer, names):
+    """``value`` checked against ``schema``, with rationals read as Fractions
+    and expressions as terms; optional keys and Map values that are null are
+    dropped.  ``names`` maps each kind to its declared names, and gains the
+    kinds that ``schema`` declares."""
+    kind = type(schema)
+    if kind is dict:
+        obj = _typed(value, dict, pointer)
+        for key in obj:
+            if key not in schema:
+                raise SchemaError("unknown key %r" % key, _at(pointer, key))
+        out = {}
+        for key, sub in schema.items():
+            if type(sub) is Opt:
+                if obj.get(key) is None:
+                    continue
+                sub = sub.schema
+            elif key not in obj:
+                raise SchemaError("missing key %r" % key, _at(pointer, key))
+            out[key] = _walk(sub, obj[key], _at(pointer, key), names)
+        return out
+    if kind is Map:
+        out = {}
+        for key, item in _typed(value, dict, pointer).items():
+            at = _at(pointer, key)
+            if type(schema.key) is Name:
+                _declared(schema.key.kind, key, at, names)
+            elif type(schema.key) is Key and not re.fullmatch(schema.key.pattern, key):
+                raise SchemaError("key %r is not %s" % (key, schema.key.what), at)
+            if item is not None:
+                out[key] = _walk(schema.value, item, at, names)
+        return out
+    if kind is One:
+        out = _walk({k: Opt(s) for k, s in schema.keys.items()}, value, pointer, names)
+        if len(out) != 1:
+            raise SchemaError("expected exactly one of the keys %s" % sorted(schema.keys), pointer)
+        return out
+    if kind is Declare:
+        out = _walk(schema.schema, value, pointer, names)
+        declared = names[schema.kind] = set()
+        for i, name in enumerate(out if isinstance(out, dict) else (e["name"] for e in out)):
+            if name in declared:
+                raise SchemaError("duplicate %s %r" % (schema.kind, name), _at(pointer, i, "name"))
+            declared.add(name)
+        return out
+    if kind in (list, tuple):
+        items = _typed(value, list, pointer)
+        if kind is tuple and len(items) != len(schema):
+            raise SchemaError("expected an array of %d entries" % len(schema), pointer)
+        subs = schema if kind is tuple else schema * len(items)
+        return [_walk(s, x, _at(pointer, i), names) for i, (s, x) in enumerate(zip(subs, items))]
+    if kind is Name:
+        return _declared(schema.kind, _typed(value, str, pointer), pointer, names)
+    if kind is Expr:
+        try:
+            terms = expr_mod.parse_expression(_typed(value, str, pointer))
+        except GrammarError as e:
+            raise SchemaError(str(e), pointer) from None
+        for _, tree in terms:
+            for name in sorted(expr_mod.tree_generators(tree)):
+                _declared(schema.kind, name, pointer, names)
+        return terms
+    if schema is RATIONAL:
+        return parse_rational(value, pointer)
+    return _typed(value, schema, pointer)
+
+
+def _within(pointer, build, *args):
+    """build(*args), with the pointers of its SchemaErrors taken below ``pointer``."""
+    try:
+        return build(*args)
+    except SchemaError as e:
+        raise SchemaError(e.message, pointer + (e.pointer or "")) from None
 
 
 def parse_rational(value, pointer=""):
@@ -57,104 +226,18 @@ def parse_rational(value, pointer=""):
     raise SchemaError("expected a rational (int or 'p/q'), got %r" % (value,), pointer)
 
 
-def rational_str(q):
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+def _entries(doc):
+    return [(e["name"], e["degree"]) for e in doc]
 
 
-def _require_keys(obj, allowed, required, pointer):
-    if not isinstance(obj, dict):
-        raise SchemaError("expected an object", pointer)
-    for k in obj:
-        if k not in allowed:
-            raise SchemaError("unknown key %r" % k, "%s/%s" % (pointer, k))
-    for k in required:
-        if k not in obj:
-            raise SchemaError("missing key %r" % k, pointer)
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _object(value, pointer):
-    """``value`` itself, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise SchemaError("expected an object", pointer)
-    return value
-
-
-def _optional_object(obj, key):
-    """The object at obj[key]; {} when the key is absent or null."""
-    value = obj.get(key)
-    return {} if value is None else _object(value, "/" + key)
-
-
-def _load_generators(lst, pointer):
-    if not isinstance(lst, list):
-        raise SchemaError("expected a list of generators", pointer)
-    out = []
-    for i, it in enumerate(lst):
-        pt = "%s/%d" % (pointer, i)
-        _require_keys(it, {"name", "degree"}, {"name", "degree"}, pt)
-        if not isinstance(it["name"], str):
-            raise SchemaError("generator name must be a string", pt + "/name")
-        if any(it["name"] == n for n, _ in out):
-            raise SchemaError("duplicate generator name %r" % it["name"], pt + "/name")
-        if not _is_int(it["degree"]):
-            raise SchemaError("generator degree must be an integer", pt + "/degree")
-        out.append((it["name"], it["degree"]))
-    return out
+def _presentation(doc):
+    return DgLaPresentation(
+        _entries(doc["generators"]), doc.get("differential"), doc.get("subalgebras")
+    )
 
 
 def load_presentation(obj):
-    _require_keys(
-        obj, {"generators", "differential", "subalgebras"}, {"generators"}, ""
-    )
-    gens = _load_generators(obj["generators"], "/generators")
-    known = {n for n, _ in gens}
-    diff = _load_expressions(obj, "differential", known)
-    subs = {}
-    for name, spec in _optional_object(obj, "subalgebras").items():
-        pt = "/subalgebras/%s" % name
-        if not isinstance(spec, dict) or set(spec) not in ({"generators"}, {"elements"}):
-            raise SchemaError("subalgebra must be {'generators': [...]} or {'elements': [...]}", pt)
-        names = spec.get("generators", [])
-        if not isinstance(names, list) or any(n not in known for n in names):
-            raise SchemaError("subalgebra generators must be generator names", pt)
-        elements = spec.get("elements", [])
-        if not isinstance(elements, list) or any(not isinstance(e, str) for e in elements):
-            raise SchemaError("subalgebra elements must be expression strings", pt)
-        if "elements" in spec:
-            spec = {"elements": [_parse_known(e, known, pt) for e in elements]}
-        subs[name] = spec
-    return DgLaPresentation(gens, diff, subs)
-
-
-def _load_expressions(obj, key, known):
-    """The {generator: expression string} object at obj[key], parsed.
-
-    Its keys and the generators of its expressions all lie in ``known``.
-    """
-    exprs = obj.get(key, {})
-    if not isinstance(exprs, dict) or any(not isinstance(v, str) for v in exprs.values()):
-        raise SchemaError("%s must map names to expression strings" % key, "/" + key)
-    for name in exprs:
-        if name not in known:
-            raise SchemaError("%s of an unknown generator" % key, "/%s/%s" % (key, name))
-    return {n: _parse_known(v, known, "/%s/%s" % (key, n)) for n, v in exprs.items()}
-
-
-def _parse_known(text, known, pointer):
-    """Terms of an expression string whose generators all lie in ``known``."""
-    terms = expr_mod.parse_expression(text)
-    for _, tree in terms:
-        unknown = expr_mod.tree_generators(tree) - known
-        if unknown:
-            raise SchemaError("unknown generator %r" % min(unknown), pointer)
-    return terms
+    return _presentation(_walk(PRESENTATION, obj, "", {}))
 
 
 def serialize_presentation(p):
@@ -180,44 +263,21 @@ def serialize_presentation(p):
 
 
 def load_manifold(obj):
-    _require_keys(
-        obj,
-        {"dimension", "generators", "pairing", "differential", "pontryagin"},
-        {"dimension", "generators", "pairing"},
-        "",
+    doc = _walk(MANIFOLD, obj, "", {})
+    return manifold_model(
+        doc["dimension"],
+        _entries(doc["generators"]),
+        doc["pairing"],
+        doc.get("differential"),
+        doc.get("pontryagin"),
     )
-    if not _is_int(obj["dimension"]):
-        raise SchemaError("dimension must be an integer", "/dimension")
-    gens = _load_generators(obj["generators"], "/generators")
-    pairing = obj["pairing"]
-    if not isinstance(pairing, list):
-        raise SchemaError("pairing must be a matrix", "/pairing")
-    mat = []
-    for i, row in enumerate(pairing):
-        if not isinstance(row, list):
-            raise SchemaError("pairing rows must be lists", "/pairing/%d" % i)
-        mat.append([parse_rational(x, "/pairing/%d/%d" % (i, j)) for j, x in enumerate(row)])
-    diff = _load_expressions(obj, "differential", {n for n, _ in gens})
-    pont = {}
-    for key, vals in _optional_object(obj, "pontryagin").items():
-        pt = "/pontryagin/%s" % key
-        try:
-            deg = int(key)
-        except ValueError:
-            raise SchemaError("pontryagin keys are degrees", pt)
-        if not isinstance(vals, list):
-            raise SchemaError("pontryagin values must be a list", pt)
-        pont[deg] = [parse_rational(x, "%s/%d" % (pt, i)) for i, x in enumerate(vals)]
-    from .models import manifold_model
-
-    return manifold_model(obj["dimension"], gens, mat, diff, pont)
 
 
 def serialize_manifold(m):
     out = {
         "dimension": m.dimension,
         "generators": [{"name": n, "degree": d} for n, d in m.v.basis.entries],
-        "pairing": [[rational_str(x) for x in row] for row in m.v.pairing],
+        "pairing": [[expr_mod.rational_str(x) for x in row] for row in m.v.pairing],
     }
     diff = {}
     for n, v in m.presentation.differential.items():
@@ -226,157 +286,143 @@ def serialize_manifold(m):
         out["differential"] = diff
     if m.pontryagin:
         out["pontryagin"] = {
-            str(d): [rational_str(x) for x in vals] for d, vals in m.pontryagin.items()
+            str(d): [expr_mod.rational_str(x) for x in vals] for d, vals in m.pontryagin.items()
         }
     return out
 
 
 def load_slice(obj):
-    """An explicit finite dg Lie slice (artifact schema, not normative).
-
-    {"window": [lo, hi], "basis": [{"name", "degree"}],
-     "differential": {name: {name: rational}},
-     "brackets": [{"left": name, "right": name, "value": {name: rational}}],
-     "bounded": bool}
+    """An explicit finite dg Lie slice (SLICE; this tool's own file kind).
 
     Brackets may be given in one order; the graded-antisymmetric partner is
     filled in automatically.  "bounded": true asserts the algebra vanishes
     outside the window (so it may be padded for CE computations).
     """
-    _require_keys(
-        obj,
-        {"window", "basis", "differential", "brackets", "bounded", "candidate"},
-        {"window", "basis"},
-        "",
-    )
-    window = obj["window"]
-    if not (isinstance(window, list) and len(window) == 2 and all(map(_is_int, window))):
-        raise SchemaError("window must be a list of two integers", "/window")
-    lo, hi = window
-    entries = _load_generators(obj["basis"], "/basis")
-    names = {}
-    degrees = {}
+    return _slice(_walk(SLICE, obj, "", {}))
+
+
+def load_candidate(obj):
+    """The Maurer-Cartan candidate of a slice file, which must carry one: a
+    degree -1 SliceElement of a slice whose window covers degrees -1 and -2."""
+    doc = _walk(dict(SLICE, candidate=_VECTOR), obj, "", {})
+    slc = _slice(doc)
+    if not (slc.lo <= -2 and -1 <= slc.hi):
+        raise SchemaError("a candidate needs the window to cover degrees -1 and -2", "/window")
+    for nm in doc["candidate"]:
+        if nm not in slc.labels[-1]:
+            raise SchemaError(
+                "candidate %r is not a degree -1 basis element" % nm, _at("/candidate", nm)
+            )
+    return SliceElement(slc, -1, [doc["candidate"].get(nm, Fraction(0)) for nm in slc.labels[-1]])
+
+
+def _slice(doc):
+    lo, hi = doc["window"]
+    where = {}  # basis name -> (degree, position in its degree)
     labels = {d: [] for d in range(lo, hi + 1)}
-    for n, d in entries:
+    for i, (n, d) in enumerate(_entries(doc["basis"])):
         if not lo <= d <= hi:
-            raise SchemaError("basis element %r outside the window" % n, "/basis")
-        names[n] = (d, len(labels[d]))
-        degrees[n] = d
+            raise SchemaError("basis element %r outside the window" % n, _at("/basis", i, "degree"))
+        where[n] = (d, len(labels[d]))
         labels[d].append(n)
     d_entries = {}
-    for src, row in _optional_object(obj, "differential").items():
-        if src not in names:
-            raise SchemaError("unknown basis name %r" % src, "/differential")
-        d, j = names[src]
+    for src, row in doc.get("differential", {}).items():
+        d, j = where[src]
+        at = _at("/differential", src)
         if d - 1 < lo:
-            raise SchemaError("differential leaves the window at %r" % src, "/differential")
-        for tgt, c in _object(row, "/differential/%s" % src).items():
-            if tgt not in names or degrees[tgt] != d - 1:
+            raise SchemaError("differential leaves the window at %r" % src, at)
+        for tgt, c in row.items():
+            if where[tgt][0] != d - 1:
                 raise SchemaError(
-                    "differential of %r must land in degree %d" % (src, d - 1),
-                    "/differential/%s" % src,
+                    "differential of %r must land in degree %d" % (src, d - 1), _at(at, tgt)
                 )
-            c = parse_rational(c, "/differential/%s/%s" % (src, tgt))
-            d_entries.setdefault(d, []).append((names[tgt][1], j, c))
+            d_entries.setdefault(d, []).append((where[tgt][1], j, c))
     d_blocks = {
         d: linalg.matrix(len(labels[d - 1]), len(labels[d]), ents)
         for d, ents in d_entries.items()
     }
 
-    def zero_table(n, m):
-        zero = [Fraction(0)] * len(labels[n + m])
-        return [[zero] * len(labels[m]) for _ in labels[n]]
-
-    brackets = obj.get("brackets") or []
-    if not isinstance(brackets, list):
-        raise SchemaError("brackets must be a list", "/brackets")
-    tables = {}
-    for k, br in enumerate(brackets):
+    table = {}
+    for k, br in enumerate(doc.get("brackets", [])):
         pt = "/brackets/%d" % k
-        _require_keys(br, {"left", "right", "value"}, {"left", "right", "value"}, pt)
-        ln, rn = br["left"], br["right"]
-        if not (isinstance(ln, str) and ln in names and isinstance(rn, str) and rn in names):
-            raise SchemaError("unknown basis names in bracket", pt)
-        dn, i = names[ln]
-        dm, j = names[rn]
+        dn, i = where[br["left"]]
+        dm, j = where[br["right"]]
         if not lo <= dn + dm <= hi:
             raise SchemaError("bracket value outside the window", pt)
-        vec = [Fraction(0)] * len(labels[dn + dm])
-        for tgt, c in _object(br["value"], pt + "/value").items():
-            if tgt not in names or degrees[tgt] != dn + dm:
-                raise SchemaError("bracket value must be in degree %d" % (dn + dm), pt)
-            vec[names[tgt][1]] = parse_rational(c, pt)
-        if (dn, dm) not in tables:
-            tables[(dn, dm)] = zero_table(dn, dm)
-        tables[(dn, dm)][i][j] = vec
-        # graded-antisymmetric partner
-        sign = Fraction(1 if (dn * dm) % 2 else -1)
-        if (dm, dn) not in tables:
-            tables[(dm, dn)] = zero_table(dm, dn)
-        tab2 = tables[(dm, dn)]
-        if all(x == 0 for x in tab2[j][i]):
-            tab2[j][i] = [sign * x for x in vec]
-    bounded = obj.get("bounded")
-    if not isinstance(bounded, (bool, type(None))):
-        raise SchemaError("bounded must be a boolean", "/bounded")
-    slc = DgLieSlice((lo, hi), labels, d_blocks, bracket_tables=tables)
-    slc.bounded = bool(bounded)
+        for tgt in br["value"]:
+            if where[tgt][0] != dn + dm:
+                raise SchemaError(
+                    "bracket value must be in degree %d" % (dn + dm), _at(pt, "value", tgt)
+                )
+        vec = linalg.sparse(br["value"].get(nm, 0) for nm in labels[dn + dm])
+        table[(dn, i, dm, j)] = vec
+        # graded-antisymmetric partner, unless given
+        if not table.get((dm, j, dn, i)):
+            sign = 1 if (dn * dm) % 2 else -1
+            table[(dm, j, dn, i)] = {t: sign * c for t, c in vec.items()}
+    slc = DgLieSlice(
+        (lo, hi), labels, d_blocks, bracket_fn=lambda n, i, m, j: table.get((n, i, m, j), {})
+    )
+    slc.bounded = doc.get("bounded", False)
     return slc
 
 
-def load_rho(obj, p):
-    """A generator-level map into an abelian graded basis Pi.
+def load_slice_or_presentation(obj):
+    """A slice file (one with a "window") or else a presentation file."""
+    if isinstance(obj, dict) and "window" in obj:
+        return load_slice(obj)
+    return load_presentation(obj)
 
-    {"pi": [{"name", "degree"}], "values": {gen: {pi_name: rational}}}
-    """
-    _require_keys(obj, {"pi", "values"}, {"pi"}, "")
-    pi = GradedBasis(_load_generators(obj["pi"], "/pi"))
-    rho = GradedLinearMap(p.generators, pi, 0)
-    cells = {}
-    for gname, row in _optional_object(obj, "values").items():
-        if gname not in p.generators.index:
-            raise SchemaError("unknown generator %r" % gname, "/values")
-        for tname, c in _object(row, "/values/%s" % gname).items():
-            if tname not in pi.index:
-                raise SchemaError("unknown pi element %r" % tname, "/values/%s" % gname)
-            if pi.degree(tname) != p.generators.degree(gname):
+
+def load_rho(obj, p):
+    """A generator-level map from ``p`` into an abelian graded basis Pi (RHO)."""
+    doc = _walk(RHO, obj, "", {"generator": set(p.generators.index)})
+    pi = GradedBasis(_entries(doc["pi"]))
+    entries = {}
+    for gname, row in doc.get("values", {}).items():
+        d = p.generators.degree(gname)
+        for tname, c in row.items():
+            if pi.degree(tname) != d:
                 raise SchemaError(
                     "rho must preserve degree at %r -> %r" % (gname, tname),
-                    "/values/%s" % gname,
+                    _at("/values", gname, tname),
                 )
-            cells[(gname, tname)] = parse_rational(c, "/values/%s/%s" % (gname, tname))
-    for d in sorted({deg for _, deg in p.generators.entries}):
-        src = p.generators.in_degree(d)
-        tgt = pi.in_degree(d)
-        if not tgt:
-            continue
-        ents = [
-            (i, j, cells[(g, t)])
-            for j, g in enumerate(src)
-            for i, t in enumerate(tgt)
-            if cells.get((g, t))
-        ]
-        if ents:
-            rho.set_block(d, linalg.matrix(len(tgt), len(src), ents))
-    return rho, pi
+            if c:
+                ij = (pi.in_degree(d).index(tname), p.generators.in_degree(d).index(gname), c)
+                entries.setdefault(d, []).append(ij)
+    blocks = {
+        d: linalg.matrix(pi.dim(d), p.generators.dim(d), ents) for d, ents in entries.items()
+    }
+    return GradedLinearMap(p.generators, pi, 0, blocks), pi
 
 
 def load_derivation(obj, p):
-    """{"degree": int, "values": {gen: expr}, "rel": name?}"""
-    _require_keys(obj, {"degree", "values", "rel"}, {"degree", "values"}, "")
-    from .derivations import Derivation
+    """A derivation of ``p`` (DERIVATION)."""
+    names = {"generator": set(p.generators.index), "subalgebra": set(p.subalgebras)}
+    doc = _walk(DERIVATION, obj, "", names)
+    rel = doc.get("rel")
+    return Derivation(p, doc["degree"], doc["values"], rel=rel, check=rel is not None)
 
-    degree, rel = obj["degree"], obj.get("rel")
-    if not _is_int(degree):
-        raise SchemaError("degree must be an integer", "/degree")
-    if not isinstance(rel, (str, type(None))):
-        raise SchemaError("rel must be a subalgebra name", "/rel")
-    values = _load_expressions(obj, "values", set(p.generators.index))
-    values = {n: p.normal_form(terms) for n, terms in values.items()}
-    for name, v in values.items():
-        if not v.is_zero() and v.degree != p.generators.degree(name) + degree:
-            raise SchemaError("value on %r has the wrong degree" % name, "/values/%s" % name)
-    return Derivation(p, degree, values, rel=rel, check=rel is not None)
+
+def load_homotopy(obj):
+    """The arguments (h_values, f, g, rel) of expmc.homotopy_check (HOMOTOPY).
+
+    A source generator absent from f, g or h maps to zero there.
+    """
+    doc = _walk(HOMOTOPY, obj, "", {})
+    src = _within("/source", _presentation, doc["source"])
+    tgt = _within("/target", _presentation, doc["target"])
+
+    def morphism(images):
+        return GeneratorMorphism(
+            src, tgt, {n: images.get(n, tgt.zero(d)) for n, d in src.generators.entries}
+        )
+
+    h = {}
+    for n, _ in src.generators.entries:
+        parts = doc["h"].get(n, {})
+        h[n] = (parts.get("one", {}), parts.get("dt", {}))
+    return h, morphism(doc["f"]), morphism(doc["g"]), doc.get("rel")
 
 
 def file_sha256(path):
@@ -387,12 +433,18 @@ def file_sha256(path):
 
 
 def load_json_file(path):
-    with open(path, "r") as f:
-        text = f.read()
+    """The JSON document in the file at ``path``.
+
+    A file that cannot be read, is not UTF-8, or is not JSON (including a
+    nesting deeper than the parser's recursion limit) is a SchemaError.
+    """
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError("invalid JSON: %s" % e, "")
+        with open(path, "rb") as f:
+            return json.loads(f.read().decode("utf-8"))
+    except OSError as e:
+        raise SchemaError("cannot read %s: %s" % (path, e.strerror)) from None
+    except (ValueError, RecursionError) as e:
+        raise SchemaError("invalid JSON in %s: %s" % (path, e)) from None
 
 
 def canonical_dumps(obj):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import pytest
@@ -330,10 +331,28 @@ _TWISTED9_G = ["g", "presentation_twisted9.json", "--sub", "omega", "--min", "0"
         ("presentation_w11.json", ["generators", 0, "degree"], 10**6, ["check", "@"],
          "/generators/0/degree"),
         ("empty_model.json", ["dimension"], 2, ["tilde", "@"], "/dimension"),
+        ("exp_derivation.json", ["degree"], 2,
+         ["exp", "presentation_w11.json", "--derivation", "@"], "/values/b"),
+        ("homotopy_interp.json", ["f", "u"], "[z,zz]", ["homotopy", "@"], "/f/u"),
+        ("homotopy_interp.json", ["g", "u"], [], ["homotopy", "@"], "/g/u"),
+        ("homotopy_interp.json", ["h", "u", "one", "1"], "-1*zz", ["homotopy", "@"],
+         "/h/u/one/1"),
+        ("homotopy_interp.json", ["h", "u", "dt", "-1"], "w", ["homotopy", "@"], "/h/u/dt/-1"),
+        ("homotopy_interp.json", ["h", "zz"], {}, ["homotopy", "@"], "/h/zz"),
+        ("homotopy_interp.json", ["h", "u", "zz"], {}, ["homotopy", "@"], "/h/u/zz"),
+        ("homotopy_interp.json", ["f", "u"], "[z", ["homotopy", "@"], "/f/u"),
+        ("homotopy_interp.json", ["source", "generators", 0, "degree"], 0, ["homotopy", "@"],
+         "/source/generators/0/degree"),
+        ("homotopy_interp.json", ["target", "subalgebras"], {"s": {"generators": ["zz"]}},
+         ["homotopy", "@"], "/target/subalgebras/s/generators/0"),
+        ("homotopy_interp.json", ["rel"], "zz", ["homotopy", "@"], "/rel"),
     ],
     ids=["slice-differential", "slice-brackets", "candidate-unknown-name",
          "candidate-wrong-degree", "rho-values", "derivation-values", "huge-degree",
-         "tilde-dimension"],
+         "tilde-dimension", "derivation-degree", "homotopy-unknown-in-f",
+         "homotopy-array-as-expression", "homotopy-unknown-in-h", "homotopy-negative-power",
+         "homotopy-h-of-unknown-generator", "homotopy-unknown-h-part", "homotopy-grammar",
+         "homotopy-nested-degree", "homotopy-nested-subalgebra", "homotopy-unknown-rel"],
 )
 def test_malformed_value_is_exit_2_at_its_pointer(
     tmp_path, capsys, fixture_path, name, path, value, command, pointer
@@ -349,6 +368,58 @@ def test_malformed_value_is_exit_2_at_its_pointer(
     code, payload = _run(*argv)
     assert code == 2 and payload is None
     assert capsys.readouterr().err.endswith("(at %s)\n" % pointer)
+
+
+@pytest.mark.parametrize(
+    "name, path, command",
+    [
+        ("presentation_w11.json", ["differential"], ["check", "@"]),
+        ("w11.json", ["differential"], ["model", "@"]),
+        ("w11.json", ["pontryagin"], ["model", "@"]),
+        ("sl2.json", ["brackets"], ["ce", "@", "--min", "0", "--max", "3"]),
+        ("mc_slice.json", ["differential", "a", "b"], ["mc", "@"]),
+        ("exp_derivation.json", ["values", "b"],
+         ["exp", "presentation_w11.json", "--derivation", "@"]),
+        ("exp_derivation.json", ["rel"], ["exp", "presentation_w11.json", "--derivation", "@"]),
+        ("homotopy_interp.json", ["h", "u", "dt"], ["homotopy", "@"]),
+    ],
+)
+def test_null_is_absent(tmp_path, fixture_path, name, path, command):
+    # one rule for every optional key and map entry: null reads as absent
+    reports = []
+    for null in (True, False):
+        obj = io_mod.load_json_file(fixture_path(name))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if null:
+            parent[path[-1]] = None
+        else:
+            parent.pop(path[-1], None)
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(obj))
+        argv = [str(f) if a == "@" else fixture_path(a) if a.endswith(".json") else a
+                for a in command]
+        code, payload = _run(*argv)
+        assert code in (0, 1)
+        reports.append(_body(payload)["verdicts"])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "dir", b"\xff\xfe{}", b"[" * 100000, b"1" * 5000],
+    ids=["missing", "directory", "not-utf8", "nested-past-recursion-limit", "huge-integer"],
+)
+def test_unreadable_input_file_is_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "input.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    code, payload = _run("check", str(path))
+    assert code == 2 and payload is None
+    assert "error: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -384,6 +455,7 @@ _FUZZED = [
     ("mc_slice.json", [["mc", "@"]]),
     ("rho_twisted9.json", [_TWISTED9_G + ["@"]]),
     ("exp_derivation.json", [["exp", "presentation_w11.json", "--derivation", "@"]]),
+    ("homotopy_interp.json", [["homotopy", "@"]]),
 ]
 _WRONG_TYPES = [7, "7", True, 1.5, [], [7], {}, {"x": 7}]
 
@@ -396,9 +468,23 @@ def _places(obj, path=()):
         yield from _places(v, path + (k,))
 
 
+def _resolves(obj, pointer):
+    """Whether the RFC 6901 pointer names a value inside obj."""
+    for token in pointer.split("/")[1:]:
+        token = token.replace("~1", "/").replace("~0", "~")
+        if isinstance(obj, list) and token.isdigit() and int(token) < len(obj):
+            obj = obj[int(token)]
+        elif isinstance(obj, dict) and token in obj:
+            obj = obj[token]
+        else:
+            return False
+    return True
+
+
 @st.composite
 def _mutated_fixture(draw):
-    """A fixture, the commands to run on it, and one mutation of its JSON."""
+    """A fixture, the commands to run on it, one mutation of its JSON, and
+    the pointer of the key that mutation deleted (None for other kinds)."""
     name, commands = draw(st.sampled_from(_FUZZED))
     with open(os.path.join(FIXTURES, name)) as f:
         obj = json.load(f)
@@ -427,13 +513,14 @@ def _mutated_fixture(draw):
             parent[new] = parent.pop(key)
     else:
         parent[key] = draw(st.sampled_from([0, -1, -4]))
-    return obj, commands
+    deleted = "".join("/" + str(k).replace("~", "~0").replace("/", "~1") for k in path)
+    return obj, commands, deleted if kind == "delete" else None
 
 
 @settings(max_examples=60, deadline=None)
 @given(_mutated_fixture())
 def test_mutated_fixtures_never_traceback(case):
-    obj, commands = case
+    obj, commands, deleted = case
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "mutated.json")
         with open(path, "w") as f:
@@ -441,6 +528,12 @@ def test_mutated_fixtures_never_traceback(case):
         for command in commands:
             argv = [path if a == "@" else os.path.join(FIXTURES, a) if a.endswith(".json") else a
                     for a in command]
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code, _ = run(argv)
             assert code in (0, 1, 2)
+            # errors about command-line arguments (the window, a --sub the
+            # mutation deleted) carry no pointer
+            at = re.search(r"\(at (/.*)\)\n\Z", err.getvalue())
+            if code == 2 and at:
+                assert _resolves(obj, at.group(1)) or at.group(1) == deleted, err.getvalue()
