@@ -31,8 +31,7 @@ from .presentation import DgLaPresentation, lie_chain_slice, presentation_slice
 def _window(args):
     """The requested degree window; call before any use of --min or --max.
 
-    Bounded like generator degrees, so word enumeration never nears the
-    interpreter's recursion limit.
+    Bounded like generator degrees and slice windows, by freelie.MAX_DEGREE.
     """
     if args.min > args.max:
         raise SchemaError("window min exceeds max")

@@ -6,6 +6,11 @@ ValueError.
 """
 
 
+def json_pointer(pointer, *tokens):
+    """``pointer`` extended by ``tokens``, escaped as RFC 6901 asks."""
+    return pointer + "".join("/" + str(t).replace("~", "~0").replace("/", "~1") for t in tokens)
+
+
 class DglaError(Exception):
     """Base class for library-specific errors."""
 

@@ -7,7 +7,8 @@ square [b(w), b(w)] for each Lyndon word w of odd total degree.  Basis
 elements are certified, not trusted: their expansions in the tensor algebra
 are triangular with distinct leading words (checked at construction), which
 is an echelon-form proof of linear independence and drives the normal-form
-solver.
+solver; the size of each basis is checked against the graded Witt formula,
+which sees no word.
 
 Sign conventions (the convention sheet; everything else follows by the
 Koszul rule):
@@ -15,40 +16,86 @@ Koszul rule):
   - Jacobi: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]]
   - tensor embedding: i([u,v]) = i(u)i(v) - (-1)^{|u||v|} i(v)i(u)
 
-Words are tuples of generator indices; lexicographic order is induced by the
-generator input order.  All of this is for desk scale: per-degree dimensions
-of at most a few thousand.
+Lyndon words, and the trees built from them, are tuples of generator
+indices, lexicographically ordered by the generator input order.  Words of
+the tensor algebra are packed into one ``int``: a sentinel bit, then one
+field of ``letter_width`` bits per letter, the first letter highest (see
+``pack``).  Concatenating two words is one shift and one or, and comparing
+packed words orders them by length, then lexicographically.  Every word of
+one bracket's expansion has the same letters, hence the same length, so the
+leads, the (length, lead) basis order and the coordinates are those of
+tuple words ordered lexicographically.  All of this is for desk scale:
+per-degree dimensions of at most a few thousand.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd
 
-# Largest generator degree accepted.  Word enumeration recurses once per
-# letter, so the degrees met by brackets of a few generators stay far below
-# the interpreter's recursion limit: a larger degree is a SchemaError, never
-# a RecursionError.
+# Largest generator degree and window bound accepted.  Lyndon words are
+# found iteratively, but the tree walks (standard bracketing, expansion,
+# tree maps) recurse once per nesting level, up to once per letter; the
+# bound keeps them far below the interpreter's recursion limit, so a larger
+# degree is a SchemaError, never a RecursionError.
 MAX_DEGREE = 128
 
 
-def words_of_degree(degrees, d):
-    """All words (tuples of generator indices) with total degree d.
+def letter_width(degrees):
+    """Bits per letter of a packed word over generators of these degrees."""
+    return max(1, (len(degrees) - 1).bit_length())
 
-    Finite because every generator degree is >= 1.
+
+def pack(word, degrees):
+    """The packed ``int`` of a word (a sequence of generator indices)."""
+    width = letter_width(degrees)
+    packed = 1
+    for letter in word:
+        packed = packed << width | letter
+    return packed
+
+
+def unpack(packed, degrees):
+    """The word (a tuple of generator indices) of a packed ``int``."""
+    width = letter_width(degrees)
+    mask = (1 << width) - 1
+    letters = []
+    while packed > 1:
+        letters.append(packed & mask)
+        packed >>= width
+    return tuple(reversed(letters))
+
+
+def lyndon_words(degrees, d):
+    """The Lyndon words of total degree d, as tuples, in no fixed order.
+
+    Iterative search over prenecklaces (prefixes of necklaces; Cattell,
+    Ruskey, Sawada, Serra and Miers 2000), pruned by degree: a prefix is
+    extended only while the rest of the degree is still a sum of generator
+    degrees.  Each prefix carries its period p, the length of its longest
+    Lyndon prefix; a letter a extends a prefix w of length t iff
+    a >= w[t - p], keeping p when equal and making the extension Lyndon
+    (p = t + 1) when larger.  A word is Lyndon iff p is its length.
     """
-    out = []
     n = len(degrees)
-
-    def rec(prefix, rem):
-        if rem == 0:
-            out.append(tuple(prefix))
-            return
-        for i in range(n):
-            if degrees[i] <= rem:
-                prefix.append(i)
-                rec(prefix, rem - degrees[i])
-                prefix.pop()
-
-    rec([], d)
+    reachable = [True] + [False] * max(d, 0)
+    for r in range(1, d + 1):
+        reachable[r] = any(g <= r and reachable[r - g] for g in degrees)
+    out = []
+    if d < 1 or not reachable[d]:
+        return out
+    stack = [((), 0, 1)]  # (prenecklace, its degree, its period)
+    while stack:
+        word, weight, p = stack.pop()
+        t = len(word)
+        floor = word[t - p] if t else 0
+        for a in range(floor, n):
+            w = weight + degrees[a]
+            if w > d or not reachable[d - w]:
+                continue
+            q = p if t and a == floor else t + 1
+            if w < d:
+                stack.append((word + (a,), w, q))
+            elif q == t + 1:
+                out.append(word + (a,))
     return out
 
 
@@ -83,14 +130,15 @@ def tree_degree(tree, degrees):
 
 
 def expand_tree(tree, degrees, memo=None):
-    """Tensor-algebra expansion of a bracket tree: dict word -> int.
+    """Tensor-algebra expansion of a bracket tree: dict packed word -> int.
 
     A subtree found in ``memo`` (tree -> expansion) is taken from it rather
     than expanded again.  The memo is only read here, and the expansion
     returned may be the memo's own dict, so callers must not mutate it.
     """
+    width = letter_width(degrees)
     if isinstance(tree, int):
-        return {(tree,): 1}
+        return {1 << width | tree: 1}
     if memo is not None:
         got = memo.get(tree)
         if got is not None:
@@ -99,18 +147,24 @@ def expand_tree(tree, degrees, memo=None):
     right = expand_tree(tree[1], degrees, memo)
     if not left or not right:
         return {}
-    du = sum(degrees[i] for i in next(iter(left)))
-    dv = sum(degrees[i] for i in next(iter(right)))
-    sign = -1 if du * dv % 2 else 1
+    # all words of one expansion have the same letters: one length, one degree
+    wu, wv = next(iter(left)), next(iter(right))
+    su, sv = wu.bit_length() - 1, wv.bit_length() - 1  # bits below the sentinel
+    du, dv = (sum(degrees[i] for i in unpack(w, degrees)) for w in (wu, wv))
+    # i([u,v]) = uv - (-1)^{|u||v|} vu; each v is split into v << su, which
+    # heads vu, and its letters alone, which end uv
+    vu_sign = 1 if du * dv % 2 else -1
+    rights = [(wv << su, wv ^ 1 << sv, cv, vu_sign * cv) for wv, cv in right.items()]
+    top_u = 1 << su
     out = {}
     get = out.get
     for wu, cu in left.items():
-        for wv, cv in right.items():
-            c = cu * cv
-            w = wu + wv
-            out[w] = get(w, 0) + c
-            w = wv + wu
-            out[w] = get(w, 0) - sign * c
+        head, letters = wu << sv, wu ^ top_u
+        for vhead, vletters, cv, vu_cv in rights:
+            w = head | vletters
+            out[w] = get(w, 0) + cu * cv
+            w = vhead | letters
+            out[w] = get(w, 0) + cu * vu_cv
     return {w: c for w, c in out.items() if c}
 
 
@@ -126,44 +180,67 @@ class BasisBracket:
         if not self.expansion:
             raise ValueError("basis bracket expands to zero: %r" % (tree,))
         self.lead = min(self.expansion)
-        self.length = len(self.lead)
+        self.length = (self.lead.bit_length() - 1) // letter_width(degrees)
         self.lead_coeff = self.expansion[self.lead]
+
+
+def witt_dimensions(degrees, top):
+    """[dim L_0, ..., dim L_top] of the free graded Lie algebra L on
+    generators of these degrees, by a path that sees no word.
+
+    Poincare-Birkhoff-Witt (Witt 1937; Ree 1960 for the graded case): the
+    enveloping algebra of L is the tensor algebra, so
+      1 / (1 - sum_g t^|g|) = prod_{d even} (1 - t^d)^(-l_d) * prod_{d odd} (1 + t^d)^(l_d).
+    The factor of degree d is 1 + l_d t^d + O(t^2d), so l_d is the t^d
+    coefficient of the left side (the number of words of degree d) minus
+    that of the product of the factors below d.  Exact integers throughout.
+    """
+    words = [1] + [0] * top
+    for n in range(1, top + 1):
+        words[n] = sum(words[n - g] for g in degrees if g <= n)
+    product = [1] + [0] * top
+    dims = [0] * (top + 1)
+    for d in range(1, top + 1):
+        l = dims[d] = words[d] - product[d]
+        if l:
+            factor = [comb(l + k - 1, k) if d % 2 == 0 else comb(l, k)
+                      for k in range(top // d + 1)]
+            product = [sum(product[n - d * k] * factor[k] for k in range(n // d + 1))
+                       for n in range(top + 1)]
+    return dims
 
 
 def basis_in_degree(degrees, d, memo=None):
     """Canonical basis of the degree-d piece, as BasisBracket objects.
 
-    Deterministic order: by word length, then leading word lexicographically.
-    Certifies the triangular structure (distinct leading words, each
-    expansion supported on words >= its lead).  Subtree expansions are read
-    from ``memo`` (tree -> expansion) when given, and the expansion of every
-    certified composite element is then stored in it: the same dict object,
-    never copied and never mutated.
+    Deterministic order: by leading word, that is by word length, then
+    lexicographically.  Certifies the triangular structure (distinct leading
+    words, each expansion supported on words >= its lead) and the size
+    (the graded Witt formula).  Subtree expansions are read from ``memo``
+    (tree -> expansion) when given, and the expansion of every certified
+    composite element is then stored in it: the same dict object, never
+    copied and never mutated.
     """
-    elems = []
-    for w in words_of_degree(degrees, d):
-        if is_lyndon(w):
-            elems.append(BasisBracket(standard_bracketing(w), degrees, memo))
-    if d % 2 == 0:
-        half = d // 2
-        if half % 2 == 1:
-            for w in words_of_degree(degrees, half):
-                if is_lyndon(w):
-                    t = standard_bracketing(w)
-                    elems.append(BasisBracket((t, t), degrees, memo))
-    elems.sort(key=lambda b: (b.length, b.lead))
-    seen = {}
-    for b in elems:
-        if b.lead in seen:
+    trees = [standard_bracketing(w) for w in lyndon_words(degrees, d)]
+    if d % 4 == 2:
+        # [b(w), b(w)] for the Lyndon words w of odd degree d / 2
+        trees += [(t, t) for t in map(standard_bracketing, lyndon_words(degrees, d // 2))]
+    elems = sorted((BasisBracket(t, degrees, memo) for t in trees), key=lambda b: b.lead)
+    for i, b in enumerate(elems):
+        if i and elems[i - 1].lead == b.lead:
             raise AssertionError(
-                "leading-word collision in degree %d: %r" % (d, b.lead)
+                "leading-word collision in degree %d: %r" % (d, unpack(b.lead, degrees))
             )
-        seen[b.lead] = b
         for w in b.expansion:
             if w < b.lead:
                 raise AssertionError(
                     "expansion below leading word in degree %d: %r" % (d, b.tree)
                 )
+    expected = witt_dimensions(degrees, d)[d]
+    if len(elems) != expected:
+        raise AssertionError(
+            "degree %d has %d basis elements, the Witt formula %d" % (d, len(elems), expected)
+        )
     if memo is not None:
         for b in elems:
             if not isinstance(b.tree, int):
@@ -171,33 +248,29 @@ def basis_in_degree(degrees, d, memo=None):
     return elems
 
 
-def lead_map(basis):
-    """The index of each basis element by its leading word."""
-    return {b.lead: i for i, b in enumerate(basis)}
+def solve_against_basis(basis, tensor, denominator=1):
+    """Coordinates of tensor / denominator in the span of the basis expansions.
 
-
-def solve_against_basis(basis, tensor, leads):
-    """Coordinates of a tensor vector in the span of the basis expansions.
-
-    ``leads`` is ``lead_map(basis)``, built once per basis by the caller.
-    Greedy triangular substitution on leading words, on integers: the tensor
-    (rational or integer coefficients) is scaled by the lcm of its
-    denominators, and when a leading coefficient does not divide the entry
-    it must clear, everything is scaled by the missing factor.  That one
-    denominator is divided out at the end.  Raises ValueError if the vector
-    is not in the span (which certifies exactness: the residual must vanish
-    term by term).  Returns a dict index -> Fraction.
+    ``tensor`` maps packed words to integers; ``basis`` is one degree's
+    basis, in its order.  Triangular substitution on integers, walking the
+    basis once: each lead's entry is read once and cleared by its element,
+    whose expansion touches no smaller word.  When a leading coefficient does
+    not divide the entry it must clear, everything is scaled by the missing
+    factor, and that one denominator is divided out at the end.  Raises
+    ValueError if any word is left over, i.e. the vector is not in the span
+    (which certifies exactness: the residual must vanish term by term).
+    Returns a dict index -> Fraction.
     """
-    scale = lcm(*(c.denominator for c in tensor.values()))
-    work = {w: c.numerator * (scale // c.denominator) for w, c in tensor.items() if c}
+    work = {w: c for w, c in tensor.items() if c}
+    scale = denominator
     coords = {}
-    while work:
-        w = min(work)
-        i = leads.get(w)
-        if i is None:
-            raise ValueError("vector outside the free Lie span (word %r)" % (w,))
-        c = work[w]
-        lc = basis[i].lead_coeff
+    for i, b in enumerate(basis):
+        if not work:
+            break
+        c = work.get(b.lead)
+        if c is None:
+            continue
+        lc = b.lead_coeff
         if c % lc:
             m = abs(lc) // gcd(c, lc)
             scale *= m
@@ -207,10 +280,12 @@ def solve_against_basis(basis, tensor, leads):
         f = c // lc
         coords[i] = f
         get = work.get
-        for u, cu in basis[i].expansion.items():
+        for u, cu in b.expansion.items():
             nv = get(u, 0) - f * cu
             if nv:
                 work[u] = nv
             else:
                 del work[u]
+    if work:
+        raise ValueError("vector outside the free Lie span (packed word %#x)" % min(work))
     return {i: Fraction(c, scale) for i, c in coords.items()}

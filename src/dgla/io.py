@@ -5,6 +5,7 @@ MANIFOLD, SLICE, RHO, DERIVATION, HOMOTOPY), and one walker checks a
 document against it before anything is built.  A schema is one of:
 
     int, bool, str     a JSON value of that type (an int is never a boolean)
+    Range(lo, hi)      a JSON integer in [lo, hi]
     RATIONAL           a JSON integer or a string "p/q" (floats are rejected)
     Name(kind)         a string naming a declared ``kind``
     Expr(kind)         an expression string (grammar in dgla.expr) over
@@ -34,9 +35,10 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import expr as expr_mod
-from . import linalg
+from . import freelie, linalg
 from .derivations import Derivation
-from .errors import GrammarError, SchemaError
+from .errors import GrammarError, SchemaError, json_pointer as _at
+from .expmc import PolyLie
 from .graded import GradedBasis, GradedLinearMap
 from .models import manifold_model
 from .morphisms import GeneratorMorphism
@@ -50,6 +52,7 @@ Map = namedtuple("Map", "key value")
 One = namedtuple("One", "keys")
 Declare = namedtuple("Declare", "kind schema")
 Key = namedtuple("Key", "what pattern")
+Range = namedtuple("Range", "lo hi")
 RATIONAL = "rational"
 
 _ENTRIES = [{"name": str, "degree": int}]
@@ -76,8 +79,10 @@ MANIFOLD = {
 }
 
 _VECTOR = Map(Name("basis element"), RATIONAL)
+# bounded like the command-line window
+_WINDOW_END = Range(-freelie.MAX_DEGREE, freelie.MAX_DEGREE)
 SLICE = {
-    "window": (int, int),
+    "window": (_WINDOW_END, _WINDOW_END),
     "basis": Declare("basis element", _ENTRIES),
     "differential": Opt(Map(Name("basis element"), _VECTOR)),
     "brackets": Opt(
@@ -110,11 +115,6 @@ HOMOTOPY = {
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
                bool: "a boolean", float: "a number", type(None): "null"}
-
-
-def _at(pointer, *tokens):
-    """``pointer`` extended by ``tokens``, escaped as RFC 6901 asks."""
-    return pointer + "".join("/" + str(t).replace("~", "~0").replace("/", "~1") for t in tokens)
 
 
 def _typed(value, kind, pointer):
@@ -194,6 +194,11 @@ def _walk(schema, value, pointer, names):
         return terms
     if schema is RATIONAL:
         return parse_rational(value, pointer)
+    if kind is Range:
+        n = _typed(value, int, pointer)
+        if not schema.lo <= n <= schema.hi:
+            raise SchemaError("expected an integer in [%d, %d]" % schema, pointer)
+        return n
     return _typed(value, schema, pointer)
 
 
@@ -407,22 +412,35 @@ def load_derivation(obj, p):
 def load_homotopy(obj):
     """The arguments (h_values, f, g, rel) of expmc.homotopy_check (HOMOTOPY).
 
-    A source generator absent from f, g or h maps to zero there.
+    A source generator absent from f, g or h maps to zero there.  Each
+    nonzero image must have its generator's degree, and each dt-part value
+    that degree plus one (|dt| = -1).
     """
     doc = _walk(HOMOTOPY, obj, "", {})
     src = _within("/source", _presentation, doc["source"])
     tgt = _within("/target", _presentation, doc["target"])
 
-    def morphism(images):
-        return GeneratorMorphism(
-            src, tgt, {n: images.get(n, tgt.zero(d)) for n, d in src.generators.entries}
-        )
+    def morphism(key):
+        images = doc[key]
+        return _within("/" + key, GeneratorMorphism, src, tgt,
+                       {n: images.get(n, tgt.zero(d)) for n, d in src.generators.entries})
+
+    def part(powers, degree, pointer):
+        out = {}
+        for k, terms in powers.items():
+            v = out[int(k)] = tgt.normal_form(terms)
+            if not v.is_zero() and v.degree != degree:
+                raise SchemaError(
+                    "expected degree %d, got %d" % (degree, v.degree), _at(pointer, k)
+                )
+        return out
 
     h = {}
-    for n, _ in src.generators.entries:
+    for n, d in src.generators.entries:
         parts = doc["h"].get(n, {})
-        h[n] = (parts.get("one", {}), parts.get("dt", {}))
-    return h, morphism(doc["f"]), morphism(doc["g"]), doc.get("rel")
+        h[n] = PolyLie(tgt, d, part(parts.get("one", {}), d, _at("/h", n, "one")),
+                       part(parts.get("dt", {}), d + 1, _at("/h", n, "dt")))
+    return h, morphism("f"), morphism("g"), doc.get("rel")
 
 
 def file_sha256(path):

@@ -7,7 +7,7 @@ normal form: sparse rational coordinate vectors in the canonical
 super-Lyndon basis of their degree.
 
 Presentations and elements are immutable after construction; the basis,
-lead-word, generator, expansion, bracket and tree caches are per-presentation
+generator, zero, expansion, bracket and tree caches are per-presentation
 dicts of values that are never mutated (atomic updates under the GIL), so
 instances may be shared freely across threads.  The expansion memo holds only
 the certified expansions of composite basis elements.  Sums of elements
@@ -16,6 +16,7 @@ accumulate their sparse coordinates once (``LieElement.add_scaled``).
 
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 
 from . import expr as expr_mod
 from . import freelie, linalg
@@ -268,8 +269,8 @@ class DgLaPresentation:
                 "/generators/%d/degree" % bad[0],
             )
         self._basis_cache = {}
-        self._lead_maps = {}
         self._gens = {}
+        self._zeros = {}
         self._expansions = {}
         self._bracket_cache = {}
         self.differential = {}
@@ -317,7 +318,6 @@ class DgLaPresentation:
                 basis = []
             else:
                 basis = freelie.basis_in_degree(self._deg_list, degree, self._expansions)
-            self._lead_maps[degree] = freelie.lead_map(basis)
             self._basis_cache[degree] = basis
         return self._basis_cache[degree]
 
@@ -338,7 +338,11 @@ class DgLaPresentation:
         return (self.tree_indices(tree[0]), self.tree_indices(tree[1]))
 
     def zero(self, degree=0):
-        return LieElement._trusted(self, degree, {})
+        """The zero element of a degree, one shared value per degree (memoized)."""
+        got = self._zeros.get(degree)
+        if got is None:
+            got = self._zeros[degree] = LieElement._trusted(self, degree, {})
+        return got
 
     def gen(self, name):
         """The generator as an element (memoized)."""
@@ -347,8 +351,8 @@ class DgLaPresentation:
             if name not in self.generators.index:
                 raise UnknownGenerator("unknown generator %r" % name)
             d = self.generators.degree(name)
-            self.lie_basis(d)
-            i = self._lead_maps[d][(self.generators.index[name],)]
+            lead = freelie.pack((self.generators.index[name],), self._deg_list)
+            i = next(i for i, b in enumerate(self.lie_basis(d)) if b.lead == lead)
             got = self._gens[name] = LieElement._trusted(self, d, {i: Fraction(1)})
         return got
 
@@ -363,7 +367,7 @@ class DgLaPresentation:
         else:
             terms = list(expression)
         degree = None
-        tensor = {}
+        pairs = []
         for coeff, tree in terms:
             coeff = Fraction(coeff)
             if coeff == 0:
@@ -376,14 +380,18 @@ class DgLaPresentation:
                 raise InhomogeneousExpression(
                     "terms of degrees %d and %d" % (degree, d)
                 )
-            for w, c in freelie.expand_tree(itree, self._deg_list, self._expansions).items():
-                tensor[w] = tensor.get(w, Fraction(0)) + coeff * c
+            pairs.append((coeff, itree))
         if degree is None:
             return self.zero()
-        tensor = {w: c for w, c in tensor.items() if c}
-        coords = freelie.solve_against_basis(
-            self.lie_basis(degree), tensor, self._lead_maps[degree]
-        )
+        # one integer tensor over the lcm of the coefficients' denominators
+        scale = lcm(*(c.denominator for c, _ in pairs))
+        tensor = {}
+        get = tensor.get
+        for coeff, itree in pairs:
+            k = coeff.numerator * (scale // coeff.denominator)
+            for w, c in freelie.expand_tree(itree, self._deg_list, self._expansions).items():
+                tensor[w] = get(w, 0) + k * c
+        coords = freelie.solve_against_basis(self.lie_basis(degree), tensor, scale)
         return LieElement._trusted(self, degree, coords)
 
     def tree_element(self, itree):
@@ -403,7 +411,7 @@ class DgLaPresentation:
             t2 = self.lie_basis(d2)[i2].tree
             tensor = freelie.expand_tree((t1, t2), self._deg_list, self._expansions)
             d = d1 + d2
-            coords = freelie.solve_against_basis(self.lie_basis(d), tensor, self._lead_maps[d])
+            coords = freelie.solve_against_basis(self.lie_basis(d), tensor)
             cached = LieElement._trusted(self, d, coords)
             self._bracket_cache[key] = cached
         return cached

@@ -2,13 +2,15 @@
 
 Everything here is deliberately separate from the library's code paths:
 plain Gaussian elimination instead of the Bareiss core, a fresh tensor
-expansion instead of the cached one, a Fraction triangular solve instead of
-the integer one, generating-function dimension counts instead of basis
-enumeration, and matrix exponentials as ground truth for BCH.  Tests
+expansion instead of the cached one, tuple words from the full word list
+instead of packed words from the Lyndon search, a Fraction triangular solve
+instead of the integer one, generating-function dimension counts instead of
+basis enumeration, and matrix exponentials as ground truth for BCH.  Tests
 compare library output against these.
 """
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -164,6 +166,63 @@ def _expand_bracket(tree, degrees):
             out[wa + wb] = out.get(wa + wb, 0) + ca * cb
             out[wb + wa] = out.get(wb + wa, 0) - sgn * ca * cb
     return out
+
+
+def words_of_degree(degrees, d):
+    """All words (tuples of generator indices) with total degree d.
+
+    Finite because every generator degree is >= 1.
+    """
+    out = []
+    n = len(degrees)
+
+    def rec(prefix, rem):
+        if rem == 0:
+            out.append(tuple(prefix))
+            return
+        for i in range(n):
+            if degrees[i] <= rem:
+                prefix.append(i)
+                rec(prefix, rem - degrees[i])
+                prefix.pop()
+
+    rec([], d)
+    return out
+
+
+def _is_lyndon(w):
+    return all(w < w[k:] for k in range(1, len(w)))
+
+
+def _standard_bracketing(w):
+    """b(w) = [b(u), b(v)] with v the longest proper Lyndon suffix of w."""
+    if len(w) == 1:
+        return w[0]
+    k = next(k for k in range(1, len(w)) if _is_lyndon(w[k:]))
+    return (_standard_bracketing(w[:k]), _standard_bracketing(w[k:]))
+
+
+TupleBracket = namedtuple("TupleBracket", "tree lead lead_coeff expansion")
+
+
+def tuple_word_basis(degrees, d):
+    """The canonical basis of degree d on tuple words, the way it was first built.
+
+    Lyndon words are filtered from the list of every word of the degree,
+    squares [b(w), b(w)] added for odd-degree Lyndon w, expansions taken by
+    ``_expand_bracket``, and the elements sorted by (lead length, lead)
+    with tuple comparison.
+    """
+    trees = [_standard_bracketing(w) for w in words_of_degree(degrees, d) if _is_lyndon(w)]
+    if d % 2 == 0 and d // 2 % 2 == 1:
+        halves = [_standard_bracketing(w) for w in words_of_degree(degrees, d // 2) if _is_lyndon(w)]
+        trees += [(t, t) for t in halves]
+    out = []
+    for t in trees:
+        expansion = {w: c for w, c in _expand_bracket(t, degrees).items() if c}
+        lead = min(expansion)
+        out.append(TupleBracket(t, lead, expansion[lead], expansion))
+    return sorted(out, key=lambda b: (len(b.lead), b.lead))
 
 
 def solve_against_basis_fractions(basis, tensor):

@@ -346,13 +346,24 @@ _TWISTED9_G = ["g", "presentation_twisted9.json", "--sub", "omega", "--min", "0"
         ("homotopy_interp.json", ["target", "subalgebras"], {"s": {"generators": ["zz"]}},
          ["homotopy", "@"], "/target/subalgebras/s/generators/0"),
         ("homotopy_interp.json", ["rel"], "zz", ["homotopy", "@"], "/rel"),
+        ("sl2.json", ["window", 1], 10**6, ["ce", "@", "--min", "0", "--max", "1"],
+         "/window/1"),
+        ("mc_slice.json", ["window", 0], -129, ["mc", "@"], "/window/0"),
+        ("homotopy_interp.json", ["f", "u"], "w", ["homotopy", "@"], "/f/u"),
+        ("homotopy_interp.json", ["g", "u"], "[z,w]", ["homotopy", "@"], "/g/u"),
+        ("homotopy_interp.json", ["h", "u", "one", "1"], "w", ["homotopy", "@"],
+         "/h/u/one/1"),
+        ("homotopy_interp.json", ["h", "u", "dt", "0"], "z", ["homotopy", "@"], "/h/u/dt/0"),
     ],
     ids=["slice-differential", "slice-brackets", "candidate-unknown-name",
          "candidate-wrong-degree", "rho-values", "derivation-values", "huge-degree",
          "tilde-dimension", "derivation-degree", "homotopy-unknown-in-f",
          "homotopy-array-as-expression", "homotopy-unknown-in-h", "homotopy-negative-power",
          "homotopy-h-of-unknown-generator", "homotopy-unknown-h-part", "homotopy-grammar",
-         "homotopy-nested-degree", "homotopy-nested-subalgebra", "homotopy-unknown-rel"],
+         "homotopy-nested-degree", "homotopy-nested-subalgebra", "homotopy-unknown-rel",
+         "slice-window-past-max-degree", "candidate-window-past-max-degree",
+         "homotopy-f-image-degree", "homotopy-g-image-degree", "homotopy-h-one-degree",
+         "homotopy-h-dt-degree"],
 )
 def test_malformed_value_is_exit_2_at_its_pointer(
     tmp_path, capsys, fixture_path, name, path, value, command, pointer

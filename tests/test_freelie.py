@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +10,13 @@ from hypothesis import strategies as st
 from dgla import freelie
 from dgla.errors import InhomogeneousExpression, UnknownGenerator
 from dgla.presentation import DgLaPresentation
-from oracles import brute_force_lie_dims, solve_against_basis_fractions, witt_dimensions
+from oracles import (
+    brute_force_lie_dims,
+    solve_against_basis_fractions,
+    tuple_word_basis,
+    witt_dimensions,
+    words_of_degree,
+)
 
 
 def dims_by_length(p, max_length, max_degree):
@@ -211,24 +219,31 @@ def _tensor(basis, coords):
     return {w: c for w, c in out.items() if c}
 
 
+def _integer(tensor):
+    """(integer tensor, denominator) of a rational tensor."""
+    scale = lcm(*(c.denominator for c in tensor.values()))
+    return {w: int(c * scale) for w, c in tensor.items()}, scale
+
+
 @settings(max_examples=100, deadline=None)
 @given(_rational_combination(), st.fractions(-5, 5, max_denominator=64).filter(bool),
        st.randoms(use_true_random=False))
 def test_integer_solve_matches_fraction_oracle(combination, delta, rng):
     degs, basis, coords = combination
     tensor = _tensor(basis, coords)
-    got = freelie.solve_against_basis(basis, tensor, freelie.lead_map(basis))
+    got = freelie.solve_against_basis(basis, *_integer(tensor))
     assert got == solve_against_basis_fractions(basis, tensor) == coords
     assert all(type(c) is Fraction for c in got.values())
     # a word that leads no basis element is outside the span, and so is any
     # vector of the span plus a nonzero multiple of it
     leads = {b.lead for b in basis}
-    others = [w for w in freelie.words_of_degree(list(degs), basis[0].degree) if w not in leads]
+    words = (freelie.pack(w, degs) for w in words_of_degree(list(degs), basis[0].degree))
+    others = [w for w in words if w not in leads]
     assume(others)
     w = rng.choice(others)
     tensor[w] = tensor.get(w, Fraction(0)) + delta
     with pytest.raises(ValueError):
-        freelie.solve_against_basis(basis, tensor, freelie.lead_map(basis))
+        freelie.solve_against_basis(basis, *_integer(tensor))
 
 
 def test_solve_divides_by_an_odd_square_lead():
@@ -236,15 +251,87 @@ def test_solve_divides_by_an_odd_square_lead():
     p = DgLaPresentation([("x", 1)])
     (square,) = p.lie_basis(2)
     assert square.lead_coeff == 2
-    assert freelie.solve_against_basis([square], {(0, 0): 1}, {(0, 0): 0}) == {0: Fraction(1, 2)}
+    xx = freelie.pack((0, 0), [1])
+    assert freelie.solve_against_basis([square], {xx: 1}) == {0: Fraction(1, 2)}
     assert p.normal_form("1/3*[x,x]").coords == {0: Fraction(1, 3)}
     # the square comes after [x,y], whose coordinate must be rescaled with it
     q = DgLaPresentation([("x", 1), ("y", 1)])
     basis = q.lie_basis(2)
-    assert [b.lead for b in basis] == [(0, 0), (0, 1), (1, 1)]
-    tensor = {(0, 1): 1, (1, 0): 1, (1, 1): 1}
-    assert freelie.solve_against_basis(basis, tensor, freelie.lead_map(basis)) == {1: 1, 2: Fraction(1, 2)}
+    xx, xy, yx, yy = (freelie.pack(w, [1, 1]) for w in [(0, 0), (0, 1), (1, 0), (1, 1)])
+    assert [b.lead for b in basis] == [xx, xy, yy]
+    tensor = {xy: 1, yx: 1, yy: 1}
+    assert freelie.solve_against_basis(basis, tensor) == {1: 1, 2: Fraction(1, 2)}
     assert q.normal_form("[x,y] + 1/2*[y,y]").coords == {1: 1, 2: Fraction(1, 2)}
+
+
+# -- packed words, the Lyndon search and the Witt count -------------------------
+
+
+def test_packed_order_is_length_then_lexicographic():
+    for n in (1, 2, 3, 4, 5):
+        degs = [1] * n
+        words = [w for k in range(1, 6 - n // 3) for w in itertools.product(range(n), repeat=k)]
+        assert all(freelie.unpack(freelie.pack(w, degs), degs) == w for w in words)
+        by_tuple = sorted(words, key=lambda w: (len(w), w))
+        assert sorted(words, key=lambda w: freelie.pack(w, degs)) == by_tuple
+        # one length: packed order is tuple order
+        for k in range(1, 4):
+            same = [w for w in words if len(w) == k]
+            assert sorted(same, key=lambda w: freelie.pack(w, degs)) == sorted(same)
+
+
+def test_lyndon_search_matches_filtering_every_word():
+    for degs in [(1,), (1, 1), (1, 2), (2, 3), (3, 3), (1, 2, 3), (2, 2, 2), (4, 1, 3)]:
+        for d in range(0, 17):
+            brute = [w for w in words_of_degree(list(degs), d) if freelie.is_lyndon(w)]
+            got = freelie.lyndon_words(list(degs), d)
+            assert len(got) == len(set(got)) and sorted(got) == brute, (degs, d)
+
+
+def test_witt_count_matches_the_bigraded_oracle():
+    for degs, top in [([1, 1], 12), ([1, 2, 3], 12), ([2, 2], 20), ([3, 3], 18), ([2, 3], 16)]:
+        oracle = witt_dimensions(degs, top // min(degs), top)
+        dims = freelie.witt_dimensions(degs, top)
+        for d in range(1, top + 1):
+            expected = sum(c for (_, dd), c in oracle.items() if dd == d)
+            assert dims[d] == expected == len(freelie.basis_in_degree(degs, d)), (degs, d)
+
+
+def test_basis_size_is_checked_against_the_witt_count(monkeypatch):
+    count = freelie.witt_dimensions
+
+    def off_by_one(degrees, top):
+        dims = count(degrees, top)
+        dims[top] += 1
+        return dims
+
+    monkeypatch.setattr(freelie, "witt_dimensions", off_by_one)
+    with pytest.raises(AssertionError, match="Witt"):
+        freelie.basis_in_degree([1, 2], 5)
+
+
+def test_basis_matches_the_tuple_word_oracle():
+    rng = random.Random(11)
+    for degs, top in [((1,), 6), ((1, 1), 8), ((1, 2, 3), 8), ((2, 3), 12), ((3, 3), 12),
+                      ((1, 1, 2, 2), 6), ((1, 2, 1, 3, 2), 5)]:
+        p = _presentation(degs)
+        for d in range(1, top + 1):
+            lib, ref = p.lie_basis(d), tuple_word_basis(list(degs), d)
+            assert [b.tree for b in lib] == [b.tree for b in ref], (degs, d)
+            assert [freelie.unpack(b.lead, degs) for b in lib] == [b.lead for b in ref]
+            assert [b.lead_coeff for b in lib] == [b.lead_coeff for b in ref]
+            assert [b.length for b in lib] == [len(b.lead) for b in ref]
+            for b, r in zip(lib, ref):
+                assert {freelie.unpack(w, degs): c for w, c in b.expansion.items()} == r.expansion
+            if not lib:
+                continue
+            coords = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                      for i in rng.sample(range(len(lib)), min(3, len(lib)))}
+            coords = {i: c for i, c in coords.items() if c}
+            tensor = _tensor(ref, coords)
+            expected = solve_against_basis_fractions(ref, tensor)
+            packed = {freelie.pack(w, degs): c for w, c in tensor.items()}
+            assert freelie.solve_against_basis(lib, *_integer(packed)) == expected == coords
 
 
 def test_basis_expansions_are_int_and_match_a_memo_free_expansion():

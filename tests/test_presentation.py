@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgla.derivations import Derivation, der_bracket
-from dgla.errors import IncompatibleSubs, InhomogeneousExpression, UnsupportedSub
+from dgla.errors import IncompatibleSubs, InhomogeneousExpression, SchemaError, UnsupportedSub
 from dgla.expmc import PolyLie
 from dgla.morphisms import GeneratorMorphism
 from dgla.presentation import (
@@ -208,6 +208,23 @@ def test_zero_elements_are_immutable_and_hash_like_eq():
     assert len({p.zero(3), aa, p.zero()}) == 1
 
 
+def test_one_shared_zero_per_degree_keeps_the_degree_rules():
+    p = DgLaPresentation([("a", 2), ("b", 2)])
+    assert p.zero(3) is p.zero(3) and p.zero() is p.zero(0)
+    assert p.zero(3) is not p.zero(5) and p.zero(5).degree == 5
+    zero = p.zero(4)
+    ab = p.normal_form("[a,b]")
+    # a sum from the shared zero takes its nonzero summand's degree, or keeps 4
+    assert zero.add_scaled([(2, p.gen("a"))]).degree == 2
+    assert zero.add_scaled([(1, ab), (-1, ab)]).degree == 4
+    assert (zero + p.gen("b")).degree == 2 and (zero + p.zero(7)).degree == 7
+    with pytest.raises(InhomogeneousExpression):
+        zero.add_scaled([(1, p.gen("a")), (1, ab)])
+    # and the shared zero itself is untouched
+    assert zero.coords == {} and zero.degree == 4 and p.zero(4) is zero
+    assert p.normal_form("0*[a,b]") is p.zero()
+
+
 def _subtrees(tree):
     yield tree
     if not isinstance(tree, int):
@@ -308,10 +325,17 @@ def test_sums_agree_with_the_per_term_fold(data):
 
 def test_inhomogeneous_images_raise():
     p = _SUMS
-    f = GeneratorMorphism(p, p, {"x": "x", "a": "a", "b": "y", "y": "y"})
-    assert f.apply(p.normal_form("2*a")) == p.normal_form("2*a")
+    images = {"x": "x", "a": "a", "b": "y", "y": "y"}
+    # a generator morphism refuses the image of b, of degree 3, when it is built
+    with pytest.raises(SchemaError) as raised:
+        GeneratorMorphism(p, p, images)
+    assert raised.value.pointer == "/b"
+    # a tree map on the same images sums terms of degrees 2 and 3
+    images = {n: p.normal_form(v) for n, v in images.items()}
+    f = TreeMap(p, images.__getitem__, lambda u, v, f: p.bracket(f(u), f(v)))
+    assert f(p.normal_form("2*a"), p.zero(2)) == p.normal_form("2*a")
     with pytest.raises(InhomogeneousExpression):
-        f.apply(p.normal_form("a + b"))
+        f(p.normal_form("a + b"), p.zero(2))
     with pytest.raises(InhomogeneousExpression):
         p.gen("a").add_scaled([(1, p.gen("y"))])
     # a vanishing sum of one degree does not hide a term of another
@@ -373,8 +397,8 @@ def test_each_sum_builds_one_element(monkeypatch):
     assert len(built) == 1
     built.clear()
     assert f.apply(x) == expected[1]
-    # one zero for the sum to start from, one result
-    assert len(built) == 2
+    # the zero the sum starts from is the shared one: only the result is built
+    assert len(built) == 1
     zero = p.zero(x.degree)
     built.clear()
     assert f.tree_map(x, zero) == expected[1]
