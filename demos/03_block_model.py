@@ -45,6 +45,6 @@ twists = [
     (n, i)
     for n in range(1, 4)
     for i in range(gt.acting.dim(n))
-    if any(gt.action.chi(n, i))
+    if gt.action.twist(n, i)
 ]
 print("twisted block g dims:", [gt.dim(n) for n in range(4)], "chi nonzero at", twists)

@@ -17,30 +17,30 @@ from dgla import (
 )
 
 
-def v(*c):
-    return [Fraction(x) for x in c]
+def table(brackets):
+    """A bracket callback on sparse structure constants {(n, i, m, j): {k: c}}."""
+    return lambda *pair: brackets.get(pair, {})
 
 
 # CE cohomology of sl_2 in degree 0 gives the Whitehead answer (1,0,0,1).
-tab = {(0, 0): [
-    [v(0, 0, 0), v(0, 0, 1), v(-2, 0, 0)],
-    [v(0, 0, -1), v(0, 0, 0), v(0, 2, 0)],
-    [v(2, 0, 0), v(0, -2, 0), v(0, 0, 0)],
-]}
-sl2 = DgLieSlice((0, 0), {0: ["e", "f", "h"]}, bracket_tables=tab).pad_to(0, 4)
+# Basis e, f, h: [e,f] = h, [h,e] = 2e, [h,f] = -2f.
+sl2_brackets = {
+    (0, 0, 0, 1): {2: 1}, (0, 1, 0, 0): {2: -1},
+    (0, 2, 0, 0): {0: 2}, (0, 0, 0, 2): {0: -2},
+    (0, 2, 0, 1): {1: -2}, (0, 1, 0, 2): {1: 2},
+}
+sl2 = DgLieSlice((0, 0), {0: ["e", "f", "h"]}, bracket_fn=table(sl2_brackets)).pad_to(0, 4)
 print("H^*(sl2):", ce_cohomology(sl2, 1, (0, 3)))
 
-# The Heisenberg algebra under Baker-Campbell-Hausdorff multiplication.
-htab = {(0, 0): [
-    [v(0, 0, 0), v(0, 0, 1), v(0, 0, 0)],
-    [v(0, 0, -1), v(0, 0, 0), v(0, 0, 0)],
-    [v(0, 0, 0), v(0, 0, 0), v(0, 0, 0)],
-]}
-heis = DgLieSlice((0, 0), {0: ["x", "y", "z"]}, bracket_tables=htab)
+# The Heisenberg algebra under Baker-Campbell-Hausdorff multiplication:
+# [x,y] = z.  Elements are sparse coordinate vectors.
+heis_brackets = {(0, 0, 0, 1): {2: 1}, (0, 1, 0, 0): {2: -1}}
+heis = DgLieSlice((0, 0), {0: ["x", "y", "z"]}, bracket_fn=table(heis_brackets))
 G = NilpotentElementGroup(heis, 2)
-x = SliceElement(heis, 0, v(1, 0, 0))
-y = SliceElement(heis, 0, v(0, 1, 0))
-print("BCH(x, y) =", G.multiply(x, y).vector)
+x = SliceElement(heis, 0, {0: 1})
+y = SliceElement(heis, 0, {1: 1})
+xy = G.multiply(x, y).vector
+print("BCH(x, y) =", [xy.get(i, Fraction(0)) for i in range(3)])
 
 # Exponentials of nilpotent derivations are automorphisms.
 p = DgLaPresentation([("a", 2), ("b", 2)])
@@ -54,7 +54,7 @@ slc = DgLieSlice(
     (-2, 0),
     {-2: ["b"], -1: ["a"], 0: []},
     {-1: [[Fraction(1)]]},
-    bracket_tables={(-1, -1): [[[Fraction(1)]]]},
+    bracket_fn=table({(-1, 0, -1, 0): {0: 1}}),
 )
-tau = SliceElement(slc, -1, v(-2))
+tau = SliceElement(slc, -1, {0: -2})
 print("mc_check(-2a):", mc_check(tau)[0])

@@ -24,7 +24,6 @@ from .expmc import (
     NilpotentElementGroup,
     PolyLie,
     bch,
-    bch_product,
     exp_automorphism,
     gauge_action,
     gauge_action_adjoint,
@@ -89,7 +88,6 @@ __all__ = [
     "SliceElement",
     "SymplecticGVS",
     "bch",
-    "bch_product",
     "betti_numbers",
     "boundary_connected_sum",
     "build_block_g",

@@ -25,7 +25,7 @@ from .gluing import boundary_connected_sum, forget_compare, glue_headline_g
 from .graded import betti_numbers
 from .models import build_block_g, build_g, tilde_model
 from .morphisms import GeneratorMorphism, check_morphism
-from .presentation import DgLaPresentation, lie_chain_slice, presentation_slice
+from .presentation import DgLaPresentation, LieElement, lie_chain_slice, presentation_slice
 
 
 def _window(args):
@@ -83,7 +83,7 @@ def cmd_homology(args, inputs):
     for k, (_, vectors) in res.items():
         if vectors:
             reps[str(k)] = [
-                expr_mod.terms_to_str(p.element_from_vector(k, v).terms())
+                expr_mod.terms_to_str(LieElement(p, k, v).terms())
                 for v in vectors
             ]
     dims = {str(d): p.dim(d) for d in range(args.min, args.max + 1)}
@@ -261,11 +261,8 @@ def cmd_exp(args, inputs):
 def cmd_mc(args, inputs):
     tau = _load(inputs, args.file, io_mod.load_candidate)
     ok, residual = mc_check(tau)
-    res = {
-        nm: expr_mod.rational_str(c)
-        for nm, c in zip(tau.slice.labels[-2], residual.vector)
-        if c
-    }
+    labels = tau.slice.labels[-2]
+    res = {labels[i]: expr_mod.rational_str(c) for i, c in residual.vector.items()}
     return {"residual": res}, [_verdict("maurer_cartan", ok, res if not ok else None)]
 
 

@@ -240,12 +240,17 @@ class DerSlice(DgLieSlice):
             labels[n] = ["theta%d" % i for i in range(len(vecs))]
         d_blocks = {}
         for n in range(lo + 1, hi + 1):
-            cols = [self.sparse_coords(der_differential(th), n - 1) for th in self.derivations[n]]
+            cols = []
+            for th in self.derivations[n]:
+                cols.append(self.coords(der_differential(th), n - 1))
+                # drop the Leibniz memo that der_differential left: kept for
+                # the life of the slice, it would be most of its memory
+                th._ext = None
             d_blocks[n] = linalg.from_columns(len(self.derivations[n - 1]), cols)
         super().__init__(window, labels, d_blocks, bracket_fn=self._bracket_coords)
 
-    def sparse_coords(self, theta, n):
-        """Coordinates of a degree-n derivation in this slice's basis, sparse."""
+    def coords(self, theta, n):
+        """The sparse coordinates of a degree-n derivation in this slice's basis."""
         c = self.spaces[n].coords(self.layouts[n].to_vector(theta))
         if c is None:
             raise SubMismatch(
@@ -253,18 +258,13 @@ class DerSlice(DgLieSlice):
             )
         return c
 
-    def coords(self, theta, degree=None):
-        """Coordinates of a derivation in this slice's basis at its degree, dense."""
-        n = theta.degree if degree is None else degree
-        return linalg.dense(self.sparse_coords(theta, n), self.dim(n))
-
     def derivation(self, n, coords):
         """The derivation with the sparse coordinates ``coords`` in degree n."""
         return self.layouts[n].from_vector(self.spaces[n].vector(coords))
 
     def _bracket_coords(self, n, i, m, j):
         br = der_bracket(self.derivations[n][i], self.derivations[m][j])
-        return self.sparse_coords(br, n + m)
+        return self.coords(br, n + m)
 
 
 def der_complex(p, rel, window):
@@ -472,8 +472,7 @@ def f_der_dims(m, rel_source, window):
                 off = 0
                 for name, d in slots:
                     for i in range(tgt.dim(d + n)):
-                        vec = linalg.unit_vector(tgt.dim(d + n), i)
-                        unit = FDerivation(m, n, {name: tgt.element_from_vector(d + n, vec)})
+                        unit = FDerivation(m, n, {name: LieElement(tgt, d + n, {i: 1})})
                         ents += [(nrows + r, off + i, c) for r, c in unit.eval_at(e).coords.items()]
                     off += tgt.dim(d + n)
                 nrows += tdim
@@ -497,8 +496,8 @@ def homology_map_is_iso(m, lo, hi):
         b_tgt, _ = tgt.homology_degree(k)
         if b_src != b_tgt:
             return False
-        boundaries = linalg.transpose(tgt.d_matrix(k + 1), tgt.dim(k + 1))
-        images = [m.apply(m.source.element_from_vector(k, r)).vector() for r in reps_src]
+        boundaries = linalg.columns(tgt.d_matrix(k + 1), tgt.dim(k + 1))
+        images = [m.apply(LieElement(m.source, k, r)).coords for r in reps_src]
         if len(linalg.extend_independent(boundaries, images, tgt.dim(k))) != b_tgt:
             return False
     return True

@@ -10,6 +10,7 @@ from itertools import chain
 from math import factorial
 
 from .errors import ClassExceeded, NotNilpotent
+from .linalg import combination
 from .morphisms import GeneratorMorphism
 from .presentation import TreeMap, common_degree
 from .slices import SliceElement
@@ -120,6 +121,7 @@ class NilpotentElementGroup:
                 )
 
     def element(self, vector):
+        """The group element with the sparse degree-0 coordinates ``vector``."""
         return SliceElement(self.carrier, 0, vector)
 
     def identity(self):
@@ -130,11 +132,6 @@ class NilpotentElementGroup:
 
     def inverse(self, x):
         return x.scale(-1)
-
-
-def bch_product(group, x, y):
-    """The group law of a NilpotentElementGroup."""
-    return group.multiply(x, y)
 
 
 # -- exponential automorphisms --------------------------------------------------
@@ -197,13 +194,10 @@ def gauge_action(theta, x, action):
     y = SliceElement(
         a.module,
         x.degree,
-        [
-            u - w
-            for u, w in zip(
-                a.act_vectors(0, theta.vector, x.degree, x.vector),
-                a.chi_vector(0, theta.vector),
-            )
-        ],
+        combination([
+            (1, a.act_vectors(0, theta.vector, x.degree, x.vector)),
+            (-1, a.chi_vector(0, theta.vector)),
+        ]),
     )
     out = x
     n = 0

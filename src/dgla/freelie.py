@@ -31,12 +31,21 @@ per-degree dimensions of at most a few thousand.
 from fractions import Fraction
 from math import comb, gcd
 
+from .errors import SchemaError
+
 # Largest generator degree and window bound accepted.  Lyndon words are
 # found iteratively, but the tree walks (standard bracketing, expansion,
 # tree maps) recurse once per nesting level, up to once per letter; the
 # bound keeps them far below the interpreter's recursion limit, so a larger
 # degree is a SchemaError, never a RecursionError.
 MAX_DEGREE = 128
+
+# Largest basis of one degree that is built.  The Witt formula gives each
+# size before any word is listed, so a window whose bases would exhaust
+# memory is refused at once.  Far above every window in use: two generators
+# of degree 2 need 4,080 elements in degree 32 for `der --max 30`, and the
+# bound first stops them at degree 38 (27,594).
+MAX_BASIS_SIZE = 20000
 
 
 def letter_width(degrees):
@@ -215,12 +224,19 @@ def basis_in_degree(degrees, d, memo=None):
 
     Deterministic order: by leading word, that is by word length, then
     lexicographically.  Certifies the triangular structure (distinct leading
-    words, each expansion supported on words >= its lead) and the size
-    (the graded Witt formula).  Subtree expansions are read from ``memo``
-    (tree -> expansion) when given, and the expansion of every certified
-    composite element is then stored in it: the same dict object, never
-    copied and never mutated.
+    words, each expansion supported on words >= its lead) and the size (the
+    graded Witt formula).  A size above MAX_BASIS_SIZE is a SchemaError
+    naming the degree, raised before any word is listed.  Subtree expansions
+    are read from ``memo`` (tree -> expansion) when given, and the expansion
+    of every certified composite element is then stored in it: the same dict
+    object, never copied and never mutated.
     """
+    expected = witt_dimensions(degrees, d)[d]
+    if expected > MAX_BASIS_SIZE:
+        raise SchemaError(
+            "degree %d of the free Lie algebra has %d basis elements, more than the %d"
+            " allowed" % (d, expected, MAX_BASIS_SIZE)
+        )
     trees = [standard_bracketing(w) for w in lyndon_words(degrees, d)]
     if d % 4 == 2:
         # [b(w), b(w)] for the Lyndon words w of odd degree d / 2
@@ -236,7 +252,6 @@ def basis_in_degree(degrees, d, memo=None):
                 raise AssertionError(
                     "expansion below leading word in degree %d: %r" % (d, b.tree)
                 )
-    expected = witt_dimensions(degrees, d)[d]
     if len(elems) != expected:
         raise AssertionError(
             "degree %d has %d basis elements, the Witt formula %d" % (d, len(elems), expected)

@@ -95,8 +95,8 @@ class HeadlineGluingMap:
     """The dg Lie map g(M) x g(N) -> g(M natural-sum N) on a window.
 
     ``blocks[d]`` maps the concatenated (gM_d, gN_d) coordinates to
-    g_glued_d coordinates.  ``report`` certifies d- and bracket-
-    compatibility on the window.
+    g_glued_d coordinates; ``apply`` takes and returns sparse vectors.
+    ``report`` certifies d- and bracket-compatibility on the window.
     """
 
     def __init__(self, g_left, g_right, g_glued, blocks, report):
@@ -107,7 +107,10 @@ class HeadlineGluingMap:
         self.report = report
 
     def apply(self, d, left_vec, right_vec):
-        return linalg.matvec(self.blocks[d], list(left_vec) + list(right_vec))
+        off = self.g_left.dim(d)
+        joined = dict(left_vec)
+        joined.update((off + j, x) for j, x in right_vec.items())
+        return linalg.matvec(self.blocks[d], joined)
 
 
 def _extend_derivation(theta, glued_p, names):
@@ -130,7 +133,7 @@ def _factor_entries(g_factor, g_glued, names, d, col):
     hg = g_glued.hom_module
     for i, theta in enumerate(gf.derivations[d]):
         ext = _extend_derivation(theta, gg.p, names)
-        yield from ((k, col + i, x) for k, x in gg.sparse_coords(ext, d).items())
+        yield from ((k, col + i, x) for k, x in gg.coords(ext, d).items())
     col += gf.dim(d)
     for j in range(g_factor.module.dim(d)):
         glued_raw = {}

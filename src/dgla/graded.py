@@ -88,10 +88,6 @@ class GradedLinearMap:
             return self.blocks[d]
         return linalg.matrix(self.target.dim(d + self.degree), self.source.dim(d))
 
-    def apply(self, d, vector):
-        """Apply the degree-d block to a coordinate vector."""
-        return linalg.matvec(self.block(d), vector)
-
     def is_zero(self):
         return all(linalg.is_zero_matrix(m) for m in self.blocks.values())
 
@@ -150,7 +146,7 @@ class ChainComplexSlice:
         linalg.check_d_squared(self.d_matrix, self.lo, self.hi)
 
     def homology_degree(self, k):
-        """(betti, cycle_representatives) at one degree.
+        """(betti, cycle_representatives) at one degree, representatives sparse.
 
         Needs both the differential out of k and into k, hence
         lo < k < hi strictly (boundary degrees of the window lack one side).
@@ -165,7 +161,7 @@ class ChainComplexSlice:
         n = self.dim(k)
         cycles, _ = linalg.kernel_basis(d_out, n)
         betti = len(cycles) - linalg.rank(d_in, self.dim(k + 1))
-        boundaries = linalg.transpose(d_in, self.dim(k + 1))
+        boundaries = linalg.columns(d_in, self.dim(k + 1))
         keep = linalg.extend_independent(boundaries, cycles, n)
         reps = [cycles[i] for i in keep]
         if len(reps) != betti:

@@ -313,12 +313,13 @@ def load_candidate(obj):
     slc = _slice(doc)
     if not (slc.lo <= -2 and -1 <= slc.hi):
         raise SchemaError("a candidate needs the window to cover degrees -1 and -2", "/window")
+    index = {nm: i for i, nm in enumerate(slc.labels[-1])}
     for nm in doc["candidate"]:
-        if nm not in slc.labels[-1]:
+        if nm not in index:
             raise SchemaError(
                 "candidate %r is not a degree -1 basis element" % nm, _at("/candidate", nm)
             )
-    return SliceElement(slc, -1, [doc["candidate"].get(nm, Fraction(0)) for nm in slc.labels[-1]])
+    return SliceElement(slc, -1, {index[nm]: c for nm, c in doc["candidate"].items()})
 
 
 def _slice(doc):
@@ -359,7 +360,7 @@ def _slice(doc):
                 raise SchemaError(
                     "bracket value must be in degree %d" % (dn + dm), _at(pt, "value", tgt)
                 )
-        vec = linalg.sparse(br["value"].get(nm, 0) for nm in labels[dn + dm])
+        vec = {where[nm][1]: c for nm, c in br["value"].items() if c}
         table[(dn, i, dm, j)] = vec
         # graded-antisymmetric partner, unless given
         if not table.get((dm, j, dn, i)):

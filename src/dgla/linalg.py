@@ -1,10 +1,10 @@
 """Exact linear algebra over Q.
 
-The interface is dense: a matrix is a list of rows of ``fractions.Fraction``
-(integers are accepted).  Rows index the target basis and columns the
-source basis.  The library builds every matrix block with ``matrix`` from
-(row, column, value) triples and takes blocks apart with ``entries``, so
-only this module knows how a matrix is stored.
+A matrix is a dense list of rows of ``fractions.Fraction`` (integers are
+accepted).  Rows index the target basis and columns the source basis.  The
+library builds every matrix block with ``matrix`` from (row, column, value)
+triples and takes blocks apart with ``entries``, so only this module knows
+how a matrix is stored.
 
 The kernels behind that interface are sparse, because the matrices the
 library builds are about 1% nonzero with entries of a few bits.  Each
@@ -15,11 +15,13 @@ core is sparse Bareiss elimination (Bareiss 1968), column by column, with
 Markowitz-style pivoting (Markowitz 1957): in each column the pivot row is
 the one with the fewest nonzeros, then the smallest pivot entry, which
 limits both fill-in and coefficient growth.  Floats are banned.  Dense rows
-are rebuilt only for the results.  Callers that work on nonzeros convert
-with ``sparse`` and ``dense``, read a matrix's ``columns`` as
-``{row: value}`` dicts and build one ``from_columns``.  A sparse vector is
-such a dict with no zero entries; ``combination`` sums them, and
-``Subspace`` keeps its basis, members and coordinates in that form.
+are rebuilt only for matrix results.
+
+A vector is sparse everywhere: an ``{index: value}`` dict with no zero
+entries.  ``matvec`` and ``solve`` take and return them, ``kernel_basis``
+and ``extend_independent`` work on them, ``combination`` sums them, and
+``Subspace`` keeps its basis, members and coordinates in that form.  Callers
+read a matrix's ``columns`` as such vectors and build one ``from_columns``.
 
 Desk scale only: matrices of a few thousand rows/columns.
 """
@@ -140,17 +142,12 @@ def _rref(rows, ncols):
     return red, pivots
 
 
-def dense(row, ncols):
+def _dense(row, ncols):
     """The dense row of length ncols with the entries of ``{column: value}``."""
     out = [_ZERO] * ncols
     for j, x in row.items():
         out[j] = x
     return out
-
-
-def sparse(row):
-    """The ``{column: value}`` dict of the nonzero entries of a dense row."""
-    return {j: x for j, x in enumerate(row) if x}
 
 
 def rank(rows, ncols=None):
@@ -166,7 +163,7 @@ def rref(rows, ncols):
     pivot column and zeros above and below it.
     """
     red, pivots = _rref(map(enumerate, rows), ncols)
-    return [dense(r, ncols) for r in red], pivots
+    return [_dense(r, ncols) for r in red], pivots
 
 
 def pivot_columns(rows, ncols):
@@ -200,21 +197,20 @@ def _kernel(rows, ncols):
 
 
 def kernel_basis(rows, ncols):
-    """Basis of {x : A x = 0} as a list of dense Fraction vectors; see ``_kernel``.
+    """Basis of {x : A x = 0} as sparse vectors; see ``_kernel``.
 
     Returns (vectors, free_cols).
     """
-    vecs, free = _kernel(map(enumerate, rows), ncols)
-    return [dense(v, ncols) for v in vecs], free
+    return _kernel(map(enumerate, rows), ncols)
 
 
 def solve(rows, ncols, rhs):
-    """One solution of A x = rhs, or None if inconsistent."""
-    aug = (chain(enumerate(r), [(ncols, b)]) for r, b in zip(rows, rhs))
+    """One sparse solution x of A x = rhs for a sparse rhs, or None if inconsistent."""
+    aug = (chain(enumerate(r), [(ncols, rhs.get(i, _ZERO))]) for i, r in enumerate(rows))
     red, pivots = _rref(aug, ncols + 1)
     if ncols in pivots:
         return None
-    return dense({pc: r.get(ncols, _ZERO) for r, pc in zip(red, pivots)}, ncols)
+    return {pc: r[ncols] for r, pc in zip(red, pivots) if ncols in r}
 
 
 def inverse(rows):
@@ -224,12 +220,18 @@ def inverse(rows):
     red, pivots = _rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         return None
-    return [dense({j - n: x for j, x in r.items() if j >= n}, n) for r in red]
+    return [_dense({j - n: x for j, x in r.items() if j >= n}, n) for r in red]
 
 
 def matvec(rows, x):
-    nz = [(j, v) for j, v in enumerate(x) if v]
-    return [sum((r[j] * v for j, v in nz if r[j]), _ZERO) for r in rows]
+    """The sparse vector A x of a sparse vector x."""
+    nz = list(x.items())
+    out = {}
+    for i, r in enumerate(rows):
+        y = sum((r[j] * v for j, v in nz if r[j]), _ZERO)
+        if y:
+            out[i] = y
+    return out
 
 
 def matmul(a, b):
@@ -242,7 +244,7 @@ def matmul(a, b):
             if x:
                 for j, y in b_rows[k]:
                     acc[j] = acc.get(j, _ZERO) + x * y
-        out.append(dense(acc, ncols))
+        out.append(_dense(acc, ncols))
     return out
 
 
@@ -290,21 +292,8 @@ def check_d_squared(d_matrix, lo, hi):
             raise NotAComplex("d^2 != 0 from degree %d" % d)
 
 
-def unit_vector(n, i):
-    """The i-th standard basis vector of length n."""
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
-
-
 def is_zero_matrix(rows):
     return all(all(x == 0 for x in r) for r in rows)
-
-
-def transpose(rows, ncols):
-    if not rows:
-        return []
-    return [list(c) for c in zip(*rows)]
 
 
 class Subspace:
@@ -369,16 +358,19 @@ class Subspace:
         return Subspace.from_vectors(vecs, self.ambient_dim)
 
 
-def extend_independent(base_rows, candidates, ncols):
-    """Indices of candidate vectors extending the span of base_rows.
+def extend_independent(base, candidates, ncols):
+    """Indices of the sparse candidate vectors extending the span of base.
 
-    Greedy: a candidate is kept iff it is independent of base_rows plus the
+    Greedy: a candidate is kept iff it is independent of base plus the
     candidates already kept.  These are the pivot columns past the base of
-    the matrix with columns base_rows followed by candidates, so one
-    elimination finds them all.  Used to pick homology representatives
-    among cycles modulo boundaries.
+    the matrix with columns base followed by candidates, so one elimination
+    of its rows (one per coordinate below ncols) finds them all.  Used to
+    pick homology representatives among cycles modulo boundaries.
     """
-    nbase = len(base_rows)
-    cols = list(base_rows) + list(candidates)
-    pivots = pivot_columns(transpose(cols, ncols), len(cols))
+    nbase = len(base)
+    rows = [{} for _ in range(ncols)]
+    for j, v in enumerate(chain(base, candidates)):
+        for i, x in v.items():
+            rows[i][j] = x
+    pivots = _echelon((r.items() for r in rows), nbase + len(candidates))[1]
     return [p - nbase for p in pivots if p >= nbase]

@@ -224,11 +224,10 @@ class OuterAction:
     """An outer action of a slice ``acting`` on a slice ``module``.
 
     ``action_fn(n, i, m, j)`` gives the left action of the acting basis
-    element (n, i) on the module basis element (m, j), as module coordinates
-    in degree n+m; ``act`` memoizes it as a sparse {k: c} table.
-    ``chi_fn(n, i)`` gives the degree -1 twist of (n, i) in module
-    coordinates; ``twist`` memoizes it sparse, and ``chi`` returns it as a
-    dense list.  Both callbacks return dense lists.
+    element (n, i) on the module basis element (m, j), as sparse module
+    coordinates {k: c} in degree n+m; ``act`` memoizes it.  ``chi_fn(n, i)``
+    gives the degree -1 twist of (n, i), as sparse module coordinates in
+    degree n-1; ``twist`` memoizes it.  Callers must not mutate either.
     """
 
     def __init__(self, acting, module, action_fn, chi_fn=None):
@@ -243,14 +242,13 @@ class OuterAction:
         key = (n, i, m, j)
         got = self._act_memo.get(key)
         if got is None:
-            got = linalg.sparse(self._action_fn(n, i, m, j))
+            got = self._action_fn(n, i, m, j)
             self._act_memo[key] = got
         return got
 
     def act_vectors(self, n, x, m, y):
-        """Bilinear extension of the action to dense coordinate vectors."""
-        v = bilinear(self.act, n, linalg.sparse(x), m, linalg.sparse(y))
-        return linalg.dense(v, self.module.dim(n + m))
+        """Bilinear extension of the action to sparse vectors."""
+        return bilinear(self.act, n, x, m, y)
 
     def twist(self, n, i):
         if self._chi_fn is None:
@@ -258,16 +256,13 @@ class OuterAction:
         key = (n, i)
         got = self._chi_memo.get(key)
         if got is None:
-            got = linalg.sparse(self._chi_fn(n, i))
+            got = self._chi_fn(n, i)
             self._chi_memo[key] = got
         return got
 
-    def chi(self, n, i):
-        return linalg.dense(self.twist(n, i), self.module.dim(n - 1))
-
     def chi_vector(self, n, x):
-        terms = ((c, self.twist(n, i)) for i, c in linalg.sparse(x).items())
-        return linalg.dense(combination(terms), self.module.dim(n - 1))
+        """The twist of a sparse vector of degree n."""
+        return combination((c, self.twist(n, i)) for i, c in x.items())
 
 
 def outer_action_check(a, window=None):
@@ -321,7 +316,7 @@ def outer_action_check(a, window=None):
             continue
         for i in range(g.dim(n)):
             # d chi(t) + chi(dt) = 0
-            terms = [(1, linalg.sparse(L.d_apply(n - 1, a.chi(n, i))))]
+            terms = [(1, L.d_apply(n - 1, a.twist(n, i)))]
             terms += [(c, a.twist(n - 1, k)) for k, c in g_d[n][i].items()]
             if combination(terms):
                 ok = False
@@ -484,16 +479,12 @@ class _HomModule:
         return c
 
     def right_action_raw(self, theta, m, fvec):
-        """(f.theta)(s[x]) = (-1)^{|theta|} f(s[theta(x)]) in raw coordinates."""
+        """(f.theta)(s[x]) = (-1)^{|theta|} f(s[theta(x)]), in sparse raw coordinates."""
         n = theta.degree
-        out = [Fraction(0)] * self.full.dim(n + m)
-        sign = Fraction(-1 if n % 2 else 1)
-        for (fdeg, sname, tname), pos in self.index.items():
-            if fdeg != m:
-                continue
-            c = fvec[pos]
-            if not c:
-                continue
+        sign = -1 if n % 2 else 1
+        terms = []
+        for pos, c in fvec.items():
+            sname, tname = self.functional[m, pos]
             xf = sname[1:]
             want = self.p.generators.degree(xf) - n
             for x in self.indec_basis.in_degree(want):
@@ -501,14 +492,14 @@ class _HomModule:
                 if lam:
                     tgt = self.index.get((m + n, "s%s" % x, tname))
                     if tgt is not None:
-                        out[tgt] += sign * c * lam
-        return out
+                        terms.append((sign * c * lam, {tgt: 1}))
+        return combination(terms)
 
     def chi_raw(self, theta, rho):
-        """(rho~ . theta)(s[x]) = (-1)^{|theta|} rho(theta(x)), raw coords."""
+        """(rho~ . theta)(s[x]) = (-1)^{|theta|} rho(theta(x)), in sparse raw coordinates."""
         n = theta.degree
-        out = [Fraction(0)] * self.full.dim(n - 1)
-        sign = Fraction(-1 if n % 2 else 1)
+        sign = -1 if n % 2 else 1
+        terms = []
         for x, xd in self.indec_basis.entries:
             val = theta.value(x)
             if val.is_zero():
@@ -516,8 +507,8 @@ class _HomModule:
             for tname, c in _rho_of(rho, val).items():
                 tgt = self.index.get((n - 1, "s%s" % x, tname))
                 if tgt is not None:
-                    out[tgt] += sign * c
-        return out
+                    terms.append((sign * c, {tgt: 1}))
+        return combination(terms)
 
 
 def build_g(p, sub_b, sub_a, rho, pi, window, mode="semisimple-indec", check=True):
@@ -553,15 +544,12 @@ def build_g(p, sub_b, sub_a, rho, pi, window, mode="semisimple-indec", check=Tru
     g = deru(p, sub_a, rho, (lo, hi), mode=mode)
 
     def action_fn(n, i, m, j):
-        raw = linalg.dense(hm.raw_basis_vector(m, j), hm.full.dim(m))
-        right = hm.right_action_raw(g.derivations[n][i], m, raw)
+        right = hm.right_action_raw(g.derivations[n][i], m, hm.raw_basis_vector(m, j))
         sgn = -1 if (n * m) % 2 == 0 else 1
-        coords = hm.to_module_coords(n + m, linalg.sparse(sgn * x for x in right))
-        return linalg.dense(coords, hm.module.dim(n + m))
+        return hm.to_module_coords(n + m, {k: sgn * x for k, x in right.items()})
 
     def chi_fn(n, i):
-        raw = linalg.sparse(hm.chi_raw(g.derivations[n][i], rho))
-        return linalg.dense(hm.to_module_coords(n - 1, raw), hm.module.dim(n - 1))
+        return hm.to_module_coords(n - 1, hm.chi_raw(g.derivations[n][i], rho))
 
     a = OuterAction(g, hm.module, action_fn, chi_fn if rho is not None else None)
     slc = semidirect(g, hm.module, a, (lo, hi), check=check)

@@ -7,8 +7,6 @@ filtration: invert the linear part, then correct higher word-length terms
 until the fixpoint (which is reached because degrees are positive).
 """
 
-from fractions import Fraction
-
 from . import linalg
 from .errors import NonMinimalAmbient, NotInvertibleLinearPart, SchemaError, json_pointer
 from .graded import GradedBasis, GradedLinearMap
@@ -140,23 +138,18 @@ def _rho_of(rho, element):
     decomposables (maps of dg Lie algebras into abelian targets do).
     Returns a dict (target_name -> Fraction).
     """
-    out = {}
     if element.is_zero():
-        return out
+        return {}
     lin = element.linear_part()
     if not lin:
-        return out
+        return {}
     d = element.degree
     src = rho.source.in_degree(d)
     tgt = rho.target.in_degree(d + rho.degree)
     if not src or not tgt:
-        return out
-    vec = [lin.get(n, Fraction(0)) for n in src]
-    img = rho.apply(d, vec)
-    for i, c in enumerate(img):
-        if c:
-            out[tgt[i]] = c
-    return out
+        return {}
+    vec = {k: lin[n] for k, n in enumerate(src) if n in lin}
+    return {tgt[i]: c for i, c in linalg.matvec(rho.block(d), vec).items()}
 
 
 def indec_action(x, sub=None):

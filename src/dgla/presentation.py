@@ -168,14 +168,6 @@ class LieElement:
                 out[p.generators.entries[basis[i].tree][0]] = c
         return out
 
-    def vector(self):
-        """Dense coordinate vector in the canonical basis of its degree."""
-        n = len(self.presentation.lie_basis(self.degree))
-        v = [Fraction(0)] * n
-        for i, c in self.coords.items():
-            v[i] = c
-        return v
-
 
 class TreeMap:
     """A map given on generators and extended over bracket trees.
@@ -399,6 +391,11 @@ class DgLaPresentation:
         return self._tree_elements.tree(itree)
 
     def element_from_vector(self, degree, vector):
+        """The element with the dense coordinate list ``vector``.
+
+        The one dense input of the library; everything else takes sparse
+        ``coords``, as the LieElement constructor does.
+        """
         return LieElement(self, degree, {i: c for i, c in enumerate(vector) if c})
 
     # -- algebra operations ----------------------------------------------------
@@ -485,8 +482,8 @@ class DgLaPresentation:
                     b = self.bracket(e1, e2)
                     if b.is_zero():
                         continue
-                    vecs = [e.vector() for e in layers.get(b.degree, [])]
-                    if linalg.extend_independent(vecs, [b.vector()], self.dim(b.degree)):
+                    vecs = [e.coords for e in layers.get(b.degree, [])]
+                    if linalg.extend_independent(vecs, [b.coords], self.dim(b.degree)):
                         layers.setdefault(b.degree, []).append(b)
                         if b.degree <= degree:
                             frontier.append((b.degree, b))

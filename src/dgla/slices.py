@@ -2,13 +2,12 @@
 
 A DgLieSlice is the unit of everything downstream of the derivation
 complexes: it records per-degree bases (labels), differential blocks, and a
-bracket realized either by stored tables or by a callback (used by
-derivation complexes, which compute brackets lazily).  Either way the
-bracket is memoized as one sparse structure-constant table
-{(n, i, m, j): {k: c}}, and every bilinear computation on a slice goes
-through ``bilinear`` over such a table.  Degrees
-outside the window are unknown, not zero; any access outside raises
-WindowTooNarrow.
+bracket given by a callback on basis pairs (derivation complexes compute
+brackets lazily).  The bracket is memoized as one sparse structure-constant
+table {(n, i, m, j): {k: c}}, and every bilinear computation on a slice goes
+through ``bilinear`` over such a table.  Vectors are sparse {index: value}
+dicts with no zero entries.  Degrees outside the window are unknown, not
+zero; any access outside raises WindowTooNarrow.
 """
 
 from fractions import Fraction
@@ -32,14 +31,13 @@ def bilinear(table, n, x, m, y):
 
 
 class DgLieSlice:
-    def __init__(self, window, labels, d_blocks=None, bracket_fn=None, bracket_tables=None):
+    def __init__(self, window, labels, d_blocks=None, bracket_fn=None):
         self.lo, self.hi = int(window[0]), int(window[1])
         self.labels = {}
         for d in range(self.lo, self.hi + 1):
             self.labels[d] = list(labels.get(d, []))
         self._d = {d: m for d, m in (d_blocks or {}).items()}
         self._bracket_fn = bracket_fn
-        self._bracket_tables = dict(bracket_tables or {})
         self._structure = {}
 
     # -- structure access -------------------------------------------------
@@ -70,30 +68,25 @@ class DgLieSlice:
         return m
 
     def d_apply(self, d, vector):
+        """The differential of a sparse vector of degree d."""
         return linalg.matvec(self.d_matrix(d), vector)
 
     def bracket(self, n, i, m, j):
         """The structure constants of [e_i^(n), e_j^(m)]: a sparse {k: c} in degree n+m.
 
-        Memoized; callers must not mutate the result.  A ``bracket_fn``
-        returns the same sparse form; ``bracket_tables`` are dense.
+        Memoized; callers must not mutate the result.  ``bracket_fn``
+        returns the same sparse form; without one the bracket is zero.
         """
         key = (n, i, m, j)
         got = self._structure.get(key)
         if got is None:
-            if (n, m) in self._bracket_tables:
-                got = linalg.sparse(Fraction(x) for x in self._bracket_tables[(n, m)][i][j])
-            elif self._bracket_fn is not None:
-                got = self._bracket_fn(n, i, m, j)
-            else:
-                got = {}
+            got = {} if self._bracket_fn is None else self._bracket_fn(n, i, m, j)
             self._structure[key] = got
         return got
 
     def bracket_vectors(self, n, x, m, y):
-        """Bilinear extension of the basis bracket to dense coordinate vectors."""
-        v = bilinear(self.bracket, n, linalg.sparse(x), m, linalg.sparse(y))
-        return linalg.dense(v, self.dim(n + m))
+        """Bilinear extension of the basis bracket to sparse vectors."""
+        return bilinear(self.bracket, n, x, m, y)
 
     # -- verification -------------------------------------------------------
 
@@ -284,31 +277,38 @@ class DgLieSlice:
 
 
 class SliceElement:
-    """A homogeneous element of a DgLieSlice, for MC/BCH/gauge arithmetic."""
+    """A homogeneous element of a DgLieSlice, for MC/BCH/gauge arithmetic.
+
+    ``vector`` is the sparse {index: Fraction} vector of its coordinates in
+    the slice's degree-``degree`` basis, with no zero entries; the
+    constructor coerces and drops zeros, and raises WindowTooNarrow for a
+    degree outside the slice's window.
+    """
 
     __slots__ = ("slice", "degree", "vector")
 
     def __init__(self, slc, degree, vector):
+        slc.dim(degree)
         self.slice = slc
         self.degree = degree
-        self.vector = [Fraction(x) for x in vector]
+        self.vector = {i: Fraction(x) for i, x in vector.items() if x}
 
     @classmethod
     def zero(cls, slc, degree):
-        return cls(slc, degree, [Fraction(0)] * slc.dim(degree))
+        return cls(slc, degree, {})
 
     @classmethod
     def unit(cls, slc, degree, i):
-        return cls(slc, degree, linalg.unit_vector(slc.dim(degree), i))
+        return cls(slc, degree, {i: 1})
 
     def is_zero(self):
-        return all(x == 0 for x in self.vector)
+        return not self.vector
 
     def __add__(self, other):
         if other.degree != self.degree or other.slice is not self.slice:
             raise ValueError("degree or slice mismatch")
         return SliceElement(
-            self.slice, self.degree, [a + b for a, b in zip(self.vector, other.vector)]
+            self.slice, self.degree, combination([(1, self.vector), (1, other.vector)])
         )
 
     def __sub__(self, other):
@@ -316,7 +316,7 @@ class SliceElement:
 
     def scale(self, q):
         q = Fraction(q)
-        return SliceElement(self.slice, self.degree, [q * x for x in self.vector])
+        return SliceElement(self.slice, self.degree, {i: q * x for i, x in self.vector.items()})
 
     def bracket(self, other):
         v = self.slice.bracket_vectors(self.degree, self.vector, other.degree, other.vector)

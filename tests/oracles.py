@@ -471,15 +471,12 @@ def random_presentation(rng, max_gens=4, max_degree=5):
 
             cycles, _ = linalg.kernel_basis(rows, len(basis))
         else:
-            cycles = [
-                [Fraction(1 if i2 == j else 0) for i2 in range(len(basis))]
-                for j in range(len(basis))
-            ]
+            cycles = [{j: Fraction(1)} for j in range(len(basis))]
         if not cycles:
             continue
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in cycles]
         vec = [
-            sum((c * v[k] for c, v in zip(coeffs, cycles)), Fraction(0))
+            sum((c * v.get(k, 0) for c, v in zip(coeffs, cycles)), Fraction(0))
             for k in range(len(basis))
         ]
         if any(vec):

@@ -6,8 +6,10 @@ computed here by independent oracles (plain Gaussian elimination, tensor
 brute force, matrix logarithms) or are exact identities.
 """
 
+import hashlib
 import itertools
 import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -248,8 +250,8 @@ def _betti_independent(slc, k0, k1):
         rows = []
         layout = slc.layouts[k - 1]
         for th in slc.derivations[k]:
-            img = der_differential(th)
-            rows.append(linalg.dense(layout.to_vector(img), layout.total))
+            img = layout.to_vector(der_differential(th))
+            rows.append([img.get(j, Fraction(0)) for j in range(layout.total)])
         ranks[k] = gauss_rank(rows) if rows else 0
     return {
         k: dims.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)
@@ -427,19 +429,16 @@ def test_criterion_7_gauge_mc(fixture_path):
     acting = der_complex(p, "omega", (0, 1))
 
     def action_fn(n, i, mdeg, j):
-        theta = acting.derivations[n][i]
-        raw = [Fraction(0)] * module.dim(mdeg)
-        raw[j] = Fraction(1)
-        right = hm.right_action_raw(theta, mdeg, raw)
+        right = hm.right_action_raw(acting.derivations[n][i], mdeg, {j: Fraction(1)})
         sgn = Fraction(-1 if (n * mdeg) % 2 == 0 else 1)
-        return [sgn * v for v in right]
+        return {k: sgn * v for k, v in right.items()}
 
     def chi_fn(n, i):
         return hm.chi_raw(acting.derivations[n][i], rho)
 
     act = OuterAction(acting, module, action_fn, chi_fn)
     th_der = Derivation(p, 0, {"x": p.gen("u"), "u": p.gen("y").scale(-1)}, rel="omega")
-    assert any(hm.chi_raw(th_der, rho)), "the block twist must be nonzero here"
+    assert hm.chi_raw(th_der, rho), "the block twist must be nonzero here"
     th = SliceElement(acting, 0, acting.coords(th_der, 0))
     for j in range(module.dim(-1)):
         tau = SliceElement.unit(module, -1, j)
@@ -463,17 +462,14 @@ def test_criterion_8_ce_oracles():
     ab1 = DgLieSlice((0, 8), {**{d: [] for d in range(9)}, 1: ["x"]})
     assert ce_cohomology(ab1, 1, (0, 6)) == exterior_polynomial_ce_betti([2], 0, 6)
 
-    def v(*c):
-        return [Fraction(x) for x in c]
-
+    # basis e, f, h: [e,f] = h, [h,e] = 2e, [h,f] = -2f
     tab = {
-        (0, 0): [
-            [v(0, 0, 0), v(0, 0, 1), v(-2, 0, 0)],
-            [v(0, 0, -1), v(0, 0, 0), v(0, 2, 0)],
-            [v(2, 0, 0), v(0, -2, 0), v(0, 0, 0)],
-        ]
+        (0, 0, 0, 1): {2: 1}, (0, 1, 0, 0): {2: -1},
+        (0, 2, 0, 0): {0: 2}, (0, 0, 0, 2): {0: -2},
+        (0, 2, 0, 1): {1: -2}, (0, 1, 0, 2): {1: 2},
     }
-    sl2 = DgLieSlice((0, 0), {0: ["e", "f", "h"]}, bracket_tables=tab).pad_to(0, 5)
+    sl2 = DgLieSlice((0, 0), {0: ["e", "f", "h"]},
+                     bracket_fn=lambda *pair: tab.get(pair, {})).pad_to(0, 5)
     assert ce_cohomology(sl2, 1, (0, 3)) == {0: 1, 1: 0, 2: 0, 3: 1}
     # Kunneth in degrees 0..4 on product fixtures
     assert ce_product_check(sl2, ab2, 1, 1, (0, 4)).passed
@@ -501,13 +497,10 @@ def test_criterion_9_outer_action_axioms(fixture_path):
         mode = "trivial-differential" if not p.differential else "semisimple-indec"
         acting = deru(p, "omega", rho, (0, 2), mode=mode)
 
-        def action_fn(n, i, mdeg, j, acting=acting, hm=hm, module=module):
-            theta = acting.derivations[n][i]
-            raw = [Fraction(0)] * module.dim(mdeg)
-            raw[j] = Fraction(1)
-            right = hm.right_action_raw(theta, mdeg, raw)
+        def action_fn(n, i, mdeg, j, acting=acting, hm=hm):
+            right = hm.right_action_raw(acting.derivations[n][i], mdeg, {j: Fraction(1)})
             sgn = Fraction(-1 if (n * mdeg) % 2 == 0 else 1)
-            return [sgn * v for v in right]
+            return {k: sgn * v for k, v in right.items()}
 
         def chi_fn(n, i, acting=acting, hm=hm, rho=rho):
             return hm.chi_raw(acting.derivations[n][i], rho)
@@ -628,3 +621,44 @@ def test_criterion_12_determinism(fixture_path, tmp_path):
     assert bodies[0] == bodies[1]
     elapsed = time.monotonic() - start
     _passline(12, "byte-identical report bodies across two runs of %d commands (%.1fs)" % (len(CLI_CORPUS), elapsed))
+
+
+# SHA-256 of each CLI_CORPUS report body, run from the repository root with
+# fixture paths relative to it (a report names its input paths).  Pinned
+# from an earlier commit, so a change that alters any report fails here;
+# criterion 12 only compares two runs of the same code.
+CORPUS_REPORT_SHA256 = [
+    "736bcbad150f3db649be9fc3a3ba8e22e9e942582656aae9bd186c4104413506",
+    "92160f96dab8dc4c485b0cb03c7046ffefa6270dece846a1e7360441d3a4f467",
+    "c0f553d383fb7ac731d12f54dec666ddf957e927addd4f7cde660c44ffb53a1f",
+    "262332b8816973eec567c8e73743ab2c57a6b0fbb673fa7f5431985f7713b332",
+    "83e9cd34f4e27563a607e1a5b6f17e564367a72c01574d8f119478a66b4488c5",
+    "7853165f2a8bba59be8dab4faea97897b90ba16a0acf5983793cf0ab42a514ae",
+    "e6c8aa5a8c1a91b7fa494f18c7b3c85a9dd5d999d61563053fd1843a2f4ee993",
+    "6dba636eca26b1d725db5c012e73c72a53e9f433f907f15a45e8be4cdc71f745",
+    "46fbface5f4e09314fc737ed3937f8e36151c2bf48608bc49eb6f63e6d7625ac",
+    "981f4e402556b9fcd80bd027d9d8f5fdcf7932bb96a3a2130f321e0fa0d2270a",
+    "878c55a2caf4cc104a35a9ec96848e627d7c6cdea96ae160f5f50a2680d9486a",
+    "c1f663480dc66a3e84fff3ede0bdc9857a3a53efb482acf0beeb170ed70ba237",
+    "ae62acc8b6a4409b4617c3ccbb418e0564a4aada34ec7865ac6faef9dd8b7662",
+    "d6e8456d4258986d373a3032ae7e61a494cb626c3f099191813d8350bfc3d770",
+    "cd67f3b3206f80b723bb5938cf4d01cf713394b4b8688bd4c43833d46f5ab57d",
+    "ab8d7f62722d66790fbe627980fb73a23fd5cbb97c7134961610753726a2fc2b",
+    "a300c681b39f922a84c0f6bb567e28b0319a9b95457ee65f92cfa6e463e8202a",
+    "9a0049c4293f6e3e870858171ad023b101198ce34c1b14dc7a8a876a9445a9ff",
+    "740f4898032c1e01f9ec4fd49091c3a402d4c00af5176aa4aa747182f9a2e60f",
+]
+
+
+def test_corpus_report_bodies_match_pinned_digests(monkeypatch, tmp_path):
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
+    digests = []
+    for i, (cmd, files, flags) in enumerate(CLI_CORPUS):
+        argv = [cmd] + [os.path.join("fixtures", f) for f in files]
+        argv += [os.path.join("fixtures", a[1:]) if a.startswith("@") else a for a in flags]
+        out = tmp_path / ("r%d.json" % i)
+        code, _ = cli_run(argv + ["--out", str(out)])
+        assert code in (0, 1), (cmd, code)
+        body = io_mod.canonical_dumps(json.loads(out.read_text())["report"])
+        digests.append(hashlib.sha256(body.encode()).hexdigest())
+    assert digests == CORPUS_REPORT_SHA256

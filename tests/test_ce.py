@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 
@@ -11,17 +10,13 @@ from oracles import exterior_polynomial_ce_betti
 
 
 def sl2():
-    def v(*c):
-        return [Fraction(x) for x in c]
-
+    # basis e, f, h: [e,f] = h, [h,e] = 2e, [h,f] = -2f
     tab = {
-        (0, 0): [
-            [v(0, 0, 0), v(0, 0, 1), v(-2, 0, 0)],
-            [v(0, 0, -1), v(0, 0, 0), v(0, 2, 0)],
-            [v(2, 0, 0), v(0, -2, 0), v(0, 0, 0)],
-        ]
+        (0, 0, 0, 1): {2: 1}, (0, 1, 0, 0): {2: -1},
+        (0, 2, 0, 0): {0: 2}, (0, 0, 0, 2): {0: -2},
+        (0, 2, 0, 1): {1: -2}, (0, 1, 0, 2): {1: 2},
     }
-    return DgLieSlice((0, 0), {0: ["e", "f", "h"]}, bracket_tables=tab)
+    return DgLieSlice((0, 0), {0: ["e", "f", "h"]}, bracket_fn=lambda *pair: tab.get(pair, {}))
 
 
 def abelian(degree, hi=8):
@@ -115,12 +110,7 @@ def test_ce_words_respect_odd_letter_exclusion():
 
 def test_nonabelian_two_dimensional():
     # [x, y] = y in degree 0: H^0 = Q, H^1 = Q (the x-line), H^2 = 0
-    def v(*c):
-        return [Fraction(x) for x in c]
-
-    tab = {(0, 0): [
-        [v(0, 0), v(0, 1)],
-        [v(0, -1), v(0, 0)],
-    ]}
-    g = DgLieSlice((0, 0), {0: ["x", "y"]}, bracket_tables=tab).pad_to(0, 3)
+    tab = {(0, 0, 0, 1): {1: 1}, (0, 1, 0, 0): {1: -1}}
+    g = DgLieSlice((0, 0), {0: ["x", "y"]},
+                   bracket_fn=lambda *pair: tab.get(pair, {})).pad_to(0, 3)
     assert ce_cohomology(g, 1, (0, 2)) == {0: 1, 1: 1, 2: 0}

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -446,6 +447,17 @@ def test_window_past_max_degree_is_exit_2(capsys, fixture_path, command):
     assert "window bounds must lie in [-128, 128]" in capsys.readouterr().err
     code, _ = _run(*argv, "--min", "-2502", "--max", "0")
     assert code == 2
+
+
+def test_window_whose_basis_passes_the_cap_is_exit_2(capsys, fixture_path):
+    # two generators of degree 2 have about 2.9e17 basis elements in degree
+    # 128; the Witt count refuses them before any word is listed
+    start = time.monotonic()
+    code, payload = _run("der", fixture_path("presentation_w11.json"), "--sub", "omega",
+                         "--min", "126", "--max", "128")
+    assert code == 2 and payload is None
+    assert time.monotonic() - start < 1
+    assert "error: degree 128 of the free Lie algebra has" in capsys.readouterr().err
 
 
 def test_window_at_max_degree_runs(fixture_path):

@@ -22,24 +22,23 @@ def test_rank_examples():
     assert linalg.rank(m, 2) == 1
     kernel, free = linalg.kernel_basis(m, 2)
     assert len(kernel) == 1
-    x, y = kernel[0]
+    x, y = (kernel[0].get(j, 0) for j in range(2))
     assert x * 1 + y * 2 == 0 and (x, y) != (0, 0)
     assert Fraction(2) * y == -x * Fraction(1) or x / y == Fraction(-2)
 
 
 def test_solve_and_kernel():
     m = [[1, 2, 3], [0, 1, 1]]
-    sol = linalg.solve(m, 3, [6, 2])
+    sol = linalg.solve(m, 3, {0: 6, 1: 2})
     assert sol is not None
-    assert linalg.matvec(m, sol) == [Fraction(6), Fraction(2)]
-    assert linalg.solve([[1, 0], [0, 1], [1, 1]], 2, [1, 1, 3]) is None
+    assert linalg.matvec(m, sol) == {0: Fraction(6), 1: Fraction(2)}
+    assert linalg.solve([[1, 0], [0, 1], [1, 1]], 2, {0: 1, 1: 1, 2: 3}) is None
 
 
 def test_pivot_columns_give_image_basis():
     m = [[1, 2, 0], [2, 4, 1]]
     pts = linalg.pivot_columns(m, 3)
-    cols = linalg.transpose(m, 3)
-    chosen = [cols[p] for p in pts]
+    chosen = [[r[p] for r in m] for p in pts]
     assert gauss_rank(chosen) == linalg.rank(m, 3) == 2
 
 
@@ -85,7 +84,7 @@ def test_rank_nullity(rows):
     kernel, _ = linalg.kernel_basis(rows, 3)
     assert linalg.rank(rows, 3) + len(kernel) == 3
     for v in kernel:
-        assert all(x == 0 for x in linalg.matvec(rows, v))
+        assert linalg.matvec(rows, v) == {}
 
 
 def test_bit_length_pivoting_stays_exact():
@@ -175,6 +174,11 @@ def _greedy_extension(base, candidates):
     return kept
 
 
+def _sparse(rows):
+    """Dense rows as sparse vectors with no zero entries."""
+    return [{j: x for j, x in enumerate(r) if x} for r in rows]
+
+
 _small_vectors = st.lists(st.lists(st.integers(-1, 1), min_size=3, max_size=3), max_size=6)
 
 
@@ -183,7 +187,8 @@ _small_vectors = st.lists(st.lists(st.integers(-1, 1), min_size=3, max_size=3), 
 def test_extend_independent_is_the_greedy_choice(base, candidates, repeats):
     # repeats copies some candidates to the end, so repeated vectors always occur
     candidates = candidates + [candidates[i] for i in repeats if i < len(candidates)]
-    assert linalg.extend_independent(base, candidates, 3) == _greedy_extension(base, candidates)
+    assert linalg.extend_independent(_sparse(base), _sparse(candidates), 3) == \
+        _greedy_extension(base, candidates)
 
 
 @pytest.mark.parametrize(
@@ -197,9 +202,8 @@ def test_extend_independent_is_the_greedy_choice(base, candidates, repeats):
     ],
 )
 def test_extend_independent_examples(base, candidates, kept):
-    assert linalg.extend_independent(base, candidates, 3) == kept == _greedy_extension(
-        base, candidates
-    )
+    assert linalg.extend_independent(_sparse(base), _sparse(candidates), 3) == kept == \
+        _greedy_extension(base, candidates)
 
 
 _nonzero = st.one_of(
@@ -247,18 +251,19 @@ def test_elimination_agrees_with_gauss_jordan(case, data):
             v[pc] = -r[f]
         kernel.append(v)
     got_kernel, got_free = linalg.kernel_basis(rows, ncols)
-    assert (got_kernel, got_free) == (kernel, free) and _all_fractions(got_kernel)
+    assert (got_kernel, got_free) == (_sparse(kernel), free)
+    assert _all_fractions([v.values() for v in got_kernel])
     rhs = [0] * len(rows) if data is None else data.draw(_sparse_matrix(1, len(rows)))[0][0]
     aug, aug_pivots = gauss_jordan([r + [b] for r, b in zip(rows, rhs)], ncols + 1)
-    x = linalg.solve(rows, ncols, rhs)
+    x = linalg.solve(rows, ncols, _sparse([rhs])[0])
     if ncols in aug_pivots:
         assert x is None
     else:
         want = [Fraction(0)] * ncols
         for r, pc in zip(aug, aug_pivots):
             want[pc] = r[ncols]
-        assert x == want and _all_fractions([x])
-        assert naive_matmul(rows, [[c] for c in x], 1) == [[b] for b in rhs]
+        assert x == _sparse([want])[0] and _all_fractions([x.values()])
+        assert naive_matmul(rows, [[x.get(j, 0)] for j in range(ncols)], 1) == [[b] for b in rhs]
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,8 +300,9 @@ def test_products_agree_with_the_triple_loop(operands):
     assert product == naive_matmul(a, b, m) and _all_fractions(product)
     if b:
         x = [r[0] for r in b] if m else [0] * len(b)
-        y = linalg.matvec(a, x)
-        assert y == [r[0] for r in naive_matmul(a, [[c] for c in x], 1)] and _all_fractions([y])
+        y = linalg.matvec(a, _sparse([x])[0])
+        want = [r[0] for r in naive_matmul(a, [[c] for c in x], 1)]
+        assert y == _sparse([want])[0] and _all_fractions([y.values()])
 
 
 def test_products_touch_only_nonzeros():
@@ -318,8 +324,8 @@ def test_products_touch_only_nonzeros():
     assert len(products) == n
     assert product == [[int(j == perms[1][perms[0][i]]) for j in range(n)] for i in range(n)]
     products.clear()
-    x = [Counted(j + 1) for j in range(n)]
-    assert linalg.matvec(a, x) == [x[perms[0][i]] for i in range(n)]
+    x = {j: Counted(j + 1) for j in range(n)}
+    assert linalg.matvec(a, x) == {i: x[perms[0][i]] for i in range(n)}
     assert len(products) == n
 
 
@@ -351,13 +357,13 @@ def test_sparse_subspace_agrees_with_gauss_jordan(case):
     assert ker.dim == n - rank_a
     for v in ker.vectors:
         assert all(sum((r[j] * x for j, x in v.items()), Fraction(0)) == 0 for r in a)
-    sa = linalg.Subspace.from_vectors([linalg.sparse(r) for r in a], n)
-    sb = linalg.Subspace.from_vectors([linalg.sparse(r) for r in b], n)
+    sa = linalg.Subspace.from_vectors(_sparse(a), n)
+    sb = linalg.Subspace.from_vectors(_sparse(b), n)
     assert (sa.dim, sb.dim) == (rank_a, rank_b)
     # a random member, in sparse form with no zero entries
-    member = linalg.sparse(
-        [sum((Fraction(c) * r[j] for c, r in zip(coeffs, a)), Fraction(0)) for j in range(n)]
-    )
+    member = _sparse(
+        [[sum((Fraction(c) * r[j] for c, r in zip(coeffs, a)), Fraction(0)) for j in range(n)]]
+    )[0]
     c = sa.coords(member)
     assert c is not None and sa.vector(c) == member
     outside = [j for j in range(n) if _oracle_rank(a + [[int(k == j) for k in range(n)]], n) > rank_a]
