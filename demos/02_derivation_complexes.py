@@ -16,6 +16,6 @@ print("Der(L rel omega) dims 0..4:", [slc.dim(n) for n in range(5)])
 # Degree 0 is sl_2 (the trace condition); the unipotent part drops the
 # semisimple piece: its degree-0 part is the kernel of the action on the
 # indecomposables.
-u = deru(p, "omega", None, (0, 4), mode="trivial-differential")
+u = deru(p, "omega", None, (0, 4))
 print("Der_u dims 0..4:", [u.dim(n) for n in range(5)])
 print("H_*(Der_u) 0..3:", betti_numbers(u.to_chain(pad_below=True), (0, 3)))

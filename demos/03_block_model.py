@@ -20,8 +20,8 @@ print("omega =", m.omega)
 # it is minimal relative to beta, and extending derivations by zero is a
 # quasi-isomorphism in non-negative degrees:
 tilde, include_beta, project = tilde_model(m)
-left = deru(m.presentation, "omega", None, (0, 4), mode="trivial-differential")
-right = deru(tilde, "beta", None, (0, 4), mode="semisimple-indec")
+left = deru(m.presentation, "omega", None, (0, 4))
+right = deru(tilde, "beta", None, (0, 4))
 print("H(Der_u rel omega):", betti_numbers(left.to_chain(pad_below=True), (0, 3)))
 print("H(Der_u rel beta): ", betti_numbers(right.to_chain(pad_below=True), (0, 3)))
 

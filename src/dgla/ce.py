@@ -163,17 +163,21 @@ class CESlice:
         linalg.check_d_squared(self.d_matrix, 0, self.top)
 
 
-def ce_cohomology(g, coefficient_dim, degree_range, certify=True):
+def ce_cohomology(g, coefficient_dim, degree_range):
     """Betti numbers of H^k(Hom(CE chains, M)) for a trivial module M.
 
     ``coefficient_dim`` is dim M.  The required g-window is computed from
     the range and reported via WindowTooNarrow when the slice is too small.
-    Returns a dict degree -> betti.
+    d^2 = 0 is certified first (NotAComplex otherwise).  Returns a dict
+    degree -> betti.
     """
     k0, k1 = int(degree_range[0]), int(degree_range[1])
-    ce = CESlice(g, k1 + 1)
-    if certify:
-        ce.check_d_squared()
+    return _betti(CESlice(g, k1 + 1), coefficient_dim, k0, k1)
+
+
+def _betti(ce, coefficient_dim, k0, k1):
+    """ce_cohomology on a CE slice built to degree k1 + 1."""
+    ce.check_d_squared()
     out = {}
     ranks = {}
     for k in range(max(k0, 0), k1 + 2):
@@ -193,7 +197,8 @@ def ce_product_check(g, h, dim_m, dim_n, degree_range):
     Checks that CE cochains of g x h with coefficients M (x) N have, in each
     degree of the range, the dimension of the tensor product of the factors'
     cochain complexes, and that the Betti numbers satisfy the Kunneth
-    equality.  Returns a report; never raises on mathematical failure.
+    equality.  Returns a report; the one mathematical failure it raises on
+    is a CE differential with d^2 != 0 (NotAComplex).
     """
     k0, k1 = int(degree_range[0]), int(degree_range[1])
     prod = g.product(h)
@@ -213,9 +218,9 @@ def ce_product_check(g, h, dim_m, dim_n, degree_range):
             witness = ("dimension", k, lhs, rhs)
             break
     checks.append(("cochain_dimensions_multiply", ok, witness))
-    bg = ce_cohomology(g, dim_m, (max(0, k0), k1), certify=False)
-    bh = ce_cohomology(h, dim_n, (max(0, k0), k1), certify=False)
-    bp = ce_cohomology(prod, dim_m * dim_n, (max(0, k0), k1), certify=False)
+    bg = _betti(cg, dim_m, max(0, k0), k1)
+    bh = _betti(ch, dim_n, max(0, k0), k1)
+    bp = _betti(cp, dim_m * dim_n, max(0, k0), k1)
     ok = True
     witness = None
     for k in range(max(0, k0), k1 + 1):

@@ -107,10 +107,9 @@ def cmd_der(args, inputs):
     if args.rho:
         rho, _ = _load(inputs, args.rho, io_mod.load_rho, p)
     if args.deru:
-        mode = "trivial-differential" if args.mode == "trivial-differential" else "semisimple-indec"
-        if mode == "semisimple-indec" and p.differential and not args.assert_semisimple:
-            raise SchemaError("deru in semisimple-indec mode needs --assert-semisimple")
-        slc = deru(p, args.sub, rho, _window(args), mode=mode)
+        if p.differential and not args.assert_semisimple:
+            raise SchemaError("--deru with a nonzero differential needs --assert-semisimple")
+        slc = deru(p, args.sub, rho, _window(args))
         chain = slc.to_chain(pad_below=True)
     else:
         slc = der_complex(p, args.sub, _window(args))
@@ -161,10 +160,9 @@ def cmd_xi(args, inputs):
     if m.presentation.differential and not args.assert_semisimple:
         raise SchemaError("xi on a model with nonzero differential needs --assert-semisimple")
     tilde, inc, proj = tilde_model(m)
-    mode = "trivial-differential" if not m.presentation.differential else "semisimple-indec"
     lo, hi = _window(args)
-    ul = deru(m.presentation, "omega", None, (lo, hi + 1), mode=mode)
-    ut = deru(tilde, "beta", None, (lo, hi + 1), mode="semisimple-indec")
+    ul = deru(m.presentation, "omega", None, (lo, hi + 1))
+    ut = deru(tilde, "beta", None, (lo, hi + 1))
     bl = betti_numbers(ul.to_chain(pad_below=True), (lo, hi))
     bt = betti_numbers(ut.to_chain(pad_below=True), (lo, hi))
     verdicts = [
@@ -185,7 +183,6 @@ def cmd_block_g(args, inputs):
     if m.presentation.differential and not args.assert_semisimple:
         raise SchemaError("block-g on a model with nonzero differential needs --assert-semisimple")
     g = build_block_g(m, _window(args))
-    g.check_d_squared()
     return _g_tables(g, args.min, args.max), [_verdict("d_squared_zero", True)]
 
 
@@ -194,11 +191,9 @@ def cmd_g(args, inputs):
     rho = pi = None
     if args.rho:
         rho, pi = _load(inputs, args.rho, io_mod.load_rho, p)
-    if not args.mode == "trivial-differential" and p.differential and not args.assert_semisimple:
-        raise SchemaError("g in semisimple-indec mode needs --assert-semisimple")
-    mode = "trivial-differential" if args.mode == "trivial-differential" else "semisimple-indec"
-    g = build_g(p, args.sub_b, args.sub, rho, pi, _window(args), mode=mode)
-    g.check_d_squared()
+    if p.differential and not args.assert_semisimple:
+        raise SchemaError("g on a presentation with nonzero differential needs --assert-semisimple")
+    g = build_g(p, args.sub_b, args.sub, rho, pi, _window(args))
     return _g_tables(g, max(0, args.min), args.max), [_verdict("d_squared_zero", True)]
 
 
@@ -300,7 +295,6 @@ def build_parser():
     sp.add_argument("--deru", action="store_true")
     sp.add_argument("--rho", default=None)
     sp.add_argument("--assert-semisimple", action="store_true")
-    sp.add_argument("--mode", choices=["trivial-differential"], default=None)
     sp = add("ce", cmd_ce)
     sp.add_argument("file")
     sp.add_argument("--coeff-dim", type=int, default=1)
@@ -320,7 +314,6 @@ def build_parser():
     sp.add_argument("--sub-b", default=None, help="the Hom-source sub (L_B)")
     sp.add_argument("--rho", default=None)
     sp.add_argument("--assert-semisimple", action="store_true")
-    sp.add_argument("--mode", choices=["trivial-differential"], default=None)
     sp = add("glue", cmd_glue)
     sp.add_argument("left")
     sp.add_argument("right")

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from . import linalg
-from .errors import ModeUnavailable, RhoNotChainMap, SchemaError, SubMismatch
+from .errors import RhoNotChainMap, SchemaError, SubMismatch
 from .linalg import combination
 from .morphisms import _rho_of
 from .presentation import ElementGenerated, GeneratorSplit, LieElement, leibniz_extension
@@ -49,9 +49,9 @@ class Derivation:
                     )
                 self.values[name] = v
         if check and rel is not None:
-            self._check_rel()
+            self._verify_rel()
 
-    def _check_rel(self):
+    def _verify_rel(self):
         spec = self.ambient.sub(self.rel)
         if isinstance(spec, GeneratorSplit):
             for n in spec.names:
@@ -182,16 +182,14 @@ class _HomLayout:
                 out.update((off + i, c) for i, c in v.coords.items())
         return out
 
-    def from_vector(self, vec, check_rel=False):
+    def from_vector(self, vec):
         """The derivation with the sparse Hom coordinates vec."""
         coords = {}
         for k in sorted(vec):
             name, deg, off, _ = self.slots[bisect_right(self.offsets, k) - 1]
             coords.setdefault((name, deg), {})[k - off] = vec[k]
         vals = {name: LieElement(self.p, deg + self.n, c) for (name, deg), c in coords.items()}
-        return Derivation(
-            self.p, self.n, vals, rel=self.rel, check=check_rel
-        )
+        return Derivation(self.p, self.n, vals, rel=self.rel, check=False)
 
     def unit(self, k):
         return self.from_vector({k: Fraction(1)})
@@ -330,23 +328,18 @@ def check_rho_chain_map(p, rho):
             raise RhoNotChainMap("rho(d %s) != 0" % name)
 
 
-def deru(p, rel, rho, window, mode="semisimple-indec"):
+def deru(p, rel, rho, window):
     """The unipotent-part derivation complex tau_{>=0} Der_u(L rel rel).
 
     Degrees >= 1 carry the full Der(L rel rel)_n.  Degree 0 carries the
     cycles theta with (i) rho . theta = 0 on generators when rho is given
-    and (ii) vanishing induced map on the relative indecomposables.  In
-    trivial-differential mode (only legal when d = 0), the cycle condition
-    is vacuous and (ii) is the pr.theta.inc = 0 description.
+    and (ii) vanishing induced map on the relative indecomposables.  When
+    d = 0 every derivation is a cycle and (ii) is the pr.theta.inc = 0
+    description.  When d != 0 this is Der_u only if the indecomposables
+    representation is semisimple; that hypothesis is the caller's to assert.
     """
     lo, hi = int(window[0]), int(window[1])
     lo = max(lo, 0)
-    if mode not in ("semisimple-indec", "trivial-differential"):
-        raise ValueError("unknown mode %r" % mode)
-    if mode == "trivial-differential" and p.differential:
-        raise ModeUnavailable(
-            "trivial-differential mode on a presentation with nonzero d"
-        )
     if rho is not None:
         check_rho_chain_map(p, rho)
     spaces = {}
@@ -356,7 +349,7 @@ def deru(p, rel, rho, window, mode="semisimple-indec"):
         layouts[n] = layout
         if n == 0:
             rows = []  # each a {column: coefficient} dict
-            if mode == "semisimple-indec" and p.differential:
+            if p.differential:
                 # the cycle condition: the rows of the matrix whose column k
                 # is the image of the k-th unit derivation
                 lay_m1, _ = _der_space(p, rel, -1)
@@ -503,13 +496,12 @@ def homology_map_is_iso(m, lo, hi):
     return True
 
 
-def forget_pullback(m, rel_target, rel_source, window, rho_target=None,
-                    rho_source=None, mode_target="semisimple-indec",
-                    mode_source="semisimple-indec", check_qiso=True):
+def forget_pullback(m, rel_target, rel_source, window):
     """The pullback complex of the forgetful cospan, as a chain slice.
 
-    m : L' -> L is a quasi-isomorphism of presentations; the pullback
-    consists of pairs (theta, theta') in
+    m : L' -> L must be a quasi-isomorphism of presentations on the window
+    (checked by ranks; NotQuasiIso otherwise).  The pullback consists of
+    pairs (theta, theta') in
     Der_u(L rel rel_target)_n x Der_u(L' rel rel_source)_n with
     theta . m = m . theta' as f-derivations, with the restricted product
     differential.  Returns (slice, left, right, pairs) where left and right
@@ -519,12 +511,11 @@ def forget_pullback(m, rel_target, rel_source, window, rho_target=None,
     from .graded import ChainComplexSlice, GradedBasis
 
     lo, hi = int(window[0]), int(window[1])
-    if check_qiso:
-        qlo = max(1, lo)
-        if not homology_map_is_iso(m, qlo, max(qlo, hi)):
-            raise NotQuasiIso("m is not a quasi-isomorphism on the window")
-    left = deru(m.target, rel_target, rho_target, (lo, hi), mode=mode_target)
-    right = deru(m.source, rel_source, rho_source, (lo, hi), mode=mode_source)
+    qlo = max(1, lo)
+    if not homology_map_is_iso(m, qlo, max(qlo, hi)):
+        raise NotQuasiIso("m is not a quasi-isomorphism on the window")
+    left = deru(m.target, rel_target, None, (lo, hi))
+    right = deru(m.source, rel_source, None, (lo, hi))
     src_gens = m.source.generators.entries
     pair_spaces = {}
     pairs = {}

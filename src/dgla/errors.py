@@ -62,10 +62,6 @@ class NotQuasiIso(DglaError):
     """A map failed the homology rank check over the requested window."""
 
 
-class ModeUnavailable(DglaError):
-    """The requested unipotent-part mode does not apply to this input."""
-
-
 class NotUnimodular(DglaError):
     """A graded symplectic pairing is singular."""
 

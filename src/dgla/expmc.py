@@ -9,9 +9,9 @@ from fractions import Fraction
 from itertools import chain
 from math import factorial
 
-from .errors import ClassExceeded, NotNilpotent
+from .errors import AxiomFailure, ClassExceeded, NotNilpotent, SchemaError
 from .linalg import combination
-from .morphisms import GeneratorMorphism
+from .morphisms import GeneratorMorphism, check_morphism
 from .presentation import TreeMap, common_degree
 from .slices import SliceElement
 
@@ -137,16 +137,18 @@ class NilpotentElementGroup:
 # -- exponential automorphisms --------------------------------------------------
 
 
-def exp_automorphism(theta, check=True):
+def exp_automorphism(theta):
     """e(theta) = sum theta^n / n! for a nilpotent degree-0 derivation.
 
     Nilpotency is verified exactly: on each generator the iteration must
-    die within dim L_{|gen|} steps.  The result is an automorphism; when
-    theta is a cycle it commutes with d (and check_morphism is run).
+    die within dim L_{|gen|} steps.  The result is an automorphism, and it
+    commutes with d exactly when theta is a cycle; check_morphism certifies
+    that, and that e(theta) fixes theta's sub (AxiomFailure otherwise).  A
+    derivation of nonzero degree is a SchemaError at its "degree" key.
     """
     p = theta.ambient
     if theta.degree != 0:
-        raise ValueError("exp needs a degree-0 derivation")
+        raise SchemaError("exp needs a degree-0 derivation", "/degree")
     images = {}
     for name, deg in p.generators.entries:
         term = p.gen(name)
@@ -161,12 +163,9 @@ def exp_automorphism(theta, check=True):
             terms.append((Fraction(1, factorial(len(terms) + 1)), term))
         images[name] = p.gen(name).add_scaled(terms)
     f = GeneratorMorphism(p, p, images)
-    if check:
-        from .morphisms import check_morphism
-
-        rep = check_morphism(f, fixed_sub=theta.rel)
-        if not rep.passed:
-            raise ValueError("exp image fails morphism checks: %r" % rep.failures())
+    rep = check_morphism(f, fixed_sub=theta.rel)
+    if not rep.passed:
+        raise AxiomFailure("exp image fails morphism checks: %r" % rep.failures())
     return f
 
 

@@ -14,22 +14,11 @@ from . import linalg
 from .derivations import Derivation, forget_pullback
 from .errors import DimensionMismatch, SemisimplicityNotAsserted, SubMismatch
 from .expr import rename_tree
-from .graded import betti_numbers
+from .graded import ChainComplexSlice, GradedBasis, betti_numbers
 from .models import manifold_model, tilde_model
 from .linalg import combination
+from .presentation import ValidationReport, fresh_names
 from .slices import bilinear
-
-
-def _fresh_names(taken, names):
-    out = {}
-    taken = set(taken)
-    for n in names:
-        nn = n
-        while nn in taken:
-            nn = nn + "'"
-        out[n] = nn
-        taken.add(nn)
-    return out
 
 
 def boundary_connected_sum(m, n):
@@ -45,7 +34,7 @@ def boundary_connected_sum(m, n):
             "dimensions %d and %d differ" % (m.dimension, n.dimension)
         )
     left_names = {nm: nm for nm, _ in m.v.basis.entries}
-    right_names = _fresh_names(
+    right_names = fresh_names(
         [nm for nm, _ in m.v.basis.entries], [nm for nm, _ in n.v.basis.entries]
     )
     gens = [(nm, d) for nm, d in m.v.basis.entries] + [
@@ -177,7 +166,7 @@ def _bracket_compatibility(source, g_glued, cols, lo, hi):
 
 
 def glue_headline_g(g_left, g_right, g_glued, left_names, right_names,
-                    assert_semisimple=False, check=True):
+                    assert_semisimple=False):
     """The gluing map on headline semidirect dg Lie algebras.
 
     Hom factors are combined by the direct-sum identification of the
@@ -204,69 +193,40 @@ def glue_headline_g(g_left, g_right, g_glued, left_names, right_names,
                 _factor_entries(g_right, g_glued, right_names, d, g_left.dim(d)),
             ),
         )
-    report = []
-    if check:
-        # the source g_left x g_right, in the blocks' column order
-        source = g_left.product(g_right)
-        cols = {d: linalg.columns(block, source.dim(d)) for d, block in blocks.items()}
-        report.append(_d_compatibility(source, g_glued, cols, lo, hi))
-        report.append(_bracket_compatibility(source, g_glued, cols, lo, hi))
-    from .presentation import ValidationReport
-
-    rep = ValidationReport(report) if check else ValidationReport([])
-    if check and not rep.passed:
+    # the source g_left x g_right, in the blocks' column order
+    source = g_left.product(g_right)
+    cols = {d: linalg.columns(block, source.dim(d)) for d, block in blocks.items()}
+    rep = ValidationReport([
+        _d_compatibility(source, g_glued, cols, lo, hi),
+        _bracket_compatibility(source, g_glued, cols, lo, hi),
+    ])
+    if not rep.passed:
         raise SubMismatch("gluing map failed verification: %r" % rep.failures())
     return HeadlineGluingMap(g_left, g_right, g_glued, blocks, rep)
 
 
-def forget_compare(model, window, rho=None, mode=None, use_pontryagin=False):
+def forget_compare(model, window):
     """Homology ranks of the three-term forgetful comparison for a model.
 
     Builds the stabilized model, forms the pullback of
     Der_u(L rel omega) <- . -> Der_u(L~ rel beta) over the projection, and
     reports per-degree homology ranks of all three complexes with
-    agreement flags.  No quasi-isomorphism claim is made.
+    agreement flags.  No quasi-isomorphism claim is made.  The tilde side
+    always has a nonzero differential, so its Der_u rests on the
+    semisimplicity hypothesis; when the model's differential vanishes that
+    hypothesis holds (the indecomposables representation factors through
+    the symplectic group), and otherwise the caller asserts it.
     """
     tilde, inc, proj = tilde_model(model)
-    if mode is None:
-        mode = (
-            "trivial-differential"
-            if not model.presentation.differential
-            else "semisimple-indec"
-        )
-    rho_l = rho_r = None
-    if use_pontryagin:
-        from .models import pi_so_basis
-
-        top = max((d for _, d in model.v.basis.entries), default=0) + 1
-        pi = pi_so_basis(top + 2)
-        rho_l = model.pontryagin_map(model.presentation, pi)
-        rho_r = model.pontryagin_map(tilde, pi)
     lo, hi = int(window[0]), int(window[1])
-    # The tilde side always has a nonzero differential, so it runs in the
-    # asserted semisimple-indec mode; when the base differential vanishes
-    # that assertion is automatic (the indecomposables representation
-    # factors through the symplectic group).
-    slc, left, right, pairs = forget_pullback(
-        proj,
-        "omega",
-        "beta",
-        (lo, hi),
-        rho_target=rho_l,
-        rho_source=rho_r,
-        mode_target=mode,
-        mode_source="semisimple-indec",
-    )
+    slc, left, right, pairs = forget_pullback(proj, "omega", "beta", (lo, hi))
     k0, k1 = max(0, lo), hi - 1
     b_left = betti_numbers(left.to_chain(pad_below=True), (k0, k1))
     b_right = betti_numbers(right.to_chain(pad_below=True), (k0, k1))
-    pad = slc  # pullback slice is genuinely zero below 0 as well
-    from .graded import ChainComplexSlice, GradedBasis
-
-    spaces = {d: pad.spaces[d] for d in range(pad.lo, pad.hi + 1)}
-    spaces[pad.lo - 1] = GradedBasis([])
-    diff = {d: pad.d_matrix(d) for d in range(pad.lo + 1, pad.hi + 1)}
-    padded = ChainComplexSlice((pad.lo - 1, pad.hi), spaces, diff)
+    # the pullback slice is genuinely zero below 0 as well
+    padded = ChainComplexSlice(
+        (slc.lo - 1, slc.hi), {**slc.spaces, slc.lo - 1: GradedBasis([])}, slc.differential
+    )
     b_mid = betti_numbers(padded, (k0, k1))
     rows = []
     for k in range(k0, k1 + 1):

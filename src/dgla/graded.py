@@ -98,10 +98,11 @@ class ChainComplexSlice:
     ``spaces`` maps each degree in the window to a GradedBasis concentrated
     in that degree (only its length matters for computations; names label
     report rows).  ``differential`` maps degree d to the matrix of
-    d_d : C_d -> C_{d-1}.  Degrees outside [lo, hi] are unknown.
+    d_d : C_d -> C_{d-1}.  Degrees outside [lo, hi] are unknown.  The
+    constructor certifies d . d = 0 (NotAComplex otherwise).
     """
 
-    def __init__(self, window, spaces, differential, check=True):
+    def __init__(self, window, spaces, differential):
         self.lo, self.hi = int(window[0]), int(window[1])
         if self.lo > self.hi:
             raise ValueError("empty window")
@@ -114,8 +115,7 @@ class ChainComplexSlice:
             m = self.d_matrix(d)
             if len(m) != self.dim(d - 1) or (m and any(len(r) != self.dim(d) for r in m)):
                 raise ValueError("differential block at %d has wrong shape" % d)
-        if check:
-            self.check_complex()
+        self.check_complex()
 
     def dim(self, d):
         if self.lo <= d <= self.hi:

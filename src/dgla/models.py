@@ -373,17 +373,18 @@ def outer_action_check(a, window=None):
     return ValidationReport(checks)
 
 
-def semidirect(g, L, a, window=None, check=True):
+def semidirect(g, L, a, window=None):
     """The twisted semidirect product g |x_chi L as a slice.
 
     Bracket [(t,x),(p,y)] = ([t,p], [x,y] + t.y + x.p) and differential
     d(t,x) = (dt, dx + chi(t)), with x.p = -(-1)^{|x||p|} p.x.  Basis per
-    degree: the acting part first, then the module part.
+    degree: the acting part first, then the module part.  The outer-action
+    axioms, d^2 = 0, the bracket axioms and Leibniz are certified on the
+    window (AxiomFailure or NotAComplex otherwise).
     """
-    if check:
-        rep = outer_action_check(a, window)
-        if not rep.passed:
-            raise AxiomFailure("outer action axioms fail: %r" % rep.failures())
+    rep = outer_action_check(a, window)
+    if not rep.passed:
+        raise AxiomFailure("outer action axioms fail: %r" % rep.failures())
     lo = max(g.lo, L.lo) if window is None else window[0]
     hi = min(g.hi, L.hi) if window is None else window[1]
     labels = {
@@ -419,10 +420,9 @@ def semidirect(g, L, a, window=None, check=True):
     slc.acting = g
     slc.module = L
     slc.action = a
-    if check:
-        slc.check_d_squared()
-        slc.check_bracket_axioms()
-        slc.check_d_leibniz()
+    slc.check_d_squared()
+    slc.check_bracket_axioms()
+    slc.check_d_leibniz()
     return slc
 
 
@@ -511,7 +511,7 @@ class _HomModule:
         return combination(terms)
 
 
-def build_g(p, sub_b, sub_a, rho, pi, window, mode="semisimple-indec", check=True):
+def build_g(p, sub_b, sub_a, rho, pi, window):
     """The headline semidirect dg Lie algebra over a triple of subs.
 
     g = tau_{>=0} Hom(s indec_{sub_b}(p), pi) |x Der_u^rho(p rel sub_a),
@@ -541,7 +541,7 @@ def build_g(p, sub_b, sub_a, rho, pi, window, mode="semisimple-indec", check=Tru
         top = max((d for _, d in p.nonsub_generators(sub_b)), default=0) + 1
         pi = pi_so_basis(top)
     hm = _HomModule(p, sub_b, pi, (lo, hi))
-    g = deru(p, sub_a, rho, (lo, hi), mode=mode)
+    g = deru(p, sub_a, rho, (lo, hi))
 
     def action_fn(n, i, m, j):
         right = hm.right_action_raw(g.derivations[n][i], m, hm.raw_basis_vector(m, j))
@@ -552,37 +552,22 @@ def build_g(p, sub_b, sub_a, rho, pi, window, mode="semisimple-indec", check=Tru
         return hm.to_module_coords(n - 1, hm.chi_raw(g.derivations[n][i], rho))
 
     a = OuterAction(g, hm.module, action_fn, chi_fn if rho is not None else None)
-    slc = semidirect(g, hm.module, a, (lo, hi), check=check)
+    slc = semidirect(g, hm.module, a, (lo, hi))
     slc.hom_module = hm
     return slc
 
 
-def build_block_g(model, window, mode=None, check=True):
+def build_block_g(model, window):
     """The block dg Lie algebra of a manifold model.
 
     tau_{>=0} Hom(s V, pi_*(SO) x Q) |x_{p_*} Der_u^p(L rel omega), with the
     outer action (f.theta)(s v) = (-1)^{|theta|} f(s (pr.theta)(v)) and
     chi = p_* the Pontryagin twist.  The Hom part has zero differential
-    since V carries none.  Mode defaults to trivial-differential when the
-    model's differential vanishes and the caller-asserted semisimple-indec
-    mode otherwise.
+    since V carries none.  When the model's differential is nonzero, the
+    degree-0 part is Der_u only under the semisimplicity hypothesis, which
+    the caller asserts (see ``deru``).
     """
-    if mode is None:
-        mode = (
-            "trivial-differential"
-            if not model.presentation.differential
-            else "semisimple-indec"
-        )
     top = max((d for _, d in model.v.basis.entries), default=0) + 1
     pi = pi_so_basis(top)
     rho = model.pontryagin_map(model.presentation, pi)
-    return build_g(
-        model.presentation,
-        None,
-        "omega",
-        rho,
-        pi,
-        window,
-        mode=mode,
-        check=check,
-    )
+    return build_g(model.presentation, None, "omega", rho, pi, window)

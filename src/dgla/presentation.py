@@ -668,6 +668,20 @@ def presentation_slice(p, lo, hi):
     return slc
 
 
+def fresh_names(taken, names):
+    """{name: new name} for ``names``, each given apostrophes until it is
+    not in ``taken`` nor an earlier new name."""
+    out = {}
+    taken = set(taken)
+    for n in names:
+        nn = n
+        while nn in taken:
+            nn = nn + "'"
+        out[n] = nn
+        taken.add(nn)
+    return out
+
+
 def pushout(p, q, along, correspondence=None):
     """Pushout of two presentations along a shared GeneratorSplit sub.
 
@@ -693,14 +707,8 @@ def pushout(p, q, along, correspondence=None):
 
     p_names = [n for n, _ in p.generators.entries]
     q_free = [n for n, _ in q.generators.entries if n not in set(sq.names)]
-    taken = set(p_names)
     qmap = dict(correspondence)
-    for n in q_free:
-        nn = n
-        while nn in taken:
-            nn = nn + "'"
-        qmap[n] = nn
-        taken.add(nn)
+    qmap.update(fresh_names(p_names, q_free))
 
     gens = list(p.generators.entries) + [
         (qmap[n], q.generators.degree(n)) for n in q_free

@@ -155,24 +155,23 @@ class DgLieSlice:
 
     # -- derived objects ---------------------------------------------------------
 
-    def to_chain(self, pad_below=False, pad_above=False):
+    def to_chain(self, pad_below=False):
         """As a ChainComplexSlice.
 
-        Padding appends a zero space below/above the window; only use it
-        when the complex genuinely vanishes there (e.g. tau_{>=0}
-        truncations below degree 0), since window degrees are otherwise
-        unknown rather than zero.
+        Padding appends a zero space below the window; only use it when the
+        complex genuinely vanishes there (e.g. tau_{>=0} truncations below
+        degree 0), since window degrees are otherwise unknown rather than
+        zero.
         """
         lo = self.lo - 1 if pad_below else self.lo
-        hi = self.hi + 1 if pad_above else self.hi
         spaces = {}
-        for d in range(lo, hi + 1):
+        for d in range(lo, self.hi + 1):
             names = self.labels[d] if self.in_window(d) else []
             spaces[d] = GradedBasis([("%s#%d" % (s, i), d) for i, s in enumerate(names)])
         diff = {}
         for d in range(self.lo + 1, self.hi + 1):
             diff[d] = self.d_matrix(d)
-        return ChainComplexSlice((lo, hi), spaces, diff)
+        return ChainComplexSlice((lo, self.hi), spaces, diff)
 
     def product(self, other):
         """Direct product g x h with componentwise bracket and differential."""
@@ -210,22 +209,15 @@ class DgLieSlice:
 
         Degree-0 coordinates are re-expressed in an RREF basis of the cycle
         subspace; brackets landing in degree 0 are converted accordingly.
+        The cycles need the differential out of degree 0, so the window
+        must reach degree -1 (WindowTooNarrow otherwise).
         """
-        if self.lo > 0:
-            self.z0 = linalg.Subspace.full(self.dim(self.lo)) if self.in_window(0) else None
-            self.full = self
-            self.zero_below = True
-            return self
         hi = self.hi
         if hi < 0:
             out = DgLieSlice((0, 0), {0: []})
             out.z0 = linalg.Subspace.full(0)
-            out.full = self
             return out
-        if self.lo == 0:
-            z0 = linalg.Subspace.full(self.dim(0))
-        else:
-            z0 = linalg.Subspace.from_kernel(self.d_matrix(0), self.dim(0))
+        z0 = linalg.Subspace.from_kernel(self.d_matrix(0), self.dim(0))
         labels = {0: ["z%d" % i for i in range(z0.dim)]}
         for d in range(1, hi + 1):
             labels[d] = list(self.labels[d])
@@ -252,7 +244,6 @@ class DgLieSlice:
 
         out = DgLieSlice((0, hi), labels, d_blocks, bracket_fn=bracket_fn)
         out.z0 = z0
-        out.full = self
         out.zero_below = True
         return out
 
@@ -384,6 +375,4 @@ def hom_slice(source_basis, source_d_blocks, target_basis, window):
         ))
     slc = DgLieSlice((lo, hi), labels, d_blocks)
     slc.hom_index = index
-    slc.hom_source = source_basis
-    slc.hom_target = target_basis
     return slc

@@ -275,8 +275,8 @@ def test_criterion_4_xi_quasi_isomorphism():
     ]:
         m = manifold_model(6, gens, pairing)
         tilde, _, _ = tilde_model(m)
-        left = deru(m.presentation, "omega", None, (0, 4), mode="trivial-differential")
-        right = deru(tilde, "beta", None, (0, 4), mode="semisimple-indec")
+        left = deru(m.presentation, "omega", None, (0, 4))
+        right = deru(tilde, "beta", None, (0, 4))
         b_left = betti_numbers(left.to_chain(pad_below=True), (0, 3))
         b_right = betti_numbers(right.to_chain(pad_below=True), (0, 3))
         assert b_left == b_right, (gens, b_left, b_right)
@@ -476,7 +476,7 @@ def test_criterion_8_ce_oracles():
     assert ce_product_check(ab1, ab2, 2, 1, (0, 4)).passed
     m = manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
     tilde, _, _ = tilde_model(m)
-    g = deru(tilde, "beta", None, (0, 4), mode="semisimple-indec")
+    g = deru(tilde, "beta", None, (0, 4))
     assert ce_product_check(g, g, 1, 1, (0, 3)).passed
     elapsed = time.monotonic() - start
     assert elapsed <= 120.0, elapsed
@@ -494,8 +494,7 @@ def test_criterion_9_outer_action_axioms(fixture_path):
         hm = _HomModule(p, None, pi, (-1, 2))
         module = hm.full
         module.zero_below = False
-        mode = "trivial-differential" if not p.differential else "semisimple-indec"
-        acting = deru(p, "omega", rho, (0, 2), mode=mode)
+        acting = deru(p, "omega", rho, (0, 2))
 
         def action_fn(n, i, mdeg, j, acting=acting, hm=hm):
             right = hm.right_action_raw(acting.derivations[n][i], mdeg, {j: Fraction(1)})
@@ -533,7 +532,7 @@ def test_criterion_10_block_dimensions(fixture_path):
     tilde, _, _ = tilde_model(m)
     pi = pi_so_basis(max(d for _, d in m.v.basis.entries) + 1)
     rho = m.pontryagin_map(tilde, pi)
-    general = build_g(tilde, None, "beta", rho, None, (0, 4), mode="semisimple-indec")
+    general = build_g(tilde, None, "beta", rho, None, (0, 4))
     bg = betti_numbers(general.to_chain(pad_below=True), (0, 3))
     bb = betti_numbers(g.to_chain(pad_below=True), (0, 3))
     assert bg == bb, (bg, bb)

@@ -61,7 +61,7 @@ def test_ce_d_squared_certified_with_differential_and_bracket():
     # the derivation complex of the tilde model of W11
     m = manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
     tilde, _, _ = tilde_model(m)
-    g = deru(tilde, "beta", None, (0, 4), mode="semisimple-indec")
+    g = deru(tilde, "beta", None, (0, 4))
     ce = CESlice(g, 5)
     ce.check_d_squared()
 
@@ -92,8 +92,8 @@ def test_kunneth_on_products():
 def test_kunneth_on_der_slices():
     m = manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
     tilde, _, _ = tilde_model(m)
-    g = deru(tilde, "beta", None, (0, 3), mode="semisimple-indec")
-    h = deru(tilde, "beta", None, (0, 3), mode="semisimple-indec")
+    g = deru(tilde, "beta", None, (0, 3))
+    h = deru(tilde, "beta", None, (0, 3))
     rep = ce_product_check(g, h, 1, 1, (0, 3))
     assert rep.passed
 

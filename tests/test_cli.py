@@ -175,6 +175,31 @@ def test_exp_command(fixture_path):
     assert _body(payload)["tables"]["images"]["b"] == "a+b"
 
 
+@pytest.mark.parametrize(
+    "presentation, derivation, code, outcome",
+    [
+        # exp is defined on degree 0 only: a malformed input at its key
+        ("presentation_w11.json", {"degree": 1, "values": {}}, 2, "(at /degree)\n"),
+        # D theta(gamma) = d theta(gamma) - theta(d gamma) = [a,b] != 0, so e(theta)
+        # does not commute with d
+        ("tilde_w11.json", {"degree": 0, "values": {"beta": "[a,b]"}}, 1, "AxiomFailure"),
+    ],
+    ids=["nonzero-degree", "not-a-cycle"],
+)
+def test_exp_of_an_unusable_derivation(
+    tmp_path, capsys, fixture_path, presentation, derivation, code, outcome
+):
+    f = tmp_path / "derivation.json"
+    f.write_text(json.dumps(derivation))
+    got, payload = _run("exp", fixture_path(presentation), "--derivation", str(f))
+    assert got == code
+    if code == 2:
+        assert payload is None and capsys.readouterr().err.endswith(outcome)
+    else:
+        verdicts = _body(payload)["verdicts"]
+        assert [(v["name"], v["pass"]) for v in verdicts] == [(outcome, False)]
+
+
 def test_homotopy_command(fixture_path):
     code, payload = _run("homotopy", fixture_path("homotopy_interp.json"))
     assert code == 0
@@ -477,7 +502,13 @@ _FUZZED = [
     ("sl2.json", [["ce", "@", "--min", "0", "--max", "3"]]),
     ("mc_slice.json", [["mc", "@"]]),
     ("rho_twisted9.json", [_TWISTED9_G + ["@"]]),
-    ("exp_derivation.json", [["exp", "presentation_w11.json", "--derivation", "@"]]),
+    (
+        "exp_derivation.json",
+        [
+            ["exp", "presentation_w11.json", "--derivation", "@"],
+            ["exp", "tilde_w11.json", "--derivation", "@"],
+        ],
+    ),
     ("homotopy_interp.json", [["homotopy", "@"]]),
 ]
 _WRONG_TYPES = [7, "7", True, 1.5, [], [7], {}, {"x": 7}]

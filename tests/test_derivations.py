@@ -16,7 +16,7 @@ from dgla.derivations import (
     forget_pullback,
     glue_derivations,
 )
-from dgla.errors import ModeUnavailable, SubMismatch
+from dgla.errors import SubMismatch
 from dgla.graded import betti_numbers
 from dgla.morphisms import GeneratorMorphism, indec_action
 from dgla.presentation import DgLaPresentation, pushout
@@ -128,7 +128,7 @@ def test_slice_bases_keep_no_leibniz_memo():
     t = tilde_w11()
     slices = [
         der_complex(t, "beta", (-1, 2)),
-        deru(t, "beta", None, (0, 2), mode="semisimple-indec"),
+        deru(t, "beta", None, (0, 2)),
     ]
     for slc in slices:
         basis = [th for n in range(slc.lo, slc.hi + 1) for th in slc.derivations[n]]
@@ -137,21 +137,11 @@ def test_slice_bases_keep_no_leibniz_memo():
 
 def test_deru_examples():
     p = w11()
-    u = deru(p, "omega", None, (0, 2), mode="trivial-differential")
+    u = deru(p, "omega", None, (0, 2))
     assert u.dim(0) == 0
     full = der_complex(p, "omega", (1, 2))
     for n in (1, 2):
         assert u.dim(n) == full.dim(n)
-    with pytest.raises(ModeUnavailable):
-        deru(tilde_w11(), "beta", None, (0, 1), mode="trivial-differential")
-
-
-def test_deru_modes_agree_on_zero_differential():
-    p = w11()
-    u1 = deru(p, "omega", None, (0, 3), mode="trivial-differential")
-    u2 = deru(p, "omega", None, (0, 3), mode="semisimple-indec")
-    for n in range(4):
-        assert u1.dim(n) == u2.dim(n)
 
 
 def test_boundaries_have_zero_indec_action():
@@ -237,10 +227,7 @@ def test_glue_bracket_compatibility():
 def test_forget_pullback_identity_is_diagonal():
     p = w11()
     ident = GeneratorMorphism.identity(p)
-    slc, left, right, pairs = forget_pullback(
-        ident, "omega", "omega", (0, 3),
-        mode_target="trivial-differential", mode_source="trivial-differential",
-    )
+    slc, left, right, pairs = forget_pullback(ident, "omega", "omega", (0, 3))
     for n in range(0, 4):
         assert slc.dim(n) == left.dim(n) == right.dim(n)
 
@@ -250,10 +237,7 @@ def test_forget_pullback_rel_everything_is_zero():
         [("a", 2), ("b", 2)], None, {"all": {"generators": ["a", "b"]}}
     )
     ident = GeneratorMorphism.identity(p)
-    slc, left, right, _ = forget_pullback(
-        ident, "all", "all", (0, 3),
-        mode_target="trivial-differential", mode_source="trivial-differential",
-    )
+    slc, left, right, _ = forget_pullback(ident, "all", "all", (0, 3))
     assert all(slc.dim(n) == 0 for n in range(0, 4))
 
 
@@ -304,8 +288,8 @@ def test_deru_rho_condition_bites_at_degree_zero():
     )
     pi = GradedBasis([("pi3", 3)])
     rho = GradedLinearMap(p.generators, pi, 0, {3: [[1, 0]]})
-    without = deru(p, "A", None, (0, 1), mode="trivial-differential")
-    with_rho = deru(p, "A", rho, (0, 1), mode="trivial-differential")
+    without = deru(p, "A", None, (0, 1))
+    with_rho = deru(p, "A", rho, (0, 1))
     # theta(v) = s has zero action on the relative indecomposables but a
     # nonzero rho-component, so the rho condition cuts one dimension
     assert without.dim(0) == 1

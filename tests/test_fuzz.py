@@ -45,8 +45,7 @@ def test_fuzz_deru_homology_is_finite_and_consistent():
         p = random_presentation(rng, max_gens=3, max_degree=4)
         if sum(p.dim(d + 2) for _, d in p.generators.entries) > 60:
             continue
-        mode = "trivial-differential" if not p.differential else "semisimple-indec"
-        u = deru(p, None, None, (0, 3), mode=mode)
+        u = deru(p, None, None, (0, 3))
         b = betti_numbers(u.to_chain(pad_below=True), (0, 2))
         assert all(v >= 0 for v in b.values())
         built += 1

@@ -166,7 +166,7 @@ def test_xi_is_dg_lie_map():
     m = w11()
     tilde, _, _ = tilde_model(m)
     p = m.presentation
-    u = deru(p, "omega", None, (0, 5), mode="trivial-differential")
+    u = deru(p, "omega", None, (0, 5))
     from dgla.derivations import der_bracket
 
     sample = [th for n in (4, 5) for th in u.derivations[n]][:4]
@@ -186,8 +186,8 @@ def test_xi_is_dg_lie_map():
 def test_xi_quasi_iso_ranks_w11():
     m = w11()
     tilde, _, _ = tilde_model(m)
-    ul = deru(m.presentation, "omega", None, (0, 4), mode="trivial-differential")
-    ut = deru(tilde, "beta", None, (0, 4), mode="semisimple-indec")
+    ul = deru(m.presentation, "omega", None, (0, 4))
+    ut = deru(tilde, "beta", None, (0, 4))
     bl = betti_numbers(ul.to_chain(pad_below=True), (0, 3))
     bt = betti_numbers(ut.to_chain(pad_below=True), (0, 3))
     assert bl == bt
@@ -279,7 +279,7 @@ def test_block_g_via_general_build_matches():
     top = max(d for _, d in m.v.basis.entries) + 1
     pi = pi_so_basis(top)
     rho = m.pontryagin_map(tilde, pi)
-    general = build_g(tilde, None, "beta", rho, None, (0, 4), mode="semisimple-indec")
+    general = build_g(tilde, None, "beta", rho, None, (0, 4))
     block = build_block_g(m, (0, 4))
     bg = betti_numbers(general.to_chain(pad_below=True), (0, 3))
     bb = betti_numbers(block.to_chain(pad_below=True), (0, 3))
@@ -330,8 +330,8 @@ def test_build_g_with_zero_pi_degenerates_to_deru():
     m = w11()
     tilde, _, _ = tilde_model(m)
     pi = GradedBasis([])
-    g = build_g(tilde, "beta", "beta", None, pi, (0, 3), mode="semisimple-indec")
-    u = deru(tilde, "beta", None, (0, 3), mode="semisimple-indec")
+    g = build_g(tilde, "beta", "beta", None, pi, (0, 3))
+    u = deru(tilde, "beta", None, (0, 3))
     for n in range(0, 4):
         assert g.dim(n) == u.dim(n)
     for n in range(1, 4):
