@@ -18,4 +18,4 @@ print("Der(L rel omega) dims 0..4:", [slc.dim(n) for n in range(5)])
 # indecomposables.
 u = deru(p, "omega", None, (0, 4))
 print("Der_u dims 0..4:", [u.dim(n) for n in range(5)])
-print("H_*(Der_u) 0..3:", betti_numbers(u.to_chain(pad_below=True), (0, 3)))
+print("H_*(Der_u) 0..3:", betti_numbers(u.to_chain(), (0, 3)))

@@ -22,8 +22,8 @@ print("omega =", m.omega)
 tilde, include_beta, project = tilde_model(m)
 left = deru(m.presentation, "omega", None, (0, 4))
 right = deru(tilde, "beta", None, (0, 4))
-print("H(Der_u rel omega):", betti_numbers(left.to_chain(pad_below=True), (0, 3)))
-print("H(Der_u rel beta): ", betti_numbers(right.to_chain(pad_below=True), (0, 3)))
+print("H(Der_u rel omega):", betti_numbers(left.to_chain(), (0, 3)))
+print("H(Der_u rel beta): ", betti_numbers(right.to_chain(), (0, 3)))
 
 # The block dg Lie algebra: Hom(sV, pi_*(SO) x Q) twisted-semidirect the
 # unipotent derivations.  For this manifold the degree-0 part is the

@@ -97,6 +97,7 @@ class CESlice:
         self.top = top_degree
         self.words = {}
         self.index = {}
+        self._d = {}
         for k in range(0, top_degree + 1):
             ws = ce_words(g, k)
             self.words[k] = ws
@@ -125,8 +126,11 @@ class CESlice:
         return [((da + db, k), sign * c) for k, c in v.items()]
 
     def d_matrix(self, k):
-        """Matrix of the CE differential C_k -> C_{k-1}."""
-        return linalg.matrix(self.dim(k - 1), self.dim(k), self._d_terms(k))
+        """Matrix of the CE differential C_k -> C_{k-1}, assembled once per degree."""
+        m = self._d.get(k)
+        if m is None:
+            m = self._d[k] = linalg.matrix(self.dim(k - 1), self.dim(k), self._d_terms(k))
+        return m
 
     def _d_terms(self, k):
         """The (row, column, coefficient) terms of the CE differential out of C_k."""

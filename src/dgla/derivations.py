@@ -15,10 +15,11 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from . import linalg
-from .errors import RhoNotChainMap, SchemaError, SubMismatch
+from .errors import NotQuasiIso, RhoNotChainMap, SchemaError, SubMismatch, WindowTooNarrow
+from .graded import ChainComplexSlice, GradedBasis
 from .linalg import combination
 from .morphisms import _rho_of
-from .presentation import ElementGenerated, GeneratorSplit, LieElement, leibniz_extension
+from .presentation import GeneratorSplit, LieElement, leibniz_extension, lie_chain_slice
 from .slices import DgLieSlice
 
 
@@ -337,9 +338,10 @@ def deru(p, rel, rho, window):
     d = 0 every derivation is a cycle and (ii) is the pr.theta.inc = 0
     description.  When d != 0 this is Der_u only if the indecomposables
     representation is semisimple; that hypothesis is the caller's to assert.
+    The window is cut to degrees >= 0, and the slice is ``zero_below`` when
+    it starts at 0.  A given rho must kill d (RhoNotChainMap otherwise).
     """
-    lo, hi = int(window[0]), int(window[1])
-    lo = max(lo, 0)
+    lo, hi = max(0, int(window[0])), int(window[1])
     if rho is not None:
         check_rho_chain_map(p, rho)
     spaces = {}
@@ -480,8 +482,6 @@ def homology_map_is_iso(m, lo, hi):
     Uses the underlying chain complexes of source and target on a window
     padded by one degree on each side.
     """
-    from .presentation import lie_chain_slice
-
     src = lie_chain_slice(m.source, lo - 1, hi + 1)
     tgt = lie_chain_slice(m.target, lo - 1, hi + 1)
     for k in range(lo, hi + 1):
@@ -506,11 +506,10 @@ def forget_pullback(m, rel_target, rel_source, window):
     theta . m = m . theta' as f-derivations, with the restricted product
     differential.  Returns (slice, left, right, pairs) where left and right
     are the two deru slices and pairs[n] lists the (theta, theta') bases.
+    The window is cut to degrees >= 0; when both deru sides vanish below it,
+    so does the pullback, and its chain slice gets one zero degree below.
     """
-    from .errors import NotQuasiIso, WindowTooNarrow
-    from .graded import ChainComplexSlice, GradedBasis
-
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = max(0, int(window[0])), int(window[1])
     qlo = max(1, lo)
     if not homology_map_is_iso(m, qlo, max(qlo, hi)):
         raise NotQuasiIso("m is not a quasi-isomorphism on the window")
@@ -567,5 +566,8 @@ def forget_pullback(m, rel_target, rel_source, window):
                 )
             cols.append(c)
         diff[n] = linalg.from_columns(pair_spaces[n - 1].dim, cols)
+    if left.zero_below and right.zero_below:
+        lo -= 1
+        spaces[lo] = GradedBasis([])
     slc = ChainComplexSlice((lo, hi), spaces, diff)
     return slc, left, right, pairs

@@ -143,8 +143,9 @@ def exp_automorphism(theta):
     Nilpotency is verified exactly: on each generator the iteration must
     die within dim L_{|gen|} steps.  The result is an automorphism, and it
     commutes with d exactly when theta is a cycle; check_morphism certifies
-    that, and that e(theta) fixes theta's sub (AxiomFailure otherwise).  A
-    derivation of nonzero degree is a SchemaError at its "degree" key.
+    that, and that e(theta) fixes theta's sub (AxiomFailure otherwise), and
+    the returned morphism keeps that report as ``report``.  A derivation of
+    nonzero degree is a SchemaError at its "degree" key.
     """
     p = theta.ambient
     if theta.degree != 0:
@@ -163,9 +164,9 @@ def exp_automorphism(theta):
             terms.append((Fraction(1, factorial(len(terms) + 1)), term))
         images[name] = p.gen(name).add_scaled(terms)
     f = GeneratorMorphism(p, p, images)
-    rep = check_morphism(f, fixed_sub=theta.rel)
-    if not rep.passed:
-        raise AxiomFailure("exp image fails morphism checks: %r" % rep.failures())
+    f.report = check_morphism(f, fixed_sub=theta.rel)
+    if not f.report.passed:
+        raise AxiomFailure("exp image fails morphism checks: %r" % f.report.failures())
     return f
 
 

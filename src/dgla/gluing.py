@@ -14,7 +14,7 @@ from . import linalg
 from .derivations import Derivation, forget_pullback
 from .errors import DimensionMismatch, SemisimplicityNotAsserted, SubMismatch
 from .expr import rename_tree
-from .graded import ChainComplexSlice, GradedBasis, betti_numbers
+from .graded import betti_numbers
 from .models import manifold_model, tilde_model
 from .linalg import combination
 from .presentation import ValidationReport, fresh_names
@@ -219,15 +219,12 @@ def forget_compare(model, window):
     """
     tilde, inc, proj = tilde_model(model)
     lo, hi = int(window[0]), int(window[1])
-    slc, left, right, pairs = forget_pullback(proj, "omega", "beta", (lo, hi))
+    # built from one degree lower, so that degree lo has both differentials
+    slc, left, right, pairs = forget_pullback(proj, "omega", "beta", (lo - 1, hi))
     k0, k1 = max(0, lo), hi - 1
-    b_left = betti_numbers(left.to_chain(pad_below=True), (k0, k1))
-    b_right = betti_numbers(right.to_chain(pad_below=True), (k0, k1))
-    # the pullback slice is genuinely zero below 0 as well
-    padded = ChainComplexSlice(
-        (slc.lo - 1, slc.hi), {**slc.spaces, slc.lo - 1: GradedBasis([])}, slc.differential
-    )
-    b_mid = betti_numbers(padded, (k0, k1))
+    b_left = betti_numbers(left.to_chain(), (k0, k1))
+    b_right = betti_numbers(right.to_chain(), (k0, k1))
+    b_mid = betti_numbers(slc, (k0, k1))
     rows = []
     for k in range(k0, k1 + 1):
         rows.append(

@@ -307,7 +307,6 @@ def outer_action_check(a, window=None):
 
     g_d = {d: linalg.columns(g.d_matrix(d), g.dim(d)) for d in range(g.lo + 1, g.hi + 1)}
     L_d = {d: linalg.columns(L.d_matrix(d), L.dim(d)) for d in range(L.lo + 1, L.hi + 1)}
-    zb = getattr(L, "zero_below", False)
 
     ok = True
     witness = None
@@ -327,8 +326,8 @@ def outer_action_check(a, window=None):
     witness = None
     for n in range(lo, hi + 1):
         for m in range(lo, hi + 1):
-            chi_n = mod_ok(n - 1) or (n - 1 < L.lo and zb)
-            chi_m = mod_ok(m - 1) or (m - 1 < L.lo and zb)
+            chi_n = mod_ok(n - 1) or (n - 1 < L.lo and L.zero_below)
+            chi_m = mod_ok(m - 1) or (m - 1 < L.lo and L.zero_below)
             if not (g_ok(n + m) and mod_ok(n + m - 1) and chi_n and chi_m):
                 continue
             # chi(t).p = -(-1)^{|chi t||p|} p.chi(t)
@@ -349,9 +348,9 @@ def outer_action_check(a, window=None):
     witness = None
     for n in range(lo, hi + 1):
         for k in range(L.lo, L.hi + 1):
-            chi_known = mod_ok(n - 1) or (n - 1 < L.lo and zb)
-            dx_known = mod_ok(k - 1) or (k - 1 < L.lo and zb)
-            dtheta_known = n - 1 >= g.lo or getattr(g, "zero_below", False)
+            chi_known = mod_ok(n - 1) or (n - 1 < L.lo and L.zero_below)
+            dx_known = mod_ok(k - 1) or (k - 1 < L.lo and L.zero_below)
+            dtheta_known = n - 1 >= g.lo or g.zero_below
             if not (mod_ok(n + k) and mod_ok(n + k - 1)
                     and chi_known and dx_known and dtheta_known):
                 continue
@@ -420,6 +419,7 @@ def semidirect(g, L, a, window=None):
     slc.acting = g
     slc.module = L
     slc.action = a
+    slc.zero_below = g.zero_below and L.zero_below and g.lo == L.lo == lo
     slc.check_d_squared()
     slc.check_bracket_axioms()
     slc.check_d_leibniz()
@@ -519,24 +519,18 @@ def build_g(p, sub_b, sub_a, rho, pi, window):
     derivation part on the Hom part, and twist chi(theta) = rho~ . theta.
     ``rho`` is a GradedLinearMap from the generator basis into ``pi`` (or
     None for an untwisted product); it must vanish on the sub_b generators
-    and kill d.  ``pi`` defaults to one line in each degree 4i-1 up to the
-    maximum degree of the suspended Hom source.
+    and kill d (``deru`` checks the latter).  ``pi`` defaults to one line in
+    each degree 4i-1 up to the maximum degree of the suspended Hom source.
     """
     if not p.is_minimal(sub_a):
         raise NotMinimal("p is not minimal relative to %r" % sub_a)
     lo, hi = max(0, int(window[0])), int(window[1])
-    if rho is not None:
-        from .derivations import check_rho_chain_map
-
-        check_rho_chain_map(p, rho)
-        if sub_b is not None:
-            spec = p.sub(sub_b)
-            if isinstance(spec, GeneratorSplit):
-                for nm in spec.names:
-                    if _rho_of(rho, p.gen(nm)):
-                        raise RhoNotChainMap(
-                            "rho does not vanish on sub generator %r" % nm
-                        )
+    if rho is not None and sub_b is not None:
+        spec = p.sub(sub_b)
+        if isinstance(spec, GeneratorSplit):
+            for nm in spec.names:
+                if _rho_of(rho, p.gen(nm)):
+                    raise RhoNotChainMap("rho does not vanish on sub generator %r" % nm)
     if pi is None:
         top = max((d for _, d in p.nonsub_generators(sub_b)), default=0) + 1
         pi = pi_so_basis(top)

@@ -120,7 +120,7 @@ def check_morphism(f, fixed_sub=None, rho=None):
     if rho is not None:
         ok_rho = True
         for name, _ in f.source.generators.entries:
-            if _rho_of(rho, f.images[name]) != _rho_of(rho, f.source.gen(name) if f.source is f.target else f.source.gen(name)):
+            if _rho_of(rho, f.images[name]) != _rho_of(rho, f.source.gen(name)):
                 checks.append(("rho_invariant", False, name))
                 ok_rho = False
                 break

@@ -7,7 +7,8 @@ brackets lazily).  The bracket is memoized as one sparse structure-constant
 table {(n, i, m, j): {k: c}}, and every bilinear computation on a slice goes
 through ``bilinear`` over such a table.  Vectors are sparse {index: value}
 dicts with no zero entries.  Degrees outside the window are unknown, not
-zero; any access outside raises WindowTooNarrow.
+zero; any access outside raises WindowTooNarrow.  A slice whose builder
+knows that it vanishes below its window says so with ``zero_below``.
 """
 
 from fractions import Fraction
@@ -33,12 +34,12 @@ def bilinear(table, n, x, m, y):
 class DgLieSlice:
     def __init__(self, window, labels, d_blocks=None, bracket_fn=None):
         self.lo, self.hi = int(window[0]), int(window[1])
-        self.labels = {}
-        for d in range(self.lo, self.hi + 1):
-            self.labels[d] = list(labels.get(d, []))
-        self._d = {d: m for d, m in (d_blocks or {}).items()}
+        self.labels = {d: list(labels.get(d, [])) for d in range(self.lo, self.hi + 1)}
+        self._d = dict(d_blocks or {})
         self._bracket_fn = bracket_fn
         self._structure = {}
+        # set by the builders that know the slice is zero below its window
+        self.zero_below = False
 
     # -- structure access -------------------------------------------------
 
@@ -155,22 +156,19 @@ class DgLieSlice:
 
     # -- derived objects ---------------------------------------------------------
 
-    def to_chain(self, pad_below=False):
+    def to_chain(self):
         """As a ChainComplexSlice.
 
-        Padding appends a zero space below the window; only use it when the
-        complex genuinely vanishes there (e.g. tau_{>=0} truncations below
-        degree 0), since window degrees are otherwise unknown rather than
-        zero.
+        When the slice vanishes below its window (``zero_below``), the chain
+        gets one zero space below it, so that homology at the bottom degree
+        is known; otherwise that degree stays out of reach.
         """
-        lo = self.lo - 1 if pad_below else self.lo
-        spaces = {}
-        for d in range(lo, self.hi + 1):
-            names = self.labels[d] if self.in_window(d) else []
-            spaces[d] = GradedBasis([("%s#%d" % (s, i), d) for i, s in enumerate(names)])
-        diff = {}
-        for d in range(self.lo + 1, self.hi + 1):
-            diff[d] = self.d_matrix(d)
+        lo = self.lo - 1 if self.zero_below else self.lo
+        spaces = {
+            d: GradedBasis([("%s#%d" % (s, i), d) for i, s in enumerate(self.labels.get(d, []))])
+            for d in range(lo, self.hi + 1)
+        }
+        diff = {d: self.d_matrix(d) for d in range(self.lo + 1, self.hi + 1)}
         return ChainComplexSlice((lo, self.hi), spaces, diff)
 
     def product(self, other):
@@ -202,7 +200,9 @@ class DgLieSlice:
                 return {off + k: x for k, x in other.bracket(n, i - na, m, j - ma).items()}
             return {}
 
-        return DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
+        out = DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
+        out.zero_below = self.zero_below and other.zero_below and self.lo == other.lo
+        return out
 
     def truncate_nonneg(self):
         """tau_{>=0}: positive degrees unchanged, degree 0 the cycles.
@@ -212,30 +212,24 @@ class DgLieSlice:
         The cycles need the differential out of degree 0, so the window
         must reach degree -1 (WindowTooNarrow otherwise).
         """
-        hi = self.hi
-        if hi < 0:
-            out = DgLieSlice((0, 0), {0: []})
-            out.z0 = linalg.Subspace.full(0)
-            return out
-        z0 = linalg.Subspace.from_kernel(self.d_matrix(0), self.dim(0))
-        labels = {0: ["z%d" % i for i in range(z0.dim)]}
-        for d in range(1, hi + 1):
-            labels[d] = list(self.labels[d])
-        d_blocks = {}
-        for d in range(2, hi + 1):
-            d_blocks[d] = self.d_matrix(d)
+        if self.hi < 0:  # nothing of the slice is left
+            z0 = linalg.Subspace.full(0)
+        else:
+            z0 = linalg.Subspace.from_kernel(self.d_matrix(0), self.dim(0))
+        hi = max(self.hi, 0)
+        labels = {d: self.labels[d] for d in range(1, hi + 1)}
+        labels[0] = ["z%d" % i for i in range(z0.dim)]
+        d_blocks = {d: self.d_matrix(d) for d in range(2, hi + 1)}
         if hi >= 1:
             cols = [z0.coords(c) for c in linalg.columns(self.d_matrix(1), self.dim(1))]
             if None in cols:
                 raise NotAComplex("boundary of degree 1 is not a cycle")
             d_blocks[1] = linalg.from_columns(z0.dim, cols)
 
-        outer = self
-
         def bracket_fn(n, i, m, j):
             x = {i: 1} if n > 0 else z0.vectors[i]
             y = {j: 1} if m > 0 else z0.vectors[j]
-            v = bilinear(outer.bracket, n, x, m, y)
+            v = bilinear(self.bracket, n, x, m, y)
             if n + m == 0:
                 v = z0.coords(v)
                 if v is None:
@@ -258,13 +252,11 @@ class DgLieSlice:
         hi = max(hi, self.hi)
         labels = {d: list(self.labels.get(d, [])) for d in range(lo, hi + 1)}
         d_blocks = {d: self.d_matrix(d) for d in range(self.lo + 1, self.hi + 1)}
-        outer = self
 
         def bracket_fn(n, i, m, j):
-            return outer.bracket(n, i, m, j) if outer.in_window(n + m) else {}
+            return self.bracket(n, i, m, j) if self.in_window(n + m) else {}
 
-        out = DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
-        return out
+        return DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
 
 
 class SliceElement:

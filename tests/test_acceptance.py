@@ -277,8 +277,8 @@ def test_criterion_4_xi_quasi_isomorphism():
         tilde, _, _ = tilde_model(m)
         left = deru(m.presentation, "omega", None, (0, 4))
         right = deru(tilde, "beta", None, (0, 4))
-        b_left = betti_numbers(left.to_chain(pad_below=True), (0, 3))
-        b_right = betti_numbers(right.to_chain(pad_below=True), (0, 3))
+        b_left = betti_numbers(left.to_chain(), (0, 3))
+        b_right = betti_numbers(right.to_chain(), (0, 3))
         assert b_left == b_right, (gens, b_left, b_right)
         # independent code path: fresh assembly + plain Gauss
         i_left = _betti_independent(left, 0, 3)
@@ -533,8 +533,8 @@ def test_criterion_10_block_dimensions(fixture_path):
     pi = pi_so_basis(max(d for _, d in m.v.basis.entries) + 1)
     rho = m.pontryagin_map(tilde, pi)
     general = build_g(tilde, None, "beta", rho, None, (0, 4))
-    bg = betti_numbers(general.to_chain(pad_below=True), (0, 3))
-    bb = betti_numbers(g.to_chain(pad_below=True), (0, 3))
+    bg = betti_numbers(general.to_chain(), (0, 3))
+    bb = betti_numbers(g.to_chain(), (0, 3))
     assert bg == bb, (bg, bb)
     elapsed = time.monotonic() - start
     _passline(10, "block g~ of S3xS3 minus a disk has degree-0 dimension 2 = 2 + 0; tilde build agrees, H_0..3 %s (%.1fs)" % (sorted(bb.items()), elapsed))

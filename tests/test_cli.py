@@ -223,6 +223,94 @@ def test_xi_across_fixture_types(fixture_path):
         assert body["tables"]["right"] == ranks, name
 
 
+def _by_degree(tables):
+    """Each table of a report as {degree: value}; forget's rows keyed by degree."""
+    if "comparison" in tables:
+        return {"comparison": {str(r["degree"]): r for r in tables["comparison"]}}
+    return tables
+
+
+@pytest.mark.parametrize("command, top", [("xi", "3"), ("block-g", "4"), ("forget", "4")])
+def test_a_window_from_one_reports_the_bottom_degree_of_a_window_from_zero(
+    fixture_path, command, top
+):
+    # homology at the bottom of [1, top] needs degree 0 built, not assumed zero
+    tables = {}
+    for lo in ("0", "1"):
+        code, payload = _run(command, fixture_path("twisted9.json"), "--min", lo,
+                             "--max", top, "--assert-semisimple")
+        assert code == 0, lo
+        tables[lo] = _by_degree(_body(payload)["tables"])
+    assert tables["1"].keys() == tables["0"].keys()
+    for name, table in tables["1"].items():
+        assert "1" in table and "0" not in table
+        assert table == {k: tables["0"][name][k] for k in table}, name
+
+
+def _count_calls(monkeypatch, owners, name):
+    """A list that gets one entry per call of ``name`` through any of ``owners``."""
+    calls = []
+    for owner in owners:
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    return calls
+
+
+def test_each_ce_block_is_assembled_once(monkeypatch, fixture_path):
+    from dgla.ce import CESlice
+
+    calls = _count_calls(monkeypatch, [CESlice], "_d_terms")
+    code, _ = _run("ce", fixture_path("sl2.json"), "--min", "0", "--max", "3")
+    assert code == 0
+    assert len(calls) == 5  # blocks out of C_0 .. C_4
+
+
+def test_exp_certifies_its_automorphism_once_each_way(monkeypatch, fixture_path):
+    from dgla import cli, expmc, morphisms
+
+    calls = _count_calls(monkeypatch, [cli, expmc, morphisms], "check_morphism")
+    code, payload = _run("exp", fixture_path("presentation_w11.json"),
+                         "--derivation", fixture_path("exp_derivation.json"))
+    assert code == 0
+    assert len(calls) == 2  # e(theta) and e(-theta)
+    names = [v["name"] for v in _body(payload)["verdicts"]]
+    assert names == ["exp_degree_preserved", "exp_d_commutes", "exp_inverse_identity"]
+
+
+def test_forget_certifies_each_complex_once(monkeypatch, fixture_path):
+    from dgla.graded import ChainComplexSlice
+
+    calls = _count_calls(monkeypatch, [ChainComplexSlice], "check_complex")
+    code, _ = _run("forget", fixture_path("w11.json"), "--min", "0", "--max", "4")
+    assert code == 0
+    # two lie chain slices for the quasi-isomorphism, the two deru chains
+    # and the pullback
+    assert len(calls) == 5 + 1
+
+
+def test_glue_checks_rho_once_per_model(monkeypatch, fixture_path):
+    from dgla import derivations
+
+    calls = _count_calls(monkeypatch, [derivations], "check_rho_chain_map")
+    code, _ = _run("glue", fixture_path("w11.json"), fixture_path("w11.json"),
+                   "--min", "0", "--max", "2", "--assert-semisimple")
+    assert code == 0
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("command", [["g"], ["der", "--deru"]])
+def test_a_rho_that_does_not_kill_d_is_a_failed_verdict(tmp_path, fixture_path, command):
+    # d gamma = [a,b] - beta, and this rho sees beta
+    f = tmp_path / "rho.json"
+    f.write_text(json.dumps({"pi": [{"name": "p4", "degree": 4}], "values": {"beta": {"p4": 1}}}))
+    code, payload = _run(*command, fixture_path("tilde_w11.json"), "--sub", "beta",
+                         "--min", "0", "--max", "2", "--assert-semisimple", "--rho", str(f))
+    assert code == 1
+    assert _body(payload)["verdicts"] == [
+        {"name": "RhoNotChainMap", "pass": False, "witness": "rho(d gamma) != 0"}
+    ]
+
+
 def test_window_too_narrow_is_exit_2(tmp_path):
     f = tmp_path / "narrow.json"
     f.write_text(

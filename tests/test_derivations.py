@@ -16,7 +16,7 @@ from dgla.derivations import (
     forget_pullback,
     glue_derivations,
 )
-from dgla.errors import SubMismatch
+from dgla.errors import SubMismatch, WindowTooNarrow
 from dgla.graded import betti_numbers
 from dgla.morphisms import GeneratorMorphism, indec_action
 from dgla.presentation import DgLaPresentation, pushout
@@ -142,6 +142,17 @@ def test_deru_examples():
     full = der_complex(p, "omega", (1, 2))
     for n in (1, 2):
         assert u.dim(n) == full.dim(n)
+
+
+def test_deru_chain_reaches_below_its_window_only_from_zero():
+    # tau_{>=0} Der_u vanishes below degree 0, so a window from 0 answers
+    # H_0; a window from 1 does not know degree 0 and must not call it zero
+    p = w11()
+    assert deru(p, "omega", None, (0, 3)).to_chain().homology_degree(0) == (0, [])
+    chain = deru(p, "omega", None, (1, 3)).to_chain()
+    assert chain.lo == 1
+    with pytest.raises(WindowTooNarrow):
+        chain.homology_degree(1)
 
 
 def test_boundaries_have_zero_indec_action():

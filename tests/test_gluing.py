@@ -173,5 +173,5 @@ def test_w21_block_dimensions_pinned():
     g = build_block_g(m, (0, 3))
     g.check_d_squared()
     assert g.dim(0) == 4
-    b = betti_numbers(g.to_chain(pad_below=True), (0, 2))
+    b = betti_numbers(g.to_chain(), (0, 2))
     assert b[0] == 4

@@ -36,3 +36,18 @@ def test_d_leibniz_is_checked_on_every_pair():
     slc.check_bracket_axioms()
     with pytest.raises(AxiomFailure, match=r"pair \(1,20\),\(1,20\)"):
         slc.check_d_leibniz()
+
+
+def test_truncation_and_products_say_whether_they_vanish_below():
+    # tau_{>=0} of anything vanishes below 0, also when nothing is left
+    empty = DgLieSlice((-2, -1), {-1: ["x"]}).truncate_nonneg()
+    assert empty.zero_below and empty.to_chain().lo == -1
+    t = DgLieSlice((-1, 1), {0: ["x"], 1: ["y"]}).truncate_nonneg()
+    assert t.zero_below and t.to_chain().lo == -1
+    # a product vanishes below its window when every factor does there
+    assert t.product(t).zero_below
+    plain = DgLieSlice((0, 1), {0: ["z"]})
+    assert not plain.zero_below and not t.product(plain).zero_below
+    high = DgLieSlice((1, 1), {})
+    high.zero_below = True
+    assert not t.product(high).zero_below  # t is not zero in degree 0
