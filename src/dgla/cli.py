@@ -44,6 +44,12 @@ def _window(args):
     return (args.min, args.max)
 
 
+def _nonneg_window(args):
+    """The requested window with min raised to 0, for commands on tau_{>=0} objects."""
+    lo, hi = _window(args)
+    return max(0, lo), hi
+
+
 def _load(inputs, path, loader, *args):
     """The JSON file at ``path`` read by an io loader; ``path`` joins the inputs."""
     out = loader(io_mod.load_json_file(path), *args)
@@ -162,7 +168,7 @@ def cmd_xi(args, inputs):
     if m.presentation.differential and not args.assert_semisimple:
         raise SchemaError("xi on a model with nonzero differential needs --assert-semisimple")
     tilde, inc, proj = tilde_model(m)
-    lo, hi = _window(args)
+    lo, hi = _nonneg_window(args)
     ul = deru(m.presentation, "omega", None, (lo - 1, hi + 1))
     ut = deru(tilde, "beta", None, (lo - 1, hi + 1))
     bl = betti_numbers(ul.to_chain(), (lo, hi))
@@ -176,7 +182,7 @@ def cmd_xi(args, inputs):
 
 def _g_tables(slc, lo, hi):
     dims = {str(d): slc.dim(d) for d in range(lo, hi + 1)}
-    b = betti_numbers(slc.to_chain(), (lo, max(lo, hi - 1)))
+    b = betti_numbers(slc.to_chain(), (lo, hi - 1))
     return {"dims": dims, "betti": _betti_table(b)}
 
 
@@ -184,7 +190,7 @@ def cmd_block_g(args, inputs):
     m = _load(inputs, args.file, io_mod.load_manifold)
     if m.presentation.differential and not args.assert_semisimple:
         raise SchemaError("block-g on a model with nonzero differential needs --assert-semisimple")
-    lo, hi = _window(args)
+    lo, hi = _nonneg_window(args)
     g = build_block_g(m, (lo - 1, hi))
     return _g_tables(g, lo, hi), [_verdict("d_squared_zero", True)]
 
@@ -196,9 +202,9 @@ def cmd_g(args, inputs):
         rho, pi = _load(inputs, args.rho, io_mod.load_rho, p)
     if p.differential and not args.assert_semisimple:
         raise SchemaError("g on a presentation with nonzero differential needs --assert-semisimple")
-    lo, hi = _window(args)
+    lo, hi = _nonneg_window(args)
     g = build_g(p, args.sub_b, args.sub, rho, pi, (lo - 1, hi))
-    return _g_tables(g, max(0, lo), hi), [_verdict("d_squared_zero", True)]
+    return _g_tables(g, lo, hi), [_verdict("d_squared_zero", True)]
 
 
 def cmd_glue(args, inputs):
@@ -207,7 +213,7 @@ def cmd_glue(args, inputs):
     if not args.assert_semisimple:
         raise SchemaError("glue needs --assert-semisimple")
     mn = boundary_connected_sum(m, n)
-    w = _window(args)
+    w = _nonneg_window(args)
     gm = build_block_g(m, w)
     gn = build_block_g(n, w)
     gmn = build_block_g(mn, w)
@@ -239,7 +245,7 @@ def cmd_forget(args, inputs):
     m = _load(inputs, args.file, io_mod.load_manifold)
     if m.presentation.differential and not args.assert_semisimple:
         raise SchemaError("forget on a model with nonzero differential needs --assert-semisimple")
-    rows = forget_compare(m, _window(args))
+    rows = forget_compare(m, _nonneg_window(args))
     return {"comparison": rows}, []
 
 

@@ -210,8 +210,9 @@ def forget_compare(model, window):
 
     Builds the stabilized model, forms the pullback of
     Der_u(L rel omega) <- . -> Der_u(L~ rel beta) over the projection, and
-    reports per-degree homology ranks of all three complexes with
-    agreement flags.  No quasi-isomorphism claim is made.  The tilde side
+    reports homology ranks in degrees lo..hi-1 of all three complexes with
+    agreement flags; lo must be at least 0 (WindowTooNarrow otherwise).
+    No quasi-isomorphism claim is made.  The tilde side
     always has a nonzero differential, so its Der_u rests on the
     semisimplicity hypothesis; when the model's differential vanishes that
     hypothesis holds (the indecomposables representation factors through
@@ -221,12 +222,11 @@ def forget_compare(model, window):
     lo, hi = int(window[0]), int(window[1])
     # built from one degree lower, so that degree lo has both differentials
     slc, left, right, pairs = forget_pullback(proj, "omega", "beta", (lo - 1, hi))
-    k0, k1 = max(0, lo), hi - 1
-    b_left = betti_numbers(left.to_chain(), (k0, k1))
-    b_right = betti_numbers(right.to_chain(), (k0, k1))
-    b_mid = betti_numbers(slc, (k0, k1))
+    b_left = betti_numbers(left.to_chain(), (lo, hi - 1))
+    b_right = betti_numbers(right.to_chain(), (lo, hi - 1))
+    b_mid = betti_numbers(slc, (lo, hi - 1))
     rows = []
-    for k in range(k0, k1 + 1):
+    for k in range(lo, hi):
         rows.append(
             {
                 "degree": k,

@@ -12,7 +12,7 @@ knows that it vanishes below its window says so with ``zero_below``.
 """
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations_with_replacement, groupby, product
 
 from . import linalg
 from .errors import AxiomFailure, NotAComplex, WindowTooNarrow
@@ -97,35 +97,41 @@ class DgLieSlice:
     def _basis_pairs(self, n, m):
         return product(range(self.dim(n)), range(self.dim(m)))
 
+    def _unordered_tuples(self, degrees):
+        """Basis index tuples of the sorted ``degrees``, each unordered tuple once."""
+        runs = [(self.dim(d), len(list(run))) for d, run in groupby(degrees)]
+        for parts in product(*(combinations_with_replacement(range(dim), r) for dim, r in runs)):
+            yield tuple(chain.from_iterable(parts))
+
     def check_bracket_axioms(self):
-        """Antisymmetry on every in-window basis pair, Jacobi on every triple.
+        """Antisymmetry on every basis pair, Jacobi on every triple, each unordered.
 
         [x,y] = -(-1)^{|x||y|}[y,x] and
-        [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]] for all basis
-        elements whose brackets stay in the window; raises AxiomFailure at
-        the first pair or triple that fails.
+        [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]] once per unordered pair
+        and triple of basis elements whose brackets stay in the window: given
+        antisymmetry, checked first, the graded Jacobiator is graded-alternating.
+        Raises AxiomFailure at the first pair or triple that fails.
         """
         degs = [d for d in range(self.lo, self.hi + 1) if self.labels[d]]
         br = self.bracket
-        for n, m in product(degs, repeat=2):
+        for n, m in combinations_with_replacement(degs, 2):
             if not self.in_window(n + m):
                 continue
             sign = 1 if (n * m) % 2 else -1
-            for i, j in self._basis_pairs(n, m):
+            for i, j in self._unordered_tuples((n, m)):
                 if combination([(1, br(n, i, m, j)), (-sign, br(m, j, n, i))]):
                     raise AxiomFailure(
                         "bracket antisymmetry fails at (%d,%d,%d,%d)" % (n, i, m, j)
                     )
-        for n, m, k in product(degs, repeat=3):
+        for n, m, k in combinations_with_replacement(degs, 3):
             if not all(self.in_window(d) for d in (n + m + k, n + m, m + k, n + k)):
                 continue
             sign = -1 if (n * m) % 2 else 1
-            for (i, j), l in product(self._basis_pairs(n, m), range(self.dim(k))):
-                x, y, z = {i: 1}, {j: 1}, {l: 1}
+            for i, j, l in self._unordered_tuples((n, m, k)):
                 if combination([
-                    (1, bilinear(br, n, x, m + k, br(m, j, k, l))),
-                    (-1, bilinear(br, n + m, br(n, i, m, j), k, z)),
-                    (-sign, bilinear(br, m, y, n + k, br(n, i, k, l))),
+                    (1, bilinear(br, n, {i: 1}, m + k, br(m, j, k, l))),
+                    (-1, bilinear(br, n + m, br(n, i, m, j), k, {l: 1})),
+                    (-sign, bilinear(br, m, {j: 1}, n + k, br(n, i, k, l))),
                 ]):
                     raise AxiomFailure(
                         "Jacobi fails on triple (%d,%d),(%d,%d),(%d,%d)" % (n, i, m, j, k, l)

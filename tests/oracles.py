@@ -5,12 +5,15 @@ plain Gaussian elimination instead of the Bareiss core, a fresh tensor
 expansion instead of the cached one, tuple words from the full word list
 instead of packed words from the Lyndon search, a Fraction triangular solve
 instead of the integer one, generating-function dimension counts instead of
-basis enumeration, and matrix exponentials as ground truth for BCH.  Tests
+basis enumeration, matrix exponentials as ground truth for BCH, and the
+graded Lie axioms on every ordered pair and triple instead of once per
+unordered one.  Tests
 compare library output against these.
 """
 
 import random
 from collections import namedtuple
+from itertools import product
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -427,6 +430,55 @@ def _fact(k):
     for i in range(2, k + 1):
         out *= i
     return out
+
+
+# -- graded Lie axioms over ordered tuples -------------------------------------------
+
+
+def _add_scaled(out, c, v):
+    for k, x in v.items():
+        out[k] = out.get(k, 0) + c * x
+
+
+def _bracket_sum(slc, n, x, m, y):
+    out = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            _add_scaled(out, a * b, slc.bracket(n, i, m, j))
+    return out
+
+
+def ordered_bracket_axioms(slc):
+    """The first graded Lie axiom a slice breaks, over every ordered pair and triple.
+
+    Antisymmetry [x,y] = -(-1)^{|x||y|}[y,x] on every ordered pair of basis
+    elements, then [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|}[y,[x,z]] on every
+    ordered triple, wherever the brackets stay in the window; no ordering is
+    skipped.  Reads only the slice's window, dims and basis brackets.
+    Returns "antisymmetry", "Jacobi", or None when both hold.
+    """
+    def in_window(d):
+        return slc.lo <= d <= slc.hi
+
+    basis = [(d, i) for d in range(slc.lo, slc.hi + 1) for i in range(slc.dim(d))]
+    for (n, i), (m, j) in product(basis, repeat=2):
+        if in_window(n + m):
+            total = {}
+            _add_scaled(total, 1, slc.bracket(n, i, m, j))
+            _add_scaled(total, (-1) ** (n * m % 2), slc.bracket(m, j, n, i))
+            if any(total.values()):
+                return "antisymmetry"
+    for (n, i), (m, j), (k, l) in product(basis, repeat=3):
+        if not all(in_window(d) for d in (n + m + k, n + m, n + k, m + k)):
+            continue
+        total = {}
+        _add_scaled(total, 1, _bracket_sum(slc, n, {i: 1}, m + k, slc.bracket(m, j, k, l)))
+        _add_scaled(total, -1, _bracket_sum(slc, n + m, slc.bracket(n, i, m, j), k, {l: 1}))
+        _add_scaled(total, -((-1) ** (n * m % 2)),
+                    _bracket_sum(slc, m, {j: 1}, n + k, slc.bracket(n, i, k, l)))
+        if any(total.values()):
+            return "Jacobi"
+    return None
 
 
 # -- random dg Lie presentations ----------------------------------------------------

@@ -247,6 +247,39 @@ def test_a_window_from_one_reports_the_bottom_degree_of_a_window_from_zero(
         assert table == {k: tables["0"][name][k] for k in table}, name
 
 
+@pytest.mark.parametrize("command", [
+    ["xi", "w11.json"],
+    ["block-g", "w11.json", "--assert-semisimple"],
+    ["g", "presentation_w11.json", "--sub", "omega"],
+    ["glue", "w11.json", "w11.json", "--assert-semisimple"],
+    ["forget", "w11.json"],
+], ids=lambda command: command[0])
+def test_a_negative_min_reports_the_window_from_zero(fixture_path, command):
+    # each of these builds tau_{>=0} objects, which vanish below degree 0
+    argv = [fixture_path(a) if a.endswith(".json") else a for a in command]
+    reports = {}
+    for lo in ("-1", "0"):
+        code, payload = _run(*argv, "--min", lo, "--max", "2")
+        assert code == 0, lo
+        body = _body(payload)
+        reports[lo] = (body["tables"], body["verdicts"])
+    assert reports["-1"] == reports["0"]
+
+
+@pytest.mark.parametrize("command, degree", [
+    (["block-g", "w11.json", "--assert-semisimple"], "0"),
+    (["g", "presentation_w11.json", "--sub", "omega"], "2"),
+], ids=lambda arg: arg[0] if isinstance(arg, list) else arg)
+def test_a_one_degree_window_reports_dims_and_no_betti_numbers(fixture_path, command, degree):
+    # g is built up to max, so its homology is known only below max
+    argv = [fixture_path(a) if a.endswith(".json") else a for a in command]
+    code, payload = _run(*argv, "--min", degree, "--max", degree)
+    assert code == 0
+    tables = _body(payload)["tables"]
+    _, wide = _run(*argv, "--min", "0", "--max", "3")
+    assert tables == {"dims": {degree: _body(wide)["tables"]["dims"][degree]}, "betti": {}}
+
+
 def _count_calls(monkeypatch, owners, name):
     """A list that gets one entry per call of ``name`` through any of ``owners``."""
     calls = []

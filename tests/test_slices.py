@@ -5,24 +5,130 @@ triple, placed late in the iteration order, so a check that samples only
 the first few hundred pairs or triples passes it.
 """
 
+import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 
+from dgla import slices
 from dgla.errors import AxiomFailure
 from dgla.slices import DgLieSlice
+from oracles import ordered_bracket_axioms
 
 
 def test_jacobi_is_checked_on_every_triple():
     # e0..e3 central; a = e4, b = e5, c = e6 with [a,b] = a, [a,c] = b, so
     # [a,[b,c]] - [[a,b],c] - [b,[a,c]] = -b on the triple (4, 5, 6), the
-    # 238th of 343 in iteration order; every earlier triple satisfies Jacobi
+    # 79th of the 84 unordered triples in iteration order; every earlier
+    # triple satisfies Jacobi
     brackets = {(0, 4, 0, 5): {4: 1}, (0, 5, 0, 4): {4: -1},
                 (0, 4, 0, 6): {5: 1}, (0, 6, 0, 4): {5: -1}}
     slc = DgLieSlice((0, 0), {0: ["e%d" % i for i in range(7)]},
                      bracket_fn=lambda *pair: brackets.get(pair, {}))
     with pytest.raises(AxiomFailure, match=r"Jacobi fails on triple \(0,4\),\(0,5\),\(0,6\)"):
         slc.check_bracket_axioms()
+
+
+def test_jacobi_runs_once_per_unordered_triple(monkeypatch):
+    # seven central elements in degree 0: C(9, 3) = 84 unordered triples with
+    # three brackets of vectors each (an ordered walk makes 3 * 343)
+    calls = []
+    bilinear = slices.bilinear
+    monkeypatch.setattr(slices, "bilinear", lambda *args: calls.append(1) or bilinear(*args))
+    DgLieSlice((0, 0), {0: ["e%d" % i for i in range(7)]}).check_bracket_axioms()
+    assert len(calls) == 3 * 84
+
+
+def _random_graded_gl(rng):
+    """A random basis of a window of gl(V) under the graded commutator.
+
+    V has two or three basis vectors of degrees 0..2, and E_ab (v_b to v_a)
+    has degree |v_a| - |v_b|.  Each degree gets a random unitriangular
+    change of basis, so the constants stay integral and odd elements can
+    have nonzero self-brackets.  Returns the window, the labels and the
+    table {(n, i, m, j): {k: c}} of every bracket landing in the window.
+    """
+    vdeg = [rng.randint(0, 2) for _ in range(rng.randint(2, 3))]
+    lo = rng.choice([-1, 0, 1])
+    hi = lo + rng.randint(1, 3)
+    units = defaultdict(list)
+    for a, da in enumerate(vdeg):
+        for b, db in enumerate(vdeg):
+            if lo <= da - db <= hi:
+                units[da - db].append((a, b))
+    inverses, elems = {}, {}
+    for d, es in units.items():
+        n = len(es)
+        p = [[1 if r == c else (rng.randint(-2, 2) if r < c else 0) for c in range(n)]
+             for r in range(n)]
+        inv = [[0] * n for _ in range(n)]  # p^-1 by back substitution
+        for c in range(n):
+            for r in reversed(range(n)):
+                inv[r][c] = (r == c) - sum(p[r][t] * inv[t][c] for t in range(r + 1, n))
+        elems[d] = [{es[r]: p[r][c] for r in range(n) if p[r][c]} for c in range(n)]
+        inverses[d] = inv
+
+    def coords(d, mat):
+        flat = [mat.get(e, 0) for e in units[d]]
+        values = (sum(q * x for q, x in zip(row, flat)) for row in inverses[d])
+        return {c: v for c, v in enumerate(values) if v}
+
+    def product_of(x, y):
+        out = defaultdict(int)
+        for (a, b), s in x.items():
+            for (c, e), t in y.items():
+                if b == c:
+                    out[a, e] += s * t
+        return out
+
+    table = {}
+    for n, xs in elems.items():
+        for m, ys in elems.items():
+            if n + m not in units:
+                continue
+            sign = -1 if n * m % 2 else 1
+            for i, x in enumerate(xs):
+                for j, y in enumerate(ys):
+                    comm = product_of(x, y)
+                    for e, v in product_of(y, x).items():
+                        comm[e] -= sign * v
+                    table[n, i, m, j] = coords(n + m, comm)
+    labels = {d: ["f%d_%d" % (d, i) for i in range(len(xs))] for d, xs in elems.items()}
+    return (lo, hi), labels, table
+
+
+def test_unordered_axiom_check_agrees_with_the_ordered_oracle():
+    rng = random.Random(1515)
+    verdicts = defaultdict(int)
+    for _ in range(800):
+        window, labels, table = _random_graded_gl(rng)
+        keys = [key for key in table if labels[key[0] + key[2]]]
+        how = rng.choice(["none", "partner", "constant", "constant"])
+        if keys and how != "none":
+            n, i, m, j = key = rng.choice(keys)
+            k = rng.randrange(len(labels[n + m]))
+            c = rng.choice([-2, -1, 1, 2])
+            if how == "partner":  # break [y,x] alone; [x,x] when x is even
+                bumps = [((m, j, n, i), c)] if (n, i) != (m, j) or n % 2 == 0 else []
+            elif (n, i) == (m, j):  # an odd self-bracket may change freely
+                bumps = [(key, c)] if n % 2 else []
+            else:  # change [x,y] and its antisymmetric partner together
+                bumps = [(key, c), ((m, j, n, i), (1 if n * m % 2 else -1) * c)]
+            for bumped, by in bumps:
+                row = dict(table[bumped])
+                row[k] = row.get(k, 0) + by
+                table[bumped] = {t: v for t, v in row.items() if v}
+        slc = DgLieSlice(window, labels, bracket_fn=lambda *key: table.get(key, {}))
+        expected = ordered_bracket_axioms(slc)
+        try:
+            slc.check_bracket_axioms()
+            got = None
+        except AxiomFailure as exc:
+            got = "antisymmetry" if "antisymmetry" in str(exc) else "Jacobi"
+        assert got == expected, (window, labels, table)
+        verdicts[got] += 1
+    assert verdicts["antisymmetry"] >= 100 and verdicts["Jacobi"] >= 100, dict(verdicts)
 
 
 def test_d_leibniz_is_checked_on_every_pair():
