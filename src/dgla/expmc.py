@@ -2,7 +2,9 @@
 
 BCH coefficients are hard-coded through weight 4 and produced by the Dynkin
 formula beyond; the nilpotency class caps the weight exactly, so every
-series here is a finite exact sum.
+series here is a finite exact sum.  The class itself is certified on a
+spanning frontier of the lower central series (``_check_class`` for a pair,
+``NilpotentElementGroup`` for all of degree 0).
 """
 
 from fractions import Fraction
@@ -10,7 +12,7 @@ from itertools import chain
 from math import factorial
 
 from .errors import AxiomFailure, ClassExceeded, NotNilpotent, SchemaError
-from .linalg import combination
+from .linalg import combination, extend_independent
 from .morphisms import GeneratorMorphism, check_morphism
 from .presentation import TreeMap, common_degree
 from .slices import SliceElement
@@ -66,59 +68,103 @@ def _dynkin_weight(x, y, bracket, weight):
 _BCH_LOW = {
     2: lambda x, y, br: br(x, y).scale(Fraction(1, 2)),
     3: lambda x, y, br: br(x, br(x, y)).scale(Fraction(1, 12))
-    + br(y, br(y, x)).scale(Fraction(1, 12)),
+    + br(y, br(x, y)).scale(Fraction(-1, 12)),
     4: lambda x, y, br: br(y, br(x, br(x, y))).scale(Fraction(-1, 24)),
 }
 
 
 def bch(x, y, bracket, class_bound):
-    """BCH(x, y) truncated (exactly, by nilpotency) at the given class."""
+    """BCH(x, y) truncated (exactly, by nilpotency) at the given class.
+
+    Each bracket is taken once per call: a memo keyed by the identities of
+    the operands (and holding them, so the ids stay valid) lets the weights
+    share their inner brackets, the Dynkin words above weight 4 included.
+    At class 3 that is [x,y], [x,[x,y]] and [y,[x,y]]; the weight-3 term
+    writes [y,[y,x]] as -[y,[x,y]], which is exact by antisymmetry in
+    degree 0.
+    """
+    memo = {}
+
+    def br(a, b):
+        key = (id(a), id(b))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = (a, b, bracket(a, b))
+        return hit[2]
+
     out = x + y
     for w in range(2, class_bound + 1):
         if w in _BCH_LOW:
-            out = out + _BCH_LOW[w](x, y, bracket)
+            out = out + _BCH_LOW[w](x, y, br)
         else:
-            term = _dynkin_weight(x, y, bracket, w)
+            term = _dynkin_weight(x, y, br, w)
             if term is not None:
                 out = out + term
     return out
 
 
+def _distinct(elements):
+    """The nonzero elements, without exact copies or negatives of one kept."""
+    kept = []
+    for t in elements:
+        if t.is_zero():
+            continue
+        neg = t.scale(-1)
+        if not any(t == s or neg == s for s in kept):
+            kept.append(t)
+    return kept
+
+
 def _check_class(x, y, bracket, class_bound):
-    """All right-nested brackets of weight class_bound + 1 must vanish."""
-    frontier = [x, y]
+    """Certify that x and y generate a Lie algebra of class <= class_bound.
+
+    Walks the lower central series of the subalgebra that x and y generate
+    on a spanning frontier: level 1 is {x, y}, level k+1 is [z, t] for z in
+    {x, y} and t in level k.  Its right-nested brackets of weight k span the
+    k-th term, and ad_z is linear, so dropping zeros and exact copies or
+    negatives of an entry already kept leaves each level's span unchanged.
+    ClassExceeded exactly when level class_bound + 1 is not empty, i.e. when
+    some right-nested bracket of weight class_bound + 1 does not vanish.
+    The walk needs only ``is_zero``, ``==`` and ``scale`` of the elements.
+    """
+    level = _distinct([x, y])
     for _ in range(class_bound):
-        nxt = []
-        for t in frontier:
-            nxt.append(bracket(x, t))
-            nxt.append(bracket(y, t))
-        frontier = nxt
-    for t in frontier:
-        if not t.is_zero():
-            raise ClassExceeded(
-                "brackets of weight %d do not vanish" % (class_bound + 1)
-            )
+        if not level:
+            return
+        level = _distinct(bracket(z, t) for t in level for z in (x, y))
+    if level:
+        raise ClassExceeded(
+            "brackets of weight %d do not vanish" % (class_bound + 1)
+        )
 
 
 class NilpotentElementGroup:
     """exp of the degree-0 part of a nilpotent dg Lie slice.
 
-    Multiplication is BCH at the stated nilpotency class, verified on the
-    degree-0 basis by iterated bracketing at construction.
+    Multiplication is BCH at the stated nilpotency class.  Construction
+    certifies that class for all of degree 0, not pair by pair: it walks
+    the lower central series g_0, [g_0, g_0], ... with level k+1 the
+    brackets of the basis units with level k, each level cut to a linearly
+    independent subset of the same span (so at most dim g_0 elements), and
+    raises ClassExceeded unless level class_bound + 1 is zero.
     """
 
     def __init__(self, carrier, class_bound):
         self.carrier = carrier
         self.class_bound = int(class_bound)
         n = carrier.dim(0)
-        for i in range(n):
-            for j in range(n):
-                _check_class(
-                    SliceElement.unit(carrier, 0, i),
-                    SliceElement.unit(carrier, 0, j),
-                    lambda a, b: a.bracket(b),
-                    self.class_bound,
-                )
+        units = [SliceElement.unit(carrier, 0, i) for i in range(n)]
+        level = units
+        for _ in range(self.class_bound):
+            if not level:
+                break
+            brackets = [u.bracket(t) for t in level for u in units]
+            keep = extend_independent([], [b.vector for b in brackets], n)
+            level = [brackets[k] for k in keep]
+        if level:
+            raise ClassExceeded(
+                "degree 0 has nonzero brackets of weight %d" % (self.class_bound + 1)
+            )
 
     def element(self, vector):
         """The group element with the sparse degree-0 coordinates ``vector``."""

@@ -490,15 +490,6 @@ class DgLaPresentation:
         vecs = [e.coords for e in layers.get(degree, [])]
         return linalg.Subspace.from_vectors(vecs, self.dim(degree))
 
-    def sub_contains(self, subname, x):
-        spec = self.sub(subname)
-        if x.is_zero():
-            return True
-        if isinstance(spec, GeneratorSplit):
-            return self.in_generator_span(x, spec.names)
-        span = self.subalgebra_span(spec.elements, x.degree)
-        return span.contains(x.coords)
-
     # -- validation ----------------------------------------------------------------
 
     def validate(self):

@@ -5,10 +5,12 @@ plain Gaussian elimination instead of the Bareiss core, a fresh tensor
 expansion instead of the cached one, tuple words from the full word list
 instead of packed words from the Lyndon search, a Fraction triangular solve
 instead of the integer one, generating-function dimension counts instead of
-basis enumeration, matrix exponentials as ground truth for BCH, and the
-graded Lie axioms on every ordered pair and triple instead of once per
-unordered one.  Tests
-compare library output against these.
+basis enumeration, matrix exponentials as ground truth for BCH, every
+right-nested word for the nilpotency class instead of a spanning frontier,
+and the graded Lie axioms on every ordered pair and triple instead of once
+per unordered one.  Tests compare library output against these.  The one
+helper that is not an oracle is ``sub_contains``, membership in a designated
+subalgebra through the library's own spans, which only tests call.
 """
 
 import random
@@ -432,6 +434,22 @@ def _fact(k):
     return out
 
 
+def full_word_class_check(x, y, bracket, class_bound):
+    """True iff every right-nested bracket of weight class_bound + 1 in x, y vanishes.
+
+    Each of the 2^(class_bound + 1) words in the letters x, y is bracketed
+    from the right on its own, nothing shared and nothing dropped.
+    """
+    letters = (x, y)
+    for word in product((0, 1), repeat=class_bound + 1):
+        term = letters[word[-1]]
+        for z in reversed(word[:-1]):
+            term = bracket(letters[z], term)
+        if not term.is_zero():
+            return False
+    return True
+
+
 # -- graded Lie axioms over ordered tuples -------------------------------------------
 
 
@@ -659,3 +677,23 @@ def folded_eval_at(theta, x):
         ])
 
     return folded_tree_map(theta.value, node_value, p, x, p.zero(x.degree + theta.degree))
+
+
+# -- designated subalgebras ------------------------------------------------------------
+
+
+def sub_contains(p, subname, x):
+    """Whether x lies in the designated subalgebra ``subname`` of p.
+
+    A generator split is tested by the generators of x's basis trees, an
+    element-generated sub by the span of the subalgebra its elements
+    generate in x's degree.
+    """
+    from dgla.presentation import GeneratorSplit
+
+    spec = p.sub(subname)
+    if x.is_zero():
+        return True
+    if isinstance(spec, GeneratorSplit):
+        return p.in_generator_span(x, spec.names)
+    return p.subalgebra_span(spec.elements, x.degree).contains(x.coords)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from dgla.errors import ClassExceeded, NotNilpotent
 from dgla.expmc import (
     NilpotentElementGroup,
     PolyLie,
+    _check_class,
     _dynkin_weight,
     bch,
     exp_automorphism,
@@ -26,7 +28,7 @@ from dgla.models import (
 from dgla.morphisms import GeneratorMorphism, check_morphism, indec_action
 from dgla.presentation import DgLaPresentation
 from dgla.slices import DgLieSlice, SliceElement
-from oracles import NilMatrix
+from oracles import NilMatrix, full_word_class_check, gauss_rank
 
 
 def heisenberg():
@@ -50,8 +52,10 @@ def test_bch_abelian_and_heisenberg():
 
 
 def test_bch_matches_matrix_logarithm():
+    # strictly upper triangular n x n matrices have class n - 1, so the last
+    # two sizes need the Dynkin words of weights 5 and 6
     rng = random.Random(23)
-    for n, cls in ((3, 2), (4, 3), (5, 4)):
+    for n, cls in ((3, 2), (4, 3), (5, 4), (6, 5), (7, 6)):
         for _ in range(4):
             X = NilMatrix.random(rng, n)
             Y = NilMatrix.random(rng, n)
@@ -92,6 +96,95 @@ def test_class_exceeded():
         NilpotentElementGroup(H, 1)
 
 
+# u1, u2, u3, their brackets v12, v13, v23, and A = [u1,v23], B = [u2,v13],
+# with [ui,[ui,uj]] = 0 and weight 4 zero: any two units generate class 2,
+# but degree 0 has class 3, since [u1+u2,[u1+u2,u3]] = A + B
+_THREE_UNITS = {
+    (0, 1): {3: 1}, (0, 2): {4: 1}, (1, 2): {5: 1},
+    (0, 5): {6: 1}, (1, 4): {7: 1}, (2, 3): {6: -1, 7: 1},
+}
+
+
+def three_units():
+    tab = {}
+    for (i, j), v in _THREE_UNITS.items():
+        tab[0, i, 0, j] = v
+        tab[0, j, 0, i] = {k: -c for k, c in v.items()}
+    labels = ["u1", "u2", "u3", "v12", "v13", "v23", "A", "B"]
+    return DgLieSlice((0, 0), {0: labels}, bracket_fn=lambda *pair: tab.get(pair, {}))
+
+
+def _three_unit_matrices():
+    """A faithful matrix representation of three_units().
+
+    Left multiplication on the tensor algebra in u1, u2, u3 up to length 3,
+    modulo the relations [ui,[ui,uj]] = 0.  Those are the length-3 tensors
+    uj ui ui - 2 ui uj ui + ui ui uj, so a word (a, b, b) with a != b is
+    rewritten as 2 (b, a, b) - (b, b, a) and the other 34 words are the basis.
+    """
+    words = [()] + [w for n in (1, 2, 3) for w in product(range(3), repeat=n)
+                    if not (n == 3 and w[0] != w[1] == w[2])]
+    index = {w: k for k, w in enumerate(words)}
+
+    def left(k):
+        rows = [[0] * len(words) for _ in words]
+        for w in words:
+            if len(w) == 3:
+                continue
+            kw = (k,) + w
+            if len(kw) == 3 and kw[0] != kw[1] == kw[2]:
+                a, b = kw[0], kw[1]
+                terms = [((b, a, b), 2), ((b, b, a), -1)]
+            else:
+                terms = [(kw, 1)]
+            for t, c in terms:
+                rows[index[t]][index[w]] += c
+        return NilMatrix(rows)
+
+    mats = [left(k) for k in range(3)]
+    mats += [mats[0].bracket(mats[1]), mats[0].bracket(mats[2]), mats[1].bracket(mats[2])]
+    mats += [mats[0].bracket(mats[5]), mats[1].bracket(mats[4])]
+    return mats
+
+
+def test_group_certifies_the_class_of_all_of_degree_zero():
+    g = three_units()
+    g.check_bracket_axioms()  # raises AxiomFailure on a bad table
+    with pytest.raises(ClassExceeded):
+        NilpotentElementGroup(g, 2)
+    G = NilpotentElementGroup(g, 3)
+    mats = _three_unit_matrices()
+
+    def matrix(v):
+        n = mats[0].n
+        return NilMatrix([
+            [sum(c * mats[i].rows[r][k] for i, c in v.vector.items()) for k in range(n)]
+            for r in range(n)
+        ])
+
+    # the matrices are independent and satisfy the bracket table, so the
+    # representation is faithful and a matrix identity is a slice identity
+    for i in range(8):
+        for j in range(i + 1, 8):
+            b = SliceElement.unit(g, 0, i).bracket(SliceElement.unit(g, 0, j))
+            assert mats[i].bracket(mats[j]) == matrix(b)
+    flat = [[x for r in m.rows for x in r] for m in mats]
+    assert gauss_rank(flat) == 8
+    x = G.element({0: 1, 1: 1})
+    y = G.element({2: 1})
+    z = G.multiply(x, y)
+    # the class-2 truncation would drop (A + B) / 12
+    assert z.vector[6] == z.vector[7] == Fraction(1, 12)
+    rng = random.Random(43)
+    pairs = [(x, y)] + [
+        tuple(G.element({i: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for i in range(8)})
+              for _ in range(2))
+        for _ in range(2)
+    ]
+    for a, b in pairs:
+        assert matrix(G.multiply(a, b)) == matrix(a).exp().matmul(matrix(b).exp()).log()
+
+
 def nilpotent_fixture():
     # word-length filtration forces every composition of four derivations
     # with values in bracket length >= 2 to vanish by degree 8
@@ -110,6 +203,59 @@ def random_filtration_derivation(rng, p):
         if any(vec):
             vals[name] = p.element_from_vector(deg, vec)
     return Derivation(p, 0, vals)
+
+
+def test_class_check_and_bch_take_each_bracket_once():
+    # the pairs of acceptance criterion 6: every right-nested word of weight
+    # 4 takes 28 brackets, the frontier at most 10; bch at class 3 brackets
+    # [x,y], [x,[x,y]] and [y,[x,y]] once each
+    rng = random.Random(99)
+    p = nilpotent_fixture()
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return der_bracket(a, b)
+
+    for _ in range(50):
+        th = random_filtration_derivation(rng, p)
+        ps = random_filtration_derivation(rng, p)
+        del calls[:]
+        _check_class(th, ps, counted, 3)
+        assert len(calls) <= 10
+        del calls[:]
+        bch(th, ps, counted, 3)
+        assert len(calls) == 3
+
+
+def test_class_check_agrees_with_every_word():
+    rng = random.Random(47)
+    p = nilpotent_fixture()
+    pairs = [
+        (random_filtration_derivation(rng, p), random_filtration_derivation(rng, p), der_bracket)
+        for _ in range(4)
+    ]
+    for n in (3, 4):
+        for _ in range(3):
+            pairs.append((NilMatrix.random(rng, n), NilMatrix.random(rng, n),
+                          lambda a, b: a.bracket(b)))
+    # a pair that commutes, and one that only generates class 2
+    e = [[Fraction(int(j == i + 1)) for j in range(4)] for i in range(4)]
+    pairs.append((NilMatrix(e), NilMatrix(e).scale(2), lambda a, b: a.bracket(b)))
+    pairs.append((NilMatrix.random(rng, 3), NilMatrix.random(rng, 3).scale(0),
+                  lambda a, b: a.bracket(b)))
+    verdicts = set()
+    for x, y, br in pairs:
+        for c in (1, 2, 3, 4):
+            expected = full_word_class_check(x, y, br, c)
+            try:
+                _check_class(x, y, br, c)
+                got = True
+            except ClassExceeded:
+                got = False
+            assert got == expected, c
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_exp_examples():
