@@ -7,13 +7,14 @@ from dgla import (
     betti_numbers,
     build_block_g,
     deru,
+    linalg,
     manifold_model,
     tilde_model,
 )
 
 # S^3 x S^3 minus a disk: two degree-2 generators with the hyperbolic
 # antisymmetric pairing.  The canonical cycle omega is [a,b].
-m = manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
+m = manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)]))
 print("omega =", m.omega)
 
 # The stabilized model adjoins beta and gamma with d(gamma) = omega - beta;
@@ -36,7 +37,7 @@ print("block g dims 0..3:", [g.dim(n) for n in range(4)])
 tw = manifold_model(
     9,
     [("a", 2), ("x", 3), ("b", 4), ("y", 5)],
-    [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]],
+    linalg.matrix(4, 4, [(0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, -1)]),
     None,
     {3: [1]},
 )

@@ -13,6 +13,7 @@ from dgla import (
     SliceElement,
     ce_cohomology,
     exp_automorphism,
+    linalg,
     mc_check,
 )
 
@@ -53,7 +54,7 @@ print("e(theta): a ->", e.images["a"], ", b ->", e.images["b"])
 slc = DgLieSlice(
     (-2, 0),
     {-2: ["b"], -1: ["a"], 0: []},
-    {-1: [[Fraction(1)]]},
+    {-1: linalg.matrix(1, 1, [(0, 0, 1)])},
     bracket_fn=table({(-1, 0, -1, 0): {0: 1}}),
 )
 tau = SliceElement(slc, -1, {0: -2})

@@ -8,11 +8,12 @@ from dgla import (
     build_block_g,
     forget_compare,
     glue_headline_g,
+    linalg,
     manifold_model,
 )
 
-m = manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
-n = manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
+m = manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)]))
+n = manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)]))
 mn = boundary_connected_sum(m, n)
 print("generators of the sum:", [g for g, _ in mn.v.basis.entries])
 print("omega of the sum:", mn.omega)

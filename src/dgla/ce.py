@@ -98,6 +98,9 @@ class CESlice:
         self.words = {}
         self.index = {}
         self._d = {}
+        self._g_cols = {  # the columns of g's differential out of each degree
+            d: linalg.columns(g.d_matrix(d), g.dim(d)) for d in range(g.lo + 1, g.hi + 1)
+        }
         for k in range(0, top_degree + 1):
             ws = ce_words(g, k)
             self.words[k] = ws
@@ -115,8 +118,7 @@ class CESlice:
         d, i = letter
         if d - 1 < self.g.lo:
             return []
-        col = [row[i] for row in self.g.d_matrix(d)]
-        return [((d - 1, k), -c) for k, c in enumerate(col) if c]
+        return [((d - 1, k), -c) for k, c in self._g_cols[d][i].items()]
 
     def _d2_pair(self, la, lb):
         """delta_2(s x ^ s y) = (-1)^{|x|} s [x, y] as (letter, coeff) list."""

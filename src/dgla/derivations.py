@@ -472,7 +472,7 @@ def f_der_dims(m, rel_source, window):
                     off += tgt.dim(d + n)
                 nrows += tdim
             rows = linalg.matrix(nrows, total, ents)
-            dims[n] = total - (linalg.rank(rows, total) if rows else 0)
+            dims[n] = total - linalg.rank(rows, total)
     return dims
 
 

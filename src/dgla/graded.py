@@ -6,8 +6,6 @@ degrees outside the window are unknown, not zero, and every computation
 checks that the window suffices.
 """
 
-from fractions import Fraction
-
 from . import linalg
 from .errors import NotAComplex, WindowTooNarrow
 
@@ -58,10 +56,9 @@ class GradedBasis:
 class GradedLinearMap:
     """A degree-homogeneous linear map given by per-degree blocks.
 
-    ``blocks[d]`` is a dense rational matrix from the source's degree-d
-    piece to the target's degree d + self.degree piece, with rows indexed by
-    the target basis and columns by the source basis.  Absent blocks are
-    zero.
+    ``blocks[d]`` is a ``linalg`` matrix from the source's degree-d piece to
+    the target's degree d + self.degree piece, with rows indexed by the
+    target basis and columns by the source basis.  Absent blocks are zero.
     """
 
     def __init__(self, source, target, degree, blocks=None):
@@ -76,8 +73,7 @@ class GradedLinearMap:
     def set_block(self, d, matrix):
         rows = self.target.dim(d + self.degree)
         cols = self.source.dim(d)
-        matrix = [[Fraction(x) for x in r] for r in matrix]
-        if len(matrix) != rows or any(len(r) != cols for r in matrix):
+        if not linalg.has_shape(matrix, rows, cols):
             raise ValueError(
                 "block at degree %d must be %dx%d" % (d, rows, cols)
             )
@@ -112,8 +108,7 @@ class ChainComplexSlice:
             if d not in self.spaces:
                 raise ValueError("missing space at degree %d" % d)
         for d in range(self.lo + 1, self.hi + 1):
-            m = self.d_matrix(d)
-            if len(m) != self.dim(d - 1) or (m and any(len(r) != self.dim(d) for r in m)):
+            if not linalg.has_shape(self.d_matrix(d), self.dim(d - 1), self.dim(d)):
                 raise ValueError("differential block at %d has wrong shape" % d)
         self.check_complex()
 

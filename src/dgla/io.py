@@ -269,20 +269,22 @@ def serialize_presentation(p):
 
 def load_manifold(obj):
     doc = _walk(MANIFOLD, obj, "", {})
-    return manifold_model(
-        doc["dimension"],
-        _entries(doc["generators"]),
-        doc["pairing"],
-        doc.get("differential"),
-        doc.get("pontryagin"),
-    )
+    # the file's pairing is the one dense grid: n rows of n values
+    grid, n = doc["pairing"], len(doc["generators"])
+    if len(grid) != n or any(len(row) != n for row in grid):
+        raise SchemaError("pairing must be %dx%d, the basis size" % (n, n), "/pairing")
+    pairing = linalg.matrix(n, n, ((i, j, c) for i, r in enumerate(grid) for j, c in enumerate(r)))
+    return manifold_model(doc["dimension"], _entries(doc["generators"]), pairing,
+                          doc.get("differential"), doc.get("pontryagin"))
 
 
 def serialize_manifold(m):
+    pairing = {(i, j): c for i, j, c in linalg.entries(m.v.pairing)}
+    basis = range(len(m.v.basis))
     out = {
         "dimension": m.dimension,
         "generators": [{"name": n, "degree": d} for n, d in m.v.basis.entries],
-        "pairing": [[expr_mod.rational_str(x) for x in row] for row in m.v.pairing],
+        "pairing": [[expr_mod.rational_str(pairing.get((i, j), 0)) for j in basis] for i in basis],
     }
     diff = {}
     for n, v in m.presentation.differential.items():

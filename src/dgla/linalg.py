@@ -1,24 +1,24 @@
 """Exact linear algebra over Q.
 
-A matrix is a dense list of rows of ``fractions.Fraction`` (integers are
-accepted).  Rows index the target basis and columns the source basis.  The
-library builds every matrix block with ``matrix`` from (row, column, value)
-triples and takes blocks apart with ``entries``, so only this module knows
-how a matrix is stored.
+A matrix is a plain list of sparse rows, one ``{column: Fraction}`` dict
+per row with no zero values.  Rows index the target basis and columns the
+source basis.  The width is not stored: every function that needs it takes
+``ncols``, and callers know it from their bases.  The library builds every
+matrix with ``matrix`` from (row, column, value) triples, reads it with
+``entries`` or ``columns`` and checks it with ``has_shape``, so only this
+module knows how a matrix is stored.
 
-The kernels behind that interface are sparse, because the matrices the
-library builds are about 1% nonzero with entries of a few bits.  Each
-kernel reads a row's nonzeros once and works on them alone: products
-multiply nonzero pairs only, and elimination scales each row's nonzeros to
-integers, a ``{column: int}`` dict, and runs one fraction-free core.  That
-core is sparse Bareiss elimination (Bareiss 1968), column by column, with
+The matrices the library builds are about 1% nonzero with entries of a few
+bits, and every kernel works on the nonzeros alone: products multiply
+nonzero pairs only, and elimination scales each row to integers, a
+``{column: int}`` dict, and runs one fraction-free core.  That core is
+sparse Bareiss elimination (Bareiss 1968), column by column, with
 Markowitz-style pivoting (Markowitz 1957): in each column the pivot row is
 the one with the fewest nonzeros, then the smallest pivot entry, which
-limits both fill-in and coefficient growth.  Floats are banned.  Dense rows
-are rebuilt only for matrix results.
+limits both fill-in and coefficient growth.  Floats are banned.
 
-A vector is sparse everywhere: an ``{index: value}`` dict with no zero
-entries.  ``matvec`` and ``solve`` take and return them, ``kernel_basis``
+A vector is an ``{index: value}`` dict with no zero entries, the same form
+as a row.  ``matvec`` and ``solve`` take and return them, ``kernel_basis``
 and ``extend_independent`` work on them, ``combination`` sums them, and
 ``Subspace`` keeps its basis, members and coordinates in that form.  Callers
 read a matrix's ``columns`` as such vectors and build one ``from_columns``.
@@ -105,21 +105,17 @@ def _bareiss_echelon(rows, ncols):
 
 
 def _echelon(rows, ncols):
-    """``_bareiss_echelon`` of rows given as iterables of (column, value) pairs.
-
-    Each row's nonzeros are scaled by the lcm of their denominators; zero
-    entries cost a truth test and nothing else.
-    """
+    """``_bareiss_echelon`` of sparse rows scaled to integers; zero values are dropped."""
     int_rows = []
-    for pairs in rows:
-        nz = [(j, x) for j, x in pairs if x]
+    for r in rows:
+        nz = [(j, x) for j, x in r.items() if x]
         den = lcm(*(x.denominator for _, x in nz))
         int_rows.append({j: x.numerator * (den // x.denominator) for j, x in nz})
     return _bareiss_echelon(int_rows, ncols)
 
 
 def _rref(rows, ncols):
-    """Sparse reduced row echelon form of rows given as (column, value) pairs.
+    """Sparse reduced row echelon form of sparse rows.
 
     Returns (rows as ``{column: Fraction}`` with 1 at the pivot, pivot
     columns).  Back-substitution runs bottom-up on primitive integer rows:
@@ -142,28 +138,17 @@ def _rref(rows, ncols):
     return red, pivots
 
 
-def _dense(row, ncols):
-    """The dense row of length ncols with the entries of ``{column: value}``."""
-    out = [_ZERO] * ncols
-    for j, x in row.items():
-        out[j] = x
-    return out
-
-
-def rank(rows, ncols=None):
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return len(_echelon(map(enumerate, rows), ncols)[1])
+def rank(rows, ncols):
+    return len(_echelon(rows, ncols)[1])
 
 
 def rref(rows, ncols):
     """Reduced row echelon form over Q.
 
-    Returns (rref_rows, pivot_cols); rref_rows have leading entry 1 at their
-    pivot column and zeros above and below it.
+    Returns (rref_rows, pivot_cols); rref_rows are sparse rows with entry 1
+    at their pivot column and no entry in the other pivot columns.
     """
-    red, pivots = _rref(map(enumerate, rows), ncols)
-    return [_dense(r, ncols) for r in red], pivots
+    return _rref(rows, ncols)
 
 
 def pivot_columns(rows, ncols):
@@ -173,11 +158,11 @@ def pivot_columns(rows, ncols):
     the pivot columns of the echelon form index an image basis among the
     original columns.
     """
-    return _echelon(map(enumerate, rows), ncols)[1]
+    return _echelon(rows, ncols)[1]
 
 
 def _kernel(rows, ncols):
-    """Sparse kernel basis of rows given as (column, value) pairs.
+    """Sparse kernel basis of sparse rows.
 
     The basis vector attached to free column f has entry 1 at f and 0 at all
     other free columns, so reading off the free coordinates of any kernel
@@ -201,12 +186,12 @@ def kernel_basis(rows, ncols):
 
     Returns (vectors, free_cols).
     """
-    return _kernel(map(enumerate, rows), ncols)
+    return _kernel(rows, ncols)
 
 
 def solve(rows, ncols, rhs):
     """One sparse solution x of A x = rhs for a sparse rhs, or None if inconsistent."""
-    aug = (chain(enumerate(r), [(ncols, rhs.get(i, _ZERO))]) for i, r in enumerate(rows))
+    aug = ({**r, ncols: rhs[i]} if i in rhs else r for i, r in enumerate(rows))
     red, pivots = _rref(aug, ncols + 1)
     if ncols in pivots:
         return None
@@ -216,62 +201,66 @@ def solve(rows, ncols, rhs):
 def inverse(rows):
     """The inverse of a square matrix, or None if it is singular."""
     n = len(rows)
-    aug = (chain(enumerate(r), [(n + i, 1)]) for i, r in enumerate(rows))
-    red, pivots = _rref(aug, 2 * n)
+    red, pivots = _rref(({**r, n + i: 1} for i, r in enumerate(rows)), 2 * n)
     if pivots[:n] != list(range(n)):
         return None
-    return [_dense({j - n: x for j, x in r.items() if j >= n}, n) for r in red]
+    return [{j - n: x for j, x in r.items() if j >= n} for r in red]
 
 
 def matvec(rows, x):
     """The sparse vector A x of a sparse vector x."""
-    nz = list(x.items())
     out = {}
     for i, r in enumerate(rows):
-        y = sum((r[j] * v for j, v in nz if r[j]), _ZERO)
+        y = sum((c * x[j] for j, c in r.items() if j in x), _ZERO)
         if y:
             out[i] = y
     return out
 
 
 def matmul(a, b):
-    ncols = len(b[0]) if b else 0
-    b_rows = [[(j, y) for j, y in enumerate(r) if y] for r in b]
     out = []
     for r in a:
         acc = {}
-        for k, x in enumerate(r):
-            if x:
-                for j, y in b_rows[k]:
-                    acc[j] = acc.get(j, _ZERO) + x * y
-        out.append(_dense(acc, ncols))
+        for k, x in r.items():
+            for j, y in b[k].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append({j: v for j, v in acc.items() if v})
     return out
 
 
 def matrix(nrows, ncols, entries=()):
     """An nrows x ncols matrix with the sum of the c of all (i, j, c) in entries at (i, j).
 
-    Positions no triple names are zero.
+    Positions no triple names are zero.  ValueError if a triple lies
+    outside the shape.
     """
-    m = [[Fraction(0)] * ncols for _ in range(nrows)]
+    rows = [{} for _ in range(nrows)]
     for i, j, c in entries:
-        m[i][j] += c
-    return m
+        if not (0 <= i < nrows and 0 <= j < ncols):
+            raise ValueError("entry (%d, %d) outside a %dx%d matrix" % (i, j, nrows, ncols))
+        r = rows[i]
+        r[j] = r[j] + c if j in r else Fraction(c)
+    return [{j: c for j, c in r.items() if c} for r in rows]
+
+
+def has_shape(m, nrows, ncols):
+    """True iff m is nrows sparse rows with no entry outside the first ncols columns."""
+    return len(m) == nrows and all(type(r) is dict and all(0 <= j < ncols for j in r) for r in m)
 
 
 def entries(m, row=0, col=0):
-    """The (i + row, j + col, c) triples of the nonzero entries c of m."""
+    """The (i + row, j + col, c) triples of the nonzero entries c of m, row by row."""
     for i, r in enumerate(m):
-        for j, c in enumerate(r):
-            if c:
-                yield i + row, j + col, c
+        for j in sorted(r):
+            yield i + row, j + col, r[j]
 
 
 def columns(m, ncols):
     """The ncols columns of m, each as the ``{row: value}`` dict of its nonzeros."""
     cols = [{} for _ in range(ncols)]
-    for i, j, c in entries(m):
-        cols[j][i] = c
+    for i, r in enumerate(m):
+        for j, c in r.items():
+            cols[j][i] = c
     return cols
 
 
@@ -293,7 +282,7 @@ def check_d_squared(d_matrix, lo, hi):
 
 
 def is_zero_matrix(rows):
-    return all(all(x == 0 for x in r) for r in rows)
+    return not any(rows)
 
 
 class Subspace:
@@ -314,12 +303,12 @@ class Subspace:
 
     @classmethod
     def from_kernel(cls, rows, ncols):
-        vecs, free = _kernel(map(enumerate, rows), ncols)
+        vecs, free = _kernel(rows, ncols)
         return cls(ncols, vecs, free)
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim):
-        red, pivots = _rref((v.items() for v in vectors), ambient_dim)
+        red, pivots = _rref(vectors, ambient_dim)
         return cls(ambient_dim, red, pivots)
 
     @classmethod
@@ -353,7 +342,7 @@ class Subspace:
         if not self.vectors or not other.vectors:
             return Subspace(self.ambient_dim, [], [])
         stacked = from_columns(self.ambient_dim, self.vectors + other.vectors)
-        sol, _ = _kernel(map(enumerate, stacked), self.dim + other.dim)
+        sol, _ = _kernel(stacked, self.dim + other.dim)
         vecs = [self.vector({i: c for i, c in s.items() if i < self.dim}) for s in sol]
         return Subspace.from_vectors(vecs, self.ambient_dim)
 
@@ -372,5 +361,5 @@ def extend_independent(base, candidates, ncols):
     for j, v in enumerate(chain(base, candidates)):
         for i, x in v.items():
             rows[i][j] = x
-    pivots = _echelon((r.items() for r in rows), nbase + len(candidates))[1]
+    pivots = _echelon(rows, nbase + len(candidates))[1]
     return [p - nbase for p in pivots if p >= nbase]

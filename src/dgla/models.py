@@ -36,38 +36,38 @@ from .slices import DgLieSlice, bilinear, hom_slice, shifted_basis
 class SymplecticGVS:
     """A graded vector space with a unimodular graded-antisymmetric pairing.
 
-    ``pairing[i][j]`` is <alpha_i, alpha_j>, nonzero only when the degrees
-    sum to ``m`` (the form has degree -m); graded antisymmetry is
-    <v, w> = (-1)^{|v||w|+1} <w, v>.
+    ``pairing`` is a ``linalg`` matrix whose (i, j) entry is
+    <alpha_i, alpha_j>, nonzero only when the degrees sum to ``m`` (the form
+    has degree -m); graded antisymmetry is <v, w> = (-1)^{|v||w|+1} <w, v>.
+    Row i of ``duals`` holds the coefficients c_k of the dual basis vector
+    alpha_i^# = sum_k c_k alpha_k, the one with <alpha_i^#, alpha_j> = delta_ij.
     """
 
     def __init__(self, basis, form_degree, pairing):
         self.basis = GradedBasis(basis)
         self.m = -int(form_degree)
         n = len(self.basis)
-        self.pairing = [[Fraction(x) for x in row] for row in pairing]
-        if len(self.pairing) != n or any(len(r) != n for r in self.pairing):
+        if not linalg.has_shape(pairing, n, n):
             raise SchemaError("pairing must be %dx%d, the basis size" % (n, n), "/pairing")
+        self.pairing = pairing
         degs = [d for _, d in self.basis.entries]
-        for i in range(n):
-            for j in range(n):
-                if self.pairing[i][j] and degs[i] + degs[j] != self.m:
-                    raise SchemaError(
-                        "pairing nonzero off the complementary degrees", "/pairing/%d/%d" % (i, j)
-                    )
-                sign = Fraction(1 if (degs[i] * degs[j]) % 2 else -1)
-                if self.pairing[i][j] != sign * self.pairing[j][i]:
-                    raise SchemaError(
-                        "pairing is not graded antisymmetric", "/pairing/%d/%d" % (i, j)
-                    )
+        value = {(i, j): c for i, j, c in linalg.entries(pairing)}
+        # every position where a check can fail, in row-major order
+        for i, j in sorted(value.keys() | {(j, i) for i, j in value}):
+            c = value.get((i, j), 0)
+            if c and degs[i] + degs[j] != self.m:
+                raise SchemaError(
+                    "pairing nonzero off the complementary degrees", "/pairing/%d/%d" % (i, j)
+                )
+            sign = 1 if (degs[i] * degs[j]) % 2 else -1
+            if c != sign * value.get((j, i), 0):
+                raise SchemaError(
+                    "pairing is not graded antisymmetric", "/pairing/%d/%d" % (i, j)
+                )
         # row i of the inverse solves sum_k x_k <alpha_k, alpha_j> = delta_ij
-        self._duals = linalg.inverse(self.pairing)
-        if self._duals is None:
+        self.duals = linalg.inverse(pairing)
+        if self.duals is None:
             raise NotUnimodular("pairing matrix is singular")
-
-    def dual_basis_matrix(self):
-        """Columns c_i with <sum_k c_i[k] alpha_k, alpha_j> = delta_ij."""
-        return [list(c) for c in self._duals]
 
 
 def omega_element(v, presentation=None):
@@ -80,14 +80,14 @@ def omega_element(v, presentation=None):
     p = presentation
     if p is None:
         p = DgLaPresentation(list(v.basis.entries))
-    duals = v.dual_basis_matrix()
     names = v.basis.names()
+    sharps = [[] for _ in names]
+    for i, k, c in linalg.entries(v.duals):
+        sharps[i].append((c, p.gen(names[k])))
     half = Fraction(1, 2)
     terms = []
-    for i, name in enumerate(names):
-        sharp = p.zero(v.basis.degree(name)).add_scaled(
-            (c, p.gen(names[k])) for k, c in enumerate(duals[i]) if c
-        )
+    for name, sharp in zip(names, sharps):
+        sharp = p.zero(v.basis.degree(name)).add_scaled(sharp)
         terms.append((half, p.bracket(sharp, p.gen(name))))
     return p.zero(v.m).add_scaled(terms)
 
@@ -156,7 +156,10 @@ class ManifoldModel:
 
 
 def manifold_model(dimension, generators, pairing, differential=None, pontryagin=None):
-    """Validate raw data into a ManifoldModel (see the JSON schema in io)."""
+    """Validate raw data into a ManifoldModel (see the JSON schema in io).
+
+    ``pairing`` is a ``linalg`` matrix on the generators.
+    """
     v = SymplecticGVS(generators, -(int(dimension) - 2), pairing)
     return ManifoldModel(dimension, v, differential, pontryagin)
 

@@ -357,7 +357,7 @@ def hom_slice(source_basis, source_d_blocks, target_basis, window):
         cols = [n for n in src_names if src_deg[n] == d]
         rows = [n for n in src_names if src_deg[n] == d - 1]
         for i, j, c in linalg.entries(m):
-            dmat[(rows[i], cols[j])] = Fraction(c)
+            dmat[(rows[i], cols[j])] = c
     for n in range(lo + 1, hi + 1):
         rows = len(labels[n - 1])
         cols = len(labels[n])

@@ -524,21 +524,11 @@ def random_presentation(rng, max_gens=4, max_degree=5):
         basis = prev.lie_basis(deg - 1)
         if not basis:
             continue
-        dmat = []
-        for b in basis:
-            img = prev._d_tree(b.tree)
-            col = [Fraction(0)] * prev.dim(deg - 2)
-            for k, c in img.coords.items():
-                col[k] = c
-            dmat.append(col)
-        rows = (
-            [[dmat[j][i2] for j in range(len(basis))] for i2 in range(prev.dim(deg - 2))]
-            if prev.dim(deg - 2)
-            else []
-        )
-        if rows:
+        if prev.dim(deg - 2):
             from dgla import linalg
 
+            dmat = [prev._d_tree(b.tree).coords for b in basis]
+            rows = linalg.from_columns(prev.dim(deg - 2), dmat)
             cycles, _ = linalg.kernel_basis(rows, len(basis))
         else:
             cycles = [{j: Fraction(1)} for j in range(len(basis))]

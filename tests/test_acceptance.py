@@ -262,18 +262,13 @@ def _betti_independent(slc, k0, k1):
 def test_criterion_4_xi_quasi_isomorphism():
     start = time.monotonic()
     for gens, pairing in [
-        ([("a", 2), ("b", 2)], [[0, 1], [-1, 0]]),
+        ([("a", 2), ("b", 2)], [(0, 1, 1), (1, 0, -1)]),
         (
             [("a1", 2), ("b1", 2), ("a2", 2), ("b2", 2)],
-            [
-                [0, 1, 0, 0],
-                [-1, 0, 0, 0],
-                [0, 0, 0, 1],
-                [0, 0, -1, 0],
-            ],
+            [(0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1)],
         ),
     ]:
-        m = manifold_model(6, gens, pairing)
+        m = manifold_model(6, gens, linalg.matrix(len(gens), len(gens), pairing))
         tilde, _, _ = tilde_model(m)
         left = deru(m.presentation, "omega", None, (0, 4))
         right = deru(tilde, "beta", None, (0, 4))
@@ -299,7 +294,7 @@ def test_criterion_5_omega_invariants(fixture_path):
     m = _load_manifold(fixture_path, "w21.json")
     p = m.presentation
     names = [n for n, _ in p.generators.entries]
-    pair = {(i, j): m.v.pairing[i][j] for i in range(4) for j in range(4)}
+    pair = {(i, j): c for i, j, c in linalg.entries(m.v.pairing)}
     count = 0
     while count < 20:
         # random symplectic transvection x -> x + c <x, v> v on degree-2 gens
@@ -310,7 +305,7 @@ def test_criterion_5_omega_invariants(fixture_path):
         count += 1
         images = {}
         for i, nm in enumerate(names):
-            coeff = sum(pair[(i, k)] * v[k] for k in range(4))
+            coeff = sum(pair.get((i, k), 0) * v[k] for k in range(4))
             img = p.gen(nm)
             extra = p.zero(2)
             for k2, nm2 in enumerate(names):
@@ -319,19 +314,17 @@ def test_criterion_5_omega_invariants(fixture_path):
             images[nm] = img + extra.scale(c * coeff)
         f = GeneratorMorphism(p, p, images)
         # verify the form is preserved, then omega invariance
-        lin = f.linear_block(2)
-        gprime = [
-            [
-                sum(
-                    lin[k][i] * pair[(k, l)] * lin[l][j]
-                    for k in range(4)
-                    for l in range(4)
-                )
-                for j in range(4)
-            ]
+        lin = {(k, i): c for k, i, c in linalg.entries(f.linear_block(2))}
+        gprime = {
+            (i, j): sum(
+                lin.get((k, i), 0) * pair.get((k, l), 0) * lin.get((l, j), 0)
+                for k in range(4)
+                for l in range(4)
+            )
             for i in range(4)
-        ]
-        assert gprime == m.v.pairing
+            for j in range(4)
+        }
+        assert {ij: c for ij, c in gprime.items() if c} == pair
         assert f.apply(m.omega) == m.omega
     # additivity under boundary connected sum
     m1 = _load_manifold(fixture_path, "w11.json")
@@ -474,7 +467,7 @@ def test_criterion_8_ce_oracles():
     # Kunneth in degrees 0..4 on product fixtures
     assert ce_product_check(sl2, ab2, 1, 1, (0, 4)).passed
     assert ce_product_check(ab1, ab2, 2, 1, (0, 4)).passed
-    m = manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
+    m = manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)]))
     tilde, _, _ = tilde_model(m)
     g = deru(tilde, "beta", None, (0, 4))
     assert ce_product_check(g, g, 1, 1, (0, 3)).passed

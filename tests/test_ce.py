@@ -1,6 +1,7 @@
 
 import pytest
 
+from dgla import linalg
 from dgla.ce import CESlice, ce_cohomology, ce_product_check, ce_words
 from dgla.derivations import deru
 from dgla.errors import WindowTooNarrow
@@ -59,7 +60,7 @@ def test_coefficient_dimension_scales():
 def test_ce_d_squared_certified_with_differential_and_bracket():
     # a dg Lie slice with both a nonzero differential and nonzero brackets:
     # the derivation complex of the tilde model of W11
-    m = manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
+    m = manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)]))
     tilde, _, _ = tilde_model(m)
     g = deru(tilde, "beta", None, (0, 4))
     ce = CESlice(g, 5)
@@ -90,7 +91,7 @@ def test_kunneth_on_products():
 
 
 def test_kunneth_on_der_slices():
-    m = manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
+    m = manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)]))
     tilde, _, _ = tilde_model(m)
     g = deru(tilde, "beta", None, (0, 3))
     h = deru(tilde, "beta", None, (0, 3))

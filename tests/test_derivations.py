@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -108,10 +109,11 @@ def test_linear_part_of_bracket_is_commutator():
     m = indec_action(br, None).block(2)
     ma = indec_action(A, None).block(2)
     mb = indec_action(B, None).block(2)
-    assert m == [
-        [x - y for x, y in zip(r1, r2)]
-        for r1, r2 in zip(linalg.matmul(ma, mb), linalg.matmul(mb, ma))
-    ]
+    commutator = chain(
+        linalg.entries(linalg.matmul(ma, mb)),
+        ((i, j, -c) for i, j, c in linalg.entries(linalg.matmul(mb, ma))),
+    )
+    assert m == linalg.matrix(2, 2, commutator)
 
 
 def test_der_slice_jacobi_and_leibniz():
@@ -172,10 +174,7 @@ def test_ev_omega_surjects_onto_decomposables():
         omega = p.normal_form("[a,b]")
         target_dim = p.dim(4 + n)
         decomp_dim = sum(1 for b in p.lie_basis(4 + n) if not isinstance(b.tree, int))
-        rows = []
-        for th in slc.derivations[n]:
-            v = th.eval_at(omega)
-            rows.append([v.coords.get(k, 0) for k in range(target_dim)])
+        rows = [th.eval_at(omega).coords for th in slc.derivations[n]]
         rank = linalg.rank(rows, target_dim) if rows else 0
         assert rank >= decomp_dim
 
@@ -280,8 +279,7 @@ def test_glue_image_is_derivations_vanishing_on_opposite_side():
         full = der_complex(po, None, (n, n))
         total = full.layouts[n].total
         vecs = [full.layouts[n].to_vector(g) for g in glued]
-        rows = [[v.get(k, 0) for k in range(total)] for v in vecs]
-        assert linalg.rank(rows, total) == dp + dq
+        assert linalg.rank(vecs, total) == dp + dq
         # characterization: values stay in the originating side
         for g in glued:
             for name, v in g.values.items():
@@ -298,7 +296,7 @@ def test_deru_rho_condition_bites_at_degree_zero():
         [("s", 3), ("v", 3)], None, {"A": {"generators": ["s"]}}
     )
     pi = GradedBasis([("pi3", 3)])
-    rho = GradedLinearMap(p.generators, pi, 0, {3: [[1, 0]]})
+    rho = GradedLinearMap(p.generators, pi, 0, {3: linalg.matrix(1, 2, [(0, 0, 1)])})
     without = deru(p, "A", None, (0, 1))
     with_rho = deru(p, "A", rho, (0, 1))
     # theta(v) = s has zero action on the relative indecomposables but a

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from dgla import linalg
 from dgla.derivations import Derivation, der_bracket, der_complex, deru
 from dgla.errors import ClassExceeded, NotNilpotent
 from dgla.expmc import (
@@ -317,7 +318,7 @@ def test_mc_examples():
     slc = DgLieSlice(
         (-2, 0),
         lab,
-        {-1: [[Fraction(1)]]},
+        {-1: linalg.matrix(1, 1, [(0, 0, 1)])},
         bracket_fn=lambda *pair: {0: 1} if pair == (-1, 0, -1, 0) else {},
     )
     zero = SliceElement.zero(slc, -1)
@@ -333,7 +334,7 @@ def test_mc_examples():
 
 def test_adjoint_gauge_preserves_mc():
     # Der slice of the tilde model: nonabelian with nonzero differential
-    m = manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
+    m = manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)]))
     tilde, _, _ = tilde_model(m)
     slc = der_complex(tilde, "beta", (-2, 1))
     rng = random.Random(43)
@@ -365,7 +366,7 @@ def test_twisted_block_gauge_preserves_mc():
     m = manifold_model(
         8,
         [("u", 3), ("x", 3), ("y", 3)],
-        [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+        linalg.matrix(3, 3, [(0, 0, 1), (1, 2, 1), (2, 1, 1)]),
         None,
         {3: [2, 0, 0]},
     )
@@ -518,7 +519,7 @@ def test_gauge_action_is_group_action():
     m = manifold_model(
         8,
         [("u1", 3), ("u2", 3), ("x", 3), ("y", 3)],
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+        linalg.matrix(4, 4, [(0, 0, 1), (1, 1, 1), (2, 3, 1), (3, 2, 1)]),
         None,
         {3: [2, 2, 0, 0]},
     )

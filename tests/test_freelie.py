@@ -139,12 +139,9 @@ def test_tensor_embedding_certified():
     basis = p.lie_basis(4)
     support = sorted({w for b in basis for w in b.expansion})
     pos = {w: i for i, w in enumerate(support)}
-    rows = []
-    for b in basis:
-        row = [Fraction(0)] * len(support)
-        for w, c in b.expansion.items():
-            row[pos[w]] = c
-        rows.append(row)
+    rows = linalg.matrix(len(basis), len(support), (
+        (i, pos[w], c) for i, b in enumerate(basis) for w, c in b.expansion.items()
+    ))
     assert linalg.rank(rows, len(support)) == len(basis)
 
 

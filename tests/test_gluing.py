@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dgla import linalg
 from dgla.errors import DimensionMismatch, SemisimplicityNotAsserted
 from dgla.gluing import boundary_connected_sum, forget_compare, glue_headline_g
 from dgla.graded import betti_numbers
@@ -9,14 +10,14 @@ from dgla.models import build_block_g, manifold_model
 
 
 def w11():
-    return manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
+    return manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)]))
 
 
 def twisted9():
     return manifold_model(
         9,
         [("a", 2), ("x", 3), ("b", 4), ("y", 5)],
-        [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]],
+        linalg.matrix(4, 4, [(0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, -1)]),
         None,
         {3: [1]},
     )
@@ -42,7 +43,8 @@ def test_connected_sum_with_trivial_model():
 
 def test_connected_sum_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        boundary_connected_sum(w11(), manifold_model(8, [("u", 3)], [[1]]))
+        hp2 = manifold_model(8, [("u", 3)], linalg.matrix(1, 1, [(0, 0, 1)]))
+        boundary_connected_sum(w11(), hp2)
 
 
 def test_connected_sum_associative_dimensionwise():
@@ -75,8 +77,6 @@ def test_glue_headline_g_dimensions_add_on_hom_part():
     assert gmap.report.passed
     # section property: the map is injective degreewise, so restriction back
     # to either factor recovers its elements
-    from dgla import linalg
-
     for d in range(0, 3):
         cols = gm.dim(d) + gn.dim(d)
         if cols:

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from dgla import linalg
@@ -7,6 +5,7 @@ from dgla.errors import NotAComplex, WindowTooNarrow
 from dgla.graded import (
     ChainComplexSlice,
     GradedBasis,
+    GradedLinearMap,
     betti_numbers,
     homology,
 )
@@ -21,7 +20,7 @@ def _two_term_identity():
         1: GradedBasis([("e1", 1)]),
         2: GradedBasis([]),
     }
-    return ChainComplexSlice((-1, 2), spaces, {1: [[Fraction(1)]]})
+    return ChainComplexSlice((-1, 2), spaces, {1: linalg.matrix(1, 1, [(0, 0, 1)])})
 
 
 def test_acyclic_identity():
@@ -70,9 +69,25 @@ def test_not_a_complex_detected():
         1: GradedBasis([("y", 1)]),
         2: GradedBasis([("z", 2)]),
     }
-    diff = {1: [[Fraction(1)]], 2: [[Fraction(1)]]}
+    one = linalg.matrix(1, 1, [(0, 0, 1)])
+    diff = {1: one, 2: one}
     with pytest.raises(NotAComplex):
         ChainComplexSlice((0, 2), spaces, diff)
+
+
+@pytest.mark.parametrize("nrows, ncols", [(2, 3), (1, 2), (3, 2), (0, 2)])
+def test_blocks_of_the_wrong_shape_are_refused(nrows, ncols):
+    """A 2x2 block is expected: a row too many or too few, or an entry past
+    the last column, is a ValueError."""
+    spaces = {0: GradedBasis([("x", 0), ("x2", 0)]), 1: GradedBasis([("y", 1), ("y2", 1)])}
+    block = linalg.matrix(nrows, ncols, [(0, ncols - 1, 1)] if nrows else [])
+    with pytest.raises(ValueError, match="wrong shape"):
+        ChainComplexSlice((0, 1), spaces, {1: block})
+    f = GradedLinearMap(spaces[1], spaces[0], -1)
+    with pytest.raises(ValueError, match="must be 2x2"):
+        f.set_block(1, block)
+    f.set_block(1, linalg.matrix(2, 2, [(1, 1, 3)]))
+    assert f.block(1) == [{}, {1: 3}] and not f.is_zero()
 
 
 def test_homology_basis_order_independent():

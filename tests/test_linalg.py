@@ -7,18 +7,34 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dgla import linalg
+from dgla import io, linalg
+from dgla.ce import CESlice
+from dgla.derivations import der_complex, deru
 from dgla.errors import NotAComplex
+from dgla.gluing import boundary_connected_sum, glue_headline_g
+from dgla.models import build_block_g, build_g, tilde_model
 from oracles import gauss_jordan, gauss_rank, naive_matmul
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "dgla")
 
 
+def _matrix(rows, ncols):
+    """The linalg matrix of a dense grid, the form the oracles work in."""
+    return linalg.matrix(
+        len(rows), ncols, ((i, j, x) for i, r in enumerate(rows) for j, x in enumerate(r))
+    )
+
+
+def _dense(m, ncols):
+    """The dense grid of a linalg matrix."""
+    return [[r.get(j, 0) for j in range(ncols)] for r in m]
+
+
 def test_rank_examples():
-    assert linalg.rank([[0, 0], [0, 0]], 2) == 0
-    assert linalg.rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == 3
+    assert linalg.rank(linalg.matrix(2, 2), 2) == 0
+    assert linalg.rank(_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), 3) == 3
     # hand elimination: rank 1, kernel spanned by (2, -1) up to scale
-    m = [[1, 2], [2, 4]]
+    m = _matrix([[1, 2], [2, 4]], 2)
     assert linalg.rank(m, 2) == 1
     kernel, free = linalg.kernel_basis(m, 2)
     assert len(kernel) == 1
@@ -28,17 +44,18 @@ def test_rank_examples():
 
 
 def test_solve_and_kernel():
-    m = [[1, 2, 3], [0, 1, 1]]
+    m = _matrix([[1, 2, 3], [0, 1, 1]], 3)
     sol = linalg.solve(m, 3, {0: 6, 1: 2})
     assert sol is not None
     assert linalg.matvec(m, sol) == {0: Fraction(6), 1: Fraction(2)}
-    assert linalg.solve([[1, 0], [0, 1], [1, 1]], 2, {0: 1, 1: 1, 2: 3}) is None
+    assert linalg.solve(_matrix([[1, 0], [0, 1], [1, 1]], 2), 2, {0: 1, 1: 1, 2: 3}) is None
 
 
 def test_pivot_columns_give_image_basis():
-    m = [[1, 2, 0], [2, 4, 1]]
+    dense = [[1, 2, 0], [2, 4, 1]]
+    m = _matrix(dense, 3)
     pts = linalg.pivot_columns(m, 3)
-    chosen = [[r[p] for r in m] for p in pts]
+    chosen = [[r[p] for r in dense] for p in pts]
     assert gauss_rank(chosen) == linalg.rank(m, 3) == 2
 
 
@@ -69,7 +86,7 @@ def test_subspace_intersection():
     )
 )
 def test_rank_matches_plain_gauss(rows):
-    assert linalg.rank(rows, 4) == gauss_rank(rows)
+    assert linalg.rank(_matrix(rows, 4), 4) == gauss_rank(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -81,10 +98,11 @@ def test_rank_matches_plain_gauss(rows):
     )
 )
 def test_rank_nullity(rows):
-    kernel, _ = linalg.kernel_basis(rows, 3)
-    assert linalg.rank(rows, 3) + len(kernel) == 3
+    m = _matrix(rows, 3)
+    kernel, _ = linalg.kernel_basis(m, 3)
+    assert linalg.rank(m, 3) + len(kernel) == 3
     for v in kernel:
-        assert linalg.matvec(rows, v) == {}
+        assert linalg.matvec(m, v) == {}
 
 
 def test_bit_length_pivoting_stays_exact():
@@ -93,48 +111,66 @@ def test_bit_length_pivoting_stays_exact():
         [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(6)]
         for _ in range(6)
     ]
-    r = linalg.rank(rows, 6)
+    r = linalg.rank(_matrix(rows, 6), 6)
     assert r == gauss_rank(rows)
 
 
 def test_matrix_sums_repeated_entries():
     m = linalg.matrix(2, 3, [(0, 1, 2), (1, 2, Fraction(1, 3)), (0, 1, Fraction(-1, 2))])
-    assert m == [[0, Fraction(3, 2), 0], [0, 0, Fraction(1, 3)]]
-    assert all(type(x) is Fraction for r in m for x in r)
-    assert linalg.matrix(1, 1, [(0, 0, 1), (0, 0, -1)]) == [[0]]
+    assert m == [{1: Fraction(3, 2)}, {2: Fraction(1, 3)}]
+    assert all(type(x) is Fraction for r in m for x in r.values())
+    assert linalg.matrix(1, 1, [(0, 0, 1), (0, 0, -1)]) == [{}]
+    # cancelling triples leave no zero value behind: an empty row, or none at that column
+    m = linalg.matrix(3, 2, [(0, 1, 3), (1, 0, 1), (0, 1, -3), (1, 1, 2), (1, 0, -1)])
+    assert m == [{}, {1: 2}, {}]
+
+
+@pytest.mark.parametrize("i, j", [(0, -1), (-1, 0), (-2, -2), (2, 0), (0, 2), (5, 5)])
+def test_matrix_refuses_an_entry_outside_its_shape(i, j):
+    with pytest.raises(ValueError, match="outside a 2x2 matrix"):
+        linalg.matrix(2, 2, [(0, 0, 1), (i, j, 5)])
+    with pytest.raises(ValueError):
+        linalg.matrix(0, 0, [(0, 0, 1)])
 
 
 @pytest.mark.parametrize("nrows, ncols", [(0, 0), (0, 3), (3, 0), (2, 2)])
 def test_matrix_without_entries_is_zero_of_that_shape(nrows, ncols):
     m = linalg.matrix(nrows, ncols)
-    assert len(m) == nrows and all(len(r) == ncols for r in m)
+    assert m == [{} for _ in range(nrows)] and linalg.has_shape(m, nrows, ncols)
+    assert not linalg.has_shape(m, nrows + 1, ncols)
     assert linalg.is_zero_matrix(m)
     if nrows > 1 and ncols:
         m[0][0] = Fraction(1)
-        assert m[1][0] == 0  # each row is its own list
+        assert m[1] == {}  # each row is its own dict
+        assert linalg.has_shape(m, nrows, 1) and not linalg.has_shape(m, nrows, 0)
+        assert not linalg.is_zero_matrix(m)
 
 
 def test_matrix_of_entries_places_a_block_at_an_offset():
-    m = [[1, 0], [Fraction(2, 3), -4]]
+    # inserted out of order; entries and columns read row-major, ascending
+    m = linalg.matrix(2, 2, [(1, 1, -4), (0, 0, 1), (1, 0, Fraction(2, 3))])
     assert list(linalg.entries(m)) == [(0, 0, 1), (1, 0, Fraction(2, 3)), (1, 1, -4)]
+    assert linalg.columns(m, 3) == [{0: 1, 1: Fraction(2, 3)}, {1: -4}, {}]
+    assert [list(c) for c in linalg.columns(m, 2)] == [[0, 1], [1]]
     big = linalg.matrix(4, 5, linalg.entries(m, 1, 2))
-    assert big == [
-        [0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0],
-        [0, 0, Fraction(2, 3), -4, 0],
-        [0, 0, 0, 0, 0],
-    ]
+    assert big == [{}, {2: 1}, {2: Fraction(2, 3), 3: -4}, {}]
+    assert _dense(big, 5)[2] == [0, 0, Fraction(2, 3), -4, 0]
+    assert linalg.has_shape(big, 4, 5) and not linalg.has_shape(big, 4, 3)
     assert linalg.matrix(2, 2, linalg.entries(m)) == m
+    assert linalg.from_columns(2, linalg.columns(m, 2)) == m
 
 
 def test_check_d_squared_raises_at_the_first_failing_degree():
     # C_0 <- C_1 <- C_2 <- C_3 <- C_4, each of dimension one: d_1 d_2 and
     # d_2 d_3 vanish, d_3 d_4 does not
-    blocks = {1: [[1]], 2: [[0]], 3: [[1]], 4: [[1]]}
+    def scalar(c):
+        return linalg.matrix(1, 1, [(0, 0, c)])
+
+    blocks = {1: scalar(1), 2: scalar(0), 3: scalar(1), 4: scalar(1)}
     linalg.check_d_squared(blocks.__getitem__, 0, 3)
     with pytest.raises(NotAComplex, match="degree 4"):
         linalg.check_d_squared(blocks.__getitem__, 0, 4)
-    blocks[2] = [[5]]
+    blocks[2] = scalar(5)
     with pytest.raises(NotAComplex, match="degree 2"):
         linalg.check_d_squared(blocks.__getitem__, 0, 4)
     linalg.check_d_squared(blocks.__getitem__, 1, 2)  # no composite in [1, 2]
@@ -157,10 +193,10 @@ def test_only_linalg_builds_matrices_and_certifies_d_squared():
 
 
 def test_inverse_of_square_matrices():
-    m = [[2, 1], [Fraction(1, 2), 1]]
+    m = _matrix([[2, 1], [Fraction(1, 2), 1]], 2)
     inv = linalg.inverse(m)
-    assert linalg.matmul(m, inv) == [[1, 0], [0, 1]]
-    assert linalg.inverse([[1, 2], [2, 4]]) is None
+    assert linalg.matmul(m, inv) == [{0: 1}, {1: 1}]
+    assert linalg.inverse(_matrix([[1, 2], [2, 4]], 2)) is None
     assert linalg.inverse([]) == []
 
 
@@ -226,7 +262,8 @@ def _sparse_matrix(draw, nrows=None, ncols=None):
 
 
 def _all_fractions(rows):
-    return all(type(x) is Fraction for r in rows for x in r)
+    """Every value of the sparse rows or vectors is a Fraction."""
+    return all(type(x) is Fraction for r in rows for x in r.values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,11 +275,12 @@ def _all_fractions(rows):
 @example(([[0]], 1), None)
 def test_elimination_agrees_with_gauss_jordan(case, data):
     rows, ncols = case
+    m = _matrix(rows, ncols)
     red, pivots = gauss_jordan(rows, ncols)
-    got, got_pivots = linalg.rref(rows, ncols)
-    assert (got, got_pivots) == (red, pivots) and _all_fractions(got)
-    assert linalg.pivot_columns(rows, ncols) == pivots
-    assert linalg.rank(rows, ncols) == len(pivots)
+    got, got_pivots = linalg.rref(m, ncols)
+    assert (got, got_pivots) == (_sparse(red), pivots) and _all_fractions(got)
+    assert linalg.pivot_columns(m, ncols) == pivots
+    assert linalg.rank(m, ncols) == len(pivots)
     free = [c for c in range(ncols) if c not in pivots]
     kernel = []
     for f in free:
@@ -250,19 +288,19 @@ def test_elimination_agrees_with_gauss_jordan(case, data):
         for r, pc in zip(red, pivots):
             v[pc] = -r[f]
         kernel.append(v)
-    got_kernel, got_free = linalg.kernel_basis(rows, ncols)
+    got_kernel, got_free = linalg.kernel_basis(m, ncols)
     assert (got_kernel, got_free) == (_sparse(kernel), free)
-    assert _all_fractions([v.values() for v in got_kernel])
+    assert _all_fractions(got_kernel)
     rhs = [0] * len(rows) if data is None else data.draw(_sparse_matrix(1, len(rows)))[0][0]
     aug, aug_pivots = gauss_jordan([r + [b] for r, b in zip(rows, rhs)], ncols + 1)
-    x = linalg.solve(rows, ncols, _sparse([rhs])[0])
+    x = linalg.solve(m, ncols, _sparse([rhs])[0])
     if ncols in aug_pivots:
         assert x is None
     else:
         want = [Fraction(0)] * ncols
         for r, pc in zip(aug, aug_pivots):
             want[pc] = r[ncols]
-        assert x == _sparse([want])[0] and _all_fractions([x.values()])
+        assert x == _sparse([want])[0] and _all_fractions([x])
         assert naive_matmul(rows, [[x.get(j, 0)] for j in range(ncols)], 1) == [[b] for b in rhs]
 
 
@@ -275,34 +313,35 @@ def test_inverse_agrees_with_gauss_jordan(case):
     rows, n = case
     identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     red, pivots = gauss_jordan([r + e for r, e in zip(rows, identity)], 2 * n)
-    inv = linalg.inverse(rows)
+    inv = linalg.inverse(_matrix(rows, n))
     if pivots[:n] != list(range(n)):
         assert inv is None
     else:
-        assert inv == [r[n:] for r in red] and _all_fractions(inv)
-        assert naive_matmul(rows, inv, n) == naive_matmul(inv, rows, n) == identity
+        assert inv == _sparse([r[n:] for r in red]) and _all_fractions(inv)
+        dense = _dense(inv, n)
+        assert naive_matmul(rows, dense, n) == naive_matmul(dense, rows, n) == identity
 
 
 @st.composite
 def _product_operands(draw):
-    """An n x k and a k x m matrix; m is 0 when k is, since [] has no columns."""
+    """An n x k and a k x m matrix, as dense grids, and k and m."""
     n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
     a, _ = draw(_sparse_matrix(n, k))
-    b, _ = draw(_sparse_matrix(k, m if k else 0))
-    return a, b, m if k else 0
+    b, _ = draw(_sparse_matrix(k, m))
+    return a, b, k, m
 
 
 @settings(max_examples=100, deadline=None)
 @given(_product_operands())
 def test_products_agree_with_the_triple_loop(operands):
-    a, b, m = operands
-    product = linalg.matmul(a, b)
-    assert product == naive_matmul(a, b, m) and _all_fractions(product)
+    a, b, k, m = operands
+    product = linalg.matmul(_matrix(a, k), _matrix(b, m))
+    assert product == _sparse(naive_matmul(a, b, m)) and _all_fractions(product)
     if b:
         x = [r[0] for r in b] if m else [0] * len(b)
-        y = linalg.matvec(a, _sparse([x])[0])
+        y = linalg.matvec(_matrix(a, k), _sparse([x])[0])
         want = [r[0] for r in naive_matmul(a, [[c] for c in x], 1)]
-        assert y == _sparse([want])[0] and _all_fractions([y.values()])
+        assert y == _sparse([want])[0] and _all_fractions([y])
 
 
 def test_products_touch_only_nonzeros():
@@ -316,13 +355,14 @@ def test_products_touch_only_nonzeros():
             assert len(products) <= n, "a product with a zero entry"
             return Fraction.__mul__(self, other)
 
-    zero, one = Counted(0), Counted(1)
+    one = Counted(1)
     rng = random.Random(11)
     perms = [rng.sample(range(n), n) for _ in range(2)]
-    a, b = ([[one if j == p[i] else zero for j in range(n)] for i in range(n)] for p in perms)
+    # built as plain sparse rows, so that the entries stay Counted
+    a, b = ([{p[i]: one} for i in range(n)] for p in perms)
     product = linalg.matmul(a, b)
     assert len(products) == n
-    assert product == [[int(j == perms[1][perms[0][i]]) for j in range(n)] for i in range(n)]
+    assert product == [{perms[1][perms[0][i]]: 1} for i in range(n)]
     products.clear()
     x = {j: Counted(j + 1) for j in range(n)}
     assert linalg.matvec(a, x) == {i: x[perms[0][i]] for i in range(n)}
@@ -353,7 +393,7 @@ def _oracle_rank(rows, n):
 def test_sparse_subspace_agrees_with_gauss_jordan(case):
     n, a, b, coeffs = case
     rank_a, rank_b = _oracle_rank(a, n), _oracle_rank(b, n)
-    ker = linalg.Subspace.from_kernel(a, n)
+    ker = linalg.Subspace.from_kernel(_matrix(a, n), n)
     assert ker.dim == n - rank_a
     for v in ker.vectors:
         assert all(sum((r[j] * x for j, x in v.items()), Fraction(0)) == 0 for r in a)
@@ -373,3 +413,56 @@ def test_sparse_subspace_agrees_with_gauss_jordan(case):
     assert sa.intersection(sb).dim == rank_a + rank_b - _oracle_rank(a + b, n)
     full = linalg.Subspace.full(n)
     assert all(full.contains({j: 1}) for j in range(n))
+
+
+def _assert_sparse_rows(m, nrows, ncols):
+    """m is nrows dicts with int keys in [0, ncols) and nonzero Fraction values."""
+    assert type(m) is list and len(m) == nrows
+    for r in m:
+        assert type(r) is dict
+        for j, c in r.items():
+            assert type(j) is int and 0 <= j < ncols
+            assert type(c) is Fraction and c
+
+
+def _assert_slice_blocks(slc):
+    """Every differential block of a dg Lie slice and of its chain slice."""
+    for c in (slc, slc.to_chain()):
+        for d in range(c.lo + 1, c.hi + 1):
+            _assert_sparse_rows(c.d_matrix(d), c.dim(d - 1), c.dim(d))
+
+
+def _load(fixture_path, name):
+    return io.load_json_file(fixture_path(name))
+
+
+def test_matrices_of_the_pipelines_are_sparse_rows(fixture_path):
+    # xi w11 0..2: both Der_u chains
+    m = io.load_manifold(_load(fixture_path, "w11.json"))
+    tilde, _, _ = tilde_model(m)
+    for slc in (deru(m.presentation, "omega", None, (-1, 3)), deru(tilde, "beta", None, (-1, 3))):
+        _assert_slice_blocks(slc)
+    # der presentation_w11 omega 0..6
+    p = io.load_presentation(_load(fixture_path, "presentation_w11.json"))
+    _assert_slice_blocks(der_complex(p, "omega", (0, 6)))
+    # ce sl2 0..3: the CE differentials
+    g = io.load_slice_or_presentation(_load(fixture_path, "sl2.json")).pad_to(0, 3)
+    ce = CESlice(g, 4)
+    for k in range(1, 5):
+        _assert_sparse_rows(ce.d_matrix(k), ce.dim(k - 1), ce.dim(k))
+    # the glued g of w11 # w11, the gluing map and the summed pairing
+    mn = boundary_connected_sum(m, m)
+    _assert_sparse_rows(mn.v.pairing, 4, 4)
+    _assert_sparse_rows(mn.v.duals, 4, 4)
+    gm, gmn = build_block_g(m, (0, 2)), build_block_g(mn, (0, 2))
+    _assert_slice_blocks(gmn)
+    gmap = glue_headline_g(gm, gm, gmn, mn.left_names, mn.right_names, assert_semisimple=True)
+    for d, block in gmap.blocks.items():
+        _assert_sparse_rows(block, gmn.dim(d), 2 * gm.dim(d))
+    # g --rho rho_twisted9: the rho blocks and g's differential
+    p = io.load_presentation(_load(fixture_path, "presentation_twisted9.json"))
+    rho, pi = io.load_rho(_load(fixture_path, "rho_twisted9.json"), p)
+    assert rho.blocks
+    for d, block in rho.blocks.items():
+        _assert_sparse_rows(block, pi.dim(d), p.generators.dim(d))
+    _assert_slice_blocks(build_g(p, None, "omega", rho, pi, (-1, 3)))

@@ -30,22 +30,26 @@ from dgla.morphisms import check_morphism
 from dgla.presentation import DgLaPresentation, lie_chain_slice
 
 
+def _hyperbolic():
+    return linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)])
+
+
 def w11():
-    return manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]])
+    return manifold_model(6, [("a", 2), ("b", 2)], _hyperbolic())
 
 
 def cp2():
     return manifold_model(
         6,
         [("v", 1), ("w", 3)],
-        [[0, 1], [1, 0]],
+        linalg.matrix(2, 2, [(0, 1, 1), (1, 0, 1)]),
         {"w": "1/2*[v,v]"},
         {3: [4]},
     )
 
 
 def hp2():
-    return manifold_model(8, [("u", 3)], [[1]], None, {3: [2]})
+    return manifold_model(8, [("u", 3)], linalg.matrix(1, 1, [(0, 0, 1)]), None, {3: [2]})
 
 
 def test_omega_examples():
@@ -54,7 +58,9 @@ def test_omega_examples():
     h = hp2()
     assert h.omega == h.presentation.normal_form("1/2*[u,u]")
     # swapped basis gives the same element
-    swapped = manifold_model(6, [("b", 2), ("a", 2)], [[0, -1], [1, 0]])
+    swapped = manifold_model(
+        6, [("b", 2), ("a", 2)], linalg.matrix(2, 2, [(0, 1, -1), (1, 0, 1)])
+    )
     assert swapped.omega == swapped.presentation.normal_form("[a,b]")
 
 
@@ -75,8 +81,8 @@ def test_omega_basis_independent_under_random_symplectic_changes():
         names = ["a", "b"]
         gens = [("a", 2), ("b", 2)]
         # pairing in the new basis equals the old one for SL2 changes
-        new = SymplecticGVS(gens, -4, [[0, 1], [-1, 0]])
-        duals = new.dual_basis_matrix()
+        new = SymplecticGVS(gens, -4, _hyperbolic())
+        duals = new.duals
         # transport omega through the substitution a -> mat*a etc.
         sub = {
             "a": p.gen("a").scale(mat[0][0]) + p.gen("b").scale(mat[1][0]),
@@ -95,27 +101,30 @@ def test_omega_basis_independent_under_random_symplectic_changes():
 def test_dual_basis_matrix_inverts_the_pairing(fixture_path, name):
     v = io.load_manifold(io.load_json_file(fixture_path(name + ".json"))).v
     n = len(v.basis)
-    duals = v.dual_basis_matrix()
-    assert len(duals) == n
-    for i, c in enumerate(duals):
+    assert len(v.duals) == n and linalg.has_shape(v.duals, n, n)
+    duals = {(i, k): c for i, k, c in linalg.entries(v.duals)}
+    pairing = {(k, j): c for k, j, c in linalg.entries(v.pairing)}
+    for i in range(n):
         for j in range(n):
-            pairing = sum((c[k] * v.pairing[k][j] for k in range(n)), Fraction(0))
-            assert pairing == (1 if i == j else 0)
+            value = sum(
+                (duals.get((i, k), 0) * pairing.get((k, j), 0) for k in range(n)), Fraction(0)
+            )
+            assert value == (1 if i == j else 0)
 
 
 def test_manifold_validation_errors():
     with pytest.raises(NotUnimodular):
-        manifold_model(6, [("a", 2), ("b", 2)], [[0, 0], [0, 0]])
+        manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2))
     # degree-raising differential: rejected (d must lower degree by one)
     with pytest.raises(NotMinimal):
-        manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]], {"a": "b"})
+        manifold_model(6, [("a", 2), ("b", 2)], _hyperbolic(), {"a": "b"})
     with pytest.raises(BadPontryaginDegrees):
-        manifold_model(6, [("a", 2), ("b", 2)], [[0, 1], [-1, 0]], None, {2: [1, 1]})
+        manifold_model(6, [("a", 2), ("b", 2)], _hyperbolic(), None, {2: [1, 1]})
     # degree-7 generator with a p_2 functional: accepted
     m = manifold_model(
         16,
         [("x", 7), ("y", 7)],
-        [[0, 1], [1, 0]],
+        linalg.matrix(2, 2, [(0, 1, 1), (1, 0, 1)]),
         None,
         {7: [1, 0]},
     )
@@ -129,12 +138,7 @@ def test_omega_not_closed_rejected():
         manifold_model(
             10,
             [("a", 2), ("b", 2), ("c", 6), ("e", 6)],
-            [
-                [0, 0, 1, 0],
-                [0, 0, 0, 1],
-                [-1, 0, 0, 0],
-                [0, -1, 0, 0],
-            ],
+            linalg.matrix(4, 4, [(0, 2, 1), (1, 3, 1), (2, 0, -1), (3, 1, -1)]),
             {"c": "[a,[a,b]]"},
         )
 
@@ -199,7 +203,7 @@ def test_outer_action_failure_witnessed():
 
     # d s = t acting on a one-dimensional module; s acts by zero but t by the
     # identity, so d(s.x) = 0 differs from (ds).x = x
-    g = DgLieSlice((0, 1), {0: ["t"], 1: ["s"]}, {1: [[Fraction(1)]]})
+    g = DgLieSlice((0, 1), {0: ["t"], 1: ["s"]}, {1: linalg.matrix(1, 1, [(0, 0, 1)])})
     L = DgLieSlice((0, 1), {0: ["x"], 1: []})
     g.zero_below = L.zero_below = True
 
@@ -223,7 +227,7 @@ def test_chi_chain_failure_witnessed():
 
     # chi sends the cycle u to y, and d y = x, so d chi(u) = x but chi(d u) = 0
     g = DgLieSlice((0, 2), {2: ["u"]})
-    L = DgLieSlice((0, 1), {0: ["x"], 1: ["y"]}, {1: [[Fraction(1)]]})
+    L = DgLieSlice((0, 1), {0: ["x"], 1: ["y"]}, {1: linalg.matrix(1, 1, [(0, 0, 1)])})
 
     def act_zero(n, i, m, j):
         return {}
@@ -256,7 +260,7 @@ def test_semidirect_untwisted_abelian():
     from dgla.models import OuterAction
     from dgla.slices import DgLieSlice
 
-    g = DgLieSlice((0, 2), {0: ["t"], 1: ["s"], 2: []}, {1: [[Fraction(0)]]})
+    g = DgLieSlice((0, 2), {0: ["t"], 1: ["s"], 2: []}, {1: linalg.matrix(1, 1)})
     L = DgLieSlice((0, 2), {0: ["x"], 1: [], 2: []})
     act = OuterAction(g, L, lambda n, i, m, j: {}, None)
     s = semidirect(g, L, act, (0, 2))
@@ -299,7 +303,7 @@ def twisted9():
     return manifold_model(
         9,
         [("a", 2), ("x", 3), ("b", 4), ("y", 5)],
-        [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]],
+        linalg.matrix(4, 4, [(0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, -1)]),
         None,
         {3: [1]},
     )
@@ -356,16 +360,16 @@ def test_h0_of_beta_relative_derivations_is_form_algebra():
             manifold_model(
                 6,
                 [("a1", 2), ("b1", 2), ("a2", 2), ("b2", 2)],
-                [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+                linalg.matrix(4, 4, [(0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1)]),
             ),
             10,
         ),  # sp(4)
-        (manifold_model(8, [("u", 3), ("v", 3)], [[0, 1], [1, 0]]), 1),
+        (manifold_model(8, [("u", 3), ("v", 3)], linalg.matrix(2, 2, [(0, 1, 1), (1, 0, 1)])), 1),
         (
             manifold_model(
                 8,
                 [("u", 3), ("x", 3), ("y", 3)],
-                [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+                linalg.matrix(3, 3, [(0, 0, 1), (1, 2, 1), (2, 1, 1)]),
             ),
             3,
         ),  # so(2,1)
@@ -388,8 +392,8 @@ def test_twist_entries_match_the_defining_formula():
         th = acting.derivations[1][i]
         c = th.value("a").linear_part().get("x", Fraction(0))
         assert g.action.twist(1, i).get(pos, 0) == -c
-    d1 = g.d_matrix(1)
+    d1 = {(r, c): x for r, c, x in linalg.entries(g.d_matrix(1))}
     for i in range(acting.dim(1)):
         chi = g.action.twist(1, i)
         for k in range(g.module.dim(0)):
-            assert d1[acting.dim(0) + k][i] == chi.get(k, 0)
+            assert d1.get((acting.dim(0) + k, i), 0) == chi.get(k, 0)

@@ -7,11 +7,10 @@ the first few hundred pairs or triples passes it.
 
 import random
 from collections import defaultdict
-from fractions import Fraction
 
 import pytest
 
-from dgla import slices
+from dgla import linalg, slices
 from dgla.errors import AxiomFailure
 from dgla.slices import DgLieSlice
 from oracles import ordered_bracket_axioms
@@ -135,7 +134,7 @@ def test_d_leibniz_is_checked_on_every_pair():
     # 21 odd generators u0..u20 with [u20,u20] = w and dw = u0: the pair
     # (u20, u20), the 441st and last, breaks d[x,y] = [dx,y] - [x,dy]
     labels = {0: [], 1: ["u%d" % i for i in range(21)], 2: ["w"]}
-    d_blocks = {2: [[Fraction(1 if i == 0 else 0)] for i in range(21)]}
+    d_blocks = {2: linalg.matrix(21, 1, [(0, 0, 1)])}
     brackets = {(1, 20, 1, 20): {0: 1}}
     slc = DgLieSlice((0, 2), labels, d_blocks, bracket_fn=lambda *pair: brackets.get(pair, {}))
     slc.check_d_squared()
