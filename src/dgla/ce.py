@@ -172,13 +172,19 @@ class CESlice:
 def ce_cohomology(g, coefficient_dim, degree_range):
     """Betti numbers of H^k(Hom(CE chains, M)) for a trivial module M.
 
-    ``coefficient_dim`` is dim M.  The required g-window is computed from
-    the range and reported via WindowTooNarrow when the slice is too small.
-    d^2 = 0 is certified first (NotAComplex otherwise).  Returns a dict
-    degree -> betti.
+    ``coefficient_dim`` is dim M, at least 0 (ValueError otherwise).  The
+    required g-window is computed from the range and reported via
+    WindowTooNarrow when the slice is too small.  d^2 = 0 is certified
+    first (NotAComplex otherwise).  Returns a dict degree -> betti.
     """
+    _check_coefficient_dim(coefficient_dim)
     k0, k1 = int(degree_range[0]), int(degree_range[1])
     return _betti(CESlice(g, k1 + 1), coefficient_dim, k0, k1)
+
+
+def _check_coefficient_dim(n):
+    if n < 0:
+        raise ValueError("coefficient dimension must be at least 0, not %d" % n)
 
 
 def _betti(ce, coefficient_dim, k0, k1):
@@ -206,6 +212,8 @@ def ce_product_check(g, h, dim_m, dim_n, degree_range):
     equality.  Returns a report; the one mathematical failure it raises on
     is a CE differential with d^2 != 0 (NotAComplex).
     """
+    _check_coefficient_dim(dim_m)
+    _check_coefficient_dim(dim_n)
     k0, k1 = int(degree_range[0]), int(degree_range[1])
     prod = g.product(h)
     cg = CESlice(g, k1 + 1)

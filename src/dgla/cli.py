@@ -129,6 +129,8 @@ def cmd_der(args, inputs):
 
 def cmd_ce(args, inputs):
     w = _window(args)
+    if args.coeff_dim < 0:
+        raise SchemaError("--coeff-dim must be at least 0, not %d" % args.coeff_dim)
     g = _load(inputs, args.file, io_mod.load_slice_or_presentation)
     if isinstance(g, DgLaPresentation):
         g = presentation_slice(g, 0, args.max)

@@ -26,6 +26,13 @@ one bracket's expansion has the same letters, hence the same length, so the
 leads, the (length, lead) basis order and the coordinates are those of
 tuple words ordered lexicographically.  All of this is for desk scale:
 per-degree dimensions of at most a few thousand.
+
+Some brackets of basis elements need no tensor at all (see
+``DgLaPresentation.basis_bracket``).  A basis element is its tree, so if
+(t1, t2) is the tree of a basis element b, the bracket of the elements with
+trees t1 and t2 is b, and if (t2, t1) is, it is -(-1)^{|t1||t2|} b by
+antisymmetry; the squares [b(w), b(w)] are such trees.  Every other bracket
+is expanded here and solved against the basis.
 """
 
 from fractions import Fraction

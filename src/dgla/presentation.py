@@ -7,15 +7,20 @@ normal form: sparse rational coordinate vectors in the canonical
 super-Lyndon basis of their degree.
 
 Presentations and elements are immutable after construction; the basis,
-generator, zero, expansion, bracket and tree caches are per-presentation
-dicts of values that are never mutated (atomic updates under the GIL), so
-instances may be shared freely across threads.  The expansion memo holds only
-the certified expansions of composite basis elements.  Sums of elements
-accumulate their sparse coordinates once (``LieElement.add_scaled``).
+tree index, generator, zero, expansion, bracket and tree caches are
+per-presentation dicts of values that are never mutated (atomic updates
+under the GIL), so instances may be shared freely across threads.  The
+expansion memo holds only the certified expansions of composite basis
+elements.
+
+Sums are accumulated at the coordinate level: a bracket, a sum of scaled
+elements (``LieElement.add_scaled``) and a sum of scaled brackets
+(``DgLaPresentation.bracket_sum``, one node of a Leibniz extension) each add
+their products into one ``{index: Fraction}`` dict and build one element
+from its nonzeros, with no element per term.
 """
 
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 
 from . import expr as expr_mod
@@ -55,6 +60,31 @@ def common_degree(degree, v):
     if degree is not None and v.degree != degree:
         raise InhomogeneousExpression("cannot add degrees %d and %d" % (degree, v.degree))
     return v.degree
+
+
+def _accumulate(out, c, coords):
+    """Add c * coords into the sparse sum ``out``; the caller drops its zeros.
+
+    Most scalars are 1 or -1, which add and subtract without a product;
+    element coordinates are Fractions, so the values stay Fractions.
+    """
+    get = out.get
+    if c == 1:
+        for k, x in coords.items():
+            y = get(k)
+            out[k] = x if y is None else y + x
+    elif c == -1:
+        for k, x in coords.items():
+            y = get(k)
+            out[k] = -x if y is None else y - x
+    else:
+        for k, x in coords.items():
+            y = get(k)
+            out[k] = x * c if y is None else y + x * c
+
+
+def _nonzeros(out):
+    return {k: x for k, x in out.items() if x}
 
 
 class LieElement:
@@ -98,23 +128,24 @@ class LieElement:
         return LieElement._trusted(self.presentation, self.degree, coords)
 
     def add_scaled(self, terms):
-        """self plus the sum of c * v over the (c, v) in ``terms``, built once.
+        """self plus the sum of c * v over the (c, v) in ``terms``, accumulated once.
 
-        The result has the degree of the first nonzero of self and the v, or
-        self's degree when all vanish; a nonzero v of another degree raises
+        The coordinates of self and of every c * v are added into one dict,
+        and one element is built from its nonzeros.  The result has the
+        degree of the first nonzero of self and the v, or self's degree when
+        all vanish; a nonzero v of another degree raises
         InhomogeneousExpression.
         """
         p = self.presentation
-        degree = None
-        vectors = []
-        for c, v in chain(((1, self),), terms):
+        degree = self.degree if self.coords else None
+        out = dict(self.coords)
+        for c, v in terms:
             if v.presentation is not p:
                 raise ValueError("elements of different presentations")
             if v.coords:
                 degree = common_degree(degree, v)
-                vectors.append((c, v.coords))
-        return LieElement._trusted(p, self.degree if degree is None else degree,
-                                   linalg.combination(vectors))
+                _accumulate(out, c, v.coords)
+        return LieElement._trusted(p, self.degree if degree is None else degree, _nonzeros(out))
 
     def __neg__(self):
         return self.scale(-1)
@@ -176,7 +207,8 @@ class TreeMap:
     image of the index tree (u, v), where ``f`` maps subtrees.  One image is
     memoized per index tree for the life of the map, so images must be
     immutable.  Calling the map on an element of ``source`` sums the tree
-    images over its coordinates in one ``zero.add_scaled`` call.
+    images over its coordinates in one ``zero.add_scaled`` call, which for
+    Lie elements accumulates them into one coordinate dict.
     """
 
     __slots__ = ("source", "leaf", "node", "memo")
@@ -207,6 +239,8 @@ def leibniz_extension(source, target, degree, leaf, along=None):
 
     Extended by th[u,v] = [th u, m v] + (-1)^{degree |u|} [m u, th v], where
     m is the GeneratorMorphism ``along``, or the identity when it is None.
+    Each node is one ``bracket_sum``: both brackets accumulate into one
+    coordinate dict.
     """
     m = source.tree_element if along is None else along.tree_map.tree
     degrees = source._deg_list
@@ -219,7 +253,7 @@ def leibniz_extension(source, target, degree, leaf, along=None):
 
     def node(u, v, f):
         sign = -1 if degree * freelie.tree_degree(u, degrees) % 2 else 1
-        return target.bracket(f(u), m(v)).add_scaled([(sign, target.bracket(m(u), f(v)))])
+        return target.bracket_sum(((1, f(u), m(v)), (sign, m(u), f(v))))
 
     return TreeMap(source, value, node)
 
@@ -265,6 +299,7 @@ class DgLaPresentation:
         self._zeros = {}
         self._expansions = {}
         self._bracket_cache = {}
+        self._tree_index = {}
         self.differential = {}
         self._tree_elements = TreeMap(
             self, self.gen, lambda u, v, f: self.bracket(f(u), f(v))
@@ -316,6 +351,15 @@ class DgLaPresentation:
     def dim(self, degree):
         return len(self.lie_basis(degree))
 
+    def basis_trees(self, degree):
+        """{tree: index} of the basis of one degree (memoized)."""
+        got = self._tree_index.get(degree)
+        if got is None:
+            got = self._tree_index[degree] = {
+                b.tree: i for i, b in enumerate(self.lie_basis(degree))
+            }
+        return got
+
     def tree_names(self, tree):
         """Convert an index tree to a name tree."""
         if isinstance(tree, int):
@@ -343,8 +387,7 @@ class DgLaPresentation:
             if name not in self.generators.index:
                 raise UnknownGenerator("unknown generator %r" % name)
             d = self.generators.degree(name)
-            lead = freelie.pack((self.generators.index[name],), self._deg_list)
-            i = next(i for i, b in enumerate(self.lie_basis(d)) if b.lead == lead)
+            i = self.basis_trees(d)[self.generators.index[name]]
             got = self._gens[name] = LieElement._trusted(self, d, {i: Fraction(1)})
         return got
 
@@ -401,29 +444,70 @@ class DgLaPresentation:
     # -- algebra operations ----------------------------------------------------
 
     def basis_bracket(self, d1, i1, d2, i2):
+        """[b1, b2] for the basis elements b1 = i1 of degree d1, b2 = i2 of d2 (memoized).
+
+        With t1, t2 their trees, the bracket needs no tensor when (t1, t2) or
+        (t2, t1) is the tree of a basis element b of degree d1 + d2: it is b,
+        or -(-1)^{d1 d2} b.  Any other bracket expands (t1, t2), reading both
+        factors from the expansion memo, and solves against the basis.
+        """
         key = (d1, i1, d2, i2)
         cached = self._bracket_cache.get(key)
         if cached is None:
             t1 = self.lie_basis(d1)[i1].tree
             t2 = self.lie_basis(d2)[i2].tree
-            tensor = freelie.expand_tree((t1, t2), self._deg_list, self._expansions)
             d = d1 + d2
-            coords = freelie.solve_against_basis(self.lie_basis(d), tensor)
+            trees = self.basis_trees(d)
+            if (t1, t2) in trees:
+                coords = {trees[t1, t2]: Fraction(1)}
+            elif (t2, t1) in trees:
+                coords = {trees[t2, t1]: Fraction(1 if d1 * d2 % 2 else -1)}
+            else:
+                tensor = freelie.expand_tree((t1, t2), self._deg_list, self._expansions)
+                coords = freelie.solve_against_basis(self.lie_basis(d), tensor)
             cached = LieElement._trusted(self, d, coords)
             self._bracket_cache[key] = cached
         return cached
 
     def bracket(self, x, y):
         """Lie bracket of two elements; bilinear, result in normal form."""
-        if x.presentation is not self or y.presentation is not self:
-            raise ValueError("bracket of foreign elements")
-        dx, dy = x.degree, y.degree
-        coords = linalg.combination(
-            (ci * cj, self.basis_bracket(dx, i, dy, j).coords)
-            for i, ci in x.coords.items()
-            for j, cj in y.coords.items()
-        )
-        return LieElement._trusted(self, dx + dy, coords)
+        return self.bracket_sum(((1, x, y),))
+
+    def bracket_sum(self, terms):
+        """The sum of c * [x, y] over the (c, x, y) in a nonempty ``terms``.
+
+        Every c * cx * cy * [bx, by] over the coordinates cx of x and cy of y
+        is added into one dict, each basis bracket read from the bracket
+        cache (``basis_bracket`` only on a miss), and one element is built
+        from its nonzeros.  The degree is that of the first term whose
+        factors are both nonzero, or of the first term when none is; such a
+        term of another degree raises InhomogeneousExpression.
+        """
+        cache = self._bracket_cache
+        out = {}
+        first = degree = None
+        for c, x, y in terms:
+            if x.presentation is not self or y.presentation is not self:
+                raise ValueError("bracket of foreign elements")
+            dx, dy = x.degree, y.degree
+            if first is None:
+                first = dx + dy
+            if not (x.coords and y.coords):
+                continue
+            if degree is None:
+                degree = dx + dy
+            elif dx + dy != degree:
+                raise InhomogeneousExpression("cannot add degrees %d and %d" % (degree, dx + dy))
+            ycoords = y.coords.items()
+            for i, ci in x.coords.items():
+                if c != 1:
+                    ci = ci * c
+                for j, cj in ycoords:
+                    b = cache.get((dx, i, dy, j))
+                    if b is None:
+                        b = self.basis_bracket(dx, i, dy, j)
+                    _accumulate(out, ci * cj, b.coords)
+        return LieElement._trusted(self, first if degree is None else degree, _nonzeros(out))
 
     def d_gen(self, name):
         return self.differential.get(

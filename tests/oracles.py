@@ -7,10 +7,12 @@ instead of packed words from the Lyndon search, a Fraction triangular solve
 instead of the integer one, generating-function dimension counts instead of
 basis enumeration, matrix exponentials as ground truth for BCH, every
 right-nested word for the nilpotency class instead of a spanning frontier,
-and the graded Lie axioms on every ordered pair and triple instead of once
-per unordered one.  Tests compare library output against these.  The one
-helper that is not an oracle is ``sub_contains``, membership in a designated
-subalgebra through the library's own spans, which only tests call.
+the graded Lie axioms on every ordered pair and triple instead of once
+per unordered one, and one element per bracket and summand instead of one
+coordinate dict per result.  Tests compare library output against these.
+The one helper that is not an oracle is ``sub_contains``, membership in a
+designated subalgebra through the library's own spans, which only tests
+call.
 """
 
 import random
@@ -667,6 +669,98 @@ def folded_eval_at(theta, x):
         ])
 
     return folded_tree_map(theta.value, node_value, p, x, p.zero(x.degree + theta.degree))
+
+
+# -- sums of Lie elements with one element per term ------------------------------------
+#
+# The library accumulates brackets, sums and Leibniz nodes into one coordinate
+# dict per result.  These are the element-per-term forms it replaced: every
+# bracket of two elements is an element, a sum goes through
+# ``linalg.combination``, and a Leibniz node brackets twice and then adds.
+
+
+def reference_add_scaled(x, terms):
+    """x plus the sum of c * v over the (c, v) in ``terms``, one vector per summand.
+
+    The degree is that of the first nonzero of x and the v, or x's degree
+    when all vanish; a nonzero v of another degree raises
+    InhomogeneousExpression.
+    """
+    from dgla import linalg
+    from dgla.presentation import LieElement, common_degree
+
+    p = x.presentation
+    degree = None
+    vectors = []
+    for c, v in [(1, x)] + list(terms):
+        if v.presentation is not p:
+            raise ValueError("elements of different presentations")
+        if v.coords:
+            degree = common_degree(degree, v)
+            vectors.append((c, v.coords))
+    return LieElement._trusted(p, x.degree if degree is None else degree,
+                               linalg.combination(vectors))
+
+
+def reference_bracket(p, x, y):
+    """[x, y] as the combination of ci cj [b_i, b_j] over coordinate pairs."""
+    from dgla import linalg
+    from dgla.presentation import LieElement
+
+    if x.presentation is not p or y.presentation is not p:
+        raise ValueError("bracket of foreign elements")
+    coords = linalg.combination(
+        (ci * cj, p.basis_bracket(x.degree, i, y.degree, j).coords)
+        for i, ci in x.coords.items()
+        for j, cj in y.coords.items()
+    )
+    return LieElement._trusted(p, x.degree + y.degree, coords)
+
+
+def reference_tree_map(source, target, leaf):
+    """The morphism on trees with generator images leaf(name), by reference brackets."""
+    from dgla.presentation import TreeMap
+
+    return TreeMap(source, leaf, lambda u, v, f: reference_bracket(target, f(u), f(v)))
+
+
+def reference_leibniz(source, target, degree, leaf, along=None):
+    """The Leibniz extension with its node as two brackets and a sum.
+
+    th[u,v] = [th u, m v] + (-1)^{degree |u|} [m u, th v], with m the tree
+    map of the GeneratorMorphism ``along`` or of the identity, itself built
+    from reference brackets; leaf(name) is None for a zero value.
+    """
+    from dgla.freelie import tree_degree
+    from dgla.presentation import TreeMap
+
+    if along is None:
+        m = reference_tree_map(source, source, source.gen).tree
+    else:
+        m = reference_tree_map(source, target, along.images.__getitem__).tree
+    degrees = [d for _, d in source.generators.entries]
+
+    def value(name):
+        got = leaf(name)
+        if got is None:
+            return target.zero(source.generators.degree(name) + degree)
+        return got
+
+    def node(u, v, f):
+        sign = -1 if degree * tree_degree(u, degrees) % 2 else 1
+        return reference_add_scaled(
+            reference_bracket(target, f(u), m(v)),
+            [(sign, reference_bracket(target, m(u), f(v)))],
+        )
+
+    return TreeMap(source, value, node)
+
+
+def reference_apply(tree_map, x, zero):
+    """A tree map applied to x: its tree images summed by ``reference_add_scaled``."""
+    basis = tree_map.source.lie_basis(x.degree)
+    return reference_add_scaled(zero, [(c, tree_map.tree(basis[i].tree))
+                                       for i, c in x.coords.items()])
 
 
 # -- designated subalgebras ------------------------------------------------------------

@@ -57,6 +57,15 @@ def test_coefficient_dimension_scales():
     assert ce_cohomology(g, 3, (0, 3)) == {0: 3, 1: 0, 2: 0, 3: 3}
 
 
+def test_negative_coefficient_dimension_raises():
+    g = sl2().pad_to(0, 4)
+    assert ce_cohomology(g, 0, (0, 3)) == {0: 0, 1: 0, 2: 0, 3: 0}
+    with pytest.raises(ValueError, match="coefficient dimension"):
+        ce_cohomology(g, -1, (0, 3))
+    with pytest.raises(ValueError, match="coefficient dimension"):
+        ce_product_check(g, g, 1, -1, (0, 2))
+
+
 def test_ce_d_squared_certified_with_differential_and_bracket():
     # a dg Lie slice with both a nonzero differential and nonzero brackets:
     # the derivation complex of the tilde model of W11

@@ -289,6 +289,17 @@ def _count_calls(monkeypatch, owners, name):
     return calls
 
 
+def test_ce_refuses_a_negative_coefficient_dimension(fixture_path, capsys):
+    window = ["--min", "0", "--max", "3"]
+    code, payload = _run("ce", fixture_path("sl2.json"), *window, "--coeff-dim", "-1")
+    assert (code, payload) == (2, None)
+    assert "--coeff-dim" in capsys.readouterr().err
+    # the zero module is valid, and its cohomology vanishes
+    code, payload = _run("ce", fixture_path("sl2.json"), *window, "--coeff-dim", "0")
+    assert code == 0
+    assert _body(payload)["tables"]["betti"] == {"0": 0, "1": 0, "2": 0, "3": 0}
+
+
 def test_each_ce_block_is_assembled_once(monkeypatch, fixture_path):
     from dgla.ce import CESlice
 

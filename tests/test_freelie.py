@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dgla import freelie
+from dgla import freelie, io
 from dgla.errors import InhomogeneousExpression, UnknownGenerator
 from dgla.presentation import DgLaPresentation
 from oracles import (
@@ -342,7 +342,7 @@ def test_basis_expansions_are_int_and_match_a_memo_free_expansion():
 
 def test_cold_basis_bracket_is_one_product_step(monkeypatch):
     p = DgLaPresentation([("x", 1), ("y", 2), ("z", 3)])
-    d1, d2 = 4, 5  # every pair of basis elements here has two composite factors
+    d1, d2 = 4, 6  # every pair of basis elements here has two composite factors
     for d in (d1, d2, d1 + d2):
         p.lie_basis(d)
     steps = []
@@ -357,13 +357,38 @@ def test_cold_basis_bracket_is_one_product_step(monkeypatch):
     pairs = 0
     for i1, b1 in enumerate(p.lie_basis(d1)):
         for i2, b2 in enumerate(p.lie_basis(d2)):
-            if (b1.tree, b2.tree) in p._expansions:
+            # a pair whose tree, either way round, is a basis tree needs no tensor
+            if (b1.tree, b2.tree) in p._expansions or (b2.tree, b1.tree) in p._expansions:
                 continue
             del steps[:]
             p.basis_bracket(d1, i1, d2, i2)
             assert steps == [(b1.tree, b2.tree)]
             pairs += 1
     assert pairs > 4
+
+
+@pytest.mark.parametrize("name, top", [("presentation_cp2.json", 12),
+                                       ("presentation_twisted9.json", 14)])
+def test_tree_decided_brackets_match_the_tensor_path(fixture_path, name, top):
+    p = io.load_presentation(io.load_json_file(fixture_path(name)))
+    seen = set()
+    for d1 in range(1, top):
+        for d2 in range(1, top - d1 + 1):
+            trees = p.basis_trees(d1 + d2)
+            for i1, b1 in enumerate(p.lie_basis(d1)):
+                for i2, b2 in enumerate(p.lie_basis(d2)):
+                    tensor = freelie.expand_tree((b1.tree, b2.tree), p._deg_list)
+                    expected = freelie.solve_against_basis(p.lie_basis(d1 + d2), tensor)
+                    got = p.basis_bracket(d1, i1, d2, i2)
+                    assert got.degree == d1 + d2
+                    assert got.coords == expected, (b1.tree, b2.tree)
+                    if b1.tree == b2.tree and (b1.tree, b2.tree) in trees:
+                        seen.add("square")
+                    elif (b1.tree, b2.tree) in trees:
+                        seen.add("tree")
+                    elif (b2.tree, b1.tree) in trees:
+                        seen.add("swap, odd x odd" if d1 * d2 % 2 else "swap")
+    assert seen == {"square", "tree", "swap", "swap, odd x odd"}
 
 
 def test_expansion_memo_holds_only_composite_basis_elements():

@@ -1,11 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgla import linalg
-from dgla.derivations import Derivation, der_bracket
+from dgla import io, linalg
+from dgla.derivations import Derivation, FDerivation, der_bracket
 from dgla.errors import IncompatibleSubs, InhomogeneousExpression, SchemaError, UnsupportedSub
 from dgla.expmc import PolyLie
 from dgla.morphisms import GeneratorMorphism
@@ -24,6 +25,11 @@ from oracles import (
     folded_eval_at,
     folded_poly_sum,
     folded_sum,
+    reference_add_scaled,
+    reference_apply,
+    reference_bracket,
+    reference_leibniz,
+    reference_tree_map,
     sub_contains,
 )
 
@@ -323,6 +329,78 @@ def test_sums_agree_with_the_per_term_fold(data):
     for part in (got.p, got.q):
         for v in part.values():
             _canonical(v)
+
+
+_RANDOM_COEFFS = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+def _random_element(rng, p, degree):
+    vector = [rng.choice(_RANDOM_COEFFS) for _ in range(p.dim(degree))]
+    return p.element_from_vector(degree, vector)
+
+
+def _random_values(rng, p, shift):
+    """Generator values of degree |g| + shift, one in three zero.
+
+    A zero value is sometimes the zero of degree 0, which a GeneratorMorphism
+    accepts for any generator.
+    """
+    values = {}
+    for n, d in p.generators.entries:
+        if rng.random() < 1 / 3:
+            values[n] = p.zero() if rng.random() < 0.5 else p.zero(d + shift)
+        else:
+            values[n] = _random_element(rng, p, d + shift)
+    return values
+
+
+def _same_coords(got, expected):
+    _canonical(got)
+    assert got.coords == expected.coords
+    if got.coords:
+        assert got.degree == expected.degree
+
+
+@pytest.mark.parametrize("name", ["tilde_w11", "presentation_cp2.json",
+                                  "presentation_twisted9.json"])
+@pytest.mark.parametrize("seed", range(4))
+def test_coordinate_kernel_matches_the_element_per_term_reference(fixture_path, name, seed):
+    """Brackets, sums and Leibniz nodes against their element-per-term forms.
+
+    tilde_w11 has even and odd generators and a differential, cp2 odd
+    generators and a differential, twisted9 both parities and none.
+    """
+    if name == "tilde_w11":
+        p = tilde_w11()
+    else:
+        p = io.load_presentation(io.load_json_file(fixture_path(name)))
+    rng = random.Random(seed)
+    top = max(d for _, d in p.generators.entries) + 5
+    xs = [_random_element(rng, p, rng.randint(1, top)) for _ in range(6)]
+    for x in xs:
+        for y in xs[:3]:
+            _same_coords(p.bracket(x, y), reference_bracket(p, x, y))
+        terms = [(rng.choice(_RANDOM_COEFFS), _random_element(rng, p, x.degree))
+                 for _ in range(3)]
+        _same_coords(x.add_scaled(terms), reference_add_scaled(x, terms))
+
+    d_ref = reference_leibniz(p, p, -1, p.differential.get)
+    f = GeneratorMorphism(p, p, _random_values(rng, p, 0))
+    g = GeneratorMorphism(p, p, _random_values(rng, p, 0))
+    f_ref = reference_tree_map(p, p, f.images.__getitem__)
+    for shift in (-1, 0, 1):
+        theta = Derivation(p, shift, _random_values(rng, p, shift))
+        theta_ref = reference_leibniz(p, p, shift, theta.values.get)
+        along = FDerivation(f, shift, _random_values(rng, p, shift))
+        along_ref = reference_leibniz(p, p, shift, along.values.get, along=f)
+        for x in xs:
+            _same_coords(theta.eval_at(x), reference_apply(theta_ref, x, p.zero(x.degree + shift)))
+            _same_coords(along.eval_at(x), reference_apply(along_ref, x, p.zero(x.degree + shift)))
+    for x in xs:
+        _same_coords(p.differential_of(x), reference_apply(d_ref, x, p.zero(x.degree - 1)))
+        _same_coords(f.apply(x), reference_apply(f_ref, x, p.zero(x.degree)))
+    for n, img in f.compose(g).images.items():
+        _same_coords(img, reference_apply(f_ref, g.images[n], p.zero(img.degree)))
 
 
 def test_inhomogeneous_images_raise():
