@@ -367,8 +367,9 @@ def run(argv):
         print("error: %s" % msg, file=sys.stderr)
         return 2, None
     except KeyError as e:
-        # referenced names (subalgebras, generators) must exist in inputs
-        print("error: %s" % e, file=sys.stderr)
+        # referenced names (subalgebras, generators) must exist in inputs;
+        # str(KeyError) would quote its message
+        print("error: %s" % (e.args[0] if e.args else e), file=sys.stderr)
         return 2, None
     except DglaError as e:
         verdicts = [_verdict(type(e).__name__, False, e)]

@@ -145,6 +145,13 @@ def tree_degree(tree, degrees):
     return tree_degree(tree[0], degrees) + tree_degree(tree[1], degrees)
 
 
+def tree_word(tree):
+    """The letters of a bracket tree, left to right, as a tuple."""
+    if isinstance(tree, int):
+        return (tree,)
+    return tree_word(tree[0]) + tree_word(tree[1])
+
+
 def expand_tree(tree, degrees, memo=None):
     """Tensor-algebra expansion of a bracket tree: dict packed word -> int.
 
@@ -231,9 +238,11 @@ def basis_in_degree(degrees, d, memo=None):
 
     Deterministic order: by leading word, that is by word length, then
     lexicographically.  Certifies the triangular structure (distinct leading
-    words, each expansion supported on words >= its lead) and the size (the
-    graded Witt formula).  A size above MAX_BASIS_SIZE is a SchemaError
-    naming the degree, raised before any word is listed.  Subtree expansions
+    words, and each lead, the least word of its expansion, is the word of
+    its own tree: the Lyndon word w of b(w), or ww of a square
+    [b(w), b(w)]) and the size (the graded Witt formula).  A size above
+    MAX_BASIS_SIZE is a SchemaError naming the degree, raised before any
+    word is listed.  Subtree expansions
     are read from ``memo`` (tree -> expansion) when given, and the expansion
     of every certified composite element is then stored in it: the same dict
     object, never copied and never mutated.
@@ -254,11 +263,10 @@ def basis_in_degree(degrees, d, memo=None):
             raise AssertionError(
                 "leading-word collision in degree %d: %r" % (d, unpack(b.lead, degrees))
             )
-        for w in b.expansion:
-            if w < b.lead:
-                raise AssertionError(
-                    "expansion below leading word in degree %d: %r" % (d, b.tree)
-                )
+        if b.lead != pack(tree_word(b.tree), degrees):
+            raise AssertionError(
+                "leading word is not the word of the tree in degree %d: %r" % (d, b.tree)
+            )
     if len(elems) != expected:
         raise AssertionError(
             "degree %d has %d basis elements, the Witt formula %d" % (d, len(elems), expected)

@@ -376,17 +376,33 @@ def outer_action_check(a, window=None):
 
 
 def semidirect(g, L, a, window=None):
-    """The twisted semidirect product g |x_chi L as a slice.
+    """The twisted semidirect product g |x_chi L of g and an abelian module L.
 
-    Bracket [(t,x),(p,y)] = ([t,p], [x,y] + t.y + x.p) and differential
+    Bracket [(t,x),(p,y)] = ([t,p], t.y + x.p) and differential
     d(t,x) = (dt, dx + chi(t)), with x.p = -(-1)^{|x||p|} p.x.  Basis per
-    degree: the acting part first, then the module part.  The outer-action
-    axioms, d^2 = 0, the bracket axioms and Leibniz are certified on the
-    window (AxiomFailure or NotAComplex otherwise).
+    degree: the acting part first, then the module part.
+
+    With L abelian, d^2 = 0, antisymmetry, Jacobi and Leibniz of the product
+    split into blocks, and each block is certified once, never on the
+    product (AxiomFailure or NotAComplex otherwise):
+      - g alone: g's d^2, bracket axioms and Leibniz;
+      - L alone: L's d^2, and every in-window bracket of L is zero, which
+        makes L's Jacobi and Leibniz and the (g,L,L) Jacobi 0 = 0;
+      - mixed: the outer-action axioms on the window.  (g,g,L) Jacobi is
+        the action being a Lie map, the L part of d^2 is chi anti-commuting
+        with d, and the L part of Leibniz is chi of a bracket on (g,g) pairs
+        and d of the action on (g,L) pairs.
+    Antisymmetry of the mixed pairs holds by the definition of x.p, and
+    Leibniz on (L,g) pairs follows from (g,L) by antisymmetry.
     """
     rep = outer_action_check(a, window)
     if not rep.passed:
         raise AxiomFailure("outer action axioms fail: %r" % rep.failures())
+    g.check_d_squared()
+    L.check_d_squared()
+    L.check_abelian()
+    g.check_bracket_axioms()
+    g.check_d_leibniz()
     lo = max(g.lo, L.lo) if window is None else window[0]
     hi = min(g.hi, L.hi) if window is None else window[1]
     labels = {
@@ -415,7 +431,7 @@ def semidirect(g, L, a, window=None):
             sgn = -1 if (n * m) % 2 == 0 else 1
             v = {k: sgn * u for k, u in a.act(m, j, n, i - gn).items()}
         else:
-            v = L.bracket(n, i - gn, m, j - gm)
+            return {}
         return {off + k: u for k, u in v.items()}
 
     slc = DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
@@ -423,9 +439,6 @@ def semidirect(g, L, a, window=None):
     slc.module = L
     slc.action = a
     slc.zero_below = g.zero_below and L.zero_below and g.lo == L.lo == lo
-    slc.check_d_squared()
-    slc.check_bracket_axioms()
-    slc.check_d_leibniz()
     return slc
 
 

@@ -137,15 +137,33 @@ class DgLieSlice:
                         "Jacobi fails on triple (%d,%d),(%d,%d),(%d,%d)" % (n, i, m, j, k, l)
                     )
 
+    def check_abelian(self):
+        """Every in-window bracket of basis elements is zero.
+
+        Raises AxiomFailure at the first pair whose bracket is not.
+        """
+        for n, m in product(range(self.lo, self.hi + 1), repeat=2):
+            if self.in_window(n + m):
+                for i, j in self._basis_pairs(n, m):
+                    if self.bracket(n, i, m, j):
+                        raise AxiomFailure(
+                            "bracket nonzero at (%d,%d,%d,%d)" % (n, i, m, j)
+                        )
+
     def check_d_leibniz(self):
         """d[x,y] = [dx,y] + (-1)^{|x|}[x,dy] on every in-window basis pair.
 
-        Raises AxiomFailure at the first pair that fails.
+        d out of the bottom degree is known only when the slice is
+        ``zero_below``, and is then the zero map: pairs with a factor there
+        are walked with dx = 0, and skipped otherwise.  Raises AxiomFailure
+        at the first pair that fails.
         """
-        degrees = range(self.lo + 1, self.hi + 1)
-        cols = {d: linalg.columns(self.d_matrix(d), self.dim(d)) for d in degrees}
+        cols = {d: linalg.columns(self.d_matrix(d), self.dim(d))
+                for d in range(self.lo + 1, self.hi + 1)}
+        if self.zero_below:
+            cols = {self.lo: [{}] * self.dim(self.lo), **cols}
         br = self.bracket
-        for n, m in product(degrees, repeat=2):
+        for n, m in product(cols, repeat=2):
             if not (self.in_window(n + m) and self.in_window(n + m - 1)):
                 continue
             sign = -1 if n % 2 else 1

@@ -289,6 +289,13 @@ def _count_calls(monkeypatch, owners, name):
     return calls
 
 
+def test_unknown_subalgebra_is_named_without_quotes(fixture_path, capsys):
+    code, payload = _run("der", fixture_path("presentation_w11.json"), "--sub", "nosuch",
+                         "--min", "0", "--max", "2")
+    assert (code, payload) == (2, None)
+    assert capsys.readouterr().err == "error: no subalgebra named 'nosuch'\n"
+
+
 def test_ce_refuses_a_negative_coefficient_dimension(fixture_path, capsys):
     window = ["--min", "0", "--max", "3"]
     code, payload = _run("ce", fixture_path("sl2.json"), *window, "--coeff-dim", "-1")

@@ -307,6 +307,25 @@ def test_basis_size_is_checked_against_the_witt_count(monkeypatch):
         freelie.basis_in_degree([1, 2], 5)
 
 
+@pytest.mark.parametrize(
+    "degrees, d, word", [([1, 1], 3, (0, 1, 1)), ([1, 2], 4, (0, 0, 1)), ([2, 2], 6, (0, 1, 1))]
+)
+def test_basis_lead_must_be_the_word_of_its_tree(monkeypatch, degrees, d, word):
+    # b(w) with its factors swapped is +-b(w): the same lead, the same Witt
+    # count and the same span, but its tree reads another word
+    bracketing = freelie.standard_bracketing
+
+    def swapped(w):
+        tree = bracketing(w)
+        return (tree[1], tree[0]) if w == word else tree
+
+    assert word in freelie.lyndon_words(degrees, d)
+    freelie.basis_in_degree(degrees, d)
+    monkeypatch.setattr(freelie, "standard_bracketing", swapped)
+    with pytest.raises(AssertionError, match="word of the tree"):
+        freelie.basis_in_degree(degrees, d)
+
+
 def test_basis_matches_the_tuple_word_oracle():
     rng = random.Random(11)
     for degs, top in [((1,), 6), ((1, 1), 8), ((1, 2, 3), 8), ((2, 3), 12), ((3, 3), 12),

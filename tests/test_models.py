@@ -6,7 +6,9 @@ import pytest
 from dgla import io, linalg
 from dgla.derivations import Derivation, der_differential, deru
 from dgla.errors import (
+    AxiomFailure,
     BadPontryaginDegrees,
+    NotAComplex,
     NotMinimal,
     NotUnimodular,
     OmegaNotClosed,
@@ -15,6 +17,7 @@ from dgla.expmc import exp_automorphism
 from dgla.graded import betti_numbers
 from dgla.models import (
     ManifoldModel,
+    OuterAction,
     SymplecticGVS,
     build_block_g,
     build_g,
@@ -28,6 +31,7 @@ from dgla.models import (
 )
 from dgla.morphisms import check_morphism
 from dgla.presentation import DgLaPresentation, lie_chain_slice
+from dgla.slices import DgLieSlice
 
 
 def _hyperbolic():
@@ -197,75 +201,154 @@ def test_xi_quasi_iso_ranks_w11():
     assert bl == bt
 
 
-def test_outer_action_failure_witnessed():
-    from dgla.models import OuterAction
-    from dgla.slices import DgLieSlice
+def _act_zero(n, i, m, j):
+    return {}
 
-    # d s = t acting on a one-dimensional module; s acts by zero but t by the
-    # identity, so d(s.x) = 0 differs from (ds).x = x
+
+def _bad_action_data():
+    """(g, L, outer action) failing d_of_action at ((1, 0), (0, 0)).
+
+    d s = t acting on a one-dimensional module; s acts by zero but t by the
+    identity, so d(s.x) = 0 differs from (ds).x = x.
+    """
     g = DgLieSlice((0, 1), {0: ["t"], 1: ["s"]}, {1: linalg.matrix(1, 1, [(0, 0, 1)])})
     L = DgLieSlice((0, 1), {0: ["x"], 1: []})
     g.zero_below = L.zero_below = True
-
-    def act_zero(n, i, m, j):
-        return {}
-
-    assert outer_action_check(OuterAction(g, L, act_zero, None)).passed
 
     def act_bad(n, i, m, j):
         if n == 0 and m == 0:
             return {0: Fraction(1)}
         return {}
 
-    rep = outer_action_check(OuterAction(g, L, act_bad, None))
-    assert ("d_of_action", ("axiom_d_of_action", 1, 0, 0, 0)) in rep.failures()
+    return g, L, OuterAction(g, L, act_bad, None)
 
 
-def test_chi_chain_failure_witnessed():
-    from dgla.models import OuterAction
-    from dgla.slices import DgLieSlice
+def _bad_chi_chain_data():
+    """(g, L, outer action) failing chi_chain at (2, 0).
 
-    # chi sends the cycle u to y, and d y = x, so d chi(u) = x but chi(d u) = 0
+    chi sends the cycle u to y, and d y = x, so d chi(u) = x but chi(d u) = 0.
+    """
     g = DgLieSlice((0, 2), {2: ["u"]})
-    L = DgLieSlice((0, 1), {0: ["x"], 1: ["y"]}, {1: linalg.matrix(1, 1, [(0, 0, 1)])})
-
-    def act_zero(n, i, m, j):
-        return {}
-
-    assert outer_action_check(OuterAction(g, L, act_zero, None)).passed
-    rep = outer_action_check(OuterAction(g, L, act_zero, lambda n, i: {0: Fraction(1)}))
-    assert rep.failures() == [("chi_anticommutes_with_d", ("chi_chain", 2, 0))]
+    L = DgLieSlice((0, 2), {0: ["x"], 1: ["y"]}, {1: linalg.matrix(1, 1, [(0, 0, 1)])})
+    return g, L, OuterAction(g, L, _act_zero, lambda n, i: {0: Fraction(1)})
 
 
-def test_chi_of_bracket_failure_witnessed():
-    from dgla.models import OuterAction
-    from dgla.slices import DgLieSlice
+def _bad_chi_bracket_data():
+    """(g, L, outer action) failing chi_of_bracket, last at ((1, 0), (0, 0)).
 
-    # [t, s] = s and the action is zero, so chi([t, s]) = chi(s) = x must
-    # vanish; the last failing pair is (s, t)
+    [t, s] = s and the action is zero, so chi([t, s]) = chi(s) = x must
+    vanish; the last failing pair is (s, t).
+    """
     tab = {(0, 0, 1, 0): {0: 1}, (1, 0, 0, 0): {0: -1}}
     g = DgLieSlice((0, 1), {0: ["t"], 1: ["s"]}, bracket_fn=lambda *pair: tab.get(pair, {}))
     L = DgLieSlice((0, 1), {0: ["x"], 1: []})
     g.zero_below = L.zero_below = True
+    return g, L, OuterAction(g, L, _act_zero, lambda n, i: {0: Fraction(1)})
 
-    def act_zero(n, i, m, j):
-        return {}
 
-    assert outer_action_check(OuterAction(g, L, act_zero, None)).passed
-    rep = outer_action_check(OuterAction(g, L, act_zero, lambda n, i: {0: Fraction(1)}))
+def test_outer_action_failure_witnessed():
+    g, L, bad = _bad_action_data()
+    assert outer_action_check(OuterAction(g, L, _act_zero, None)).passed
+    rep = outer_action_check(bad)
+    assert ("d_of_action", ("axiom_d_of_action", 1, 0, 0, 0)) in rep.failures()
+
+
+def test_chi_chain_failure_witnessed():
+    g, L, bad = _bad_chi_chain_data()
+    assert outer_action_check(OuterAction(g, L, _act_zero, None)).passed
+    rep = outer_action_check(bad)
+    assert rep.failures() == [("chi_anticommutes_with_d", ("chi_chain", 2, 0))]
+
+
+def test_chi_of_bracket_failure_witnessed():
+    g, L, bad = _bad_chi_bracket_data()
+    assert outer_action_check(OuterAction(g, L, _act_zero, None)).passed
+    rep = outer_action_check(bad)
     assert rep.failures() == [("chi_of_bracket", ("axiom_chi_bracket", 1, 0, 0, 0))]
 
 
 def test_semidirect_untwisted_abelian():
-    from dgla.models import OuterAction
-    from dgla.slices import DgLieSlice
-
     g = DgLieSlice((0, 2), {0: ["t"], 1: ["s"], 2: []}, {1: linalg.matrix(1, 1)})
     L = DgLieSlice((0, 2), {0: ["x"], 1: [], 2: []})
     act = OuterAction(g, L, lambda n, i, m, j: {}, None)
     s = semidirect(g, L, act, (0, 2))
     s.check_d_squared()
     assert s.dim(0) == 2 and s.dim(1) == 1
+
+
+@pytest.mark.parametrize("data", [_bad_action_data, _bad_chi_chain_data, _bad_chi_bracket_data])
+def test_semidirect_refuses_a_failing_outer_action(data):
+    g, L, a = data()
+    with pytest.raises(AxiomFailure, match="outer action axioms fail"):
+        semidirect(g, L, a)
+
+
+def test_leibniz_walks_the_bottom_degree_of_a_zero_below_slice():
+    # d s = t and [t, s] = s, so d[t, s] = t but [dt, s] + [t, ds] = [t, t] = 0
+    tab = {(0, 0, 1, 0): {0: 1}, (1, 0, 0, 0): {0: -1}}
+    g = DgLieSlice(
+        (0, 1), {0: ["t"], 1: ["s"]}, {1: linalg.matrix(1, 1, [(0, 0, 1)])},
+        bracket_fn=lambda *pair: tab.get(pair, {}),
+    )
+    L = DgLieSlice((0, 1), {0: ["x"], 1: []})
+    g.zero_below = L.zero_below = True
+    a = OuterAction(g, L, _act_zero, None)
+    assert outer_action_check(a).passed
+    g.check_d_squared()
+    g.check_bracket_axioms()
+    with pytest.raises(AxiomFailure, match="derivation at pair"):
+        g.check_d_leibniz()
+    with pytest.raises(AxiomFailure, match="derivation at pair"):
+        semidirect(g, L, a, (0, 1))
+    # d out of degree 0 is unknown, so the pair is not walked
+    g.zero_below = False
+    g.check_d_leibniz()
+
+
+def test_semidirect_refuses_a_nonabelian_module():
+    # [x, y] = y is a Lie bracket, but the module of a semidirect product is abelian
+    tab = {(0, 0, 1, 0): {0: 1}, (1, 0, 0, 0): {0: -1}}
+    g = DgLieSlice((0, 1), {0: ["t"], 1: []})
+    L = DgLieSlice((0, 1), {0: ["x"], 1: ["y"]}, bracket_fn=lambda *pair: tab.get(pair, {}))
+    L.check_bracket_axioms()
+    a = OuterAction(g, L, _act_zero, None)
+    assert outer_action_check(a).passed
+    with pytest.raises(AxiomFailure, match="bracket nonzero"):
+        semidirect(g, L, a)
+
+
+@pytest.mark.parametrize("broken", ["acting", "module"])
+def test_semidirect_refuses_a_factor_that_is_not_a_complex(broken):
+    # d c = b and d b = a, so d^2 c = a
+    one = linalg.matrix(1, 1, [(0, 0, 1)])
+    bad = DgLieSlice((0, 2), {0: ["a"], 1: ["b"], 2: ["c"]}, {1: one, 2: one})
+    good = DgLieSlice((0, 2), {0: ["x"]})
+    g, L = (bad, good) if broken == "acting" else (good, bad)
+    a = OuterAction(g, L, _act_zero, None)
+    assert outer_action_check(a).passed
+    with pytest.raises(NotAComplex):
+        semidirect(g, L, a)
+
+
+def test_semidirect_refuses_an_acting_part_that_breaks_jacobi():
+    # [a,b] = c, [b,c] = a, [c,a] = c: [a,[b,c]] = 0 but [[a,b],c] + [b,[a,c]] = -a
+    tab = {}
+    for (i, j), k, c in [((0, 1), 2, 1), ((1, 2), 0, 1), ((2, 0), 2, 1)]:
+        tab[(0, i, 0, j)] = {k: Fraction(c)}
+        tab[(0, j, 0, i)] = {k: Fraction(-c)}
+    g = DgLieSlice((0, 0), {0: ["a", "b", "c"]}, bracket_fn=lambda *pair: tab.get(pair, {}))
+    L = DgLieSlice((0, 0), {0: ["x"]})
+    a = OuterAction(g, L, _act_zero, None)
+    assert outer_action_check(a).passed
+    with pytest.raises(AxiomFailure, match="Jacobi"):
+        semidirect(g, L, a)
+
+
+def test_block_g_is_certified_without_the_product_bracket(fixture_path):
+    # every certificate runs on a block: g, the module or the outer action
+    m = io.load_manifold(io.load_json_file(fixture_path("w21.json")))
+    g = build_block_g(m, (0, 4))
+    assert g._structure == {}
 
 
 def test_block_g_w11_dims_and_homology():

@@ -253,12 +253,17 @@ def test_tree_element_matches_name_round_trip():
 
 # -- sums of elements: one accumulation, the fold's values ---------------------------
 
-# d^2 = 0: d(a) = d(b) = 1/2 [x,x] are cycles, and d(y) = a - b
+# d of degree -1 and d^2 = 0: d(a) = d(b) = 1/2 [x,x] are cycles, and d(y) = a - b
 _SUMS = DgLaPresentation(
-    [("x", 1), ("a", 2), ("b", 2), ("y", 3)],
+    [("x", 1), ("a", 3), ("b", 3), ("y", 4)],
     {"a": "1/2*[x,x]", "b": "1/2*[x,x]", "y": "a - b"},
 )
 _COEFFS = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+
+
+def test_sums_fixture_is_a_dg_lie_algebra():
+    assert _SUMS.validate().passed
+    assert _SUMS.differential_of(_SUMS.normal_form("[x,y]")).degree == 4
 
 
 def _canonical(e):
@@ -291,7 +296,7 @@ def _argument(draw, p):
     """An element of degree 1..4, and its a- and b-coordinates made equal."""
     degree = draw(st.integers(1, 4))
     x = draw(_element(p, degree))
-    if degree == 2 and draw(st.booleans()):
+    if degree == 3 and draw(st.booleans()):
         c = draw(_COEFFS.filter(bool))
         x = x + (p.gen("a") + p.gen("b")).scale(c)
     return x
@@ -406,16 +411,16 @@ def test_coordinate_kernel_matches_the_element_per_term_reference(fixture_path, 
 def test_inhomogeneous_images_raise():
     p = _SUMS
     images = {"x": "x", "a": "a", "b": "y", "y": "y"}
-    # a generator morphism refuses the image of b, of degree 3, when it is built
+    # a generator morphism refuses the image of b, of degree 4, when it is built
     with pytest.raises(SchemaError) as raised:
         GeneratorMorphism(p, p, images)
     assert raised.value.pointer == "/b"
-    # a tree map on the same images sums terms of degrees 2 and 3
+    # a tree map on the same images sums terms of degrees 3 and 4
     images = {n: p.normal_form(v) for n, v in images.items()}
     f = TreeMap(p, images.__getitem__, lambda u, v, f: p.bracket(f(u), f(v)))
-    assert f(p.normal_form("2*a"), p.zero(2)) == p.normal_form("2*a")
+    assert f(p.normal_form("2*a"), p.zero(3)) == p.normal_form("2*a")
     with pytest.raises(InhomogeneousExpression):
-        f(p.normal_form("a + b"), p.zero(2))
+        f(p.normal_form("a + b"), p.zero(3))
     with pytest.raises(InhomogeneousExpression):
         p.gen("a").add_scaled([(1, p.gen("y"))])
     # a vanishing sum of one degree does not hide a term of another
@@ -435,13 +440,14 @@ def test_results_hold_only_nonzero_fractions():
         p.bracket(a.scale(2), b) - p.bracket(b, a.scale(-2)),
         a.scale(0), a - a, a.scale(Fraction(1, 2)) + b.scale(3),
         f.apply(p.normal_form("[x,[x,a]] - 1/3*[x,[x,b]]")),
-        theta.eval_at(p.normal_form("[a,b] + 2*[x,y]")),
+        theta.eval_at(p.normal_form("[a,b] + 2*[x,[x,y]]")),
     ]
     elements += der_bracket(theta, psi).values.values()
     for e in elements:
         _canonical(e)
-    zeros = [a.scale(0), a - a, p.zero(7), p.bracket(x, x.scale(0)), p.bracket(a, a)]
-    assert [z.degree for z in zeros] == [2, 2, 7, 2, 4]
+    y = p.gen("y")
+    zeros = [a.scale(0), a - a, p.zero(7), p.bracket(x, x.scale(0)), p.bracket(y, y)]
+    assert [z.degree for z in zeros] == [3, 3, 7, 2, 8]
     assert all(z.coords == {} for z in zeros)
     assert len(set(zeros)) == 1 and all(z == p.zero() for z in zeros)
 
