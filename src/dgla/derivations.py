@@ -116,32 +116,52 @@ class Derivation:
 
 
 def der_bracket(theta, psi):
-    """[theta, psi] = theta.psi - (-1)^{|theta||psi|} psi.theta."""
+    """[theta, psi] = theta.psi - (-1)^{|theta||psi|} psi.theta.
+
+    On a generator n this is theta(psi n) - (-1)^{|theta||psi|} psi(theta n);
+    each term is evaluated only where its inner value is nonzero, so only
+    the generators where theta or psi is nonzero are walked, in
+    presentation order.
+    """
     if theta.ambient is not psi.ambient:
         raise SubMismatch("derivations on different presentations")
     if theta.rel != psi.rel:
         raise SubMismatch("derivations relative to different subs")
     p = theta.ambient
     sign = -1 if (theta.degree * psi.degree) % 2 else 1
-    names = set(p.generators.index)
+    degree = theta.degree + psi.degree
     vals = {}
-    for n in names:
-        v = theta.eval_at(psi.value(n)).add_scaled([(-sign, psi.eval_at(theta.value(n)))])
-        if not v.is_zero():
-            vals[n] = v
-    return Derivation(p, theta.degree + psi.degree, vals, rel=theta.rel, check=False)
+    for n, deg in p.generators.entries:
+        terms = []
+        if n in psi.values:
+            terms.append((1, theta.eval_at(psi.values[n])))
+        if n in theta.values:
+            terms.append((-sign, psi.eval_at(theta.values[n])))
+        if terms:
+            vals[n] = p.zero(deg + degree).add_scaled(terms)
+    return Derivation(p, degree, vals, rel=theta.rel, check=False)
 
 
 def der_differential(theta):
-    """D(theta) = d.theta - (-1)^{|theta|} theta.d, again rel the same sub."""
+    """D(theta) = d.theta - (-1)^{|theta|} theta.d, again rel the same sub.
+
+    On a generator n this is d(theta n) - (-1)^{|theta|} theta(dn); the
+    first term is evaluated only where theta n is nonzero and the second
+    only where dn is, and a generator with neither is skipped.
+    """
     p = theta.ambient
     sign = -1 if theta.degree % 2 else 1
+    degree = theta.degree - 1
     vals = {}
-    for n, _ in p.generators.entries:
-        v = p.differential_of(theta.value(n)).add_scaled([(-sign, theta.eval_at(p.d_gen(n)))])
-        if not v.is_zero():
-            vals[n] = v
-    return Derivation(p, theta.degree - 1, vals, rel=theta.rel, check=False)
+    for n, deg in p.generators.entries:
+        terms = []
+        if n in theta.values:
+            terms.append((1, p.differential_of(theta.values[n])))
+        if n in p.differential:
+            terms.append((-sign, theta.eval_at(p.differential[n])))
+        if terms:
+            vals[n] = p.zero(deg + degree).add_scaled(terms)
+    return Derivation(p, degree, vals, rel=theta.rel, check=False)
 
 
 def eval_at(theta, e):

@@ -187,11 +187,13 @@ def exp_automorphism(theta):
     """e(theta) = sum theta^n / n! for a nilpotent degree-0 derivation.
 
     Nilpotency is verified exactly: on each generator the iteration must
-    die within dim L_{|gen|} steps.  The result is an automorphism, and it
-    commutes with d exactly when theta is a cycle; check_morphism certifies
-    that, and that e(theta) fixes theta's sub (AxiomFailure otherwise), and
-    the returned morphism keeps that report as ``report``.  A derivation of
-    nonzero degree is a SchemaError at its "degree" key.
+    die within dim L_{|gen|} steps.  A generator where theta vanishes is
+    fixed (its series ends at the first step) and is not evaluated.  The
+    result is an automorphism, and it commutes with d exactly when theta is
+    a cycle; check_morphism certifies that, and that e(theta) fixes theta's
+    sub (AxiomFailure otherwise), and the returned morphism keeps that
+    report as ``report``.  A derivation of nonzero degree is a SchemaError
+    at its "degree" key.
     """
     p = theta.ambient
     if theta.degree != 0:
@@ -199,6 +201,9 @@ def exp_automorphism(theta):
     images = {}
     for name, deg in p.generators.entries:
         term = p.gen(name)
+        if name not in theta.values:
+            images[name] = term
+            continue
         terms = []
         cap = p.dim(deg) + 1
         while True:

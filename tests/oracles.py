@@ -8,8 +8,9 @@ instead of the integer one, generating-function dimension counts instead of
 basis enumeration, matrix exponentials as ground truth for BCH, every
 right-nested word for the nilpotency class instead of a spanning frontier,
 the graded Lie axioms on every ordered pair and triple instead of once
-per unordered one, and one element per bracket and summand instead of one
-coordinate dict per result.  Tests compare library output against these.
+per unordered one, one element per bracket and summand instead of one
+coordinate dict per result, and derivation operations evaluated on every
+generator instead of only where a value or d is nonzero.  Tests compare library output against these.
 The one helper that is not an oracle is ``sub_contains``, membership in a
 designated subalgebra through the library's own spans, which only tests
 call.
@@ -761,6 +762,60 @@ def reference_apply(tree_map, x, zero):
     basis = tree_map.source.lie_basis(x.degree)
     return reference_add_scaled(zero, [(c, tree_map.tree(basis[i].tree))
                                        for i, c in x.coords.items()])
+
+
+# -- derivation operations on every generator ------------------------------------------
+#
+# The library evaluates each term of D(theta), [theta, psi] and the exp series
+# only where its inner value is nonzero.  These evaluate both terms on every
+# generator, zeros included.
+
+
+def all_generator_der_differential(theta):
+    """D(theta) = d.theta - (-1)^{|theta|} theta.d, both terms on every generator."""
+    from dgla.derivations import Derivation
+
+    p = theta.ambient
+    sign = -1 if theta.degree % 2 else 1
+    vals = {}
+    for n, _ in p.generators.entries:
+        v = p.differential_of(theta.value(n)).add_scaled([(-sign, theta.eval_at(p.d_gen(n)))])
+        if not v.is_zero():
+            vals[n] = v
+    return Derivation(p, theta.degree - 1, vals, rel=theta.rel, check=False)
+
+
+def all_generator_der_bracket(theta, psi):
+    """[theta, psi] = theta.psi - (-1)^{|theta||psi|} psi.theta on every generator."""
+    from dgla.derivations import Derivation
+
+    p = theta.ambient
+    sign = -1 if (theta.degree * psi.degree) % 2 else 1
+    vals = {}
+    for n, _ in p.generators.entries:
+        v = theta.eval_at(psi.value(n)).add_scaled([(-sign, psi.eval_at(theta.value(n)))])
+        if not v.is_zero():
+            vals[n] = v
+    return Derivation(p, theta.degree + psi.degree, vals, rel=theta.rel, check=False)
+
+
+def exp_series_images(theta):
+    """{generator: sum over k of theta^k(gen) / k!} of a nilpotent degree-0 theta.
+
+    The series runs on every generator until a term vanishes; it is not
+    capped, so theta must be nilpotent.
+    """
+    p = theta.ambient
+    images = {}
+    for n, _ in p.generators.entries:
+        term = image = p.gen(n)
+        k = 0
+        while not term.is_zero():
+            k += 1
+            term = theta.eval_at(term).scale(Fraction(1, k))
+            image = image + term
+        images[n] = image
+    return images
 
 
 # -- designated subalgebras ------------------------------------------------------------

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import chain
 
 import pytest
 
-from dgla import linalg
+import dgla
+from dgla import io, linalg
 from dgla.derivations import (
     Derivation,
     der_bracket,
@@ -20,7 +24,8 @@ from dgla.derivations import (
 from dgla.errors import SubMismatch, WindowTooNarrow
 from dgla.graded import betti_numbers
 from dgla.morphisms import GeneratorMorphism, indec_action
-from dgla.presentation import DgLaPresentation, pushout
+from dgla.presentation import DgLaPresentation, LieElement, pushout
+from oracles import all_generator_der_bracket, all_generator_der_differential
 
 
 def w11():
@@ -86,19 +91,8 @@ def test_der_bracket_and_differential():
         check=False,
     )
     for psi in thetas1:
-        lhs = der_bracket_d(d_der, psi, t)
+        lhs = all_generator_der_bracket(d_der, psi)
         assert lhs == der_differential(psi)
-
-
-def der_bracket_d(d_der, psi, p):
-    # [d, psi] computed naively on generator values (rel bookkeeping aside)
-    sign = -1 if (d_der.degree * psi.degree) % 2 else 1
-    vals = {}
-    for n, _ in p.generators.entries:
-        v = d_der.eval_at(psi.value(n)) - psi.eval_at(d_der.value(n)).scale(sign)
-        if not v.is_zero():
-            vals[n] = v
-    return Derivation(p, psi.degree - 1, vals, rel=psi.rel, check=False)
 
 
 def test_linear_part_of_bracket_is_commutator():
@@ -343,3 +337,97 @@ def test_f_derivation_along_identity_is_the_derivation():
                 # a fresh derivation starts with an empty memo
                 assert Derivation(p, n, values).eval_at(e) == warm
                 assert theta.eval_at(e) == warm
+
+
+# -- derivation operations walk only where a value or d is nonzero --------------------
+
+# d of degree -1 and d^2 = 0: d(a) = d(b) = 1/2 [x,x] are cycles, and d(y) = a - b
+_SUMS = DgLaPresentation(
+    [("x", 1), ("a", 3), ("b", 3), ("y", 4)],
+    {"a": "1/2*[x,x]", "b": "1/2*[x,x]", "y": "a - b"},
+)
+
+
+def _partial_derivations(p, rel, degrees, rng, count):
+    """Slice basis derivations rel ``rel`` and random ones on a random part of the generators."""
+    out = []
+    for n in degrees:
+        out += der_complex(p, rel, (n, n)).derivations[n][:count]
+        for _ in range(count):
+            support = [(g, d) for g, d in p.generators.entries if rng.random() < 0.5]
+            values = {g: _random_element(p, d + n, rng) for g, d in support}
+            out.append(Derivation(p, n, values, rel=rel, check=False))
+    return out
+
+
+def _in_generator_order(theta):
+    order = [g for g, _ in theta.ambient.generators.entries]
+    names = list(theta.values)
+    return names == [g for g in order if g in theta.values]
+
+
+@pytest.mark.parametrize("case", ["tilde_w11 beta", "tilde_w11 omega", "twisted9 omega", "sums"])
+def test_der_operations_match_the_all_generator_formulas(case, fixture_path):
+    # a GeneratorSplit rel (beta), ElementGenerated rels (omega), nonzero d
+    # (tilde_w11, sums), odd degrees and derivations with partial support
+    twisted9 = io.load_presentation(io.load_json_file(fixture_path("presentation_twisted9.json")))
+    p, rel = {
+        "tilde_w11 beta": (tilde_w11(), "beta"),
+        "tilde_w11 omega": (tilde_w11(), "omega"),
+        "twisted9 omega": (twisted9, "omega"),
+        "sums": (_SUMS, None),
+    }[case]
+    rng = random.Random(5)
+    thetas = _partial_derivations(p, rel, (-2, -1, 0, 1), rng, 3)
+    assert any(0 < len(th.values) < len(p.generators.entries) for th in thetas)
+    for th in thetas:
+        got = der_differential(th)
+        assert got == all_generator_der_differential(th) and _in_generator_order(got)
+    for th, ps in zip(thetas, rng.sample(thetas, len(thetas))):
+        got = der_bracket(th, ps)
+        assert got == all_generator_der_bracket(th, ps) and _in_generator_order(got)
+
+
+def test_der_differential_evaluates_theta_only_on_nonzero_d(monkeypatch):
+    # only gamma has a nonzero d on tilde_w11, so the theta.d term of D of a
+    # unit derivation takes at most one eval_at
+    t = tilde_w11()
+    assert list(t.differential) == ["gamma"]
+    calls = []
+    plain = Derivation.eval_at
+
+    def counted(self, e):
+        calls.append(e)
+        return plain(self, e)
+
+    monkeypatch.setattr(Derivation, "eval_at", counted)
+    for n in (-2, 0, 1, 3):
+        for g, d in t.generators.entries:
+            for i in range(t.dim(d + n)):
+                unit = Derivation(t, n, {g: LieElement(t, d + n, {i: 1})})
+                del calls[:]
+                der_differential(unit)
+                assert len(calls) <= 1
+
+
+def test_der_bracket_values_come_in_generator_order_under_any_hash_seed():
+    # th shifts g_k to g_(k+1) and ps scales g_k by k
+    script = (
+        "from dgla.derivations import Derivation, der_bracket\n"
+        "from dgla.presentation import DgLaPresentation\n"
+        "names = ['g%d' % k for k in range(8)]\n"
+        "p = DgLaPresentation([(n, 2) for n in names])\n"
+        "th = Derivation(p, 0, {n: p.gen(m) for n, m in zip(names, names[1:])})\n"
+        "ps = Derivation(p, 0, {n: p.gen(n).scale(k) for k, n in enumerate(names)})\n"
+        "print(' '.join(der_bracket(th, ps).values))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dgla.__file__)))
+    outs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outs.add(run.stdout.split("\n")[0])
+    # [th, ps] sends g_k to -g_(k+1) for k < 7 and g7 to 0
+    assert outs == {" ".join("g%d" % k for k in range(7))}

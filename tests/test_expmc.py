@@ -29,7 +29,7 @@ from dgla.models import (
 from dgla.morphisms import GeneratorMorphism, check_morphism, indec_action
 from dgla.presentation import DgLaPresentation
 from dgla.slices import DgLieSlice, SliceElement
-from oracles import NilMatrix, full_word_class_check, gauss_rank
+from oracles import NilMatrix, exp_series_images, full_word_class_check, gauss_rank
 
 
 def heisenberg():
@@ -266,6 +266,18 @@ def test_exp_examples():
     e = exp_automorphism(th)
     assert e.images["b"] == p.normal_form("a+b")
     assert e.compose(exp_automorphism(th.scale(-1))) == GeneratorMorphism.identity(p)
+
+
+def test_exp_images_match_the_full_series():
+    # random_filtration_derivation vanishes on a and b, which e(theta) must fix
+    rng = random.Random(13)
+    p = nilpotent_fixture()
+    shift = Derivation(p, 0, {"a": p.gen("b")})
+    for k in range(8):
+        th = random_filtration_derivation(rng, p)
+        if k % 2:
+            th = th + shift
+        assert exp_automorphism(th).images == exp_series_images(th)
 
 
 def test_exp_rejects_non_nilpotent():

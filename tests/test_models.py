@@ -267,6 +267,35 @@ def test_chi_of_bracket_failure_witnessed():
     assert rep.failures() == [("chi_of_bracket", ("axiom_chi_bracket", 1, 0, 0, 0))]
 
 
+def test_lie_map_failure_planted_only_in_the_reversed_order_is_reported():
+    # t acts as the identity and s sends x to y, so [t, s] = 0 is right; the
+    # table gives [s, t] = -s, whose identity fails while that of (t, s) holds
+    tab = {(1, 0, 0, 0): {0: Fraction(-1)}}
+    g = DgLieSlice((0, 1), {0: ["t"], 1: ["s"]}, bracket_fn=lambda *pair: tab.get(pair, {}))
+    L = DgLieSlice((0, 1), {0: ["x"], 1: ["y"]})
+
+    def act(n, i, m, j):
+        if n == 0:
+            return {j: Fraction(1)}
+        return {0: Fraction(1)} if m == 0 else {}
+
+    rep = outer_action_check(OuterAction(g, L, act, None))
+    assert rep.failures() == [("action_is_graded_lie_map", ("alpha_antisymmetry", 0, 0, 1, 0))]
+
+
+def test_bracket_that_breaks_antisymmetry_fails_the_lie_map_check():
+    # [t, s] = s but [s, t] = 0; the zero action satisfies every identity
+    L = DgLieSlice((0, 1), {0: ["x"], 1: []})
+
+    def check(tab):
+        g = DgLieSlice((0, 1), {0: ["t"], 1: ["s"]}, bracket_fn=lambda *pair: tab.get(pair, {}))
+        return outer_action_check(OuterAction(g, L, _act_zero, None))
+
+    rep = check({(0, 0, 1, 0): {0: Fraction(1)}})
+    assert rep.failures() == [("action_is_graded_lie_map", ("alpha_antisymmetry", 0, 0, 1, 0))]
+    assert check({(0, 0, 1, 0): {0: Fraction(1)}, (1, 0, 0, 0): {0: Fraction(-1)}}).passed
+
+
 def test_semidirect_untwisted_abelian():
     g = DgLieSlice((0, 2), {0: ["t"], 1: ["s"], 2: []}, {1: linalg.matrix(1, 1)})
     L = DgLieSlice((0, 2), {0: ["x"], 1: [], 2: []})
