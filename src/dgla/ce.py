@@ -15,7 +15,7 @@ cochain Betti numbers scale linearly in the coefficient dimension.
 from fractions import Fraction
 
 from . import linalg
-from .errors import WindowTooNarrow
+from .errors import ValidationReport, WindowTooNarrow, check_row
 
 
 def _letters(g, max_sdeg):
@@ -219,31 +219,21 @@ def ce_product_check(g, h, dim_m, dim_n, degree_range):
     cg = CESlice(g, k1 + 1)
     ch = CESlice(h, k1 + 1)
     cp = CESlice(prod, k1 + 1)
-    checks = []
-    ok = True
-    witness = None
-    for k in range(max(0, k0), k1 + 1):
-        lhs = dim_m * dim_n * cp.dim(k)
-        rhs = sum(
-            (dim_m * cg.dim(i)) * (dim_n * ch.dim(k - i)) for i in range(0, k + 1)
-        )
-        if lhs != rhs:
-            ok = False
-            witness = ("dimension", k, lhs, rhs)
-            break
-    checks.append(("cochain_dimensions_multiply", ok, witness))
+    degrees = range(max(0, k0), k1 + 1)
+
+    def dimension_failures():
+        for k in degrees:
+            lhs = dim_m * dim_n * cp.dim(k)
+            rhs = sum((dim_m * cg.dim(i)) * (dim_n * ch.dim(k - i)) for i in range(0, k + 1))
+            if lhs != rhs:
+                yield ("dimension", k, lhs, rhs)
+
+    checks = [check_row("cochain_dimensions_multiply", dimension_failures())]
     bg = _betti(cg, dim_m, max(0, k0), k1)
     bh = _betti(ch, dim_n, max(0, k0), k1)
     bp = _betti(cp, dim_m * dim_n, max(0, k0), k1)
-    ok = True
-    witness = None
-    for k in range(max(0, k0), k1 + 1):
-        rhs = sum(bg.get(i, 0) * bh.get(k - i, 0) for i in range(0, k + 1))
-        if bp[k] != rhs:
-            ok = False
-            witness = ("kunneth", k, bp[k], rhs)
-            break
-    checks.append(("kunneth_betti", ok, witness))
-    from .presentation import ValidationReport
-
+    rhs = {k: sum(bg.get(i, 0) * bh.get(k - i, 0) for i in range(0, k + 1)) for k in degrees}
+    checks.append(check_row("kunneth_betti", (
+        ("kunneth", k, bp[k], rhs[k]) for k in degrees if bp[k] != rhs[k]
+    )))
     return ValidationReport(checks)

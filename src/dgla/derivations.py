@@ -410,21 +410,15 @@ def glue_derivations(theta, psi, po, inc_p, inc_q, rel=None):
     if theta.degree != psi.degree:
         raise ValueError("derivations of different degrees")
     vals = {}
-    for name, v in theta.values.items():
-        img_name = inc_p.images[name]
-        lin = img_name.linear_part()
-        if len(lin) != 1 or list(lin.values())[0] != 1:
-            raise SubMismatch("inclusion does not send generators to generators")
-        vals[list(lin.keys())[0]] = inc_p.apply(v)
-    for name, v in psi.values.items():
-        img_name = inc_q.images[name]
-        lin = img_name.linear_part()
-        if len(lin) != 1 or list(lin.values())[0] != 1:
-            raise SubMismatch("inclusion does not send generators to generators")
-        gname = list(lin.keys())[0]
-        if gname in vals:
-            raise SubMismatch("factors overlap at generator %r" % gname)
-        vals[gname] = inc_q.apply(v)
+    for der, inc in ((theta, inc_p), (psi, inc_q)):
+        for name, v in der.values.items():
+            lin = inc.images[name].linear_part()
+            if list(lin.values()) != [1]:
+                raise SubMismatch("inclusion does not send generators to generators")
+            (gname,) = lin
+            if gname in vals:
+                raise SubMismatch("factors overlap at generator %r" % gname)
+            vals[gname] = inc.apply(v)
     return Derivation(po, theta.degree, vals, rel=rel, check=rel is not None)
 
 

@@ -1,14 +1,43 @@
-"""Exception types shared across the library.
+"""Exception types and the validation report shared across the library.
 
 Every error that a caller is expected to catch has its own class; generic
 misuse (wrong types, dimension mismatches at construction time) raises
-ValueError.
+ValueError.  A certificate that reports rather than raises returns a
+ValidationReport, one ``check_row`` per check.
 """
 
 
 def json_pointer(pointer, *tokens):
     """``pointer`` extended by ``tokens``, escaped as RFC 6901 asks."""
     return pointer + "".join("/" + str(t).replace("~", "~0").replace("/", "~1") for t in tokens)
+
+
+class ValidationReport:
+    """Outcome of a reporting certificate: (check, ok, witness) rows."""
+
+    def __init__(self, checks):
+        self.checks = checks
+
+    @property
+    def passed(self):
+        return all(ok for _, ok, _ in self.checks)
+
+    def failures(self):
+        return [(c, w) for c, ok, w in self.checks if not ok]
+
+    def __repr__(self):
+        return "<ValidationReport passed=%s failures=%r>" % (self.passed, self.failures())
+
+
+def check_row(name, failures):
+    """The report row of one check: its first failure witness, if any.
+
+    ``failures`` yields a witness for each failing case in the check's walk
+    order; nothing after the first witness is read.
+    """
+    for witness in failures:
+        return (name, False, witness)
+    return (name, True, None)
 
 
 class DglaError(Exception):

@@ -12,12 +12,18 @@ from itertools import chain, product
 
 from . import linalg
 from .derivations import Derivation, forget_pullback
-from .errors import DimensionMismatch, SemisimplicityNotAsserted, SubMismatch
+from .errors import (
+    DimensionMismatch,
+    SemisimplicityNotAsserted,
+    SubMismatch,
+    ValidationReport,
+    check_row,
+)
 from .expr import rename_tree
 from .graded import betti_numbers
 from .models import manifold_model, tilde_model
 from .linalg import combination
-from .presentation import ValidationReport, fresh_names
+from .presentation import fresh_names
 from .slices import bilinear
 
 
@@ -136,35 +142,6 @@ def _factor_entries(g_factor, g_glued, names, d, col):
         yield from ((gg.dim(d) + k, col + j, x) for k, x in mod_coords.items())
 
 
-def _d_compatibility(source, g_glued, cols, lo, hi):
-    """The report entry: the map commutes with d on every basis element."""
-    ok = True
-    witness = None
-    for d in range(lo + 1, hi + 1):
-        d_glued = linalg.columns(g_glued.d_matrix(d), g_glued.dim(d))
-        d_source = linalg.columns(source.d_matrix(d), source.dim(d))
-        for j in range(source.dim(d)):
-            terms = [(c, d_glued[k]) for k, c in cols[d][j].items()]
-            terms += [(-c, cols[d - 1][k]) for k, c in d_source[j].items()]
-            if combination(terms):
-                ok = False
-                witness = ("d_compat", d, j)
-    return ("glue_commutes_with_d", ok, witness)
-
-
-def _bracket_compatibility(source, g_glued, cols, lo, hi):
-    """The report entry: the map commutes with brackets on every basis pair."""
-    for n, m in product(range(lo, hi + 1), repeat=2):
-        if not lo <= n + m <= hi:
-            continue
-        for i, j in product(range(len(cols[n])), range(len(cols[m]))):
-            lhs = source.bracket(n, i, m, j)
-            rhs = bilinear(g_glued.bracket, n, cols[n][i], m, cols[m][j])
-            if combination([(c, cols[n + m][k]) for k, c in lhs.items()] + [(-1, rhs)]):
-                return ("glue_bracket_compatible", False, ("bracket_compat", n, i, m, j))
-    return ("glue_bracket_compatible", True, None)
-
-
 def glue_headline_g(g_left, g_right, g_glued, left_names, right_names,
                     assert_semisimple=False):
     """The gluing map on headline semidirect dg Lie algebras.
@@ -196,9 +173,32 @@ def glue_headline_g(g_left, g_right, g_glued, left_names, right_names,
     # the source g_left x g_right, in the blocks' column order
     source = g_left.product(g_right)
     cols = {d: linalg.columns(block, source.dim(d)) for d, block in blocks.items()}
+
+    def d_failures():
+        # the map commutes with d on every basis element
+        for d in range(lo + 1, hi + 1):
+            d_glued = linalg.columns(g_glued.d_matrix(d), g_glued.dim(d))
+            d_source = linalg.columns(source.d_matrix(d), source.dim(d))
+            for j in range(source.dim(d)):
+                terms = [(c, d_glued[k]) for k, c in cols[d][j].items()]
+                terms += [(-c, cols[d - 1][k]) for k, c in d_source[j].items()]
+                if combination(terms):
+                    yield ("d_compat", d, j)
+
+    def bracket_failures():
+        # the map commutes with brackets on every basis pair
+        for n, m in product(range(lo, hi + 1), repeat=2):
+            if not lo <= n + m <= hi:
+                continue
+            for i, j in product(range(len(cols[n])), range(len(cols[m]))):
+                lhs = source.bracket(n, i, m, j)
+                rhs = bilinear(g_glued.bracket, n, cols[n][i], m, cols[m][j])
+                if combination([(c, cols[n + m][k]) for k, c in lhs.items()] + [(-1, rhs)]):
+                    yield ("bracket_compat", n, i, m, j)
+
     rep = ValidationReport([
-        _d_compatibility(source, g_glued, cols, lo, hi),
-        _bracket_compatibility(source, g_glued, cols, lo, hi),
+        check_row("glue_commutes_with_d", d_failures()),
+        check_row("glue_bracket_compatible", bracket_failures()),
     ])
     if not rep.passed:
         raise SubMismatch("gluing map failed verification: %r" % rep.failures())

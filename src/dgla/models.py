@@ -20,6 +20,8 @@ from .errors import (
     OmegaNotClosed,
     RhoNotChainMap,
     SchemaError,
+    ValidationReport,
+    check_row,
 )
 from .graded import GradedBasis, GradedLinearMap
 from .morphisms import GeneratorMorphism, _rho_of
@@ -281,14 +283,15 @@ def outer_action_check(a, window=None):
     unordered basis pairs (t,p), and on each pair of distinct elements g's
     bracket must be graded-antisymmetric, [p,t] = -(-1)^{|t||p|} [t,p]; the
     (p,t) identity is then -(-1)^{|t||p|} times the (t,p) one, so the check
-    is sound without g's own certificate.  Returns a report list of
-    (check, ok, witness); never raises.
+    is sound without g's own certificate.  Returns a report of (check, ok,
+    witness) rows; never raises.  Each failing row's witness is the first
+    failing case in its axiom's walk order (degrees, then basis indices,
+    ascending), and the walk stops there.
     """
     g = a.acting
     L = a.module
     lo = max(g.lo, window[0]) if window else g.lo
     hi = min(g.hi, window[1]) if window else g.hi
-    checks = []
 
     def mod_ok(d):
         return L.lo <= d <= L.hi
@@ -296,57 +299,48 @@ def outer_action_check(a, window=None):
     def g_ok(d):
         return g.lo <= d <= g.hi
 
-    ok = True
-    witness = None
-    for n, m in combinations_with_replacement(range(lo, hi + 1), 2):
-        ks = [k for k in range(L.lo, L.hi + 1) if mod_ok(n + m + k)]
-        if not (g_ok(n + m) and ks):
-            continue
-        sign = -1 if (n * m) % 2 else 1
-        if n == m:
-            pairs = list(combinations_with_replacement(range(g.dim(n)), 2))
-        else:
-            pairs = list(product(range(g.dim(n)), range(g.dim(m))))
-        for i, j in pairs:
-            # graded antisymmetry, which makes the (p,t) identity follow from (t,p)
-            if (n, i) != (m, j) and combination(
-                [(1, g.bracket(m, j, n, i)), (sign, g.bracket(n, i, m, j))]
-            ):
-                ok = False
-                witness = ("alpha_antisymmetry", n, i, m, j)
-        for k, (i, j) in product(ks, pairs):
-            for l in range(L.dim(k)):
-                # [t,p].x = t.(p.x) - (-1)^{|t||p|} p.(t.x)
-                if combination([
-                    (1, bilinear(a.act, n + m, g.bracket(n, i, m, j), k, {l: 1})),
-                    (-1, bilinear(a.act, n, {i: 1}, m + k, a.act(m, j, k, l))),
-                    (sign, bilinear(a.act, m, {j: 1}, n + k, a.act(n, i, k, l))),
-                ]):
-                    ok = False
-                    witness = ("alpha_lie_map", n, i, m, j, k, l)
-    checks.append(("action_is_graded_lie_map", ok, witness))
+    def lie_map_failures():
+        for n, m in combinations_with_replacement(range(lo, hi + 1), 2):
+            ks = [k for k in range(L.lo, L.hi + 1) if mod_ok(n + m + k)]
+            if not (g_ok(n + m) and ks):
+                continue
+            sign = -1 if (n * m) % 2 else 1
+            if n == m:
+                pairs = list(combinations_with_replacement(range(g.dim(n)), 2))
+            else:
+                pairs = list(product(range(g.dim(n)), range(g.dim(m))))
+            for i, j in pairs:
+                # graded antisymmetry, which makes the (p,t) identity follow from (t,p)
+                if (n, i) != (m, j) and combination(
+                    [(1, g.bracket(m, j, n, i)), (sign, g.bracket(n, i, m, j))]
+                ):
+                    yield ("alpha_antisymmetry", n, i, m, j)
+            for k, (i, j) in product(ks, pairs):
+                for l in range(L.dim(k)):
+                    # [t,p].x = t.(p.x) - (-1)^{|t||p|} p.(t.x)
+                    if combination([
+                        (1, bilinear(a.act, n + m, g.bracket(n, i, m, j), k, {l: 1})),
+                        (-1, bilinear(a.act, n, {i: 1}, m + k, a.act(m, j, k, l))),
+                        (sign, bilinear(a.act, m, {j: 1}, n + k, a.act(n, i, k, l))),
+                    ]):
+                        yield ("alpha_lie_map", n, i, m, j, k, l)
 
     g_d = {d: linalg.columns(g.d_matrix(d), g.dim(d)) for d in range(g.lo + 1, g.hi + 1)}
     L_d = {d: linalg.columns(L.d_matrix(d), L.dim(d)) for d in range(L.lo + 1, L.hi + 1)}
 
-    ok = True
-    witness = None
-    for n in range(max(lo, g.lo + 1), hi + 1):
-        if not (mod_ok(n - 1) and mod_ok(n - 2)):
-            continue
-        for i in range(g.dim(n)):
-            # d chi(t) + chi(dt) = 0
-            terms = [(1, L.d_apply(n - 1, a.twist(n, i)))]
-            terms += [(c, a.twist(n - 1, k)) for k, c in g_d[n][i].items()]
-            if combination(terms):
-                ok = False
-                witness = ("chi_chain", n, i)
-    checks.append(("chi_anticommutes_with_d", ok, witness))
+    def chi_chain_failures():
+        for n in range(max(lo, g.lo + 1), hi + 1):
+            if not (mod_ok(n - 1) and mod_ok(n - 2)):
+                continue
+            for i in range(g.dim(n)):
+                # d chi(t) + chi(dt) = 0
+                terms = [(1, L.d_apply(n - 1, a.twist(n, i)))]
+                terms += [(c, a.twist(n - 1, k)) for k, c in g_d[n][i].items()]
+                if combination(terms):
+                    yield ("chi_chain", n, i)
 
-    ok = True
-    witness = None
-    for n in range(lo, hi + 1):
-        for m in range(lo, hi + 1):
+    def chi_bracket_failures():
+        for n, m in product(range(lo, hi + 1), repeat=2):
             chi_n = mod_ok(n - 1) or (n - 1 < L.lo and L.zero_below)
             chi_m = mod_ok(m - 1) or (m - 1 < L.lo and L.zero_below)
             if not (g_ok(n + m) and mod_ok(n + m - 1) and chi_n and chi_m):
@@ -361,14 +355,10 @@ def outer_action_check(a, window=None):
                 if mod_ok(m - 1):
                     terms.append((-sgn2, bilinear(a.act, n, {i: 1}, m - 1, a.twist(m, j))))
                 if combination(terms):
-                    ok = False
-                    witness = ("axiom_chi_bracket", n, i, m, j)
-    checks.append(("chi_of_bracket", ok, witness))
+                    yield ("axiom_chi_bracket", n, i, m, j)
 
-    ok = True
-    witness = None
-    for n in range(lo, hi + 1):
-        for k in range(L.lo, L.hi + 1):
+    def d_of_action_failures():
+        for n, k in product(range(lo, hi + 1), range(L.lo, L.hi + 1)):
             chi_known = mod_ok(n - 1) or (n - 1 < L.lo and L.zero_below)
             dx_known = mod_ok(k - 1) or (k - 1 < L.lo and L.zero_below)
             dtheta_known = n - 1 >= g.lo or g.zero_below
@@ -385,12 +375,14 @@ def outer_action_check(a, window=None):
                 if mod_ok(n - 1):
                     terms.append((-1, bilinear(L.bracket, n - 1, a.twist(n, i), k, {l: 1})))
                 if combination(terms):
-                    ok = False
-                    witness = ("axiom_d_of_action", n, i, k, l)
-    checks.append(("d_of_action", ok, witness))
-    from .presentation import ValidationReport
+                    yield ("axiom_d_of_action", n, i, k, l)
 
-    return ValidationReport(checks)
+    return ValidationReport([
+        check_row("action_is_graded_lie_map", lie_map_failures()),
+        check_row("chi_anticommutes_with_d", chi_chain_failures()),
+        check_row("chi_of_bracket", chi_bracket_failures()),
+        check_row("d_of_action", d_of_action_failures()),
+    ])
 
 
 def semidirect(g, L, a, window=None):

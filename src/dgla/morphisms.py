@@ -8,7 +8,14 @@ until the fixpoint (which is reached because degrees are positive).
 """
 
 from . import linalg
-from .errors import NonMinimalAmbient, NotInvertibleLinearPart, SchemaError, json_pointer
+from .errors import (
+    NonMinimalAmbient,
+    NotInvertibleLinearPart,
+    SchemaError,
+    ValidationReport,
+    check_row,
+    json_pointer,
+)
 from .graded import GradedBasis, GradedLinearMap
 from .presentation import GeneratorSplit, TreeMap, linear_part_block
 
@@ -86,48 +93,27 @@ def check_morphism(f, fixed_sub=None, rho=None):
     identity on the fixed sub, and rho . f = rho on generators when a rho
     (GradedLinearMap on the generator basis) is supplied.
     """
-    checks = [("degree_preserved", True, None)]
-    ok_d = True
-    for name, _ in f.source.generators.entries:
-        lhs = f.apply(f.source.d_gen(name))
-        rhs = f.target.differential_of(f.images[name])
-        if lhs != rhs:
-            checks.append(("d_commutes", False, name))
-            ok_d = False
-            break
-    if ok_d:
-        checks.append(("d_commutes", True, None))
+    src, tgt = f.source, f.target
+    checks = [check_row("degree_preserved", ())]
+    checks.append(check_row("d_commutes", (
+        name for name, _ in src.generators.entries
+        if f.apply(src.d_gen(name)) != tgt.differential_of(f.images[name])
+    )))
     if fixed_sub is not None:
-        spec = f.source.sub(fixed_sub)
-        ok_fix = True
+        spec = src.sub(fixed_sub)
         if isinstance(spec, GeneratorSplit):
-            for n in spec.names:
-                expected = f.target.gen(n)
-                if f.images[n] != expected:
-                    checks.append(("fixes_sub", False, n))
-                    ok_fix = False
-                    break
+            moved = (n for n in spec.names if f.images[n] != tgt.gen(n))
         else:
-            for k, e in enumerate(spec.elements):
-                img = f.apply(e)
-                expected = f.target.normal_form(e.terms())
-                if img != expected:
-                    checks.append(("fixes_sub", False, "element %d" % k))
-                    ok_fix = False
-                    break
-        if ok_fix:
-            checks.append(("fixes_sub", True, None))
+            moved = (
+                "element %d" % k for k, e in enumerate(spec.elements)
+                if f.apply(e) != tgt.normal_form(e.terms())
+            )
+        checks.append(check_row("fixes_sub", moved))
     if rho is not None:
-        ok_rho = True
-        for name, _ in f.source.generators.entries:
-            if _rho_of(rho, f.images[name]) != _rho_of(rho, f.source.gen(name)):
-                checks.append(("rho_invariant", False, name))
-                ok_rho = False
-                break
-        if ok_rho:
-            checks.append(("rho_invariant", True, None))
-    from .presentation import ValidationReport
-
+        checks.append(check_row("rho_invariant", (
+            name for name, _ in src.generators.entries
+            if _rho_of(rho, f.images[name]) != _rho_of(rho, src.gen(name))
+        )))
     return ValidationReport(checks)
 
 

@@ -31,6 +31,8 @@ from .errors import (
     SchemaError,
     UnknownGenerator,
     UnsupportedSub,
+    ValidationReport,
+    check_row,
 )
 from .graded import ChainComplexSlice, GradedBasis
 
@@ -583,43 +585,35 @@ class DgLaPresentation:
         normalizes to 0 on every generator; every designated subalgebra is
         closed under d.  Each failure names its witness.
         """
-        # the constructor already bounds generator degrees
-        checks = [("generator_degree", True, None)]
-        for name, deg in self.generators.entries:
-            dval = self.differential.get(name)
-            if dval is not None and not dval.is_zero() and dval.degree != deg - 1:
-                checks.append(("d_lowers_degree", False, name))
-                return ValidationReport(checks)
-        checks.append(("d_lowers_degree", True, None))
-        for name, _ in self.generators.entries:
-            dd = self.differential_of(self.d_gen(name))
-            if not dd.is_zero():
-                checks.append(("d_squared", False, name))
-                break
-        else:
-            checks.append(("d_squared", True, None))
-        for subname, spec in self.subalgebras.items():
+        def unclosed(spec):
             if isinstance(spec, GeneratorSplit):
                 for n in spec.names:
                     dv = self.d_gen(n)
                     if not dv.is_zero() and not self.in_generator_span(dv, spec.names):
-                        checks.append(("sub_closed:%s" % subname, False, n))
-                        break
-                else:
-                    checks.append(("sub_closed:%s" % subname, True, None))
-            else:
-                ok = True
-                for k, e in enumerate(spec.elements):
-                    de = self.differential_of(e)
-                    if de.is_zero():
-                        continue
-                    span = self.subalgebra_span(spec.elements, de.degree)
-                    if not span.contains(de.coords):
-                        checks.append(("sub_closed:%s" % subname, False, "element %d" % k))
-                        ok = False
-                        break
-                if ok:
-                    checks.append(("sub_closed:%s" % subname, True, None))
+                        yield n
+                return
+            for k, e in enumerate(spec.elements):
+                de = self.differential_of(e)
+                if not de.is_zero() and not self.subalgebra_span(
+                    spec.elements, de.degree
+                ).contains(de.coords):
+                    yield "element %d" % k
+
+        # the constructor already bounds generator degrees and drops zero
+        # differentials, so d_gen's degree is the stored one
+        checks = [check_row("generator_degree", ())]
+        checks.append(check_row("d_lowers_degree", (
+            name for name, deg in self.generators.entries
+            if self.d_gen(name).degree != deg - 1
+        )))
+        if not checks[-1][1]:
+            return ValidationReport(checks)
+        checks.append(check_row("d_squared", (
+            name for name, _ in self.generators.entries
+            if not self.differential_of(self.d_gen(name)).is_zero()
+        )))
+        for subname, spec in self.subalgebras.items():
+            checks.append(check_row("sub_closed:%s" % subname, unclosed(spec)))
         return ValidationReport(checks)
 
     # -- indecomposables ---------------------------------------------------------
@@ -667,23 +661,6 @@ class DgLaPresentation:
             linalg.is_zero_matrix(slice_.d_matrix(d))
             for d in range(slice_.lo + 1, slice_.hi + 1)
         )
-
-
-class ValidationReport:
-    """Outcome of DgLaPresentation.validate(): (check, ok, witness) rows."""
-
-    def __init__(self, checks):
-        self.checks = checks
-
-    @property
-    def passed(self):
-        return all(ok for _, ok, _ in self.checks)
-
-    def failures(self):
-        return [(c, w) for c, ok, w in self.checks if not ok]
-
-    def __repr__(self):
-        return "<ValidationReport passed=%s failures=%r>" % (self.passed, self.failures())
 
 
 def transfer(element, target):

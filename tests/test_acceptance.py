@@ -11,6 +11,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -654,3 +656,41 @@ def test_corpus_report_bodies_match_pinned_digests(monkeypatch, tmp_path):
         body = io_mod.canonical_dumps(json.loads(out.read_text())["report"])
         digests.append(hashlib.sha256(body.encode()).hexdigest())
     assert digests == CORPUS_REPORT_SHA256
+
+
+# Runs CLI_CORPUS (argv[1], as JSON) from the working directory and writes
+# the SHA-256 of each report body, as JSON, to argv[3]; reports go to argv[2].
+_CORPUS_DIGESTS_SCRIPT = """
+import hashlib, json, os, sys
+from dgla import io as io_mod
+from dgla.cli import run
+corpus, out_dir, digests_path = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3]
+digests = []
+for i, (cmd, files, flags) in enumerate(corpus):
+    argv = [cmd] + [os.path.join("fixtures", f) for f in files]
+    argv += [os.path.join("fixtures", a[1:]) if a.startswith("@") else a for a in flags]
+    out = os.path.join(out_dir, "r%d.json" % i)
+    code, _ = run(argv + ["--out", out])
+    assert code in (0, 1), (cmd, code)
+    with open(out) as fh:
+        body = io_mod.canonical_dumps(json.load(fh)["report"])
+    digests.append(hashlib.sha256(body.encode()).hexdigest())
+with open(digests_path, "w") as fh:
+    json.dump(digests, fh)
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_corpus_report_bodies_match_pinned_digests_under_fixed_hash_seeds(seed, tmp_path):
+    # pytest's own hash seed varies; a fresh interpreter per fixed seed shows
+    # that no report body depends on it
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.join(root, "src"))
+    digests_path = tmp_path / "digests.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CORPUS_DIGESTS_SCRIPT, json.dumps(CLI_CORPUS),
+         str(tmp_path), str(digests_path)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(digests_path.read_text()) == CORPUS_REPORT_SHA256

@@ -467,6 +467,8 @@ def test_homotopy_failure_at_evaluation():
     rep = homotopy_check(h, f, g)
     fails = dict(rep.failures())
     assert "ev1_is_g" in fails
+    # the witness names the first generator that fails
+    assert fails["ev1_is_g"] == "u"
 
 
 def test_homotopy_rel_sub():

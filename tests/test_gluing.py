@@ -129,6 +129,31 @@ def test_glue_d_compatibility_failure_witnessed(monkeypatch):
     )
 
 
+def test_glue_d_compatibility_reports_the_first_of_two_failures(monkeypatch):
+    from dgla import gluing
+    from dgla.errors import SubMismatch
+
+    m = twisted9()
+    mn = boundary_connected_sum(m, m)
+    g, gmn = build_block_g(m, (0, 1)), build_block_g(mn, (0, 1))
+    factor_entries = gluing._factor_entries
+
+    def corrupted(g_factor, g_glued, names, d, col):
+        # stray entries: the left factor's degree-1 columns 0 and 1 both also
+        # hit glued basis element 1, whose differential is nonzero, so both fail
+        yield from factor_entries(g_factor, g_glued, names, d, col)
+        if d == 1 and col == 0:
+            yield (1, 0, Fraction(1))
+            yield (1, 1, Fraction(1))
+
+    monkeypatch.setattr(gluing, "_factor_entries", corrupted)
+    with pytest.raises(SubMismatch) as exc:
+        glue_headline_g(g, g, gmn, mn.left_names, mn.right_names, assert_semisimple=True)
+    assert str(exc.value) == (
+        "gluing map failed verification: [('glue_commutes_with_d', ('d_compat', 1, 0))]"
+    )
+
+
 def test_glue_with_trivial_factor_is_injection():
     m = w11()
     point = manifold_model(6, [], [])

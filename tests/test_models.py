@@ -234,10 +234,10 @@ def _bad_chi_chain_data():
 
 
 def _bad_chi_bracket_data():
-    """(g, L, outer action) failing chi_of_bracket, last at ((1, 0), (0, 0)).
+    """(g, L, outer action) failing chi_of_bracket, first at ((0, 0), (1, 0)).
 
     [t, s] = s and the action is zero, so chi([t, s]) = chi(s) = x must
-    vanish; the last failing pair is (s, t).
+    vanish; both (t, s) and (s, t) fail, and the first in walk order is (t, s).
     """
     tab = {(0, 0, 1, 0): {0: 1}, (1, 0, 0, 0): {0: -1}}
     g = DgLieSlice((0, 1), {0: ["t"], 1: ["s"]}, bracket_fn=lambda *pair: tab.get(pair, {}))
@@ -264,7 +264,7 @@ def test_chi_of_bracket_failure_witnessed():
     g, L, bad = _bad_chi_bracket_data()
     assert outer_action_check(OuterAction(g, L, _act_zero, None)).passed
     rep = outer_action_check(bad)
-    assert rep.failures() == [("chi_of_bracket", ("axiom_chi_bracket", 1, 0, 0, 0))]
+    assert rep.failures() == [("chi_of_bracket", ("axiom_chi_bracket", 0, 0, 1, 0))]
 
 
 def test_lie_map_failure_planted_only_in_the_reversed_order_is_reported():
