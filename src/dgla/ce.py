@@ -83,9 +83,12 @@ class CESlice:
     """A window of the CE chain complex of a dg Lie slice."""
 
     def __init__(self, g, top_degree):
-        if g.lo < 0:
+        if g.lo != 0:
+            # below 0 the input is not non-negatively graded; above 0 the
+            # degrees from 0 are unknown, and nothing is assumed about them
             raise WindowTooNarrow(
-                "CE chains need a non-negatively graded input", required=(0, g.hi)
+                "CE chains need a non-negatively graded input from degree 0",
+                required=(0, g.hi),
             )
         if g.hi < top_degree - 1:
             raise WindowTooNarrow(

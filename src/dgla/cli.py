@@ -134,8 +134,8 @@ def cmd_ce(args, inputs):
     g = _load(inputs, args.file, io_mod.load_slice_or_presentation)
     if isinstance(g, DgLaPresentation):
         g = presentation_slice(g, 0, args.max)
-    elif g.bounded and g.hi < args.max:
-        g = g.pad_to(min(g.lo, 0), args.max)
+    elif g.bounded:
+        g = g.pad_to(0, args.max)
     b = ce_cohomology(g, args.coeff_dim, w)
     return {"betti": _betti_table(b)}, []
 

@@ -172,12 +172,17 @@ def eval_at(theta, e):
 
 
 class _HomLayout:
-    """Coordinates on Hom(determined generators, L_{* + n})."""
+    """Coordinates on Hom(determined generators of p, target_{* + n}).
 
-    def __init__(self, p, rel, n):
+    The target is p itself unless given (f-derivations take their values in
+    the target of a morphism).
+    """
+
+    def __init__(self, p, rel, n, target=None):
         self.p = p
         self.rel = rel
         self.n = n
+        self.target = p if target is None else target
         spec = p.sub(rel)
         if isinstance(spec, GeneratorSplit):
             skip = set(spec.names)
@@ -188,7 +193,7 @@ class _HomLayout:
         for name, deg in p.generators.entries:
             if name in skip:
                 continue
-            dim = p.dim(deg + n)
+            dim = self.target.dim(deg + n)
             self.slots.append((name, deg, offset, dim))
             offset += dim
         self.total = offset
@@ -203,46 +208,109 @@ class _HomLayout:
                 out.update((off + i, c) for i, c in v.coords.items())
         return out
 
-    def from_vector(self, vec):
-        """The derivation with the sparse Hom coordinates vec."""
+    def values(self, vec):
+        """{generator name: value} of the sparse Hom coordinates vec."""
         coords = {}
         for k in sorted(vec):
             name, deg, off, _ = self.slots[bisect_right(self.offsets, k) - 1]
             coords.setdefault((name, deg), {})[k - off] = vec[k]
-        vals = {name: LieElement(self.p, deg + self.n, c) for (name, deg), c in coords.items()}
-        return Derivation(self.p, self.n, vals, rel=self.rel, check=False)
+        return {name: LieElement(self.target, deg + self.n, c) for (name, deg), c in coords.items()}
+
+    def from_vector(self, vec):
+        """The derivation with the sparse Hom coordinates vec."""
+        return Derivation(self.p, self.n, self.values(vec), rel=self.rel, check=False)
 
     def unit(self, k):
         return self.from_vector({k: Fraction(1)})
 
 
-def _der_space(p, rel, n):
-    """Subspace of Hom coordinates cut out by the rel-vanishing conditions."""
-    layout = _HomLayout(p, rel, n)
-    spec = p.sub(rel)
-    if isinstance(spec, GeneratorSplit) or not spec.elements:
-        return layout, linalg.Subspace.full(layout.total)
+# -- derivation spaces as kernels ------------------------------------------------
+#
+# A condition on derivations is a (height, image) pair: image(theta) is the
+# sparse vector, below height, of one linear map applied to theta.  A space
+# is the kernel of its conditions, stacked in one matrix.
+
+
+def _condition_space(ncols, unit, conditions):
+    """The subspace of Q^ncols on which every condition vanishes.
+
+    Column k of the one condition matrix stacks the images of ``unit(k)``,
+    the k-th coordinate vector's derivation (or pair of them), under
+    ``conditions``; the space is that matrix's kernel basis.  Units are
+    built only when there is a condition.
+    """
+    tops = [0]
+    for height, _ in conditions:
+        tops.append(tops[-1] + height)
     ents = []
-    nrows = 0
-    for e in spec.elements:
-        tgt_dim = p.dim(e.degree + n)
-        if tgt_dim == 0:
-            continue
-        for k in range(layout.total):
-            ents += [(nrows + i, k, c) for i, c in layout.unit(k).eval_at(e).coords.items()]
-        nrows += tgt_dim
-    if not nrows:
-        return layout, linalg.Subspace.full(layout.total)
-    rows = linalg.matrix(nrows, layout.total, ents)
-    return layout, linalg.Subspace.from_kernel(rows, layout.total)
+    for k in range(ncols if conditions else 0):
+        u = unit(k)
+        for top, (_, image) in zip(tops, conditions):
+            ents += [(top + i, k, c) for i, c in image(u).items()]
+    return linalg.Subspace.from_kernel(linalg.matrix(tops[-1], ncols, ents), ncols)
+
+
+def _vanishing_conditions(p, rel, target, n):
+    """theta(e) = 0 for each element e listed by an ElementGenerated sub of p.
+
+    By the Leibniz rule these force vanishing on the generated subalgebra;
+    a GeneratorSplit sub is already left out of the Hom coordinates.
+    """
+    spec = p.sub(rel)
+    if isinstance(spec, GeneratorSplit):
+        return []
+    return [
+        (target.dim(e.degree + n), lambda th, e=e: th.eval_at(e).coords)
+        for e in spec.elements
+    ]
+
+
+def _cycle_condition(p, rel):
+    """Degree 0: D(theta) = 0, in the Hom coordinates of degree -1."""
+    layout = _HomLayout(p, rel, -1)
+    return layout.total, lambda th: layout.to_vector(der_differential(th))
+
+
+def _indec_condition(p, rel):
+    """Degree 0: the induced map on the relative indecomposables vanishes."""
+    gens = p.nonsub_generators(rel)
+    row = {}
+    for s, sd in gens:
+        for g, gd in gens:
+            if gd == sd:
+                row[s, g] = len(row)
+
+    def image(th):
+        return {
+            row[s, g]: c
+            for s, v in th.values.items()
+            for g, c in v.linear_part().items()
+            if (s, g) in row
+        }
+
+    return len(row), image
+
+
+def _rho_condition(p, rel, rho):
+    """Degree 0: rho . theta = 0 on the non-sub generators."""
+    row = {}
+    for s, deg in p.nonsub_generators(rel):
+        for t in rho.target.in_degree(deg + rho.degree):
+            row[s, t] = len(row)
+
+    def image(th):
+        return {row[s, t]: c for s, v in th.values.items() for t, c in _rho_of(rho, v).items()}
+
+    return len(row), image
 
 
 class DerSlice(DgLieSlice):
     """A windowed derivation complex with its dg Lie structure.
 
-    Basis elements are Derivation objects (in RREF order of the defining
-    subspace); the differential and bracket are realized as exact matrices
-    and memoized tables in the subspace coordinates.
+    Basis elements are Derivation objects, in each degree the kernel basis
+    of that degree's stacked conditions (see ``linalg.Subspace``); the
+    differential and bracket are realized as exact matrices and memoized
+    tables in the subspace coordinates.
     """
 
     def __init__(self, p, rel, window, spaces, layouts):
@@ -286,60 +354,27 @@ class DerSlice(DgLieSlice):
         return self.coords(br, n + m)
 
 
-def der_complex(p, rel, window):
-    """Der(L rel L') on a finite degree window, with exact matrices/tables."""
-    lo, hi = int(window[0]), int(window[1])
+def _der_slice(p, rel, window, degree0=lambda: []):
+    """Der(L rel L') on [lo, hi], degree 0 also cut by the conditions ``degree0()``.
+
+    Each degree is the kernel of its conditions: the rel-vanishing ones,
+    and at degree 0 those ``degree0`` returns.
+    """
+    lo, hi = window
     spaces = {}
     layouts = {}
     for n in range(lo, hi + 1):
-        layout, space = _der_space(p, rel, n)
-        layouts[n] = layout
-        spaces[n] = space
+        layout = layouts[n] = _HomLayout(p, rel, n)
+        conditions = _vanishing_conditions(p, rel, p, n)
+        if n == 0:
+            conditions += degree0()
+        spaces[n] = _condition_space(layout.total, layout.unit, conditions)
     return DerSlice(p, rel, (lo, hi), spaces, layouts)
 
 
-def _generator_columns(p, degree, off):
-    """{generator name: Hom column} of the generators in one slot of a layout."""
-    gens = p.generators.entries
-    return {
-        gens[b.tree][0]: off + i
-        for i, b in enumerate(p.lie_basis(degree))
-        if isinstance(b.tree, int)
-    }
-
-
-def _indec_rows(p, rel, layout):
-    """Rows expressing 'the induced map on indecomposables vanishes'.
-
-    Each row is a {column: coefficient} dict, as in ``_rho_rows``.
-    """
-    gens = p.nonsub_generators(rel)
-    keep = {n for n, _ in gens}
-    rows = []
-    n = layout.n
-    for name, deg, off, _ in layout.slots:
-        if name in keep:
-            col = _generator_columns(p, deg + n, off)
-            rows += [{col[g]: Fraction(1)} for g, gd in gens if gd == deg + n]
-    return rows
-
-
-def _rho_rows(p, rho, layout):
-    """Rows, as {column: coefficient} dicts, expressing rho . theta = 0 on generators."""
-    rows = []
-    n = layout.n
-    for _, deg, off, _ in layout.slots:
-        src = rho.source.in_degree(deg + n)
-        tgt = rho.target.in_degree(deg + n + rho.degree)
-        if not src or not tgt:
-            continue
-        col = _generator_columns(p, deg + n, off)
-        block_rows = [{} for _ in tgt]
-        for r, k, c in linalg.entries(rho.block(deg + n)):
-            if src[k] in col:
-                block_rows[r][col[src[k]]] = c
-        rows += [row for row in block_rows if row]
-    return rows
+def der_complex(p, rel, window):
+    """Der(L rel L') on a finite degree window, with exact matrices/tables."""
+    return _der_slice(p, rel, (int(window[0]), int(window[1])))
 
 
 def check_rho_chain_map(p, rho):
@@ -354,44 +389,27 @@ def deru(p, rel, rho, window):
 
     Degrees >= 1 carry the full Der(L rel rel)_n.  Degree 0 carries the
     cycles theta with (i) rho . theta = 0 on generators when rho is given
-    and (ii) vanishing induced map on the relative indecomposables.  When
-    d = 0 every derivation is a cycle and (ii) is the pr.theta.inc = 0
-    description.  When d != 0 this is Der_u only if the indecomposables
-    representation is semisimple; that hypothesis is the caller's to assert.
-    The window is cut to degrees >= 0, and the slice is ``zero_below`` when
-    it starts at 0.  A given rho must kill d (RhoNotChainMap otherwise).
+    and (ii) vanishing induced map on the relative indecomposables: the
+    kernel basis of these conditions stacked on the rel-vanishing ones, as
+    in every other degree.  When d = 0 every derivation is a cycle and (ii)
+    is the pr.theta.inc = 0 description.  When d != 0 this is Der_u only if
+    the indecomposables representation is semisimple; that hypothesis is
+    the caller's to assert.  The window is cut to degrees >= 0, and the
+    slice is ``zero_below`` when it starts at 0.  A given rho must kill d
+    (RhoNotChainMap otherwise).
     """
     lo, hi = max(0, int(window[0])), int(window[1])
     if rho is not None:
         check_rho_chain_map(p, rho)
-    spaces = {}
-    layouts = {}
-    for n in range(lo, hi + 1):
-        layout, space = _der_space(p, rel, n)
-        layouts[n] = layout
-        if n == 0:
-            rows = []  # each a {column: coefficient} dict
-            if p.differential:
-                # the cycle condition: the rows of the matrix whose column k
-                # is the image of the k-th unit derivation
-                lay_m1, _ = _der_space(p, rel, -1)
-                cycle_rows = [{} for _ in range(lay_m1.total)]
-                for k in range(layout.total):
-                    for r, c in lay_m1.to_vector(der_differential(layout.unit(k))).items():
-                        cycle_rows[r][k] = c
-                rows += [row for row in cycle_rows if row]
-            rows += _indec_rows(p, rel, layout)
-            if rho is not None:
-                rows += _rho_rows(p, rho, layout)
-            if rows:
-                cond = linalg.matrix(
-                    len(rows),
-                    layout.total,
-                    ((i, k, c) for i, row in enumerate(rows) for k, c in row.items()),
-                )
-                space = space.intersection(linalg.Subspace.from_kernel(cond, layout.total))
-        spaces[n] = space
-    slc = DerSlice(p, rel, (lo, hi), spaces, layouts)
+
+    def degree0():
+        conditions = [_cycle_condition(p, rel)] if p.differential else []
+        conditions.append(_indec_condition(p, rel))
+        if rho is not None:
+            conditions.append(_rho_condition(p, rel, rho))
+        return conditions
+
+    slc = _der_slice(p, rel, (lo, hi), degree0)
     # tau_{>=0}: with the degree-0 part cut to cycles (plus conditions), the
     # complex is genuinely zero below the window when it starts at 0
     slc.zero_below = lo == 0
@@ -459,34 +477,14 @@ def f_der_dims(m, rel_source, window):
     For an ElementGenerated rel, the finitely many equations th(element) = 0
     are imposed.
     """
-    src = m.source
-    tgt = m.target
-    spec = src.sub(rel_source)
     dims = {}
     for n in range(window[0], window[1] + 1):
-        if isinstance(spec, GeneratorSplit):
-            skip = set(spec.names)
-            dims[n] = sum(
-                tgt.dim(d + n) for name, d in src.generators.entries if name not in skip
-            )
-        else:
-            slots = [(name, d) for name, d in src.generators.entries]
-            total = sum(tgt.dim(d + n) for _, d in slots)
-            ents = []
-            nrows = 0
-            for e in spec.elements:
-                tdim = tgt.dim(e.degree + n)
-                if tdim == 0:
-                    continue
-                off = 0
-                for name, d in slots:
-                    for i in range(tgt.dim(d + n)):
-                        unit = FDerivation(m, n, {name: LieElement(tgt, d + n, {i: 1})})
-                        ents += [(nrows + r, off + i, c) for r, c in unit.eval_at(e).coords.items()]
-                    off += tgt.dim(d + n)
-                nrows += tdim
-            rows = linalg.matrix(nrows, total, ents)
-            dims[n] = total - linalg.rank(rows, total)
+        layout = _HomLayout(m.source, rel_source, n, m.target)
+        conditions = _vanishing_conditions(m.source, rel_source, m.target, n)
+        space = _condition_space(
+            layout.total, lambda k: FDerivation(m, n, layout.values({k: 1})), conditions
+        )
+        dims[n] = space.dim
     return dims
 
 
@@ -508,6 +506,19 @@ def homology_map_is_iso(m, lo, hi):
         if len(linalg.extend_independent(boundaries, images, tgt.dim(k))) != b_tgt:
             return False
     return True
+
+
+def _intertwining_condition(m, name, deg, n):
+    """theta(m name) = m(theta' name) on the pairs (theta, theta'), one of them None."""
+    mx = m.images[name]
+
+    def image(pair):
+        th, thp = pair
+        if thp is None:
+            return th.eval_at(mx).coords
+        return {i: -c for i, c in m.apply(thp.value(name)).coords.items()}
+
+    return m.target.dim(deg + n), image
 
 
 def forget_pullback(m, rel_target, rel_source, window):
@@ -534,25 +545,10 @@ def forget_pullback(m, rel_target, rel_source, window):
     pairs = {}
     for n in range(lo, hi + 1):
         nl = len(left.derivations[n])
-        nr = len(right.derivations[n])
-        ents = []
-        nrows = 0
-        for name, deg in src_gens:
-            tdim = m.target.dim(deg + n)
-            if tdim == 0:
-                continue
-            mx = m.images[name]
-            for j, th in enumerate(left.derivations[n]):
-                ents += [(nrows + i, j, c) for i, c in th.eval_at(mx).coords.items()]
-            for j, thp in enumerate(right.derivations[n]):
-                img = m.apply(thp.value(name))
-                ents += [(nrows + i, nl + j, -c) for i, c in img.coords.items()]
-            nrows += tdim
-        if nrows:
-            space = linalg.Subspace.from_kernel(linalg.matrix(nrows, nl + nr, ents), nl + nr)
-        else:
-            space = linalg.Subspace.full(nl + nr)
-        pair_spaces[n] = space
+        units = [(th, None) for th in left.derivations[n]]
+        units += [(None, th) for th in right.derivations[n]]
+        conditions = [_intertwining_condition(m, name, deg, n) for name, deg in src_gens]
+        space = pair_spaces[n] = _condition_space(len(units), units.__getitem__, conditions)
         pairs[n] = []
         for v in space.vectors:
             vl = {j: x for j, x in v.items() if j < nl}

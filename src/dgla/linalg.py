@@ -286,13 +286,15 @@ def is_zero_matrix(rows):
 
 
 class Subspace:
-    """A subspace of Q^n with a sparse RREF basis.
+    """A subspace of Q^n with a sparse basis read off at pivot columns.
 
-    ``vectors`` are the basis in reduced row echelon form, each a sparse
-    ``{column: Fraction}`` row with 1 at its pivot, so the coordinates of a
-    member are read off at the pivot columns.  Members are sparse vectors
-    with no zero entries, and coordinates are sparse ``{index: value}``
-    dicts.
+    Each of ``vectors`` is a sparse ``{column: Fraction}`` row with 1 at its
+    own pivot and 0 at the others' pivots, so the coordinates of a member
+    are read off at the pivot columns.  ``from_vectors`` keeps the reduced
+    row echelon basis of a span; ``from_kernel`` keeps the kernel basis of
+    ``_kernel``, whose pivots are the free columns.  Members are sparse
+    vectors with no zero entries, and coordinates are sparse ``{index:
+    value}`` dicts.
     """
 
     def __init__(self, ambient_dim, vectors, pivots):
@@ -320,7 +322,7 @@ class Subspace:
         return len(self.vectors)
 
     def coords(self, v):
-        """Coordinates of v in the RREF basis; None if v is not a member.
+        """Coordinates of v in the basis; None if v is not a member.
 
         Certified on every call: the vector rebuilt from the coordinates
         must be v.

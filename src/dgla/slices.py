@@ -231,7 +231,7 @@ class DgLieSlice:
     def truncate_nonneg(self):
         """tau_{>=0}: positive degrees unchanged, degree 0 the cycles.
 
-        Degree-0 coordinates are re-expressed in an RREF basis of the cycle
+        Degree-0 coordinates are re-expressed in the kernel basis of the cycle
         subspace; brackets landing in degree 0 are converted accordingly.
         The cycles need the differential out of degree 0, so the window
         must reach degree -1 (WindowTooNarrow otherwise).

@@ -10,7 +10,9 @@ right-nested word for the nilpotency class instead of a spanning frontier,
 the graded Lie axioms on every ordered pair and triple instead of once
 per unordered one, one element per bracket and summand instead of one
 coordinate dict per result, and derivation operations evaluated on every
-generator instead of only where a value or d is nonzero.  Tests compare library output against these.
+generator instead of only where a value or d is nonzero, and degree 0 of
+Der_u as an intersection of two kernels instead of one stacked kernel.
+Tests compare library output against these.
 The one helper that is not an oracle is ``sub_contains``, membership in a
 designated subalgebra through the library's own spans, which only tests
 call.
@@ -816,6 +818,63 @@ def exp_series_images(theta):
             image = image + term
         images[n] = image
     return images
+
+
+# -- degree 0 of Der_u by intersecting kernels ------------------------------------------
+# The library builds each derivation degree as the kernel of one stacked
+# condition matrix.  This builds degree 0 of Der_u in three eliminations:
+# the kernel of the rel-vanishing conditions, the kernel of the degree-0
+# conditions (cycles, indecomposables, rho), and their intersection.
+
+
+def deru_degree0_by_intersection(p, rel, rho):
+    """(Hom layout, subspace) of degree 0 of Der_u(L rel rel), as an intersection."""
+    from dgla import linalg
+    from dgla.derivations import _HomLayout, der_differential
+    from dgla.presentation import GeneratorSplit
+
+    layout = _HomLayout(p, rel, 0)
+    units = [layout.unit(k) for k in range(layout.total)]
+
+    def kernel(rows):
+        ents = [(i, k, c) for i, row in enumerate(rows) for k, c in row.items()]
+        return linalg.Subspace.from_kernel(
+            linalg.matrix(len(rows), layout.total, ents), layout.total
+        )
+
+    def rows_of(images, height):
+        rows = [{} for _ in range(height)]
+        for k, img in enumerate(images):
+            for i, c in img.items():
+                rows[i][k] = c
+        return rows
+
+    spec = p.sub(rel)
+    rel_rows = []
+    if not isinstance(spec, GeneratorSplit):
+        for e in spec.elements:
+            rel_rows += rows_of([u.eval_at(e).coords for u in units], p.dim(e.degree))
+    rows = []
+    if p.differential:
+        lay_m1 = _HomLayout(p, rel, -1)
+        rows += rows_of([lay_m1.to_vector(der_differential(u)) for u in units], lay_m1.total)
+    gens = p.nonsub_generators(rel)
+    for name, deg, off, _ in layout.slots:
+        basis = p.lie_basis(deg)
+        col = {
+            p.generators.entries[b.tree][0]: off + i
+            for i, b in enumerate(basis)
+            if isinstance(b.tree, int)
+        }
+        rows += [{col[g]: Fraction(1)} for g, gd in gens if gd == deg]
+        if rho is not None and rho.source.in_degree(deg):
+            src = rho.source.in_degree(deg)
+            block_rows = [{} for _ in rho.target.in_degree(deg + rho.degree)]
+            for r, k, c in linalg.entries(rho.block(deg)):
+                if src[k] in col:
+                    block_rows[r][col[src[k]]] = c
+            rows += block_rows
+    return layout, kernel(rel_rows).intersection(kernel(rows))
 
 
 # -- designated subalgebras ------------------------------------------------------------

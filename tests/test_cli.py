@@ -371,6 +371,29 @@ def test_window_too_narrow_is_exit_2(tmp_path):
     assert code == 2 and payload is None
 
 
+def test_ce_assumes_nothing_below_a_window_above_0(tmp_path, capsys):
+    basis = [{"name": "x", "degree": 1}, {"name": "y", "degree": 2}]
+    window = ("--min", "0", "--max", "2")
+    low = tmp_path / "low.json"
+    low.write_text(json.dumps({"window": [1, 3], "basis": basis}))
+    code, payload = _run("ce", str(low), *window)
+    assert code == 2 and payload is None
+    assert "required window: [0, 3]" in capsys.readouterr().err
+    # a bounded slice vanishes below its window, so ce pads it down to 0
+    bounded = tmp_path / "bounded.json"
+    bounded.write_text(json.dumps({"window": [1, 3], "basis": basis, "bounded": True}))
+    code, payload = _run("ce", str(bounded), *window)
+    assert code == 0 and _body(payload)["tables"]["betti"] == {"0": 1, "1": 0, "2": 1}
+    # with z in degree 0 and dx = z, the same degrees from 1 give another answer
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps({
+        "window": [0, 3], "basis": [{"name": "z", "degree": 0}] + basis,
+        "differential": {"x": {"z": "1"}},
+    }))
+    code, payload = _run("ce", str(ext), *window)
+    assert code == 0 and _body(payload)["tables"]["betti"] == {"0": 1, "1": 0, "2": 0}
+
+
 def test_ce_of_a_bracket_failing_jacobi_is_a_failed_verdict(tmp_path):
     # [[x,y],z] + [[y,z],x] + [[z,x],y] = [z,z] + [x,x] + [x,y] = z != 0
     f = tmp_path / "not_lie.json"

@@ -25,7 +25,12 @@ from dgla.errors import SubMismatch, WindowTooNarrow
 from dgla.graded import betti_numbers
 from dgla.morphisms import GeneratorMorphism, indec_action
 from dgla.presentation import DgLaPresentation, LieElement, pushout
-from oracles import all_generator_der_bracket, all_generator_der_differential
+from oracles import (
+    all_generator_der_bracket,
+    all_generator_der_differential,
+    deru_degree0_by_intersection,
+    random_presentation,
+)
 
 
 def w11():
@@ -337,6 +342,74 @@ def test_f_derivation_along_identity_is_the_derivation():
                 # a fresh derivation starts with an empty memo
                 assert Derivation(p, n, values).eval_at(e) == warm
                 assert theta.eval_at(e) == warm
+
+
+# -- each derivation degree is one kernel -------------------------------------------
+
+
+def _degree0_case(case, fixture_path):
+    """(presentation, rel, rho) of a named degree-0 Der_u case."""
+    def load(name):
+        return io.load_json_file(fixture_path(name))
+
+    if case == "two-dim":
+        # theta(c), theta(e), theta(f) = alpha, beta, gamma times [a,b]; the
+        # sub element asks alpha + beta + gamma = 0
+        p = DgLaPresentation(
+            [("a", 2), ("b", 2), ("c", 4), ("e", 4), ("f", 4)], None,
+            {"s": {"elements": ["[a,c]+[a,e]+[a,f]"]}},
+        )
+        return p, "s", None
+    if case == "cp2 omega":
+        return io.load_manifold(load("cp2.json")).presentation, "omega", None
+    if case == "tilde_w11 beta":
+        return tilde_w11(), "beta", None
+    if case == "w11 omega":
+        return io.load_presentation(load("presentation_w11.json")), "omega", None
+    twisted9 = io.load_presentation(load("presentation_twisted9.json"))
+    if case == "twisted9 omega rho":
+        return twisted9, "omega", io.load_rho(load("rho_twisted9.json"), twisted9)[0]
+    assert case == "twisted9 omega"
+    return twisted9, "omega", None
+
+
+def _degree0_cases(fixture_path):
+    cases = [_degree0_case(c, fixture_path) for c in (
+        "twisted9 omega", "twisted9 omega rho", "cp2 omega", "tilde_w11 beta", "two-dim",
+    )]
+    rng = random.Random(80808)
+    while len(cases) < 20:
+        cases.append((random_presentation(rng, max_gens=4, max_degree=4), None, None))
+    return cases
+
+
+def test_deru_degree0_spans_the_intersection_oracle(fixture_path):
+    cases = _degree0_cases(fixture_path)
+    assert any(p.differential for p, _, _ in cases)
+    differs = 0
+    for p, rel, rho in cases:
+        got = deru(p, rel, rho, (0, 0)).spaces[0]
+        layout, want = deru_degree0_by_intersection(p, rel, rho)
+        assert linalg.Subspace.from_vectors(got.vectors, layout.total).vectors == want.vectors
+        if got.dim >= 2 and got.vectors != want.vectors:
+            differs += 1
+    # the two-dimensional case's kernel basis is not the RREF basis
+    assert differs
+
+
+@pytest.mark.parametrize("case", ["twisted9 omega", "twisted9 omega rho", "w11 omega"])
+def test_deru_degree0_is_one_elimination(case, fixture_path, monkeypatch):
+    p, rel, rho = _degree0_case(case, fixture_path)
+    calls = []
+    plain = linalg._echelon
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return plain(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    deru(p, rel, rho, (0, 0))
+    assert len(calls) == 1
 
 
 # -- derivation operations walk only where a value or d is nonzero --------------------

@@ -69,6 +69,13 @@ def test_subspace_coords_roundtrip():
     assert s.coords({0: 1}) is None
 
 
+def test_kernel_of_no_conditions_is_the_full_space():
+    for n in range(4):
+        k = linalg.Subspace.from_kernel(linalg.matrix(0, n), n)
+        full = linalg.Subspace.full(n)
+        assert (k.vectors, k.pivots) == (full.vectors, full.pivots)
+
+
 def test_subspace_intersection():
     a = linalg.Subspace.from_vectors([{0: 1}, {1: 1}], 3)
     b = linalg.Subspace.from_vectors([{1: 1}, {2: 1}], 3)
