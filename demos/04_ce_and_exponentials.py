@@ -41,7 +41,7 @@ G = NilpotentElementGroup(heis, 2)
 x = SliceElement(heis, 0, {0: 1})
 y = SliceElement(heis, 0, {1: 1})
 xy = G.multiply(x, y).vector
-print("BCH(x, y) =", [xy.get(i, Fraction(0)) for i in range(3)])
+print("BCH(x, y) =", [Fraction(xy.get(i, 0)) for i in range(3)])
 
 # Exponentials of nilpotent derivations are automorphisms.
 p = DgLaPresentation([("a", 2), ("b", 2)])

@@ -12,8 +12,6 @@ plain vector spaces with trivial action, so Hom(C, Q^r) = Hom(C, Q)^r and
 cochain Betti numbers scale linearly in the coefficient dimension.
 """
 
-from fractions import Fraction
-
 from . import linalg
 from .errors import ValidationReport, WindowTooNarrow, check_row
 
@@ -127,7 +125,7 @@ class CESlice:
         """delta_2(s x ^ s y) = (-1)^{|x|} s [x, y] as (letter, coeff) list."""
         (da, ia), (db, ib) = la, lb
         v = self.g.bracket(da, ia, db, ib)
-        sign = Fraction(-1 if da % 2 else 1)
+        sign = -1 if da % 2 else 1
         return [((da + db, k), sign * c) for k, c in v.items()]
 
     def d_matrix(self, k):
@@ -142,7 +140,7 @@ class CESlice:
         for j, w in enumerate(self.words[k]):
             for letter_pos in range(len(w)):
                 eps = sum(_sdeg(l) for l in w[:letter_pos]) % 2
-                outer_sign = Fraction(-1 if eps else 1)
+                outer_sign = -1 if eps else 1
                 for letter2, c in self._d1_letter(w[letter_pos]):
                     rest = w[:letter_pos] + (letter2,) + w[letter_pos + 1 :]
                     sorted_ = _sort_word(rest)
@@ -157,7 +155,7 @@ class CESlice:
                     pre_a = sum(_sdeg(l) for l in w[:a])
                     pre_b = sum(_sdeg(l) for l in w[:b]) - _sdeg(w[a])
                     eps = (_sdeg(w[a]) * pre_a + _sdeg(w[b]) * pre_b) % 2
-                    outer_sign = Fraction(-1 if eps else 1)
+                    outer_sign = -1 if eps else 1
                     rest = tuple(l for t, l in enumerate(w) if t != a and t != b)
                     for letter2, c in self._d2_pair(w[a], w[b]):
                         sorted_ = _sort_word((letter2,) + rest)

@@ -12,7 +12,6 @@ Leibniz rule forces vanishing on the whole generated subalgebra.
 """
 
 from bisect import bisect_right
-from fractions import Fraction
 
 from . import linalg
 from .errors import NotQuasiIso, RhoNotChainMap, SchemaError, SubMismatch, WindowTooNarrow
@@ -221,7 +220,7 @@ class _HomLayout:
         return Derivation(self.p, self.n, self.values(vec), rel=self.rel, check=False)
 
     def unit(self, k):
-        return self.from_vector({k: Fraction(1)})
+        return self.from_vector({k: 1})
 
 
 # -- derivation spaces as kernels ------------------------------------------------
@@ -549,6 +548,10 @@ def forget_pullback(m, rel_target, rel_source, window):
         units += [(None, th) for th in right.derivations[n]]
         conditions = [_intertwining_condition(m, name, deg, n) for name, deg in src_gens]
         space = pair_spaces[n] = _condition_space(len(units), units.__getitem__, conditions)
+        # drop the Leibniz memos that evaluating the left units left: kept
+        # for the life of the left slice, as in DerSlice
+        for th in left.derivations[n]:
+            th._ext = None
         pairs[n] = []
         for v in space.vectors:
             vl = {j: x for j, x in v.items() if j < nl}

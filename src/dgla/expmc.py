@@ -19,7 +19,7 @@ from .errors import (
     ValidationReport,
     check_row,
 )
-from .linalg import combination, extend_independent
+from .linalg import combination, exact, extend_independent
 from .morphisms import GeneratorMorphism, check_morphism
 from .presentation import GeneratorSplit, TreeMap, common_degree
 from .slices import SliceElement
@@ -377,7 +377,7 @@ class PolyLie:
 
     def evaluate(self, t_value):
         """Set t = t_value, dt = 0."""
-        t_value = Fraction(t_value)
+        t_value = exact(t_value)
         return self.target.zero(self.degree).add_scaled(
             (t_value**k, x) for k, x in self.p.items()
         )

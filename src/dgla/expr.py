@@ -10,13 +10,16 @@ apostrophe supports deterministic renaming in pushouts.  There is no
 leading-sign production: a leading negative term must spell its coefficient
 (``-1*a``), and that is what the serializer emits.
 
-The AST is a list of (Fraction, tree) terms, where a tree is either a
-generator name (str) or a pair (left_tree, right_tree).
+The AST is a list of (coefficient, tree) terms, where a coefficient is an
+``int`` when it is integral and a ``Fraction`` otherwise (``linalg.exact``),
+and a tree is either a generator name (str) or a pair (left_tree,
+right_tree).
 """
 
 from fractions import Fraction
 
 from .errors import GrammarError
+from .linalg import exact
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789'")
@@ -82,8 +85,7 @@ class _Parser:
             den = self.parse_digits()
             if den == 0:
                 self.error("zero denominator")
-        q = Fraction(num, den)
-        return -q if neg else q
+        return exact(Fraction(-num if neg else num, den))
 
     def parse_tree(self):
         c = self.peek()
@@ -109,7 +111,7 @@ class _Parser:
             coeff = self.parse_rational()
             self.expect("*")
         else:
-            coeff = Fraction(1)
+            coeff = 1
         return coeff, self.parse_tree()
 
     def parse_expr(self):
@@ -132,7 +134,7 @@ class _Parser:
 
 
 def parse_expression(text):
-    """Parse an expression string into AST terms [(Fraction, tree), ...]."""
+    """Parse an expression string into AST terms [(coefficient, tree), ...]."""
     return _Parser(text).parse_expr()
 
 

@@ -289,7 +289,8 @@ def solve_against_basis(basis, tensor, denominator=1):
     factor, and that one denominator is divided out at the end.  Raises
     ValueError if any word is left over, i.e. the vector is not in the span
     (which certifies exactness: the residual must vanish term by term).
-    Returns a dict index -> Fraction.
+    Returns a dict index -> coefficient: ``c // scale`` as an ``int``
+    wherever the scale divides it, else the ``Fraction``.
     """
     work = {w: c for w, c in tensor.items() if c}
     scale = denominator
@@ -318,4 +319,6 @@ def solve_against_basis(basis, tensor, denominator=1):
                 del work[u]
     if work:
         raise ValueError("vector outside the free Lie span (packed word %#x)" % min(work))
-    return {i: Fraction(c, scale) for i, c in coords.items()}
+    if scale == 1:
+        return coords
+    return {i: c // scale if c % scale == 0 else Fraction(c, scale) for i, c in coords.items()}

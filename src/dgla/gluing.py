@@ -7,7 +7,6 @@ zero), and the forgetful three-term comparison, which reports homology
 ranks of both projections and deliberately claims nothing more.
 """
 
-from fractions import Fraction
 from itertools import chain, product
 
 from . import linalg
@@ -73,7 +72,7 @@ def boundary_connected_sum(m, n):
             )
         )
         for nm in names:
-            vals.append(mv.get(nm, nv.get(nm, Fraction(0))))
+            vals.append(mv.get(nm, nv.get(nm, 0)))
         pont[d] = vals
     out = manifold_model(m.dimension, gens, pairing, diff, pont)
     expected = out.presentation.normal_form(

@@ -131,10 +131,10 @@ def _declared(kind, name, pointer, names):
 
 
 def _walk(schema, value, pointer, names):
-    """``value`` checked against ``schema``, with rationals read as Fractions
-    and expressions as terms; optional keys and Map values that are null are
-    dropped.  ``names`` maps each kind to its declared names, and gains the
-    kinds that ``schema`` declares."""
+    """``value`` checked against ``schema``, with rationals read as exact
+    coefficients (``linalg.exact``) and expressions as terms; optional keys
+    and Map values that are null are dropped.  ``names`` maps each kind to
+    its declared names, and gains the kinds that ``schema`` declares."""
     kind = type(schema)
     if kind is dict:
         obj = _typed(value, dict, pointer)
@@ -214,17 +214,17 @@ def parse_rational(value, pointer=""):
     if isinstance(value, bool):
         raise SchemaError("expected a rational, got a boolean", pointer)
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
         parts = value.split("/")
         try:
             if len(parts) == 1:
-                return Fraction(int(parts[0]))
+                return int(parts[0])
             if len(parts) == 2:
                 num, den = int(parts[0]), int(parts[1])
                 if den <= 0:
                     raise ValueError
-                return Fraction(num, den)
+                return linalg.exact(Fraction(num, den))
         except ValueError:
             pass
         raise SchemaError("malformed rational %r" % value, pointer)

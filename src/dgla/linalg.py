@@ -1,8 +1,11 @@
 """Exact linear algebra over Q.
 
-A matrix is a plain list of sparse rows, one ``{column: Fraction}`` dict
-per row with no zero values.  Rows index the target basis and columns the
-source basis.  The width is not stored: every function that needs it takes
+A matrix is a plain list of sparse rows, one ``{column: value}`` dict per
+row with no zero values.  A value is an exact rational, never a float or
+bool: the builders store an ``int`` wherever it is integral and a
+``Fraction`` only where there is a denominator (see ``exact``), and the
+two mix exactly.  Rows index the target basis and columns the source
+basis.  The width is not stored: every function that needs it takes
 ``ncols``, and callers know it from their bases.  The library builds every
 matrix with ``matrix`` from (row, column, value) triples, reads it with
 ``entries`` or ``columns`` and checks it with ``has_shape``, so only this
@@ -33,7 +36,19 @@ from math import gcd, lcm
 
 from .errors import NotAComplex
 
-_ZERO = Fraction(0)
+
+def exact(c):
+    """The coefficient c as an ``int`` when it is integral, else as a ``Fraction``.
+
+    Integer arithmetic skips the constructor and gcd that every ``Fraction``
+    operation pays, and mixing the two stays exact (``1 == Fraction(1)``,
+    with equal hashes), so every builder of coefficients stores an ``int``
+    wherever there is no denominator.
+    """
+    if type(c) is int:
+        return c
+    q = Fraction(c)
+    return q.numerator if q.denominator == 1 else q
 
 
 def combination(terms):
@@ -117,10 +132,11 @@ def _echelon(rows, ncols):
 def _rref(rows, ncols):
     """Sparse reduced row echelon form of sparse rows.
 
-    Returns (rows as ``{column: Fraction}`` with 1 at the pivot, pivot
-    columns).  Back-substitution runs bottom-up on primitive integer rows:
-    each row clears its entries at the pivots of the rows below it, which
-    are already reduced and so vanish at every other pivot.
+    Returns (rows with 1 at the pivot, pivot columns).  Back-substitution
+    runs bottom-up on primitive integer rows: each row clears its entries at
+    the pivots of the rows below it, which are already reduced and so vanish
+    at every other pivot.  Each row is then divided by its pivot entry, to
+    an int wherever that divides and a Fraction elsewhere.
     """
     ech, pivots = _echelon(rows, ncols)
     below = {}  # pivot column -> reduced primitive integer row
@@ -134,7 +150,8 @@ def _rref(rows, ncols):
     red = []
     for pc in pivots:
         r = below[pc]
-        red.append({j: Fraction(v, r[pc]) for j, v in r.items()})
+        p = r[pc]
+        red.append({j: v // p if v % p == 0 else Fraction(v, p) for j, v in r.items()})
     return red, pivots
 
 
@@ -168,12 +185,12 @@ def _kernel(rows, ncols):
     other free columns, so reading off the free coordinates of any kernel
     vector gives its coordinates in this basis.  Its other entries are the
     negated entries at f of the RREF rows, at their pivots.  Returns
-    (vectors as ``{column: Fraction}``, free_cols).
+    (vectors, free_cols).
     """
     red, pivots = _rref(rows, ncols)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
-    vecs = {f: {f: Fraction(1)} for f in free}
+    vecs = {f: {f: 1} for f in free}
     for r, pc in zip(red, pivots):
         for j, x in r.items():
             if j != pc:
@@ -211,7 +228,7 @@ def matvec(rows, x):
     """The sparse vector A x of a sparse vector x."""
     out = {}
     for i, r in enumerate(rows):
-        y = sum((c * x[j] for j, c in r.items() if j in x), _ZERO)
+        y = sum(c * x[j] for j, c in r.items() if j in x)
         if y:
             out[i] = y
     return out
@@ -239,8 +256,8 @@ def matrix(nrows, ncols, entries=()):
         if not (0 <= i < nrows and 0 <= j < ncols):
             raise ValueError("entry (%d, %d) outside a %dx%d matrix" % (i, j, nrows, ncols))
         r = rows[i]
-        r[j] = r[j] + c if j in r else Fraction(c)
-    return [{j: c for j, c in r.items() if c} for r in rows]
+        r[j] = r[j] + c if j in r else c
+    return [{j: exact(c) for j, c in r.items() if c} for r in rows]
 
 
 def has_shape(m, nrows, ncols):
@@ -288,13 +305,15 @@ def is_zero_matrix(rows):
 class Subspace:
     """A subspace of Q^n with a sparse basis read off at pivot columns.
 
-    Each of ``vectors`` is a sparse ``{column: Fraction}`` row with 1 at its
+    Each of ``vectors`` is a sparse ``{column: value}`` row with 1 at its
     own pivot and 0 at the others' pivots, so the coordinates of a member
     are read off at the pivot columns.  ``from_vectors`` keeps the reduced
     row echelon basis of a span; ``from_kernel`` keeps the kernel basis of
-    ``_kernel``, whose pivots are the free columns.  Members are sparse
-    vectors with no zero entries, and coordinates are sparse ``{index:
-    value}`` dicts.
+    ``_kernel``, whose pivots are the free columns.  Every basis value is
+    an ``int`` where it is integral and a ``Fraction`` only where there is
+    a denominator, as ``exact`` gives it; the pivot 1 is the int 1.
+    Members are sparse vectors with no zero entries, and coordinates are
+    sparse ``{index: value}`` dicts of a member's own values.
     """
 
     def __init__(self, ambient_dim, vectors, pivots):
@@ -315,7 +334,7 @@ class Subspace:
 
     @classmethod
     def full(cls, n):
-        return cls(n, [{i: Fraction(1)} for i in range(n)], list(range(n)))
+        return cls(n, [{i: 1} for i in range(n)], list(range(n)))
 
     @property
     def dim(self):

@@ -29,6 +29,7 @@ from .presentation import (
     DgLaPresentation,
     ElementGenerated,
     GeneratorSplit,
+    LieElement,
     linear_part_block,
 )
 from .linalg import combination
@@ -91,7 +92,9 @@ def omega_element(v, presentation=None):
     for name, sharp in zip(names, sharps):
         sharp = p.zero(v.basis.degree(name)).add_scaled(sharp)
         terms.append((half, p.bracket(sharp, p.gen(name))))
-    return p.zero(v.m).add_scaled(terms)
+    omega = p.zero(v.m).add_scaled(terms)
+    # the halves sum to integral coordinates: store them as ints
+    return LieElement(p, omega.degree, omega.coords)
 
 
 class ManifoldModel:
@@ -126,7 +129,7 @@ class ManifoldModel:
             if deg % 4 != 3:
                 raise BadPontryaginDegrees("functional in degree %d != 4i-1" % deg)
             names = v.basis.in_degree(deg)
-            values = [Fraction(x) for x in values]
+            values = [linalg.exact(x) for x in values]
             if len(values) != len(names):
                 raise SchemaError(
                     "pontryagin values do not match the degree-%d basis" % deg,
@@ -196,7 +199,7 @@ def tilde_model(model):
     gens = list(p.generators.entries) + [("beta", m), ("gamma", m + 1)]
     diff = {n: v.terms() for n, v in p.differential.items()}
     omega_terms = model.omega.terms()
-    diff["gamma"] = omega_terms + [(Fraction(-1), "beta")]
+    diff["gamma"] = omega_terms + [(-1, "beta")]
     tilde = DgLaPresentation(
         gens,
         diff,
@@ -492,7 +495,7 @@ class _HomModule:
     def raw_basis_vector(self, m, j):
         """The sparse raw Hom coordinates of module basis element j in degree m."""
         if m > 0:
-            return {j: Fraction(1)}
+            return {j: 1}
         return self.module.z0.vectors[j]
 
     def to_module_coords(self, m, raw):

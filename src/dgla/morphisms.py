@@ -122,7 +122,7 @@ def _rho_of(rho, element):
 
     rho is a GradedLinearMap whose source is the generator basis; it kills
     decomposables (maps of dg Lie algebras into abelian targets do).
-    Returns a dict (target_name -> Fraction).
+    Returns a dict (target_name -> coefficient).
     """
     if element.is_zero():
         return {}

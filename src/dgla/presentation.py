@@ -7,20 +7,21 @@ normal form: sparse rational coordinate vectors in the canonical
 super-Lyndon basis of their degree.
 
 Presentations and elements are immutable after construction; the basis,
-tree index, generator, zero, expansion, bracket and tree caches are
-per-presentation dicts of values that are never mutated (atomic updates
-under the GIL), so instances may be shared freely across threads.  The
-expansion memo holds only the certified expansions of composite basis
+tree index, generator, zero, expansion, bracket, tree and indecomposables
+caches are per-presentation dicts of values that are never mutated (atomic
+updates under the GIL), so instances may be shared freely across threads.
+The expansion memo holds only the certified expansions of composite basis
 elements.
 
 Sums are accumulated at the coordinate level: a bracket, a sum of scaled
 elements (``LieElement.add_scaled``) and a sum of scaled brackets
 (``DgLaPresentation.bracket_sum``, one node of a Leibniz extension) each add
-their products into one ``{index: Fraction}`` dict and build one element
-from its nonzeros, with no element per term.
+their products into one ``{index: coefficient}`` dict and build one
+element from its nonzeros, with no element per term.  A coefficient is an
+``int`` wherever it is integral and a ``Fraction`` only where there is a
+denominator (``linalg.exact``).
 """
 
-from fractions import Fraction
 from math import lcm
 
 from . import expr as expr_mod
@@ -35,6 +36,7 @@ from .errors import (
     check_row,
 )
 from .graded import ChainComplexSlice, GradedBasis
+from .linalg import exact
 
 
 class GeneratorSplit:
@@ -67,8 +69,10 @@ def common_degree(degree, v):
 def _accumulate(out, c, coords):
     """Add c * coords into the sparse sum ``out``; the caller drops its zeros.
 
-    Most scalars are 1 or -1, which add and subtract without a product;
-    element coordinates are Fractions, so the values stay Fractions.
+    Most scalars are 1 or -1, which add and subtract without a product.
+    Coordinates and scalars are ints or Fractions, so the values stay exact;
+    a sum of Fractions can be an integral Fraction, which is equal to its
+    int.
     """
     get = out.get
     if c == 1:
@@ -92,9 +96,13 @@ def _nonzeros(out):
 class LieElement:
     """Degree-homogeneous element in canonical basis coordinates.
 
-    ``coords`` holds only nonzero ``Fraction`` coordinates.  The public
-    constructor coerces and drops zeros; internal results come from
-    ``_trusted``, whose coordinates already have that form.
+    ``coords`` holds only nonzero exact coordinates: ``int`` or
+    ``Fraction``, never a float or bool.  The public constructor coerces
+    with ``linalg.exact``, so every integral coordinate becomes an ``int``,
+    and drops zeros; internal results come from ``_trusted``, whose
+    coordinates are already nonzero and exact.  Only arithmetic with a
+    real ``Fraction`` scalar, such as BCH's 1/2, leaves an integral
+    ``Fraction``.
     """
 
     __slots__ = ("presentation", "degree", "coords")
@@ -102,11 +110,11 @@ class LieElement:
     def __init__(self, presentation, degree, coords):
         self.presentation = presentation
         self.degree = degree
-        self.coords = {i: Fraction(c) for i, c in coords.items() if c}
+        self.coords = {i: exact(c) for i, c in coords.items() if c}
 
     @classmethod
     def _trusted(cls, presentation, degree, coords):
-        """An element on coords that are already nonzero Fractions, taken as is."""
+        """An element on coords that are already nonzero and exact, taken as is."""
         self = object.__new__(cls)
         self.presentation = presentation
         self.degree = degree
@@ -125,7 +133,7 @@ class LieElement:
         return self + other.scale(-1)
 
     def scale(self, q):
-        q = Fraction(q)
+        q = exact(q)
         coords = {i: c * q for i, c in self.coords.items()} if q else {}
         return LieElement._trusted(self.presentation, self.degree, coords)
 
@@ -192,7 +200,7 @@ class LieElement:
         return "<LieElement deg %d: %s>" % (self.degree, s if s else "0")
 
     def linear_part(self):
-        """Coefficients on single-generator basis elements: name -> Fraction."""
+        """Coefficients on single-generator basis elements: name -> coefficient."""
         p = self.presentation
         basis = p.lie_basis(self.degree)
         out = {}
@@ -302,6 +310,7 @@ class DgLaPresentation:
         self._expansions = {}
         self._bracket_cache = {}
         self._tree_index = {}
+        self._indecomposables = {}
         self.differential = {}
         self._tree_elements = TreeMap(
             self, self.gen, lambda u, v, f: self.bracket(f(u), f(v))
@@ -390,7 +399,7 @@ class DgLaPresentation:
                 raise UnknownGenerator("unknown generator %r" % name)
             d = self.generators.degree(name)
             i = self.basis_trees(d)[self.generators.index[name]]
-            got = self._gens[name] = LieElement._trusted(self, d, {i: Fraction(1)})
+            got = self._gens[name] = LieElement._trusted(self, d, {i: 1})
         return got
 
     def normal_form(self, expression):
@@ -406,7 +415,7 @@ class DgLaPresentation:
         degree = None
         pairs = []
         for coeff, tree in terms:
-            coeff = Fraction(coeff)
+            coeff = exact(coeff)
             if coeff == 0:
                 continue
             itree = self.tree_indices(tree)
@@ -461,9 +470,9 @@ class DgLaPresentation:
             d = d1 + d2
             trees = self.basis_trees(d)
             if (t1, t2) in trees:
-                coords = {trees[t1, t2]: Fraction(1)}
+                coords = {trees[t1, t2]: 1}
             elif (t2, t1) in trees:
-                coords = {trees[t2, t1]: Fraction(1 if d1 * d2 % 2 else -1)}
+                coords = {trees[t2, t1]: 1 if d1 * d2 % 2 else -1}
             else:
                 tensor = freelie.expand_tree((t1, t2), self._deg_list, self._expansions)
                 coords = freelie.solve_against_basis(self.lie_basis(d), tensor)
@@ -638,9 +647,13 @@ class DgLaPresentation:
         indecomposables, so the basis is all generators).  Differential: the
         linear part of d in those generators.  The window pads one zero
         degree on each side so homology over the generator degrees is
-        computable.
+        computable.  Memoized per set of non-sub generators, on which the
+        complex depends alone, so each is built and its d^2 certified once.
         """
-        gens = self.nonsub_generators(subname)
+        gens = tuple(self.nonsub_generators(subname))
+        got = self._indecomposables.get(gens)
+        if got is not None:
+            return got
         degrees = [d for _, d in gens] or [1]
         lo, hi = min(degrees) - 1, max(degrees) + 1
         spaces = {}
@@ -652,7 +665,8 @@ class DgLaPresentation:
             tgt = spaces[d - 1].names()
             if src and tgt:
                 diff[d] = linear_part_block(self.d_gen, src, tgt)
-        return ChainComplexSlice((lo, hi), spaces, diff)
+        got = self._indecomposables[gens] = ChainComplexSlice((lo, hi), spaces, diff)
+        return got
 
     def is_minimal(self, subname=None):
         """True iff the induced differential on indecomposables vanishes."""

@@ -11,13 +11,12 @@ zero; any access outside raises WindowTooNarrow.  A slice whose builder
 knows that it vanishes below its window says so with ``zero_below``.
 """
 
-from fractions import Fraction
 from itertools import chain, combinations_with_replacement, groupby, product
 
 from . import linalg
 from .errors import AxiomFailure, NotAComplex, WindowTooNarrow
 from .graded import ChainComplexSlice, GradedBasis
-from .linalg import combination
+from .linalg import combination, exact
 
 
 def bilinear(table, n, x, m, y):
@@ -286,10 +285,12 @@ class DgLieSlice:
 class SliceElement:
     """A homogeneous element of a DgLieSlice, for MC/BCH/gauge arithmetic.
 
-    ``vector`` is the sparse {index: Fraction} vector of its coordinates in
-    the slice's degree-``degree`` basis, with no zero entries; the
-    constructor coerces and drops zeros, and raises WindowTooNarrow for a
-    degree outside the slice's window.
+    ``vector`` is the sparse {index: coefficient} vector of its coordinates
+    in the slice's degree-``degree`` basis, with no zero entries.  The
+    constructor coerces each coefficient with ``linalg.exact`` (an ``int``
+    wherever it is integral, else a ``Fraction``; never a float or bool),
+    drops zeros, and raises WindowTooNarrow for a degree outside the
+    slice's window.
     """
 
     __slots__ = ("slice", "degree", "vector")
@@ -298,7 +299,7 @@ class SliceElement:
         slc.dim(degree)
         self.slice = slc
         self.degree = degree
-        self.vector = {i: Fraction(x) for i, x in vector.items() if x}
+        self.vector = {i: exact(x) for i, x in vector.items() if x}
 
     @classmethod
     def zero(cls, slc, degree):
@@ -322,7 +323,7 @@ class SliceElement:
         return self + other.scale(-1)
 
     def scale(self, q):
-        q = Fraction(q)
+        q = exact(q)
         return SliceElement(self.slice, self.degree, {i: q * x for i, x in self.vector.items()})
 
     def bracket(self, other):
@@ -383,7 +384,7 @@ def hom_slice(source_basis, source_d_blocks, target_basis, window):
             continue
         # (d E(t,s))(s1) = -(-1)^n E(t,s)(d s1), so E(t,s1) picks up the
         # coefficient of s in d(s1).
-        sign = Fraction(-1 if n % 2 == 0 else 1)
+        sign = -1 if n % 2 == 0 else 1
         d_blocks[n] = linalg.matrix(rows, cols, (
             (index[(n - 1, s1, t)], j, sign * c)
             for (nn, s, t), j in index.items() if nn == n

@@ -10,12 +10,14 @@ right-nested word for the nilpotency class instead of a spanning frontier,
 the graded Lie axioms on every ordered pair and triple instead of once
 per unordered one, one element per bracket and summand instead of one
 coordinate dict per result, and derivation operations evaluated on every
-generator instead of only where a value or d is nonzero, and degree 0 of
-Der_u as an intersection of two kernels instead of one stacked kernel.
+generator instead of only where a value or d is nonzero, degree 0 of
+Der_u as an intersection of two kernels instead of one stacked kernel, and
+RREF, kernel and triangular solve with every value a Fraction instead of
+an int wherever it is integral.
 Tests compare library output against these.
-The one helper that is not an oracle is ``sub_contains``, membership in a
-designated subalgebra through the library's own spans, which only tests
-call.
+The helpers that are not oracles are ``sub_contains``, membership in a
+designated subalgebra through the library's own spans, and the coefficient
+predicates ``is_coefficient`` and ``is_exact``, which only tests call.
 """
 
 import random
@@ -106,6 +108,89 @@ def betti_by_rank_nullity(dims, d_matrices, k0, k1):
         m = d_matrices.get(k, [])
         ranks[k] = gauss_rank(m) if m else 0
     return {k: dims.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in range(k0, k1 + 1)}
+
+
+# -- coefficients, and the kernels with every value a Fraction -------------------
+
+
+def is_coefficient(c):
+    """A nonzero exact coefficient: an int (never a bool) or a Fraction, never a float.
+
+    What arithmetic leaves: a product or sum of Fractions may be integral.
+    """
+    return type(c) in (int, Fraction) and c != 0
+
+
+def is_exact(c):
+    """A nonzero coefficient as ``linalg.exact`` gives it: an int when integral, else a Fraction."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
+
+
+def rref_all_fractions(rows, ncols):
+    """Sparse RREF on the library's echelon core, every value a ``Fraction``.
+
+    The back-substitution the library ran before it stored integral values
+    as ints: primitive integer rows, bottom-up, each divided by its pivot
+    entry into Fractions at the end.
+    """
+    from dgla import linalg
+
+    ech, pivots = linalg._echelon(rows, ncols)
+    below = {}
+    for r, pc in zip(reversed(ech), reversed(pivots)):
+        for p in [j for j in r if j in below]:
+            s = below[p]
+            g = gcd(s[p], r[p])
+            a, b = s[p] // g, r[p] // g
+            out = {j: a * v for j, v in r.items()}
+            for j, v in s.items():
+                out[j] = out.get(j, 0) - b * v
+            r = {j: v for j, v in out.items() if v}
+        g = gcd(*r.values())
+        below[pc] = {j: v // g for j, v in r.items()}
+    red = [{j: Fraction(v, below[pc][pc]) for j, v in below[pc].items()} for pc in pivots]
+    return red, pivots
+
+
+def kernel_all_fractions(rows, ncols):
+    """(kernel vectors, free columns) as ``linalg._kernel`` reads them, every value a Fraction."""
+    red, pivots = rref_all_fractions(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    vecs = {f: {f: Fraction(1)} for f in free}
+    for r, pc in zip(red, pivots):
+        for j, x in r.items():
+            if j != pc:
+                vecs[j][pc] = -x
+    return [vecs[f] for f in free], free
+
+
+def solve_all_fractions(basis, tensor, denominator=1):
+    """``freelie.solve_against_basis`` as it was before it returned ints: every value a Fraction."""
+    work = {w: c for w, c in tensor.items() if c}
+    scale = denominator
+    coords = {}
+    for i, b in enumerate(basis):
+        c = work.get(b.lead)
+        if c is None:
+            continue
+        lc = b.lead_coeff
+        if c % lc:
+            m = abs(lc) // gcd(c, lc)
+            scale *= m
+            c *= m
+            work = {u: v * m for u, v in work.items()}
+            coords = {j: v * m for j, v in coords.items()}
+        f = c // lc
+        coords[i] = f
+        for u, cu in b.expansion.items():
+            nv = work.get(u, 0) - f * cu
+            if nv:
+                work[u] = nv
+            else:
+                del work[u]
+    if work:
+        raise ValueError("vector outside the free Lie span (packed word %#x)" % min(work))
+    return {i: Fraction(c, scale) for i, c in coords.items()}
 
 
 # -- free graded Lie algebra dimensions -----------------------------------------

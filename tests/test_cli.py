@@ -349,6 +349,41 @@ def test_glue_checks_rho_once_per_model(monkeypatch, fixture_path):
     assert len(calls) == 3
 
 
+def test_glue_certifies_each_indecomposables_once(monkeypatch, fixture_path):
+    from dgla.graded import ChainComplexSlice
+    from dgla.presentation import DgLaPresentation
+
+    built = []  # (presentation, sub, slice) of every indecomposables call
+    checked = []  # every slice whose d^2 certificate ran
+    indecomposables = DgLaPresentation.indecomposables
+    check_complex = ChainComplexSlice.check_complex
+
+    def recorded_indecomposables(self, subname):
+        slc = indecomposables(self, subname)
+        built.append((self, subname, slc))
+        return slc
+
+    def recorded_check(self):
+        checked.append(self)
+        return check_complex(self)
+
+    monkeypatch.setattr(DgLaPresentation, "indecomposables", recorded_indecomposables)
+    monkeypatch.setattr(ChainComplexSlice, "check_complex", recorded_check)
+    code, _ = _run("glue", fixture_path("w21.json"), fixture_path("w11.json"),
+                   "--min", "0", "--max", "4", "--assert-semisimple")
+    assert code == 0
+    # each model's presentation asks twice, rel nothing when it is loaded and
+    # rel omega in build_g; an ElementGenerated sub has the absolute
+    # indecomposables, so one complex and one certificate serve both
+    assert [sub for _, sub, _ in built] == [None] * 3 + ["omega"] * 3
+    slices = []
+    for p, _, slc in built:
+        if all(s is not slc for _, s in slices):
+            slices.append((p, slc))
+    assert len(slices) == len({id(p) for p, _ in slices}) == 3
+    assert [sum(c is slc for c in checked) for _, slc in slices] == [1] * 3
+
+
 @pytest.mark.parametrize("command", [["g"], ["der", "--deru"]])
 def test_a_rho_that_does_not_kill_d_is_a_failed_verdict(tmp_path, fixture_path, command):
     # d gamma = [a,b] - beta, and this rho sees beta

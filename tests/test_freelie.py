@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dgla import freelie, io
@@ -12,7 +12,9 @@ from dgla.errors import InhomogeneousExpression, UnknownGenerator
 from dgla.presentation import DgLaPresentation
 from oracles import (
     brute_force_lie_dims,
+    is_exact,
     solve_against_basis_fractions,
+    solve_all_fractions,
     tuple_word_basis,
     witt_dimensions,
     words_of_degree,
@@ -230,7 +232,7 @@ def test_integer_solve_matches_fraction_oracle(combination, delta, rng):
     tensor = _tensor(basis, coords)
     got = freelie.solve_against_basis(basis, *_integer(tensor))
     assert got == solve_against_basis_fractions(basis, tensor) == coords
-    assert all(type(c) is Fraction for c in got.values())
+    assert all(is_exact(c) for c in got.values())
     # a word that leads no basis element is outside the span, and so is any
     # vector of the span plus a nonzero multiple of it
     leads = {b.lead for b in basis}
@@ -241,6 +243,28 @@ def test_integer_solve_matches_fraction_oracle(combination, delta, rng):
     tensor[w] = tensor.get(w, Fraction(0)) + delta
     with pytest.raises(ValueError):
         freelie.solve_against_basis(basis, *_integer(tensor))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_combination(), st.booleans())
+@example(((1,), _presentation((1,)).lie_basis(2), {0: Fraction(1, 2)}), False)
+@example(((1, 1), _presentation((1, 1)).lie_basis(2), {1: 3, 2: Fraction(-5, 2)}), False)
+@example(((1, 1), _presentation((1, 1)).lie_basis(3), {0: 4, 1: -6}), True)
+def test_integer_solve_agrees_with_the_all_fraction_path(combination, integral):
+    """The same coordinates as the solve that returned every value as a Fraction.
+
+    Every integral coordinate is now an int: on tensors with a denominator,
+    and on integer ones, where the scale stays 1.
+    """
+    _, basis, coords = combination
+    if integral:
+        coords = {i: c.numerator for i, c in coords.items()}
+    tensor, scale = _integer(_tensor(basis, coords))
+    got = freelie.solve_against_basis(basis, tensor, scale)
+    assert got == solve_all_fractions(basis, tensor, scale) == coords
+    assert all(is_exact(c) for c in got.values())
+    if integral:
+        assert all(type(c) is int for c in got.values())
 
 
 def test_solve_divides_by_an_odd_square_lead():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgla import linalg
+from dgla import gluing, io, linalg
 from dgla.errors import DimensionMismatch, SemisimplicityNotAsserted
 from dgla.gluing import boundary_connected_sum, forget_compare, glue_headline_g
 from dgla.graded import betti_numbers
@@ -176,6 +176,25 @@ def test_forget_compare_w11_ranks_agree():
     assert [r["degree"] for r in rows] == [0, 1, 2, 3]
     for r in rows:
         assert r["left_agrees"] and r["right_agrees"]
+
+
+def test_forget_compare_leaves_no_leibniz_memo(fixture_path, monkeypatch):
+    # the pair space evaluates each left basis derivation at m's generator
+    # images; the memo that builds must not outlive the pullback
+    built = []
+    pullback = gluing.forget_pullback
+
+    def recorded(*args):
+        built.append(pullback(*args))
+        return built[-1]
+
+    monkeypatch.setattr(gluing, "forget_pullback", recorded)
+    m = io.load_manifold(io.load_json_file(fixture_path("w21.json")))
+    forget_compare(m, (0, 3))
+    (_, left, right, _), = built
+    basis = [th for slc in (left, right) for ths in slc.derivations.values() for th in ths]
+    assert sum(len(left.derivations[n]) for n in left.derivations) == 4
+    assert [th for th in basis if th._ext is not None] == []
 
 
 def test_forget_compare_reports_all_three():

@@ -13,7 +13,15 @@ from dgla.derivations import der_complex, deru
 from dgla.errors import NotAComplex
 from dgla.gluing import boundary_connected_sum, glue_headline_g
 from dgla.models import build_block_g, build_g, tilde_model
-from oracles import gauss_jordan, gauss_rank, naive_matmul
+from oracles import (
+    gauss_jordan,
+    gauss_rank,
+    is_coefficient,
+    is_exact,
+    kernel_all_fractions,
+    naive_matmul,
+    rref_all_fractions,
+)
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "dgla")
 
@@ -256,21 +264,32 @@ _nonzero = st.one_of(
 
 
 @st.composite
-def _sparse_matrix(draw, nrows=None, ncols=None):
-    """An nrows x ncols matrix with a random set of nonzero int or Fraction entries."""
+def _sparse_matrix(draw, nrows=None, ncols=None, values=_nonzero):
+    """An nrows x ncols matrix with a random set of nonzero entries.
+
+    Entries are drawn from ``values``: ints or Fractions by default.
+    """
     n = draw(st.integers(0, 7)) if nrows is None else nrows
     m = draw(st.integers(0, 7)) if ncols is None else ncols
     rows = [[0] * m for _ in range(n)]
     if n and m:
         cells = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
         for i, j in draw(st.sets(cells, max_size=n * m)):
-            rows[i][j] = draw(_nonzero)
+            rows[i][j] = draw(values)
     return rows, m
 
 
-def _all_fractions(rows):
-    """Every value of the sparse rows or vectors is a Fraction."""
-    return all(type(x) is Fraction for r in rows for x in r.values())
+def _all_exact(rows):
+    """Every value of the sparse rows or vectors is an int when integral, else a Fraction."""
+    return all(is_exact(x) for r in rows for x in r.values())
+
+
+def _all_coefficients(rows):
+    """Every value of the sparse rows or vectors is an int or a Fraction.
+
+    Products and sums of Fraction entries may be integral Fractions.
+    """
+    return all(is_coefficient(x) for r in rows for x in r.values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -285,7 +304,7 @@ def test_elimination_agrees_with_gauss_jordan(case, data):
     m = _matrix(rows, ncols)
     red, pivots = gauss_jordan(rows, ncols)
     got, got_pivots = linalg.rref(m, ncols)
-    assert (got, got_pivots) == (_sparse(red), pivots) and _all_fractions(got)
+    assert (got, got_pivots) == (_sparse(red), pivots) and _all_exact(got)
     assert linalg.pivot_columns(m, ncols) == pivots
     assert linalg.rank(m, ncols) == len(pivots)
     free = [c for c in range(ncols) if c not in pivots]
@@ -297,7 +316,7 @@ def test_elimination_agrees_with_gauss_jordan(case, data):
         kernel.append(v)
     got_kernel, got_free = linalg.kernel_basis(m, ncols)
     assert (got_kernel, got_free) == (_sparse(kernel), free)
-    assert _all_fractions(got_kernel)
+    assert _all_exact(got_kernel)
     rhs = [0] * len(rows) if data is None else data.draw(_sparse_matrix(1, len(rows)))[0][0]
     aug, aug_pivots = gauss_jordan([r + [b] for r, b in zip(rows, rhs)], ncols + 1)
     x = linalg.solve(m, ncols, _sparse([rhs])[0])
@@ -307,8 +326,47 @@ def test_elimination_agrees_with_gauss_jordan(case, data):
         want = [Fraction(0)] * ncols
         for r, pc in zip(aug, aug_pivots):
             want[pc] = r[ncols]
-        assert x == _sparse([want])[0] and _all_fractions([x])
+        assert x == _sparse([want])[0] and _all_exact([x])
         assert naive_matmul(rows, [[x.get(j, 0)] for j in range(ncols)], 1) == [[b] for b in rhs]
+
+
+@st.composite
+def _rational_matrix(draw):
+    """A sparse matrix with int entries, rational entries, or a planted rank deficiency.
+
+    The last kind is the product of an n x k and a k x m matrix with
+    k < min(n, m), so its rank is below both of its sides.
+    """
+    kind = draw(st.sampled_from(["integral", "rational", "deficient"]))
+    if kind == "integral":
+        return draw(_sparse_matrix(values=st.integers(-9, 9).filter(bool)))
+    if kind == "rational":
+        return draw(_sparse_matrix())
+    n, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(n, m) - 1))
+    small = st.fractions(-9, 9, max_denominator=6).filter(bool)
+    left, _ = draw(_sparse_matrix(n, k, small))
+    right, _ = draw(_sparse_matrix(k, m, small))
+    return naive_matmul(left, right, m), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_matrix())
+@example(([[2, 4], [1, 2]], 2))
+@example(([[Fraction(1, 2), Fraction(3, 2)], [Fraction(1, 3), 1]], 2))
+def test_integer_kernels_agree_with_the_all_fraction_path(case):
+    """RREF and kernel basis against the path that stored every value as a Fraction.
+
+    Both give the same pivots and equal values entry for entry, and every
+    integral value is now an int.
+    """
+    rows, ncols = case
+    m = _matrix(rows, ncols)
+    red, pivots = linalg._rref(m, ncols)
+    assert (red, pivots) == rref_all_fractions(m, ncols) and _all_exact(red)
+    vecs, free = linalg._kernel(m, ncols)
+    assert (vecs, free) == kernel_all_fractions(m, ncols) and _all_exact(vecs)
+    assert _all_exact(m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -324,7 +382,7 @@ def test_inverse_agrees_with_gauss_jordan(case):
     if pivots[:n] != list(range(n)):
         assert inv is None
     else:
-        assert inv == _sparse([r[n:] for r in red]) and _all_fractions(inv)
+        assert inv == _sparse([r[n:] for r in red]) and _all_exact(inv)
         dense = _dense(inv, n)
         assert naive_matmul(rows, dense, n) == naive_matmul(dense, rows, n) == identity
 
@@ -343,12 +401,12 @@ def _product_operands(draw):
 def test_products_agree_with_the_triple_loop(operands):
     a, b, k, m = operands
     product = linalg.matmul(_matrix(a, k), _matrix(b, m))
-    assert product == _sparse(naive_matmul(a, b, m)) and _all_fractions(product)
+    assert product == _sparse(naive_matmul(a, b, m)) and _all_coefficients(product)
     if b:
         x = [r[0] for r in b] if m else [0] * len(b)
         y = linalg.matvec(_matrix(a, k), _sparse([x])[0])
         want = [r[0] for r in naive_matmul(a, [[c] for c in x], 1)]
-        assert y == _sparse([want])[0] and _all_fractions([y])
+        assert y == _sparse([want])[0] and _all_coefficients([y])
 
 
 def test_products_touch_only_nonzeros():
@@ -423,13 +481,13 @@ def test_sparse_subspace_agrees_with_gauss_jordan(case):
 
 
 def _assert_sparse_rows(m, nrows, ncols):
-    """m is nrows dicts with int keys in [0, ncols) and nonzero Fraction values."""
+    """m is nrows dicts with int keys in [0, ncols) and values as ``linalg.exact`` gives them."""
     assert type(m) is list and len(m) == nrows
     for r in m:
         assert type(r) is dict
         for j, c in r.items():
             assert type(j) is int and 0 <= j < ncols
-            assert type(c) is Fraction and c
+            assert is_exact(c), c
 
 
 def _assert_slice_blocks(slc):

@@ -25,6 +25,8 @@ from oracles import (
     folded_eval_at,
     folded_poly_sum,
     folded_sum,
+    is_coefficient,
+    is_exact,
     reference_add_scaled,
     reference_apply,
     reference_bracket,
@@ -116,6 +118,8 @@ def test_element_generated_indec_special_case():
     )
     slc = p.indecomposables("omega")
     assert slc.labels(2) == ["a", "b"]
+    # the absolute complex: built and certified once for both subs
+    assert p.indecomposables(None) is slc
     q = DgLaPresentation(
         [("a", 2), ("b", 2)], None, {"lin": {"elements": ["a"]}}
     )
@@ -267,8 +271,11 @@ def test_sums_fixture_is_a_dg_lie_algebra():
 
 
 def _canonical(e):
-    """Every coordinate a nonzero Fraction: the invariant the sums keep."""
-    assert all(type(c) is Fraction and c for c in e.coords.values()), e.coords
+    """Every coordinate a nonzero int or Fraction: the invariant the sums keep.
+
+    A sum or product of Fraction coordinates may be an integral Fraction.
+    """
+    assert all(is_coefficient(c) for c in e.coords.values()), e.coords
     return e
 
 
@@ -444,7 +451,20 @@ def test_results_hold_only_nonzero_fractions():
     ]
     elements += der_bracket(theta, psi).values.values()
     for e in elements:
-        _canonical(e)
+        # no product here cancels a denominator, so every integral value is an int
+        assert all(is_exact(c) for c in e.coords.values()), e.coords
+    # the constructors store every integral coordinate as an int
+    built = [
+        p.normal_form([(Fraction(2), "a"), (Fraction(4, 2), "b")]),
+        p.element_from_vector(3, [Fraction(6, 3), True]),
+        LieElement(p, 3, {0: Fraction(-1), 1: Fraction(1, 3)}),
+        a.scale(Fraction(3)),
+    ]
+    assert [[type(c) for c in e.coords.values()] for e in built] == [
+        [int, int], [int, int], [int, Fraction], [int],
+    ]
+    # only arithmetic on a Fraction value leaves an integral Fraction
+    assert a.scale(Fraction(1, 2)).scale(2) == a
     y = p.gen("y")
     zeros = [a.scale(0), a - a, p.zero(7), p.bracket(x, x.scale(0)), p.bracket(y, y)]
     assert [z.degree for z in zeros] == [3, 3, 7, 2, 8]
