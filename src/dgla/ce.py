@@ -6,14 +6,17 @@ coderivation differential
 
     d1(s x) = -s(d x)          d2(s x ^ s y) = (-1)^{|x|} s [x, y]
 
-extended by the Koszul rule.  The sign conventions are certified by the
-d^2 = 0 checks in the test suite rather than trusted.  Coefficients are
-plain vector spaces with trivial action, so Hom(C, Q^r) = Hom(C, Q)^r and
-cochain Betti numbers scale linearly in the coefficient dimension.
+extended by the Koszul rule.  A CESlice is a ``graded.ChainComplexSlice``
+whose labels are these words, so the sign conventions are certified by its
+d^2 = 0 check on every window it is built on, rather than trusted.
+Coefficients are plain vector spaces with trivial action, so
+Hom(C, Q^r) = Hom(C, Q)^r and cochain Betti numbers scale linearly in the
+coefficient dimension.
 """
 
 from . import linalg
 from .errors import ValidationReport, WindowTooNarrow, check_row
+from .graded import ChainComplexSlice
 
 
 def _letters(g, max_sdeg):
@@ -77,8 +80,14 @@ def ce_words(g, degree):
     return out
 
 
-class CESlice:
-    """A window of the CE chain complex of a dg Lie slice."""
+class CESlice(ChainComplexSlice):
+    """A window of the CE chain complex of a dg Lie slice, through ``top_degree``.
+
+    The labels of degree k are its canonical words.  The chains vanish in
+    negative degrees, so the slice is ``zero_below``: its window is
+    [-1, top_degree].  Every block is built once, and d^2 = 0 is certified
+    when the slice is built (NotAComplex otherwise).
+    """
 
     def __init__(self, g, top_degree):
         if g.lo != 0:
@@ -95,24 +104,16 @@ class CESlice:
                 required=(g.lo, top_degree - 1),
             )
         self.g = g
-        self.top = top_degree
-        self.words = {}
-        self.index = {}
-        self._d = {}
         self._g_cols = {  # the columns of g's differential out of each degree
             d: linalg.columns(g.d_matrix(d), g.dim(d)) for d in range(g.lo + 1, g.hi + 1)
         }
-        for k in range(0, top_degree + 1):
-            ws = ce_words(g, k)
-            self.words[k] = ws
-            self.index[k] = {w: i for i, w in enumerate(ws)}
-
-    def dim(self, k):
-        if 0 <= k <= self.top:
-            return len(self.words[k])
-        if k < 0:
-            return 0
-        raise WindowTooNarrow("CE degree %d above the built window" % k, required=(0, k))
+        words = {k: ce_words(g, k) for k in range(top_degree + 1)}
+        self.index = {k: {w: i for i, w in enumerate(ws)} for k, ws in words.items()}
+        blocks = {
+            k: linalg.matrix(len(words[k - 1]), len(words[k]), self._d_terms(k))
+            for k in range(1, top_degree + 1)
+        }
+        super().__init__((0, top_degree), words, blocks, zero_below=True)
 
     def _d1_letter(self, letter):
         """delta_1(s x) = -s(d x) as a list of (letter, coeff)."""
@@ -128,16 +129,9 @@ class CESlice:
         sign = -1 if da % 2 else 1
         return [((da + db, k), sign * c) for k, c in v.items()]
 
-    def d_matrix(self, k):
-        """Matrix of the CE differential C_k -> C_{k-1}, assembled once per degree."""
-        m = self._d.get(k)
-        if m is None:
-            m = self._d[k] = linalg.matrix(self.dim(k - 1), self.dim(k), self._d_terms(k))
-        return m
-
     def _d_terms(self, k):
         """The (row, column, coefficient) terms of the CE differential out of C_k."""
-        for j, w in enumerate(self.words[k]):
+        for j, w in enumerate(self.index[k]):
             for letter_pos in range(len(w)):
                 eps = sum(_sdeg(l) for l in w[:letter_pos]) % 2
                 outer_sign = -1 if eps else 1
@@ -166,9 +160,6 @@ class CESlice:
                         if i is not None:
                             yield i, j, outer_sign * s * c
 
-    def check_d_squared(self):
-        linalg.check_d_squared(self.d_matrix, 0, self.top)
-
 
 def ce_cohomology(g, coefficient_dim, degree_range):
     """Betti numbers of H^k(Hom(CE chains, M)) for a trivial module M.
@@ -190,18 +181,14 @@ def _check_coefficient_dim(n):
 
 def _betti(ce, coefficient_dim, k0, k1):
     """ce_cohomology on a CE slice built to degree k1 + 1."""
-    ce.check_d_squared()
-    out = {}
-    ranks = {}
-    for k in range(max(k0, 0), k1 + 2):
-        ranks[k] = linalg.rank(ce.d_matrix(k), ce.dim(k)) if ce.dim(k) else 0
-    for k in range(k0, k1 + 1):
-        if k < 0:
-            out[k] = 0
-            continue
-        betti_q = ce.dim(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        out[k] = coefficient_dim * betti_q
-    return out
+    ranks = {
+        k: linalg.rank(ce.d_matrix(k), ce.dim(k)) if ce.dim(k) else 0
+        for k in range(max(k0, 0), k1 + 2)
+    }
+    return {
+        k: coefficient_dim * (ce.dim(k) - ranks[k] - ranks[k + 1]) if k >= 0 else 0
+        for k in range(k0, k1 + 1)
+    }
 
 
 def ce_product_check(g, h, dim_m, dim_n, degree_range):

@@ -384,10 +384,7 @@ def run(argv):
     if args.out:
         payload = io_mod.write_report_atomic(args.out, body, timing)
     else:
-        payload = '{"report":%s,"timing":%s}\n' % (
-            io_mod.canonical_dumps(body),
-            round(timing, 6),
-        )
+        payload = io_mod.report_payload(body, timing)
         sys.stdout.write(payload)
     ok = all(v["pass"] for v in verdicts)
     return (0 if ok else 1), payload

@@ -15,7 +15,7 @@ from bisect import bisect_right
 
 from . import linalg
 from .errors import NotQuasiIso, RhoNotChainMap, SchemaError, SubMismatch, WindowTooNarrow
-from .graded import ChainComplexSlice, GradedBasis
+from .graded import ChainComplexSlice
 from .linalg import combination
 from .morphisms import _rho_of
 from .presentation import GeneratorSplit, LieElement, leibniz_extension, lie_chain_slice
@@ -312,7 +312,7 @@ class DerSlice(DgLieSlice):
     tables in the subspace coordinates.
     """
 
-    def __init__(self, p, rel, window, spaces, layouts):
+    def __init__(self, p, rel, window, spaces, layouts, zero_below=False):
         self.p = p
         self.rel = rel
         self.spaces = spaces
@@ -333,7 +333,7 @@ class DerSlice(DgLieSlice):
                 # the life of the slice, it would be most of its memory
                 th._ext = None
             d_blocks[n] = linalg.from_columns(len(self.derivations[n - 1]), cols)
-        super().__init__(window, labels, d_blocks, bracket_fn=self._bracket_coords)
+        super().__init__(window, labels, d_blocks, self._bracket_coords, zero_below)
 
     def coords(self, theta, n):
         """The sparse coordinates of a degree-n derivation in this slice's basis."""
@@ -353,11 +353,12 @@ class DerSlice(DgLieSlice):
         return self.coords(br, n + m)
 
 
-def _der_slice(p, rel, window, degree0=lambda: []):
+def _der_slice(p, rel, window, degree0=lambda: [], zero_below=False):
     """Der(L rel L') on [lo, hi], degree 0 also cut by the conditions ``degree0()``.
 
     Each degree is the kernel of its conditions: the rel-vanishing ones,
-    and at degree 0 those ``degree0`` returns.
+    and at degree 0 those ``degree0`` returns.  ``zero_below`` says that
+    the complex vanishes below the window.
     """
     lo, hi = window
     spaces = {}
@@ -368,7 +369,7 @@ def _der_slice(p, rel, window, degree0=lambda: []):
         if n == 0:
             conditions += degree0()
         spaces[n] = _condition_space(layout.total, layout.unit, conditions)
-    return DerSlice(p, rel, (lo, hi), spaces, layouts)
+    return DerSlice(p, rel, (lo, hi), spaces, layouts, zero_below)
 
 
 def der_complex(p, rel, window):
@@ -408,11 +409,9 @@ def deru(p, rel, rho, window):
             conditions.append(_rho_condition(p, rel, rho))
         return conditions
 
-    slc = _der_slice(p, rel, (lo, hi), degree0)
     # tau_{>=0}: with the degree-0 part cut to cycles (plus conditions), the
     # complex is genuinely zero below the window when it starts at 0
-    slc.zero_below = lo == 0
-    return slc
+    return _der_slice(p, rel, (lo, hi), degree0, zero_below=lo == 0)
 
 
 def glue_derivations(theta, psi, po, inc_p, inc_q, rel=None):
@@ -557,10 +556,7 @@ def forget_pullback(m, rel_target, rel_source, window):
             vl = {j: x for j, x in v.items() if j < nl}
             vr = {j - nl: x for j, x in v.items() if j >= nl}
             pairs[n].append((left.derivation(n, vl), right.derivation(n, vr)))
-    spaces = {
-        n: GradedBasis([("pair%d" % i, n) for i in range(pair_spaces[n].dim)])
-        for n in range(lo, hi + 1)
-    }
+    labels = {n: ["pair%d" % i for i in range(pair_spaces[n].dim)] for n in range(lo, hi + 1)}
     diff = {}
     for n in range(lo + 1, hi + 1):
         # the product differential's columns: left's, then right's shifted
@@ -579,8 +575,5 @@ def forget_pullback(m, rel_target, rel_source, window):
                 )
             cols.append(c)
         diff[n] = linalg.from_columns(pair_spaces[n - 1].dim, cols)
-    if left.zero_below and right.zero_below:
-        lo -= 1
-        spaces[lo] = GradedBasis([])
-    slc = ChainComplexSlice((lo, hi), spaces, diff)
+    slc = ChainComplexSlice((lo, hi), labels, diff, left.zero_below and right.zero_below)
     return slc, left, right, pairs

@@ -1,9 +1,12 @@
 """Graded vector spaces with named bases, graded maps, and chain complexes.
 
 Conventions: homological grading, differentials of degree -1, all scalars
-exact rationals.  A ChainComplexSlice only knows a finite degree window;
-degrees outside the window are unknown, not zero, and every computation
-checks that the window suffices.
+exact rationals.  Every complex is known only on a finite degree window: a
+DegreeWindow holds its labels and differential blocks, and is the one
+place that reads them.  Degrees outside the window are unknown, not zero,
+and every computation checks that the window suffices.  ChainComplexSlice,
+the dg Lie slices (``slices.DgLieSlice``) and the Chevalley-Eilenberg
+chains (``ce.CESlice``) are all degree windows.
 """
 
 from . import linalg
@@ -88,40 +91,37 @@ class GradedLinearMap:
         return all(linalg.is_zero_matrix(m) for m in self.blocks.values())
 
 
-class ChainComplexSlice:
-    """A finite degree window of a chain complex.
+class DegreeWindow:
+    """The finite degree window [lo, hi] of a graded object with a differential.
 
-    ``spaces`` maps each degree in the window to a GradedBasis concentrated
-    in that degree (only its length matters for computations; names label
-    report rows).  ``differential`` maps degree d to the matrix of
-    d_d : C_d -> C_{d-1}.  Degrees outside [lo, hi] are unknown.  The
-    constructor certifies d . d = 0 (NotAComplex otherwise).
+    ``labels`` maps a degree to its list of basis labels (absent degrees of
+    the window are empty; only the lengths matter for computations, the
+    labels name report rows).  ``differential`` maps degree d to the matrix
+    of d_d : C_d -> C_{d-1}; an absent block is zero.  Degrees outside the
+    window are unknown, not zero, and every access outside it raises
+    WindowTooNarrow, unless the builder knows that the object vanishes
+    below its window and says so with ``zero_below``.
     """
 
-    def __init__(self, window, spaces, differential):
+    def __init__(self, window, labels, differential=None, zero_below=False):
         self.lo, self.hi = int(window[0]), int(window[1])
-        if self.lo > self.hi:
-            raise ValueError("empty window")
-        self.spaces = dict(spaces)
-        self.differential = dict(differential)
-        for d in range(self.lo, self.hi + 1):
-            if d not in self.spaces:
-                raise ValueError("missing space at degree %d" % d)
-        for d in range(self.lo + 1, self.hi + 1):
-            if not linalg.has_shape(self.d_matrix(d), self.dim(d - 1), self.dim(d)):
-                raise ValueError("differential block at %d has wrong shape" % d)
-        self.check_complex()
+        self.labels = {d: list(labels.get(d, [])) for d in range(self.lo, self.hi + 1)}
+        self._d = dict(differential or {})
+        self.zero_below = zero_below
+
+    def window(self):
+        return (self.lo, self.hi)
+
+    def in_window(self, d):
+        return self.lo <= d <= self.hi
 
     def dim(self, d):
-        if self.lo <= d <= self.hi:
-            return len(self.spaces[d])
-        raise WindowTooNarrow(
-            "degree %d outside window [%d, %d]" % (d, self.lo, self.hi),
-            required=(min(d, self.lo), max(d, self.hi)),
-        )
-
-    def labels(self, d):
-        return self.spaces[d].names()
+        if not self.in_window(d):
+            raise WindowTooNarrow(
+                "degree %d outside window [%d, %d]" % (d, self.lo, self.hi),
+                required=(min(d, self.lo), max(d, self.hi)),
+            )
+        return len(self.labels[d])
 
     def d_matrix(self, d):
         """Matrix of the differential out of degree d (into degree d-1)."""
@@ -131,10 +131,37 @@ class ChainComplexSlice:
                 % (d, self.lo, self.hi),
                 required=(min(d - 1, self.lo), max(d, self.hi)),
             )
-        m = self.differential.get(d)
+        m = self._d.get(d)
         if m is None:
             return linalg.matrix(self.dim(d - 1), self.dim(d))
         return m
+
+    def d_apply(self, d, vector):
+        """The differential of a sparse vector of degree d."""
+        return linalg.matvec(self.d_matrix(d), vector)
+
+
+class ChainComplexSlice(DegreeWindow):
+    """A finite degree window of a chain complex, certified when it is built.
+
+    The window, labels and differential are those of DegreeWindow.  With
+    ``zero_below`` the complex is known to vanish below ``window``, and the
+    slice gets one empty degree below it, so that homology at the bottom
+    degree of ``window`` is known.  The constructor certifies d . d = 0
+    (NotAComplex otherwise).
+    """
+
+    def __init__(self, window, labels, differential, zero_below=False):
+        lo, hi = int(window[0]), int(window[1])
+        if zero_below:
+            lo -= 1
+        if lo > hi:
+            raise ValueError("empty window")
+        super().__init__((lo, hi), labels, differential, zero_below)
+        for d in range(self.lo + 1, self.hi + 1):
+            if not linalg.has_shape(self.d_matrix(d), self.dim(d - 1), self.dim(d)):
+                raise ValueError("differential block at %d has wrong shape" % d)
+        self.check_complex()
 
     def check_complex(self):
         """Assert d . d = 0 wherever both blocks lie in the window."""

@@ -472,11 +472,16 @@ def canonical_dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def write_report_atomic(path, report_body, timing):
-    payload = '{"report":%s,"timing":%s}\n' % (
+def report_payload(report_body, timing):
+    """The one-line report: the canonical body and the timing in seconds."""
+    return '{"report":%s,"timing":%s}\n' % (
         canonical_dumps(report_body),
         json.dumps(round(timing, 6)),
     )
+
+
+def write_report_atomic(path, report_body, timing):
+    payload = report_payload(report_body, timing)
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".dgla-report-")
     try:

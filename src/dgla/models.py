@@ -447,11 +447,11 @@ def semidirect(g, L, a, window=None):
             return {}
         return {off + k: u for k, u in v.items()}
 
-    slc = DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
+    zero_below = g.zero_below and L.zero_below and g.lo == L.lo == lo
+    slc = DgLieSlice((lo, hi), labels, d_blocks, bracket_fn, zero_below)
     slc.acting = g
     slc.module = L
     slc.action = a
-    slc.zero_below = g.zero_below and L.zero_below and g.lo == L.lo == lo
     return slc
 
 
@@ -470,7 +470,7 @@ def _suspended_hom(p, sub, pi, window):
             s_blocks[d + 1] = linear_part_block(lambda n: p.d_gen(n).scale(-1), src, tgt)
     lo = min(window[0] - 1, -1)
     full = hom_slice(sbasis, s_blocks, pi, (lo, window[1]))
-    return full.truncate_nonneg(), full, basis, sbasis
+    return full.truncate_nonneg(), full, basis
 
 
 class _HomModule:
@@ -484,13 +484,10 @@ class _HomModule:
         self.p = p
         self.sub = sub
         self.pi = pi
-        self.module, self.full, self.indec_basis, self.sbasis = _suspended_hom(
-            p, sub, pi, window
-        )
+        self.module, self.full, self.indec_basis = _suspended_hom(p, sub, pi, window)
         self.index = self.full.hom_index
         # (degree, raw position) -> (source name, target name)
         self.functional = {(d, pos): (s, t) for (d, s, t), pos in self.index.items()}
-        self.keep = {n for n, _ in self.indec_basis.entries}
 
     def raw_basis_vector(self, m, j):
         """The sparse raw Hom coordinates of module basis element j in degree m."""

@@ -106,7 +106,7 @@ def check_morphism(f, fixed_sub=None, rho=None):
         else:
             moved = (
                 "element %d" % k for k, e in enumerate(spec.elements)
-                if f.apply(e) != tgt.normal_form(e.terms())
+                if f.apply(e) != tgt.normal_form(e)
             )
         checks.append(check_row("fixes_sub", moved))
     if rho is not None:

@@ -645,27 +645,26 @@ class DgLaPresentation:
         Basis: the non-sub generators (for an ElementGenerated sub all of
         whose elements are decomposable, the quotient equals the absolute
         indecomposables, so the basis is all generators).  Differential: the
-        linear part of d in those generators.  The window pads one zero
-        degree on each side so homology over the generator degrees is
-        computable.  Memoized per set of non-sub generators, on which the
-        complex depends alone, so each is built and its d^2 certified once.
+        linear part of d in those generators.  The window has one zero
+        degree on each side (the one below as ``zero_below``), so homology
+        over the generator degrees is computable.  Memoized per set of
+        non-sub generators, on which the complex depends alone, so each is
+        built and its d^2 certified once.
         """
         gens = tuple(self.nonsub_generators(subname))
         got = self._indecomposables.get(gens)
         if got is not None:
             return got
         degrees = [d for _, d in gens] or [1]
-        lo, hi = min(degrees) - 1, max(degrees) + 1
-        spaces = {}
-        for d in range(lo, hi + 1):
-            spaces[d] = GradedBasis([(n, d) for n, gd in gens if gd == d])
-        diff = {}
-        for d in range(lo + 1, hi + 1):
-            src = spaces[d].names()
-            tgt = spaces[d - 1].names()
-            if src and tgt:
-                diff[d] = linear_part_block(self.d_gen, src, tgt)
-        got = self._indecomposables[gens] = ChainComplexSlice((lo, hi), spaces, diff)
+        lo, hi = min(degrees), max(degrees) + 1
+        labels = {d: [n for n, gd in gens if gd == d] for d in range(lo, hi + 1)}
+        diff = {
+            d: linear_part_block(self.d_gen, labels[d], labels[d - 1])
+            for d in range(lo + 1, hi + 1) if labels[d] and labels[d - 1]
+        }
+        got = self._indecomposables[gens] = ChainComplexSlice(
+            (lo, hi), labels, diff, zero_below=True
+        )
         return got
 
     def is_minimal(self, subname=None):
@@ -686,14 +685,14 @@ def transfer(element, target):
 
 def lie_chain_slice(p, lo, hi):
     """The presentation's underlying chain complex on a degree window."""
-    from . import expr as _expr
-
-    spaces = {}
-    for d in range(lo, hi + 1):
-        labels = [_expr.tree_to_str(p.tree_names(b.tree)) for b in p.lie_basis(d)]
-        spaces[d] = GradedBasis([(s, d) for s in labels])
+    labels = {d: _basis_labels(p, d) for d in range(lo, hi + 1)}
     diff = {d: _d_block(p, d) for d in range(lo + 1, hi + 1)}
-    return ChainComplexSlice((lo, hi), spaces, diff)
+    return ChainComplexSlice((lo, hi), labels, diff)
+
+
+def _basis_labels(p, d):
+    """The Lie basis of degree d as expression strings."""
+    return [expr_mod.tree_to_str(p.tree_names(b.tree)) for b in p.lie_basis(d)]
 
 
 def _d_block(p, d):
@@ -711,17 +710,9 @@ def presentation_slice(p, lo, hi):
     Positively graded, so degrees <= 0 are genuinely empty and the window
     may start anywhere below 1.
     """
-    from . import expr as _expr
     from .slices import DgLieSlice
 
-    labels = {}
-    for d in range(lo, hi + 1):
-        if d < 1:
-            labels[d] = []
-        else:
-            labels[d] = [
-                _expr.tree_to_str(p.tree_names(b.tree)) for b in p.lie_basis(d)
-            ]
+    labels = {d: _basis_labels(p, d) for d in range(max(lo, 1), hi + 1)}
     d_blocks = {
         d: _d_block(p, d) for d in range(max(lo + 1, 1), hi + 1) if p.dim(d - 1) and p.dim(d)
     }

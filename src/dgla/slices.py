@@ -1,21 +1,24 @@
 """Finite degree-windowed dg Lie algebras with explicit tables.
 
 A DgLieSlice is the unit of everything downstream of the derivation
-complexes: it records per-degree bases (labels), differential blocks, and a
-bracket given by a callback on basis pairs (derivation complexes compute
-brackets lazily).  The bracket is memoized as one sparse structure-constant
-table {(n, i, m, j): {k: c}}, and every bilinear computation on a slice goes
-through ``bilinear`` over such a table.  Vectors are sparse {index: value}
-dicts with no zero entries.  Degrees outside the window are unknown, not
-zero; any access outside raises WindowTooNarrow.  A slice whose builder
-knows that it vanishes below its window says so with ``zero_below``.
+complexes: a ``graded.DegreeWindow`` (per-degree labels, differential
+blocks, ``zero_below``) with a bracket given by a callback on basis pairs
+(derivation complexes compute brackets lazily).  The bracket is memoized as
+one sparse structure-constant table {(n, i, m, j): {k: c}}, and every
+bilinear computation on a slice goes through ``bilinear`` over such a
+table.  Vectors are sparse {index: value} dicts with no zero entries.
+Degrees outside the window are unknown, not zero; any access outside
+raises WindowTooNarrow.  A builder that knows its slice vanishes below the
+window passes ``zero_below`` to the constructor; ``to_chain`` hands the
+slice's own labels and blocks to a ChainComplexSlice, which adds the zero
+degree below.
 """
 
 from itertools import chain, combinations_with_replacement, groupby, product
 
 from . import linalg
-from .errors import AxiomFailure, NotAComplex, WindowTooNarrow
-from .graded import ChainComplexSlice, GradedBasis
+from .errors import AxiomFailure, NotAComplex
+from .graded import ChainComplexSlice, DegreeWindow, GradedBasis
 from .linalg import combination, exact
 
 
@@ -30,46 +33,19 @@ def bilinear(table, n, x, m, y):
     )
 
 
-class DgLieSlice:
-    def __init__(self, window, labels, d_blocks=None, bracket_fn=None):
-        self.lo, self.hi = int(window[0]), int(window[1])
-        self.labels = {d: list(labels.get(d, [])) for d in range(self.lo, self.hi + 1)}
-        self._d = dict(d_blocks or {})
+class DgLieSlice(DegreeWindow):
+    """A dg Lie algebra on a degree window: a DegreeWindow with a bracket.
+
+    Unlike a ChainComplexSlice, it certifies nothing when it is built; its
+    builders and callers run ``check_d_squared`` and the axiom checks.
+    """
+
+    def __init__(self, window, labels, d_blocks=None, bracket_fn=None, zero_below=False):
+        super().__init__(window, labels, d_blocks, zero_below)
         self._bracket_fn = bracket_fn
         self._structure = {}
-        # set by the builders that know the slice is zero below its window
-        self.zero_below = False
 
     # -- structure access -------------------------------------------------
-
-    def window(self):
-        return (self.lo, self.hi)
-
-    def in_window(self, d):
-        return self.lo <= d <= self.hi
-
-    def dim(self, d):
-        if not self.in_window(d):
-            raise WindowTooNarrow(
-                "degree %d outside slice window [%d, %d]" % (d, self.lo, self.hi),
-                required=(min(d, self.lo), max(d, self.hi)),
-            )
-        return len(self.labels[d])
-
-    def d_matrix(self, d):
-        """Differential block C_d -> C_{d-1}; zero when absent."""
-        if not (self.lo < d <= self.hi):
-            raise WindowTooNarrow(
-                "no differential out of degree %d" % d, required=(d - 1, d)
-            )
-        m = self._d.get(d)
-        if m is None:
-            return linalg.matrix(self.dim(d - 1), self.dim(d))
-        return m
-
-    def d_apply(self, d, vector):
-        """The differential of a sparse vector of degree d."""
-        return linalg.matvec(self.d_matrix(d), vector)
 
     def bracket(self, n, i, m, j):
         """The structure constants of [e_i^(n), e_j^(m)]: a sparse {k: c} in degree n+m.
@@ -180,19 +156,13 @@ class DgLieSlice:
     # -- derived objects ---------------------------------------------------------
 
     def to_chain(self):
-        """As a ChainComplexSlice.
+        """As a ChainComplexSlice on the same labels and differential blocks.
 
-        When the slice vanishes below its window (``zero_below``), the chain
-        gets one zero space below it, so that homology at the bottom degree
-        is known; otherwise that degree stays out of reach.
+        A ``zero_below`` slice's chain gets one zero degree below the
+        window, so that homology at the bottom degree is known; otherwise
+        that degree stays out of reach.
         """
-        lo = self.lo - 1 if self.zero_below else self.lo
-        spaces = {
-            d: GradedBasis([("%s#%d" % (s, i), d) for i, s in enumerate(self.labels.get(d, []))])
-            for d in range(lo, self.hi + 1)
-        }
-        diff = {d: self.d_matrix(d) for d in range(self.lo + 1, self.hi + 1)}
-        return ChainComplexSlice((lo, self.hi), spaces, diff)
+        return ChainComplexSlice(self.window(), self.labels, self._d, self.zero_below)
 
     def product(self, other):
         """Direct product g x h with componentwise bracket and differential."""
@@ -223,9 +193,8 @@ class DgLieSlice:
                 return {off + k: x for k, x in other.bracket(n, i - na, m, j - ma).items()}
             return {}
 
-        out = DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
-        out.zero_below = self.zero_below and other.zero_below and self.lo == other.lo
-        return out
+        zero_below = self.zero_below and other.zero_below and self.lo == other.lo
+        return DgLieSlice((lo, hi), labels, d_blocks, bracket_fn, zero_below)
 
     def truncate_nonneg(self):
         """tau_{>=0}: positive degrees unchanged, degree 0 the cycles.
@@ -259,9 +228,8 @@ class DgLieSlice:
                     raise NotAComplex("bracket of cycles is not a cycle")
             return v
 
-        out = DgLieSlice((0, hi), labels, d_blocks, bracket_fn=bracket_fn)
+        out = DgLieSlice((0, hi), labels, d_blocks, bracket_fn, zero_below=True)
         out.z0 = z0
-        out.zero_below = True
         return out
 
     def pad_to(self, lo, hi):
@@ -271,15 +239,12 @@ class DgLieSlice:
         window (e.g. a Lie algebra concentrated in degree 0, or a tau_{>=0}
         truncation below 0); the caller asserts that by calling this.
         """
-        lo = min(lo, self.lo)
-        hi = max(hi, self.hi)
-        labels = {d: list(self.labels.get(d, [])) for d in range(lo, hi + 1)}
-        d_blocks = {d: self.d_matrix(d) for d in range(self.lo + 1, self.hi + 1)}
+        window = (min(lo, self.lo), max(hi, self.hi))
 
         def bracket_fn(n, i, m, j):
             return self.bracket(n, i, m, j) if self.in_window(n + m) else {}
 
-        return DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
+        return DgLieSlice(window, self.labels, self._d, bracket_fn)
 
 
 class SliceElement:

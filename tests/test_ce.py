@@ -4,7 +4,7 @@ import pytest
 from dgla import linalg
 from dgla.ce import CESlice, ce_cohomology, ce_product_check, ce_words
 from dgla.derivations import deru
-from dgla.errors import WindowTooNarrow
+from dgla.errors import NotAComplex, WindowTooNarrow
 from dgla.models import manifold_model, tilde_model
 from dgla.slices import DgLieSlice
 from oracles import exterior_polynomial_ce_betti
@@ -72,8 +72,14 @@ def test_ce_d_squared_certified_with_differential_and_bracket():
     m = manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)]))
     tilde, _, _ = tilde_model(m)
     g = deru(tilde, "beta", None, (0, 4))
-    ce = CESlice(g, 5)
-    ce.check_d_squared()
+    CESlice(g, 5)  # certifies d^2 = 0 when it is built
+
+
+def test_ce_slice_refuses_a_slice_with_nonzero_d_squared():
+    one = linalg.matrix(1, 1, [(0, 0, 1)])
+    g = DgLieSlice((0, 2), {0: ["x"], 1: ["y"], 2: ["z"]}, {1: one, 2: one})
+    with pytest.raises(NotAComplex):
+        CESlice(g, 3)
 
 
 def test_window_bookkeeping():

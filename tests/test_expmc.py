@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from dgla import linalg
+from dgla import io, linalg
 from dgla.derivations import Derivation, der_bracket, der_complex, deru
 from dgla.errors import ClassExceeded, NotNilpotent
 from dgla.expmc import (
@@ -27,7 +27,7 @@ from dgla.models import (
     tilde_model,
 )
 from dgla.morphisms import GeneratorMorphism, check_morphism, indec_action
-from dgla.presentation import DgLaPresentation
+from dgla.presentation import DgLaPresentation, LieElement
 from dgla.slices import DgLieSlice, SliceElement
 from oracles import NilMatrix, exp_series_images, full_word_class_check, gauss_rank
 
@@ -266,6 +266,18 @@ def test_exp_examples():
     e = exp_automorphism(th)
     assert e.images["b"] == p.normal_form("a+b")
     assert e.compose(exp_automorphism(th.scale(-1))) == GeneratorMorphism.identity(p)
+
+
+def test_exp_checks_its_fixed_element_sub_without_a_name_round_trip(monkeypatch, fixture_path):
+    # e(theta) fixes omega = [a,b]: f(omega) is compared with omega itself,
+    # not with omega expanded to terms and solved back into the basis
+    p = io.load_presentation(io.load_json_file(fixture_path("presentation_w11.json")))
+    th = Derivation(p, 0, {"b": p.gen("a")}, rel="omega")
+    calls = []
+    terms = LieElement.terms
+    monkeypatch.setattr(LieElement, "terms", lambda self: calls.append(self) or terms(self))
+    assert exp_automorphism(th).report.passed
+    assert calls == []
 
 
 def test_exp_images_match_the_full_series():

@@ -1,6 +1,7 @@
 import pytest
 
 from dgla import linalg
+from dgla.ce import CESlice
 from dgla.errors import NotAComplex, WindowTooNarrow
 from dgla.graded import (
     ChainComplexSlice,
@@ -10,17 +11,13 @@ from dgla.graded import (
     homology,
 )
 from dgla.presentation import DgLaPresentation, lie_chain_slice
+from dgla.slices import DgLieSlice
 from oracles import witt_dimensions
 
 
 def _two_term_identity():
-    spaces = {
-        -1: GradedBasis([]),
-        0: GradedBasis([("e0", 0)]),
-        1: GradedBasis([("e1", 1)]),
-        2: GradedBasis([]),
-    }
-    return ChainComplexSlice((-1, 2), spaces, {1: linalg.matrix(1, 1, [(0, 0, 1)])})
+    labels = {-1: [], 0: ["e0"], 1: ["e1"], 2: []}
+    return ChainComplexSlice((-1, 2), labels, {1: linalg.matrix(1, 1, [(0, 0, 1)])})
 
 
 def test_acyclic_identity():
@@ -64,26 +61,23 @@ def test_window_too_narrow():
 
 
 def test_not_a_complex_detected():
-    spaces = {
-        0: GradedBasis([("x", 0)]),
-        1: GradedBasis([("y", 1)]),
-        2: GradedBasis([("z", 2)]),
-    }
+    labels = {0: ["x"], 1: ["y"], 2: ["z"]}
     one = linalg.matrix(1, 1, [(0, 0, 1)])
     diff = {1: one, 2: one}
     with pytest.raises(NotAComplex):
-        ChainComplexSlice((0, 2), spaces, diff)
+        ChainComplexSlice((0, 2), labels, diff)
 
 
 @pytest.mark.parametrize("nrows, ncols", [(2, 3), (1, 2), (3, 2), (0, 2)])
 def test_blocks_of_the_wrong_shape_are_refused(nrows, ncols):
     """A 2x2 block is expected: a row too many or too few, or an entry past
     the last column, is a ValueError."""
-    spaces = {0: GradedBasis([("x", 0), ("x2", 0)]), 1: GradedBasis([("y", 1), ("y2", 1)])}
+    labels = {0: ["x", "x2"], 1: ["y", "y2"]}
     block = linalg.matrix(nrows, ncols, [(0, ncols - 1, 1)] if nrows else [])
     with pytest.raises(ValueError, match="wrong shape"):
-        ChainComplexSlice((0, 1), spaces, {1: block})
-    f = GradedLinearMap(spaces[1], spaces[0], -1)
+        ChainComplexSlice((0, 1), labels, {1: block})
+    source, target = GradedBasis([("y", 1), ("y2", 1)]), GradedBasis([("x", 0), ("x2", 0)])
+    f = GradedLinearMap(source, target, -1)
     with pytest.raises(ValueError, match="must be 2x2"):
         f.set_block(1, block)
     f.set_block(1, linalg.matrix(2, 2, [(1, 1, 3)]))
@@ -130,3 +124,21 @@ def test_homology_degree_eliminates_a_bounded_number_of_times(monkeypatch):
     betti, reps = c.homology_degree(5)
     assert betti == len(reps) == c.dim(5) > 3
     assert len(calls) <= 3
+
+
+def test_every_complex_reports_the_same_window_error():
+    # the CE chains of an abelian slice on [0, 3] have the window [-1, 3]
+    labels = {d: ["x%d" % d] for d in range(4)}
+    windows = [
+        DgLieSlice((-1, 3), labels),
+        ChainComplexSlice((-1, 3), labels, {}),
+        CESlice(DgLieSlice((0, 3), labels), 3),
+    ]
+    for access, d in [("dim", -2), ("dim", 4), ("d_matrix", -1), ("d_matrix", 4)]:
+        errors = []
+        for w in windows:
+            with pytest.raises(WindowTooNarrow) as e:
+                getattr(w, access)(d)
+            errors.append((str(e.value), e.value.required))
+        assert errors[0] == errors[1] == errors[2], (access, d)
+    assert errors[0] == ("no differential out of degree 4 in window [-1, 3]", (-1, 4))

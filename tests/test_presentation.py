@@ -96,13 +96,13 @@ def test_indecomposables_basis_and_differential():
     t = tilde_w11()
     slc = t.indecomposables("beta")
     # basis: the non-sub generators a, b, gamma
-    assert slc.labels(2) == ["a", "b"]
-    assert slc.labels(5) == ["gamma"]
+    assert slc.labels[2] == ["a", "b"]
+    assert slc.labels[5] == ["gamma"]
     # rel beta the induced differential vanishes (minimality)
     # rel nothing: gamma maps to -beta
     slc0 = t.indecomposables(None)
     col = linalg.columns(slc0.d_matrix(5), slc0.dim(5))[0]
-    names = slc0.labels(4)
+    names = slc0.labels[4]
     assert col == {names.index("beta"): Fraction(-1)}
 
 
@@ -117,7 +117,7 @@ def test_element_generated_indec_special_case():
         [("a", 2), ("b", 2)], None, {"omega": {"elements": ["[a,b]"]}}
     )
     slc = p.indecomposables("omega")
-    assert slc.labels(2) == ["a", "b"]
+    assert slc.labels[2] == ["a", "b"]
     # the absolute complex: built and certified once for both subs
     assert p.indecomposables(None) is slc
     q = DgLaPresentation(

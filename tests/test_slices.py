@@ -156,3 +156,23 @@ def test_truncation_and_products_say_whether_they_vanish_below():
     high = DgLieSlice((1, 1), {})
     high.zero_below = True
     assert not t.product(high).zero_below  # t is not zero in degree 0
+
+
+def test_to_chain_pads_a_zero_below_slice_and_keeps_its_blocks():
+    one = linalg.matrix(1, 1, [(0, 0, 1)])
+    slc = DgLieSlice((0, 2), {0: ["x"], 1: ["y"], 2: []}, {1: one}, zero_below=True)
+    chain = slc.to_chain()
+    assert (chain.lo, chain.hi) == (-1, 2)
+    assert chain.labels == {-1: [], 0: ["x"], 1: ["y"], 2: []}
+    assert chain.d_matrix(1) is slc.d_matrix(1)
+    assert chain.d_matrix(0) == linalg.matrix(0, 1)
+    assert chain.homology_degree(0)[0] == 0
+
+
+def test_to_chain_keeps_the_window_of_a_slice_not_known_to_vanish_below():
+    one = linalg.matrix(1, 1, [(0, 0, 1)])
+    slc = DgLieSlice((0, 2), {0: ["x"], 1: ["y"], 2: []}, {1: one})
+    chain = slc.to_chain()
+    assert (chain.lo, chain.hi) == (0, 2)
+    assert chain.labels == slc.labels
+    assert chain.d_matrix(1) is slc.d_matrix(1)

@@ -35,6 +35,34 @@ def _integral_fractions(tree):
             yield node.lineno
 
 
+def _window_definitions(tree):
+    """Definitions of d_matrix or d_apply outside the DegreeWindow class."""
+    owners = [(tree, None)] + [
+        (node, node.name) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    for owner, name in owners:
+        for node in owner.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name in ("d_matrix", "d_apply")
+                and name != "DegreeWindow"
+            ):
+                yield node.lineno
+
+
+def _zero_below_assignments(tree):
+    """Assignments of ``zero_below`` to an object other than ``self``."""
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for t in targets:
+            if (
+                isinstance(t, ast.Attribute)
+                and t.attr == "zero_below"
+                and not (isinstance(t.value, ast.Name) and t.value.id == "self")
+            ):
+                yield node.lineno
+
+
 def _scan(find):
     """The name:line of every node ``find`` yields in the library's modules."""
     found = []
@@ -58,6 +86,17 @@ def test_no_integral_fraction_literal_in_the_library():
     assert _scan(_integral_fractions) == []
 
 
+def test_only_the_degree_window_reads_differential_blocks():
+    # one window for every complex: dg Lie slices, chain slices and CE
+    # chains all inherit d_matrix and d_apply from graded.DegreeWindow
+    assert _scan(_window_definitions) == []
+
+
+def test_builders_pass_zero_below_to_the_constructor():
+    # a slice's zero_below is data of its builder, not set on a finished slice
+    assert _scan(_zero_below_assignments) == []
+
+
 def test_the_scan_sees_both_forms_of_true_division():
     tree = ast.parse("a = b / c\na /= 2\nd = b // c\ne = 'x/y'\n")
     assert sorted(_true_divisions(tree)) == [1, 2]
@@ -79,3 +118,33 @@ def test_the_scan_sees_integral_fraction_literals():
     ]
     tree = ast.parse("\n".join(source))
     assert sorted(_integral_fractions(tree)) == [1, 2, 3, 4]
+
+
+def test_the_scan_sees_window_methods_outside_the_window_class():
+    source = [
+        "class DegreeWindow:",
+        "    def d_matrix(self, d): pass",
+        "    def d_apply(self, d, v): pass",
+        "class CESlice(ChainComplexSlice):",
+        "    def d_matrix(self, k): pass",
+        "    def dim(self, k): pass",
+        "def d_apply(slc, d, v): pass",
+        "class Outer:",
+        "    class Inner:",
+        "        def d_matrix(self, d): pass",
+    ]
+    tree = ast.parse("\n".join(source))
+    assert sorted(_window_definitions(tree)) == [5, 7, 10]
+
+
+def test_the_scan_sees_zero_below_set_on_a_finished_slice():
+    source = [
+        "self.zero_below = zero_below",
+        "out.zero_below = True",
+        "g.zero_below = L.zero_below = False",
+        "zero_below = a and b",
+        "out.zero_below &= flag",
+        "x = DgLieSlice(w, labels, zero_below=True)",
+    ]
+    tree = ast.parse("\n".join(source))
+    assert sorted(_zero_below_assignments(tree)) == [2, 3, 3, 5]
