@@ -24,7 +24,7 @@ from .errors import (
     check_row,
 )
 from .graded import GradedBasis, GradedLinearMap
-from .morphisms import GeneratorMorphism, _rho_of
+from .morphisms import GeneratorMorphism, _rho_of, _rho_of_linear
 from .presentation import (
     DgLaPresentation,
     ElementGenerated,
@@ -235,7 +235,9 @@ class OuterAction:
     element (n, i) on the module basis element (m, j), as sparse module
     coordinates {k: c} in degree n+m; ``act`` memoizes it.  ``chi_fn(n, i)``
     gives the degree -1 twist of (n, i), as sparse module coordinates in
-    degree n-1; ``twist`` memoizes it.  Callers must not mutate either.
+    degree n-1; ``twist`` memoizes it.  ``operator(n, i, k)`` is the action
+    of (n, i) on the whole degree-k module as one sparse operator, read
+    from ``act``.  Callers must not mutate any of them.
     """
 
     def __init__(self, acting, module, action_fn, chi_fn=None):
@@ -245,6 +247,7 @@ class OuterAction:
         self._chi_fn = chi_fn
         self._act_memo = {}
         self._chi_memo = {}
+        self._op_memo = {}
 
     def act(self, n, i, m, j):
         key = (n, i, m, j)
@@ -257,6 +260,23 @@ class OuterAction:
     def act_vectors(self, n, x, m, y):
         """Bilinear extension of the action to sparse vectors."""
         return bilinear(self.act, n, x, m, y)
+
+    def operator(self, n, i, k):
+        """rho(e_i^(n)) on the degree-k module: {l: image of e_l^(k)}.
+
+        Holds only the nonzero images, so it is empty exactly when (n, i)
+        acts by zero on degree k.  Memoized.
+        """
+        key = (n, i, k)
+        got = self._op_memo.get(key)
+        if got is None:
+            got = {}
+            for l in range(self.module.dim(k)):
+                v = self.act(n, i, k, l)
+                if v:
+                    got[l] = v
+            self._op_memo[key] = got
+        return got
 
     def twist(self, n, i):
         if self._chi_fn is None:
@@ -273,6 +293,26 @@ class OuterAction:
         return combination((c, self.twist(n, i)) for i, c in x.items())
 
 
+def _after(a, n, i, k, op):
+    """rho(e_i^(n)) . op, for a sparse operator ``op`` whose images lie in degree k.
+
+    Reads only the action values that op's nonzero images reach.
+    """
+    return {l: a.act_vectors(n, {i: 1}, k, v) for l, v in op.items()}
+
+
+def _first_nonzero_column(terms):
+    """The least column l where the sum of c * op over ``terms`` is nonzero, or None.
+
+    ``terms`` are (c, op) pairs of sparse operators {l: vector}; only the
+    columns that some op holds are read.
+    """
+    for l in sorted(set().union(*(op for _, op in terms))):
+        if combination((c, op[l]) for c, op in terms if l in op):
+            return l
+    return None
+
+
 def outer_action_check(a, window=None):
     """Verify the outer-action axioms on all basis pairs in the window.
 
@@ -281,15 +321,22 @@ def outer_action_check(a, window=None):
     two defining equations
         chi([t,p]) = chi(t).p + (-1)^{|t|} t.chi(p)
         d(t.x) = dt.x + (-1)^{|t|} t.dx + [chi(t), x]
-    where the right action is x.p = -(-1)^{|x||p|} p.x.  The Lie-map
-    identity [t,p].x = t.(p.x) - (-1)^{|t||p|} p.(t.x) is walked on
-    unordered basis pairs (t,p), and on each pair of distinct elements g's
-    bracket must be graded-antisymmetric, [p,t] = -(-1)^{|t||p|} [t,p]; the
-    (p,t) identity is then -(-1)^{|t||p|} times the (t,p) one, so the check
-    is sound without g's own certificate.  Returns a report of (check, ok,
-    witness) rows; never raises.  Each failing row's witness is the first
-    failing case in its axiom's walk order (degrees, then basis indices,
-    ascending), and the walk stops there.
+    where the right action is x.p = -(-1)^{|x||p|} p.x.  The Lie-map and
+    d-of-action axioms are checked as identities between the sparse
+    operators ``a.operator`` on each module degree k,
+        rho([t,p]) = rho(t) rho(p) - (-1)^{|t||p|} rho(p) rho(t),
+        d rho(t) - rho(dt) - (-1)^{|t|} rho(t) d - ad(chi(t)) = 0,
+    so their cost follows the operators' nonzero entries, not the module's
+    dimension; each is the per-basis-vector identity on every module basis
+    element at once.  The Lie-map identity is walked on unordered basis
+    pairs (t,p), and on each pair of distinct elements g's bracket must be
+    graded-antisymmetric, [p,t] = -(-1)^{|t||p|} [t,p]; the (p,t) identity
+    is then -(-1)^{|t||p|} times the (t,p) one, so the check is sound
+    without g's own certificate.  Returns a report of (check, ok, witness)
+    rows; never raises.  Each failing row's witness is the first failing
+    case in its axiom's walk order (degrees, then basis indices, ascending;
+    an operator identity names its least failing module index), and the
+    walk stops there.
     """
     g = a.acting
     L = a.module
@@ -318,18 +365,23 @@ def outer_action_check(a, window=None):
                     [(1, g.bracket(m, j, n, i)), (sign, g.bracket(n, i, m, j))]
                 ):
                     yield ("alpha_antisymmetry", n, i, m, j)
-            for k, (i, j) in product(ks, pairs):
-                for l in range(L.dim(k)):
-                    # [t,p].x = t.(p.x) - (-1)^{|t||p|} p.(t.x)
-                    if combination([
-                        (1, bilinear(a.act, n + m, g.bracket(n, i, m, j), k, {l: 1})),
-                        (-1, bilinear(a.act, n, {i: 1}, m + k, a.act(m, j, k, l))),
-                        (sign, bilinear(a.act, m, {j: 1}, n + k, a.act(n, i, k, l))),
-                    ]):
+            for k in ks:
+                if not any(a.operator(d, q, k) for d in {n, m, n + m} for q in range(g.dim(d))):
+                    continue  # g_n, g_m and g_{n+m} act on L_k by zero: every identity is 0 = 0
+                for i, j in pairs:
+                    # rho([t,p]) = rho(t) rho(p) - (-1)^{|t||p|} rho(p) rho(t) on L_k
+                    terms = [(c, a.operator(n + m, q, k))
+                             for q, c in g.bracket(n, i, m, j).items()]
+                    terms.append((-1, _after(a, n, i, m + k, a.operator(m, j, k))))
+                    terms.append((sign, _after(a, m, j, n + k, a.operator(n, i, k))))
+                    l = _first_nonzero_column(terms)
+                    if l is not None:
                         yield ("alpha_lie_map", n, i, m, j, k, l)
 
     g_d = {d: linalg.columns(g.d_matrix(d), g.dim(d)) for d in range(g.lo + 1, g.hi + 1)}
     L_d = {d: linalg.columns(L.d_matrix(d), L.dim(d)) for d in range(L.lo + 1, L.hi + 1)}
+    # d out of each module degree as a sparse operator
+    d_ops = {d: {l: v for l, v in enumerate(cols) if v} for d, cols in L_d.items()}
 
     def chi_chain_failures():
         for n in range(max(lo, g.lo + 1), hi + 1):
@@ -369,15 +421,20 @@ def outer_action_check(a, window=None):
                     and chi_known and dx_known and dtheta_known):
                 continue
             sgn = -1 if n % 2 else 1
-            for i, l in product(range(g.dim(n)), range(L.dim(k))):
-                terms = [(c, L_d[n + k][p]) for p, c in a.act(n, i, k, l).items()]
+            for i in range(g.dim(n)):
+                # d rho(t) - rho(dt) - (-1)^{|t|} rho(t) d - ad(chi(t)) = 0 on L_k
+                terms = [(1, {l: combination((c, L_d[n + k][p]) for p, c in v.items())
+                              for l, v in a.operator(n, i, k).items()})]
                 if n - 1 >= g.lo:
-                    terms.append((-1, bilinear(a.act, n - 1, g_d[n][i], k, {l: 1})))
-                if mod_ok(k - 1):
-                    terms.append((-sgn, bilinear(a.act, n, {i: 1}, k - 1, L_d[k][l])))
-                if mod_ok(n - 1):
-                    terms.append((-1, bilinear(L.bracket, n - 1, a.twist(n, i), k, {l: 1})))
-                if combination(terms):
+                    terms += [(-c, a.operator(n - 1, q, k)) for q, c in g_d[n][i].items()]
+                if mod_ok(k - 1) and a.operator(n, i, k - 1):
+                    terms.append((-sgn, _after(a, n, i, k - 1, d_ops[k])))
+                chi = a.twist(n, i) if mod_ok(n - 1) else {}
+                if chi:
+                    terms.append((-1, {l: bilinear(L.bracket, n - 1, chi, k, {l: 1})
+                                       for l in range(L.dim(k))}))
+                l = _first_nonzero_column(terms)
+                if l is not None:
                     yield ("axiom_d_of_action", n, i, k, l)
 
     return ValidationReport([
@@ -504,17 +561,37 @@ class _HomModule:
             raise AxiomFailure("Hom value in degree 0 is not a cycle")
         return c
 
+    def induced_map(self, theta):
+        """The map theta induces on indecomposables: {x: linear part of theta(x)}.
+
+        Holds the indecomposable generators x whose theta(x) has a nonzero
+        linear part, in basis order; the right action and the twist of
+        theta depend only on this map.
+        """
+        out = {}
+        for x, _ in self.indec_basis.entries:
+            val = theta.value(x)
+            if not val.is_zero():
+                lin = val.linear_part()
+                if lin:
+                    out[x] = lin
+        return out
+
     def right_action_raw(self, theta, m, fvec):
         """(f.theta)(s[x]) = (-1)^{|theta|} f(s[theta(x)]), in sparse raw coordinates."""
-        n = theta.degree
+        return self.right_action_induced(theta.degree, self.induced_map(theta), m, fvec)
+
+    def right_action_induced(self, n, induced, m, fvec):
+        """``right_action_raw`` of a degree-n theta given by its ``induced_map``."""
         sign = -1 if n % 2 else 1
         terms = []
         for pos, c in fvec.items():
             sname, tname = self.functional[m, pos]
             xf = sname[1:]
-            want = self.p.generators.degree(xf) - n
-            for x in self.indec_basis.in_degree(want):
-                lam = theta.value(x).linear_part().get(xf)
+            # the linear part of theta(x) lives in degree |x| + n, so a
+            # nonzero coefficient on xf puts x in degree |xf| - n
+            for x, lin in induced.items():
+                lam = lin.get(xf)
                 if lam:
                     tgt = self.index.get((m + n, "s%s" % x, tname))
                     if tgt is not None:
@@ -523,14 +600,15 @@ class _HomModule:
 
     def chi_raw(self, theta, rho):
         """(rho~ . theta)(s[x]) = (-1)^{|theta|} rho(theta(x)), in sparse raw coordinates."""
-        n = theta.degree
+        return self.chi_induced(theta.degree, self.induced_map(theta), rho)
+
+    def chi_induced(self, n, induced, rho):
+        """``chi_raw`` of a degree-n theta given by its ``induced_map``."""
         sign = -1 if n % 2 else 1
         terms = []
-        for x, xd in self.indec_basis.entries:
-            val = theta.value(x)
-            if val.is_zero():
-                continue
-            for tname, c in _rho_of(rho, val).items():
+        degree = self.indec_basis.degree
+        for x, lin in induced.items():
+            for tname, c in _rho_of_linear(rho, degree(x) + n, lin).items():
                 tgt = self.index.get((n - 1, "s%s" % x, tname))
                 if tgt is not None:
                     terms.append((sign * c, {tgt: 1}))
@@ -563,13 +641,24 @@ def build_g(p, sub_b, sub_a, rho, pi, window):
     hm = _HomModule(p, sub_b, pi, (lo, hi))
     g = deru(p, sub_a, rho, (lo, hi))
 
+    induced = {}
+
+    def induced_map(n, i):
+        got = induced.get((n, i))
+        if got is None:
+            got = induced[n, i] = hm.induced_map(g.derivations[n][i])
+        return got
+
     def action_fn(n, i, m, j):
-        right = hm.right_action_raw(g.derivations[n][i], m, hm.raw_basis_vector(m, j))
+        lin = induced_map(n, i)
+        if not lin:
+            return {}
+        right = hm.right_action_induced(n, lin, m, hm.raw_basis_vector(m, j))
         sgn = -1 if (n * m) % 2 == 0 else 1
         return hm.to_module_coords(n + m, {k: sgn * x for k, x in right.items()})
 
     def chi_fn(n, i):
-        return hm.to_module_coords(n - 1, hm.chi_raw(g.derivations[n][i], rho))
+        return hm.to_module_coords(n - 1, hm.chi_induced(n, induced_map(n, i), rho))
 
     a = OuterAction(g, hm.module, action_fn, chi_fn if rho is not None else None)
     slc = semidirect(g, hm.module, a, (lo, hi))

@@ -126,10 +126,13 @@ def _rho_of(rho, element):
     """
     if element.is_zero():
         return {}
-    lin = element.linear_part()
+    return _rho_of_linear(rho, element.degree, element.linear_part())
+
+
+def _rho_of_linear(rho, d, lin):
+    """rho on a degree-d element's linear part ``lin`` (generator name -> coefficient)."""
     if not lin:
         return {}
-    d = element.degree
     src = rho.source.in_degree(d)
     tgt = rho.target.in_degree(d + rho.degree)
     if not src or not tgt:

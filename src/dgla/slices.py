@@ -44,6 +44,7 @@ class DgLieSlice(DegreeWindow):
         super().__init__(window, labels, d_blocks, zero_below)
         self._bracket_fn = bracket_fn
         self._structure = {}
+        self._antisymmetric = set()  # degree pairs whose antisymmetry is certified
 
     # -- structure access -------------------------------------------------
 
@@ -78,6 +79,26 @@ class DgLieSlice(DegreeWindow):
         for parts in product(*(combinations_with_replacement(range(dim), r) for dim, r in runs)):
             yield tuple(chain.from_iterable(parts))
 
+    def _check_antisymmetry(self, degree_pairs):
+        """[x,y] = -(-1)^{|x||y|}[y,x] once per unordered basis pair of each (n, m).
+
+        ``degree_pairs`` are walked in order, with n <= m and n + m in the
+        window.  Raises AxiomFailure at the first pair that fails.  The
+        bracket is memoized, so a degree pair that passed once is not
+        walked again.
+        """
+        br = self.bracket
+        for n, m in degree_pairs:
+            if (n, m) in self._antisymmetric:
+                continue
+            sign = 1 if (n * m) % 2 else -1
+            for i, j in self._unordered_tuples((n, m)):
+                if combination([(1, br(n, i, m, j)), (-sign, br(m, j, n, i))]):
+                    raise AxiomFailure(
+                        "bracket antisymmetry fails at (%d,%d,%d,%d)" % (n, i, m, j)
+                    )
+            self._antisymmetric.add((n, m))
+
     def check_bracket_axioms(self):
         """Antisymmetry on every basis pair, Jacobi on every triple, each unordered.
 
@@ -89,15 +110,9 @@ class DgLieSlice(DegreeWindow):
         """
         degs = [d for d in range(self.lo, self.hi + 1) if self.labels[d]]
         br = self.bracket
-        for n, m in combinations_with_replacement(degs, 2):
-            if not self.in_window(n + m):
-                continue
-            sign = 1 if (n * m) % 2 else -1
-            for i, j in self._unordered_tuples((n, m)):
-                if combination([(1, br(n, i, m, j)), (-sign, br(m, j, n, i))]):
-                    raise AxiomFailure(
-                        "bracket antisymmetry fails at (%d,%d,%d,%d)" % (n, i, m, j)
-                    )
+        self._check_antisymmetry(
+            (n, m) for n, m in combinations_with_replacement(degs, 2) if self.in_window(n + m)
+        )
         for n, m, k in combinations_with_replacement(degs, 3):
             if not all(self.in_window(d) for d in (n + m + k, n + m, m + k, n + k)):
                 continue
@@ -130,19 +145,30 @@ class DgLieSlice(DegreeWindow):
 
         d out of the bottom degree is known only when the slice is
         ``zero_below``, and is then the zero map: pairs with a factor there
-        are walked with dx = 0, and skipped otherwise.  Raises AxiomFailure
-        at the first pair that fails.
+        are walked with dx = 0, and skipped otherwise.  The identity is
+        walked once per unordered basis pair, the diagonal included: given
+        graded antisymmetry on the degree pairs of [x,y], [dx,y] and [x,dy],
+        the (y,x) identity is -(-1)^{|x||y|} times the (x,y) one.  So that a
+        standalone call is sound, that antisymmetry is checked first, in the
+        same call, on every degree pair no earlier check of this slice has
+        certified.  Raises AxiomFailure at the first pair that fails.
         """
         cols = {d: linalg.columns(self.d_matrix(d), self.dim(d))
                 for d in range(self.lo + 1, self.hi + 1)}
         if self.zero_below:
             cols = {self.lo: [{}] * self.dim(self.lo), **cols}
+        walk = [(n, m) for n, m in combinations_with_replacement(cols, 2)
+                if self.in_window(n + m) and self.in_window(n + m - 1)]
+        # the degree pairs of [x,y], [dx,y] and [x,dy]; a walked factor in
+        # the bottom degree has dx = 0, so it needs none
+        needed = set(walk)
+        needed.update((n - 1, m) for n, m in walk if n > self.lo)
+        needed.update(tuple(sorted((n, m - 1))) for n, m in walk if m > self.lo)
+        self._check_antisymmetry(sorted(needed))
         br = self.bracket
-        for n, m in product(cols, repeat=2):
-            if not (self.in_window(n + m) and self.in_window(n + m - 1)):
-                continue
+        for n, m in walk:
             sign = -1 if n % 2 else 1
-            for i, j in self._basis_pairs(n, m):
+            for i, j in self._unordered_tuples((n, m)):
                 terms = [(c, cols[n + m][k]) for k, c in br(n, i, m, j).items()]
                 terms += [
                     (-1, bilinear(br, n - 1, cols[n][i], m, {j: 1})),

@@ -13,7 +13,9 @@ coordinate dict per result, and derivation operations evaluated on every
 generator instead of only where a value or d is nonzero, degree 0 of
 Der_u as an intersection of two kernels instead of one stacked kernel, and
 RREF, kernel and triangular solve with every value a Fraction instead of
-an int wherever it is integral.
+an int wherever it is integral, the outer-action axioms on every module
+basis vector instead of as sparse operator identities, and d-Leibniz on
+every ordered pair instead of once per unordered one.
 Tests compare library output against these.
 The helpers that are not oracles are ``sub_contains``, membership in a
 designated subalgebra through the library's own spans, and the coefficient
@@ -589,6 +591,36 @@ def ordered_bracket_axioms(slc):
     return None
 
 
+def ordered_d_leibniz(slc):
+    """d[x,y] = [dx,y] + (-1)^{|x|}[x,dy] on every ordered in-window basis pair.
+
+    The walk the library replaced by unordered pairs, with no antisymmetry
+    assumed.  d out of the bottom degree is the zero map on a ``zero_below``
+    slice, and unknown otherwise (those pairs are skipped).  Returns the
+    first failing pair (n, i, m, j) in ordered walk order, or None.
+    """
+    from dgla import linalg
+    from dgla.slices import bilinear
+
+    cols = {d: linalg.columns(slc.d_matrix(d), slc.dim(d)) for d in range(slc.lo + 1, slc.hi + 1)}
+    if slc.zero_below:
+        cols = {slc.lo: [{}] * slc.dim(slc.lo), **cols}
+    br = slc.bracket
+    for n, m in product(cols, repeat=2):
+        if not (slc.in_window(n + m) and slc.in_window(n + m - 1)):
+            continue
+        sign = -1 if n % 2 else 1
+        for i, j in product(range(slc.dim(n)), range(slc.dim(m))):
+            total = {}
+            for k, c in br(n, i, m, j).items():
+                _add_scaled(total, c, cols[n + m][k])
+            _add_scaled(total, -1, bilinear(br, n - 1, cols[n][i], m, {j: 1}))
+            _add_scaled(total, -sign, bilinear(br, n, {i: 1}, m - 1, cols[m][j]))
+            if any(total.values()):
+                return (n, i, m, j)
+    return None
+
+
 # -- random dg Lie presentations ----------------------------------------------------
 
 
@@ -960,6 +992,135 @@ def deru_degree0_by_intersection(p, rel, rho):
                     block_rows[r][col[src[k]]] = c
             rows += block_rows
     return layout, kernel(rel_rows).intersection(kernel(rows))
+
+
+# -- outer-action axioms on every module basis vector -----------------------------------
+# The library checks the Lie-map and d-of-action axioms as identities between
+# sparse operators, one per acting basis element and module degree.  This is
+# the per-vector walk it replaced, unchanged: each identity on each module
+# basis vector, with three ``bilinear`` calls per vector.
+
+
+def per_vector_outer_action_check(a, window=None):
+    """Verify the outer-action axioms on all basis pairs in the window.
+
+    Checks that the action is a map of graded Lie algebras, that chi
+    anti-commutes with the differentials (a chain map of degree -1), and the
+    two defining equations
+        chi([t,p]) = chi(t).p + (-1)^{|t|} t.chi(p)
+        d(t.x) = dt.x + (-1)^{|t|} t.dx + [chi(t), x]
+    where the right action is x.p = -(-1)^{|x||p|} p.x.  The Lie-map
+    identity [t,p].x = t.(p.x) - (-1)^{|t||p|} p.(t.x) is walked on
+    unordered basis pairs (t,p), and on each pair of distinct elements g's
+    bracket must be graded-antisymmetric, [p,t] = -(-1)^{|t||p|} [t,p]; the
+    (p,t) identity is then -(-1)^{|t||p|} times the (t,p) one, so the check
+    is sound without g's own certificate.  Returns a report of (check, ok,
+    witness) rows; never raises.  Each failing row's witness is the first
+    failing case in its axiom's walk order (degrees, then basis indices,
+    ascending), and the walk stops there.
+    """
+    from itertools import combinations_with_replacement, product
+
+    from dgla import linalg
+    from dgla.errors import ValidationReport, check_row
+    from dgla.linalg import combination
+    from dgla.slices import bilinear
+
+    g = a.acting
+    L = a.module
+    lo = max(g.lo, window[0]) if window else g.lo
+    hi = min(g.hi, window[1]) if window else g.hi
+
+    def mod_ok(d):
+        return L.lo <= d <= L.hi
+
+    def g_ok(d):
+        return g.lo <= d <= g.hi
+
+    def lie_map_failures():
+        for n, m in combinations_with_replacement(range(lo, hi + 1), 2):
+            ks = [k for k in range(L.lo, L.hi + 1) if mod_ok(n + m + k)]
+            if not (g_ok(n + m) and ks):
+                continue
+            sign = -1 if (n * m) % 2 else 1
+            if n == m:
+                pairs = list(combinations_with_replacement(range(g.dim(n)), 2))
+            else:
+                pairs = list(product(range(g.dim(n)), range(g.dim(m))))
+            for i, j in pairs:
+                # graded antisymmetry, which makes the (p,t) identity follow from (t,p)
+                if (n, i) != (m, j) and combination(
+                    [(1, g.bracket(m, j, n, i)), (sign, g.bracket(n, i, m, j))]
+                ):
+                    yield ("alpha_antisymmetry", n, i, m, j)
+            for k, (i, j) in product(ks, pairs):
+                for l in range(L.dim(k)):
+                    # [t,p].x = t.(p.x) - (-1)^{|t||p|} p.(t.x)
+                    if combination([
+                        (1, bilinear(a.act, n + m, g.bracket(n, i, m, j), k, {l: 1})),
+                        (-1, bilinear(a.act, n, {i: 1}, m + k, a.act(m, j, k, l))),
+                        (sign, bilinear(a.act, m, {j: 1}, n + k, a.act(n, i, k, l))),
+                    ]):
+                        yield ("alpha_lie_map", n, i, m, j, k, l)
+
+    g_d = {d: linalg.columns(g.d_matrix(d), g.dim(d)) for d in range(g.lo + 1, g.hi + 1)}
+    L_d = {d: linalg.columns(L.d_matrix(d), L.dim(d)) for d in range(L.lo + 1, L.hi + 1)}
+
+    def chi_chain_failures():
+        for n in range(max(lo, g.lo + 1), hi + 1):
+            if not (mod_ok(n - 1) and mod_ok(n - 2)):
+                continue
+            for i in range(g.dim(n)):
+                # d chi(t) + chi(dt) = 0
+                terms = [(1, L.d_apply(n - 1, a.twist(n, i)))]
+                terms += [(c, a.twist(n - 1, k)) for k, c in g_d[n][i].items()]
+                if combination(terms):
+                    yield ("chi_chain", n, i)
+
+    def chi_bracket_failures():
+        for n, m in product(range(lo, hi + 1), repeat=2):
+            chi_n = mod_ok(n - 1) or (n - 1 < L.lo and L.zero_below)
+            chi_m = mod_ok(m - 1) or (m - 1 < L.lo and L.zero_below)
+            if not (g_ok(n + m) and mod_ok(n + m - 1) and chi_n and chi_m):
+                continue
+            # chi(t).p = -(-1)^{|chi t||p|} p.chi(t)
+            sgn1 = -1 if ((n - 1) * m) % 2 == 0 else 1
+            sgn2 = -1 if n % 2 else 1
+            for i, j in product(range(g.dim(n)), range(g.dim(m))):
+                terms = [(c, a.twist(n + m, k)) for k, c in g.bracket(n, i, m, j).items()]
+                if mod_ok(n - 1):
+                    terms.append((-sgn1, bilinear(a.act, m, {j: 1}, n - 1, a.twist(n, i))))
+                if mod_ok(m - 1):
+                    terms.append((-sgn2, bilinear(a.act, n, {i: 1}, m - 1, a.twist(m, j))))
+                if combination(terms):
+                    yield ("axiom_chi_bracket", n, i, m, j)
+
+    def d_of_action_failures():
+        for n, k in product(range(lo, hi + 1), range(L.lo, L.hi + 1)):
+            chi_known = mod_ok(n - 1) or (n - 1 < L.lo and L.zero_below)
+            dx_known = mod_ok(k - 1) or (k - 1 < L.lo and L.zero_below)
+            dtheta_known = n - 1 >= g.lo or g.zero_below
+            if not (mod_ok(n + k) and mod_ok(n + k - 1)
+                    and chi_known and dx_known and dtheta_known):
+                continue
+            sgn = -1 if n % 2 else 1
+            for i, l in product(range(g.dim(n)), range(L.dim(k))):
+                terms = [(c, L_d[n + k][p]) for p, c in a.act(n, i, k, l).items()]
+                if n - 1 >= g.lo:
+                    terms.append((-1, bilinear(a.act, n - 1, g_d[n][i], k, {l: 1})))
+                if mod_ok(k - 1):
+                    terms.append((-sgn, bilinear(a.act, n, {i: 1}, k - 1, L_d[k][l])))
+                if mod_ok(n - 1):
+                    terms.append((-1, bilinear(L.bracket, n - 1, a.twist(n, i), k, {l: 1})))
+                if combination(terms):
+                    yield ("axiom_d_of_action", n, i, k, l)
+
+    return ValidationReport([
+        check_row("action_is_graded_lie_map", lie_map_failures()),
+        check_row("chi_anticommutes_with_d", chi_chain_failures()),
+        check_row("chi_of_bracket", chi_bracket_failures()),
+        check_row("d_of_action", d_of_action_failures()),
+    ])
 
 
 # -- designated subalgebras ------------------------------------------------------------

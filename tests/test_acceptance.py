@@ -658,6 +658,33 @@ def test_corpus_report_bodies_match_pinned_digests(monkeypatch, tmp_path):
     assert digests == CORPUS_REPORT_SHA256
 
 
+# Report SHA-256 of commands whose outer action has a nonzero twist, which
+# no CLI_CORPUS command builds (w11's action and twist are both zero).
+# Pinned from an earlier commit, as CORPUS_REPORT_SHA256 is.
+TWISTED_REPORT_SHA256 = [
+    ("block-g", ["twisted9.json"], ["--min", "0", "--max", "4"],
+     "68b8b3f9a47009d7f8b5410bb1d04b41662341db52f0d0f1a205214a6d8235e9"),
+    ("g", ["presentation_twisted9.json"], ["--rho", "@rho_twisted9.json", "--min", "0", "--max", "3"],
+     "3e2e74589ef4d533e4489991887e65b58f8ada90a82703dd59c85781081b4fca"),
+    ("glue", ["twisted9.json", "twisted9.json"],
+     ["--min", "0", "--max", "2", "--assert-semisimple"],
+     "a2825247a8a4907d3ad5f8ad1ede46aef44561ec7ea75703079e9f86b2626072"),
+]
+
+
+@pytest.mark.parametrize("cmd, files, flags, digest", TWISTED_REPORT_SHA256,
+                         ids=[row[0] for row in TWISTED_REPORT_SHA256])
+def test_twisted_report_bodies_match_pinned_digests(cmd, files, flags, digest, monkeypatch, tmp_path):
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
+    argv = [cmd] + [os.path.join("fixtures", f) for f in files]
+    argv += [os.path.join("fixtures", a[1:]) if a.startswith("@") else a for a in flags]
+    out = tmp_path / "r.json"
+    code, _ = cli_run(argv + ["--out", str(out)])
+    assert code == 0, (cmd, code)
+    body = io_mod.canonical_dumps(json.loads(out.read_text())["report"])
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
 # Runs CLI_CORPUS (argv[1], as JSON) from the working directory and writes
 # the SHA-256 of each report body, as JSON, to argv[3]; reports go to argv[2].
 _CORPUS_DIGESTS_SCRIPT = """

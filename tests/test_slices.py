@@ -13,7 +13,7 @@ import pytest
 from dgla import linalg, slices
 from dgla.errors import AxiomFailure
 from dgla.slices import DgLieSlice
-from oracles import ordered_bracket_axioms
+from oracles import ordered_bracket_axioms, ordered_d_leibniz
 
 
 def test_jacobi_is_checked_on_every_triple():
@@ -39,14 +39,18 @@ def test_jacobi_runs_once_per_unordered_triple(monkeypatch):
     assert len(calls) == 3 * 84
 
 
-def _random_graded_gl(rng):
+def _random_graded_gl(rng, differential=False):
     """A random basis of a window of gl(V) under the graded commutator.
 
     V has two or three basis vectors of degrees 0..2, and E_ab (v_b to v_a)
     has degree |v_a| - |v_b|.  Each degree gets a random unitriangular
     change of basis, so the constants stay integral and odd elements can
-    have nonzero self-brackets.  Returns the window, the labels and the
-    table {(n, i, m, j): {k: c}} of every bracket landing in the window.
+    have nonzero self-brackets.  Returns the window, the labels, the table
+    {(n, i, m, j): {k: c}} of every bracket landing in the window and the
+    differential blocks.  With ``differential``, V gets a random d out of
+    the degrees of one parity (so d^2 = 0) and gl(V) the differential
+    D x = d x - (-1)^|x| x d, in a block out of every degree but the
+    lowest; otherwise there are no blocks.
     """
     vdeg = [rng.randint(0, 2) for _ in range(rng.randint(2, 3))]
     lo = rng.choice([-1, 0, 1])
@@ -94,14 +98,27 @@ def _random_graded_gl(rng):
                         comm[e] -= sign * v
                     table[n, i, m, j] = coords(n + m, comm)
     labels = {d: ["f%d_%d" % (d, i) for i in range(len(xs))] for d, xs in elems.items()}
-    return (lo, hi), labels, table
+    d_blocks = {}
+    if differential:
+        parity = rng.randint(0, 1)
+        dv = {(a, b): rng.randint(-2, 2) for a, da in enumerate(vdeg)
+              for b, db in enumerate(vdeg) if da == db - 1 and db % 2 == parity}
+        for n in range(lo + 1, hi + 1):
+            cols = []
+            for x in elems.get(n, []):
+                comm = product_of(dv, x)
+                for e, v in product_of(x, dv).items():
+                    comm[e] -= (-1) ** (n % 2) * v
+                cols.append(coords(n - 1, comm) if units[n - 1] else {})
+            d_blocks[n] = linalg.from_columns(len(elems.get(n - 1, [])), cols)
+    return (lo, hi), labels, table, d_blocks
 
 
 def test_unordered_axiom_check_agrees_with_the_ordered_oracle():
     rng = random.Random(1515)
     verdicts = defaultdict(int)
     for _ in range(800):
-        window, labels, table = _random_graded_gl(rng)
+        window, labels, table, _ = _random_graded_gl(rng)
         keys = [key for key in table if labels[key[0] + key[2]]]
         how = rng.choice(["none", "partner", "constant", "constant"])
         if keys and how != "none":
@@ -140,6 +157,123 @@ def test_d_leibniz_is_checked_on_every_pair():
     slc.check_d_squared()
     slc.check_bracket_axioms()
     with pytest.raises(AxiomFailure, match=r"pair \(1,20\),\(1,20\)"):
+        slc.check_d_leibniz()
+
+
+def test_d_leibniz_walks_unordered_pairs_and_reuses_antisymmetry(monkeypatch):
+    # seven central elements in degree 1 of the window [0, 2]: 28 unordered
+    # pairs, each one sum for antisymmetry and three for Leibniz (an ordered
+    # walk makes 3 * 49); a slice whose bracket axioms passed already skips
+    # the antisymmetry sums
+    calls = []
+    combination = slices.combination
+    monkeypatch.setattr(slices, "combination", lambda *args: calls.append(1) or combination(*args))
+
+    def fresh():
+        return DgLieSlice((0, 2), {1: ["e%d" % i for i in range(7)]})
+
+    fresh().check_d_leibniz()
+    assert len(calls) == 4 * 28
+    slc = fresh()
+    slc.check_bracket_axioms()
+    del calls[:]
+    slc.check_d_leibniz()
+    assert len(calls) == 3 * 28
+
+
+def test_unordered_leibniz_agrees_with_the_ordered_oracle():
+    # d-Leibniz once per unordered pair, after antisymmetry on the degree
+    # pairs it needs, against the ordered walk that assumes nothing
+    rng = random.Random(2525)
+    verdicts = defaultdict(int)
+    for _ in range(400):
+        window, labels, table, d_blocks = _random_graded_gl(rng, differential=True)
+        labels = {d: labels.get(d, []) for d in range(window[0], window[1] + 1)}
+        keys = [key for key in table if labels[key[0] + key[2]]]
+        how = rng.choice(["none", "partner", "constant", "d"])
+        if keys and how in ("partner", "constant"):
+            n, i, m, j = key = rng.choice(keys)
+            k = rng.randrange(len(labels[n + m]))
+            bumps = [((m, j, n, i), 1)]  # [y,x] alone
+            if how == "constant":  # [x,y] and its antisymmetric partner together
+                bumps = [(key, 1)] + ([((m, j, n, i), 1 if n * m % 2 else -1)]
+                                      if (n, i) != (m, j) else [])
+            for bumped, by in bumps:
+                table[bumped] = {t: v for t, v in
+                                 {**table[bumped], k: table[bumped].get(k, 0) + by}.items() if v}
+        blocks = [d for d, b in d_blocks.items() if b and labels[d - 1] and labels[d]]
+        if how == "d" and blocks:
+            d = rng.choice(blocks)
+            ents = list(linalg.entries(d_blocks[d]))
+            ents.append((rng.randrange(len(labels[d - 1])), rng.randrange(len(labels[d])), 1))
+            d_blocks[d] = linalg.matrix(len(labels[d - 1]), len(labels[d]), ents)
+        slc = DgLieSlice(window, labels, d_blocks, lambda *key: table.get(key, {}),
+                         zero_below=rng.random() < 0.3)
+        expected = ordered_d_leibniz(slc)
+        try:
+            slc.check_d_leibniz()
+            got = None
+        except AxiomFailure as exc:
+            got = str(exc)
+        if got is None:
+            assert expected is None, (window, labels, table)
+            verdicts["pass"] += 1
+        elif "antisymmetry" in got:
+            assert ordered_bracket_axioms(slc) == "antisymmetry"
+            verdicts["antisymmetry"] += 1
+        else:
+            assert got.endswith("pair (%d,%d),(%d,%d)" % expected), (got, expected)
+            verdicts["leibniz"] += 1
+    assert min(verdicts.values()) >= 50 and len(verdicts) == 3, dict(verdicts)
+
+
+def test_d_leibniz_alone_catches_a_bracket_that_breaks_antisymmetry():
+    # d s = t and [s, t] = s, while [t, s] = 0: the (t, s) identity holds and
+    # only the reversed pair (s, t) breaks Leibniz, d[s,t] = t but
+    # [ds, t] - [s, dt] = 0; an unordered walk sees it only as antisymmetry
+    tab = {(1, 0, 0, 0): {0: 1}}
+    slc = DgLieSlice((0, 1), {0: ["t"], 1: ["s"]}, {1: linalg.matrix(1, 1, [(0, 0, 1)])},
+                     bracket_fn=lambda *pair: tab.get(pair, {}), zero_below=True)
+    assert ordered_d_leibniz(slc) == (1, 0, 0, 0)
+    with pytest.raises(AxiomFailure, match=r"antisymmetry fails at \(0,0,1,0\)"):
+        slc.check_d_leibniz()
+
+
+@pytest.mark.parametrize("case", ["dx", "dy"])
+def test_d_leibniz_checks_antisymmetry_where_dx_and_dy_land(case):
+    # Each slice breaks antisymmetry on one degree pair that no walked pair
+    # covers but through [dx, y] or [x, dy].  The pair (t, s) holds and its
+    # reverse (s, t) breaks Leibniz; only antisymmetry tells the unordered
+    # walk.  "dx": d t = u, [s, u] = t, [u, s] = 0, the pair (u, s) in
+    # degrees (-1, 1).  "dy": d s = w on a zero_below slice, [w, t] = t,
+    # [t, w] = 0, the pair (t, w) in degrees (0, 0).
+    if case == "dx":
+        tab = {(1, 0, -1, 0): {0: 1}}
+        slc = DgLieSlice((-1, 1), {-1: ["u"], 0: ["t"], 1: ["s"]},
+                         {0: linalg.matrix(1, 1, [(0, 0, 1)])},
+                         bracket_fn=lambda *pair: tab.get(pair, {}))
+        where = r"\(-1,0,1,0\)"
+    else:
+        tab = {(0, 1, 0, 0): {0: 1}}
+        slc = DgLieSlice((0, 1), {0: ["t", "w"], 1: ["s"]},
+                         {1: linalg.matrix(2, 1, [(1, 0, 1)])},
+                         bracket_fn=lambda *pair: tab.get(pair, {}), zero_below=True)
+        where = r"\(0,0,0,1\)"
+    assert ordered_d_leibniz(slc) == (1, 0, 0, 0)
+    # a failed verdict is not remembered as a pass
+    for check in (slc.check_d_leibniz, slc.check_bracket_axioms, slc.check_d_leibniz):
+        with pytest.raises(AxiomFailure, match=r"antisymmetry fails at " + where):
+            check()
+
+
+def test_d_leibniz_catches_a_planted_failure_on_a_mixed_pair():
+    # d s = t, [t, s] = s and [s, t] = -s: antisymmetric, but d[t, s] = t
+    # while [dt, s] + [t, ds] = [t, t] = 0
+    tab = {(0, 0, 1, 0): {0: 1}, (1, 0, 0, 0): {0: -1}}
+    slc = DgLieSlice((0, 1), {0: ["t"], 1: ["s"]}, {1: linalg.matrix(1, 1, [(0, 0, 1)])},
+                     bracket_fn=lambda *pair: tab.get(pair, {}), zero_below=True)
+    assert ordered_d_leibniz(slc) == (0, 0, 1, 0)
+    with pytest.raises(AxiomFailure, match=r"derivation at pair \(0,0\),\(1,0\)"):
         slc.check_d_leibniz()
 
 
