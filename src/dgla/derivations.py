@@ -96,6 +96,8 @@ class Derivation:
             raise ValueError("derivations on different presentations")
         if self.degree != other.degree:
             raise ValueError("derivations of different degrees")
+        if self.rel != other.rel:
+            raise SubMismatch("derivations relative to different subs")
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
@@ -236,7 +238,9 @@ def _condition_space(ncols, unit, conditions):
     Column k of the one condition matrix stacks the images of ``unit(k)``,
     the k-th coordinate vector's derivation (or pair of them), under
     ``conditions``; the space is that matrix's kernel basis.  Units are
-    built only when there is a condition.
+    built only when there is a condition.  A unit is nonzero on few
+    generators, so an evaluation condition (``_evaluation``) reads only
+    the terms of its element whose trees the unit reaches.
     """
     tops = [0]
     for height, _ in conditions:
@@ -249,19 +253,61 @@ def _condition_space(ncols, unit, conditions):
     return linalg.Subspace.from_kernel(linalg.matrix(tops[-1], ncols, ents), ncols)
 
 
+def _letters(tree):
+    """The generator indices at the leaves of an index tree."""
+    if isinstance(tree, int):
+        return {tree}
+    return _letters(tree[0]) | _letters(tree[1])
+
+
+def _evaluation(e):
+    """The condition image th -> th(e), evaluated on the terms of e that th reaches.
+
+    A derivation or f-derivation that vanishes off a set S of generators
+    kills every basis tree with no letter in S: by the Leibniz rule, by
+    induction on the tree.  So th(e) is th at the part of e on the trees
+    that meet th's generators, and a th that reaches none of e is not
+    evaluated.  The terms each generator reaches are memoized; the part
+    keeps e's term order, so the image is the one th(e) gives, entry for
+    entry.
+    """
+    p = e.presentation
+    basis = p.lie_basis(e.degree)
+    letters = [(i, _letters(basis[i].tree)) for i in e.coords]
+    reach = {}
+
+    def reached(name):
+        got = reach.get(name)
+        if got is None:
+            g = p.generators.index[name]
+            got = reach[name] = {i for i, ls in letters if g in ls}
+        return got
+
+    def image(th):
+        terms = set().union(*map(reached, th.values))
+        if not terms:
+            return {}
+        if len(terms) < len(e.coords):
+            coords = {i: c for i, c in e.coords.items() if i in terms}
+            return th.eval_at(LieElement._trusted(p, e.degree, coords)).coords
+        return th.eval_at(e).coords
+
+    return image
+
+
 def _vanishing_conditions(p, rel, target, n):
     """theta(e) = 0 for each element e listed by an ElementGenerated sub of p.
 
     By the Leibniz rule these force vanishing on the generated subalgebra;
-    a GeneratorSplit sub is already left out of the Hom coordinates.
+    a GeneratorSplit sub is already left out of the Hom coordinates.  Each
+    unit is evaluated only on the terms of e that it reaches
+    (``_evaluation``), which for a unit on one generator is most often
+    none of e.
     """
     spec = p.sub(rel)
     if isinstance(spec, GeneratorSplit):
         return []
-    return [
-        (target.dim(e.degree + n), lambda th, e=e: th.eval_at(e).coords)
-        for e in spec.elements
-    ]
+    return [(target.dim(e.degree + n), _evaluation(e)) for e in spec.elements]
 
 
 def _cycle_condition(p, rel):
@@ -309,7 +355,10 @@ class DerSlice(DgLieSlice):
     Basis elements are Derivation objects, in each degree the kernel basis
     of that degree's stacked conditions (see ``linalg.Subspace``); the
     differential and bracket are realized as exact matrices and memoized
-    tables in the subspace coordinates.
+    tables in the subspace coordinates.  The structure constants are read
+    from the basis derivations as sparse operators: the slice memoizes
+    each one's image of every basis tree that some bracket reaches, as a
+    sparse coordinate dict, and builds no Derivation per bracket.
     """
 
     def __init__(self, p, rel, window, spaces, layouts, zero_below=False):
@@ -318,6 +367,9 @@ class DerSlice(DgLieSlice):
         self.spaces = spaces
         self.layouts = layouts
         self.derivations = {}
+        # {(n, i): {index tree: sparse image}}: the operator columns of basis
+        # derivation i of degree n, filled as brackets reach them
+        self._columns = {}
         lo, hi = window
         labels = {}
         for n in range(lo, hi + 1):
@@ -337,7 +389,10 @@ class DerSlice(DgLieSlice):
 
     def coords(self, theta, n):
         """The sparse coordinates of a degree-n derivation in this slice's basis."""
-        c = self.spaces[n].coords(self.layouts[n].to_vector(theta))
+        return self._vector_coords(self.layouts[n].to_vector(theta), n)
+
+    def _vector_coords(self, vec, n):
+        c = self.spaces[n].coords(vec)
         if c is None:
             raise SubMismatch(
                 "derivation of degree %d is not in the slice subspace" % n
@@ -348,9 +403,70 @@ class DerSlice(DgLieSlice):
         """The derivation with the sparse coordinates ``coords`` in degree n."""
         return self.layouts[n].from_vector(self.spaces[n].vector(coords))
 
+    def _image(self, n, i, tree):
+        """Basis derivation i of degree n at an index tree, as sparse coordinates.
+
+        The Leibniz rule on (u, v), theta[u,v] = [theta u, v] +
+        (-1)^{n|u|} [u, theta v], as ``leibniz_extension`` computes it,
+        with theta u and theta v read back from the memo.  Callers must not
+        mutate the result.
+        """
+        memo = self._columns.get((n, i))
+        if memo is None:
+            memo = self._columns[n, i] = {}
+        got = memo.get(tree)
+        if got is None:
+            p = self.p
+            if isinstance(tree, int):
+                v = self.derivations[n][i].values.get(p.generators.entries[tree][0])
+                got = {} if v is None else v.coords
+            else:
+                u, v = tree
+                pu, pv = p.tree_element(u), p.tree_element(v)
+                fu = LieElement._trusted(p, pu.degree + n, self._image(n, i, u))
+                fv = LieElement._trusted(p, pv.degree + n, self._image(n, i, v))
+                sign = -1 if n * pu.degree % 2 else 1
+                got = p.bracket_sum(((1, fu, pv), (sign, pu, fv))).coords
+            memo[tree] = got
+        return got
+
+    def _apply(self, n, i, x):
+        """Basis derivation i of degree n at the element x, as sparse coordinates.
+
+        A one-term x scales one column, which is returned as is when the
+        coefficient is 1; callers must not mutate the result.
+        """
+        basis = self.p.lie_basis(x.degree)
+        if len(x.coords) == 1:
+            ((b, c),) = x.coords.items()
+            col = self._image(n, i, basis[b].tree)
+            return col if c == 1 else {k: v * c for k, v in col.items()}
+        return combination((c, self._image(n, i, basis[b].tree)) for b, c in x.coords.items())
+
     def _bracket_coords(self, n, i, m, j):
-        br = der_bracket(self.derivations[n][i], self.derivations[m][j])
-        return self.coords(br, n + m)
+        """[theta, psi] for basis derivations theta = (n, i), psi = (m, j).
+
+        Built one generator slot x at a time as theta(psi x) - (-1)^{nm}
+        psi(theta x), each term from the operator columns and only where
+        its inner value is nonzero, as ``der_bracket`` does; then
+        ``Subspace.coords`` gives, and certifies, the structure constants.
+        """
+        th, ps = self.derivations[n][i].values, self.derivations[m][j].values
+        sign = -1 if (n * m) % 2 else 1
+        vec = {}
+        for name, _, off, _ in self.layouts[n + m].slots:
+            if name in ps:
+                value = self._apply(n, i, ps[name])
+                if name in th:
+                    value = combination(((1, value), (-sign, self._apply(m, j, th[name]))))
+            elif name in th:
+                value = self._apply(m, j, th[name])
+                if sign == 1:
+                    value = {k: -c for k, c in value.items()}
+            else:
+                continue
+            vec.update((off + k, c) for k, c in value.items())
+        return self._vector_coords(vec, n + m)
 
 
 def _der_slice(p, rel, window, degree0=lambda: [], zero_below=False):
@@ -508,12 +624,12 @@ def homology_map_is_iso(m, lo, hi):
 
 def _intertwining_condition(m, name, deg, n):
     """theta(m name) = m(theta' name) on the pairs (theta, theta'), one of them None."""
-    mx = m.images[name]
+    at_mx = _evaluation(m.images[name])
 
     def image(pair):
         th, thp = pair
         if thp is None:
-            return th.eval_at(mx).coords
+            return at_mx(th)
         return {i: -c for i, c in m.apply(thp.value(name)).coords.items()}
 
     return m.target.dim(deg + n), image

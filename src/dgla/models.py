@@ -332,8 +332,10 @@ def outer_action_check(a, window=None):
     pairs (t,p), and on each pair of distinct elements g's bracket must be
     graded-antisymmetric, [p,t] = -(-1)^{|t||p|} [t,p]; the (p,t) identity
     is then -(-1)^{|t||p|} times the (t,p) one, so the check is sound
-    without g's own certificate.  Returns a report of (check, ok, witness)
-    rows; never raises.  Each failing row's witness is the first failing
+    without g's own certificate.  chi of a bracket is walked only on the
+    degree pairs (n, m) where chi is nonzero on g_n, g_m or g_{n+m};
+    elsewhere every term of its identity is zero.  Returns a report of
+    (check, ok, witness) rows; never raises.  Each failing row's witness is the first failing
     case in its axiom's walk order (degrees, then basis indices, ascending;
     an operator identity names its least failing module index), and the
     walk stops there.
@@ -394,12 +396,25 @@ def outer_action_check(a, window=None):
                 if combination(terms):
                     yield ("chi_chain", n, i)
 
+    untwisted = {}
+
+    def untwisted_degree(d):
+        # chi vanishes on g_d, or its term is left out (chi of g_d below L)
+        got = untwisted.get(d)
+        if got is None:
+            got = untwisted[d] = not (
+                mod_ok(d - 1) and any(a.twist(d, i) for i in range(g.dim(d)))
+            )
+        return got
+
     def chi_bracket_failures():
         for n, m in product(range(lo, hi + 1), repeat=2):
             chi_n = mod_ok(n - 1) or (n - 1 < L.lo and L.zero_below)
             chi_m = mod_ok(m - 1) or (m - 1 < L.lo and L.zero_below)
             if not (g_ok(n + m) and mod_ok(n + m - 1) and chi_n and chi_m):
                 continue
+            if all(untwisted_degree(d) for d in (n, m, n + m)):
+                continue  # chi vanishes on g_n, g_m and g_{n+m}: every identity is 0 = 0
             # chi(t).p = -(-1)^{|chi t||p|} p.chi(t)
             sgn1 = -1 if ((n - 1) * m) % 2 == 0 else 1
             sgn2 = -1 if n % 2 else 1

@@ -15,7 +15,11 @@ Der_u as an intersection of two kernels instead of one stacked kernel, and
 RREF, kernel and triangular solve with every value a Fraction instead of
 an int wherever it is integral, the outer-action axioms on every module
 basis vector instead of as sparse operator identities, and d-Leibniz on
-every ordered pair instead of once per unordered one.
+every ordered pair instead of once per unordered one, chi of a bracket
+on every degree pair instead of only where some twist is nonzero, and
+Der's structure constants through ``der_bracket`` and conditions on the
+whole of their element instead of from operator columns and on the terms
+a unit reaches.
 Tests compare library output against these.
 The helpers that are not oracles are ``sub_contains``, membership in a
 designated subalgebra through the library's own spans, and the coefficient
@@ -937,6 +941,47 @@ def exp_series_images(theta):
     return images
 
 
+# -- Der's structure constants through der_bracket ---------------------------------------
+# The library reads the structure constants of a derivation slice from
+# memoized operator columns of its basis derivations, and evaluates each
+# condition of a derivation space only on the terms its unit reaches.  These
+# are the paths it replaced: one der_bracket, one new Derivation and one
+# to_vector per pair, and every condition on the whole of its element.
+
+
+def der_bracket_structure_constants(slc):
+    """{(n, i, m, j): coordinates of [theta_i, psi_j]} of every pair with n + m in the window."""
+    from dgla.derivations import der_bracket
+
+    table = {}
+    for n in range(slc.lo, slc.hi + 1):
+        for m in range(slc.lo, slc.hi + 1):
+            if not slc.lo <= n + m <= slc.hi:
+                continue
+            for i, th in enumerate(slc.derivations[n]):
+                for j, ps in enumerate(slc.derivations[m]):
+                    table[n, i, m, j] = slc.coords(der_bracket(th, ps), n + m)
+    return table
+
+
+def unrestricted_evaluation(e):
+    """The condition image th -> th(e), on every term of e."""
+    return lambda th: th.eval_at(e).coords
+
+
+def condition_columns(ncols, unit, conditions):
+    """The columns of a stacked condition matrix: column k stacks the images of unit(k)."""
+    cols = []
+    for k in range(ncols if conditions else 0):
+        u = unit(k)
+        col, top = {}, 0
+        for height, image in conditions:
+            col.update((top + i, c) for i, c in image(u).items())
+            top += height
+        cols.append(col)
+    return cols
+
+
 # -- degree 0 of Der_u by intersecting kernels ------------------------------------------
 # The library builds each derivation degree as the kernel of one stacked
 # condition matrix.  This builds degree 0 of Der_u in three eliminations:
@@ -998,7 +1043,10 @@ def deru_degree0_by_intersection(p, rel, rho):
 # The library checks the Lie-map and d-of-action axioms as identities between
 # sparse operators, one per acting basis element and module degree.  This is
 # the per-vector walk it replaced, unchanged: each identity on each module
-# basis vector, with three ``bilinear`` calls per vector.
+# basis vector, with three ``bilinear`` calls per vector.  Its chi-of-bracket
+# walk is the library's former one, which visits every degree pair, twisted
+# or not; the library skips a pair where the twist vanishes on all three
+# degrees.
 
 
 def per_vector_outer_action_check(a, window=None):

@@ -11,6 +11,7 @@ import dgla
 from dgla import io, linalg
 from dgla.derivations import (
     Derivation,
+    _HomLayout,
     der_bracket,
     der_complex,
     der_differential,
@@ -65,6 +66,19 @@ def test_derivation_rejects_nonvanishing_on_rel():
     p = w11()
     with pytest.raises(SubMismatch):
         Derivation(p, 0, {"a": "a"}, rel="omega")
+
+
+def test_sums_of_derivations_relative_to_different_subs_are_refused(fixture_path):
+    # the sum would be labeled rel omega without vanishing on omega
+    p = io.load_presentation(io.load_json_file(fixture_path("presentation_w11.json")))
+    theta = der_complex(p, "omega", (0, 0)).derivations[0][0]
+    unit = _HomLayout(p, None, 0).unit(0)
+    for a, b in ((theta, unit), (unit, theta)):
+        with pytest.raises(SubMismatch):
+            a + b
+        with pytest.raises(SubMismatch):
+            a - b
+    assert (theta + theta).rel == "omega" and (unit + unit).rel is None
 
 
 def test_eval_examples():

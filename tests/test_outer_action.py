@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from dgla import io, linalg
+from dgla import io, linalg, models
 from dgla.derivations import der_complex
 from dgla.gluing import boundary_connected_sum
 from dgla.graded import GradedLinearMap
@@ -54,6 +54,60 @@ def test_block_g_actions_match_the_per_vector_walk(fixture_path, name):
     assert all(ok for _, ok, _ in rows)
     if name == "twisted9.json":
         assert any(g.action.twist(n, i) for n in range(5) for i in range(g.acting.dim(n)))
+
+
+def _bilinear_calls_per_row(a, window, monkeypatch):
+    """{row name: bilinear calls made while outer_action_check walks that row}."""
+    calls = {}
+    row = [None]
+    plain_bilinear, plain_row = models.bilinear, models.check_row
+
+    def counted(*args):
+        calls[row[0]] = calls.get(row[0], 0) + 1
+        return plain_bilinear(*args)
+
+    def walked(name, failures):
+        row[0] = name
+        return plain_row(name, failures)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(models, "bilinear", counted)
+        mp.setattr(models, "check_row", walked)
+        rows = _same_rows(a, window)
+    return rows, calls
+
+
+@pytest.mark.parametrize("name", ["w21#w11", "twisted9.json"])
+def test_chi_of_bracket_walks_only_degree_pairs_with_a_twist(fixture_path, name, monkeypatch):
+    # the per-vector oracle walks chi of a bracket on every degree pair
+    if name == "w21#w11":
+        m = boundary_connected_sum(_manifold(fixture_path, "w21.json"),
+                                   _manifold(fixture_path, "w11.json"))
+    else:
+        m = _manifold(fixture_path, name)
+    g = build_block_g(m, (0, 4))
+    a = g.action
+    rows, calls = _bilinear_calls_per_row(a, (0, 4), monkeypatch)
+    assert all(ok for _, ok, _ in rows)
+    twisted = {n for n in range(5) for i in range(g.acting.dim(n)) if a.twist(n, i)}
+    if name == "w21#w11":
+        # every twist vanishes: every identity is 0 = 0, and none is walked
+        assert not twisted and "chi_of_bracket" not in calls
+    else:
+        assert twisted and calls["chi_of_bracket"]
+
+
+def test_chi_of_bracket_is_walked_where_only_the_bracket_degree_is_twisted():
+    # g_1 = <s>, g_2 = <u> with [s, s] = u act by zero on L = <x> + <z> + <y>
+    # in degrees 0, 1, 2, and chi(u) = z while chi(s) = 0: chi([s, s]) = z
+    # but chi(s).s + s.chi(s) = 0, though only g_{n+m} is twisted
+    g = DgLieSlice((0, 2), {1: ["s"], 2: ["u"]},
+                   bracket_fn=lambda *pair: {0: 1} if pair == (1, 0, 1, 0) else {})
+    L = DgLieSlice((0, 2), {0: ["x"], 1: ["z"], 2: ["y"]})
+    a = OuterAction(g, L, lambda n, i, m, j: {}, lambda n, i: {0: 1} if n == 2 else {})
+    _same_rows(a)
+    assert outer_action_check(a).failures() == [
+        ("chi_of_bracket", ("axiom_chi_bracket", 1, 0, 1, 0))]
 
 
 def test_build_g_action_on_a_twisted_presentation_matches(fixture_path):
