@@ -356,9 +356,10 @@ class DerSlice(DgLieSlice):
     of that degree's stacked conditions (see ``linalg.Subspace``); the
     differential and bracket are realized as exact matrices and memoized
     tables in the subspace coordinates.  The structure constants are read
-    from the basis derivations as sparse operators: the slice memoizes
-    each one's image of every basis tree that some bracket reaches, as a
-    sparse coordinate dict, and builds no Derivation per bracket.
+    from the basis derivations as sparse operators: the slice keeps one
+    ``leibniz_extension`` per basis derivation, whose memo holds its image
+    of every basis tree that some bracket reaches, and builds no
+    Derivation per bracket.
     """
 
     def __init__(self, p, rel, window, spaces, layouts, zero_below=False):
@@ -367,8 +368,8 @@ class DerSlice(DgLieSlice):
         self.spaces = spaces
         self.layouts = layouts
         self.derivations = {}
-        # {(n, i): {index tree: sparse image}}: the operator columns of basis
-        # derivation i of degree n, filled as brackets reach them
+        # {(n, i): TreeMap}: the Leibniz extension of basis derivation i of
+        # degree n, whose memo fills as brackets reach its trees
         self._columns = {}
         lo, hi = window
         labels = {}
@@ -403,45 +404,31 @@ class DerSlice(DgLieSlice):
         """The derivation with the sparse coordinates ``coords`` in degree n."""
         return self.layouts[n].from_vector(self.spaces[n].vector(coords))
 
-    def _image(self, n, i, tree):
-        """Basis derivation i of degree n at an index tree, as sparse coordinates.
+    def _column(self, n, i):
+        """The Leibniz extension of basis derivation i of degree n, made once.
 
-        The Leibniz rule on (u, v), theta[u,v] = [theta u, v] +
-        (-1)^{n|u|} [u, theta v], as ``leibniz_extension`` computes it,
-        with theta u and theta v read back from the memo.  Callers must not
-        mutate the result.
+        Its memo holds the derivation's image of every index tree that some
+        bracket reaches, for the life of the slice.
         """
-        memo = self._columns.get((n, i))
-        if memo is None:
-            memo = self._columns[n, i] = {}
-        got = memo.get(tree)
-        if got is None:
-            p = self.p
-            if isinstance(tree, int):
-                v = self.derivations[n][i].values.get(p.generators.entries[tree][0])
-                got = {} if v is None else v.coords
-            else:
-                u, v = tree
-                pu, pv = p.tree_element(u), p.tree_element(v)
-                fu = LieElement._trusted(p, pu.degree + n, self._image(n, i, u))
-                fv = LieElement._trusted(p, pv.degree + n, self._image(n, i, v))
-                sign = -1 if n * pu.degree % 2 else 1
-                got = p.bracket_sum(((1, fu, pv), (sign, pu, fv))).coords
-            memo[tree] = got
-        return got
+        ext = self._columns.get((n, i))
+        if ext is None:
+            ext = self._columns[n, i] = leibniz_extension(
+                self.p, self.p, n, self.derivations[n][i].values.get
+            )
+        return ext
 
     def _apply(self, n, i, x):
         """Basis derivation i of degree n at the element x, as sparse coordinates.
 
-        A one-term x scales one column, which is returned as is when the
-        coefficient is 1; callers must not mutate the result.
+        A one-term x scales one memoized column, which is returned as is
+        when the coefficient is 1; callers must not mutate the result.
         """
-        basis = self.p.lie_basis(x.degree)
+        ext = self._column(n, i)
         if len(x.coords) == 1:
             ((b, c),) = x.coords.items()
-            col = self._image(n, i, basis[b].tree)
+            col = ext.tree(self.p.lie_basis(x.degree)[b].tree).coords
             return col if c == 1 else {k: v * c for k, v in col.items()}
-        return combination((c, self._image(n, i, basis[b].tree)) for b, c in x.coords.items())
+        return ext(x, self.p.zero(x.degree + n)).coords
 
     def _bracket_coords(self, n, i, m, j):
         """[theta, psi] for basis derivations theta = (n, i), psi = (m, j).
@@ -455,17 +442,13 @@ class DerSlice(DgLieSlice):
         sign = -1 if (n * m) % 2 else 1
         vec = {}
         for name, _, off, _ in self.layouts[n + m].slots:
+            terms = []
             if name in ps:
-                value = self._apply(n, i, ps[name])
-                if name in th:
-                    value = combination(((1, value), (-sign, self._apply(m, j, th[name]))))
-            elif name in th:
-                value = self._apply(m, j, th[name])
-                if sign == 1:
-                    value = {k: -c for k, c in value.items()}
-            else:
-                continue
-            vec.update((off + k, c) for k, c in value.items())
+                terms.append((1, self._apply(n, i, ps[name])))
+            if name in th:
+                terms.append((-sign, self._apply(m, j, th[name])))
+            if terms:
+                vec.update((off + k, c) for k, c in combination(terms).items())
         return self._vector_coords(vec, n + m)
 
 
