@@ -85,7 +85,8 @@ def cmd_homology(args, inputs):
 
     p = _load(inputs, args.file, io_mod.load_presentation)
     w = _window(args)
-    c = lie_chain_slice(p, max(0, args.min - 1), args.max + 1)
+    # positively graded, so degrees <= 0 are empty and their Betti numbers 0
+    c = lie_chain_slice(p, args.min - 1, args.max + 1)
     res = homology_op(c, w)
     betti = {str(k): v[0] for k, v in res.items()}
     reps = {}

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from . import linalg
 from .errors import NotQuasiIso, RhoNotChainMap, SchemaError, SubMismatch, WindowTooNarrow
 from .graded import ChainComplexSlice
-from .linalg import combination
+from .linalg import combination, exact
 from .morphisms import _rho_of
 from .presentation import GeneratorSplit, LieElement, leibniz_extension, lie_chain_slice
 from .slices import DgLieSlice
@@ -25,16 +25,23 @@ from .slices import DgLieSlice
 class Derivation:
     """A degree-homogeneous derivation given by its generator values."""
 
-    __slots__ = ("ambient", "rel", "degree", "values", "_ext")
+    __slots__ = ("ambient", "rel", "degree", "values", "_ext", "_mask", "_base", "_brackets")
 
     def __init__(self, ambient, degree, values, rel=None, check=True):
         self.ambient = ambient
         self.degree = int(degree)
         self.rel = rel
         self.values = {}
-        # the Leibniz extension and its memo, built on the first eval_at so
-        # that derivations never evaluated (most der_bracket results) carry none
+        # the Leibniz extension and its memo, built on the first eval_at that
+        # reaches a term, so that derivations never evaluated there (most
+        # der_bracket results, most condition units) carry none; the mask of
+        # the generators with a value, built on the first eval_at
         self._ext = None
+        self._mask = None
+        # (base, q) when this is q * base for a nonzero q (see ``scale``)
+        self._base = None
+        # {id(psi): (psi, [self, psi])}, filled by der_bracket
+        self._brackets = None
         for name, v in values.items():
             if name not in ambient.generators.index:
                 raise ValueError("value on unknown generator %r" % name)
@@ -83,13 +90,22 @@ class Derivation:
         return self + other.scale(-1)
 
     def scale(self, q):
-        return Derivation(
+        """q * self.  For q != 0 it records (base, q), nested scales multiplied
+        into one factor, and evaluates as q times its base (``eval_at``): so
+        -theta, the inverse of e(theta), reuses every tree theta has walked.
+        """
+        q = exact(q)
+        out = Derivation(
             self.ambient,
             self.degree,
             {n: v.scale(q) for n, v in self.values.items()},
             rel=self.rel,
             check=False,
         )
+        if q:
+            base, factor = self._base or (self, 1)
+            out._base = (base, factor * q)
+        return out
 
     def _compat(self, other):
         if self.ambient is not other.ambient:
@@ -108,26 +124,75 @@ class Derivation:
         return all(self.value(n) == other.value(n) for n in names)
 
     def eval_at(self, e):
-        """Leibniz extension of the generator values, in normal form."""
-        if self._ext is None:
-            self._ext = leibniz_extension(
-                self.ambient, self.ambient, self.degree, self.values.get
-            )
-        return self._ext(e, self.ambient.zero(e.degree + self.degree))
+        """Leibniz extension of the generator values, in normal form.
+
+        Evaluated only on the terms of e that the derivation reaches
+        (``_reached_eval``); a multiple q * base is q times base(e).
+        """
+        if self._base is not None:
+            base, q = self._base
+            return base.eval_at(e).scale(q)
+        return _reached_eval(self, e, self.ambient, self.ambient)
+
+
+def _reached_eval(th, e, source, target, along=None):
+    """th(e) by th's Leibniz extension (along m), on the terms of e that th reaches.
+
+    A derivation or f-derivation that vanishes off a set S of generators
+    kills every basis tree with no letter in S: by the Leibniz rule, by
+    induction on the tree.  So th(e) is th at the part of e on the trees
+    whose letter mask meets th's generator mask, and when that part is
+    empty it is the shared zero.  A skipped term adds no key, so the image
+    is the one the whole of e gives, entry for entry.  The mask is built on
+    the first call, and the extension on the first call that reaches a term.
+    """
+    if e.presentation is not source:
+        raise ValueError("element not in the map's source presentation")
+    mask = th._mask
+    if mask is None:
+        index = source.generators.index
+        mask = th._mask = sum(1 << index[n] for n in th.values)
+    zero = target.zero(e.degree + th.degree)
+    masks = source.letter_masks(e.degree)
+    part = {i: c for i, c in e.coords.items() if masks[i] & mask}
+    if not part:
+        return zero
+    if len(part) < len(e.coords):
+        e = LieElement._trusted(source, e.degree, part)
+    if th._ext is None:
+        th._ext = leibniz_extension(source, target, th.degree, th.values.get, along=along)
+    return th._ext(e, zero)
 
 
 def der_bracket(theta, psi):
     """[theta, psi] = theta.psi - (-1)^{|theta||psi|} psi.theta.
+
+    Taken once per pair of operands: theta holds each of its brackets, and
+    the psi it was taken with (so the id key stays valid), for its own
+    lifetime, and a repeat returns the same object.  Operands that are
+    equal but distinct are bracketed apart.
+    """
+    if theta.ambient is not psi.ambient:
+        raise SubMismatch("derivations on different presentations")
+    if theta.rel != psi.rel:
+        raise SubMismatch("derivations relative to different subs")
+    memo = theta._brackets
+    if memo is None:
+        memo = theta._brackets = {}
+    hit = memo.get(id(psi))
+    if hit is None:
+        hit = memo[id(psi)] = (psi, _der_bracket(theta, psi))
+    return hit[1]
+
+
+def _der_bracket(theta, psi):
+    """[theta, psi], computed.
 
     On a generator n this is theta(psi n) - (-1)^{|theta||psi|} psi(theta n);
     each term is evaluated only where its inner value is nonzero, so only
     the generators where theta or psi is nonzero are walked, in
     presentation order.
     """
-    if theta.ambient is not psi.ambient:
-        raise SubMismatch("derivations on different presentations")
-    if theta.rel != psi.rel:
-        raise SubMismatch("derivations relative to different subs")
     p = theta.ambient
     sign = -1 if (theta.degree * psi.degree) % 2 else 1
     degree = theta.degree + psi.degree
@@ -240,7 +305,7 @@ def _condition_space(ncols, unit, conditions):
     ``conditions``; the space is that matrix's kernel basis.  Units are
     built only when there is a condition.  A unit is nonzero on few
     generators, so an evaluation condition (``_evaluation``) reads only
-    the terms of its element whose trees the unit reaches.
+    the terms of its element whose trees the unit reaches (``eval_at``).
     """
     tops = [0]
     for height, _ in conditions:
@@ -253,46 +318,9 @@ def _condition_space(ncols, unit, conditions):
     return linalg.Subspace.from_kernel(linalg.matrix(tops[-1], ncols, ents), ncols)
 
 
-def _letters(tree):
-    """The generator indices at the leaves of an index tree."""
-    if isinstance(tree, int):
-        return {tree}
-    return _letters(tree[0]) | _letters(tree[1])
-
-
 def _evaluation(e):
-    """The condition image th -> th(e), evaluated on the terms of e that th reaches.
-
-    A derivation or f-derivation that vanishes off a set S of generators
-    kills every basis tree with no letter in S: by the Leibniz rule, by
-    induction on the tree.  So th(e) is th at the part of e on the trees
-    that meet th's generators, and a th that reaches none of e is not
-    evaluated.  The terms each generator reaches are memoized; the part
-    keeps e's term order, so the image is the one th(e) gives, entry for
-    entry.
-    """
-    p = e.presentation
-    basis = p.lie_basis(e.degree)
-    letters = [(i, _letters(basis[i].tree)) for i in e.coords]
-    reach = {}
-
-    def reached(name):
-        got = reach.get(name)
-        if got is None:
-            g = p.generators.index[name]
-            got = reach[name] = {i for i, ls in letters if g in ls}
-        return got
-
-    def image(th):
-        terms = set().union(*map(reached, th.values))
-        if not terms:
-            return {}
-        if len(terms) < len(e.coords):
-            coords = {i: c for i, c in e.coords.items() if i in terms}
-            return th.eval_at(LieElement._trusted(p, e.degree, coords)).coords
-        return th.eval_at(e).coords
-
-    return image
+    """The condition image th -> th(e); ``eval_at`` reads only the terms th reaches."""
+    return lambda th: th.eval_at(e).coords
 
 
 def _vanishing_conditions(p, rel, target, n):
@@ -300,9 +328,8 @@ def _vanishing_conditions(p, rel, target, n):
 
     By the Leibniz rule these force vanishing on the generated subalgebra;
     a GeneratorSplit sub is already left out of the Hom coordinates.  Each
-    unit is evaluated only on the terms of e that it reaches
-    (``_evaluation``), which for a unit on one generator is most often
-    none of e.
+    unit is evaluated only on the terms of e that it reaches (``eval_at``),
+    which for a unit on one generator is most often none of e.
     """
     spec = p.sub(rel)
     if isinstance(spec, GeneratorSplit):
@@ -540,13 +567,14 @@ def glue_derivations(theta, psi, po, inc_p, inc_q, rel=None):
 class FDerivation:
     """An f-derivation over a morphism m: values on source generators in the target."""
 
-    __slots__ = ("morphism", "degree", "values", "_ext")
+    __slots__ = ("morphism", "degree", "values", "_ext", "_mask")
 
     def __init__(self, morphism, degree, values):
         self.morphism = morphism
         self.degree = int(degree)
         self.values = {}
         self._ext = None
+        self._mask = None
         src = morphism.source
         tgt = morphism.target
         for name, v in values.items():
@@ -558,13 +586,12 @@ class FDerivation:
                 self.values[name] = v
 
     def eval_at(self, e):
-        """Twisted Leibniz extension: th[u,v] = [th u, m v] + (-1)^{n|u|}[m u, th v]."""
+        """Twisted Leibniz extension: th[u,v] = [th u, m v] + (-1)^{n|u|}[m u, th v].
+
+        Evaluated only on the terms of e that th reaches (``_reached_eval``).
+        """
         m = self.morphism
-        if self._ext is None:
-            self._ext = leibniz_extension(
-                m.source, m.target, self.degree, self.values.get, along=m
-            )
-        return self._ext(e, m.target.zero(e.degree + self.degree))
+        return _reached_eval(self, e, m.source, m.target, m)
 
 
 def f_der_dims(m, rel_source, window):

@@ -5,6 +5,13 @@ formula beyond; the nilpotency class caps the weight exactly, so every
 series here is a finite exact sum.  The class itself is certified on a
 spanning frontier of the lower central series (``_check_class`` for a pair,
 ``NilpotentElementGroup`` for all of degree 0).
+
+On derivations the loop of class check, BCH and exp reuses its own work:
+``der_bracket`` takes each bracket of two operands once, so ``bch`` reads
+the brackets that ``_check_class`` took; ``eval_at`` walks only the trees
+a derivation reaches; and e(-theta), the inverse of e(theta), evaluates
+-theta through theta (``Derivation.scale``), whose tree memo e(theta) has
+already filled.
 """
 
 from fractions import Fraction
@@ -127,18 +134,24 @@ def _check_class(x, y, bracket, class_bound):
 
     Walks the lower central series of the subalgebra that x and y generate
     on a spanning frontier: level 1 is {x, y}, level k+1 is [z, t] for z in
-    {x, y} and t in level k.  Its right-nested brackets of weight k span the
-    k-th term, and ad_z is linear, so dropping zeros and exact copies or
-    negatives of an entry already kept leaves each level's span unchanged.
-    ClassExceeded exactly when level class_bound + 1 is not empty, i.e. when
-    some right-nested bracket of weight class_bound + 1 does not vanish.
-    The walk needs only ``is_zero``, ``==`` and ``scale`` of the elements.
+    {x, y} and t in level k, z-major.  Its right-nested brackets of weight k
+    span the k-th term, and ad_z is linear, so dropping zeros and exact
+    copies or negatives of an entry already kept leaves each level's span
+    unchanged.  ClassExceeded exactly when level class_bound + 1 is not
+    empty, i.e. when some right-nested bracket of weight class_bound + 1
+    does not vanish.  The walk needs only ``is_zero``, ``==`` and ``scale``
+    of the elements.
+
+    z-major, the frontier keeps [x,y] rather than [y,x], and then [x,[x,y]]
+    and [y,[x,y]]: the brackets, on the same operands, that ``bch`` takes,
+    so a bracket that memoizes per operand pair (``der_bracket``) serves
+    them to ``bch`` without computing them again.
     """
     level = _distinct([x, y])
     for _ in range(class_bound):
         if not level:
             return
-        level = _distinct(bracket(z, t) for t in level for z in (x, y))
+        level = _distinct([bracket(z, t) for z in (x, y) for t in level])
     if level:
         raise ClassExceeded(
             "brackets of weight %d do not vanish" % (class_bound + 1)

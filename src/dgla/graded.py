@@ -175,8 +175,8 @@ class ChainComplexSlice(DegreeWindow):
         """
         if not (self.lo < k < self.hi):
             raise WindowTooNarrow(
-                "homology at %d needs window [%d, %d]" % (k, k - 1, k + 1),
-                required=(k - 1, k + 1),
+                "no homology at degree %d in window [%d, %d]" % (k, self.lo, self.hi),
+                required=(min(k - 1, self.lo), max(k + 1, self.hi)),
             )
         d_out = self.d_matrix(k)
         d_in = self.d_matrix(k + 1)

@@ -7,9 +7,10 @@ normal form: sparse rational coordinate vectors in the canonical
 super-Lyndon basis of their degree.
 
 Presentations and elements are immutable after construction; the basis,
-tree index, generator, zero, expansion, bracket, tree and indecomposables
-caches are per-presentation dicts of values that are never mutated (atomic
-updates under the GIL), so instances may be shared freely across threads.
+tree index, letter mask, generator, zero, expansion, bracket, tree and
+indecomposables caches are per-presentation dicts of values that are never
+mutated (atomic updates under the GIL), so instances may be shared freely
+across threads.
 The expansion memo holds only the certified expansions of composite basis
 elements.
 
@@ -310,6 +311,7 @@ class DgLaPresentation:
         self._expansions = {}
         self._bracket_cache = {}
         self._tree_index = {}
+        self._letter_masks = {}
         self._indecomposables = {}
         self.differential = {}
         self._tree_elements = TreeMap(
@@ -369,6 +371,21 @@ class DgLaPresentation:
             got = self._tree_index[degree] = {
                 b.tree: i for i, b in enumerate(self.lie_basis(degree))
             }
+        return got
+
+    def letter_masks(self, degree):
+        """[the generators at the leaves of basis tree i, as a bitmask] for one degree (memoized).
+
+        Bit g is set when generator g (its index) is a letter of the tree.
+        """
+        got = self._letter_masks.get(degree)
+        if got is None:
+            def mask(tree):
+                if isinstance(tree, int):
+                    return 1 << tree
+                return mask(tree[0]) | mask(tree[1])
+
+            got = self._letter_masks[degree] = [mask(b.tree) for b in self.lie_basis(degree)]
         return got
 
     def tree_names(self, tree):
@@ -543,15 +560,9 @@ class DgLaPresentation:
 
     def in_generator_span(self, x, names):
         """Membership in the free subalgebra on a generator subset."""
-        allowed = {self.generators.index[n] for n in names}
-        basis = self.lie_basis(x.degree)
-
-        def ok(tree):
-            if isinstance(tree, int):
-                return tree in allowed
-            return ok(tree[0]) and ok(tree[1])
-
-        return all(ok(basis[i].tree) for i in x.coords)
+        outside = ~sum(1 << self.generators.index[n] for n in set(names))
+        masks = self.letter_masks(x.degree)
+        return not any(masks[i] & outside for i in x.coords)
 
     def subalgebra_span(self, elements, degree):
         """Span of the Lie subalgebra generated by elements, in one degree.

@@ -943,10 +943,10 @@ def exp_series_images(theta):
 
 # -- Der's structure constants through der_bracket ---------------------------------------
 # The library reads the structure constants of a derivation slice from
-# memoized operator columns of its basis derivations, and evaluates each
-# condition of a derivation space only on the terms its unit reaches.  These
-# are the paths it replaced: one der_bracket, one new Derivation and one
-# to_vector per pair, and every condition on the whole of its element.
+# memoized operator columns of its basis derivations, and evaluates a
+# derivation only on the terms it reaches.  These are the paths it replaced:
+# one der_bracket, one new Derivation and one to_vector per pair, and every
+# evaluation on the whole of its element.
 
 
 def der_bracket_structure_constants(slc):
@@ -964,9 +964,28 @@ def der_bracket_structure_constants(slc):
     return table
 
 
+def unrestricted_eval_at(th, e):
+    """th(e) for a derivation or f-derivation, by a new Leibniz extension on every term of e.
+
+    ``eval_at`` evaluates only the terms th reaches, and a multiple through
+    its base; this evaluates th's own values on the whole of e.
+    """
+    from dgla.derivations import FDerivation
+    from dgla.presentation import leibniz_extension
+
+    if isinstance(th, FDerivation):
+        m = th.morphism
+        source, target = m.source, m.target
+    else:
+        m = None
+        source = target = th.ambient
+    ext = leibniz_extension(source, target, th.degree, th.values.get, along=m)
+    return ext(e, target.zero(e.degree + th.degree))
+
+
 def unrestricted_evaluation(e):
     """The condition image th -> th(e), on every term of e."""
-    return lambda th: th.eval_at(e).coords
+    return lambda th: unrestricted_eval_at(th, e).coords
 
 
 def condition_columns(ncols, unit, conditions):

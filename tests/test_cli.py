@@ -48,6 +48,24 @@ def test_homology_table(fixture_path):
     assert _body(payload)["tables"]["betti"] == {"1": 1, "2": 1, "3": 0}
 
 
+@pytest.mark.parametrize("lo", ["0", "-1"])
+def test_homology_from_a_window_at_or_below_zero(fixture_path, lo):
+    # a presentation is positively graded: degrees <= 0 are empty, so a
+    # window from 0 or below reports Betti 0 there and the degrees from 1 as
+    # a window from 1 does
+    code, payload = _run("homology", fixture_path("presentation_cp2.json"), "--min", lo,
+                         "--max", "2")
+    assert code == 0
+    tables = _body(payload)["tables"]
+    _, payload = _run("homology", fixture_path("presentation_cp2.json"), "--min", "1",
+                      "--max", "2")
+    from_one = _body(payload)["tables"]
+    for name in ("betti", "dims"):
+        low = {str(d): 0 for d in range(int(lo), 1)}
+        assert tables[name] == {**low, **from_one[name]}, name
+    assert tables.get("cycle_representatives") == from_one.get("cycle_representatives")
+
+
 def test_grammar_error_is_exit_2(fixture_path):
     code, payload = _run("check", fixture_path("bad_grammar.json"))
     assert code == 2 and payload is None

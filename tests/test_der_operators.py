@@ -2,10 +2,11 @@
 
 A ``DerSlice`` reads its structure constants from memoized operator columns
 of its basis derivations; ``oracles.der_bracket_structure_constants`` builds
-each one from ``der_bracket``, a new Derivation and its Hom vector.  Each
-condition of a derivation space evaluates a unit only on the terms of its
-element that the unit reaches; ``oracles.unrestricted_evaluation`` evaluates
-it on the whole element.  Both pairs must agree entry for entry.
+each one from ``der_bracket``, a new Derivation and its Hom vector.
+``eval_at``, and so each condition of a derivation space, evaluates a unit
+only on the terms of its element that the unit reaches;
+``oracles.unrestricted_evaluation`` evaluates it on the whole element.  Both
+pairs must agree entry for entry.
 """
 
 import random
@@ -174,28 +175,36 @@ def test_condition_matrices_match_the_unrestricted_evaluation(case, fixture_path
 
 
 def test_a_unit_is_evaluated_only_on_the_trees_it_reaches(monkeypatch):
+    # the spy sits on the Leibniz extension's call, below eval_at's
+    # restriction, and reads letters through the presentation's masks
     p = _cubic_sub()
-    letters = {}
-    for e in p.sub("s").elements:
-        basis = p.lie_basis(e.degree)
-        letters[e.degree] = {i: derivations._letters(basis[i].tree) for i in e.coords}
+    terms = {e.degree: set(e.coords) for e in p.sub("s").elements}
     calls = []
-    plain = derivations.Derivation.eval_at
+    plain = derivations.leibniz_extension
 
-    def counted(self, e):
-        calls.append((list(self.values), e))
-        return plain(self, e)
+    def spied(source, target, degree, leaf, along=None):
+        ext = plain(source, target, degree, leaf, along)
+        names = [n for n, _ in source.generators.entries if leaf(n) is not None]
 
-    monkeypatch.setattr(derivations.Derivation, "eval_at", counted)
+        def call(e, zero):
+            calls.append((names, e))
+            return ext(e, zero)
+
+        call.tree = ext.tree
+        return call
+
+    monkeypatch.setattr(derivations, "leibniz_extension", spied)
     der_complex(p, "s", (-1, 3))
     assert calls
     for names, e in calls:
-        if e.degree not in letters:
+        if e.degree not in terms:
             continue  # D of a basis derivation at d y = [x, x]
         # every term of e has the unit's generator, and y is in no element
         (name,) = names
         g = p.generators.index[name]
-        assert e.coords and all(g in letters[e.degree][i] for i in e.coords)
+        masks = p.letter_masks(e.degree)
+        assert e.coords and set(e.coords) <= terms[e.degree]
+        assert all(masks[i] >> g & 1 for i in e.coords)
         assert name != "y"
     # the cubic element is evaluated in part: a unit on a reaches no tree of [b,[b,x]]
     assert any(len(e.coords) < len(p.sub("s").elements[0].coords)

@@ -54,10 +54,14 @@ def test_representatives_are_cycles_spanning():
 
 def test_window_too_narrow():
     c = _two_term_identity()
-    with pytest.raises(WindowTooNarrow):
-        c.homology_degree(2)
-    with pytest.raises(WindowTooNarrow):
-        c.homology_degree(-1)
+    lo, hi = c.window()
+    for k in (hi, lo, lo - 3):
+        with pytest.raises(WindowTooNarrow) as e:
+            c.homology_degree(k)
+        # the message names the current window, and the required one contains it
+        assert str(e.value) == "no homology at degree %d in window [%d, %d]" % (k, lo, hi)
+        rlo, rhi = e.value.required
+        assert rlo <= min(k - 1, lo) and rhi >= max(k + 1, hi)
 
 
 def test_not_a_complex_detected():
