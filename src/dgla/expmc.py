@@ -3,7 +3,8 @@
 BCH coefficients are hard-coded through weight 4 and produced by the Dynkin
 formula beyond; the nilpotency class caps the weight exactly, so every
 series here is a finite exact sum.  The class itself is certified on a
-spanning frontier of the lower central series (``_check_class`` for a pair,
+spanning set of each weight of the lower central series (``_check_class``
+for a pair, on the images of the two-letter Lyndon basis;
 ``NilpotentElementGroup`` for all of degree 0).
 
 On derivations the loop of class check, BCH and exp reuses its own work:
@@ -18,6 +19,7 @@ from fractions import Fraction
 from itertools import chain
 from math import factorial
 
+from . import freelie
 from .errors import (
     AxiomFailure,
     ClassExceeded,
@@ -81,9 +83,8 @@ def _dynkin_weight(x, y, bracket, weight):
 
 _BCH_LOW = {
     2: lambda x, y, br: br(x, y).scale(Fraction(1, 2)),
-    3: lambda x, y, br: br(x, br(x, y)).scale(Fraction(1, 12))
-    + br(y, br(x, y)).scale(Fraction(-1, 12)),
-    4: lambda x, y, br: br(y, br(x, br(x, y))).scale(Fraction(-1, 24)),
+    3: lambda x, y, br: (br(x, br(x, y)) + br(br(x, y), y)).scale(Fraction(1, 12)),
+    4: lambda x, y, br: br(x, br(br(x, y), y)).scale(Fraction(1, 24)),
 }
 
 
@@ -93,9 +94,11 @@ def bch(x, y, bracket, class_bound):
     Each bracket is taken once per call: a memo keyed by the identities of
     the operands (and holding them, so the ids stay valid) lets the weights
     share their inner brackets, the Dynkin words above weight 4 included.
-    At class 3 that is [x,y], [x,[x,y]] and [y,[x,y]]; the weight-3 term
-    writes [y,[y,x]] as -[y,[x,y]], which is exact by antisymmetry in
-    degree 0.
+    At class 3 that is [x,y], [x,[x,y]] and [[x,y],y].  The terms of weights
+    3 and 4 are written in the images of the Lyndon basis that
+    ``_check_class`` takes: (1/12)([x,[x,y]] + [[x,y],y]) for
+    (1/12)([x,[x,y]] - [y,[x,y]]), by antisymmetry, and (1/24)[x,[[x,y],y]]
+    for -(1/24)[y,[x,[x,y]]], by Jacobi; both are exact in degree 0.
     """
     memo = {}
 
@@ -117,41 +120,39 @@ def bch(x, y, bracket, class_bound):
     return out
 
 
-def _distinct(elements):
-    """The nonzero elements, without exact copies or negatives of one kept."""
-    kept = []
-    for t in elements:
-        if t.is_zero():
-            continue
-        neg = t.scale(-1)
-        if not any(t == s or neg == s for s in kept):
-            kept.append(t)
-    return kept
-
-
 def _check_class(x, y, bracket, class_bound):
     """Certify that x and y generate a Lie algebra of class <= class_bound.
 
-    Walks the lower central series of the subalgebra that x and y generate
-    on a spanning frontier: level 1 is {x, y}, level k+1 is [z, t] for z in
-    {x, y} and t in level k, z-major.  Its right-nested brackets of weight k
-    span the k-th term, and ad_z is linear, so dropping zeros and exact
-    copies or negatives of an entry already kept leaves each level's span
-    unchanged.  ClassExceeded exactly when level class_bound + 1 is not
-    empty, i.e. when some right-nested bracket of weight class_bound + 1
-    does not vanish.  The walk needs only ``is_zero``, ``==`` and ``scale``
-    of the elements.
+    For degree-0 elements x and y the Lie algebra they generate is the image
+    of the free Lie algebra on {x < y}, whose weight-k part the standard
+    bracketings of the Lyndon words of weight k span, so their images span
+    the weight-k part of the lower central series.  Weight by weight up to
+    class_bound + 1, each image is the bracket of the images of its two
+    standard factors, and zero, with no bracket taken, when a factor is
+    zero.  The check returns as soon as a whole weight vanishes (every
+    higher weight then vanishes too), and raises ClassExceeded when weight
+    class_bound + 1 does not.  At class 3 that is at most 6 brackets:
+    [x,y], [x,[x,y]], [[x,y],y], [x,[x,[x,y]]], [x,[[x,y],y]] and
+    [[[x,y],y],y].  The walk needs only ``is_zero`` of the elements.
 
-    z-major, the frontier keeps [x,y] rather than [y,x], and then [x,[x,y]]
-    and [y,[x,y]]: the brackets, on the same operands, that ``bch`` takes,
-    so a bracket that memoizes per operand pair (``der_bracket``) serves
-    them to ``bch`` without computing them again.
+    The brackets of weights 2 and 3 are those, on the same operands, that
+    ``bch`` takes at class 3, so a bracket that memoizes per operand pair
+    (``der_bracket``) serves them to ``bch`` without computing them again.
     """
-    level = _distinct([x, y])
-    for _ in range(class_bound):
+    images = {0: x, 1: y}  # standard bracketing tree -> its image
+    trees = {}
+    level = [e for e in (x, y) if not e.is_zero()]
+    for weight in range(2, class_bound + 2):
         if not level:
             return
-        level = _distinct([bracket(z, t) for z in (x, y) for t in level])
+        level = []
+        for w in sorted(freelie.lyndon_words([1, 1], weight)):
+            u, v = tree = freelie.standard_bracketing(w, trees)
+            a, b = images[u], images[v]
+            # a zero factor stands for the zero image
+            z = images[tree] = a if a.is_zero() else b if b.is_zero() else bracket(a, b)
+            if not z.is_zero():
+                level.append(z)
     if level:
         raise ClassExceeded(
             "brackets of weight %d do not vanish" % (class_bound + 1)

@@ -5,10 +5,13 @@ graded Lie algebra in each degree is the super-Lyndon scheme: standard
 bracketings b(w) of Lyndon words w in the generator order, together with the
 square [b(w), b(w)] for each Lyndon word w of odd total degree.  Basis
 elements are certified, not trusted: their expansions in the tensor algebra
-are triangular with distinct leading words (checked at construction), which
-is an echelon-form proof of linear independence and drives the normal-form
-solver; the size of each basis is checked against the graded Witt formula,
-which sees no word.
+are triangular with distinct leading words, which is an echelon-form proof
+of linear independence and drives the normal-form solver; the size of each
+basis is checked against the graded Witt formula, which sees no word.  The
+leading words are certified at construction from the leads of each
+element's two factors, with no expansion (``BasisBracket``); an element's
+expansion is built, from its factors' expansions, only once a solve or a
+normal form reads it.
 
 Sign conventions (the convention sheet; everything else follows by the
 Koszul rule):
@@ -125,18 +128,27 @@ def is_lyndon(w):
     return True
 
 
-def standard_bracketing(w):
+def standard_bracketing(w, memo=None):
     """Standard (right) bracketing of a Lyndon word.
 
     For |w| > 1, w = uv with v the longest proper Lyndon suffix, and
-    b(w) = [b(u), b(v)].  Trees are nested pairs of generator indices.
+    b(w) = [b(u), b(v)].  That suffix is the least proper suffix: the least
+    is Lyndon, since its own proper suffixes are suffixes of w, and a longer
+    Lyndon suffix would be less than it.  Trees are nested pairs of
+    generator indices.  A tree found in ``memo`` (word -> tree) is taken
+    from it, and every composite tree built is stored there.
     """
     if len(w) == 1:
         return w[0]
-    for k in range(1, len(w)):
-        if is_lyndon(w[k:]):
-            return (standard_bracketing(w[:k]), standard_bracketing(w[k:]))
-    raise ValueError("not a Lyndon word: %r" % (w,))
+    if memo is not None:
+        got = memo.get(w)
+        if got is not None:
+            return got
+    k = len(w) - len(min(w[j:] for j in range(1, len(w))))
+    tree = (standard_bracketing(w[:k], memo), standard_bracketing(w[k:], memo))
+    if memo is not None:
+        memo[w] = tree
+    return tree
 
 
 def tree_degree(tree, degrees):
@@ -192,19 +204,100 @@ def expand_tree(tree, degrees, memo=None):
 
 
 class BasisBracket:
-    """One canonical basis element: a tree with its certified expansion."""
+    """One canonical basis element: a tree, its factors and its certified lead.
 
-    __slots__ = ("tree", "degree", "length", "expansion", "lead", "lead_coeff")
+    ``lead`` is the least word of the expansion i(b) (packed), ``lead_coeff``
+    its coefficient and ``length`` its number of letters.  For a generator
+    they are its letter and 1.  For b = [U, V] with leads lu, lv they follow
+    from the factors: every word of i(U) has one length, and so has every
+    word of i(V), so the least word of i(U)i(V) is lu.lv with coefficient
+    cu.cv, and that of i(V)i(U) is lv.lu.  By the tensor embedding
+    (module docstring) the lead of i([U, V]) is the lesser of the two, with
+    cu.cv for lu.lv and -(-1)^{|U||V|} cu.cv for lv.lu, summed when the
+    words are equal.  Factors here are basis elements, whose leads are the
+    words of their trees; two such leads are equal or commute only when each
+    factor is b(w) or [b(w), b(w)] for one Lyndon word w, and such a bracket
+    is zero exactly when the two coefficients cancel.
 
-    def __init__(self, tree, degrees, memo=None):
+    ``expansion`` is the product of the factors' expansions, built on its
+    first read and then kept in the memo's ``expansions``.
+    """
+
+    __slots__ = ("tree", "degree", "length", "lead", "lead_coeff", "factors", "memo")
+
+    def __init__(self, tree, memo):
         self.tree = tree
-        self.degree = tree_degree(tree, degrees)
-        self.expansion = expand_tree(tree, degrees, memo)
-        if not self.expansion:
+        self.memo = memo
+        if isinstance(tree, int):
+            self.factors = ()
+            self.degree = memo.degrees[tree]
+            self.length = 1
+            self.lead = 1 << memo.width | tree
+            self.lead_coeff = 1
+            return
+        u, v = self.factors = (memo.element(tree[0]), memo.element(tree[1]))
+        self.degree = u.degree + v.degree
+        self.length = u.length + v.length
+        su, sv = u.length * memo.width, v.length * memo.width  # bits below the sentinel
+        uv = u.lead << sv | v.lead ^ 1 << sv
+        vu = v.lead << su | u.lead ^ 1 << su
+        c = u.lead_coeff * v.lead_coeff
+        vu_c = c if u.degree * v.degree % 2 else -c
+        if uv == vu:
+            self.lead, self.lead_coeff = uv, c + vu_c
+        elif uv < vu:
+            self.lead, self.lead_coeff = uv, c
+        else:
+            self.lead, self.lead_coeff = vu, vu_c
+        if not self.lead_coeff:
             raise ValueError("basis bracket expands to zero: %r" % (tree,))
-        self.lead = min(self.expansion)
-        self.length = (self.lead.bit_length() - 1) // letter_width(degrees)
-        self.lead_coeff = self.expansion[self.lead]
+
+    @property
+    def expansion(self):
+        """i(b) as {packed word: int}, which callers must not mutate."""
+        if not self.factors:
+            return {self.lead: 1}
+        got = self.memo.expansions.get(self.tree)
+        if got is None:
+            got = self.memo.expansions[self.tree] = self.memo.product(*self.factors)
+        return got
+
+
+class BasisMemo:
+    """What the bases of one list of generator degrees share, built on demand.
+
+    ``witt`` is the Witt table [dim L_0, ..., dim L_top], recomputed to at
+    least twice its top when a higher degree is asked for; ``trees`` maps
+    each Lyndon word met to its standard bracketing; ``elements`` maps the
+    tree of each basis element built so far to that element; and
+    ``expansions`` maps the tree of each composite basis element whose
+    expansion has been read to that expansion.  One presentation keeps one.
+    """
+
+    def __init__(self, degrees):
+        self.degrees = degrees
+        self.width = letter_width(degrees)
+        self.witt = []
+        self.trees = {}
+        self.elements = {}
+        self.expansions = {}
+
+    def dimension(self, d):
+        """dim L_d by the Witt formula (``witt_dimensions``), for d >= 0."""
+        if d >= len(self.witt):
+            self.witt = witt_dimensions(self.degrees, max(d, 2 * (len(self.witt) - 1)))
+        return self.witt[d]
+
+    def element(self, tree):
+        """The basis element with this tree, built with its factors on first use."""
+        got = self.elements.get(tree)
+        if got is None:
+            got = self.elements[tree] = BasisBracket(tree, self)
+        return got
+
+    def product(self, u, v):
+        """i([u, v]) for basis elements u and v: one product step on their expansions."""
+        return expand_tree((u.tree, v.tree), self.degrees, {u.tree: u.expansion, v.tree: v.expansion})
 
 
 def witt_dimensions(degrees, top):
@@ -238,26 +331,31 @@ def basis_in_degree(degrees, d, memo=None):
 
     Deterministic order: by leading word, that is by word length, then
     lexicographically.  Certifies the triangular structure (distinct leading
-    words, and each lead, the least word of its expansion, is the word of
-    its own tree: the Lyndon word w of b(w), or ww of a square
-    [b(w), b(w)]) and the size (the graded Witt formula).  A size above
-    MAX_BASIS_SIZE is a SchemaError naming the degree, raised before any
-    word is listed.  Subtree expansions
-    are read from ``memo`` (tree -> expansion) when given, and the expansion
-    of every certified composite element is then stored in it: the same dict
-    object, never copied and never mutated.
+    words, each a nonzero lead certified from the leads of its factors, and
+    each lead the word of its own tree: the Lyndon word w of b(w), or ww of
+    a square [b(w), b(w)]) and the size (the graded Witt formula), with no
+    tensor expansion.  A size above MAX_BASIS_SIZE is a SchemaError naming
+    the degree, raised before any word is listed.  Witt table, trees and
+    elements are read from and stored in ``memo``, a BasisMemo of these
+    degrees (a fresh one when None); an element's expansion is built only
+    when it is first read.
     """
-    expected = witt_dimensions(degrees, d)[d]
+    if d < 1:
+        return []
+    if memo is None:
+        memo = BasisMemo(degrees)
+    expected = memo.dimension(d)
     if expected > MAX_BASIS_SIZE:
         raise SchemaError(
             "degree %d of the free Lie algebra has %d basis elements, more than the %d"
             " allowed" % (d, expected, MAX_BASIS_SIZE)
         )
-    trees = [standard_bracketing(w) for w in lyndon_words(degrees, d)]
+    trees = [standard_bracketing(w, memo.trees) for w in lyndon_words(degrees, d)]
     if d % 4 == 2:
         # [b(w), b(w)] for the Lyndon words w of odd degree d / 2
-        trees += [(t, t) for t in map(standard_bracketing, lyndon_words(degrees, d // 2))]
-    elems = sorted((BasisBracket(t, degrees, memo) for t in trees), key=lambda b: b.lead)
+        trees += [(t, t) for t in (standard_bracketing(w, memo.trees)
+                                   for w in lyndon_words(degrees, d // 2))]
+    elems = sorted(map(memo.element, trees), key=lambda b: b.lead)
     for i, b in enumerate(elems):
         if i and elems[i - 1].lead == b.lead:
             raise AssertionError(
@@ -271,10 +369,6 @@ def basis_in_degree(degrees, d, memo=None):
         raise AssertionError(
             "degree %d has %d basis elements, the Witt formula %d" % (d, len(elems), expected)
         )
-    if memo is not None:
-        for b in elems:
-            if not isinstance(b.tree, int):
-                memo[b.tree] = b.expansion
     return elems
 
 

@@ -7,12 +7,13 @@ normal form: sparse rational coordinate vectors in the canonical
 super-Lyndon basis of their degree.
 
 Presentations and elements are immutable after construction; the basis,
-tree index, letter mask, generator, zero, expansion, bracket, tree and
-indecomposables caches are per-presentation dicts of values that are never
-mutated (atomic updates under the GIL), so instances may be shared freely
-across threads.
-The expansion memo holds only the certified expansions of composite basis
-elements.
+tree index, letter mask, generator, zero, bracket, tree and
+indecomposables caches, and the free-Lie ``BasisMemo`` (Witt table, trees,
+basis elements, expansions), are per-presentation dicts of values that are
+never mutated (atomic updates under the GIL), so instances may be shared
+freely across threads.  Basis elements carry leads certified from their
+factors' leads; the expansion memo holds the expansion of a composite basis
+element only once a solve or a normal form has read it, and nothing else.
 
 Sums are accumulated at the coordinate level: a bracket, a sum of scaled
 elements (``LieElement.add_scaled``) and a sum of scaled brackets
@@ -308,7 +309,7 @@ class DgLaPresentation:
         self._basis_cache = {}
         self._gens = {}
         self._zeros = {}
-        self._expansions = {}
+        self._bases = freelie.BasisMemo(self._deg_list)
         self._bracket_cache = {}
         self._tree_index = {}
         self._letter_masks = {}
@@ -357,7 +358,7 @@ class DgLaPresentation:
             if degree < 1 or not self._deg_list:
                 basis = []
             else:
-                basis = freelie.basis_in_degree(self._deg_list, degree, self._expansions)
+                basis = freelie.basis_in_degree(self._deg_list, degree, self._bases)
             self._basis_cache[degree] = basis
         return self._basis_cache[degree]
 
@@ -452,7 +453,7 @@ class DgLaPresentation:
         get = tensor.get
         for coeff, itree in pairs:
             k = coeff.numerator * (scale // coeff.denominator)
-            for w, c in freelie.expand_tree(itree, self._deg_list, self._expansions).items():
+            for w, c in freelie.expand_tree(itree, self._deg_list, self._bases.expansions).items():
                 tensor[w] = get(w, 0) + k * c
         coords = freelie.solve_against_basis(self.lie_basis(degree), tensor, scale)
         return LieElement._trusted(self, degree, coords)
@@ -476,14 +477,16 @@ class DgLaPresentation:
 
         With t1, t2 their trees, the bracket needs no tensor when (t1, t2) or
         (t2, t1) is the tree of a basis element b of degree d1 + d2: it is b,
-        or -(-1)^{d1 d2} b.  Any other bracket expands (t1, t2), reading both
-        factors from the expansion memo, and solves against the basis.
+        or -(-1)^{d1 d2} b.  Any other bracket reads both factors' expansions
+        through their basis elements, expands their one product and solves it
+        against the basis; the product is not kept.
         """
         key = (d1, i1, d2, i2)
         cached = self._bracket_cache.get(key)
         if cached is None:
-            t1 = self.lie_basis(d1)[i1].tree
-            t2 = self.lie_basis(d2)[i2].tree
+            b1 = self.lie_basis(d1)[i1]
+            b2 = self.lie_basis(d2)[i2]
+            t1, t2 = b1.tree, b2.tree
             d = d1 + d2
             trees = self.basis_trees(d)
             if (t1, t2) in trees:
@@ -491,7 +494,7 @@ class DgLaPresentation:
             elif (t2, t1) in trees:
                 coords = {trees[t2, t1]: 1 if d1 * d2 % 2 else -1}
             else:
-                tensor = freelie.expand_tree((t1, t2), self._deg_list, self._expansions)
+                tensor = self._bases.product(b1, b2)
                 coords = freelie.solve_against_basis(self.lie_basis(d), tensor)
             cached = LieElement._trusted(self, d, coords)
             self._bracket_cache[key] = cached

@@ -2,11 +2,13 @@
 
 Everything here is deliberately separate from the library's code paths:
 plain Gaussian elimination instead of the Bareiss core, a fresh tensor
-expansion instead of the cached one, tuple words from the full word list
+expansion instead of leads from factor leads and the memoized expansion,
+tuple words from the full word list
 instead of packed words from the Lyndon search, a Fraction triangular solve
 instead of the integer one, generating-function dimension counts instead of
 basis enumeration, matrix exponentials as ground truth for BCH, every
-right-nested word for the nilpotency class instead of a spanning frontier,
+right-nested word for the nilpotency class instead of the images of the
+two-letter Lyndon basis,
 the graded Lie axioms on every ordered pair and triple instead of once
 per unordered one, one element per bracket and summand instead of one
 coordinate dict per result, and derivation operations evaluated on every

@@ -8,7 +8,7 @@ from itertools import chain
 import pytest
 
 import dgla
-from dgla import io, linalg
+from dgla import freelie, io, linalg
 from dgla.derivations import (
     Derivation,
     _HomLayout,
@@ -60,6 +60,28 @@ def test_der_dims_rel_omega():
     assert free.dim(0) == 4
     rel = der_complex(p, "omega", (0, 0))
     assert rel.dim(0) == 3  # the trace-like sp-condition kills one dimension
+
+
+# the windows the der tests and the benchmark run on presentation_w11 rel omega
+@pytest.mark.parametrize("window", [(0, 0), (0, 3), (0, 6), (-2, 8), (0, 20)])
+def test_der_dims_of_w11_rel_omega_match_the_witt_formula(fixture_path, window):
+    """dim Der_n = 2 W(n+2) - W(n+4) on presentation_w11 rel omega (d = 0).
+
+    W is ``freelie.witt_dimensions``, a path that sees no basis element and
+    no derivation.  A derivation of degree n is a free choice of theta(a)
+    and theta(b) in L_{n+2}, and theta -> theta(omega) = [theta a, b] +
+    [a, theta b] maps that space onto L_{n+4} when n >= 0, since L_{n+4}
+    then has bracket length at least 2 and is spanned by [a, L_{n+2}] and
+    [b, L_{n+2}]; its kernel is Der_n rel omega.  Below 0, L_{n+2} = 0.
+    """
+    p = io.load_presentation(io.load_json_file(fixture_path("presentation_w11.json")))
+    lo, hi = window
+    witt = freelie.witt_dimensions([2, 2], hi + 4)
+    slc = der_complex(p, "omega", window)
+    dims = {n: slc.dim(n) for n in range(lo, hi + 1)}
+    assert dims == {n: 2 * witt[n + 2] - witt[n + 4] if n >= 0 else 0 for n in dims}
+    if window == (0, 20):
+        assert (dims[0], dims[20]) == (3, 37)
 
 
 def test_derivation_rejects_nonvanishing_on_rel():

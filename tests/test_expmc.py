@@ -208,8 +208,8 @@ def random_filtration_derivation(rng, p):
 
 def test_class_check_and_bch_take_each_bracket_once():
     # the pairs of acceptance criterion 6: every right-nested word of weight
-    # 4 takes 28 brackets, the frontier at most 10; bch at class 3 brackets
-    # [x,y], [x,[x,y]] and [y,[x,y]] once each
+    # 4 takes 28 brackets, the two-letter Lyndon basis at most 6; bch at
+    # class 3 brackets [x,y], [x,[x,y]] and [[x,y],y] once each
     rng = random.Random(99)
     p = nilpotent_fixture()
     calls = []
@@ -223,7 +223,7 @@ def test_class_check_and_bch_take_each_bracket_once():
         ps = random_filtration_derivation(rng, p)
         del calls[:]
         _check_class(th, ps, counted, 3)
-        assert len(calls) <= 10
+        assert len(calls) <= 6
         del calls[:]
         bch(th, ps, counted, 3)
         assert len(calls) == 3
@@ -257,6 +257,28 @@ def test_class_check_agrees_with_every_word():
             assert got == expected, c
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_class_check_at_class_0_and_5_agrees_with_every_word():
+    # the Lyndon words of weights 1 and 6 bound the walk; strictly upper
+    # triangular n x n matrices have class n - 1
+    rng = random.Random(53)
+    pairs = [(NilMatrix.random(rng, n), NilMatrix.random(rng, n)) for n in (2, 3, 6, 7)]
+    e = NilMatrix.random(rng, 4).scale(0)
+    pairs.append((e, e))
+    verdicts = set()
+    for x, y in pairs:
+        for c in (0, 5):
+            br = lambda a, b: a.bracket(b)
+            expected = full_word_class_check(x, y, br, c)
+            try:
+                _check_class(x, y, br, c)
+                got = True
+            except ClassExceeded:
+                got = False
+            assert got == expected, c
+            verdicts.add((c, got))
+    assert verdicts == {(0, True), (0, False), (5, True), (5, False)}
 
 
 def test_exp_examples():

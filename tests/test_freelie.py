@@ -11,8 +11,10 @@ from dgla import freelie, io
 from dgla.errors import InhomogeneousExpression, UnknownGenerator
 from dgla.presentation import DgLaPresentation
 from oracles import (
+    _expand_bracket,
     brute_force_lie_dims,
     is_exact,
+    random_presentation,
     solve_against_basis_fractions,
     solve_all_fractions,
     tuple_word_basis,
@@ -339,8 +341,8 @@ def test_basis_lead_must_be_the_word_of_its_tree(monkeypatch, degrees, d, word):
     # count and the same span, but its tree reads another word
     bracketing = freelie.standard_bracketing
 
-    def swapped(w):
-        tree = bracketing(w)
+    def swapped(w, memo=None):
+        tree = bracketing(w, memo)
         return (tree[1], tree[0]) if w == word else tree
 
     assert word in freelie.lyndon_words(degrees, d)
@@ -383,29 +385,39 @@ def test_basis_expansions_are_int_and_match_a_memo_free_expansion():
             assert b.expansion == freelie.expand_tree(b.tree, degs)
 
 
-def test_cold_basis_bracket_is_one_product_step(monkeypatch):
-    p = DgLaPresentation([("x", 1), ("y", 2), ("z", 3)])
-    d1, d2 = 4, 6  # every pair of basis elements here has two composite factors
-    for d in (d1, d2, d1 + d2):
-        p.lie_basis(d)
-    steps = []
+def _building(monkeypatch):
+    """Record each composite tree that ``expand_tree`` builds rather than reads from its memo."""
+    built = []
     expand = freelie.expand_tree
 
     def counting(tree, degrees, memo=None):
-        if not isinstance(tree, int) and tree not in p._expansions:
-            steps.append(tree)
+        if not isinstance(tree, int) and (memo is None or tree not in memo):
+            built.append(tree)
         return expand(tree, degrees, memo)
 
     monkeypatch.setattr(freelie, "expand_tree", counting)
+    return built
+
+
+def test_cold_basis_bracket_is_one_product_step(monkeypatch):
+    p = DgLaPresentation([("x", 1), ("y", 2), ("z", 3)])
+    d1, d2 = 4, 6  # every pair of basis elements here has two composite factors
+    # read every expansion a bracket of these degrees can reach: its factors'
+    # and those its solve clears
+    for d in (d1, d2, d1 + d2):
+        for b in p.lie_basis(d):
+            assert b.expansion
+    built = _building(monkeypatch)
     pairs = 0
     for i1, b1 in enumerate(p.lie_basis(d1)):
         for i2, b2 in enumerate(p.lie_basis(d2)):
             # a pair whose tree, either way round, is a basis tree needs no tensor
-            if (b1.tree, b2.tree) in p._expansions or (b2.tree, b1.tree) in p._expansions:
+            trees = p.basis_trees(d1 + d2)
+            if (b1.tree, b2.tree) in trees or (b2.tree, b1.tree) in trees:
                 continue
-            del steps[:]
+            del built[:]
             p.basis_bracket(d1, i1, d2, i2)
-            assert steps == [(b1.tree, b2.tree)]
+            assert built == [(b1.tree, b2.tree)]
             pairs += 1
     assert pairs > 4
 
@@ -446,8 +458,79 @@ def test_expansion_memo_holds_only_composite_basis_elements():
     basis = {b.tree: b for d in p._basis_cache for b in p.lie_basis(d)}
     composite = {t for t in basis if not isinstance(t, int)}
     assert len(p._bracket_cache) > 10 and len(composite) > 10
-    # no bracket product is retained, and the memo shares the basis dicts
-    assert set(p._expansions) == composite
-    for t in composite:
-        assert p._expansions[t] is basis[t].expansion
-        assert basis[t].expansion == freelie.expand_tree(t, [1, 2, 3])
+    # no bracket product or parsed subtree is retained, only the expansions
+    # of basis elements that were read, and the memo shares their dicts
+    memo = p._bases.expansions
+    assert memo and set(memo) < composite
+    for t in memo:
+        assert memo[t] is basis[t].expansion
+        assert memo[t] == freelie.expand_tree(t, [1, 2, 3])
+
+
+def _fixture_presentations(fixture_path):
+    """Every presentation the fixtures give: their own, and those of their manifolds."""
+    out = []
+    for name in ("presentation_cp2.json", "presentation_twisted9.json", "presentation_w11.json",
+                 "s2.json", "tilde_w11.json"):
+        out.append(io.load_presentation(io.load_json_file(fixture_path(name))))
+    for name in ("cp2.json", "hp2.json", "hp2_sum.json", "s4s4.json", "twisted9.json", "w11.json",
+                 "w21.json"):
+        out.append(io.load_manifold(io.load_json_file(fixture_path(name))).presentation)
+    return out
+
+
+def test_leads_from_factor_leads_match_the_oracle_expansion(fixture_path):
+    """lead, lead_coeff and length are those of the least word of the tuple-word expansion.
+
+    They are computed from the factors' leads with no expansion.  The swapped
+    tree (t2, t1) of each composite basis element (t1, t2) is no basis tree,
+    and its lead is the other product v.u: it is built in a memo of its own.
+    """
+    rng = random.Random(2828)
+    presentations = _fixture_presentations(fixture_path)
+    presentations += [random_presentation(rng, max_gens=3, max_degree=3) for _ in range(10)]
+    seen = set()
+    for p in presentations:
+        degs = p._deg_list
+        swapped = freelie.BasisMemo(degs)
+        for d in range(1, 11):
+            for b in p.lie_basis(d):
+                elements = [b]
+                if not isinstance(b.tree, int):
+                    elements.append(swapped.element((b.tree[1], b.tree[0])))
+                for e in elements:
+                    expansion = {w: c for w, c in _expand_bracket(e.tree, degs).items() if c}
+                    lead = min(expansion)
+                    assert freelie.unpack(e.lead, degs) == lead, (degs, e.tree)
+                    assert (e.lead_coeff, e.length) == (expansion[lead], len(lead)), (degs, e.tree)
+                    seen.add((e is b, e.lead_coeff, e.degree % 2))
+    # odd squares (2); swapped brackets: -(-1)^{|U||V|} is 1 for odd x odd, -1 otherwise
+    assert {(True, 2, 0), (False, 1, 0), (False, -1, 0), (False, -1, 1)} <= seen
+
+
+def test_lie_basis_expands_no_tensor(monkeypatch, fixture_path):
+    degree_lists = [p._deg_list for p in _fixture_presentations(fixture_path)]
+    built = _building(monkeypatch)
+    for degs in degree_lists:
+        p = DgLaPresentation([("g%d" % i, d) for i, d in enumerate(degs)])
+        for d in range(1, 13):
+            p.lie_basis(d)
+        assert len(freelie.basis_in_degree(degs, 12)) == p.dim(12)
+    assert built == []
+
+
+@pytest.mark.parametrize("name, top", [("presentation_cp2.json", 12),
+                                       ("presentation_twisted9.json", 12)])
+def test_each_expansion_is_built_once_over_a_bracket_table(monkeypatch, fixture_path, name, top):
+    p = io.load_presentation(io.load_json_file(fixture_path(name)))
+    before = set(p._bases.expansions)  # read by the differential's normal forms
+    built = _building(monkeypatch)
+    for d1 in range(1, top):
+        for d2 in range(1, top - d1 + 1):
+            for i1 in range(p.dim(d1)):
+                for i2 in range(p.dim(d2)):
+                    p.basis_bracket(d1, i1, d2, i2)
+    basis_trees = {t for d in range(1, top + 1) for t in p.basis_trees(d)}
+    expansions = [t for t in built if t in basis_trees]
+    assert expansions and len(expansions) == len(set(expansions))
+    assert set(expansions) == set(p._bases.expansions) - before
