@@ -144,7 +144,10 @@ def _reached_eval(th, e, source, target, along=None):
     whose letter mask meets th's generator mask, and when that part is
     empty it is the shared zero.  A skipped term adds no key, so the image
     is the one the whole of e gives, entry for entry.  The mask is built on
-    the first call, and the extension on the first call that reaches a term.
+    the first call, and the extension on the first call that reaches a term:
+    th's one extension, whose memo holds th's image of every basis tree it
+    has reached.  A one-term part c * b gives b's memoized image, scaled as
+    ``add_scaled`` scales it (as is when c is 1: callers must not mutate it).
     """
     if e.presentation is not source:
         raise ValueError("element not in the map's source presentation")
@@ -157,11 +160,22 @@ def _reached_eval(th, e, source, target, along=None):
     part = {i: c for i, c in e.coords.items() if masks[i] & mask}
     if not part:
         return zero
+    ext = th._ext
+    if ext is None:
+        ext = th._ext = leibniz_extension(source, target, th.degree, th.values.get, along=along)
+    if len(part) == 1:
+        ((i, c),) = part.items()
+        image = ext.tree(source.lie_basis(e.degree)[i].tree)
+        if not image.coords:
+            return zero
+        if c == 1:
+            return image
+        coords = image.coords.items()
+        scaled = {k: -x for k, x in coords} if c == -1 else {k: x * c for k, x in coords}
+        return LieElement._trusted(target, image.degree, scaled)
     if len(part) < len(e.coords):
         e = LieElement._trusted(source, e.degree, part)
-    if th._ext is None:
-        th._ext = leibniz_extension(source, target, th.degree, th.values.get, along=along)
-    return th._ext(e, zero)
+    return ext(e, zero)
 
 
 def der_bracket(theta, psi):
@@ -186,26 +200,33 @@ def der_bracket(theta, psi):
 
 
 def _der_bracket(theta, psi):
-    """[theta, psi], computed.
-
-    On a generator n this is theta(psi n) - (-1)^{|theta||psi|} psi(theta n);
-    each term is evaluated only where its inner value is nonzero, so only
-    the generators where theta or psi is nonzero are walked, in
-    presentation order.
-    """
+    """[theta, psi], computed from the terms ``_bracket_terms`` walks."""
     p = theta.ambient
-    sign = -1 if (theta.degree * psi.degree) % 2 else 1
     degree = theta.degree + psi.degree
-    vals = {}
-    for n, deg in p.generators.entries:
+    vals = {
+        n: p.zero(p.generators.degree(n) + degree).add_scaled(terms)
+        for n, terms in _bracket_terms(theta, psi)
+    }
+    return Derivation(p, degree, vals, rel=theta.rel, check=False)
+
+
+def _bracket_terms(theta, psi):
+    """(n, terms) for each generator n where [theta, psi] can be nonzero.
+
+    On n the bracket is the sum of the (c, value) pairs in ``terms``:
+    theta(psi n) - (-1)^{|theta||psi|} psi(theta n), each term evaluated
+    only where its inner value is nonzero.  So only the generators where
+    theta or psi is nonzero are walked, in presentation order.
+    """
+    sign = -1 if (theta.degree * psi.degree) % 2 else 1
+    for n, _ in theta.ambient.generators.entries:
         terms = []
         if n in psi.values:
             terms.append((1, theta.eval_at(psi.values[n])))
         if n in theta.values:
             terms.append((-sign, psi.eval_at(theta.values[n])))
         if terms:
-            vals[n] = p.zero(deg + degree).add_scaled(terms)
-    return Derivation(p, degree, vals, rel=theta.rel, check=False)
+            yield n, terms
 
 
 def der_differential(theta):
@@ -264,6 +285,7 @@ class _HomLayout:
             offset += dim
         self.total = offset
         self.offsets = [off for _, _, off, _ in self.slots]
+        self.offset = {name: off for name, _, off, _ in self.slots}
 
     def to_vector(self, theta):
         """The sparse Hom coordinates of a derivation."""
@@ -383,10 +405,10 @@ class DerSlice(DgLieSlice):
     of that degree's stacked conditions (see ``linalg.Subspace``); the
     differential and bracket are realized as exact matrices and memoized
     tables in the subspace coordinates.  The structure constants are read
-    from the basis derivations as sparse operators: the slice keeps one
-    ``leibniz_extension`` per basis derivation, whose memo holds its image
-    of every basis tree that some bracket reaches, and builds no
-    Derivation per bracket.
+    through the basis derivations' own ``eval_at``: each keeps its one
+    Leibniz extension, whose memo holds its image of every basis tree that
+    some bracket reaches, for the life of the slice, and no Derivation is
+    built per bracket.
     """
 
     def __init__(self, p, rel, window, spaces, layouts, zero_below=False):
@@ -395,9 +417,6 @@ class DerSlice(DgLieSlice):
         self.spaces = spaces
         self.layouts = layouts
         self.derivations = {}
-        # {(n, i): TreeMap}: the Leibniz extension of basis derivation i of
-        # degree n, whose memo fills as brackets reach its trees
-        self._columns = {}
         lo, hi = window
         labels = {}
         for n in range(lo, hi + 1):
@@ -431,51 +450,18 @@ class DerSlice(DgLieSlice):
         """The derivation with the sparse coordinates ``coords`` in degree n."""
         return self.layouts[n].from_vector(self.spaces[n].vector(coords))
 
-    def _column(self, n, i):
-        """The Leibniz extension of basis derivation i of degree n, made once.
-
-        Its memo holds the derivation's image of every index tree that some
-        bracket reaches, for the life of the slice.
-        """
-        ext = self._columns.get((n, i))
-        if ext is None:
-            ext = self._columns[n, i] = leibniz_extension(
-                self.p, self.p, n, self.derivations[n][i].values.get
-            )
-        return ext
-
-    def _apply(self, n, i, x):
-        """Basis derivation i of degree n at the element x, as sparse coordinates.
-
-        A one-term x scales one memoized column, which is returned as is
-        when the coefficient is 1; callers must not mutate the result.
-        """
-        ext = self._column(n, i)
-        if len(x.coords) == 1:
-            ((b, c),) = x.coords.items()
-            col = ext.tree(self.p.lie_basis(x.degree)[b].tree).coords
-            return col if c == 1 else {k: v * c for k, v in col.items()}
-        return ext(x, self.p.zero(x.degree + n)).coords
-
     def _bracket_coords(self, n, i, m, j):
         """[theta, psi] for basis derivations theta = (n, i), psi = (m, j).
 
-        Built one generator slot x at a time as theta(psi x) - (-1)^{nm}
-        psi(theta x), each term from the operator columns and only where
-        its inner value is nonzero, as ``der_bracket`` does; then
-        ``Subspace.coords`` gives, and certifies, the structure constants.
+        The terms of the bracket rule (``_bracket_terms``) are summed into
+        the Hom slots of degree n + m; then ``Subspace.coords`` gives, and
+        certifies, the structure constants.
         """
-        th, ps = self.derivations[n][i].values, self.derivations[m][j].values
-        sign = -1 if (n * m) % 2 else 1
+        offset = self.layouts[n + m].offset
         vec = {}
-        for name, _, off, _ in self.layouts[n + m].slots:
-            terms = []
-            if name in ps:
-                terms.append((1, self._apply(n, i, ps[name])))
-            if name in th:
-                terms.append((-sign, self._apply(m, j, th[name])))
-            if terms:
-                vec.update((off + k, c) for k, c in combination(terms).items())
+        for name, terms in _bracket_terms(self.derivations[n][i], self.derivations[m][j]):
+            coords = combination((c, x.coords) for c, x in terms)
+            vec.update((offset[name] + k, c) for k, c in coords.items())
         return self._vector_coords(vec, n + m)
 
 

@@ -22,6 +22,7 @@ from .expr import rename_tree
 from .graded import betti_numbers
 from .models import manifold_model, tilde_model
 from .linalg import combination
+from .morphisms import GeneratorMorphism
 from .presentation import fresh_names
 from .slices import bilinear
 
@@ -107,26 +108,22 @@ class HeadlineGluingMap:
         return linalg.matvec(self.blocks[d], joined)
 
 
-def _extend_derivation(theta, glued_p, names):
-    vals = {}
-    for gname, v in theta.values.items():
-        vals[names[gname]] = glued_p.normal_form(
-            [(c, rename_tree(t, names)) for c, t in v.terms()]
-        )
-    return Derivation(glued_p, theta.degree, vals, rel=None, check=False)
-
-
 def _factor_entries(g_factor, g_glued, names, d, col):
     """Entries of the matrix embedding one factor's degree-d part into the glued algebra.
 
-    The factor's columns start at ``col``.
+    The factor's columns start at ``col``.  Derivations are extended by zero
+    through the factor's inclusion, which ``names`` gives: the factor's
+    generators keep their relative order in the glued presentation, so each
+    basis tree goes to a basis tree.
     """
     gf = g_factor.acting
     gg = g_glued.acting
     hf = g_factor.hom_module
     hg = g_glued.hom_module
+    inc = GeneratorMorphism(gf.p, gg.p, {n: gg.p.gen(names[n]) for n in names})
     for i, theta in enumerate(gf.derivations[d]):
-        ext = _extend_derivation(theta, gg.p, names)
+        vals = {names[n]: inc.apply(v) for n, v in theta.values.items()}
+        ext = Derivation(gg.p, d, vals, rel=None, check=False)
         yield from ((k, col + i, x) for k, x in gg.coords(ext, d).items())
     col += gf.dim(d)
     for j in range(g_factor.module.dim(d)):

@@ -329,10 +329,12 @@ def outer_action_check(a, window=None):
     so their cost follows the operators' nonzero entries, not the module's
     dimension; each is the per-basis-vector identity on every module basis
     element at once.  The Lie-map identity is walked on unordered basis
-    pairs (t,p), and on each pair of distinct elements g's bracket must be
+    pairs (t,p), and on each of them g's bracket must be
     graded-antisymmetric, [p,t] = -(-1)^{|t||p|} [t,p]; the (p,t) identity
     is then -(-1)^{|t||p|} times the (t,p) one, so the check is sound
-    without g's own certificate.  chi of a bracket is walked only on the
+    without g's own certificate.  That walk is g's own
+    (``DgLieSlice._antisymmetry_failures``), so a degree pair it passes is
+    certified for g's axiom checks too.  chi of a bracket is walked only on the
     degree pairs (n, m) where chi is nonzero on g_n, g_m or g_{n+m};
     elsewhere every term of its identity is zero.  Returns a report of
     (check, ok, witness) rows; never raises.  Each failing row's witness is the first failing
@@ -361,12 +363,10 @@ def outer_action_check(a, window=None):
                 pairs = list(combinations_with_replacement(range(g.dim(n)), 2))
             else:
                 pairs = list(product(range(g.dim(n)), range(g.dim(m))))
-            for i, j in pairs:
-                # graded antisymmetry, which makes the (p,t) identity follow from (t,p)
-                if (n, i) != (m, j) and combination(
-                    [(1, g.bracket(m, j, n, i)), (sign, g.bracket(n, i, m, j))]
-                ):
-                    yield ("alpha_antisymmetry", n, i, m, j)
+            # graded antisymmetry, which makes the (p,t) identity follow from
+            # (t,p); a degree pair that passes is certified for g's own checks
+            for w in g._antisymmetry_failures([(n, m)]):
+                yield ("alpha_antisymmetry",) + w
             for k in ks:
                 if not any(a.operator(d, q, k) for d in {n, m, n + m} for q in range(g.dim(d))):
                     continue  # g_n, g_m and g_{n+m} act on L_k by zero: every identity is 0 = 0

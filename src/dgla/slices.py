@@ -79,25 +79,31 @@ class DgLieSlice(DegreeWindow):
         for parts in product(*(combinations_with_replacement(range(dim), r) for dim, r in runs)):
             yield tuple(chain.from_iterable(parts))
 
-    def _check_antisymmetry(self, degree_pairs):
-        """[x,y] = -(-1)^{|x||y|}[y,x] once per unordered basis pair of each (n, m).
+    def _antisymmetry_failures(self, degree_pairs):
+        """Each basis pair (n, i, m, j) where [x,y] = -(-1)^{|x||y|}[y,x] fails.
 
-        ``degree_pairs`` are walked in order, with n <= m and n + m in the
-        window.  Raises AxiomFailure at the first pair that fails.  The
-        bracket is memoized, so a degree pair that passed once is not
-        walked again.
+        Walked once per unordered basis pair of each (n, m) of
+        ``degree_pairs``, in order, with n <= m and n + m in the window.  A
+        degree pair is recorded as certified only once its walk finishes
+        with no failure, and is not walked again: the bracket is memoized.
         """
         br = self.bracket
         for n, m in degree_pairs:
             if (n, m) in self._antisymmetric:
                 continue
             sign = 1 if (n * m) % 2 else -1
+            clean = True
             for i, j in self._unordered_tuples((n, m)):
                 if combination([(1, br(n, i, m, j)), (-sign, br(m, j, n, i))]):
-                    raise AxiomFailure(
-                        "bracket antisymmetry fails at (%d,%d,%d,%d)" % (n, i, m, j)
-                    )
-            self._antisymmetric.add((n, m))
+                    clean = False
+                    yield n, i, m, j
+            if clean:
+                self._antisymmetric.add((n, m))
+
+    def _check_antisymmetry(self, degree_pairs):
+        """Raises AxiomFailure at the first of the ``_antisymmetry_failures``."""
+        for witness in self._antisymmetry_failures(degree_pairs):
+            raise AxiomFailure("bracket antisymmetry fails at (%d,%d,%d,%d)" % witness)
 
     def check_bracket_axioms(self):
         """Antisymmetry on every basis pair, Jacobi on every triple, each unordered.

@@ -18,10 +18,12 @@ RREF, kernel and triangular solve with every value a Fraction instead of
 an int wherever it is integral, the outer-action axioms on every module
 basis vector instead of as sparse operator identities, and d-Leibniz on
 every ordered pair instead of once per unordered one, chi of a bracket
-on every degree pair instead of only where some twist is nonzero, and
+on every degree pair instead of only where some twist is nonzero,
 Der's structure constants through ``der_bracket`` and conditions on the
-whole of their element instead of from operator columns and on the terms
-a unit reaches.
+whole of their element instead of from the basis derivations' own
+extensions and on the terms a unit reaches, and gluing's extension of a
+derivation by a round trip through generator names instead of through an
+inclusion morphism.
 Tests compare library output against these.
 The helpers that are not oracles are ``sub_contains``, membership in a
 designated subalgebra through the library's own spans, and the coefficient
@@ -944,8 +946,8 @@ def exp_series_images(theta):
 
 
 # -- Der's structure constants through der_bracket ---------------------------------------
-# The library reads the structure constants of a derivation slice from
-# memoized operator columns of its basis derivations, and evaluates a
+# The library reads the structure constants of a derivation slice through
+# its basis derivations' own memoized extensions, and evaluates a
 # derivation only on the terms it reaches.  These are the paths it replaced:
 # one der_bracket, one new Derivation and one to_vector per pair, and every
 # evaluation on the whole of its element.
@@ -1190,6 +1192,26 @@ def per_vector_outer_action_check(a, window=None):
         check_row("chi_of_bracket", chi_bracket_failures()),
         check_row("d_of_action", d_of_action_failures()),
     ])
+
+
+# -- gluing's extension by zero through generator names --------------------------------
+# The library extends a factor's derivation to the glued presentation through
+# the factor's inclusion morphism, one basis tree to one basis tree.  This is
+# the path it replaced: each value written out as name trees, renamed, and
+# brought back to normal form by tensor expansion and a solve.
+
+
+def extend_derivation_by_names(theta, glued_p, names):
+    """theta extended by zero to glued_p, its generators renamed by ``names``."""
+    from dgla.derivations import Derivation
+    from dgla.expr import rename_tree
+
+    vals = {}
+    for gname, v in theta.values.items():
+        vals[names[gname]] = glued_p.normal_form(
+            [(c, rename_tree(t, names)) for c, t in v.terms()]
+        )
+    return Derivation(glued_p, theta.degree, vals, rel=None, check=False)
 
 
 # -- designated subalgebras ------------------------------------------------------------

@@ -175,8 +175,10 @@ def test_condition_matrices_match_the_unrestricted_evaluation(case, fixture_path
 
 
 def test_a_unit_is_evaluated_only_on_the_trees_it_reaches(monkeypatch):
-    # the spy sits on the Leibniz extension's call, below eval_at's
-    # restriction, and reads letters through the presentation's masks
+    # the spy sits on the Leibniz extension's call and on its tree reads,
+    # below eval_at's restriction, and reads letters through the
+    # presentation's masks; a one-term part reads one basis tree, recorded
+    # as that basis element
     p = _cubic_sub()
     terms = {e.degree: set(e.coords) for e in p.sub("s").elements}
     calls = []
@@ -190,7 +192,11 @@ def test_a_unit_is_evaluated_only_on_the_trees_it_reaches(monkeypatch):
             calls.append((names, e))
             return ext(e, zero)
 
-        call.tree = ext.tree
+        def tree(itree):
+            calls.append((names, source.tree_element(itree)))
+            return ext.tree(itree)
+
+        call.tree = tree
         return call
 
     monkeypatch.setattr(derivations, "leibniz_extension", spied)

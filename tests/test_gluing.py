@@ -8,6 +8,8 @@ from dgla.gluing import boundary_connected_sum, forget_compare, glue_headline_g
 from dgla.graded import betti_numbers
 from dgla.models import build_block_g, manifold_model
 
+from oracles import extend_derivation_by_names
+
 
 def w11():
     return manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)]))
@@ -81,6 +83,42 @@ def test_glue_headline_g_dimensions_add_on_hom_part():
         cols = gm.dim(d) + gn.dim(d)
         if cols:
             assert linalg.rank(gmap.blocks[d], cols) == cols
+
+
+@pytest.mark.parametrize("left, right, hi", [("w21", "w11", 4), ("w11", "w11", 4)])
+def test_derivations_extend_through_the_inclusion_as_through_names(
+    left, right, hi, fixture_path, monkeypatch
+):
+    # every basis derivation of each factor, extended by its inclusion into
+    # the glued presentation, against the name round trip: entry for entry,
+    # type for type (w11 has no nonzero basis derivation below degree 4)
+    m, n = (io.load_manifold(io.load_json_file(fixture_path(f + ".json"))) for f in (left, right))
+    mn = boundary_connected_sum(m, n)
+    gmn = build_block_g(mn, (0, hi))
+    built = []
+    plain = gluing.Derivation
+
+    def recorded(*args, **kwargs):
+        built.append(plain(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(gluing, "Derivation", recorded)
+    nonzero = 0
+    for model, names in ((m, mn.left_names), (n, mn.right_names)):
+        g = build_block_g(model, (0, hi))
+        for d in range(0, hi + 1):
+            built.clear()
+            list(gluing._factor_entries(g, gmn, names, d, 0))
+            assert len(built) == g.acting.dim(d)
+            for theta, got in zip(g.acting.derivations[d], built):
+                want = extend_derivation_by_names(theta, gmn.acting.p, names)
+                assert list(got.values) == list(want.values)
+                for name, v in want.values.items():
+                    w = got.values[name]
+                    assert (w.degree, list(w.coords.items())) == (v.degree, list(v.coords.items()))
+                    assert [type(c) for c in w.coords.values()] == [type(c) for c in v.coords.values()]
+                nonzero += bool(want.values)
+    assert nonzero
 
 
 def test_glue_requires_assertion():

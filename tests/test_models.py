@@ -1,9 +1,12 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from dgla import io, linalg
+from dgla import io, linalg, models
 from dgla.derivations import Derivation, der_differential, deru
 from dgla.errors import (
     AxiomFailure,
@@ -14,6 +17,7 @@ from dgla.errors import (
     OmegaNotClosed,
 )
 from dgla.expmc import exp_automorphism
+from dgla.gluing import boundary_connected_sum
 from dgla.graded import betti_numbers
 from dgla.models import (
     ManifoldModel,
@@ -378,6 +382,52 @@ def test_block_g_is_certified_without_the_product_bracket(fixture_path):
     m = io.load_manifold(io.load_json_file(fixture_path("w21.json")))
     g = build_block_g(m, (0, 4))
     assert g._structure == {}
+
+
+def test_semidirect_compares_each_antisymmetry_pair_once(fixture_path, monkeypatch):
+    # the outer-action check and g's own axiom checks share g's one
+    # antisymmetry walk: building g of w21, w11 and their boundary connected
+    # sum on 0..4, as `glue` does, compares each unordered basis pair of each
+    # degree pair of each acting part once
+    compared = Counter()
+    from_outer = []
+    plain_tuples = DgLieSlice._unordered_tuples
+    plain_check = models.outer_action_check
+
+    def tuples(self, degrees):
+        walk = plain_tuples(self, degrees)
+        if sys._getframe(1).f_code.co_name != "_antisymmetry_failures":
+            return walk
+
+        def counted():
+            for t in walk:
+                compared[id(self), degrees + t] += 1
+                yield t
+
+        return counted()
+
+    def outer(a, window=None):
+        before = sum(compared.values())
+        rep = plain_check(a, window)
+        from_outer.append(sum(compared.values()) - before)
+        return rep
+
+    monkeypatch.setattr(DgLieSlice, "_unordered_tuples", tuples)
+    monkeypatch.setattr(models, "outer_action_check", outer)
+    w21, w11 = (io.load_manifold(io.load_json_file(fixture_path(f))) for f in ("w21.json", "w11.json"))
+    gs = [build_block_g(m, (0, 4)) for m in (w21, w11, boundary_connected_sum(w21, w11))]
+    monkeypatch.undo()
+    want = set()
+    for acting in (g.acting for g in gs):
+        degs = [d for d in range(acting.lo, acting.hi + 1) if acting.dim(d)]
+        for n, m in combinations_with_replacement(degs, 2):
+            if acting.in_window(n + m):
+                want.update((id(acting), (n, m) + t) for t in acting._unordered_tuples((n, m)))
+    assert len(want) > 100
+    assert set(compared) == want and set(compared.values()) == {1}
+    # the outer-action check made the comparisons of the degree pairs that
+    # act on the module (none for w11, whose acting part is only degree 4)
+    assert len(from_outer) == 3 and from_outer[0] and not from_outer[1] and from_outer[2]
 
 
 def test_block_g_w11_dims_and_homology():

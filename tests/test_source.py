@@ -63,14 +63,31 @@ def _zero_below_assignments(tree):
                 yield node.lineno
 
 
+def _callers(callee):
+    """A finder of the qualified name of the function around each call of ``callee``."""
+
+    def find(node, scope=()):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from find(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and callee in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                yield ".".join(scope)
+            yield from find(child, scope)
+
+    return find
+
+
 def _scan(find):
-    """The name:line of every node ``find`` yields in the library's modules."""
+    """The name:place of every place (a line or a function) ``find`` yields in the library."""
     found = []
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
             with open(os.path.join(SRC, name)) as fh:
                 tree = ast.parse(fh.read(), name)
-            found += ["%s:%d" % (name, line) for line in find(tree)]
+            found += ["%s:%s" % (name, place) for place in find(tree)]
     return found
 
 
@@ -95,6 +112,30 @@ def test_only_the_degree_window_reads_differential_blocks():
 def test_builders_pass_zero_below_to_the_constructor():
     # a slice's zero_below is data of its builder, not set on a finished slice
     assert _scan(_zero_below_assignments) == []
+
+
+def test_each_derivation_has_one_leibniz_extension():
+    # a derivation is evaluated only through the one extension its eval_at
+    # builds; the other extension is the presentation's differential
+    assert _scan(_callers("leibniz_extension")) == [
+        "derivations.py:_reached_eval",
+        "presentation.py:DgLaPresentation.__init__",
+    ]
+
+
+def test_the_scan_sees_calls_in_every_scope():
+    source = [
+        "x = f(1)",
+        "def g():",
+        "    return [f(y) for y in range(2)]",
+        "class C:",
+        "    def m(self):",
+        "        def inner():",
+        "            return mod.f(0)",
+        "        return h(f)",
+    ]
+    tree = ast.parse("\n".join(source))
+    assert list(_callers("f")(tree)) == ["", "g", "C.m.inner"]
 
 
 def test_the_scan_sees_both_forms_of_true_division():
