@@ -24,7 +24,7 @@ gmn = build_block_g(mn, (0, 2))
 print("degree-0 dims add:", gm.dim(0), "+", gn.dim(0), "=", gmn.dim(0))
 
 gmap = glue_headline_g(
-    gm, gn, gmn, mn.left_names, mn.right_names, assert_semisimple=True
+    gm, gn, gmn, *mn.inclusions, assert_semisimple=True
 )
 print("gluing map verified as a dg Lie map:", gmap.report.passed)
 

@@ -221,7 +221,7 @@ def cmd_glue(args, inputs):
     gn = build_block_g(n, w)
     gmn = build_block_g(mn, w)
     gmap = glue_headline_g(
-        gm, gn, gmn, mn.left_names, mn.right_names, assert_semisimple=True
+        gm, gn, gmn, *mn.inclusions, assert_semisimple=True
     )
     tables = {
         "left_dims": {str(d): gm.dim(d) for d in range(w[0], w[1] + 1)},

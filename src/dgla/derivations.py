@@ -526,6 +526,30 @@ def deru(p, rel, rho, window):
     return _der_slice(p, rel, (lo, hi), degree0, zero_below=lo == 0)
 
 
+def inclusion_names(inc):
+    """{source generator: target generator} of a morphism sending each generator to one."""
+    names = {}
+    for name, img in inc.images.items():
+        lin = img.linear_part()
+        if len(img.coords) != 1 or list(lin.values()) != [1]:
+            raise SubMismatch("inclusion does not send generators to generators")
+        (names[name],) = lin
+    return names
+
+
+def extend_by_zero(theta, inc):
+    """theta, a derivation of inc.source, on inc.target: zero off inc's image.
+
+    ``inc`` sends each generator to a generator, as a pushout's inclusions
+    do; theta(x) becomes inc(theta(x)) at inc(x).
+    """
+    if theta.ambient is not inc.source:
+        raise SubMismatch("derivation does not live on the inclusion's source")
+    names = inclusion_names(inc)
+    vals = {names[n]: inc.apply(v) for n, v in theta.values.items()}
+    return Derivation(inc.target, theta.degree, vals, check=False)
+
+
 def glue_derivations(theta, psi, po, inc_p, inc_q, rel=None):
     """The glued derivation on a pushout: extend each side by zero.
 
@@ -533,20 +557,13 @@ def glue_derivations(theta, psi, po, inc_p, inc_q, rel=None):
     shared sub; the result is theta~ + psi~ on the pushout, vanishing on
     ``rel`` (checked when given).
     """
-    if theta.ambient is not inc_p.source or psi.ambient is not inc_q.source:
-        raise SubMismatch("derivations do not live on the pushout's factors")
     if theta.degree != psi.degree:
         raise ValueError("derivations of different degrees")
-    vals = {}
-    for der, inc in ((theta, inc_p), (psi, inc_q)):
-        for name, v in der.values.items():
-            lin = inc.images[name].linear_part()
-            if list(lin.values()) != [1]:
-                raise SubMismatch("inclusion does not send generators to generators")
-            (gname,) = lin
-            if gname in vals:
-                raise SubMismatch("factors overlap at generator %r" % gname)
-            vals[gname] = inc.apply(v)
+    left, right = extend_by_zero(theta, inc_p), extend_by_zero(psi, inc_q)
+    overlap = [n for n in left.values if n in right.values]
+    if overlap:
+        raise SubMismatch("factors overlap at generator %r" % overlap[0])
+    vals = {**left.values, **right.values}
     return Derivation(po, theta.degree, vals, rel=rel, check=rel is not None)
 
 

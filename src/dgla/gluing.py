@@ -10,7 +10,7 @@ ranks of both projections and deliberately claims nothing more.
 from itertools import chain, product
 
 from . import linalg
-from .derivations import Derivation, forget_pullback
+from .derivations import extend_by_zero, forget_pullback, inclusion_names
 from .errors import (
     DimensionMismatch,
     SemisimplicityNotAsserted,
@@ -18,71 +18,41 @@ from .errors import (
     ValidationReport,
     check_row,
 )
-from .expr import rename_tree
 from .graded import betti_numbers
-from .models import manifold_model, tilde_model
+from .models import ManifoldModel, SymplecticGVS, tilde_model
 from .linalg import combination
-from .morphisms import GeneratorMorphism
-from .presentation import fresh_names
+from .presentation import pushout
 from .slices import bilinear
 
 
 def boundary_connected_sum(m, n):
     """The model of a boundary connected sum: V_M + V_N, block pairing.
 
-    Differentials and Pontryagin functionals are carried over; omega
-    additivity (omega_{M natural-sum N} = omega_M + omega_N) is verified
-    exactly.  The result records the generator renamings as ``left_names``
-    and ``right_names``.
+    The presentation is the pushout of M's and N's along the empty sub;
+    the pairing is block diagonal and the Pontryagin values are M's, then
+    N's, in each degree.  Omega additivity (omega_{M natural-sum N} =
+    omega_M + omega_N) is verified exactly.  The result records the
+    pushout's two inclusions as ``inclusions``.
     """
     if m.dimension != n.dimension:
         raise DimensionMismatch(
             "dimensions %d and %d differ" % (m.dimension, n.dimension)
         )
-    left_names = {nm: nm for nm, _ in m.v.basis.entries}
-    right_names = fresh_names(
-        [nm for nm, _ in m.v.basis.entries], [nm for nm, _ in n.v.basis.entries]
-    )
-    gens = [(nm, d) for nm, d in m.v.basis.entries] + [
-        (right_names[nm], d) for nm, d in n.v.basis.entries
-    ]
-    k = len(m.v.basis)
+    p, inc_m, inc_n = pushout(m.presentation, n.presentation, None)
+    k, size = len(m.v.basis), len(p.generators)
     pairing = linalg.matrix(
-        len(gens),
-        len(gens),
-        chain(linalg.entries(m.v.pairing), linalg.entries(n.v.pairing, k, k)),
+        size, size, chain(linalg.entries(m.v.pairing), linalg.entries(n.v.pairing, k, k))
     )
 
-    diff = {}
-    for nm, v in m.presentation.differential.items():
-        diff[nm] = v.terms()
-    for nm, v in n.presentation.differential.items():
-        diff[right_names[nm]] = [
-            (c, rename_tree(t, right_names)) for c, t in v.terms()
-        ]
-    pont = {}
-    degs = set(m.pontryagin) | set(n.pontryagin)
-    for d in degs:
-        names = [nm for nm, gd in gens if gd == d]
-        vals = []
-        mv = dict(zip(m.v.basis.in_degree(d), m.pontryagin.get(d, [0] * m.v.basis.dim(d))))
-        nv = dict(
-            zip(
-                [right_names[x] for x in n.v.basis.in_degree(d)],
-                n.pontryagin.get(d, [0] * n.v.basis.dim(d)),
-            )
-        )
-        for nm in names:
-            vals.append(mv.get(nm, nv.get(nm, 0)))
-        pont[d] = vals
-    out = manifold_model(m.dimension, gens, pairing, diff, pont)
-    expected = out.presentation.normal_form(
-        m.omega.terms() + [(c, rename_tree(t, right_names)) for c, t in n.omega.terms()]
-    )
-    if out.omega != expected:
+    def values(model, d):
+        return model.pontryagin.get(d, [0] * model.v.basis.dim(d))
+
+    pont = {d: values(m, d) + values(n, d) for d in set(m.pontryagin) | set(n.pontryagin)}
+    v = SymplecticGVS(p.generators.entries, -(m.dimension - 2), pairing)
+    out = ManifoldModel(m.dimension, v, p, pont)
+    if out.omega != inc_m.apply(m.omega) + inc_n.apply(n.omega):
         raise AssertionError("omega additivity failed on the connected sum")
-    out.left_names = left_names
-    out.right_names = right_names
+    out.inclusions = (inc_m, inc_n)
     return out
 
 
@@ -108,24 +78,22 @@ class HeadlineGluingMap:
         return linalg.matvec(self.blocks[d], joined)
 
 
-def _factor_entries(g_factor, g_glued, names, d, col):
+def _factor_entries(g_factor, g_glued, inc, d, col):
     """Entries of the matrix embedding one factor's degree-d part into the glued algebra.
 
-    The factor's columns start at ``col``.  Derivations are extended by zero
-    through the factor's inclusion, which ``names`` gives: the factor's
-    generators keep their relative order in the glued presentation, so each
-    basis tree goes to a basis tree.
+    The factor's columns start at ``col``; ``inc`` is the factor's inclusion
+    into the glued presentation.  Derivations are extended by zero through
+    it, and Hom functionals follow its generator names.
     """
     gf = g_factor.acting
     gg = g_glued.acting
     hf = g_factor.hom_module
     hg = g_glued.hom_module
-    inc = GeneratorMorphism(gf.p, gg.p, {n: gg.p.gen(names[n]) for n in names})
     for i, theta in enumerate(gf.derivations[d]):
-        vals = {names[n]: inc.apply(v) for n, v in theta.values.items()}
-        ext = Derivation(gg.p, d, vals, rel=None, check=False)
+        ext = extend_by_zero(theta, inc)
         yield from ((k, col + i, x) for k, x in gg.coords(ext, d).items())
     col += gf.dim(d)
+    names = inclusion_names(inc)
     for j in range(g_factor.module.dim(d)):
         glued_raw = {}
         for pos, cval in hf.raw_basis_vector(d, j).items():
@@ -138,12 +106,14 @@ def _factor_entries(g_factor, g_glued, names, d, col):
         yield from ((gg.dim(d) + k, col + j, x) for k, x in mod_coords.items())
 
 
-def glue_headline_g(g_left, g_right, g_glued, left_names, right_names,
+def glue_headline_g(g_left, g_right, g_glued, inc_left, inc_right,
                     assert_semisimple=False):
     """The gluing map on headline semidirect dg Lie algebras.
 
-    Hom factors are combined by the direct-sum identification of the
-    indecomposables; derivation factors by extension by zero.  Requires
+    ``inc_left`` and ``inc_right`` are the factors' inclusions into the
+    glued presentation (a connected sum's ``inclusions``).  Hom factors are
+    combined by the direct-sum identification of the indecomposables;
+    derivation factors by extension by zero.  Requires
     the caller to assert semisimplicity of both factors' indecomposables
     representations (the reductive-quotient comparison can genuinely fail
     without it).  The result is verified to be a map of dg Lie algebras on
@@ -162,8 +132,8 @@ def glue_headline_g(g_left, g_right, g_glued, left_names, right_names,
             g_glued.dim(d),
             g_left.dim(d) + g_right.dim(d),
             chain(
-                _factor_entries(g_left, g_glued, left_names, d, 0),
-                _factor_entries(g_right, g_glued, right_names, d, g_left.dim(d)),
+                _factor_entries(g_left, g_glued, inc_left, d, 0),
+                _factor_entries(g_right, g_glued, inc_right, d, g_left.dim(d)),
             ),
         )
     # the source g_left x g_right, in the blocks' column order

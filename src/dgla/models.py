@@ -100,20 +100,21 @@ def omega_element(v, presentation=None):
 class ManifoldModel:
     """A validated Stasheff-type model of a manifold with sphere boundary.
 
-    Fields: the symplectic space V (degree -(n-2) pairing), an optional
-    differential on the free Lie algebra over V, and Pontryagin functionals
-    on the degree 4i-1 parts of V.  ``presentation`` carries the designated
-    sub "omega" (element-generated by omega_V).
+    Fields: the symplectic space V (degree -(n-2) pairing), the free Lie
+    algebra over V with a differential (``presentation``, whose generators
+    are V's basis), and Pontryagin functionals on the degree 4i-1 parts of
+    V.  The presentation gains the designated sub "omega" (element-generated
+    by omega_V).
     """
 
-    def __init__(self, dimension, v, differential=None, pontryagin=None):
+    def __init__(self, dimension, v, presentation, pontryagin=None):
         self.dimension = int(dimension)
         self.v = v
         if v.m != self.dimension - 2:
             raise ValueError("pairing degree must be -(dimension - 2)")
-        self.presentation = DgLaPresentation(
-            list(v.basis.entries), differential or {}
-        )
+        if presentation.generators != v.basis:
+            raise ValueError("the presentation's generators are not V's basis")
+        self.presentation = presentation
         rep = self.presentation.validate()
         if not rep.passed:
             raise NotMinimal("invalid differential: %r" % rep.failures())
@@ -166,7 +167,8 @@ def manifold_model(dimension, generators, pairing, differential=None, pontryagin
     ``pairing`` is a ``linalg`` matrix on the generators.
     """
     v = SymplecticGVS(generators, -(int(dimension) - 2), pairing)
-    return ManifoldModel(dimension, v, differential, pontryagin)
+    p = DgLaPresentation(list(v.basis.entries), differential)
+    return ManifoldModel(dimension, v, p, pontryagin)
 
 
 def pi_so_basis(top_degree):
@@ -592,12 +594,11 @@ class _HomModule:
                     out[x] = lin
         return out
 
-    def right_action_raw(self, theta, m, fvec):
-        """(f.theta)(s[x]) = (-1)^{|theta|} f(s[theta(x)]), in sparse raw coordinates."""
-        return self.right_action_induced(theta.degree, self.induced_map(theta), m, fvec)
-
     def right_action_induced(self, n, induced, m, fvec):
-        """``right_action_raw`` of a degree-n theta given by its ``induced_map``."""
+        """(f.theta)(s[x]) = (-1)^{|theta|} f(s[theta(x)]), in sparse raw coordinates.
+
+        theta has degree n and is given by its ``induced_map``.
+        """
         sign = -1 if n % 2 else 1
         terms = []
         for pos, c in fvec.items():
@@ -613,12 +614,11 @@ class _HomModule:
                         terms.append((sign * c * lam, {tgt: 1}))
         return combination(terms)
 
-    def chi_raw(self, theta, rho):
-        """(rho~ . theta)(s[x]) = (-1)^{|theta|} rho(theta(x)), in sparse raw coordinates."""
-        return self.chi_induced(theta.degree, self.induced_map(theta), rho)
-
     def chi_induced(self, n, induced, rho):
-        """``chi_raw`` of a degree-n theta given by its ``induced_map``."""
+        """(rho~ . theta)(s[x]) = (-1)^{|theta|} rho(theta(x)), in sparse raw coordinates.
+
+        theta has degree n and is given by its ``induced_map``.
+        """
         sign = -1 if n % 2 else 1
         terms = []
         degree = self.indec_basis.degree

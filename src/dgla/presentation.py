@@ -756,11 +756,12 @@ def fresh_names(taken, names):
 def pushout(p, q, along, correspondence=None):
     """Pushout of two presentations along a shared GeneratorSplit sub.
 
-    ``correspondence`` maps q's sub generator names to p's (default: the
-    identity on names); it must be a degree- and d-preserving bijection.
-    Returns (pushout_presentation, include_p, include_q).  The shared sub
-    keeps p's generator names; q's free generators are renamed by appending
-    apostrophes on collision.
+    ``along`` None is the free product, the pushout along the empty sub,
+    and records no sub.  ``correspondence`` maps q's sub generator names
+    to p's (default: the identity on names); it must be a degree- and
+    d-preserving bijection.  Returns (pushout_presentation, include_p,
+    include_q).  The shared sub keeps p's generator names; q's free
+    generators are renamed by appending apostrophes on collision.
     """
     from .morphisms import GeneratorMorphism
 
@@ -777,33 +778,23 @@ def pushout(p, q, along, correspondence=None):
             raise IncompatibleSubs("degree mismatch at %r -> %r" % (qa, pa))
 
     p_names = [n for n, _ in p.generators.entries]
-    q_free = [n for n, _ in q.generators.entries if n not in set(sq.names)]
+    shared = set(sq.names)
+    q_free = [(n, d) for n, d in q.generators.entries if n not in shared]
     qmap = dict(correspondence)
-    qmap.update(fresh_names(p_names, q_free))
+    qmap.update(fresh_names(p_names, [n for n, _ in q_free]))
 
-    gens = list(p.generators.entries) + [
-        (qmap[n], q.generators.degree(n)) for n in q_free
-    ]
-    diff = {}
-    for n, _ in p.generators.entries:
-        dv = p.d_gen(n)
-        if not dv.is_zero():
-            diff[n] = dv.terms()
-    for n in q_free:
-        dv = q.d_gen(n)
-        if not dv.is_zero():
-            diff[qmap[n]] = [(c, expr_mod.rename_tree(t, qmap)) for c, t in dv.terms()]
-    subs = {along: GeneratorSplit(sp.names)}
+    gens = list(p.generators.entries) + [(qmap[n], d) for n, d in q_free]
+    diff = {n: dv.terms() for n, dv in p.differential.items()}
+    diff.update(
+        (qmap[n], [(c, expr_mod.rename_tree(t, qmap)) for c, t in dv.terms()])
+        for n, dv in q.differential.items() if n not in shared
+    )
+    subs = {} if along is None else {along: GeneratorSplit(sp.names)}
     po = DgLaPresentation(gens, diff, subs)
 
+    inc_p = GeneratorMorphism(p, po, {n: po.gen(n) for n in p_names})
+    inc_q = GeneratorMorphism(q, po, {n: po.gen(qmap[n]) for n, _ in q.generators.entries})
     for qa, pa in correspondence.items():
-        dq = q.d_gen(qa)
-        dq_terms = [(c, expr_mod.rename_tree(t, qmap)) for c, t in dq.terms()]
-        if po.normal_form(dq_terms) != po.normal_form(p.d_gen(pa).terms() if not p.d_gen(pa).is_zero() else []):
+        if inc_q.apply(q.d_gen(qa)) != inc_p.apply(p.d_gen(pa)):
             raise IncompatibleSubs("correspondence does not commute with d at %r" % qa)
-
-    inc_p = GeneratorMorphism(p, po, {n: po.gen(n) for n, _ in p.generators.entries})
-    inc_q = GeneratorMorphism(
-        q, po, {n: po.gen(qmap.get(n, n)) for n, _ in q.generators.entries}
-    )
     return po, inc_p, inc_q

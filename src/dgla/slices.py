@@ -161,7 +161,7 @@ class DgLieSlice(DegreeWindow):
         """
         cols = {d: linalg.columns(self.d_matrix(d), self.dim(d))
                 for d in range(self.lo + 1, self.hi + 1)}
-        if self.zero_below:
+        if self.zero_below and self.lo <= self.hi:
             cols = {self.lo: [{}] * self.dim(self.lo), **cols}
         walk = [(n, m) for n, m in combinations_with_replacement(cols, 2)
                 if self.in_window(n + m) and self.in_window(n + m - 1)]

@@ -26,8 +26,10 @@ derivation by a round trip through generator names instead of through an
 inclusion morphism.
 Tests compare library output against these.
 The helpers that are not oracles are ``sub_contains``, membership in a
-designated subalgebra through the library's own spans, and the coefficient
-predicates ``is_coefficient`` and ``is_exact``, which only tests call.
+designated subalgebra through the library's own spans,
+``full_hom_outer_action``, the block action on the whole of Hom, and the
+coefficient predicates ``is_coefficient`` and ``is_exact``, which only tests
+call.
 """
 
 import random
@@ -1192,6 +1194,32 @@ def per_vector_outer_action_check(a, window=None):
         check_row("chi_of_bracket", chi_bracket_failures()),
         check_row("d_of_action", d_of_action_failures()),
     ])
+
+
+# -- the twisted block action on the full Hom module ---------------------------------
+# ``build_g`` acts on the truncated module tau_{>=0} Hom; several tests act on
+# the whole of Hom, degrees below 0 included.
+
+
+def full_hom_outer_action(hm, acting, rho):
+    """The outer action of ``acting``'s derivations on ``hm.full``, twisted by rho.
+
+    ``hm`` is a ``models._HomModule``.  As in ``build_g``, theta acts on f
+    by -(-1)^{nm} times the right action f.theta, and the twist is
+    rho~ . theta; both are read from theta's ``induced_map`` on every call.
+    """
+    from dgla.models import OuterAction
+
+    def action_fn(n, i, mdeg, j):
+        lin = hm.induced_map(acting.derivations[n][i])
+        right = hm.right_action_induced(n, lin, mdeg, {j: Fraction(1)})
+        sgn = Fraction(-1 if (n * mdeg) % 2 == 0 else 1)
+        return {k: sgn * v for k, v in right.items()}
+
+    def chi_fn(n, i):
+        return hm.chi_induced(n, hm.induced_map(acting.derivations[n][i]), rho)
+
+    return OuterAction(acting, hm.full, action_fn, chi_fn)
 
 
 # -- gluing's extension by zero through generator names --------------------------------

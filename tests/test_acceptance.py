@@ -33,7 +33,6 @@ from dgla.expmc import bch, exp_automorphism, gauge_action, gauge_action_adjoint
 from dgla.gluing import boundary_connected_sum
 from dgla.graded import betti_numbers
 from dgla.models import (
-    OuterAction,
     _HomModule,
     build_block_g,
     build_g,
@@ -47,6 +46,7 @@ from dgla.presentation import DgLaPresentation, pushout
 from dgla.slices import DgLieSlice, SliceElement
 from oracles import (
     brute_force_lie_dims,
+    full_hom_outer_action,
     gauss_rank,
     random_presentation,
     random_unipotent_automorphism,
@@ -423,17 +423,9 @@ def test_criterion_7_gauge_mc(fixture_path):
     module = hm.full
     acting = der_complex(p, "omega", (0, 1))
 
-    def action_fn(n, i, mdeg, j):
-        right = hm.right_action_raw(acting.derivations[n][i], mdeg, {j: Fraction(1)})
-        sgn = Fraction(-1 if (n * mdeg) % 2 == 0 else 1)
-        return {k: sgn * v for k, v in right.items()}
-
-    def chi_fn(n, i):
-        return hm.chi_raw(acting.derivations[n][i], rho)
-
-    act = OuterAction(acting, module, action_fn, chi_fn)
+    act = full_hom_outer_action(hm, acting, rho)
     th_der = Derivation(p, 0, {"x": p.gen("u"), "u": p.gen("y").scale(-1)}, rel="omega")
-    assert hm.chi_raw(th_der, rho), "the block twist must be nonzero here"
+    assert hm.chi_induced(0, hm.induced_map(th_der), rho), "the block twist must be nonzero here"
     th = SliceElement(acting, 0, acting.coords(th_der, 0))
     for j in range(module.dim(-1)):
         tau = SliceElement.unit(module, -1, j)
@@ -491,15 +483,7 @@ def test_criterion_9_outer_action_axioms(fixture_path):
         module.zero_below = False
         acting = deru(p, "omega", rho, (0, 2))
 
-        def action_fn(n, i, mdeg, j, acting=acting, hm=hm):
-            right = hm.right_action_raw(acting.derivations[n][i], mdeg, {j: Fraction(1)})
-            sgn = Fraction(-1 if (n * mdeg) % 2 == 0 else 1)
-            return {k: sgn * v for k, v in right.items()}
-
-        def chi_fn(n, i, acting=acting, hm=hm, rho=rho):
-            return hm.chi_raw(acting.derivations[n][i], rho)
-
-        act = OuterAction(acting, module, action_fn, chi_fn)
+        act = full_hom_outer_action(hm, acting, rho)
         rep = outer_action_check(act)
         assert rep.passed, (name, rep.failures())
     elapsed = time.monotonic() - start
@@ -675,6 +659,11 @@ TWISTED_REPORT_SHA256 = [
 @pytest.mark.parametrize("cmd, files, flags, digest", TWISTED_REPORT_SHA256,
                          ids=[row[0] for row in TWISTED_REPORT_SHA256])
 def test_twisted_report_bodies_match_pinned_digests(cmd, files, flags, digest, monkeypatch, tmp_path):
+    assert _report_digest(cmd, files, flags, monkeypatch, tmp_path) == digest
+
+
+def _report_digest(cmd, files, flags, monkeypatch, tmp_path):
+    """SHA-256 of one command's report body, run from the repository root."""
     monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
     argv = [cmd] + [os.path.join("fixtures", f) for f in files]
     argv += [os.path.join("fixtures", a[1:]) if a.startswith("@") else a for a in flags]
@@ -682,7 +671,36 @@ def test_twisted_report_bodies_match_pinned_digests(cmd, files, flags, digest, m
     code, _ = cli_run(argv + ["--out", str(out)])
     assert code == 0, (cmd, code)
     body = io_mod.canonical_dumps(json.loads(out.read_text())["report"])
-    assert hashlib.sha256(body.encode()).hexdigest() == digest
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+# Report SHA-256 of connected sums and gluings that no other pin covers: a
+# factor with a differential (cp2, hp2), Pontryagin values on both sides
+# (hp2 # hp2_sum, twisted9 # twisted9) and an empty factor.  Pinned from an
+# earlier commit, as CORPUS_REPORT_SHA256 is.
+GLUING_REPORT_SHA256 = [
+    ("connected-sum", ["cp2.json", "cp2.json"], [],
+     "773feee5fe8eb8a8740befd88bee3c2a691c300c343aa900b1467c44c7fb3313"),
+    ("connected-sum", ["hp2.json", "hp2_sum.json"], [],
+     "637d674917527dbe1fc57b1165df6240a9aed054b911c41aaac5e2aaf43645c4"),
+    ("connected-sum", ["empty_model.json", "w11.json"], [],
+     "e75b60905ddb228154c9305fe3ea1ab72e07c49bf8f283d4bee063a51f9c4e0c"),
+    ("connected-sum", ["twisted9.json", "twisted9.json"], [],
+     "3415d6a125ef3235521b277c7b88d0ad61f6c98412c09479c93e08360ffa080e"),
+    ("glue", ["cp2.json", "cp2.json"], ["--min", "0", "--max", "2", "--assert-semisimple"],
+     "452c038aacafa4225819277511e8368e79b5382bebb56d9d21917b91e7db79e3"),
+    ("glue", ["hp2.json", "hp2_sum.json"], ["--min", "0", "--max", "3", "--assert-semisimple"],
+     "0b80968870705ab8feb6d263bd7149e003dff979758cfa9a0a7fe175d79047e1"),
+    ("glue", ["w11.json", "empty_model.json"], ["--min", "0", "--max", "2", "--assert-semisimple"],
+     "87c13225e146c44d157a9728a0426d7a82c9066b408c9d3ad339ece15949c42a"),
+]
+
+
+@pytest.mark.parametrize("cmd, files, flags, digest", GLUING_REPORT_SHA256,
+                         ids=["%s-%s-%s" % (row[0], *(f[:-5] for f in row[1]))
+                              for row in GLUING_REPORT_SHA256])
+def test_gluing_report_bodies_match_pinned_digests(cmd, files, flags, digest, monkeypatch, tmp_path):
+    assert _report_digest(cmd, files, flags, monkeypatch, tmp_path) == digest
 
 
 # Runs CLI_CORPUS (argv[1], as JSON) from the working directory and writes

@@ -284,6 +284,23 @@ def test_a_negative_min_reports_the_window_from_zero(fixture_path, command):
     assert reports["-1"] == reports["0"]
 
 
+@pytest.mark.parametrize("command", [
+    ["xi", "w11.json"],
+    ["block-g", "w11.json", "--assert-semisimple"],
+    ["g", "presentation_w11.json", "--sub", "omega"],
+    ["glue", "w11.json", "w11.json", "--assert-semisimple"],
+    ["forget", "w11.json"],
+], ids=lambda command: command[0])
+def test_a_window_wholly_below_0_gives_empty_tables(fixture_path, command):
+    # tau_{>=0} objects have nothing below degree 0, and nothing to certify
+    argv = [fixture_path(a) if a.endswith(".json") else a for a in command]
+    code, payload = _run(*argv, "--min", "-3", "--max", "-1")
+    assert code == 0
+    body = _body(payload)
+    assert body["tables"] and not any(body["tables"].values())
+    assert all(v["pass"] for v in body["verdicts"])
+
+
 @pytest.mark.parametrize("command, degree", [
     (["block-g", "w11.json", "--assert-semisimple"], "0"),
     (["g", "presentation_w11.json", "--sub", "omega"], "2"),

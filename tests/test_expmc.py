@@ -29,7 +29,13 @@ from dgla.models import (
 from dgla.morphisms import GeneratorMorphism, check_morphism, indec_action
 from dgla.presentation import DgLaPresentation, LieElement
 from dgla.slices import DgLieSlice, SliceElement
-from oracles import NilMatrix, exp_series_images, full_word_class_check, gauss_rank
+from oracles import (
+    NilMatrix,
+    exp_series_images,
+    full_hom_outer_action,
+    full_word_class_check,
+    gauss_rank,
+)
 
 
 def heisenberg():
@@ -424,19 +430,11 @@ def test_twisted_block_gauge_preserves_mc():
     acting = der_complex(p, "omega", (0, 1))
     acting.zero_below = False
 
-    def action_fn(n, i, mdeg, j):
-        right = hm.right_action_raw(acting.derivations[n][i], mdeg, {j: Fraction(1)})
-        sgn = Fraction(-1 if (n * mdeg) % 2 == 0 else 1)
-        return {k: sgn * v for k, v in right.items()}
-
-    def chi_fn(n, i):
-        return hm.chi_raw(acting.derivations[n][i], rho)
-
-    act = OuterAction(acting, module, action_fn, chi_fn)
+    act = full_hom_outer_action(hm, acting, rho)
     # theta: x -> u, u -> -y is nilpotent, kills omega, and p(theta x) = 2
     th_der = Derivation(p, 0, {"x": p.gen("u"), "u": p.gen("y").scale(-1)}, rel="omega")
     th = SliceElement(acting, 0, acting.coords(th_der, 0))
-    assert any(chi_fn(0, i) for i in range(acting.dim(0))) or hm.chi_raw(th_der, rho)
+    assert any(act.twist(0, i) for i in range(acting.dim(0))) or hm.chi_induced(0, hm.induced_map(th_der), rho)
     for j in range(module.dim(-1)):
         tau = SliceElement.unit(module, -1, j)
         assert mc_check(tau)[0]
@@ -578,15 +576,7 @@ def test_gauge_action_is_group_action():
     module = hm.full
     acting = der_complex(p, "omega", (0, 1))
 
-    def action_fn(n, i, mdeg, j):
-        right = hm.right_action_raw(acting.derivations[n][i], mdeg, {j: Fraction(1)})
-        sgn = Fraction(-1 if (n * mdeg) % 2 == 0 else 1)
-        return {k: sgn * v for k, v in right.items()}
-
-    def chi_fn(n, i):
-        return hm.chi_raw(acting.derivations[n][i], rho)
-
-    act = OuterAction(acting, module, action_fn, chi_fn)
+    act = full_hom_outer_action(hm, acting, rho)
     th_der = Derivation(
         p, 0, {"x": p.gen("u1"), "u1": p.gen("y").scale(-1)}, rel="omega"
     )
@@ -594,7 +584,7 @@ def test_gauge_action_is_group_action():
         p, 0, {"x": p.gen("u2"), "u2": p.gen("y").scale(-1)}, rel="omega"
     )
     assert der_bracket(th_der, ps_der).is_zero()
-    assert hm.chi_raw(th_der, rho) and hm.chi_raw(ps_der, rho)
+    assert hm.chi_induced(0, hm.induced_map(th_der), rho) and hm.chi_induced(0, hm.induced_map(ps_der), rho)
     th = SliceElement(acting, 0, acting.coords(th_der, 0))
     ps = SliceElement(acting, 0, acting.coords(ps_der, 0))
     z = bch(th, ps, lambda a, b: a.bracket(b), 2)

@@ -7,6 +7,7 @@ from dgla.errors import DimensionMismatch, SemisimplicityNotAsserted
 from dgla.gluing import boundary_connected_sum, forget_compare, glue_headline_g
 from dgla.graded import betti_numbers
 from dgla.models import build_block_g, manifold_model
+from dgla.morphisms import check_morphism
 
 from oracles import extend_derivation_by_names
 
@@ -33,6 +34,19 @@ def test_connected_sum_w21():
     assert mn.omega == mn.presentation.normal_form("[a,b]+[a',b']")
     # pairing stays unimodular (construction would have raised otherwise)
     assert len(mn.v.basis) == 4
+
+
+def test_connected_sum_records_the_pushout_inclusions(fixture_path):
+    # the sum's presentation is the free product of the factors': each
+    # inclusion is a dg map onto its factor's generators, and omega adds
+    m, n = (io.load_manifold(io.load_json_file(fixture_path(f))) for f in ("cp2.json", "cp2.json"))
+    mn = boundary_connected_sum(m, n)
+    inc_m, inc_n = mn.inclusions
+    assert inc_m.source is m.presentation and inc_n.source is n.presentation
+    assert inc_m.target is inc_n.target is mn.presentation
+    assert check_morphism(inc_m).passed and check_morphism(inc_n).passed
+    assert mn.presentation.subalgebras.keys() == {"omega"}
+    assert mn.omega == inc_m.apply(m.omega) + inc_n.apply(n.omega)
 
 
 def test_connected_sum_with_trivial_model():
@@ -74,7 +88,7 @@ def test_glue_headline_g_dimensions_add_on_hom_part():
     gmn = build_block_g(mn, (0, 2))
     assert gmn.dim(0) == 4 == gm.dim(0) + gn.dim(0)
     gmap = glue_headline_g(
-        gm, gn, gmn, mn.left_names, mn.right_names, assert_semisimple=True
+        gm, gn, gmn, *mn.inclusions, assert_semisimple=True
     )
     assert gmap.report.passed
     # section property: the map is injective degreewise, so restriction back
@@ -89,26 +103,31 @@ def test_glue_headline_g_dimensions_add_on_hom_part():
 def test_derivations_extend_through_the_inclusion_as_through_names(
     left, right, hi, fixture_path, monkeypatch
 ):
-    # every basis derivation of each factor, extended by its inclusion into
-    # the glued presentation, against the name round trip: entry for entry,
-    # type for type (w11 has no nonzero basis derivation below degree 4)
+    # every basis derivation of each factor, extended by zero through its
+    # inclusion into the glued presentation, against the name round trip on
+    # the inclusion's generator names: entry for entry, type for type (w11
+    # has no nonzero basis derivation below degree 4)
     m, n = (io.load_manifold(io.load_json_file(fixture_path(f + ".json"))) for f in (left, right))
     mn = boundary_connected_sum(m, n)
     gmn = build_block_g(mn, (0, hi))
     built = []
-    plain = gluing.Derivation
+    extend = gluing.extend_by_zero
 
-    def recorded(*args, **kwargs):
-        built.append(plain(*args, **kwargs))
+    def recorded(*args):
+        built.append(extend(*args))
         return built[-1]
 
-    monkeypatch.setattr(gluing, "Derivation", recorded)
+    monkeypatch.setattr(gluing, "extend_by_zero", recorded)
     nonzero = 0
-    for model, names in ((m, mn.left_names), (n, mn.right_names)):
+    for model, inc in zip((m, n), mn.inclusions):
+        names = {}
+        for x, img in inc.images.items():
+            ((c, names[x]),) = img.terms()
+            assert c == 1
         g = build_block_g(model, (0, hi))
         for d in range(0, hi + 1):
             built.clear()
-            list(gluing._factor_entries(g, gmn, names, d, 0))
+            list(gluing._factor_entries(g, gmn, inc, d, 0))
             assert len(built) == g.acting.dim(d)
             for theta, got in zip(g.acting.derivations[d], built):
                 want = extend_derivation_by_names(theta, gmn.acting.p, names)
@@ -128,7 +147,7 @@ def test_glue_requires_assertion():
     gn = build_block_g(n, (0, 1))
     gmn = build_block_g(mn, (0, 1))
     with pytest.raises(SemisimplicityNotAsserted):
-        glue_headline_g(gm, gn, gmn, mn.left_names, mn.right_names)
+        glue_headline_g(gm, gn, gmn, *mn.inclusions)
 
 
 def test_glue_twisted_factors():
@@ -138,7 +157,7 @@ def test_glue_twisted_factors():
     gn = build_block_g(n, (0, 2))
     gmn = build_block_g(mn, (0, 2))
     gmap = glue_headline_g(
-        gm, gn, gmn, mn.left_names, mn.right_names, assert_semisimple=True
+        gm, gn, gmn, *mn.inclusions, assert_semisimple=True
     )
     assert gmap.report.passed
 
@@ -152,16 +171,16 @@ def test_glue_d_compatibility_failure_witnessed(monkeypatch):
     g, gmn = build_block_g(m, (0, 1)), build_block_g(mn, (0, 1))
     factor_entries = gluing._factor_entries
 
-    def corrupted(g_factor, g_glued, names, d, col):
+    def corrupted(g_factor, g_glued, inc, d, col):
         # one stray block entry: the left factor's degree-1 column 0, a
         # cycle, also hits glued column 1, whose differential is nonzero
-        yield from factor_entries(g_factor, g_glued, names, d, col)
+        yield from factor_entries(g_factor, g_glued, inc, d, col)
         if d == 1 and col == 0:
             yield (1, 0, Fraction(1))
 
     monkeypatch.setattr(gluing, "_factor_entries", corrupted)
     with pytest.raises(SubMismatch) as exc:
-        glue_headline_g(g, g, gmn, mn.left_names, mn.right_names, assert_semisimple=True)
+        glue_headline_g(g, g, gmn, *mn.inclusions, assert_semisimple=True)
     assert str(exc.value) == (
         "gluing map failed verification: [('glue_commutes_with_d', ('d_compat', 1, 0))]"
     )
@@ -176,17 +195,17 @@ def test_glue_d_compatibility_reports_the_first_of_two_failures(monkeypatch):
     g, gmn = build_block_g(m, (0, 1)), build_block_g(mn, (0, 1))
     factor_entries = gluing._factor_entries
 
-    def corrupted(g_factor, g_glued, names, d, col):
+    def corrupted(g_factor, g_glued, inc, d, col):
         # stray entries: the left factor's degree-1 columns 0 and 1 both also
         # hit glued basis element 1, whose differential is nonzero, so both fail
-        yield from factor_entries(g_factor, g_glued, names, d, col)
+        yield from factor_entries(g_factor, g_glued, inc, d, col)
         if d == 1 and col == 0:
             yield (1, 0, Fraction(1))
             yield (1, 1, Fraction(1))
 
     monkeypatch.setattr(gluing, "_factor_entries", corrupted)
     with pytest.raises(SubMismatch) as exc:
-        glue_headline_g(g, g, gmn, mn.left_names, mn.right_names, assert_semisimple=True)
+        glue_headline_g(g, g, gmn, *mn.inclusions, assert_semisimple=True)
     assert str(exc.value) == (
         "gluing map failed verification: [('glue_commutes_with_d', ('d_compat', 1, 0))]"
     )
@@ -201,7 +220,7 @@ def test_glue_with_trivial_factor_is_injection():
     gmn = build_block_g(mn, (0, 2))
     assert all(gp.dim(d) == 0 for d in range(3))
     gmap = glue_headline_g(
-        gm, gp, gmn, mn.left_names, mn.right_names, assert_semisimple=True
+        gm, gp, gmn, *mn.inclusions, assert_semisimple=True
     )
     for d in range(0, 3):
         nl = gm.dim(d)

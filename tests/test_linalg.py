@@ -521,7 +521,7 @@ def test_matrices_of_the_pipelines_are_sparse_rows(fixture_path):
     _assert_sparse_rows(mn.v.duals, 4, 4)
     gm, gmn = build_block_g(m, (0, 2)), build_block_g(mn, (0, 2))
     _assert_slice_blocks(gmn)
-    gmap = glue_headline_g(gm, gm, gmn, mn.left_names, mn.right_names, assert_semisimple=True)
+    gmap = glue_headline_g(gm, gm, gmn, *mn.inclusions, assert_semisimple=True)
     for d, block in gmap.blocks.items():
         _assert_sparse_rows(block, gmn.dim(d), 2 * gm.dim(d))
     # g --rho rho_twisted9: the rho blocks and g's differential

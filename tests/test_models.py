@@ -139,6 +139,17 @@ def test_manifold_validation_errors():
     assert m.pontryagin[7] == [Fraction(1), Fraction(0)]
 
 
+def test_manifold_model_presentation_must_be_on_v():
+    # the presentation is the free Lie algebra on V: its generators are V's
+    # basis, in order
+    v = SymplecticGVS([("a", 2), ("b", 2)], -4, _hyperbolic())
+    for gens in ([("a", 2)], [("b", 2), ("a", 2)], [("a", 2), ("b", 3)]):
+        with pytest.raises(ValueError):
+            ManifoldModel(6, v, DgLaPresentation(gens))
+    m = ManifoldModel(6, v, DgLaPresentation([("a", 2), ("b", 2)]))
+    assert m.omega == m.presentation.normal_form("[a,b]")
+
+
 def test_omega_not_closed_rejected():
     # delta(c) = [a,b] makes omega = [a,c] + ... non-closed; construct a
     # 10-dimensional example with pairing a<->c, b<->e

@@ -10,7 +10,6 @@ and on random actions with planted failures.
 
 import functools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -29,7 +28,7 @@ from dgla.models import (
 from dgla.presentation import DgLaPresentation
 from dgla.slices import DgLieSlice
 
-from oracles import per_vector_outer_action_check
+from oracles import full_hom_outer_action, per_vector_outer_action_check
 
 
 def _same_rows(a, window=None):
@@ -129,15 +128,7 @@ def test_the_pontryagin_twisted_derivation_action_has_nonzero_operators(fixture_
     module = hm.full
     acting = der_complex(p, "omega", (0, 1))
 
-    def action_fn(n, i, mdeg, j):
-        right = hm.right_action_raw(acting.derivations[n][i], mdeg, {j: Fraction(1)})
-        sgn = Fraction(-1 if (n * mdeg) % 2 == 0 else 1)
-        return {k: sgn * v for k, v in right.items()}
-
-    def chi_fn(n, i):
-        return hm.chi_raw(acting.derivations[n][i], rho)
-
-    a = OuterAction(acting, module, action_fn, chi_fn)
+    a = full_hom_outer_action(hm, acting, rho)
     rows = _same_rows(a)
     assert all(ok for _, ok, _ in rows)
     values = [a.act(n, i, k, l) for n in (0, 1) for i in range(acting.dim(n))

@@ -9,7 +9,7 @@ from dgla import io, linalg
 from dgla.derivations import Derivation, FDerivation, der_bracket
 from dgla.errors import IncompatibleSubs, InhomogeneousExpression, SchemaError, UnsupportedSub
 from dgla.expmc import PolyLie
-from dgla.morphisms import GeneratorMorphism
+from dgla.morphisms import GeneratorMorphism, check_morphism
 from dgla.presentation import (
     DgLaPresentation,
     ElementGenerated,
@@ -163,6 +163,20 @@ def test_pushout_renames_collisions_and_checks_subs():
     r = DgLaPresentation([("s", 3)], None, {"s": {"generators": ["s"]}})
     with pytest.raises(IncompatibleSubs):
         pushout(p, r, "s")
+
+
+def test_pushout_along_none_is_the_free_product():
+    # the empty sub: every generator of q is free, collisions are renamed,
+    # both differentials are carried, and no sub (no None-named one) is kept
+    p = DgLaPresentation([("u", 3), ("v", 7)], {"v": "[u,u]"}, {"s": {"generators": ["u"]}})
+    q = DgLaPresentation([("u", 3), ("w", 7)], {"w": "[u,u]"})
+    po, ip, iq = pushout(p, q, None)
+    assert po.generators.entries == [("u", 3), ("v", 7), ("u'", 3), ("w", 7)]
+    assert po.subalgebras == {}
+    assert po.d_gen("w") == po.normal_form("[u',u']")
+    assert ip.apply(p.d_gen("v")) == po.d_gen("v")
+    assert iq.images == {"u": po.gen("u'"), "w": po.gen("w")}
+    assert check_morphism(ip).passed and check_morphism(iq).passed
 
 
 def test_pushout_correspondence_must_commute_with_d():

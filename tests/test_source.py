@@ -123,6 +123,18 @@ def test_each_derivation_has_one_leibniz_extension():
     ]
 
 
+def test_generators_are_renamed_only_by_the_pushout():
+    # gluing is one construction: a boundary connected sum is the pushout
+    # along the empty sub, and every factor map is an inclusion morphism
+    assert _scan(_callers("fresh_names")) == ["presentation.py:pushout"]
+    # rename_tree's own recursion calls it once per side of a bracket
+    assert _scan(_callers("rename_tree")) == [
+        "expr.py:rename_tree",
+        "expr.py:rename_tree",
+        "presentation.py:pushout",
+    ]
+
+
 def test_the_scan_sees_calls_in_every_scope():
     source = [
         "x = f(1)",
