@@ -10,8 +10,8 @@ of linear independence and drives the normal-form solver; the size of each
 basis is checked against the graded Witt formula, which sees no word.  The
 leading words are certified at construction from the leads of each
 element's two factors, with no expansion (``BasisBracket``); an element's
-expansion is built, from its factors' expansions, only once a solve or a
-normal form reads it.
+expansion is built, from its factors' expansions, only once the solve of a
+cold bracket (``DgLaPresentation.basis_bracket``) reads it.
 
 Sign conventions (the convention sheet; everything else follows by the
 Koszul rule):

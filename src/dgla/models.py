@@ -29,7 +29,6 @@ from .presentation import (
     DgLaPresentation,
     ElementGenerated,
     GeneratorSplit,
-    LieElement,
     linear_part_block,
 )
 from .linalg import combination
@@ -73,28 +72,23 @@ class SymplecticGVS:
             raise NotUnimodular("pairing matrix is singular")
 
 
+def _omega_terms(v):
+    """omega_V's defining terms (c/2, [alpha_k, alpha_i]), one for each c = duals[i][k]."""
+    names = v.basis.names()
+    return [(Fraction(c, 2), (names[k], names[i])) for i, k, c in linalg.entries(v.duals)]
+
+
 def omega_element(v, presentation=None):
     """The degree-m cycle (1/2) sum [alpha_i^#, alpha_i] in the free algebra.
 
-    Independent of the choice of basis.  When ``presentation`` is omitted, a
-    fresh presentation on the symplectic basis with zero differential is
-    created.
+    Independent of the choice of basis; one normal form of the terms
+    (1/2) c [alpha_k, alpha_i] over alpha_i^# = sum_k c alpha_k.  When
+    ``presentation`` is omitted, a fresh presentation on the symplectic
+    basis with zero differential is created.
     """
-    p = presentation
-    if p is None:
-        p = DgLaPresentation(list(v.basis.entries))
-    names = v.basis.names()
-    sharps = [[] for _ in names]
-    for i, k, c in linalg.entries(v.duals):
-        sharps[i].append((c, p.gen(names[k])))
-    half = Fraction(1, 2)
-    terms = []
-    for name, sharp in zip(names, sharps):
-        sharp = p.zero(v.basis.degree(name)).add_scaled(sharp)
-        terms.append((half, p.bracket(sharp, p.gen(name))))
-    omega = p.zero(v.m).add_scaled(terms)
-    # the halves sum to integral coordinates: store them as ints
-    return LieElement(p, omega.degree, omega.coords)
+    if presentation is None:
+        presentation = DgLaPresentation(list(v.basis.entries))
+    return presentation.normal_form(_omega_terms(v))
 
 
 class ManifoldModel:
@@ -103,8 +97,9 @@ class ManifoldModel:
     Fields: the symplectic space V (degree -(n-2) pairing), the free Lie
     algebra over V with a differential (``presentation``, whose generators
     are V's basis), and Pontryagin functionals on the degree 4i-1 parts of
-    V.  The presentation gains the designated sub "omega" (element-generated
-    by omega_V).
+    V.  The presentation is built with the designated sub "omega",
+    element-generated by omega_V; the model checks that sub (ValueError
+    otherwise) and never writes to the presentation.
     """
 
     def __init__(self, dimension, v, presentation, pontryagin=None):
@@ -115,15 +110,18 @@ class ManifoldModel:
         if presentation.generators != v.basis:
             raise ValueError("the presentation's generators are not V's basis")
         self.presentation = presentation
-        rep = self.presentation.validate()
-        if not rep.passed:
-            raise NotMinimal("invalid differential: %r" % rep.failures())
-        self.omega = omega_element(v, self.presentation)
-        if not self.presentation.differential_of(self.omega).is_zero():
+        self.omega = omega_element(v, presentation)
+        sub = presentation.subalgebras.get("omega")
+        if not isinstance(sub, ElementGenerated) or sub.elements != (self.omega,):
+            raise ValueError("the presentation's sub 'omega' is not generated by omega_V")
+        # the omega sub is closed under d exactly when omega is a cycle
+        failures = [f for f in presentation.validate().failures() if f[0] != "sub_closed:omega"]
+        if failures:
+            raise NotMinimal("invalid differential: %r" % failures)
+        if not presentation.differential_of(self.omega).is_zero():
             raise OmegaNotClosed("delta(omega) != 0")
-        if not self.presentation.is_minimal(None):
+        if not presentation.is_minimal(None):
             raise NotMinimal("differential has a nonzero linear part")
-        self.presentation.subalgebras["omega"] = ElementGenerated([self.omega])
         self.pontryagin = {}
         for deg, values in (pontryagin or {}).items():
             deg = int(deg)
@@ -167,7 +165,9 @@ def manifold_model(dimension, generators, pairing, differential=None, pontryagin
     ``pairing`` is a ``linalg`` matrix on the generators.
     """
     v = SymplecticGVS(generators, -(int(dimension) - 2), pairing)
-    p = DgLaPresentation(list(v.basis.entries), differential)
+    p = DgLaPresentation(
+        list(v.basis.entries), differential, {"omega": {"elements": [_omega_terms(v)]}}
+    )
     return ManifoldModel(dimension, v, p, pontryagin)
 
 
@@ -184,11 +184,11 @@ def pi_so_basis(top_degree):
 def tilde_model(model):
     """The stabilized model: adjoin beta (degree m) and gamma (degree m+1).
 
-    d gamma = omega - beta; the designated sub "beta" is the free part on
-    beta.  Returns (tilde_presentation, include_beta, project) where project
-    sends beta to omega and gamma to zero.  A dimension that puts beta or
-    gamma outside the generator degrees [1, freelie.MAX_DEGREE] is a
-    SchemaError at /dimension.
+    d gamma = omega - beta; the designated subs are "beta", the free part on
+    beta, and "omega", generated by omega.  Returns (tilde_presentation,
+    include_beta, project) where project sends beta to omega and gamma to
+    zero.  A dimension that puts beta or gamma outside the generator degrees
+    [1, freelie.MAX_DEGREE] is a SchemaError at /dimension.
     """
     p = model.presentation
     m = model.v.m
@@ -207,9 +207,9 @@ def tilde_model(model):
         diff,
         {
             "beta": GeneratorSplit(["beta"]),
+            "omega": {"elements": [omega_terms]},
         },
     )
-    tilde.subalgebras["omega"] = ElementGenerated([tilde.normal_form(omega_terms)])
     beta_alg = DgLaPresentation([("beta", m)])
     include = GeneratorMorphism(beta_alg, tilde, {"beta": tilde.gen("beta")})
     project = GeneratorMorphism(

@@ -6,14 +6,16 @@ subset of the generators or a list of elements).  Elements are kept in
 normal form: sparse rational coordinate vectors in the canonical
 super-Lyndon basis of their degree.
 
-Presentations and elements are immutable after construction; the basis,
-tree index, letter mask, generator, zero, bracket, tree and
-indecomposables caches, and the free-Lie ``BasisMemo`` (Witt table, trees,
-basis elements, expansions), are per-presentation dicts of values that are
-never mutated (atomic updates under the GIL), so instances may be shared
-freely across threads.  Basis elements carry leads certified from their
-factors' leads; the expansion memo holds the expansion of a composite basis
-element only once a solve or a normal form has read it, and nothing else.
+Presentations and elements are immutable after construction (the subs
+too: ``subalgebras`` is a read-only mapping); the basis, tree index, letter
+mask, generator, zero, bracket, tree and indecomposables caches, and the
+free-Lie ``BasisMemo`` (Witt table, trees, basis elements, expansions), are
+per-presentation dicts of values that are never mutated (atomic updates
+under the GIL), so instances may be shared freely across threads.  Every
+expression is normalized through the bracket table, and only a cold basis
+bracket expands and solves a tensor.  Basis elements carry leads certified
+from their factors' leads; the expansion memo holds the expansion of a
+composite basis element only once such a solve has read it, and nothing else.
 
 Sums are accumulated at the coordinate level: a bracket, a sum of scaled
 elements (``LieElement.add_scaled``) and a sum of scaled brackets
@@ -24,7 +26,7 @@ element from its nonzeros, with no element per term.  A coefficient is an
 denominator (``linalg.exact``).
 """
 
-from math import lcm
+from types import MappingProxyType
 
 from . import expr as expr_mod
 from . import freelie, linalg
@@ -291,7 +293,8 @@ class DgLaPresentation:
     ``generators``: list of (name, degree).  ``differential``: dict
     name -> expression string / AST / LieElement (absent means zero).
     ``subalgebras``: dict name -> GeneratorSplit / ElementGenerated, or the
-    JSON forms {"generators": [...]}, {"elements": [expr, ...]}.
+    JSON forms {"generators": [...]}, {"elements": [expr, ...]}, kept
+    normalized in the read-only mapping ``subalgebras``: subs are given here.
     Structural problems (unknown names, malformed expressions) raise at
     construction; mathematical defects (wrong d-degree, d^2 != 0, subs not
     closed) are reported by validate().
@@ -325,30 +328,24 @@ class DgLaPresentation:
             elt = self.normal_form(value)
             if not elt.is_zero():
                 self.differential[name] = elt
-        self.subalgebras = {}
-        for name, spec in (subalgebras or {}).items():
-            self.subalgebras[name] = self._normalize_sub(spec)
+        subs = {name: self._normalize_sub(spec) for name, spec in (subalgebras or {}).items()}
+        self.subalgebras = MappingProxyType(subs)
 
     # -- construction helpers ------------------------------------------------
 
     def _normalize_sub(self, spec):
-        if isinstance(spec, (GeneratorSplit, ElementGenerated)):
-            spec_obj = spec
-        elif isinstance(spec, dict) and "generators" in spec:
-            spec_obj = GeneratorSplit(spec["generators"])
+        if isinstance(spec, dict) and "generators" in spec:
+            spec = GeneratorSplit(spec["generators"])
         elif isinstance(spec, dict) and "elements" in spec:
-            spec_obj = ElementGenerated([self.normal_form(e) for e in spec["elements"]])
-        else:
+            spec = ElementGenerated(spec["elements"])
+        elif not isinstance(spec, (GeneratorSplit, ElementGenerated)):
             raise ValueError("bad subalgebra spec %r" % (spec,))
-        if isinstance(spec_obj, GeneratorSplit):
-            for n in spec_obj.names:
-                if n not in self.generators.index:
-                    raise UnknownGenerator("subalgebra generator %r unknown" % n)
-            order = self.generators.index
-            spec_obj = GeneratorSplit(sorted(spec_obj.names, key=order.__getitem__))
-        else:
-            spec_obj = ElementGenerated([self.normal_form(e) for e in spec_obj.elements])
-        return spec_obj
+        if isinstance(spec, ElementGenerated):
+            return ElementGenerated([self.normal_form(e) for e in spec.elements])
+        for n in spec.names:
+            if n not in self.generators.index:
+                raise UnknownGenerator("subalgebra generator %r unknown" % n)
+        return GeneratorSplit(sorted(spec.names, key=self.generators.index.__getitem__))
 
     # -- basis and normal form -----------------------------------------------
 
@@ -421,7 +418,10 @@ class DgLaPresentation:
         return got
 
     def normal_form(self, expression):
-        """Normal form of a string / AST / LieElement; idempotent, Q-linear."""
+        """Normal form of a string / AST / LieElement; idempotent, Q-linear.
+
+        The sum of c * ``tree_element(tree)`` over the expression's terms.
+        """
         if isinstance(expression, LieElement):
             if expression.presentation is not self:
                 return transfer(expression, self)
@@ -447,16 +447,9 @@ class DgLaPresentation:
             pairs.append((coeff, itree))
         if degree is None:
             return self.zero()
-        # one integer tensor over the lcm of the coefficients' denominators
-        scale = lcm(*(c.denominator for c, _ in pairs))
-        tensor = {}
-        get = tensor.get
-        for coeff, itree in pairs:
-            k = coeff.numerator * (scale // coeff.denominator)
-            for w, c in freelie.expand_tree(itree, self._deg_list, self._bases.expansions).items():
-                tensor[w] = get(w, 0) + k * c
-        coords = freelie.solve_against_basis(self.lie_basis(degree), tensor, scale)
-        return LieElement._trusted(self, degree, coords)
+        x = self.zero(degree).add_scaled((c, self.tree_element(t)) for c, t in pairs)
+        # the public constructor stores an integral sum of Fractions as an int
+        return LieElement(self, degree, x.coords)
 
     def tree_element(self, itree):
         """Normal form of one index tree (memoized)."""

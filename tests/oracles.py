@@ -9,6 +9,8 @@ instead of the integer one, generating-function dimension counts instead of
 basis enumeration, matrix exponentials as ground truth for BCH, every
 right-nested word for the nilpotency class instead of the images of the
 two-letter Lyndon basis,
+normal forms by one tensor expansion and solve instead of through the
+bracket table,
 the graded Lie axioms on every ordered pair and triple instead of once
 per unordered one, one element per bracket and summand instead of one
 coordinate dict per result, and derivation operations evaluated on every
@@ -355,6 +357,34 @@ def solve_against_basis_fractions(basis, tensor):
             else:
                 work.pop(u, None)
     return {i: c for i, c in coords.items() if c}
+
+
+def tensor_normal_form(p, expression):
+    """``DgLaPresentation.normal_form`` by one tensor expansion and solve.
+
+    The expression's trees are expanded afresh, summed into one integer
+    tensor over the lcm of the coefficients' denominators, and solved once
+    against the basis, where the library sums each tree's normal form from
+    its bracket table.  Coordinates are ints wherever they are integral.
+    """
+    from dgla import expr, freelie
+    from dgla.linalg import exact
+    from dgla.presentation import LieElement
+
+    if isinstance(expression, str):
+        expression = expr.parse_expression(expression)
+    pairs = [(exact(c), p.tree_indices(t)) for c, t in expression if c]
+    if not pairs:
+        return p.zero()
+    (degree,) = {freelie.tree_degree(t, p._deg_list) for _, t in pairs}
+    scale = lcm(*(c.denominator for c, _ in pairs))
+    tensor = {}
+    for c, t in pairs:
+        k = c.numerator * (scale // c.denominator)
+        for w, x in freelie.expand_tree(t, p._deg_list).items():
+            tensor[w] = tensor.get(w, 0) + k * x
+    coords = freelie.solve_against_basis(p.lie_basis(degree), tensor, scale)
+    return LieElement._trusted(p, degree, coords)
 
 
 def _all_bracketings(word):

@@ -42,7 +42,7 @@ from dgla.models import (
     tilde_model,
 )
 from dgla.morphisms import GeneratorMorphism, check_morphism, invert_automorphism
-from dgla.presentation import DgLaPresentation, pushout
+from dgla.presentation import DgLaPresentation, GeneratorSplit, pushout
 from dgla.slices import DgLieSlice, SliceElement
 from oracles import (
     brute_force_lie_dims,
@@ -209,7 +209,7 @@ def test_criterion_3_indecomposables(fixture_path):
                 sub_ok = False
         if not sub_ok:
             continue
-        p.subalgebras["s"] = __import__("dgla.presentation", fromlist=["GeneratorSplit"]).GeneratorSplit(subnames)
+        p = DgLaPresentation(p.generators.entries, p.differential, {"s": GeneratorSplit(subnames)})
         slc = p.indecomposables("s")
         expected = {}
         for n, d in p.generators.entries:

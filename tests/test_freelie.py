@@ -523,7 +523,7 @@ def test_lie_basis_expands_no_tensor(monkeypatch, fixture_path):
                                        ("presentation_twisted9.json", 12)])
 def test_each_expansion_is_built_once_over_a_bracket_table(monkeypatch, fixture_path, name, top):
     p = io.load_presentation(io.load_json_file(fixture_path(name)))
-    before = set(p._bases.expansions)  # read by the differential's normal forms
+    before = set(p._bases.expansions)  # read by the cold brackets of the differential's normal forms
     built = _building(monkeypatch)
     for d1 in range(1, top):
         for d2 in range(1, top - d1 + 1):

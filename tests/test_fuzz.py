@@ -9,7 +9,7 @@ import random
 
 from dgla.derivations import der_complex, deru
 from dgla.graded import betti_numbers
-from dgla.presentation import GeneratorSplit
+from dgla.presentation import DgLaPresentation, GeneratorSplit
 from oracles import random_presentation
 
 
@@ -30,7 +30,7 @@ def test_fuzz_derivation_slices():
         # coverage, not scale
         if sum(p.dim(d + 2) for _, d in p.generators.entries) > 60:
             continue
-        p.subalgebras["s"] = GeneratorSplit(subnames)
+        p = DgLaPresentation(p.generators.entries, p.differential, {"s": GeneratorSplit(subnames)})
         slc = der_complex(p, "s", (0, 2))
         slc.check_d_squared()
         slc.check_bracket_axioms()

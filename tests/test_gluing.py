@@ -49,6 +49,16 @@ def test_connected_sum_records_the_pushout_inclusions(fixture_path):
     assert mn.omega == inc_m.apply(m.omega) + inc_n.apply(n.omega)
 
 
+def test_connected_sum_certifies_omega_additivity():
+    # the sum's presentation is built with the sub omega_M + omega_N, which
+    # the model checks against the sum's own omega: a factor whose omega is
+    # not its model's is refused
+    m, n = w11(), w11()
+    n.omega = n.omega.scale(2)
+    with pytest.raises(ValueError, match="omega"):
+        boundary_connected_sum(m, n)
+
+
 def test_connected_sum_with_trivial_model():
     m = w11()
     point = manifold_model(6, [], [])

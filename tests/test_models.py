@@ -34,7 +34,7 @@ from dgla.models import (
     xi_extend,
 )
 from dgla.morphisms import check_morphism
-from dgla.presentation import DgLaPresentation, lie_chain_slice
+from dgla.presentation import DgLaPresentation, ElementGenerated, lie_chain_slice
 from dgla.slices import DgLieSlice
 
 
@@ -146,20 +146,41 @@ def test_manifold_model_presentation_must_be_on_v():
     for gens in ([("a", 2)], [("b", 2), ("a", 2)], [("a", 2), ("b", 3)]):
         with pytest.raises(ValueError):
             ManifoldModel(6, v, DgLaPresentation(gens))
-    m = ManifoldModel(6, v, DgLaPresentation([("a", 2), ("b", 2)]))
+    p = DgLaPresentation([("a", 2), ("b", 2)], None, {"omega": {"elements": ["[a,b]"]}})
+    m = ManifoldModel(6, v, p)
     assert m.omega == m.presentation.normal_form("[a,b]")
+    assert m.presentation is p and p.subalgebras["omega"].elements == (m.omega,)
+
+
+def test_manifold_model_leaves_its_presentation_as_built():
+    # the omega sub is given to the presentation's constructor: a model
+    # checks it and never adds it
+    v = SymplecticGVS([("a", 2), ("b", 2)], -4, _hyperbolic())
+    p = DgLaPresentation([("a", 2), ("b", 2)])
+    with pytest.raises(ValueError):
+        ManifoldModel(6, v, p)
+    assert p.subalgebras == {}
+    with pytest.raises(TypeError):
+        p.subalgebras["omega"] = ElementGenerated([p.normal_form("[a,b]")])
+    assert p.subalgebras == {}
+    for spec in ({"elements": ["2*[a,b]"]}, {"elements": ["[a,b]", "[a,[a,b]]"]},
+                 {"generators": ["a"]}):
+        with pytest.raises(ValueError):
+            ManifoldModel(6, v, DgLaPresentation([("a", 2), ("b", 2)], None, {"omega": spec}))
 
 
 def test_omega_not_closed_rejected():
-    # delta(c) = [a,b] makes omega = [a,c] + ... non-closed; construct a
-    # 10-dimensional example with pairing a<->c, b<->e
-    with pytest.raises((OmegaNotClosed, NotMinimal)):
-        manifold_model(
-            10,
-            [("a", 2), ("b", 2), ("c", 6), ("e", 6)],
-            linalg.matrix(4, 4, [(0, 2, 1), (1, 3, 1), (2, 0, -1), (3, 1, -1)]),
-            {"c": "[a,[a,b]]"},
-        )
+    # a minimal model (d lowers degree, d^2 = 0, no linear part) with
+    # pairing z<->w, x<->y, whose omega = [z,w] + [x,y] has
+    # d omega = [z,[z,x]] != 0
+    args = (
+        10,
+        [("z", 2), ("x", 3), ("y", 5), ("w", 6)],
+        linalg.matrix(4, 4, [(1, 2, 1), (2, 1, 1), (0, 3, 1), (3, 0, -1)]),
+    )
+    with pytest.raises(OmegaNotClosed):
+        manifold_model(*args, {"w": "[z,x]"})
+    assert manifold_model(*args).omega.degree == 8
 
 
 def test_tilde_model_structure():

@@ -9,6 +9,7 @@ from dgla import io, linalg
 from dgla.derivations import Derivation, FDerivation, der_bracket
 from dgla.errors import IncompatibleSubs, InhomogeneousExpression, SchemaError, UnsupportedSub
 from dgla.expmc import PolyLie
+from dgla.models import _omega_terms
 from dgla.morphisms import GeneratorMorphism, check_morphism
 from dgla.presentation import (
     DgLaPresentation,
@@ -32,7 +33,9 @@ from oracles import (
     reference_bracket,
     reference_leibniz,
     reference_tree_map,
+    random_presentation,
     sub_contains,
+    tensor_normal_form,
 )
 
 
@@ -527,3 +530,80 @@ def test_each_sum_builds_one_element(monkeypatch):
     built.clear()
     assert p.gen("a") is first
     assert built == []
+
+
+# -- normal forms: the bracket table against one tensor solve -------------------------
+
+
+def _assert_tensor_normal_forms(p, expressions):
+    """normal_form equals the tensor solve in degree, entry and type (int or Fraction)."""
+    for e in expressions:
+        got, expected = p.normal_form(e), tensor_normal_form(p, e)
+        assert got.degree == expected.degree, e
+        assert {i: (type(c), c) for i, c in got.coords.items()} == {
+            i: (type(c), c) for i, c in expected.coords.items()
+        }, e
+
+
+_FIXTURES = ["bad_dsquare.json", "presentation_cp2.json", "presentation_twisted9.json",
+             "presentation_w11.json", "tilde_w11.json", "cp2.json", "empty_model.json",
+             "hp2.json", "hp2_sum.json", "s4s4.json", "twisted9.json", "w11.json", "w21.json"]
+
+
+def test_normal_form_matches_the_tensor_solve_on_fixtures(fixture_path):
+    # the differentials and sub elements as the fixtures write them, and
+    # omega's defining terms, which hold brackets that are no basis tree
+    for name in _FIXTURES:
+        doc = io.load_json_file(fixture_path(name))
+        if "pairing" in doc:
+            m = io.load_manifold(doc)
+            p, expressions = m.presentation, [_omega_terms(m.v)]
+        else:
+            p, expressions = io.load_presentation(doc), []
+        expressions += (doc.get("differential") or {}).values()
+        for spec in (doc.get("subalgebras") or {}).values():
+            expressions += spec.get("elements", [])
+        _assert_tensor_normal_forms(p, expressions)
+
+
+def test_normal_form_matches_the_tensor_solve_on_fractional_sums():
+    p = DgLaPresentation([("x", 1), ("a", 2), ("b", 2), ("y", 3)])
+    _assert_tensor_normal_forms(p, [
+        "1/2*[a,b]+1/2*[a,b]",  # halves summing to an int
+        "1/2*[a,b]+1/2*[b,a]",  # a sum that cancels keeps its degree
+        "1/3*[x,[x,y]]-1/6*[[x,y],x]+1/2*[y,[x,x]]",
+        "2/3*[a,[a,b]]+1/3*[a,[a,b]]-1/2*[[a,b],a]",
+        "1/2*[x,x]+1/4*[x,x]",
+        "3/2*[[x,a],[x,b]]-1/2*[[x,b],[x,a]]",
+        "1/2*[a,a]",
+        "0*[a,b]",
+    ])
+
+
+_FRACTIONAL = [1, -1, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-3, 2)]
+
+
+def _bracketing(rng, leaves):
+    if len(leaves) == 1:
+        return leaves[0]
+    k = rng.randint(1, len(leaves) - 1)
+    return (_bracketing(rng, leaves[:k]), _bracketing(rng, leaves[k:]))
+
+
+def test_normal_form_matches_the_tensor_solve_on_fuzz_presentations():
+    rng = random.Random(31)
+    for _ in range(12):
+        p = random_presentation(rng, max_gens=3, max_degree=4)
+        names = [n for n, _ in p.generators.entries]
+        expressions = [v.terms() for v in p.differential.values()]
+        while len(expressions) < 8:
+            leaves = [rng.choice(names) for _ in range(rng.randint(1, 4))]
+            if p._bases.dimension(sum(p.generators.degree(n) for n in leaves)) > 200:
+                continue
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                rng.shuffle(leaves)
+                terms.append((rng.choice(_FRACTIONAL), _bracketing(rng, leaves)))
+            # the first tree again, with its coefficient: a fraction doubles
+            expressions.append(terms + terms[:1])
+        _assert_tensor_normal_forms(p, expressions)

@@ -135,6 +135,19 @@ def test_generators_are_renamed_only_by_the_pushout():
     ]
 
 
+def test_only_cold_brackets_read_tensors():
+    # every expression reaches its normal form through the bracket table: a
+    # tensor is expanded and solved only for a basis bracket the table lacks
+    assert _scan(_callers("expand_tree")) == [
+        "freelie.py:expand_tree",
+        "freelie.py:expand_tree",
+        "freelie.py:BasisMemo.product",
+    ]
+    assert _scan(_callers("solve_against_basis")) == [
+        "presentation.py:DgLaPresentation.basis_bracket",
+    ]
+
+
 def test_the_scan_sees_calls_in_every_scope():
     source = [
         "x = f(1)",
@@ -148,6 +161,27 @@ def test_the_scan_sees_calls_in_every_scope():
     ]
     tree = ast.parse("\n".join(source))
     assert list(_callers("f")(tree)) == ["", "g", "C.m.inner"]
+
+
+def test_the_scan_names_each_method_that_reads_a_tensor():
+    # a normal form that expands and solves its own tensor is found
+    source = [
+        "class DgLaPresentation:",
+        "    def normal_form(self, pairs):",
+        "        tensor = {}",
+        "        for c, t in pairs:",
+        "            for w, x in freelie.expand_tree(t, self._deg_list).items():",
+        "                tensor[w] = tensor.get(w, 0) + c * x",
+        "        return freelie.solve_against_basis(self.lie_basis(d), tensor)",
+        "    def basis_bracket(self, b1, b2):",
+        "        return solve_against_basis(self.lie_basis(d), self._bases.product(b1, b2))",
+    ]
+    tree = ast.parse("\n".join(source))
+    assert list(_callers("expand_tree")(tree)) == ["DgLaPresentation.normal_form"]
+    assert list(_callers("solve_against_basis")(tree)) == [
+        "DgLaPresentation.normal_form",
+        "DgLaPresentation.basis_bracket",
+    ]
 
 
 def test_the_scan_sees_both_forms_of_true_division():
