@@ -19,6 +19,7 @@ from .graded import ChainComplexSlice
 from .linalg import combination, exact
 from .morphisms import _rho_of
 from .presentation import GeneratorSplit, LieElement, leibniz_extension, lie_chain_slice
+from .presentation import _accumulate, _nonzeros
 from .slices import DgLieSlice
 
 
@@ -32,10 +33,9 @@ class Derivation:
         self.degree = int(degree)
         self.rel = rel
         self.values = {}
-        # the Leibniz extension and its memo, built on the first eval_at that
-        # reaches a term, so that derivations never evaluated there (most
-        # der_bracket results, most condition units) carry none; the mask of
-        # the generators with a value, built on the first eval_at
+        # the mask of the generators with a value, built on the first
+        # evaluation, and the Leibniz extension with its memo, on the first
+        # that reaches a term: most der_bracket results and units carry none
         self._ext = None
         self._mask = None
         # (base, q) when this is q * base for a nonzero q (see ``scale``)
@@ -134,20 +134,25 @@ class Derivation:
             return base.eval_at(e).scale(q)
         return _reached_eval(self, e, self.ambient, self.ambient)
 
+    def add_eval_at(self, out, c, e):
+        """Add c * self(e) into ``out`` (``_reached_add``); a multiple adds through its base."""
+        base, q = self._base or (self, None)
+        _reached_add(out, c, base, e, self.ambient, self.ambient, q=q)
+
 
 def _reached_eval(th, e, source, target, along=None):
     """th(e) by th's Leibniz extension (along m), on the terms of e that th reaches.
 
     A derivation or f-derivation that vanishes off a set S of generators
-    kills every basis tree with no letter in S: by the Leibniz rule, by
-    induction on the tree.  So th(e) is th at the part of e on the trees
-    whose letter mask meets th's generator mask, and when that part is
-    empty it is the shared zero.  A skipped term adds no key, so the image
-    is the one the whole of e gives, entry for entry.  The mask is built on
-    the first call, and the extension on the first call that reaches a term:
-    th's one extension, whose memo holds th's image of every basis tree it
-    has reached.  A one-term part c * b gives b's memoized image, scaled as
-    ``add_scaled`` scales it (as is when c is 1: callers must not mutate it).
+    kills every basis tree with no letter in S (the Leibniz rule, induction
+    on the tree).  So th(e) is th at the part of e on the trees whose letter
+    mask meets th's generator mask, or the shared zero when that part is
+    empty: the image the whole of e gives, entry for entry.  The mask is
+    built on the first call, and th's one extension, whose memo holds th's
+    image of every basis tree it has reached, on the first that reaches a
+    term.  A one-term part c * b gives b's memoized image, scaled as
+    ``add_scaled`` scales it (as is when c is 1: callers must not mutate
+    it).  ``_reached_add`` is the same evaluation, added into a dict.
     """
     if e.presentation is not source:
         raise ValueError("element not in the map's source presentation")
@@ -178,6 +183,27 @@ def _reached_eval(th, e, source, target, along=None):
     return ext(e, zero)
 
 
+def _reached_add(out, c, th, e, source, target, along=None, q=None):
+    """out += c * v for v = th(e) or q th(e): ``_reached_eval`` into a coordinate dict.
+
+    Adds what ``_accumulate(out, c, v.coords)`` adds, in order and type.
+    Once th has its extension, a one-term reached part x * b, with c, q and
+    x ints, adds th's memoized image of b times c q x; any other v is built.
+    """
+    ext = th._ext
+    if ext is not None and e.presentation is source:
+        masks = source.letter_masks(e.degree)
+        part = [(i, x) for i, x in e.coords.items() if masks[i] & th._mask]
+        if not part:
+            return
+        f = c * part[0][1] * (1 if q is None else q)
+        if len(part) == 1 and type(f) is int:
+            _accumulate(out, f, ext.tree(source.lie_basis(e.degree)[part[0][0]].tree).coords)
+            return
+    v = _reached_eval(th, e, source, target, along)
+    _accumulate(out, c, (v if q is None else v.scale(q)).coords)
+
+
 def der_bracket(theta, psi):
     """[theta, psi] = theta.psi - (-1)^{|theta||psi|} psi.theta.
 
@@ -200,33 +226,31 @@ def der_bracket(theta, psi):
 
 
 def _der_bracket(theta, psi):
-    """[theta, psi], computed from the terms ``_bracket_terms`` walks."""
+    """[theta, psi], from its value on each generator (``_bracket_slots``)."""
     p = theta.ambient
     degree = theta.degree + psi.degree
-    vals = {
-        n: p.zero(p.generators.degree(n) + degree).add_scaled(terms)
-        for n, terms in _bracket_terms(theta, psi)
-    }
+    vals = {n: LieElement._trusted(p, p.generators.degree(n) + degree, _nonzeros(coords))
+            for n, coords in _bracket_slots(theta, psi)}
     return Derivation(p, degree, vals, rel=theta.rel, check=False)
 
 
-def _bracket_terms(theta, psi):
-    """(n, terms) for each generator n where [theta, psi] can be nonzero.
+def _bracket_slots(theta, psi):
+    """[(n, coords)] for each generator n where theta or psi is nonzero, in order.
 
-    On n the bracket is the sum of the (c, value) pairs in ``terms``:
-    theta(psi n) - (-1)^{|theta||psi|} psi(theta n), each term evaluated
-    only where its inner value is nonzero.  So only the generators where
-    theta or psi is nonzero are walked, in presentation order.
+    coords holds theta(psi n) - (-1)^{|theta||psi|} psi(theta n), zeros kept:
+    each term, where its inner value is nonzero, added by ``add_eval_at``.
     """
-    sign = -1 if (theta.degree * psi.degree) % 2 else 1
+    sign = 1 if (theta.degree * psi.degree) % 2 else -1
+    slots = []
     for n, _ in theta.ambient.generators.entries:
-        terms = []
-        if n in psi.values:
-            terms.append((1, theta.eval_at(psi.values[n])))
-        if n in theta.values:
-            terms.append((-sign, psi.eval_at(theta.values[n])))
-        if terms:
-            yield n, terms
+        if n in psi.values or n in theta.values:
+            out = {}
+            if n in psi.values:
+                theta.add_eval_at(out, 1, psi.values[n])
+            if n in theta.values:
+                psi.add_eval_at(out, sign, theta.values[n])
+            slots.append((n, out))
+    return slots
 
 
 def der_differential(theta):
@@ -309,7 +333,9 @@ class _HomLayout:
         return Derivation(self.p, self.n, self.values(vec), rel=self.rel, check=False)
 
     def unit(self, k):
-        return self.from_vector({k: 1})
+        name, deg, off, _ = self.slots[bisect_right(self.offsets, k) - 1]
+        value = LieElement._trusted(self.target, deg + self.n, {k - off: 1})
+        return Derivation(self.p, self.n, {name: value}, rel=self.rel, check=False)
 
 
 # -- derivation spaces as kernels ------------------------------------------------
@@ -322,12 +348,10 @@ class _HomLayout:
 def _condition_space(ncols, unit, conditions):
     """The subspace of Q^ncols on which every condition vanishes.
 
-    Column k of the one condition matrix stacks the images of ``unit(k)``,
-    the k-th coordinate vector's derivation (or pair of them), under
-    ``conditions``; the space is that matrix's kernel basis.  Units are
-    built only when there is a condition.  A unit is nonzero on few
-    generators, so an evaluation condition (``_evaluation``) reads only
-    the terms of its element whose trees the unit reaches (``eval_at``).
+    Column k of the one condition matrix stacks, under ``conditions``, the
+    images of ``unit(k)``: the k-th coordinate vector's derivation, built
+    on its one generator (``_HomLayout.unit``), or pair of them.  The space
+    is that matrix's kernel basis; units are built only for a condition.
     """
     tops = [0]
     for height, _ in conditions:
@@ -349,9 +373,7 @@ def _vanishing_conditions(p, rel, target, n):
     """theta(e) = 0 for each element e listed by an ElementGenerated sub of p.
 
     By the Leibniz rule these force vanishing on the generated subalgebra;
-    a GeneratorSplit sub is already left out of the Hom coordinates.  Each
-    unit is evaluated only on the terms of e that it reaches (``eval_at``),
-    which for a unit on one generator is most often none of e.
+    a GeneratorSplit sub is already left out of the Hom coordinates.
     """
     spec = p.sub(rel)
     if isinstance(spec, GeneratorSplit):
@@ -404,11 +426,9 @@ class DerSlice(DgLieSlice):
     Basis elements are Derivation objects, in each degree the kernel basis
     of that degree's stacked conditions (see ``linalg.Subspace``); the
     differential and bracket are realized as exact matrices and memoized
-    tables in the subspace coordinates.  The structure constants are read
-    through the basis derivations' own ``eval_at``: each keeps its one
-    Leibniz extension, whose memo holds its image of every basis tree that
-    some bracket reaches, for the life of the slice, and no Derivation is
-    built per bracket.
+    tables in the subspace coordinates.  The structure constants sum the
+    tree images memoized by each basis derivation's one Leibniz extension,
+    kept for the slice's life (``add_eval_at``): no element per pair or term.
     """
 
     def __init__(self, p, rel, window, spaces, layouts, zero_below=False):
@@ -453,15 +473,13 @@ class DerSlice(DgLieSlice):
     def _bracket_coords(self, n, i, m, j):
         """[theta, psi] for basis derivations theta = (n, i), psi = (m, j).
 
-        The terms of the bracket rule (``_bracket_terms``) are summed into
-        the Hom slots of degree n + m; then ``Subspace.coords`` gives, and
-        certifies, the structure constants.
+        Its value on each generator (``_bracket_slots``) fills that Hom slot
+        of degree n + m; ``Subspace.coords`` gives and certifies the result.
         """
         offset = self.layouts[n + m].offset
         vec = {}
-        for name, terms in _bracket_terms(self.derivations[n][i], self.derivations[m][j]):
-            coords = combination((c, x.coords) for c, x in terms)
-            vec.update((offset[name] + k, c) for k, c in coords.items())
+        for name, coords in _bracket_slots(self.derivations[n][i], self.derivations[m][j]):
+            vec.update((offset[name] + k, c) for k, c in coords.items() if c)
         return self._vector_coords(vec, n + m)
 
 

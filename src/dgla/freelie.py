@@ -372,8 +372,8 @@ def basis_in_degree(degrees, d, memo=None):
     return elems
 
 
-def solve_against_basis(basis, tensor, denominator=1):
-    """Coordinates of tensor / denominator in the span of the basis expansions.
+def solve_against_basis(basis, tensor):
+    """Coordinates of tensor in the span of the basis expansions.
 
     ``tensor`` maps packed words to integers; ``basis`` is one degree's
     basis, in its order.  Triangular substitution on integers, walking the
@@ -387,7 +387,7 @@ def solve_against_basis(basis, tensor, denominator=1):
     wherever the scale divides it, else the ``Fraction``.
     """
     work = {w: c for w, c in tensor.items() if c}
-    scale = denominator
+    scale = 1
     coords = {}
     for i, b in enumerate(basis):
         if not work:

@@ -178,10 +178,10 @@ def kernel_all_fractions(rows, ncols):
     return [vecs[f] for f in free], free
 
 
-def solve_all_fractions(basis, tensor, denominator=1):
+def solve_all_fractions(basis, tensor):
     """``freelie.solve_against_basis`` as it was before it returned ints: every value a Fraction."""
     work = {w: c for w, c in tensor.items() if c}
-    scale = denominator
+    scale = 1
     coords = {}
     for i, b in enumerate(basis):
         c = work.get(b.lead)
@@ -365,7 +365,8 @@ def tensor_normal_form(p, expression):
     The expression's trees are expanded afresh, summed into one integer
     tensor over the lcm of the coefficients' denominators, and solved once
     against the basis, where the library sums each tree's normal form from
-    its bracket table.  Coordinates are ints wherever they are integral.
+    its bracket table; that lcm is divided out of the solution.
+    Coordinates are ints wherever they are integral.
     """
     from dgla import expr, freelie
     from dgla.linalg import exact
@@ -383,7 +384,8 @@ def tensor_normal_form(p, expression):
         k = c.numerator * (scale // c.denominator)
         for w, x in freelie.expand_tree(t, p._deg_list).items():
             tensor[w] = tensor.get(w, 0) + k * x
-    coords = freelie.solve_against_basis(p.lie_basis(degree), tensor, scale)
+    coords = freelie.solve_against_basis(p.lie_basis(degree), tensor)
+    coords = {i: exact(Fraction(c) / scale) for i, c in coords.items()}
     return LieElement._trusted(p, degree, coords)
 
 

@@ -1,24 +1,30 @@
 """Derivation slices as sparse operators, against the paths they replaced.
 
-A ``DerSlice`` reads its structure constants from memoized operator columns
-of its basis derivations; ``oracles.der_bracket_structure_constants`` builds
-each one from ``der_bracket``, a new Derivation and its Hom vector.
-``eval_at``, and so each condition of a derivation space, evaluates a unit
-only on the terms of its element that the unit reaches;
-``oracles.unrestricted_evaluation`` evaluates it on the whole element.  Both
-pairs must agree entry for entry.
+A ``DerSlice`` sums its structure constants into one coordinate dict per
+generator with its basis derivations' ``add_eval_at``, which adds memoized
+tree images and builds no element per term;
+``oracles.der_bracket_structure_constants`` builds each one from
+``der_bracket``, a new Derivation and its Hom vector.  ``add_eval_at`` adds
+what ``eval_at`` gives, entry for entry, in order and type, and a unit is
+built on its one generator as ``from_vector`` builds it.  ``eval_at``, and
+so each condition of a derivation space, evaluates a unit only on the terms
+of its element that the unit reaches; ``oracles.unrestricted_evaluation``
+evaluates it on the whole element.  Each pair must agree entry for entry.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from dgla import derivations, io
-from dgla.derivations import der_complex, deru, f_der_dims, forget_pullback
+from dgla.derivations import (
+    Derivation, FDerivation, _HomLayout, der_complex, deru, f_der_dims, forget_pullback,
+)
 from dgla.gluing import boundary_connected_sum
 from dgla.models import build_block_g, tilde_model
 from dgla.morphisms import GeneratorMorphism
-from dgla.presentation import DgLaPresentation
+from dgla.presentation import DgLaPresentation, LieElement, _accumulate
 
 from oracles import (
     condition_columns,
@@ -69,10 +75,18 @@ def _table_slice(case, fixture_path):
     }[case]()
 
 
-@pytest.mark.parametrize("case", [
+_TABLE_CASES = [
     "w11 der", "w21 der", "w21 deru", "twisted9 der", "twisted9 deru",
     "twisted9 deru rho", "tilde_w11 beta", "tilde_w11 deru beta", "glued w21 w11", "genus 4",
-])
+]
+
+
+def _entries(coords):
+    """The entries of a coordinate dict, in order, each with its type."""
+    return [(k, type(c), c) for k, c in coords.items()]
+
+
+@pytest.mark.parametrize("case", _TABLE_CASES)
 def test_structure_constants_match_der_bracket(case, fixture_path):
     slc = _table_slice(case, fixture_path)
     want = der_bracket_structure_constants(slc)
@@ -95,6 +109,26 @@ def test_the_glued_bracket_table_builds_no_derivation_per_pair(fixture_path, mon
         return plain(theta, psi)
 
     monkeypatch.setattr(derivations, "der_bracket", counted)
+    # nor does a pair read, while the glued g is built or later, evaluate a
+    # term into an element of its own
+    read, inside, evaluations = [], [], []
+    plain_coords, plain_eval = derivations.DerSlice._bracket_coords, derivations.Derivation.eval_at
+
+    def reading(slc, *pair):
+        read.append(pair)
+        inside.append(pair)
+        try:
+            return plain_coords(slc, *pair)
+        finally:
+            inside.pop()
+
+    def counted_eval(theta, e):
+        if inside:
+            evaluations.append(e)
+        return plain_eval(theta, e)
+
+    monkeypatch.setattr(derivations.DerSlice, "_bracket_coords", reading)
+    monkeypatch.setattr(derivations.Derivation, "eval_at", counted_eval)
     w11 = io.load_manifold(_load(fixture_path, "w11.json"))
     g = build_block_g(boundary_connected_sum(w11, w11), (0, 4))
     nonzero = 0
@@ -107,6 +141,162 @@ def test_the_glued_bracket_table_builds_no_derivation_per_pair(fixture_path, mon
     assert acting.dim(2) and acting.dim(4)
     assert any(acting.bracket(2, i, 2, j) for i in range(acting.dim(2)) for j in range(acting.dim(2)))
     assert nonzero and calls == []
+    assert read and evaluations == []
+
+
+@pytest.mark.parametrize("case", _TABLE_CASES)
+def test_a_unit_is_the_coordinate_derivation(case, fixture_path):
+    # the unit built on its one generator is the derivation from_vector builds
+    slc = _table_slice(case, fixture_path)
+    for layout in slc.layouts.values():
+        for k in range(layout.total):
+            got, want = layout.unit(k), layout.from_vector({k: 1})
+            assert (got.ambient, got.degree, got.rel) == (want.ambient, want.degree, want.rel)
+            assert list(got.values) == list(want.values)
+            for name, v in want.values.items():
+                assert got.values[name].degree == v.degree
+                assert _entries(got.values[name].coords) == _entries(v.coords)
+
+
+# -- the accumulating evaluator against eval_at -----------------------------------------
+
+
+def _elements(p, rng, top=6):
+    """Basis elements and short sums of degree <= top, and the differential's values.
+
+    The sums have int and Fraction coefficients, and one per degree
+    integral Fractions, as a 1/2 scale and back leaves them.
+    """
+    out = list(p.differential.values())
+    for d in range(1, top + 1):
+        dim = p.dim(d)
+        if not dim:
+            continue
+        out += [LieElement(p, d, {i: 1}) for i in rng.sample(range(dim), min(dim, 4))]
+        for _ in range(3):
+            out.append(LieElement(p, d, {
+                rng.randrange(dim): rng.choice([1, -1, 3, Fraction(1, 2)]) for _ in range(3)
+            }))
+        out.append(out[-1].scale(Fraction(1, 2)).scale(2))
+    return out
+
+
+def _value_dicts(layout, rng):
+    """Generator values of four coordinate vectors of a Hom layout and of a sum of three."""
+    ks = rng.sample(range(layout.total), min(layout.total, 4))
+    sums = [{k: rng.choice([1, -2, Fraction(1, 3)]) for k in ks[:3]}] if ks else []
+    return [layout.values(v) for v in [{k: 1} for k in ks] + sums]
+
+
+def _same_accumulation(th, add, target, elements, rng, reached):
+    """add(out, c, e) adds to out what ``_accumulate`` adds of th.eval_at(e).
+
+    Entry for entry, in order and type, for several factors c, into an empty
+    dict and into one that already holds entries.  Returns, per call,
+    whether it built th(e) as an element: called ``_reached_eval``, whose
+    calls the list ``reached`` records.
+    """
+    built = []
+    for e in elements:
+        dim = target.dim(e.degree + th.degree)
+        filled = {k: rng.choice([1, -1, Fraction(1, 2)]) for k in range(min(dim, 3))}
+        for c in (1, -1, 2, Fraction(1, 3)):
+            for start in ({}, filled):
+                got, want = dict(start), dict(start)
+                before = len(reached)
+                add(got, c, e)
+                built.append(len(reached) > before)
+                _accumulate(want, c, th.eval_at(e).coords)
+                assert _entries(got) == _entries(want), (e.terms(), c, start)
+        got = {}
+        add(got, 1, e)
+        assert _entries(got) == _entries(th.eval_at(e).coords)
+    return built
+
+
+@pytest.fixture
+def reached(monkeypatch):
+    """The list of the arguments of every ``_reached_eval`` call."""
+    calls = []
+    plain = derivations._reached_eval
+
+    def recorded(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(derivations, "_reached_eval", recorded)
+    return calls
+
+
+def _check_derivations(p, rng, reached):
+    """Derivations of p, and their multiples q theta, against eval_at; whether each call built."""
+    elements = _elements(p, rng)
+    built = []
+    for n in (-1, 0, 1, 2):
+        for values in _value_dicts(_HomLayout(p, None, n), rng):
+            th = Derivation(p, n, values, check=False)
+            for d in [th] + [th.scale(q) for q in (-1, Fraction(1, 2), 3)]:
+                built += _same_accumulation(d, d.add_eval_at, p, elements, rng, reached)
+    return built
+
+
+def _fixture_presentations(fixture_path):
+    return {
+        "w11": io.load_presentation(_load(fixture_path, "presentation_w11.json")),
+        "w21": io.load_manifold(_load(fixture_path, "w21.json")).presentation,
+        "cp2": io.load_presentation(_load(fixture_path, "presentation_cp2.json")),
+        "twisted9": io.load_presentation(_load(fixture_path, "presentation_twisted9.json")),
+        "tilde_w11": _tilde_w11(),
+        "genus 3": _genus(3),
+        "cubic": _cubic_sub(),
+    }
+
+
+@pytest.mark.parametrize("case", ["w11", "w21", "cp2", "twisted9", "tilde_w11", "genus 3", "cubic"])
+def test_the_accumulating_form_adds_what_eval_at_gives(case, fixture_path, reached):
+    p = _fixture_presentations(fixture_path)[case]
+    built = _check_derivations(p, random.Random(case), reached)
+    # both routes are taken: a memoized image added as is, and a built element
+    assert any(built) and not all(built)
+
+
+def test_fuzz_accumulating_form_adds_what_eval_at_gives(reached):
+    rng = random.Random(3207)
+    built = []
+    for _ in range(15):
+        p = random_presentation(rng, max_gens=4, max_degree=4)
+        built += _check_derivations(p, rng, reached)
+    assert any(built) and not all(built)
+
+
+@pytest.mark.parametrize("case", ["tilde_w11 projection", "cubic identity"])
+def test_the_accumulating_form_serves_f_derivations(case, fixture_path, reached):
+    if case == "cubic identity":
+        m = GeneratorMorphism.identity(_cubic_sub())
+    else:
+        m = tilde_model(io.load_manifold(_load(fixture_path, "w11.json")))[2]
+    rng = random.Random(case)
+    elements = _elements(m.source, rng)
+    built = []
+    for n in (-1, 0, 1, 2):
+        for values in _value_dicts(_HomLayout(m.source, None, n, m.target), rng):
+            th = FDerivation(m, n, values)
+
+            def add(out, c, e, th=th):
+                derivations._reached_add(out, c, th, e, m.source, m.target, m)
+
+            built += _same_accumulation(th, add, m.target, elements, rng, reached)
+    assert any(built) and not all(built)
+
+
+def test_the_accumulating_form_refuses_an_element_of_another_presentation():
+    p, q = _genus(2), _genus(2)
+    th = _HomLayout(p, None, 0).unit(0)
+    got = {}
+    th.add_eval_at(got, 1, p.gen("a0"))
+    assert th._ext is not None and got
+    with pytest.raises(ValueError):
+        th.add_eval_at({}, 1, q.gen("a0"))
 
 
 # -- every condition matrix against the unrestricted evaluation ---------------------------

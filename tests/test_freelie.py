@@ -226,14 +226,21 @@ def _integer(tensor):
     return {w: int(c * scale) for w, c in tensor.items()}, scale
 
 
+def _scaled(coords, scale):
+    """The coordinates of scale times a vector with coordinates ``coords``."""
+    return {i: c * scale for i, c in coords.items()}
+
+
 @settings(max_examples=100, deadline=None)
 @given(_rational_combination(), st.fractions(-5, 5, max_denominator=64).filter(bool),
        st.randoms(use_true_random=False))
 def test_integer_solve_matches_fraction_oracle(combination, delta, rng):
     degs, basis, coords = combination
     tensor = _tensor(basis, coords)
-    got = freelie.solve_against_basis(basis, *_integer(tensor))
-    assert got == solve_against_basis_fractions(basis, tensor) == coords
+    ints, scale = _integer(tensor)
+    got = freelie.solve_against_basis(basis, ints)
+    assert solve_against_basis_fractions(basis, tensor) == coords
+    assert got == _scaled(coords, scale)
     assert all(is_exact(c) for c in got.values())
     # a word that leads no basis element is outside the span, and so is any
     # vector of the span plus a nonzero multiple of it
@@ -244,7 +251,7 @@ def test_integer_solve_matches_fraction_oracle(combination, delta, rng):
     w = rng.choice(others)
     tensor[w] = tensor.get(w, Fraction(0)) + delta
     with pytest.raises(ValueError):
-        freelie.solve_against_basis(basis, *_integer(tensor))
+        freelie.solve_against_basis(basis, _integer(tensor)[0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -255,15 +262,15 @@ def test_integer_solve_matches_fraction_oracle(combination, delta, rng):
 def test_integer_solve_agrees_with_the_all_fraction_path(combination, integral):
     """The same coordinates as the solve that returned every value as a Fraction.
 
-    Every integral coordinate is now an int: on tensors with a denominator,
-    and on integer ones, where the scale stays 1.
+    Every integral coordinate is now an int: on the integer multiple of a
+    tensor with a denominator, and on integer ones, where the scale stays 1.
     """
     _, basis, coords = combination
     if integral:
         coords = {i: c.numerator for i, c in coords.items()}
     tensor, scale = _integer(_tensor(basis, coords))
-    got = freelie.solve_against_basis(basis, tensor, scale)
-    assert got == solve_all_fractions(basis, tensor, scale) == coords
+    got = freelie.solve_against_basis(basis, tensor)
+    assert got == solve_all_fractions(basis, tensor) == _scaled(coords, scale)
     assert all(is_exact(c) for c in got.values())
     if integral:
         assert all(type(c) is int for c in got.values())
@@ -373,7 +380,9 @@ def test_basis_matches_the_tuple_word_oracle():
             tensor = _tensor(ref, coords)
             expected = solve_against_basis_fractions(ref, tensor)
             packed = {freelie.pack(w, degs): c for w, c in tensor.items()}
-            assert freelie.solve_against_basis(lib, *_integer(packed)) == expected == coords
+            ints, scale = _integer(packed)
+            assert expected == coords
+            assert freelie.solve_against_basis(lib, ints) == _scaled(coords, scale)
 
 
 def test_basis_expansions_are_int_and_match_a_memo_free_expansion():
