@@ -16,10 +16,9 @@ from bisect import bisect_right
 from . import linalg
 from .errors import NotQuasiIso, RhoNotChainMap, SchemaError, SubMismatch, WindowTooNarrow
 from .graded import ChainComplexSlice
-from .linalg import combination, exact
+from .linalg import accumulate, combination, exact, nonzeros
 from .morphisms import _rho_of
 from .presentation import GeneratorSplit, LieElement, leibniz_extension, lie_chain_slice
-from .presentation import _accumulate, _nonzeros
 from .slices import DgLieSlice
 
 
@@ -186,7 +185,7 @@ def _reached_eval(th, e, source, target, along=None):
 def _reached_add(out, c, th, e, source, target, along=None, q=None):
     """out += c * v for v = th(e) or q th(e): ``_reached_eval`` into a coordinate dict.
 
-    Adds what ``_accumulate(out, c, v.coords)`` adds, in order and type.
+    Adds what ``accumulate(out, c, v.coords)`` adds, in order and type.
     Once th has its extension, a one-term reached part x * b, with c, q and
     x ints, adds th's memoized image of b times c q x; any other v is built.
     """
@@ -198,10 +197,10 @@ def _reached_add(out, c, th, e, source, target, along=None, q=None):
             return
         f = c * part[0][1] * (1 if q is None else q)
         if len(part) == 1 and type(f) is int:
-            _accumulate(out, f, ext.tree(source.lie_basis(e.degree)[part[0][0]].tree).coords)
+            accumulate(out, f, ext.tree(source.lie_basis(e.degree)[part[0][0]].tree).coords)
             return
     v = _reached_eval(th, e, source, target, along)
-    _accumulate(out, c, (v if q is None else v.scale(q)).coords)
+    accumulate(out, c, (v if q is None else v.scale(q)).coords)
 
 
 def der_bracket(theta, psi):
@@ -229,7 +228,7 @@ def _der_bracket(theta, psi):
     """[theta, psi], from its value on each generator (``_bracket_slots``)."""
     p = theta.ambient
     degree = theta.degree + psi.degree
-    vals = {n: LieElement._trusted(p, p.generators.degree(n) + degree, _nonzeros(coords))
+    vals = {n: LieElement._trusted(p, p.generators.degree(n) + degree, nonzeros(coords))
             for n, coords in _bracket_slots(theta, psi)}
     return Derivation(p, degree, vals, rel=theta.rel, check=False)
 
@@ -704,15 +703,10 @@ def forget_pullback(m, rel_target, rel_source, window):
             vr = {j - nl: x for j, x in v.items() if j >= nl}
             pairs[n].append((left.derivation(n, vl), right.derivation(n, vr)))
     labels = {n: ["pair%d" % i for i in range(pair_spaces[n].dim)] for n in range(lo, hi + 1)}
+    product = left.product(right)
     diff = {}
     for n in range(lo + 1, hi + 1):
-        # the product differential's columns: left's, then right's shifted
-        # below left's degree n - 1 part
-        nl1 = left.dim(n - 1)
-        d_cols = linalg.columns(left.d_matrix(n), left.dim(n)) + [
-            {nl1 + i: c for i, c in col.items()}
-            for col in linalg.columns(right.d_matrix(n), right.dim(n))
-        ]
+        d_cols = linalg.columns(product.d_matrix(n), product.dim(n))
         cols = []
         for v in pair_spaces[n].vectors:
             c = pair_spaces[n - 1].coords(combination((x, d_cols[j]) for j, x in v.items()))
@@ -722,5 +716,5 @@ def forget_pullback(m, rel_target, rel_source, window):
                 )
             cols.append(c)
         diff[n] = linalg.from_columns(pair_spaces[n - 1].dim, cols)
-    slc = ChainComplexSlice((lo, hi), labels, diff, left.zero_below and right.zero_below)
+    slc = ChainComplexSlice((lo, hi), labels, diff, product.zero_below)
     return slc, left, right, pairs

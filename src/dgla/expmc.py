@@ -2,7 +2,9 @@
 
 BCH coefficients are hard-coded through weight 4 and produced by the Dynkin
 formula beyond; the nilpotency class caps the weight exactly, so every
-series here is a finite exact sum.  The class itself is certified on a
+series here is a finite exact sum.  e(theta) and both gauge actions take
+their terms from one loop, ``_series``, which caps the nonzero terms, and
+sum them once (``linalg.accumulate``).  The class itself is certified on a
 spanning set of each weight of the lower central series (``_check_class``
 for a pair, on the images of the two-letter Lyndon basis;
 ``NilpotentElementGroup`` for all of degree 0).
@@ -204,6 +206,20 @@ class NilpotentElementGroup:
 # -- exponential automorphisms --------------------------------------------------
 
 
+def _series(y, step, cap, message):
+    """The terms [(1/(n+1)!, step^n(y))] of an exponential series, while nonzero.
+
+    More than ``cap`` nonzero terms raise NotNilpotent(message).
+    """
+    terms = []
+    while not y.is_zero():
+        if len(terms) == cap:
+            raise NotNilpotent(message)
+        terms.append((Fraction(1, factorial(len(terms) + 1)), y))
+        y = step(y)
+    return terms
+
+
 def exp_automorphism(theta):
     """e(theta) = sum theta^n / n! for a nilpotent degree-0 derivation.
 
@@ -221,20 +237,12 @@ def exp_automorphism(theta):
         raise SchemaError("exp needs a degree-0 derivation", "/degree")
     images = {}
     for name, deg in p.generators.entries:
-        term = p.gen(name)
-        if name not in theta.values:
-            images[name] = term
-            continue
-        terms = []
-        cap = p.dim(deg) + 1
-        while True:
-            term = theta.eval_at(term)
-            if term.is_zero():
-                break
-            if len(terms) >= cap:
-                raise NotNilpotent("theta does not act nilpotently on %r" % name)
-            terms.append((Fraction(1, factorial(len(terms) + 1)), term))
-        images[name] = p.gen(name).add_scaled(terms)
+        x = p.gen(name)
+        if name in theta.values:
+            terms = _series(theta.eval_at(x), theta.eval_at, p.dim(deg) + 1,
+                            "theta does not act nilpotently on %r" % name)
+            x = x.add_scaled(terms)
+        images[name] = x
     f = GeneratorMorphism(p, p, images)
     f.report = check_morphism(f, fixed_sub=theta.rel)
     if not f.report.passed:
@@ -262,29 +270,18 @@ def gauge_action(theta, x, action):
     """
     if theta.degree != 0:
         raise ValueError("gauge acting element must have degree 0")
-    a = action
-    y = SliceElement(
-        a.module,
-        x.degree,
-        combination([
-            (1, a.act_vectors(0, theta.vector, x.degree, x.vector)),
-            (-1, a.chi_vector(0, theta.vector)),
-        ]),
-    )
-    out = x
-    n = 0
-    cap = a.module.dim(x.degree) + 1
-    while not y.is_zero():
-        out = out + y.scale(Fraction(1, factorial(n + 1)))
-        y = SliceElement(
-            a.module,
-            x.degree,
-            a.act_vectors(0, theta.vector, x.degree, y.vector),
-        )
-        n += 1
-        if n > cap:
-            raise NotNilpotent("gauge action is not nilpotent on this slice")
-    return out
+    module, degree = action.module, x.degree
+
+    def step(y):
+        return SliceElement(module, degree, action.act_vectors(0, theta.vector, degree, y.vector))
+
+    y = SliceElement(module, degree, combination([
+        (1, action.act_vectors(0, theta.vector, degree, x.vector)),
+        (-1, action.chi_vector(0, theta.vector)),
+    ]))
+    terms = _series(y, step, module.dim(degree) + 1, "gauge action is not nilpotent on this slice")
+    v = combination((c, y.vector) for c, y in terms)
+    return x + SliceElement(module, degree, v) if terms else x
 
 
 def gauge_action_adjoint(theta, x):
@@ -296,17 +293,10 @@ def gauge_action_adjoint(theta, x):
     """
     if theta.degree != 0:
         raise ValueError("gauge acting element must have degree 0")
-    y = theta.bracket(x) - theta.d()
-    out = x
-    n = 0
-    cap = x.slice.dim(x.degree) + 1
-    while not y.is_zero():
-        out = out + y.scale(Fraction(1, factorial(n + 1)))
-        y = theta.bracket(y)
-        n += 1
-        if n > cap:
-            raise NotNilpotent("adjoint gauge action is not nilpotent")
-    return out
+    terms = _series(theta.bracket(x) - theta.d(), theta.bracket, x.slice.dim(x.degree) + 1,
+                    "adjoint gauge action is not nilpotent")
+    v = combination((c, y.vector) for c, y in terms)
+    return x + SliceElement(theta.slice, x.degree, v) if terms else x
 
 
 # -- polynomial interval forms and homotopy verification -----------------------

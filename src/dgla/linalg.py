@@ -22,9 +22,15 @@ limits both fill-in and coefficient growth.  Floats are banned.
 
 A vector is an ``{index: value}`` dict with no zero entries, the same form
 as a row.  ``matvec`` and ``solve`` take and return them, ``kernel_basis``
-and ``extend_independent`` work on them, ``combination`` sums them, and
-``Subspace`` keeps its basis, members and coordinates in that form.  Callers
-read a matrix's ``columns`` as such vectors and build one ``from_columns``.
+and ``extend_independent`` work on them, and ``Subspace`` keeps its
+basis, members and coordinates in that form.  Callers read a matrix's
+``columns`` as such vectors and build one ``from_columns``.
+
+A sparse sum of vectors adds each c * v with ``accumulate`` into a dict of
+its own and reads the result with ``nonzeros``: ``combination`` is that
+loop over a list of terms, and elimination's row operations and the sums
+of Lie elements and derivation values are such sums.  Only ``matmul`` and
+the free-Lie tensor kernels keep loops of their own.
 
 Desk scale only: matrices of a few thousand rows/columns.
 """
@@ -51,6 +57,33 @@ def exact(c):
     return q.numerator if q.denominator == 1 else q
 
 
+def accumulate(out, c, v):
+    """Add c * v into ``out``, a sparse sum the caller owns and reads with ``nonzeros``.
+
+    Scalars 1 and -1, the most common, add and subtract without a product.
+    The sum stays exact; a sum of Fractions can be an integral Fraction,
+    which is equal to its int.
+    """
+    get = out.get
+    if c == 1:
+        for k, x in v.items():
+            y = get(k)
+            out[k] = x if y is None else y + x
+    elif c == -1:
+        for k, x in v.items():
+            y = get(k)
+            out[k] = -x if y is None else y - x
+    else:
+        for k, x in v.items():
+            y = get(k)
+            out[k] = x * c if y is None else y + x * c
+
+
+def nonzeros(out):
+    """The sparse vector of a finished ``accumulate`` sum: its nonzero entries."""
+    return {k: x for k, x in out.items() if x}
+
+
 def combination(terms):
     """The sparse vector sum of c * v over the (c, v) in ``terms``.
 
@@ -58,20 +91,9 @@ def combination(terms):
     so it is empty exactly when the sum vanishes.
     """
     out = {}
-    get = out.get
     for c, v in terms:
-        for k, x in v.items():
-            y = get(k)
-            out[k] = x * c if y is None else y + x * c
-    return {k: x for k, x in out.items() if x}
-
-
-def _combination(a, r, b, s):
-    """The nonzeros of a * r - b * s for sparse rows r and s."""
-    out = {j: a * v for j, v in r.items()}
-    for j, v in s.items():
-        out[j] = out.get(j, 0) - b * v
-    return {j: v for j, v in out.items() if v}
+        accumulate(out, c, v)
+    return nonzeros(out)
 
 
 def _bareiss_echelon(rows, ncols):
@@ -106,7 +128,7 @@ def _bareiss_echelon(rows, ncols):
         for r in cands:
             if r is piv:
                 continue
-            nr = {j: v // prev for j, v in _combination(pv, r, r[col], piv).items()}
+            nr = {j: v // prev for j, v in combination(((pv, r), (-r[col], piv))).items()}
             if nr:
                 lead = min(nr)
                 if lead not in by_lead:
@@ -144,7 +166,7 @@ def _rref(rows, ncols):
         for p in [j for j in r if j in below]:
             s = below[p]
             g = gcd(s[p], r[p])
-            r = _combination(s[p] // g, r, r[p] // g, s)
+            r = combination(((s[p] // g, r), (-(r[p] // g), s)))
         g = gcd(*r.values())
         below[pc] = {j: v // g for j, v in r.items()}
     red = []

@@ -18,10 +18,11 @@ from their factors' leads; the expansion memo holds the expansion of a
 composite basis element only once such a solve has read it, and nothing else.
 
 Sums are accumulated at the coordinate level: a bracket, a sum of scaled
-elements (``LieElement.add_scaled``) and a sum of scaled brackets
-(``DgLaPresentation.bracket_sum``, one node of a Leibniz extension) each add
-their products into one ``{index: coefficient}`` dict and build one
-element from its nonzeros, with no element per term.  A coefficient is an
+elements (``LieElement.add_scaled``, and ``+`` through it) and a sum of
+scaled brackets (``DgLaPresentation.bracket_sum``, one node of a Leibniz
+extension) each add their products into one ``{index: coefficient}`` dict
+with ``linalg.accumulate`` and build one element from its
+``linalg.nonzeros``, with no element per term.  A coefficient is an
 ``int`` wherever it is integral and a ``Fraction`` only where there is a
 denominator (``linalg.exact``).
 """
@@ -40,7 +41,7 @@ from .errors import (
     check_row,
 )
 from .graded import ChainComplexSlice, GradedBasis
-from .linalg import exact
+from .linalg import accumulate, exact, nonzeros
 
 
 class GeneratorSplit:
@@ -68,33 +69,6 @@ def common_degree(degree, v):
     if degree is not None and v.degree != degree:
         raise InhomogeneousExpression("cannot add degrees %d and %d" % (degree, v.degree))
     return v.degree
-
-
-def _accumulate(out, c, coords):
-    """Add c * coords into the sparse sum ``out``; the caller drops its zeros.
-
-    Most scalars are 1 or -1, which add and subtract without a product.
-    Coordinates and scalars are ints or Fractions, so the values stay exact;
-    a sum of Fractions can be an integral Fraction, which is equal to its
-    int.
-    """
-    get = out.get
-    if c == 1:
-        for k, x in coords.items():
-            y = get(k)
-            out[k] = x if y is None else y + x
-    elif c == -1:
-        for k, x in coords.items():
-            y = get(k)
-            out[k] = -x if y is None else y - x
-    else:
-        for k, x in coords.items():
-            y = get(k)
-            out[k] = x * c if y is None else y + x * c
-
-
-def _nonzeros(out):
-    return {k: x for k, x in out.items() if x}
 
 
 class LieElement:
@@ -129,9 +103,9 @@ class LieElement:
         return not self.coords
 
     def __add__(self, other):
-        degree = self._compat(other)
-        coords = linalg.combination(((1, self.coords), (1, other.coords)))
-        return LieElement._trusted(self.presentation, degree, coords)
+        # summed from other's zero: a zero summand takes the other's degree,
+        # 0 + 0 keeps other's, and a clash names self's degree first
+        return other.presentation.zero(other.degree).add_scaled(((1, self), (1, other)))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -158,8 +132,8 @@ class LieElement:
                 raise ValueError("elements of different presentations")
             if v.coords:
                 degree = common_degree(degree, v)
-                _accumulate(out, c, v.coords)
-        return LieElement._trusted(p, self.degree if degree is None else degree, _nonzeros(out))
+                accumulate(out, c, v.coords)
+        return LieElement._trusted(p, self.degree if degree is None else degree, nonzeros(out))
 
     def __neg__(self):
         return self.scale(-1)
@@ -177,18 +151,6 @@ class LieElement:
         # zeros of every degree are equal, so the degree of zero is not hashed
         degree = self.degree if self.coords else None
         return hash((id(self.presentation), degree, tuple(sorted(self.coords.items()))))
-
-    def _compat(self, other):
-        """Degree of self + other: zero takes the degree of the other summand."""
-        if self.presentation is not other.presentation:
-            raise ValueError("elements of different presentations")
-        if self.is_zero():
-            return other.degree
-        if not other.is_zero() and self.degree != other.degree:
-            raise InhomogeneousExpression(
-                "cannot add degrees %d and %d" % (self.degree, other.degree)
-            )
-        return self.degree
 
     def terms(self):
         """AST terms [(coeff, name-tree), ...] in basis order."""
@@ -530,8 +492,8 @@ class DgLaPresentation:
                     b = cache.get((dx, i, dy, j))
                     if b is None:
                         b = self.basis_bracket(dx, i, dy, j)
-                    _accumulate(out, ci * cj, b.coords)
-        return LieElement._trusted(self, first if degree is None else degree, _nonzeros(out))
+                    accumulate(out, ci * cj, b.coords)
+        return LieElement._trusted(self, first if degree is None else degree, nonzeros(out))
 
     def d_gen(self, name):
         return self.differential.get(
@@ -727,9 +689,7 @@ def presentation_slice(p, lo, hi):
     def bracket_fn(n, i, m_, j):
         return p.basis_bracket(n, i, m_, j).coords
 
-    slc = DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
-    slc.bounded = False
-    return slc
+    return DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
 
 
 def fresh_names(taken, names):

@@ -22,9 +22,10 @@ from dgla.derivations import (
     Derivation, FDerivation, _HomLayout, der_complex, deru, f_der_dims, forget_pullback,
 )
 from dgla.gluing import boundary_connected_sum
+from dgla.linalg import accumulate as _accumulate
 from dgla.models import build_block_g, tilde_model
 from dgla.morphisms import GeneratorMorphism
-from dgla.presentation import DgLaPresentation, LieElement, _accumulate
+from dgla.presentation import DgLaPresentation, LieElement
 
 from oracles import (
     condition_columns,

@@ -327,6 +327,24 @@ def test_exp_rejects_non_nilpotent():
         exp_automorphism(th)
 
 
+def test_each_series_rejects_an_invertible_action_with_its_own_message():
+    # theta x = x, h . x = x and [h, x] = x: no power of the action kills x
+    p = DgLaPresentation([("h", 2), ("x", 2)])
+    with pytest.raises(NotNilpotent, match=r"^theta does not act nilpotently on 'x'$"):
+        exp_automorphism(Derivation(p, 0, {"x": p.gen("x")}))
+    g = DgLieSlice((0, 0), {0: ["h"]})
+    module = DgLieSlice((-1, -1), {-1: ["x"]})
+    act = OuterAction(g, module, lambda n, i, m, j: {0: 1})
+    h, x = SliceElement.unit(g, 0, 0), SliceElement.unit(module, -1, 0)
+    with pytest.raises(NotNilpotent, match=r"^gauge action is not nilpotent on this slice$"):
+        gauge_action(h, x, act)
+    table = {(0, 0, -1, 0): {0: 1}, (-1, 0, 0, 0): {0: -1}}
+    slc = DgLieSlice((-1, 0), {-1: ["x"], 0: ["h"]}, bracket_fn=lambda *pair: table.get(pair, {}))
+    h, x = SliceElement.unit(slc, 0, 0), SliceElement.unit(slc, -1, 0)
+    with pytest.raises(NotNilpotent, match=r"^adjoint gauge action is not nilpotent$"):
+        gauge_action_adjoint(h, x)
+
+
 def test_exp_bch_homomorphism():
     rng = random.Random(37)
     p = nilpotent_fixture()

@@ -242,6 +242,34 @@ def test_extend_independent_is_the_greedy_choice(base, candidates, repeats):
         _greedy_extension(base, candidates)
 
 
+def _naive_combination(terms):
+    """sum c * v value by value, keys in order of first appearance, zeros dropped."""
+    keys = dict.fromkeys(k for _, v in terms for k in v)
+    sums = {k: sum((c * v[k] for c, v in terms if k in v), Fraction(0)) for k in keys}
+    return {k: x for k, x in sums.items() if x}
+
+
+_scalars = st.one_of(
+    st.sampled_from([1, -1, Fraction(1), Fraction(-1), 0]),
+    st.integers(-3, 3),
+    st.fractions(-2, 2, max_denominator=4),
+)
+_entries = st.one_of(st.integers(-2, 2), st.fractions(-1, 1, max_denominator=3)).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_scalars, st.dictionaries(st.integers(0, 5), _entries, max_size=4)),
+                max_size=6))
+@example([(Fraction(1), {0: 1, 1: 2}), (Fraction(-1), {0: 1}), (2, {2: Fraction(1, 2)})])
+@example([(Fraction(1, 2), {3: 1}), (Fraction(1, 2), {3: 1}), (-1, {4: Fraction(2, 3)})])
+def test_combination_is_the_naive_sum(terms):
+    inputs = [(c, dict(v)) for c, v in terms]
+    got = linalg.combination(terms)
+    assert list(got.items()) == list(_naive_combination(terms).items())
+    assert all(x and type(x) in (int, Fraction) for x in got.values())
+    assert terms == inputs  # the summands are read, not changed
+
+
 @pytest.mark.parametrize(
     "base, candidates, kept",
     [

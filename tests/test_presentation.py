@@ -252,6 +252,17 @@ def test_one_shared_zero_per_degree_keeps_the_degree_rules():
     # and the shared zero itself is untouched
     assert zero.coords == {} and zero.degree == 4 and p.zero(4) is zero
     assert p.normal_form("0*[a,b]") is p.zero()
+    # + refuses two nonzero summands of different degrees, naming the left
+    # one's degree first, and summands of different presentations
+    a = p.gen("a")
+    with pytest.raises(InhomogeneousExpression, match=r"^cannot add degrees 2 and 4$"):
+        a + ab
+    with pytest.raises(InhomogeneousExpression, match=r"^cannot add degrees 4 and 2$"):
+        ab - a
+    q = DgLaPresentation([("a", 2), ("b", 2)])
+    for x, y in ((a, q.gen("a")), (p.zero(2), q.zero(2)), (q.zero(4), ab)):
+        with pytest.raises(ValueError, match=r"^elements of different presentations$"):
+            x + y
 
 
 def _subtrees(tree):

@@ -63,21 +63,40 @@ def _zero_below_assignments(tree):
                 yield node.lineno
 
 
-def _callers(callee):
-    """A finder of the qualified name of the function around each call of ``callee``."""
+def _named(node, name):
+    """node is the name ``name``, bare or as an attribute."""
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def _scopes(match):
+    """A finder of the qualified name of the function around each node that ``match``es."""
 
     def find(node, scope=()):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from find(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and callee in (
-                getattr(child.func, "id", None), getattr(child.func, "attr", None)
-            ):
+            if match(child):
                 yield ".".join(scope)
             yield from find(child, scope)
 
     return find
+
+
+def _callers(callee):
+    """A finder of the qualified name of the function around each call of ``callee``."""
+    return _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, callee))
+
+
+def _raisers(exc):
+    """A finder of the qualified name of the function around each ``raise exc``."""
+
+    def match(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        return _named(node.exc.func if isinstance(node.exc, ast.Call) else node.exc, exc)
+
+    return _scopes(match)
 
 
 def _scan(find):
@@ -146,6 +165,32 @@ def test_only_cold_brackets_read_tensors():
     assert _scan(_callers("solve_against_basis")) == [
         "presentation.py:DgLaPresentation.basis_bracket",
     ]
+
+
+def test_only_the_series_loop_certifies_nilpotency():
+    # e(theta) and both gauge actions sum one exponential series, whose
+    # loop alone caps its nonzero terms
+    assert _scan(_raisers("NotNilpotent")) == ["expmc.py:_series"]
+
+
+def test_the_scan_names_each_function_that_raises_an_error():
+    source = [
+        "def exp(theta):",
+        "    raise NotNilpotent('theta')",
+        "class Gauge:",
+        "    def act(self):",
+        "        def step(y):",
+        "            raise errors.NotNilpotent",
+        "        return step",
+        "def made_not_raised():",
+        "    return NotNilpotent('kept')",
+        "def other():",
+        "    raise ValueError('NotNilpotent')",
+        "def reraise():",
+        "    raise",
+    ]
+    tree = ast.parse("\n".join(source))
+    assert list(_raisers("NotNilpotent")(tree)) == ["exp", "Gauge.act.step"]
 
 
 def test_the_scan_sees_calls_in_every_scope():
