@@ -25,18 +25,19 @@ from .slices import DgLieSlice
 class Derivation:
     """A degree-homogeneous derivation given by its generator values."""
 
-    __slots__ = ("ambient", "rel", "degree", "values", "_ext", "_mask", "_base", "_brackets")
+    __slots__ = ("ambient", "rel", "degree", "values", "_mask", "_letters", "_ext", "_base",
+                 "_brackets")
 
     def __init__(self, ambient, degree, values, rel=None, check=True):
         self.ambient = ambient
         self.degree = int(degree)
         self.rel = rel
         self.values = {}
-        # the mask of the generators with a value, built on the first
-        # evaluation, and the Leibniz extension with its memo, on the first
-        # that reaches a term: most der_bracket results and units carry none
+        # the mask of the generators with a value; the values' letter masks (first bracket);
+        # the Leibniz extension (first evaluation reaching a term: most brackets never do)
+        self._mask = 0
+        self._letters = None
         self._ext = None
-        self._mask = None
         # (base, q) when this is q * base for a nonzero q (see ``scale``)
         self._base = None
         # {id(psi): (psi, [self, psi])}, filled by der_bracket
@@ -54,6 +55,7 @@ class Derivation:
                         "/values/%s" % name,
                     )
                 self.values[name] = v
+                self._mask |= 1 << ambient.generators.index[name]
         if check and rel is not None:
             self._verify_rel()
 
@@ -142,42 +144,25 @@ class Derivation:
 def _reached_eval(th, e, source, target, along=None):
     """th(e) by th's Leibniz extension (along m), on the terms of e that th reaches.
 
-    A derivation or f-derivation that vanishes off a set S of generators
-    kills every basis tree with no letter in S (the Leibniz rule, induction
-    on the tree).  So th(e) is th at the part of e on the trees whose letter
-    mask meets th's generator mask, or the shared zero when that part is
-    empty: the image the whole of e gives, entry for entry.  The mask is
-    built on the first call, and th's one extension, whose memo holds th's
-    image of every basis tree it has reached, on the first that reaches a
-    term.  A one-term part c * b gives b's memoized image, scaled as
-    ``add_scaled`` scales it (as is when c is 1: callers must not mutate
-    it).  ``_reached_add`` is the same evaluation, added into a dict.
+    That is th at the part of e that ``DgLaPresentation.reach`` keeps for
+    th's generators, or the shared zero when it is empty: the image the
+    whole of e gives, entry for entry.  th's one extension, whose memo holds
+    th's image of every basis tree it has reached, is built on the first
+    call that reaches a term.  A one-term part 1 * b gives b's memoized
+    image as is (callers must not mutate it).  ``_reached_add`` is the same
+    evaluation, added into a dict.
     """
-    if e.presentation is not source:
-        raise ValueError("element not in the map's source presentation")
-    mask = th._mask
-    if mask is None:
-        index = source.generators.index
-        mask = th._mask = sum(1 << index[n] for n in th.values)
+    part, rest = source.reach(e, th._mask)
     zero = target.zero(e.degree + th.degree)
-    masks = source.letter_masks(e.degree)
-    part = {i: c for i, c in e.coords.items() if masks[i] & mask}
     if not part:
         return zero
     ext = th._ext
     if ext is None:
         ext = th._ext = leibniz_extension(source, target, th.degree, th.values.get, along=along)
-    if len(part) == 1:
-        ((i, c),) = part.items()
-        image = ext.tree(source.lie_basis(e.degree)[i].tree)
-        if not image.coords:
-            return zero
-        if c == 1:
-            return image
-        coords = image.coords.items()
-        scaled = {k: -x for k, x in coords} if c == -1 else {k: x * c for k, x in coords}
-        return LieElement._trusted(target, image.degree, scaled)
-    if len(part) < len(e.coords):
+    if len(part) == 1 and 1 in part.values():
+        image = ext.tree(source.lie_basis(e.degree)[next(iter(part))].tree)
+        return image if image.coords else zero
+    if rest:
         e = LieElement._trusted(source, e.degree, part)
     return ext(e, zero)
 
@@ -190,15 +175,16 @@ def _reached_add(out, c, th, e, source, target, along=None, q=None):
     x ints, adds th's memoized image of b times c q x; any other v is built.
     """
     ext = th._ext
-    if ext is not None and e.presentation is source:
-        masks = source.letter_masks(e.degree)
-        part = [(i, x) for i, x in e.coords.items() if masks[i] & th._mask]
+    if ext is not None:
+        part, _ = source.reach(e, th._mask)
         if not part:
             return
-        f = c * part[0][1] * (1 if q is None else q)
-        if len(part) == 1 and type(f) is int:
-            accumulate(out, f, ext.tree(source.lie_basis(e.degree)[part[0][0]].tree).coords)
-            return
+        if len(part) == 1:
+            ((i, x),) = part.items()
+            f = c * x * (1 if q is None else q)
+            if type(f) is int:
+                accumulate(out, f, ext.tree(source.lie_basis(e.degree)[i].tree).coords)
+                return
     v = _reached_eval(th, e, source, target, along)
     accumulate(out, c, (v if q is None else v.scale(q)).coords)
 
@@ -237,16 +223,21 @@ def _bracket_slots(theta, psi):
     """[(n, coords)] for each generator n where theta or psi is nonzero, in order.
 
     coords holds theta(psi n) - (-1)^{|theta||psi|} psi(theta n), zeros kept:
-    each term, where its inner value is nonzero, added by ``add_eval_at``.
+    each term added by ``add_eval_at`` where the letters of its inner value
+    meet the outer derivation's generators, and skipped, as zero, elsewhere.
     """
     sign = 1 if (theta.degree * psi.degree) % 2 else -1
+    for th in (theta, psi):
+        if th._letters is None:
+            th._letters = {n: th.ambient.letters(v) for n, v in th.values.items()}
+    lt, lp = theta._letters, psi._letters
     slots = []
     for n, _ in theta.ambient.generators.entries:
-        if n in psi.values or n in theta.values:
+        if n in lp or n in lt:
             out = {}
-            if n in psi.values:
+            if lp.get(n, 0) & theta._mask:
                 theta.add_eval_at(out, 1, psi.values[n])
-            if n in theta.values:
+            if lt.get(n, 0) & psi._mask:
                 psi.add_eval_at(out, sign, theta.values[n])
             slots.append((n, out))
     return slots
@@ -594,7 +585,7 @@ class FDerivation:
         self.degree = int(degree)
         self.values = {}
         self._ext = None
-        self._mask = None
+        self._mask = 0
         src = morphism.source
         tgt = morphism.target
         for name, v in values.items():
@@ -604,6 +595,7 @@ class FDerivation:
                 if v.degree != expected:
                     raise ValueError("f-derivation value degree mismatch at %r" % name)
                 self.values[name] = v
+                self._mask |= 1 << src.generators.index[name]
 
     def eval_at(self, e):
         """Twisted Leibniz extension: th[u,v] = [th u, m v] + (-1)^{n|u|}[m u, th v].

@@ -335,7 +335,7 @@ class PolyLie:
         parts = ({}, {})
         for c, v in chain(((1, self),), terms):
             if not v.is_zero():
-                degree = common_degree(degree, v)
+                degree = common_degree(degree, v.degree)
                 for part, vpart in zip(parts, (v.p, v.q)):
                     for k, x in vpart.items():
                         part.setdefault(k, []).append((c, x))

@@ -164,16 +164,16 @@ def tree_word(tree):
     return tree_word(tree[0]) + tree_word(tree[1])
 
 
-def expand_tree(tree, degrees, memo=None):
+def expand_tree(tree, degrees, memo=None, factor_degrees=None):
     """Tensor-algebra expansion of a bracket tree: dict packed word -> int.
 
     A subtree found in ``memo`` (tree -> expansion) is taken from it rather
     than expanded again.  The memo is only read here, and the expansion
     returned may be the memo's own dict, so callers must not mutate it.
+    The degrees of the two factors are ``factor_degrees``, or the tree's.
     """
-    width = letter_width(degrees)
     if isinstance(tree, int):
-        return {1 << width | tree: 1}
+        return {1 << letter_width(degrees) | tree: 1}
     if memo is not None:
         got = memo.get(tree)
         if got is not None:
@@ -182,10 +182,10 @@ def expand_tree(tree, degrees, memo=None):
     right = expand_tree(tree[1], degrees, memo)
     if not left or not right:
         return {}
-    # all words of one expansion have the same letters: one length, one degree
+    # all words of one expansion have the same letters, hence one length
     wu, wv = next(iter(left)), next(iter(right))
     su, sv = wu.bit_length() - 1, wv.bit_length() - 1  # bits below the sentinel
-    du, dv = (sum(degrees[i] for i in unpack(w, degrees)) for w in (wu, wv))
+    du, dv = factor_degrees or (tree_degree(tree[0], degrees), tree_degree(tree[1], degrees))
     # i([u,v]) = uv - (-1)^{|u||v|} vu; each v is split into v << su, which
     # heads vu, and its letters alone, which end uv
     vu_sign = 1 if du * dv % 2 else -1
@@ -297,7 +297,8 @@ class BasisMemo:
 
     def product(self, u, v):
         """i([u, v]) for basis elements u and v: one product step on their expansions."""
-        return expand_tree((u.tree, v.tree), self.degrees, {u.tree: u.expansion, v.tree: v.expansion})
+        memo = {u.tree: u.expansion, v.tree: v.expansion}
+        return expand_tree((u.tree, v.tree), self.degrees, memo, (u.degree, v.degree))
 
 
 def witt_dimensions(degrees, top):

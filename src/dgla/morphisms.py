@@ -5,6 +5,8 @@ target; d-compatibility is a checked property (check_morphism), never an
 assumption.  Inversion of relative automorphisms works along the word-length
 filtration: invert the linear part, then correct higher word-length terms
 until the fixpoint (which is reached because degrees are positive).
+``apply`` walks only the terms with a letter that the morphism moves
+(``DgLaPresentation.reach``): it fixes every other basis element.
 """
 
 from . import linalg
@@ -17,7 +19,7 @@ from .errors import (
     json_pointer,
 )
 from .graded import GradedBasis, GradedLinearMap
-from .presentation import GeneratorSplit, TreeMap, linear_part_block
+from .presentation import GeneratorSplit, LieElement, TreeMap, linear_part_block
 
 
 class GeneratorMorphism:
@@ -45,6 +47,9 @@ class GeneratorMorphism:
                     json_pointer("", name),
                 )
             self.images[name] = img
+        # the generators not sent to themselves: every one, between two presentations
+        self._moved = sum(1 << source.generators.index[n] for n, img in self.images.items()
+                          if img != source.gen(n))
         self.tree_map = TreeMap(
             source, self.images.__getitem__, lambda u, v, f: target.bracket(f(u), f(v))
         )
@@ -54,8 +59,17 @@ class GeneratorMorphism:
         return cls(p, p, {n: p.gen(n) for n, _ in p.generators.entries})
 
     def apply(self, x):
-        """Image of an element: substitute generator images, renormalize."""
-        return self.tree_map(x, self.target.zero(x.degree))
+        """Image of an element: substitute generator images, renormalize.
+
+        Only the terms whose letters meet a moved generator are walked
+        (``DgLaPresentation.reach``); the rest are kept as they are.
+        """
+        reached, out = self.source.reach(x, self._moved)
+        if not reached:
+            return x if out else self.target.zero(x.degree)
+        for c, v in self.tree_map.terms(x.degree, reached):
+            linalg.accumulate(out, c, v.coords)
+        return LieElement._trusted(self.target, x.degree, linalg.nonzeros(out))
 
     def compose(self, other):
         """self after other (other's target must be self's source)."""

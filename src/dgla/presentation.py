@@ -64,11 +64,11 @@ class ElementGenerated:
         return "ElementGenerated(<%d elements>)" % len(self.elements)
 
 
-def common_degree(degree, v):
-    """The degree of a sum so far (None before its first nonzero summand) with v added."""
-    if degree is not None and v.degree != degree:
-        raise InhomogeneousExpression("cannot add degrees %d and %d" % (degree, v.degree))
-    return v.degree
+def common_degree(degree, d):
+    """The degree of a sum so far (None before its first nonzero term) with a term of degree d."""
+    if degree is not None and d != degree:
+        raise InhomogeneousExpression("cannot add degrees %d and %d" % (degree, d))
+    return d
 
 
 class LieElement:
@@ -131,7 +131,7 @@ class LieElement:
             if v.presentation is not p:
                 raise ValueError("elements of different presentations")
             if v.coords:
-                degree = common_degree(degree, v)
+                degree = common_degree(degree, v.degree)
                 accumulate(out, c, v.coords)
         return LieElement._trusted(p, self.degree if degree is None else degree, nonzeros(out))
 
@@ -180,11 +180,11 @@ class TreeMap:
     """A map given on generators and extended over bracket trees.
 
     ``leaf(name)`` is the image of a generator and ``node(u, v, f)`` the
-    image of the index tree (u, v), where ``f`` maps subtrees.  One image is
-    memoized per index tree for the life of the map, so images must be
-    immutable.  Calling the map on an element of ``source`` sums the tree
-    images over its coordinates in one ``zero.add_scaled`` call, which for
-    Lie elements accumulates them into one coordinate dict.
+    image of the index tree (u, v), where ``f`` maps subtrees; one image is
+    memoized per tree for the map's life, so images must be immutable.  The
+    call on an element of ``source`` sums its tree images (``terms``) with
+    one ``zero.add_scaled``.  d, derivations and morphisms walk trees only
+    on the coordinates that ``DgLaPresentation.reach`` keeps for them.
     """
 
     __slots__ = ("source", "leaf", "node", "memo")
@@ -203,20 +203,24 @@ class TreeMap:
             got = self.memo[itree] = self.node(itree[0], itree[1], self.tree)
         return got
 
+    def terms(self, degree, coords):
+        """The (c, image of basis tree i) over the (i, c) in coordinates of one degree."""
+        basis = self.source.lie_basis(degree)
+        return ((c, self.tree(basis[i].tree)) for i, c in coords.items())
+
     def __call__(self, x, zero):
         if x.presentation is not self.source:
             raise ValueError("element not in the map's source presentation")
-        basis = self.source.lie_basis(x.degree)
-        return zero.add_scaled((c, self.tree(basis[i].tree)) for i, c in x.coords.items())
+        return zero.add_scaled(self.terms(x.degree, x.coords))
 
 
 def leibniz_extension(source, target, degree, leaf, along=None):
     """The derivation of a degree with generator values leaf(name), None for 0.
 
     Extended by th[u,v] = [th u, m v] + (-1)^{degree |u|} [m u, th v], where
-    m is the GeneratorMorphism ``along``, or the identity when it is None.
-    Each node is one ``bracket_sum``: both brackets accumulate into one
-    coordinate dict.
+    m is the GeneratorMorphism ``along``, or the identity when it is None;
+    each node is one ``bracket_sum`` into one coordinate dict.  It kills
+    every basis tree with no letter where leaf is not None (``reach``).
     """
     m = source.tree_element if along is None else along.tree_map.tree
     degrees = source._deg_list
@@ -290,6 +294,7 @@ class DgLaPresentation:
             elt = self.normal_form(value)
             if not elt.is_zero():
                 self.differential[name] = elt
+        self._d_mask = sum(1 << self.generators.index[n] for n in self.differential)
         subs = {name: self._normalize_sub(spec) for name, spec in (subalgebras or {}).items()}
         self.subalgebras = MappingProxyType(subs)
 
@@ -348,6 +353,27 @@ class DgLaPresentation:
             got = self._letter_masks[degree] = [mask(b.tree) for b in self.lie_basis(degree)]
         return got
 
+    def letters(self, x):
+        """The generators at the leaves of x's terms, as a bitmask (see ``letter_masks``)."""
+        masks, out = self.letter_masks(x.degree), 0
+        for i in x.coords:
+            out |= masks[i]
+        return out
+
+    def reach(self, x, mask):
+        """(reached, rest): x's coordinates split by whether a tree's letters meet ``mask``.
+
+        By the Leibniz rule and induction on the tree, a derivation (or d)
+        vanishing on the generators off ``mask`` kills the rest, and a Lie
+        endomorphism fixing them fixes it.
+        """
+        if x.presentation is not self:
+            raise ValueError("element not in the map's source presentation")
+        masks, split = self.letter_masks(x.degree), ({}, {})
+        for i, c in x.coords.items():
+            split[not masks[i] & mask][i] = c
+        return split
+
     def tree_names(self, tree):
         """Convert an index tree to a name tree."""
         if isinstance(tree, int):
@@ -399,13 +425,7 @@ class DgLaPresentation:
             if coeff == 0:
                 continue
             itree = self.tree_indices(tree)
-            d = freelie.tree_degree(itree, self._deg_list)
-            if degree is None:
-                degree = d
-            elif d != degree:
-                raise InhomogeneousExpression(
-                    "terms of degrees %d and %d" % (degree, d)
-                )
+            degree = common_degree(degree, freelie.tree_degree(itree, self._deg_list))
             pairs.append((coeff, itree))
         if degree is None:
             return self.zero()
@@ -480,10 +500,7 @@ class DgLaPresentation:
                 first = dx + dy
             if not (x.coords and y.coords):
                 continue
-            if degree is None:
-                degree = dx + dy
-            elif dx + dy != degree:
-                raise InhomogeneousExpression("cannot add degrees %d and %d" % (degree, dx + dy))
+            degree = common_degree(degree, dx + dy)
             ycoords = y.coords.items()
             for i, ci in x.coords.items():
                 if c != 1:
@@ -504,8 +521,14 @@ class DgLaPresentation:
         return self._d.tree(itree)
 
     def differential_of(self, x):
-        """The differential as a degree -1 derivation, applied to an element."""
-        return self._d(x, self.zero(x.degree - 1))
+        """The differential as a degree -1 derivation, applied to an element.
+
+        Read only on the terms whose letters meet a generator with d != 0
+        (``reach``): with d = 0 it is the shared zero, and no tree is walked.
+        """
+        reached, _ = self.reach(x, self._d_mask)
+        zero = self.zero(x.degree - 1)
+        return zero.add_scaled(self._d.terms(x.degree, reached)) if reached else zero
 
     # -- designated subalgebras -------------------------------------------------
 
@@ -518,9 +541,7 @@ class DgLaPresentation:
 
     def in_generator_span(self, x, names):
         """Membership in the free subalgebra on a generator subset."""
-        outside = ~sum(1 << self.generators.index[n] for n in set(names))
-        masks = self.letter_masks(x.degree)
-        return not any(masks[i] & outside for i in x.coords)
+        return not self.letters(x) & ~sum(1 << self.generators.index[n] for n in set(names))
 
     def subalgebra_span(self, elements, degree):
         """Span of the Lie subalgebra generated by elements, in one degree.
@@ -565,10 +586,8 @@ class DgLaPresentation:
         """
         def unclosed(spec):
             if isinstance(spec, GeneratorSplit):
-                for n in spec.names:
-                    dv = self.d_gen(n)
-                    if not dv.is_zero() and not self.in_generator_span(dv, spec.names):
-                        yield n
+                yield from (n for n in spec.names
+                            if not self.in_generator_span(self.d_gen(n), spec.names))
                 return
             for k, e in enumerate(spec.elements):
                 de = self.differential_of(e)

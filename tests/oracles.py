@@ -858,7 +858,7 @@ def reference_add_scaled(x, terms):
         if v.presentation is not p:
             raise ValueError("elements of different presentations")
         if v.coords:
-            degree = common_degree(degree, v)
+            degree = common_degree(degree, v.degree)
             vectors.append((c, v.coords))
     return LieElement._trusted(p, x.degree if degree is None else degree,
                                linalg.combination(vectors))

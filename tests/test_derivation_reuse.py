@@ -1,7 +1,7 @@
 """Derivations reuse their own work, against evaluations that reuse nothing.
 
 ``eval_at`` evaluates a derivation only on the terms of its element whose
-trees it reaches (``DgLaPresentation.letter_masks``), a multiple q * theta
+trees it reaches (``DgLaPresentation.reach``), a multiple q * theta
 through theta, and ``der_bracket`` takes each bracket of two operands once.
 ``oracles.unrestricted_eval_at`` evaluates a derivation's own values on the
 whole element with a new Leibniz extension, and ``oracles.reference_leibniz``

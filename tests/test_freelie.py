@@ -399,10 +399,10 @@ def _building(monkeypatch):
     built = []
     expand = freelie.expand_tree
 
-    def counting(tree, degrees, memo=None):
+    def counting(tree, degrees, memo=None, factor_degrees=None):
         if not isinstance(tree, int) and (memo is None or tree not in memo):
             built.append(tree)
-        return expand(tree, degrees, memo)
+        return expand(tree, degrees, memo, factor_degrees)
 
     monkeypatch.setattr(freelie, "expand_tree", counting)
     return built

@@ -142,6 +142,16 @@ def test_each_derivation_has_one_leibniz_extension():
     ]
 
 
+def test_only_the_presentation_reads_letter_masks():
+    # one reach filter: derivations, the differential and morphisms split an
+    # element's terms through DgLaPresentation.reach (and value masks through
+    # letters), never through a filter of their own over the mask list
+    assert _scan(_callers("letter_masks")) == [
+        "presentation.py:DgLaPresentation.letters",
+        "presentation.py:DgLaPresentation.reach",
+    ]
+
+
 def test_generators_are_renamed_only_by_the_pushout():
     # gluing is one construction: a boundary connected sum is the pushout
     # along the empty sub, and every factor map is an inclusion morphism
