@@ -45,14 +45,13 @@ class Derivation:
         for name, v in values.items():
             if name not in ambient.generators.index:
                 raise ValueError("value on unknown generator %r" % name)
-            v = ambient.normal_form(v)
+            at = "/values/%s" % name
+            v = ambient.normal_form_at(v, at)
             if not v.is_zero():
                 expected = ambient.generators.degree(name) + self.degree
                 if v.degree != expected:
                     raise SchemaError(
-                        "value on %r has degree %d, expected %d"
-                        % (name, v.degree, expected),
-                        "/values/%s" % name,
+                        "value on %r has degree %d, expected %d" % (name, v.degree, expected), at
                     )
                 self.values[name] = v
                 self._mask |= 1 << ambient.generators.index[name]
@@ -92,8 +91,8 @@ class Derivation:
 
     def scale(self, q):
         """q * self.  For q != 0 it records (base, q), nested scales multiplied
-        into one factor, and evaluates as q times its base (``eval_at``): so
-        -theta, the inverse of e(theta), reuses every tree theta has walked.
+        into one factor, and evaluates as q times its base (``add_eval_at``):
+        so -theta, the inverse of e(theta), reuses every tree theta has walked.
         """
         q = exact(q)
         out = Derivation(
@@ -127,66 +126,37 @@ class Derivation:
     def eval_at(self, e):
         """Leibniz extension of the generator values, in normal form.
 
-        Evaluated only on the terms of e that the derivation reaches
-        (``_reached_eval``); a multiple q * base is q times base(e).
+        ``add_eval_at`` into a fresh sum, built into one element; the shared
+        zero when nothing is left.
         """
-        if self._base is not None:
-            base, q = self._base
-            return base.eval_at(e).scale(q)
-        return _reached_eval(self, e, self.ambient, self.ambient)
+        out, p, degree = {}, self.ambient, e.degree + self.degree
+        self.add_eval_at(out, 1, e)
+        coords = nonzeros(out)
+        return LieElement._trusted(p, degree, coords) if coords else p.zero(degree)
 
     def add_eval_at(self, out, c, e):
-        """Add c * self(e) into ``out`` (``_reached_add``); a multiple adds through its base."""
-        base, q = self._base or (self, None)
-        _reached_add(out, c, base, e, self.ambient, self.ambient, q=q)
+        """Add c * self(e) into ``out`` (``_reached_add``); q * base adds c q * base(e)."""
+        base, q = self._base or (self, 1)
+        _reached_add(out, c * q, base, e, self.ambient, self.ambient)
 
 
-def _reached_eval(th, e, source, target, along=None):
-    """th(e) by th's Leibniz extension (along m), on the terms of e that th reaches.
+def _reached_add(out, c, th, e, source, target, along=None):
+    """out += c * th(e), by th's Leibniz extension (along m), on the terms of e th reaches.
 
-    That is th at the part of e that ``DgLaPresentation.reach`` keeps for
-    th's generators, or the shared zero when it is empty: the image the
-    whole of e gives, entry for entry.  th's one extension, whose memo holds
+    Those are the terms ``DgLaPresentation.reach`` keeps for th's
+    generators; th kills the rest.  th's one extension, whose memo holds
     th's image of every basis tree it has reached, is built on the first
-    call that reaches a term.  A one-term part 1 * b gives b's memoized
-    image as is (callers must not mutate it).  ``_reached_add`` is the same
-    evaluation, added into a dict.
+    call that reaches a term, and each reached term x * b adds c x times
+    b's memoized image: no element is built.
     """
-    part, rest = source.reach(e, th._mask)
-    zero = target.zero(e.degree + th.degree)
+    part, _ = source.reach(e, th._mask)
     if not part:
-        return zero
+        return
     ext = th._ext
     if ext is None:
         ext = th._ext = leibniz_extension(source, target, th.degree, th.values.get, along=along)
-    if len(part) == 1 and 1 in part.values():
-        image = ext.tree(source.lie_basis(e.degree)[next(iter(part))].tree)
-        return image if image.coords else zero
-    if rest:
-        e = LieElement._trusted(source, e.degree, part)
-    return ext(e, zero)
-
-
-def _reached_add(out, c, th, e, source, target, along=None, q=None):
-    """out += c * v for v = th(e) or q th(e): ``_reached_eval`` into a coordinate dict.
-
-    Adds what ``accumulate(out, c, v.coords)`` adds, in order and type.
-    Once th has its extension, a one-term reached part x * b, with c, q and
-    x ints, adds th's memoized image of b times c q x; any other v is built.
-    """
-    ext = th._ext
-    if ext is not None:
-        part, _ = source.reach(e, th._mask)
-        if not part:
-            return
-        if len(part) == 1:
-            ((i, x),) = part.items()
-            f = c * x * (1 if q is None else q)
-            if type(f) is int:
-                accumulate(out, f, ext.tree(source.lie_basis(e.degree)[i].tree).coords)
-                return
-    v = _reached_eval(th, e, source, target, along)
-    accumulate(out, c, (v if q is None else v.scale(q)).coords)
+    for x, image in ext.terms(e.degree, part):
+        accumulate(out, c * x, image.coords)
 
 
 def der_bracket(theta, psi):
@@ -418,7 +388,8 @@ class DerSlice(DgLieSlice):
     differential and bracket are realized as exact matrices and memoized
     tables in the subspace coordinates.  The structure constants sum the
     tree images memoized by each basis derivation's one Leibniz extension,
-    kept for the slice's life (``add_eval_at``): no element per pair or term.
+    kept for the slice's life, through the one evaluator ``add_eval_at``
+    (``eval_at`` adds into a fresh sum): no element per pair or term.
     """
 
     def __init__(self, p, rel, window, spaces, layouts, zero_below=False):
@@ -600,10 +571,13 @@ class FDerivation:
     def eval_at(self, e):
         """Twisted Leibniz extension: th[u,v] = [th u, m v] + (-1)^{n|u|}[m u, th v].
 
-        Evaluated only on the terms of e that th reaches (``_reached_eval``).
+        Added into a fresh sum on the terms of e that th reaches
+        (``_reached_add``), and built into one element.
         """
-        m = self.morphism
-        return _reached_eval(self, e, m.source, m.target, m)
+        m, out, degree = self.morphism, {}, e.degree + self.degree
+        _reached_add(out, 1, self, e, m.source, m.target, m)
+        coords = nonzeros(out)
+        return LieElement._trusted(m.target, degree, coords) if coords else m.target.zero(degree)
 
 
 def f_der_dims(m, rel_source, window):

@@ -431,11 +431,10 @@ def load_homotopy(obj):
     def part(powers, degree, pointer):
         out = {}
         for k, terms in powers.items():
-            v = out[int(k)] = tgt.normal_form(terms)
+            at = _at(pointer, k)
+            v = out[int(k)] = tgt.normal_form_at(terms, at)
             if not v.is_zero() and v.degree != degree:
-                raise SchemaError(
-                    "expected degree %d, got %d" % (degree, v.degree), _at(pointer, k)
-                )
+                raise SchemaError("expected degree %d, got %d" % (degree, v.degree), at)
         return out
 
     h = {}

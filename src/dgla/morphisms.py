@@ -39,12 +39,12 @@ class GeneratorMorphism:
         for name, img in images.items():
             if name not in source.generators.index:
                 raise ValueError("image for unknown generator %r" % name)
-            img = target.normal_form(img)
+            at = json_pointer("", name)
+            img = target.normal_form_at(img, at)
             degree = source.generators.degree(name)
             if not img.is_zero() and img.degree != degree:
                 raise SchemaError(
-                    "image of %r has degree %d, not %d" % (name, img.degree, degree),
-                    json_pointer("", name),
+                    "image of %r has degree %d, not %d" % (name, img.degree, degree), at
                 )
             self.images[name] = img
         # the generators not sent to themselves: every one, between two presentations

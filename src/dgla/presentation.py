@@ -39,6 +39,7 @@ from .errors import (
     UnsupportedSub,
     ValidationReport,
     check_row,
+    json_pointer,
 )
 from .graded import ChainComplexSlice, GradedBasis
 from .linalg import accumulate, exact, nonzeros
@@ -291,16 +292,16 @@ class DgLaPresentation:
         for name, value in (differential or {}).items():
             if name not in self.generators.index:
                 raise UnknownGenerator("differential on unknown generator %r" % name)
-            elt = self.normal_form(value)
+            elt = self.normal_form_at(value, json_pointer("/differential", name))
             if not elt.is_zero():
                 self.differential[name] = elt
         self._d_mask = sum(1 << self.generators.index[n] for n in self.differential)
-        subs = {name: self._normalize_sub(spec) for name, spec in (subalgebras or {}).items()}
+        subs = {name: self._normalize_sub(name, spec) for name, spec in (subalgebras or {}).items()}
         self.subalgebras = MappingProxyType(subs)
 
     # -- construction helpers ------------------------------------------------
 
-    def _normalize_sub(self, spec):
+    def _normalize_sub(self, name, spec):
         if isinstance(spec, dict) and "generators" in spec:
             spec = GeneratorSplit(spec["generators"])
         elif isinstance(spec, dict) and "elements" in spec:
@@ -308,7 +309,9 @@ class DgLaPresentation:
         elif not isinstance(spec, (GeneratorSplit, ElementGenerated)):
             raise ValueError("bad subalgebra spec %r" % (spec,))
         if isinstance(spec, ElementGenerated):
-            return ElementGenerated([self.normal_form(e) for e in spec.elements])
+            at = json_pointer("/subalgebras", name, "elements")
+            return ElementGenerated([self.normal_form_at(e, json_pointer(at, k))
+                                     for k, e in enumerate(spec.elements)])
         for n in spec.names:
             if n not in self.generators.index:
                 raise UnknownGenerator("subalgebra generator %r unknown" % n)
@@ -433,6 +436,16 @@ class DgLaPresentation:
         # the public constructor stores an integral sum of Fractions as an int
         return LieElement(self, degree, x.coords)
 
+    def normal_form_at(self, expression, pointer):
+        """``normal_form`` of an input's value at the JSON ``pointer``.
+
+        A value that mixes degrees is malformed input: a SchemaError there.
+        """
+        try:
+            return self.normal_form(expression)
+        except InhomogeneousExpression as e:
+            raise SchemaError(str(e), pointer) from None
+
     def tree_element(self, itree):
         """Normal form of one index tree (memoized)."""
         return self._tree_elements.tree(itree)
@@ -524,10 +537,12 @@ class DgLaPresentation:
         """The differential as a degree -1 derivation, applied to an element.
 
         Read only on the terms whose letters meet a generator with d != 0
-        (``reach``): with d = 0 it is the shared zero, and no tree is walked.
+        (``reach``): with d = 0 it is the shared zero, and x is not split.
         """
-        reached, _ = self.reach(x, self._d_mask)
+        if x.presentation is not self:
+            raise ValueError("element not in this presentation")
         zero = self.zero(x.degree - 1)
+        reached = self._d_mask and self.reach(x, self._d_mask)[0]
         return zero.add_scaled(self._d.terms(x.degree, reached)) if reached else zero
 
     # -- designated subalgebras -------------------------------------------------

@@ -531,6 +531,20 @@ _NESTED = "[" * 3000 + "a" + ",a]" * 3000
             },
             "at /generators/0/degree",
         ),
+        (
+            {
+                "generators": [{"name": "a", "degree": 2}, {"name": "b", "degree": 3}],
+                "differential": {"b": "a + [a,a]"},
+            },
+            "at /differential/b",
+        ),
+        (
+            {
+                "generators": [{"name": "a", "degree": 2}, {"name": "b", "degree": 3}],
+                "subalgebras": {"s": {"elements": ["[a,b]", "a + [a,a]"]}},
+            },
+            "at /subalgebras/s/elements/1",
+        ),
     ],
 )
 def test_malformed_presentation_is_exit_2(tmp_path, capsys, obj, where):
@@ -543,8 +557,8 @@ def test_malformed_presentation_is_exit_2(tmp_path, capsys, obj, where):
 
 @pytest.mark.parametrize(
     "differential",
-    [{"b": "[a,zz]"}, {"zz": "[a,b]"}],
-    ids=["unknown-in-value", "unknown-key"],
+    [{"b": "[a,zz]"}, {"zz": "[a,b]"}, {"b": "a + [a,b]"}],
+    ids=["unknown-in-value", "unknown-key", "inhomogeneous-value"],
 )
 @pytest.mark.parametrize(
     "command", [["model"], ["xi", "--min", "0", "--max", "3"]], ids=["model", "xi"]
@@ -614,6 +628,13 @@ _TWISTED9_G = ["g", "presentation_twisted9.json", "--sub", "omega", "--min", "0"
         ("homotopy_interp.json", ["h", "u", "one", "1"], "w", ["homotopy", "@"],
          "/h/u/one/1"),
         ("homotopy_interp.json", ["h", "u", "dt", "0"], "z", ["homotopy", "@"], "/h/u/dt/0"),
+        ("exp_derivation.json", ["values", "b"], "a + [a,b]",
+         ["exp", "presentation_w11.json", "--derivation", "@"], "/values/b"),
+        ("homotopy_interp.json", ["f", "u"], "z + [z,w]", ["homotopy", "@"], "/f/u"),
+        ("homotopy_interp.json", ["h", "u", "one", "1"], "z + [z,w]", ["homotopy", "@"],
+         "/h/u/one/1"),
+        ("homotopy_interp.json", ["target", "differential", "w"], "z + [z,z]",
+         ["homotopy", "@"], "/target/differential/w"),
     ],
     ids=["slice-differential", "slice-brackets", "candidate-unknown-name",
          "candidate-wrong-degree", "rho-values", "derivation-values", "huge-degree",
@@ -623,7 +644,9 @@ _TWISTED9_G = ["g", "presentation_twisted9.json", "--sub", "omega", "--min", "0"
          "homotopy-nested-degree", "homotopy-nested-subalgebra", "homotopy-unknown-rel",
          "slice-window-past-max-degree", "candidate-window-past-max-degree",
          "homotopy-f-image-degree", "homotopy-g-image-degree", "homotopy-h-one-degree",
-         "homotopy-h-dt-degree"],
+         "homotopy-h-dt-degree", "derivation-inhomogeneous-value",
+         "homotopy-f-image-inhomogeneous", "homotopy-h-one-inhomogeneous",
+         "homotopy-nested-inhomogeneous-differential"],
 )
 def test_malformed_value_is_exit_2_at_its_pointer(
     tmp_path, capsys, fixture_path, name, path, value, command, pointer

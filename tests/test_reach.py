@@ -140,13 +140,23 @@ def test_pushout_inclusions_match_the_tree_maps(left, right, along):
         _check_d(po, [inc.apply(x) for x in xs])
 
 
-def test_with_zero_differential_no_tree_is_walked():
+def test_with_zero_differential_no_tree_is_walked(monkeypatch):
     rng = random.Random(7)
-    p = _nilpotent()
+    p, q = _nilpotent(), _nilpotent()
     xs = [_random_element(rng, p, d) for d in range(2, 13)]
+
+    def split(*args):
+        raise AssertionError("an element was split")
+
+    # nor is an element split by letters: d = 0 reaches no term
+    monkeypatch.setattr(p, "reach", split)
     for x in xs:
         assert p.differential_of(x) is p.zero(x.degree - 1)
     assert p._d.memo == {}
+    # an element of another presentation is still refused, before anything is read
+    for x in (q.gen("a"), q.zero(2)):
+        with pytest.raises(ValueError):
+            p.differential_of(x)
 
 
 def test_the_identity_returns_its_argument_and_walks_no_tree():

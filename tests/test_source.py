@@ -88,6 +88,21 @@ def _callers(callee):
     return _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, callee))
 
 
+def _function(tree, qualname):
+    """The definition of the function (or class) named ``qualname`` in a module."""
+    node = tree
+    for name in qualname.split("."):
+        node = next(child for child in node.body
+                    if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == name)
+    return node
+
+
+def _callees(node):
+    """The sorted names of the functions that the code under ``node`` calls."""
+    return sorted({getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                   for call in ast.walk(node) if isinstance(call, ast.Call)})
+
+
 def _raisers(exc):
     """A finder of the qualified name of the function around each ``raise exc``."""
 
@@ -134,11 +149,25 @@ def test_builders_pass_zero_below_to_the_constructor():
 
 
 def test_each_derivation_has_one_leibniz_extension():
-    # a derivation is evaluated only through the one extension its eval_at
+    # a derivation is evaluated only through the one extension its evaluator
     # builds; the other extension is the presentation's differential
     assert _scan(_callers("leibniz_extension")) == [
-        "derivations.py:_reached_eval",
+        "derivations.py:_reached_add",
         "presentation.py:DgLaPresentation.__init__",
+    ]
+
+
+def test_every_derivation_evaluation_has_one_entry_point():
+    # eval_at adds into a fresh sum, add_eval_at into the caller's, through
+    # one evaluator that adds memoized tree images and builds no element
+    assert _scan(_callers("_reached_add")) == [
+        "derivations.py:Derivation.add_eval_at",
+        "derivations.py:FDerivation.eval_at",
+    ]
+    with open(os.path.join(SRC, "derivations.py")) as fh:
+        tree = ast.parse(fh.read())
+    assert _callees(_function(tree, "_reached_add")) == [
+        "accumulate", "leibniz_extension", "reach", "terms",
     ]
 
 
@@ -237,6 +266,21 @@ def test_the_scan_names_each_method_that_reads_a_tensor():
         "DgLaPresentation.normal_form",
         "DgLaPresentation.basis_bracket",
     ]
+
+
+def test_the_scan_lists_the_calls_of_one_function():
+    source = [
+        "def f(x):",
+        "    return g(x)",
+        "class C:",
+        "    def m(self, out):",
+        "        for y in self.items():",
+        "            out.add(h(y), [k(z) for z in y])",
+        "        return lambda: f(out)",
+    ]
+    tree = ast.parse("\n".join(source))
+    assert _callees(_function(tree, "f")) == ["g"]
+    assert _callees(_function(tree, "C.m")) == ["add", "f", "h", "items", "k"]
 
 
 def test_the_scan_sees_both_forms_of_true_division():
