@@ -132,10 +132,10 @@ def cmd_ce(args, inputs):
     w = _window(args)
     if args.coeff_dim < 0:
         raise SchemaError("--coeff-dim must be at least 0, not %d" % args.coeff_dim)
-    g = _load(inputs, args.file, io_mod.load_slice_or_presentation)
+    g, doc = _load(inputs, args.file, lambda obj: (io_mod.load_slice_or_presentation(obj), obj))
     if isinstance(g, DgLaPresentation):
         g = presentation_slice(g, 0, args.max)
-    elif g.bounded:
+    elif doc.get("bounded"):
         g = g.pad_to(0, args.max)
     b = ce_cohomology(g, args.coeff_dim, w)
     return {"betti": _betti_table(b)}, []

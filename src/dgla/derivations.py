@@ -28,19 +28,18 @@ class Derivation:
     __slots__ = ("ambient", "rel", "degree", "values", "_mask", "_letters", "_ext", "_base",
                  "_brackets")
 
-    def __init__(self, ambient, degree, values, rel=None, check=True):
+    def __init__(self, ambient, degree, values, rel=None, check=True, base=None):
         self.ambient = ambient
         self.degree = int(degree)
         self.rel = rel
         self.values = {}
-        # the mask of the generators with a value; the values' letter masks (first bracket);
-        # the Leibniz extension (first evaluation reaching a term: most brackets never do)
+        # the mask of the generators with a value; memos made on first use by
+        # the methods named: ``_value_letters``, ``_extension``, ``_bracket``
         self._mask = 0
         self._letters = None
         self._ext = None
         # (base, q) when this is q * base for a nonzero q (see ``scale``)
-        self._base = None
-        # {id(psi): (psi, [self, psi])}, filled by der_bracket
+        self._base = base
         self._brackets = None
         for name, v in values.items():
             if name not in ambient.generators.index:
@@ -95,17 +94,10 @@ class Derivation:
         so -theta, the inverse of e(theta), reuses every tree theta has walked.
         """
         q = exact(q)
-        out = Derivation(
-            self.ambient,
-            self.degree,
-            {n: v.scale(q) for n, v in self.values.items()},
-            rel=self.rel,
-            check=False,
-        )
-        if q:
-            base, factor = self._base or (self, 1)
-            out._base = (base, factor * q)
-        return out
+        base, factor = self._base or (self, 1)
+        vals = {n: v.scale(q) for n, v in self.values.items()}
+        return Derivation(self.ambient, self.degree, vals, rel=self.rel, check=False,
+                          base=(base, factor * q) if q else None)
 
     def _compat(self, other):
         if self.ambient is not other.ambient:
@@ -137,25 +129,43 @@ class Derivation:
     def add_eval_at(self, out, c, e):
         """Add c * self(e) into ``out`` (``_reached_add``); q * base adds c q * base(e)."""
         base, q = self._base or (self, 1)
-        _reached_add(out, c * q, base, e, self.ambient, self.ambient)
+        _reached_add(out, c * q, base, e, self.ambient)
+
+    def _extension(self):
+        """The one Leibniz extension, made on the first evaluation that reaches a term."""
+        if self._ext is None:
+            self._ext = leibniz_extension(self.ambient, self.ambient, self.degree, self.values.get)
+        return self._ext
+
+    def _value_letters(self):
+        """{n: letter mask of self(n)}, made on the first bracket (``_bracket_slots``)."""
+        if self._letters is None:
+            self._letters = {n: self.ambient.letters(v) for n, v in self.values.items()}
+        return self._letters
+
+    def _bracket(self, psi):
+        """[self, psi] (``_der_bracket``), held in {id(psi): (psi, [self, psi])} once taken."""
+        if self._brackets is None:
+            self._brackets = {}
+        hit = self._brackets.get(id(psi))
+        if hit is None:
+            hit = self._brackets[id(psi)] = (psi, _der_bracket(self, psi))
+        return hit[1]
 
 
-def _reached_add(out, c, th, e, source, target, along=None):
-    """out += c * th(e), by th's Leibniz extension (along m), on the terms of e th reaches.
+def _reached_add(out, c, th, e, source):
+    """out += c * th(e), by th's Leibniz extension, on the terms of e (in source) th reaches.
 
     Those are the terms ``DgLaPresentation.reach`` keeps for th's
-    generators; th kills the rest.  th's one extension, whose memo holds
-    th's image of every basis tree it has reached, is built on the first
-    call that reaches a term, and each reached term x * b adds c x times
-    b's memoized image: no element is built.
+    generators; th kills the rest.  th's one extension (``_extension``),
+    whose memo holds th's image of every basis tree it has reached, is
+    built on the first call that reaches a term, and each reached term
+    x * b adds c x times b's memoized image: no element is built.
     """
     part, _ = source.reach(e, th._mask)
     if not part:
         return
-    ext = th._ext
-    if ext is None:
-        ext = th._ext = leibniz_extension(source, target, th.degree, th.values.get, along=along)
-    for x, image in ext.terms(e.degree, part):
+    for x, image in th._extension().terms(e.degree, part):
         accumulate(out, c * x, image.coords)
 
 
@@ -171,13 +181,7 @@ def der_bracket(theta, psi):
         raise SubMismatch("derivations on different presentations")
     if theta.rel != psi.rel:
         raise SubMismatch("derivations relative to different subs")
-    memo = theta._brackets
-    if memo is None:
-        memo = theta._brackets = {}
-    hit = memo.get(id(psi))
-    if hit is None:
-        hit = memo[id(psi)] = (psi, _der_bracket(theta, psi))
-    return hit[1]
+    return theta._bracket(psi)
 
 
 def _der_bracket(theta, psi):
@@ -197,10 +201,7 @@ def _bracket_slots(theta, psi):
     meet the outer derivation's generators, and skipped, as zero, elsewhere.
     """
     sign = 1 if (theta.degree * psi.degree) % 2 else -1
-    for th in (theta, psi):
-        if th._letters is None:
-            th._letters = {n: th.ambient.letters(v) for n, v in th.values.items()}
-    lt, lp = theta._letters, psi._letters
+    lt, lp = theta._value_letters(), psi._value_letters()
     slots = []
     for n, _ in theta.ambient.generators.entries:
         if n in lp or n in lt:
@@ -216,22 +217,21 @@ def _bracket_slots(theta, psi):
 def der_differential(theta):
     """D(theta) = d.theta - (-1)^{|theta|} theta.d, again rel the same sub.
 
-    On a generator n this is d(theta n) - (-1)^{|theta|} theta(dn); the
-    first term is evaluated only where theta n is nonzero and the second
-    only where dn is, and a generator with neither is skipped.
+    On a generator n this is d(theta n) - (-1)^{|theta|} theta(dn), one
+    sum: d(theta n)'s coordinates, where theta n is nonzero, with
+    theta(dn) added into them (``add_eval_at``) where dn is.  A generator
+    with neither is skipped.
     """
     p = theta.ambient
     sign = -1 if theta.degree % 2 else 1
     degree = theta.degree - 1
     vals = {}
     for n, deg in p.generators.entries:
-        terms = []
-        if n in theta.values:
-            terms.append((1, p.differential_of(theta.values[n])))
-        if n in p.differential:
-            terms.append((-sign, theta.eval_at(p.differential[n])))
-        if terms:
-            vals[n] = p.zero(deg + degree).add_scaled(terms)
+        if n in theta.values or n in p.differential:
+            out = dict(p.differential_of(theta.values[n]).coords) if n in theta.values else {}
+            if n in p.differential:
+                theta.add_eval_at(out, -sign, p.differential[n])
+            vals[n] = LieElement._trusted(p, deg + degree, nonzeros(out))
     return Derivation(p, degree, vals, rel=theta.rel, check=False)
 
 
@@ -575,9 +575,16 @@ class FDerivation:
         (``_reached_add``), and built into one element.
         """
         m, out, degree = self.morphism, {}, e.degree + self.degree
-        _reached_add(out, 1, self, e, m.source, m.target, m)
+        _reached_add(out, 1, self, e, m.source)
         coords = nonzeros(out)
         return LieElement._trusted(m.target, degree, coords) if coords else m.target.zero(degree)
+
+    def _extension(self):
+        """The one twisted Leibniz extension, made on the first evaluation that reaches a term."""
+        m = self.morphism
+        if self._ext is None:
+            self._ext = leibniz_extension(m.source, m.target, self.degree, self.values.get, along=m)
+        return self._ext
 
 
 def f_der_dims(m, rel_source, window):

@@ -31,7 +31,7 @@ from .errors import (
     check_row,
 )
 from .linalg import combination, exact, extend_independent
-from .morphisms import GeneratorMorphism, check_morphism
+from .morphisms import GeneratorMorphism
 from .presentation import GeneratorSplit, TreeMap, common_degree
 from .slices import SliceElement
 
@@ -228,9 +228,9 @@ def exp_automorphism(theta):
     fixed (its series ends at the first step) and is not evaluated.  The
     result is an automorphism, and it commutes with d exactly when theta is
     a cycle; check_morphism certifies that, and that e(theta) fixes theta's
-    sub (AxiomFailure otherwise), and the returned morphism keeps that
-    report as ``report``.  A derivation of nonzero degree is a SchemaError
-    at its "degree" key.
+    sub (AxiomFailure otherwise), once, as the returned morphism is built
+    with that report as its ``report``.  A derivation of nonzero degree is
+    a SchemaError at its "degree" key.
     """
     p = theta.ambient
     if theta.degree != 0:
@@ -243,8 +243,7 @@ def exp_automorphism(theta):
                             "theta does not act nilpotently on %r" % name)
             x = x.add_scaled(terms)
         images[name] = x
-    f = GeneratorMorphism(p, p, images)
-    f.report = check_morphism(f, fixed_sub=theta.rel)
+    f = GeneratorMorphism(p, p, images, certify=True, fixed_sub=theta.rel)
     if not f.report.passed:
         raise AxiomFailure("exp image fails morphism checks: %r" % f.report.failures())
     return f

@@ -220,7 +220,7 @@ class BasisBracket:
     is zero exactly when the two coefficients cancel.
 
     ``expansion`` is the product of the factors' expansions, built on its
-    first read and then kept in the memo's ``expansions``.
+    first read and then kept in the memo's ``expansions`` (``BasisMemo.expansion``).
     """
 
     __slots__ = ("tree", "degree", "length", "lead", "lead_coeff", "factors", "memo")
@@ -255,12 +255,7 @@ class BasisBracket:
     @property
     def expansion(self):
         """i(b) as {packed word: int}, which callers must not mutate."""
-        if not self.factors:
-            return {self.lead: 1}
-        got = self.memo.expansions.get(self.tree)
-        if got is None:
-            got = self.memo.expansions[self.tree] = self.memo.product(*self.factors)
-        return got
+        return {self.lead: 1} if not self.factors else self.memo.expansion(self)
 
 
 class BasisMemo:
@@ -293,6 +288,13 @@ class BasisMemo:
         got = self.elements.get(tree)
         if got is None:
             got = self.elements[tree] = BasisBracket(tree, self)
+        return got
+
+    def expansion(self, b):
+        """i(b) of a composite basis element b, kept in ``expansions`` once read."""
+        got = self.expansions.get(b.tree)
+        if got is None:
+            got = self.expansions[b.tree] = self.product(*b.factors)
         return got
 
     def product(self, u, v):

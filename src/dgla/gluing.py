@@ -33,8 +33,8 @@ def boundary_connected_sum(m, n):
     built again with the sub "omega" on omega_M + omega_N, which
     ``ManifoldModel`` checks against the sum's omega: omega additivity is
     verified exactly.  The pairing is block diagonal and the Pontryagin
-    values are M's, then N's, in each degree.  The result records the
-    inclusions into its presentation as ``inclusions``.
+    values are M's, then N's, in each degree.  The result is built with
+    M's and N's inclusions into its presentation as its ``inclusions``.
     """
     if m.dimension != n.dimension:
         raise DimensionMismatch(
@@ -53,9 +53,8 @@ def boundary_connected_sum(m, n):
 
     pont = {d: values(m, d) + values(n, d) for d in set(m.pontryagin) | set(n.pontryagin)}
     v = SymplecticGVS(p.generators.entries, -(m.dimension - 2), pairing)
-    out = ManifoldModel(m.dimension, v, p, pont)
-    out.inclusions = tuple(GeneratorMorphism(i.source, p, i.images) for i in (inc_m, inc_n))
-    return out
+    inclusions = tuple(GeneratorMorphism(i.source, p, i.images) for i in (inc_m, inc_n))
+    return ManifoldModel(m.dimension, v, p, pont, inclusions)
 
 
 class HeadlineGluingMap:

@@ -303,7 +303,8 @@ def load_slice(obj):
 
     Brackets may be given in one order; the graded-antisymmetric partner is
     filled in automatically.  "bounded": true asserts the algebra vanishes
-    outside the window (so it may be padded for CE computations).
+    outside the window; the slice does not keep it, and ``ce`` reads it
+    from the file to pad the slice for CE computations.
     """
     return _slice(_walk(SLICE, obj, "", {}))
 
@@ -368,11 +369,9 @@ def _slice(doc):
         if not table.get((dm, j, dn, i)):
             sign = 1 if (dn * dm) % 2 else -1
             table[(dm, j, dn, i)] = {t: sign * c for t, c in vec.items()}
-    slc = DgLieSlice(
+    return DgLieSlice(
         (lo, hi), labels, d_blocks, bracket_fn=lambda n, i, m, j: table.get((n, i, m, j), {})
     )
-    slc.bounded = doc.get("bounded", False)
-    return slc
 
 
 def load_slice_or_presentation(obj):

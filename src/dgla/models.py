@@ -99,12 +99,15 @@ class ManifoldModel:
     are V's basis), and Pontryagin functionals on the degree 4i-1 parts of
     V.  The presentation is built with the designated sub "omega",
     element-generated by omega_V; the model checks that sub (ValueError
-    otherwise) and never writes to the presentation.
+    otherwise) and never writes to the presentation.  A boundary connected
+    sum keeps its summands' inclusions into its presentation as
+    ``inclusions``; another model has none.
     """
 
-    def __init__(self, dimension, v, presentation, pontryagin=None):
+    def __init__(self, dimension, v, presentation, pontryagin=None, inclusions=()):
         self.dimension = int(dimension)
         self.v = v
+        self.inclusions = inclusions
         if v.m != self.dimension - 2:
             raise ValueError("pairing degree must be -(dimension - 2)")
         if presentation.generators != v.basis:
@@ -462,12 +465,26 @@ def outer_action_check(a, window=None):
     ])
 
 
-def semidirect(g, L, a, window=None):
+class SemidirectSlice(DgLieSlice):
+    """g |x L (``semidirect``) with its parts: ``action`` of ``acting`` on ``module``,
+    and ``hom_module``, the ``_HomModule`` L is the module of (None for another L)."""
+
+    def __init__(self, window, labels, d_blocks, bracket_fn, zero_below,
+                 acting, module, action, hom_module=None):
+        super().__init__(window, labels, d_blocks, bracket_fn, zero_below)
+        self.acting = acting
+        self.module = module
+        self.action = action
+        self.hom_module = hom_module
+
+
+def semidirect(g, L, a, window=None, hom_module=None):
     """The twisted semidirect product g |x_chi L of g and an abelian module L.
 
     Bracket [(t,x),(p,y)] = ([t,p], t.y + x.p) and differential
     d(t,x) = (dt, dx + chi(t)), with x.p = -(-1)^{|x||p|} p.x.  Basis per
-    degree: the acting part first, then the module part.
+    degree: the acting part first, then the module part.  The result is a
+    ``SemidirectSlice`` built with g, L, a and ``hom_module``.
 
     With L abelian, d^2 = 0, antisymmetry, Jacobi and Leibniz of the product
     split into blocks, and each block is certified once, never on the
@@ -522,44 +539,34 @@ def semidirect(g, L, a, window=None):
         return {off + k: u for k, u in v.items()}
 
     zero_below = g.zero_below and L.zero_below and g.lo == L.lo == lo
-    slc = DgLieSlice((lo, hi), labels, d_blocks, bracket_fn, zero_below)
-    slc.acting = g
-    slc.module = L
-    slc.action = a
-    return slc
-
-
-def _suspended_hom(p, sub, pi, window):
-    """tau_{>=0} Hom(s indec_sub(p), pi) plus index bookkeeping.
-
-    The suspension has degrees raised by one and differential negated:
-    d(s x) = -s(d x).
-    """
-    basis = GradedBasis(p.nonsub_generators(sub))
-    sbasis = shifted_basis(basis.entries)
-    s_blocks = {}
-    for d in basis.degrees():
-        src, tgt = basis.in_degree(d), basis.in_degree(d - 1)
-        if src and tgt:
-            s_blocks[d + 1] = linear_part_block(lambda n: p.d_gen(n).scale(-1), src, tgt)
-    lo = min(window[0] - 1, -1)
-    full = hom_slice(sbasis, s_blocks, pi, (lo, window[1]))
-    return full.truncate_nonneg(), full, basis
+    return SemidirectSlice((lo, hi), labels, d_blocks, bracket_fn, zero_below,
+                           g, L, a, hom_module)
 
 
 class _HomModule:
     """Bookkeeping for the module tau_{>=0} Hom(s indec_sub(p), pi).
 
     Mediates between the truncated module coordinates used by the semidirect
-    product and the raw Hom coordinates that the action formulas produce.
+    product (``module``, whose degree 0 is the cycles ``z0`` of ``full``)
+    and the raw Hom coordinates of ``full`` that the action formulas
+    produce.  The suspension has degrees raised by one and differential
+    negated: d(s x) = -s(d x).
     """
 
     def __init__(self, p, sub, pi, window):
         self.p = p
         self.sub = sub
         self.pi = pi
-        self.module, self.full, self.indec_basis = _suspended_hom(p, sub, pi, window)
-        self.index = self.full.hom_index
+        basis = self.indec_basis = GradedBasis(p.nonsub_generators(sub))
+        s_blocks = {}
+        for d in basis.degrees():
+            src, tgt = basis.in_degree(d), basis.in_degree(d - 1)
+            if src and tgt:
+                s_blocks[d + 1] = linear_part_block(lambda n: p.d_gen(n).scale(-1), src, tgt)
+        lo = min(window[0] - 1, -1)
+        self.full, self.index = hom_slice(shifted_basis(basis.entries), s_blocks, pi,
+                                          (lo, window[1]))
+        self.module, self.z0 = self.full.truncate_nonneg()
         # (degree, raw position) -> (source name, target name)
         self.functional = {(d, pos): (s, t) for (d, s, t), pos in self.index.items()}
 
@@ -567,13 +574,13 @@ class _HomModule:
         """The sparse raw Hom coordinates of module basis element j in degree m."""
         if m > 0:
             return {j: 1}
-        return self.module.z0.vectors[j]
+        return self.z0.vectors[j]
 
     def to_module_coords(self, m, raw):
         """The sparse module coordinates of sparse raw Hom coordinates in degree m."""
         if m > 0:
             return raw
-        c = self.module.z0.coords(raw)
+        c = self.z0.coords(raw)
         if c is None:
             raise AxiomFailure("Hom value in degree 0 is not a cycle")
         return c
@@ -676,9 +683,7 @@ def build_g(p, sub_b, sub_a, rho, pi, window):
         return hm.to_module_coords(n - 1, hm.chi_induced(n, induced_map(n, i), rho))
 
     a = OuterAction(g, hm.module, action_fn, chi_fn if rho is not None else None)
-    slc = semidirect(g, hm.module, a, (lo, hi))
-    slc.hom_module = hm
-    return slc
+    return semidirect(g, hm.module, a, (lo, hi), hm)
 
 
 def build_block_g(model, window):

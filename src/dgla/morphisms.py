@@ -26,10 +26,12 @@ class GeneratorMorphism:
     """A degree-0 map of presentations determined by generator images.
 
     Each nonzero image must have its generator's degree; one that does not
-    is a SchemaError at the pointer of its name in ``images``.
+    is a SchemaError at the pointer of its name in ``images``.  A map built
+    with ``certify`` keeps ``check_morphism(self, fixed_sub)``, run once on
+    the finished map, as ``report``; another has the report None.
     """
 
-    def __init__(self, source, target, images):
+    def __init__(self, source, target, images, certify=False, fixed_sub=None):
         self.source = source
         self.target = target
         self.images = {}
@@ -53,6 +55,7 @@ class GeneratorMorphism:
         self.tree_map = TreeMap(
             source, self.images.__getitem__, lambda u, v, f: target.bracket(f(u), f(v))
         )
+        self.report = check_morphism(self, fixed_sub) if certify else None
 
     @classmethod
     def identity(cls, p):

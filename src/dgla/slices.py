@@ -229,12 +229,13 @@ class DgLieSlice(DegreeWindow):
         return DgLieSlice((lo, hi), labels, d_blocks, bracket_fn, zero_below)
 
     def truncate_nonneg(self):
-        """tau_{>=0}: positive degrees unchanged, degree 0 the cycles.
+        """(tau_{>=0}, z0): positive degrees unchanged, degree 0 the cycles z0.
 
-        Degree-0 coordinates are re-expressed in the kernel basis of the cycle
-        subspace; brackets landing in degree 0 are converted accordingly.
-        The cycles need the differential out of degree 0, so the window
-        must reach degree -1 (WindowTooNarrow otherwise).
+        Degree-0 coordinates are re-expressed in the kernel basis of the
+        cycle subspace z0, returned beside the truncation; brackets landing
+        in degree 0 are converted accordingly.  The cycles need the
+        differential out of degree 0, so the window must reach degree -1
+        (WindowTooNarrow otherwise).
         """
         if self.hi < 0:  # nothing of the slice is left
             z0 = linalg.Subspace.full(0)
@@ -260,9 +261,7 @@ class DgLieSlice(DegreeWindow):
                     raise NotAComplex("bracket of cycles is not a cycle")
             return v
 
-        out = DgLieSlice((0, hi), labels, d_blocks, bracket_fn, zero_below=True)
-        out.z0 = z0
-        return out
+        return DgLieSlice((0, hi), labels, d_blocks, bracket_fn, zero_below=True), z0
 
     def pad_to(self, lo, hi):
         """Widen the window with genuinely zero degrees.
@@ -347,13 +346,13 @@ def shifted_basis(entries):
 
 
 def hom_slice(source_basis, source_d_blocks, target_basis, window):
-    """Hom(source, target) as an abelian dg Lie slice on a degree window.
+    """(Hom(source, target) as an abelian dg Lie slice on a degree window, index).
 
     ``source_d_blocks[d]`` is the matrix of the source differential
     C_d -> C_{d-1} in the source basis order.  The target has zero
     differential.  Hom degree n holds the functionals E(t, s): s -> t over
-    pairs with deg t = deg s + n; the differential is
-    (df)(s) = -(-1)^{|f|} f(ds).
+    pairs with deg t = deg s + n, and ``index[(n, s, t)]`` is the position
+    of E(t, s) in degree n; the differential is (df)(s) = -(-1)^{|f|} f(ds).
     """
     lo, hi = window
     labels = {}
@@ -387,6 +386,4 @@ def hom_slice(source_basis, source_d_blocks, target_basis, window):
             for (nn, s, t), j in index.items() if nn == n
             for (s2, s1), c in dmat.items() if s2 == s and (n - 1, s1, t) in index
         ))
-    slc = DgLieSlice((lo, hi), labels, d_blocks)
-    slc.hom_index = index
-    return slc
+    return DgLieSlice((lo, hi), labels, d_blocks), index

@@ -643,8 +643,10 @@ def test_corpus_report_bodies_match_pinned_digests(monkeypatch, tmp_path):
 
 
 # Report SHA-256 of commands whose outer action has a nonzero twist, which
-# no CLI_CORPUS command builds (w11's action and twist are both zero).
-# Pinned from an earlier commit, as CORPUS_REPORT_SHA256 is.
+# no CLI_CORPUS command builds (w11's action and twist are both zero), and
+# of the action10 commands, whose action operators are nonzero as well
+# (generators in degrees 2, 3, 5 and 6 under pi_3 and pi_7).  Pinned from
+# an earlier commit, as CORPUS_REPORT_SHA256 is.
 TWISTED_REPORT_SHA256 = [
     ("block-g", ["twisted9.json"], ["--min", "0", "--max", "4"],
      "68b8b3f9a47009d7f8b5410bb1d04b41662341db52f0d0f1a205214a6d8235e9"),
@@ -653,11 +655,16 @@ TWISTED_REPORT_SHA256 = [
     ("glue", ["twisted9.json", "twisted9.json"],
      ["--min", "0", "--max", "2", "--assert-semisimple"],
      "a2825247a8a4907d3ad5f8ad1ede46aef44561ec7ea75703079e9f86b2626072"),
+    ("block-g", ["action10.json"], ["--min", "0", "--max", "6"],
+     "67c299ee0fe2441035bab6c72fef4afd0f87260ca0e54c5f21b39720126e457b"),
+    ("glue", ["action10.json", "ab10.json"],
+     ["--min", "0", "--max", "6", "--assert-semisimple"],
+     "69258d5d5651dc52210ddabebff4034b2d3aba18ba1de2c374fa00311828dfbc"),
 ]
 
 
 @pytest.mark.parametrize("cmd, files, flags, digest", TWISTED_REPORT_SHA256,
-                         ids=[row[0] for row in TWISTED_REPORT_SHA256])
+                         ids=["block-g", "g", "glue", "block-g-action10", "glue-action10"])
 def test_twisted_report_bodies_match_pinned_digests(cmd, files, flags, digest, monkeypatch, tmp_path):
     assert _report_digest(cmd, files, flags, monkeypatch, tmp_path) == digest
 

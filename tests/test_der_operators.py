@@ -268,7 +268,7 @@ def test_the_accumulating_form_serves_f_derivations(case, fixture_path):
             th = FDerivation(m, n, values)
 
             def add(out, c, e, th=th):
-                derivations._reached_add(out, c, th, e, m.source, m.target, m)
+                derivations._reached_add(out, c, th, e, m.source)
 
             _same_accumulation(th, add, m.target, elements, rng)
 

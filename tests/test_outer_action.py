@@ -4,8 +4,8 @@
 identities between sparse operators; ``oracles.per_vector_outer_action_check``
 is the walk over every module basis vector that it replaced.  Both must give
 the same rows, pass flags and witnesses: on the actions the builders make
-from the fixtures, on the one fixture action whose operators are nonzero,
-and on random actions with planted failures.
+from the fixtures (action10's operators are nonzero), on a full-Hom action
+whose operators are nonzero, and on random actions with planted failures.
 """
 
 import functools
@@ -41,7 +41,8 @@ def _manifold(fixture_path, name):
     return io.load_manifold(io.load_json_file(fixture_path(name)))
 
 
-@pytest.mark.parametrize("name", ["w11.json", "w21.json", "twisted9.json", "w21#w11"])
+@pytest.mark.parametrize("name", ["w11.json", "w21.json", "twisted9.json", "w21#w11",
+                                  "action10.json"])
 def test_block_g_actions_match_the_per_vector_walk(fixture_path, name):
     if name == "w21#w11":
         m = boundary_connected_sum(_manifold(fixture_path, "w21.json"),
@@ -53,6 +54,22 @@ def test_block_g_actions_match_the_per_vector_walk(fixture_path, name):
     assert all(ok for _, ok, _ in rows)
     if name == "twisted9.json":
         assert any(g.action.twist(n, i) for n in range(5) for i in range(g.acting.dim(n)))
+
+
+def test_action10_acts_by_nonzero_operators(fixture_path, monkeypatch):
+    # generators in degrees 2, 3, 5 and 6 give derivations with a linear part
+    # x -> x' that a pi line above |x'| sees, so the action and twist are not
+    # zero and the Lie-map identities compose operators through _after
+    calls = []
+    after = models._after
+    monkeypatch.setattr(models, "_after", lambda *args: calls.append(args) or after(*args))
+    g = build_block_g(_manifold(fixture_path, "action10.json"), (0, 6))
+    a, L = g.action, g.module
+    assert len(calls) == 159
+    acting = [(n, i) for n in range(g.lo, g.hi + 1) for i in range(g.acting.dim(n))]
+    assert [(n, i, k) for n, i in acting for k in range(L.lo, L.hi + 1)
+            if a.operator(n, i, k)] == [(1, 0, 0), (1, 0, 3), (3, 0, 0), (3, 0, 1), (4, 0, 0)]
+    assert [(n, i) for n, i in acting if a.twist(n, i)] == [(1, 0)]
 
 
 def _bilinear_calls_per_row(a, window, monkeypatch):

@@ -279,9 +279,9 @@ def test_d_leibniz_catches_a_planted_failure_on_a_mixed_pair():
 
 def test_truncation_and_products_say_whether_they_vanish_below():
     # tau_{>=0} of anything vanishes below 0, also when nothing is left
-    empty = DgLieSlice((-2, -1), {-1: ["x"]}).truncate_nonneg()
+    empty, _ = DgLieSlice((-2, -1), {-1: ["x"]}).truncate_nonneg()
     assert empty.zero_below and empty.to_chain().lo == -1
-    t = DgLieSlice((-1, 1), {0: ["x"], 1: ["y"]}).truncate_nonneg()
+    t, _ = DgLieSlice((-1, 1), {0: ["x"], 1: ["y"]}).truncate_nonneg()
     assert t.zero_below and t.to_chain().lo == -1
     # a product vanishes below its window when every factor does there
     assert t.product(t).zero_below

@@ -50,19 +50,6 @@ def _window_definitions(tree):
                 yield node.lineno
 
 
-def _zero_below_assignments(tree):
-    """Assignments of ``zero_below`` to an object other than ``self``."""
-    for node in ast.walk(tree):
-        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
-        for t in targets:
-            if (
-                isinstance(t, ast.Attribute)
-                and t.attr == "zero_below"
-                and not (isinstance(t.value, ast.Name) and t.value.id == "self")
-            ):
-                yield node.lineno
-
-
 def _named(node, name):
     """node is the name ``name``, bare or as an attribute."""
     return name in (getattr(node, "id", None), getattr(node, "attr", None))
@@ -81,6 +68,27 @@ def _scopes(match):
             yield from find(child, scope)
 
     return find
+
+
+def _foreign_store(node):
+    """node writes an attribute of an object other than the name ``self``.
+
+    A store (or del) target that is an attribute, or a subscript of one
+    (``p.subalgebras[k] = v``), of anything but ``self``; or a ``setattr``
+    or ``delattr`` call on anything but ``self``.  Assignments of every
+    form (plain, chained, augmented, annotated, tuple) mark their targets
+    so.  A subscript of a local name (``memo[k] = v``) is not an attribute.
+    """
+    if isinstance(node, ast.Call):
+        return (any(_named(node.func, f) for f in ("setattr", "delattr"))
+                and not (node.args and _named(node.args[0], "self")))
+    if not isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+        return False
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and not (
+        isinstance(node.value, ast.Name) and node.value.id == "self"
+    )
 
 
 def _callers(callee):
@@ -143,16 +151,30 @@ def test_only_the_degree_window_reads_differential_blocks():
     assert _scan(_window_definitions) == []
 
 
-def test_builders_pass_zero_below_to_the_constructor():
-    # a slice's zero_below is data of its builder, not set on a finished slice
-    assert _scan(_zero_below_assignments) == []
+# The only places where the library writes an attribute of an object other
+# than self, each with the reason it stays.
+FOREIGN_STORES = [
+    # drops each basis derivation's Leibniz memo once its D column is read,
+    # to bound the slice's memory; the memo's owner waits for a slice that
+    # holds one extension per basis derivation
+    "derivations.py:DerSlice.__init__",
+    # drops the memos that evaluating the left units left, for the same reason
+    "derivations.py:forget_pullback",
+]
+
+
+def test_only_an_objects_own_methods_write_its_attributes():
+    # values are built whole: every field is given to its constructor, and a
+    # memo is made only by a method of the object that holds it
+    assert _scan(_scopes(_foreign_store)) == FOREIGN_STORES
 
 
 def test_each_derivation_has_one_leibniz_extension():
-    # a derivation is evaluated only through the one extension its evaluator
-    # builds; the other extension is the presentation's differential
+    # a derivation or f-derivation is evaluated only through the one
+    # extension it makes for itself; the other is the presentation's differential
     assert _scan(_callers("leibniz_extension")) == [
-        "derivations.py:_reached_add",
+        "derivations.py:Derivation._extension",
+        "derivations.py:FDerivation._extension",
         "presentation.py:DgLaPresentation.__init__",
     ]
 
@@ -167,7 +189,7 @@ def test_every_derivation_evaluation_has_one_entry_point():
     with open(os.path.join(SRC, "derivations.py")) as fh:
         tree = ast.parse(fh.read())
     assert _callees(_function(tree, "_reached_add")) == [
-        "accumulate", "leibniz_extension", "reach", "terms",
+        "_extension", "accumulate", "reach", "terms",
     ]
 
 
@@ -323,14 +345,44 @@ def test_the_scan_sees_window_methods_outside_the_window_class():
     assert sorted(_window_definitions(tree)) == [5, 7, 10]
 
 
-def test_the_scan_sees_zero_below_set_on_a_finished_slice():
+def test_the_scan_sees_every_store_on_another_object():
+    # one function per form: its name is found once per foreign target
     source = [
-        "self.zero_below = zero_below",
-        "out.zero_below = True",
-        "g.zero_below = L.zero_below = False",
-        "zero_below = a and b",
-        "out.zero_below &= flag",
-        "x = DgLieSlice(w, labels, zero_below=True)",
+        "def plain(out): out.z0 = z0",
+        "def chained(a, b): a = b.x = c.y = {}",
+        "def augmented(out): out.count += 1",
+        "def annotated(out): out.index: dict = {}",
+        "def unpacked(out): out.a, (b, out.c) = pair",
+        "def starred(out): first, *out.rest = items",
+        "def looped(out):",
+        "    for out.i in range(2): pass",
+        "def with_as(out):",
+        "    with f() as out.fh: pass",
+        "def through_attribute(p): p.subalgebras[k] = v",
+        "def through_self_attribute(self): self.p.subs[k][j] = v",
+        "def deleted(out): del out.memo",
+        "def set_by_name(out): setattr(out, 'z0', z0)",
+        "def del_by_name(out): delattr(out, 'z0')",
+        "def nested(th): th._ext.memo = {}",
+        "class C:",
+        "    def method(self, other):",
+        "        self.memo = {}",
+        "        other.memo = self.memo",
+        "def zero_below_set(out): out.zero_below = True",
+        "def zero_below_chained(g, L): g.zero_below = L.zero_below = False",
+        "def zero_below_and(out): out.zero_below &= flag",
+        # none of these writes another object
+        "def own(self): self.memo = {}; self.memo[k] = v; self.x += 1",
+        "def local(memo): memo[k] = v; memo[k][j] = w; x, y = pair",
+        "def own_by_name(self): setattr(self, 'memo', {})",
+        "def reads(out): return out.memo[k], getattr(out, 'z0')",
+        "def zero_below_local(a, b): zero_below = a and b",
+        "def zero_below_given(w, labels): x = DgLieSlice(w, labels, zero_below=True)",
     ]
     tree = ast.parse("\n".join(source))
-    assert sorted(_zero_below_assignments(tree)) == [2, 3, 3, 5]
+    assert list(_scopes(_foreign_store)(tree)) == [
+        "plain", "chained", "chained", "augmented", "annotated", "unpacked", "unpacked",
+        "starred", "looped", "with_as", "through_attribute", "through_self_attribute",
+        "deleted", "set_by_name", "del_by_name", "nested", "C.method",
+        "zero_below_set", "zero_below_chained", "zero_below_chained", "zero_below_and",
+    ]
