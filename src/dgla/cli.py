@@ -279,77 +279,70 @@ def cmd_homotopy(args, inputs):
     return {}, _report_validation(homotopy_check(*homotopy), "homotopy_")
 
 
-def build_parser():
+_FILE = (("file",), {})
+_SUB = (("--sub",), {"default": None})
+_RHO = (("--rho",), {"default": None})
+_SEMISIMPLE = (("--assert-semisimple",), {"action": "store_true"})
+_PAIR = [(("left",), {}), (("right",), {})]
+
+# name: handler, takes --min/--max, and the (args, kwargs) of its other
+# arguments, in the order they are added (the order of its usage and help)
+COMMANDS = {
+    "check": (cmd_check, False, [_FILE]),
+    "homology": (cmd_homology, True, [_FILE]),
+    "indec": (cmd_indec, False, [_FILE, _SUB]),
+    "der": (cmd_der, True,
+            [_FILE, _SUB, (("--deru",), {"action": "store_true"}), _RHO, _SEMISIMPLE]),
+    "ce": (cmd_ce, True, [_FILE, (("--coeff-dim",), {"type": int, "default": 1})]),
+    "model": (cmd_model, False, [_FILE]),
+    "tilde": (cmd_tilde, False, [_FILE]),
+    "xi": (cmd_xi, True, [_FILE, _SEMISIMPLE]),
+    "block-g": (cmd_block_g, True, [_FILE, _SEMISIMPLE]),
+    "g": (cmd_g, True,
+          [_FILE, (("--sub",), {"default": None, "help": "the relative sub (L_A)"}),
+           (("--sub-b",), {"default": None, "help": "the Hom-source sub (L_B)"}), _RHO,
+           _SEMISIMPLE]),
+    "glue": (cmd_glue, True, _PAIR + [_SEMISIMPLE]),
+    "connected-sum": (cmd_connected_sum, False, _PAIR),
+    "forget": (cmd_forget, True, [_FILE, _SEMISIMPLE]),
+    "exp": (cmd_exp, False, [_FILE, (("--derivation",), {"required": True})]),
+    "mc": (cmd_mc, False, [_FILE]),
+    "homotopy": (cmd_homotopy, False, [_FILE]),
+}
+
+
+def build_parser(command=None):
+    """The argument parser of every command, or of ``command`` alone.
+
+    A parser of one command parses an argv that starts with that command
+    exactly as the full parser does, with the same help, usage and errors:
+    it shows the full command list in the top-level usage.  Only the full
+    parser names the command argument in an error (no command, or an
+    unknown one), so it is the one to parse any other argv.
+    """
     ap = argparse.ArgumentParser(
         prog="dgla",
         description="Exact computations with dg Lie algebra presentations.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, window=True, **extra):
+    listed = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True, metavar=listed)
+    for name, (fn, window, arguments) in COMMANDS.items():
+        if command is not None and name != command:
+            continue
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
         if window:
             sp.add_argument("--min", type=int, required=True)
             sp.add_argument("--max", type=int, required=True)
         sp.add_argument("--out", default=None)
-        return sp
-
-    sp = add("check", cmd_check, window=False)
-    sp.add_argument("file")
-    sp = add("homology", cmd_homology)
-    sp.add_argument("file")
-    sp = add("indec", cmd_indec, window=False)
-    sp.add_argument("file")
-    sp.add_argument("--sub", default=None)
-    sp = add("der", cmd_der)
-    sp.add_argument("file")
-    sp.add_argument("--sub", default=None)
-    sp.add_argument("--deru", action="store_true")
-    sp.add_argument("--rho", default=None)
-    sp.add_argument("--assert-semisimple", action="store_true")
-    sp = add("ce", cmd_ce)
-    sp.add_argument("file")
-    sp.add_argument("--coeff-dim", type=int, default=1)
-    sp = add("model", cmd_model, window=False)
-    sp.add_argument("file")
-    sp = add("tilde", cmd_tilde, window=False)
-    sp.add_argument("file")
-    sp = add("xi", cmd_xi)
-    sp.add_argument("file")
-    sp.add_argument("--assert-semisimple", action="store_true")
-    sp = add("block-g", cmd_block_g)
-    sp.add_argument("file")
-    sp.add_argument("--assert-semisimple", action="store_true")
-    sp = add("g", cmd_g)
-    sp.add_argument("file")
-    sp.add_argument("--sub", default=None, help="the relative sub (L_A)")
-    sp.add_argument("--sub-b", default=None, help="the Hom-source sub (L_B)")
-    sp.add_argument("--rho", default=None)
-    sp.add_argument("--assert-semisimple", action="store_true")
-    sp = add("glue", cmd_glue)
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp.add_argument("--assert-semisimple", action="store_true")
-    sp = add("connected-sum", cmd_connected_sum, window=False)
-    sp.add_argument("left")
-    sp.add_argument("right")
-    sp = add("forget", cmd_forget)
-    sp.add_argument("file")
-    sp.add_argument("--assert-semisimple", action="store_true")
-    sp = add("exp", cmd_exp, window=False)
-    sp.add_argument("file")
-    sp.add_argument("--derivation", required=True)
-    sp = add("mc", cmd_mc, window=False)
-    sp.add_argument("file")
-    sp = add("homotopy", cmd_homotopy, window=False)
-    sp.add_argument("file")
+        for a, kw in arguments:
+            sp.add_argument(*a, **kw)
     return ap
 
 
 def run(argv):
     """Parse, dispatch, and write a report; returns (exit_code, payload)."""
-    ap = build_parser()
+    ap = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

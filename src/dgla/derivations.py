@@ -28,34 +28,57 @@ class Derivation:
     __slots__ = ("ambient", "rel", "degree", "values", "_mask", "_letters", "_ext", "_base",
                  "_brackets")
 
-    def __init__(self, ambient, degree, values, rel=None, check=True, base=None):
-        self.ambient = ambient
-        self.degree = int(degree)
-        self.rel = rel
-        self.values = {}
-        # the mask of the generators with a value; memos made on first use by
-        # the methods named: ``_value_letters``, ``_extension``, ``_bracket``
-        self._mask = 0
-        self._letters = None
-        self._ext = None
-        # (base, q) when this is q * base for a nonzero q (see ``scale``)
-        self._base = base
-        self._brackets = None
+    def __init__(self, ambient, degree, values, rel=None, check=True):
+        degree = int(degree)
+        vals = {}
         for name, v in values.items():
             if name not in ambient.generators.index:
                 raise ValueError("value on unknown generator %r" % name)
             at = "/values/%s" % name
             v = ambient.normal_form_at(v, at)
             if not v.is_zero():
-                expected = ambient.generators.degree(name) + self.degree
+                expected = ambient.generators.degree(name) + degree
                 if v.degree != expected:
                     raise SchemaError(
                         "value on %r has degree %d, expected %d" % (name, v.degree, expected), at
                     )
-                self.values[name] = v
-                self._mask |= 1 << ambient.generators.index[name]
+                vals[name] = v
+        self._fields(ambient, degree, vals, rel, None)
         if check and rel is not None:
             self._verify_rel()
+
+    @classmethod
+    def _trusted(cls, ambient, degree, values, rel=None, base=None):
+        """A derivation on values this module has just computed, taken as is.
+
+        ``values`` maps generator names of ``ambient`` to nonzero elements
+        of ``ambient`` in normal form, each of its generator's degree plus
+        the int ``degree``: the constructor's normal form and degree check
+        would hold by construction, and are skipped, as is the sub check.
+        Input, and values from another presentation, go through the
+        constructor.
+        """
+        self = object.__new__(cls)
+        self._fields(ambient, degree, values, rel, base)
+        return self
+
+    def _fields(self, ambient, degree, values, rel, base):
+        """Every field: the given ones, the mask of the generators with a value, no memo yet."""
+        self.ambient = ambient
+        self.degree = degree
+        self.rel = rel
+        self.values = values
+        index = ambient.generators.index
+        self._mask = 0
+        for name in values:
+            self._mask |= 1 << index[name]
+        # memos made on first use by the methods named: ``_value_letters``,
+        # ``_extension``, ``_bracket``
+        self._letters = None
+        self._ext = None
+        # (base, q) when this is q * base for a nonzero q (see ``scale``)
+        self._base = base
+        self._brackets = None
 
     def _verify_rel(self):
         spec = self.ambient.sub(self.rel)
@@ -82,8 +105,9 @@ class Derivation:
     def __add__(self, other):
         self._compat(other)
         names = set(self.values) | set(other.values)
-        vals = {n: self.value(n) + other.value(n) for n in names}
-        return Derivation(self.ambient, self.degree, vals, rel=self.rel, check=False)
+        vals = ((n, self.value(n) + other.value(n)) for n in names)
+        return Derivation._trusted(self.ambient, self.degree,
+                                   {n: v for n, v in vals if v.coords}, self.rel)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -95,9 +119,9 @@ class Derivation:
         """
         q = exact(q)
         base, factor = self._base or (self, 1)
-        vals = {n: v.scale(q) for n, v in self.values.items()}
-        return Derivation(self.ambient, self.degree, vals, rel=self.rel, check=False,
-                          base=(base, factor * q) if q else None)
+        vals = {n: v.scale(q) for n, v in self.values.items()} if q else {}
+        return Derivation._trusted(self.ambient, self.degree, vals, self.rel,
+                                   (base, factor * q) if q else None)
 
     def _compat(self, other):
         if self.ambient is not other.ambient:
@@ -188,9 +212,12 @@ def _der_bracket(theta, psi):
     """[theta, psi], from its value on each generator (``_bracket_slots``)."""
     p = theta.ambient
     degree = theta.degree + psi.degree
-    vals = {n: LieElement._trusted(p, p.generators.degree(n) + degree, nonzeros(coords))
-            for n, coords in _bracket_slots(theta, psi)}
-    return Derivation(p, degree, vals, rel=theta.rel, check=False)
+    vals = {}
+    for n, coords in _bracket_slots(theta, psi):
+        coords = nonzeros(coords)
+        if coords:
+            vals[n] = LieElement._trusted(p, p.generators.degree(n) + degree, coords)
+    return Derivation._trusted(p, degree, vals, theta.rel)
 
 
 def _bracket_slots(theta, psi):
@@ -231,8 +258,10 @@ def der_differential(theta):
             out = dict(p.differential_of(theta.values[n]).coords) if n in theta.values else {}
             if n in p.differential:
                 theta.add_eval_at(out, -sign, p.differential[n])
-            vals[n] = LieElement._trusted(p, deg + degree, nonzeros(out))
-    return Derivation(p, degree, vals, rel=theta.rel, check=False)
+            out = nonzeros(out)
+            if out:
+                vals[n] = LieElement._trusted(p, deg + degree, out)
+    return Derivation._trusted(p, degree, vals, theta.rel)
 
 
 def eval_at(theta, e):
@@ -290,12 +319,12 @@ class _HomLayout:
 
     def from_vector(self, vec):
         """The derivation with the sparse Hom coordinates vec."""
-        return Derivation(self.p, self.n, self.values(vec), rel=self.rel, check=False)
+        return Derivation._trusted(self.p, self.n, self.values(vec), self.rel)
 
     def unit(self, k):
         name, deg, off, _ = self.slots[bisect_right(self.offsets, k) - 1]
         value = LieElement._trusted(self.target, deg + self.n, {k - off: 1})
-        return Derivation(self.p, self.n, {name: value}, rel=self.rel, check=False)
+        return Derivation._trusted(self.p, self.n, {name: value}, self.rel)
 
 
 # -- derivation spaces as kernels ------------------------------------------------

@@ -148,7 +148,9 @@ class ChainComplexSlice(DegreeWindow):
     ``zero_below`` the complex is known to vanish below ``window``, and the
     slice gets one empty degree below it, so that homology at the bottom
     degree of ``window`` is known.  The constructor certifies d . d = 0
-    (NotAComplex otherwise).
+    (NotAComplex otherwise).  The slice owns one kernel basis per
+    differential block, made on first use (``cycles``), so homology over
+    a range of degrees eliminates each block once.
     """
 
     def __init__(self, window, labels, differential, zero_below=False):
@@ -158,6 +160,7 @@ class ChainComplexSlice(DegreeWindow):
         if lo > hi:
             raise ValueError("empty window")
         super().__init__((lo, hi), labels, differential, zero_below)
+        self._kernels = {}
         for d in range(self.lo + 1, self.hi + 1):
             if not linalg.has_shape(self.d_matrix(d), self.dim(d - 1), self.dim(d)):
                 raise ValueError("differential block at %d has wrong shape" % d)
@@ -167,24 +170,38 @@ class ChainComplexSlice(DegreeWindow):
         """Assert d . d = 0 wherever both blocks lie in the window."""
         linalg.check_d_squared(self.d_matrix, self.lo, self.hi)
 
+    def cycles(self, d):
+        """The kernel basis of the differential out of degree d, sparse (memoized).
+
+        ``linalg.kernel_basis`` of the block, taken once per slice: homology
+        at d reads it as the cycles, homology at d - 1 as the rank of the
+        block.  Callers must not mutate the result.
+        """
+        got = self._kernels.get(d)
+        if got is None:
+            got = self._kernels[d] = linalg.kernel_basis(self.d_matrix(d), self.dim(d))[0]
+        return got
+
     def homology_degree(self, k):
         """(betti, cycle_representatives) at one degree, representatives sparse.
 
         Needs both the differential out of k and into k, hence
         lo < k < hi strictly (boundary degrees of the window lack one side).
+        The cycles are the kernel of the block out of k, and the rank of
+        the block into k is dim_{k+1} - dim ker d_{k+1}: both are the
+        slice's ``cycles``, so each block is eliminated once however many
+        degrees ask.  The representatives take one more elimination.
         """
         if not (self.lo < k < self.hi):
             raise WindowTooNarrow(
                 "no homology at degree %d in window [%d, %d]" % (k, self.lo, self.hi),
                 required=(min(k - 1, self.lo), max(k + 1, self.hi)),
             )
-        d_out = self.d_matrix(k)
-        d_in = self.d_matrix(k + 1)
-        n = self.dim(k)
-        cycles, _ = linalg.kernel_basis(d_out, n)
-        betti = len(cycles) - linalg.rank(d_in, self.dim(k + 1))
-        boundaries = linalg.columns(d_in, self.dim(k + 1))
-        keep = linalg.extend_independent(boundaries, cycles, n)
+        cycles = self.cycles(k)
+        above = self.dim(k + 1)
+        betti = len(cycles) - (above - len(self.cycles(k + 1)))
+        boundaries = linalg.columns(self.d_matrix(k + 1), above)
+        keep = linalg.extend_independent(boundaries, cycles, self.dim(k))
         reps = [cycles[i] for i in keep]
         if len(reps) != betti:
             raise NotAComplex("boundaries not contained in cycles at degree %d" % k)

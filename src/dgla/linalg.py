@@ -13,12 +13,17 @@ module knows how a matrix is stored.
 
 The matrices the library builds are about 1% nonzero with entries of a few
 bits, and every kernel works on the nonzeros alone: products multiply
-nonzero pairs only, and elimination scales each row to integers, a
-``{column: int}`` dict, and runs one fraction-free core.  That core is
-sparse Bareiss elimination (Bareiss 1968), column by column, with
-Markowitz-style pivoting (Markowitz 1957): in each column the pivot row is
-the one with the fewest nonzeros, then the smallest pivot entry, which
-limits both fill-in and coefficient growth.  Floats are banned.
+nonzero pairs only, and elimination scales each row to a primitive
+integer row, a ``{column: int}`` dict whose entries have gcd 1, and runs
+one fraction-free core.  That core is sparse elimination on primitive
+rows, column by column, with Markowitz-style pivoting (Markowitz 1957): in
+each column the pivot row is the one with the fewest nonzeros, then the
+smallest pivot entry, which limits fill-in.  Each row operation
+cancels the pivot column by the two entries' cofactors over their gcd and
+divides the new row by its content, so no entry grows past what the
+row's direction needs (Bareiss's integer minors grew with the step count
+on wide systems).  Back-substitution uses the same row operation.
+Floats are banned.
 
 A vector is an ``{index: value}`` dict with no zero entries, the same form
 as a row.  ``matvec`` and ``solve`` take and return them, ``kernel_basis``
@@ -96,79 +101,89 @@ def combination(terms):
     return nonzeros(out)
 
 
-def _bareiss_echelon(rows, ncols):
-    """Sparse fraction-free row echelon form of integer rows ``{column: int}``.
+def _primitive_echelon(rows, ncols):
+    """Sparse fraction-free row echelon form of primitive integer rows ``{column: int}``.
 
     Columns below ``ncols`` are taken left to right; in each, the pivot is
-    the row with the fewest nonzeros, then the smallest pivot entry.  The
-    rows with an entry in the pivot column become (pv * r - r[col] * piv) /
-    prev, an exact division that keeps every entry an integer minor of the
-    input.  The other rows would only be scaled by pv / prev: each is
-    stored with the prev it was last reduced by and brought up to date when
-    it next meets a pivot column, so a step touches only the rows it
-    eliminates.  Returns (echelon_rows, pivot_cols): integer rows with
-    staircase structure, and the pivot column of each.
+    the row piv with the fewest nonzeros, then the smallest pivot entry.
+    Each other row r with an entry in the pivot column becomes
+    (piv[col] / g) * r - (r[col] / g) * piv, with g = gcd(piv[col], r[col]),
+    divided by the gcd of its entries (``_clear``): every row stays
+    primitive, so its entries are as small as the row's direction allows,
+    and a step touches only the rows it eliminates.  Returns (echelon_rows, pivot_cols): primitive
+    integer rows with staircase structure, and the pivot column of each.
     """
-    by_lead = {}  # leading column -> [(row, prev the row was reduced by)]
+    by_lead = {}  # leading column -> rows leading there
     for r in rows:
         if r:
-            by_lead.setdefault(min(r), []).append((r, 1))
+            by_lead.setdefault(min(r), []).append(r)
     heap = list(by_lead)
     heapify(heap)
     ech, pivots = [], []
-    prev = 1
     while heap and heap[0] < ncols:
         col = heappop(heap)
-        cands = [
-            r if base == prev else {j: v * prev // base for j, v in r.items()}
-            for r, base in by_lead.pop(col)
-        ]
+        cands = by_lead.pop(col)
         piv = min(cands, key=lambda r: (len(r), abs(r[col]).bit_length()))
-        pv = piv[col]
         for r in cands:
             if r is piv:
                 continue
-            nr = {j: v // prev for j, v in combination(((pv, r), (-r[col], piv))).items()}
+            nr = _clear(r, piv, col)
             if nr:
                 lead = min(nr)
                 if lead not in by_lead:
                     by_lead[lead] = []
                     heappush(heap, lead)
-                by_lead[lead].append((nr, pv))
+                by_lead[lead].append(nr)
         ech.append(piv)
         pivots.append(col)
-        prev = pv
     return ech, pivots
 
 
+def _clear(r, s, col):
+    """The integer row r with its entry at col cleared by the row s, made primitive.
+
+    (s[col] / g) * r - (r[col] / g) * s with g = gcd(s[col], r[col]), a
+    positive multiple of s[col] * r - r[col] * s, divided by its content.
+    """
+    g = gcd(s[col], r[col])
+    return _primitive(combination(((s[col] // g, r), (-(r[col] // g), s))))
+
+
+def _primitive(r):
+    """The integer row r divided by the gcd of its entries (r itself when that is 1)."""
+    g = gcd(*r.values())
+    return r if g == 1 else {j: v // g for j, v in r.items()}
+
+
 def _echelon(rows, ncols):
-    """``_bareiss_echelon`` of sparse rows scaled to integers; zero values are dropped."""
+    """``_primitive_echelon`` of sparse rows scaled to primitive integer rows.
+
+    Zero values are dropped.
+    """
     int_rows = []
     for r in rows:
         nz = [(j, x) for j, x in r.items() if x]
         den = lcm(*(x.denominator for _, x in nz))
-        int_rows.append({j: x.numerator * (den // x.denominator) for j, x in nz})
-    return _bareiss_echelon(int_rows, ncols)
+        int_rows.append(_primitive({j: x.numerator * (den // x.denominator) for j, x in nz}))
+    return _primitive_echelon(int_rows, ncols)
 
 
 def _rref(rows, ncols):
     """Sparse reduced row echelon form of sparse rows.
 
     Returns (rows with 1 at the pivot, pivot columns).  Back-substitution
-    runs bottom-up on primitive integer rows: each row clears its entries at
-    the pivots of the rows below it, which are already reduced and so vanish
-    at every other pivot.  Each row is then divided by its pivot entry, to
-    an int wherever that divides and a Fraction elsewhere.
+    runs bottom-up on the primitive echelon rows, with the echelon's row
+    operation (``_clear``): each row clears its entries at the pivots of
+    the rows below it, which are already reduced and so vanish at every
+    other pivot.  Each row is then divided by its pivot entry, to an int
+    wherever that divides and a Fraction elsewhere.
     """
     ech, pivots = _echelon(rows, ncols)
     below = {}  # pivot column -> reduced primitive integer row
     for r, pc in zip(reversed(ech), reversed(pivots)):
         for p in [j for j in r if j in below]:
-            s = below[p]
-            g = gcd(s[p], r[p])
-            r = combination(((s[p] // g, r), (-(r[p] // g), s)))
-        g = gcd(*r.values())
-        below[pc] = {j: v // g for j, v in r.items()}
+            r = _clear(r, below[p], p)
+        below[pc] = r
     red = []
     for pc in pivots:
         r = below[pc]

@@ -1,7 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately separate from the library's code paths:
-plain Gaussian elimination instead of the Bareiss core, a fresh tensor
+plain Gaussian elimination, and Bareiss elimination, instead of the
+primitive-row core, homology with its own eliminations per degree
+instead of one kernel per differential block, a fresh tensor
 expansion instead of leads from factor leads and the memoized expansion,
 tuple words from the full word list
 instead of packed words from the Lyndon search, a Fraction triangular solve
@@ -36,6 +38,7 @@ call.
 
 import random
 from collections import namedtuple
+from heapq import heapify, heappop, heappush
 from itertools import product
 from fractions import Fraction
 from math import gcd, lcm
@@ -115,6 +118,22 @@ def naive_matmul(a, b, ncols):
     ]
 
 
+def per_degree_homology(c, k):
+    """(betti, representatives) of a chain slice at k, with eliminations of its own.
+
+    ``ChainComplexSlice.homology_degree`` as it was before the slice kept
+    one kernel per block: the kernel of the block out of k, the rank of
+    the block into k, and the representatives among the cycles.
+    """
+    from dgla import linalg
+
+    d_in = c.d_matrix(k + 1)
+    cycles, _ = linalg.kernel_basis(c.d_matrix(k), c.dim(k))
+    betti = len(cycles) - linalg.rank(d_in, c.dim(k + 1))
+    keep = linalg.extend_independent(linalg.columns(d_in, c.dim(k + 1)), cycles, c.dim(k))
+    return betti, [cycles[i] for i in keep]
+
+
 def betti_by_rank_nullity(dims, d_matrices, k0, k1):
     """Betti numbers from dim C_k - rank d_k - rank d_{k+1} (plain Gauss)."""
     ranks = {}
@@ -140,16 +159,67 @@ def is_exact(c):
     return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
 
 
-def rref_all_fractions(rows, ncols):
-    """Sparse RREF on the library's echelon core, every value a ``Fraction``.
+def bareiss_echelon(rows, ncols):
+    """Sparse fraction-free echelon form by Bareiss elimination (Bareiss 1968).
+
+    The library's elimination core before it kept its rows primitive, with
+    the same Markowitz-style pivot rule: rows scaled to integers, columns
+    left to right, the pivot the row with the fewest nonzeros, then the
+    smallest pivot entry.  A row with an entry in the pivot column becomes
+    (pv * r - r[col] * piv) / prev, an exact division that keeps every
+    entry an integer minor of the input; the others are scaled by
+    pv / prev when they next meet a pivot column.  Returns
+    (echelon_rows, pivot_cols).
+    """
+    by_lead = {}  # leading column -> [(row, prev the row was reduced by)]
+    for r in rows:
+        nz = [(j, Fraction(x)) for j, x in r.items() if x]
+        den = lcm(*(x.denominator for _, x in nz))
+        if nz:
+            row = {j: x.numerator * (den // x.denominator) for j, x in nz}
+            by_lead.setdefault(min(row), []).append((row, 1))
+    heap = list(by_lead)
+    heapify(heap)
+    ech, pivots = [], []
+    prev = 1
+    while heap and heap[0] < ncols:
+        col = heappop(heap)
+        cands = [
+            r if base == prev else {j: v * prev // base for j, v in r.items()}
+            for r, base in by_lead.pop(col)
+        ]
+        piv = min(cands, key=lambda r: (len(r), abs(r[col]).bit_length()))
+        pv = piv[col]
+        for r in cands:
+            if r is piv:
+                continue
+            out = {j: pv * v for j, v in r.items()}
+            for j, v in piv.items():
+                out[j] = out.get(j, 0) - r[col] * v
+            nr = {j: v // prev for j, v in out.items() if v}
+            if nr:
+                lead = min(nr)
+                if lead not in by_lead:
+                    by_lead[lead] = []
+                    heappush(heap, lead)
+                by_lead[lead].append((nr, pv))
+        ech.append(piv)
+        pivots.append(col)
+        prev = pv
+    return ech, pivots
+
+
+def rref_all_fractions(rows, ncols, echelon=None):
+    """Sparse RREF on an echelon core, every value a ``Fraction``.
 
     The back-substitution the library ran before it stored integral values
     as ints: primitive integer rows, bottom-up, each divided by its pivot
-    entry into Fractions at the end.
+    entry into Fractions at the end.  ``echelon`` is the core, the
+    library's ``linalg._echelon`` unless given (``bareiss_echelon``).
     """
     from dgla import linalg
 
-    ech, pivots = linalg._echelon(rows, ncols)
+    ech, pivots = (echelon or linalg._echelon)(rows, ncols)
     below = {}
     for r, pc in zip(reversed(ech), reversed(pivots)):
         for p in [j for j in r if j in below]:

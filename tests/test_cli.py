@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgla import cli
 from dgla import io as io_mod
 from dgla.cli import run
 from dgla.errors import SchemaError
@@ -848,3 +849,63 @@ def test_mutated_fixtures_never_traceback(case):
             at = re.search(r"\(at (/.*)\)\n\Z", err.getvalue())
             if code == 2 and at:
                 assert _resolves(obj, at.group(1)) or at.group(1) == deleted, err.getvalue()
+
+
+# -- one parser per command ------------------------------------------------------------
+
+
+def _commands(parser):
+    """The subcommand action of a parser built by ``build_parser``."""
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    return sub
+
+
+def _parsed(parser, argv):
+    """(exit code or None, stdout, stderr, parsed arguments or None) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    code, parsed = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue(), parsed
+
+
+_ARGV_TAILS = [
+    ["f.json"],  # --min missing (or, without a window, well formed)
+    ["f.json", "--min", "x", "--max", "1"],  # a bound that is not an integer
+    ["f.json", "--min", "0", "--max", "1", "--bogus"],  # an unknown option
+    ["-h"],
+    [],
+    ["a.json", "b.json", "--min", "0", "--max", "2", "--derivation", "d.json"],
+]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_command_parser_parses_as_the_full_parser(command):
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert list(_commands(one).choices) == [command] and len(_commands(full).choices) == 16
+    assert one.format_help() == full.format_help()
+    assert one.format_usage() == full.format_usage()
+    assert (_commands(one).choices[command].format_help()
+            == _commands(full).choices[command].format_help())
+    for tail in _ARGV_TAILS:
+        argv = [command] + tail
+        assert _parsed(one, argv) == _parsed(full, argv), argv
+
+
+def test_run_builds_the_full_parser_only_without_a_known_command(monkeypatch, capsys, fixture_path):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or build(command))
+    assert _run("check", fixture_path("s2.json"))[0] == 0
+    assert _run("der", fixture_path("s2.json"), "--max", "1") == (2, None)
+    assert built == ["check", "der"]
+    capsys.readouterr()
+    for argv in ([], ["-h"], ["nosuch"], ["--out", "x", "check"]):
+        built.clear()
+        code, _ = run(argv)
+        assert built == [None] and code == (0 if argv == ["-h"] else 2)
+    # the full parser names the command argument in its errors
+    assert "argument command: invalid choice: 'x'" in capsys.readouterr().err

@@ -540,3 +540,63 @@ def test_der_bracket_values_come_in_generator_order_under_any_hash_seed():
         outs.add(run.stdout.split("\n")[0])
     # [th, ps] sends g_k to -g_(k+1) for k < 7 and g7 to 0
     assert outs == {" ".join("g%d" % k for k in range(7))}
+
+
+# -- derivations built from values the module has just computed -----------------------
+
+
+def _trusted_built(monkeypatch, run):
+    """Every derivation that ``Derivation._trusted`` builds while ``run()`` runs."""
+    built = []
+    trusted = Derivation._trusted
+
+    def record(cls, *args, **kwargs):
+        th = trusted(*args, **kwargs)
+        built.append(th)
+        return th
+
+    monkeypatch.setattr(Derivation, "_trusted", classmethod(record))
+    run()
+    monkeypatch.setattr(Derivation, "_trusted", trusted)
+    return built
+
+
+def test_trusted_derivations_are_the_checked_ones(monkeypatch, tmp_path):
+    # every internal construction (Hom units and coordinates, D, brackets,
+    # scales and sums) over the CLI corpus and the twisted commands, and
+    # the operations on one slice's basis derivations, equals the public
+    # constructor's derivation on the same values
+    from dgla.cli import run
+    from test_acceptance import CLI_CORPUS, TWISTED_REPORT_SHA256
+
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
+    commands = list(CLI_CORPUS) + [row[:3] for row in TWISTED_REPORT_SHA256]
+
+    def corpus():
+        for i, (cmd, files, flags) in enumerate(commands):
+            argv = [cmd] + [os.path.join("fixtures", f) for f in files]
+            argv += [os.path.join("fixtures", a[1:]) if a.startswith("@") else a for a in flags]
+            assert run(argv + ["--out", str(tmp_path / ("r%d.json" % i))])[0] in (0, 1)
+        p = io.load_presentation(io.load_json_file(os.path.join("fixtures", "presentation_twisted9.json")))
+        slc = deru(p, "omega", None, (0, 3))
+        basis = [th for n in range(0, 4) for th in slc.derivations[n]]
+        for th in basis:
+            for q in (0, 1, -1, 2, Fraction(-3, 2)):
+                th.scale(q)
+            th - th
+            der_differential(th)
+            for psi in basis:
+                der_bracket(th, psi)
+                if psi.degree == th.degree:
+                    th + psi
+
+    built = _trusted_built(monkeypatch, corpus)
+    assert len(built) > 1000
+    for th in built:
+        ref = Derivation(th.ambient, th.degree, th.values, rel=th.rel, check=False)
+        assert type(th.degree) is int and th.degree == ref.degree
+        # the constructor keeps each value of the ambient as it is, so it
+        # keeps them all exactly when they are nonzero and of the right degree
+        assert list(th.values) == list(ref.values)
+        assert all(ref.values[n] is v for n, v in th.values.items())
+        assert th._mask == ref._mask

@@ -2,6 +2,7 @@ import os
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from dgla.errors import NotAComplex
 from dgla.gluing import boundary_connected_sum, glue_headline_g
 from dgla.models import build_block_g, build_g, tilde_model
 from oracles import (
+    bareiss_echelon,
     gauss_jordan,
     gauss_rank,
     is_coefficient,
@@ -559,3 +561,87 @@ def test_matrices_of_the_pipelines_are_sparse_rows(fixture_path):
     for d, block in rho.blocks.items():
         _assert_sparse_rows(block, pi.dim(d), p.generators.dim(d))
     _assert_slice_blocks(build_g(p, None, "omega", rho, pi, (-1, 3)))
+
+
+# -- the primitive-row core against Bareiss elimination ---------------------------
+
+
+def _eliminated(monkeypatch, run):
+    """Every (rows, ncols) that ``linalg._echelon`` is given while ``run()`` runs."""
+    seen = []
+    plain = linalg._echelon
+
+    def record(rows, ncols):
+        rows = list(rows)
+        seen.append((rows, ncols))
+        return plain(rows, ncols)
+
+    monkeypatch.setattr(linalg, "_echelon", record)
+    run()
+    monkeypatch.setattr(linalg, "_echelon", plain)
+    return seen
+
+
+def _assert_agrees_with_bareiss(rows, ncols):
+    """Same pivots and RREF as Bareiss elimination, and every echelon row primitive."""
+    ech, pivots = linalg._echelon(rows, ncols)
+    assert pivots == bareiss_echelon(rows, ncols)[1]
+    assert all(gcd(*r.values()) == 1 for r in ech)
+    assert linalg.rref(rows, ncols) == rref_all_fractions(rows, ncols, bareiss_echelon)
+
+
+def test_elimination_agrees_with_bareiss_on_the_corpus_matrices(monkeypatch, tmp_path):
+    from dgla.cli import run
+    from test_acceptance import CLI_CORPUS
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    monkeypatch.chdir(root)
+
+    def corpus():
+        for i, (cmd, files, flags) in enumerate(CLI_CORPUS):
+            argv = [cmd] + [os.path.join("fixtures", f) for f in files]
+            argv += [os.path.join("fixtures", a[1:]) if a.startswith("@") else a for a in flags]
+            assert run(argv + ["--out", str(tmp_path / ("r%d.json" % i))])[0] in (0, 1)
+        # der presentation_w11 omega up to degree 20: condition matrices up
+        # to 335 x 372, the shape of the deep der windows
+        p = io.load_presentation(io.load_json_file(os.path.join("fixtures", "presentation_w11.json")))
+        der_complex(p, "omega", (0, 20))
+
+    matrices = _eliminated(monkeypatch, corpus)
+    assert len(matrices) > 100 and max(len(rows) for rows, _ in matrices) > 300
+    for rows, ncols in matrices:
+        _assert_agrees_with_bareiss(rows, ncols)
+
+
+def _planted_rank_matrix(rng):
+    """A sparse m x n product B C of random m x r and r x n factors, rows shuffled.
+
+    The rank is at most r, which is below min(m, n); some entries are
+    Fractions, some rows zero or repeated.
+    """
+    m, n = rng.randint(1, 25), rng.randint(1, 25)
+    r = rng.randint(0, min(m, n) - 1)
+
+    def entry():
+        if rng.random() < 0.6:
+            return 0
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 1, 2, 3]))
+
+    b = [[entry() for _ in range(r)] for _ in range(m)]
+    c = [[entry() for _ in range(n)] for _ in range(r)]
+    dense = naive_matmul(b, c, n) if r else [[0] * n for _ in range(m)]
+    if m > 1:
+        dense[rng.randrange(m)] = list(dense[rng.randrange(m)])
+    rng.shuffle(dense)
+    return dense, n, r
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_elimination_agrees_with_bareiss_on_planted_rank_deficiency(seed):
+    dense, ncols, r = _planted_rank_matrix(random.Random(seed))
+    rows = _matrix(dense, ncols)
+    rank = linalg.rank(rows, ncols)
+    assert rank == gauss_rank(dense) <= r < min(len(dense), ncols)
+    _assert_agrees_with_bareiss(rows, ncols)
+    # and its transpose, whose pivots are the rows of an image basis
+    _assert_agrees_with_bareiss(linalg.columns(rows, ncols), len(dense))

@@ -169,6 +169,18 @@ def test_only_an_objects_own_methods_write_its_attributes():
     assert _scan(_scopes(_foreign_store)) == FOREIGN_STORES
 
 
+def test_derivations_are_checked_only_where_they_come_from_outside():
+    # the public constructor normalizes and checks input and values from
+    # another presentation; the derivations module builds every value it
+    # has just computed with Derivation._trusted
+    assert _scan(_callers("Derivation")) == [
+        "derivations.py:extend_by_zero",
+        "derivations.py:glue_derivations",
+        "io.py:load_derivation",
+        "models.py:xi_extend",
+    ]
+
+
 def test_each_derivation_has_one_leibniz_extension():
     # a derivation or f-derivation is evaluated only through the one
     # extension it makes for itself; the other is the presentation's differential
