@@ -95,7 +95,7 @@ class CESlice(ChainComplexSlice):
             # degrees from 0 are unknown, and nothing is assumed about them
             raise WindowTooNarrow(
                 "CE chains need a non-negatively graded input from degree 0",
-                required=(0, g.hi),
+                required=(0, max(g.hi, top_degree - 1)),
             )
         if g.hi < top_degree - 1:
             raise WindowTooNarrow(

@@ -418,7 +418,10 @@ class DerSlice(DgLieSlice):
     tables in the subspace coordinates.  The structure constants sum the
     tree images memoized by each basis derivation's one Leibniz extension,
     kept for the slice's life, through the one evaluator ``add_eval_at``
-    (``eval_at`` adds into a fresh sum): no element per pair or term.
+    (``eval_at`` adds into a fresh sum): no element per pair or term.  The
+    differential's columns are taken on memo-free copies of the basis
+    (``Derivation._trusted`` on the same values), so only the bracket
+    fills the basis derivations' memos.
     """
 
     def __init__(self, p, rel, window, spaces, layouts, zero_below=False):
@@ -437,10 +440,8 @@ class DerSlice(DgLieSlice):
         for n in range(lo + 1, hi + 1):
             cols = []
             for th in self.derivations[n]:
-                cols.append(self.coords(der_differential(th), n - 1))
-                # drop the Leibniz memo that der_differential left: kept for
-                # the life of the slice, it would be most of its memory
-                th._ext = None
+                copy = Derivation._trusted(p, n, th.values, rel)
+                cols.append(self.coords(der_differential(copy), n - 1))
             d_blocks[n] = linalg.from_columns(len(self.derivations[n - 1]), cols)
         super().__init__(window, labels, d_blocks, self._bracket_coords, zero_below)
 
@@ -679,6 +680,8 @@ def forget_pullback(m, rel_target, rel_source, window):
     are the two deru slices and pairs[n] lists the (theta, theta') bases.
     The window is cut to degrees >= 0; when both deru sides vanish below it,
     so does the pullback, and its chain slice gets one zero degree below.
+    The pair conditions evaluate memo-free copies of the left basis, so the
+    two slices are returned with no memo of that evaluation.
     """
     lo, hi = max(0, int(window[0])), int(window[1])
     qlo = max(1, lo)
@@ -691,14 +694,11 @@ def forget_pullback(m, rel_target, rel_source, window):
     pairs = {}
     for n in range(lo, hi + 1):
         nl = len(left.derivations[n])
-        units = [(th, None) for th in left.derivations[n]]
+        units = [(Derivation._trusted(m.target, n, th.values, rel_target), None)
+                 for th in left.derivations[n]]
         units += [(None, th) for th in right.derivations[n]]
         conditions = [_intertwining_condition(m, name, deg, n) for name, deg in src_gens]
         space = pair_spaces[n] = _condition_space(len(units), units.__getitem__, conditions)
-        # drop the Leibniz memos that evaluating the left units left: kept
-        # for the life of the left slice, as in DerSlice
-        for th in left.derivations[n]:
-            th._ext = None
         pairs[n] = []
         for v in space.vectors:
             vl = {j: x for j, x in v.items() if j < nl}

@@ -98,10 +98,10 @@ def _factor_entries(g_factor, g_glued, inc, d, col):
     for j in range(g_factor.module.dim(d)):
         glued_raw = {}
         for pos, cval in hf.raw_basis_vector(d, j).items():
-            sname, tname = hf.functional[d, pos]
-            tgt = hg.index.get((d, "s%s" % names[sname[1:]], tname))
+            x, tname = hf.functional[d, pos]
+            tgt = hg.position.get((d, names[x], tname))
             if tgt is None:
-                raise SubMismatch("Hom functional %r has no glued counterpart" % sname)
+                raise SubMismatch("Hom functional on %r has no glued counterpart" % x)
             glued_raw[tgt] = cval
         mod_coords = hg.to_module_coords(d, glued_raw)
         yield from ((gg.dim(d) + k, col + j, x) for k, x in mod_coords.items())

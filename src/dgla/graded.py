@@ -100,7 +100,8 @@ class DegreeWindow:
     of d_d : C_d -> C_{d-1}; an absent block is zero.  Degrees outside the
     window are unknown, not zero, and every access outside it raises
     WindowTooNarrow, unless the builder knows that the object vanishes
-    below its window and says so with ``zero_below``.
+    below its window and says so with ``zero_below``.  ``knows(d)`` says
+    whether degree d is known: in the window, or below a ``zero_below`` one.
     """
 
     def __init__(self, window, labels, differential=None, zero_below=False):
@@ -114,6 +115,9 @@ class DegreeWindow:
 
     def in_window(self, d):
         return self.lo <= d <= self.hi
+
+    def knows(self, d):
+        return self.in_window(d) or (d < self.lo and self.zero_below)
 
     def dim(self, d):
         if not self.in_window(d):

@@ -238,11 +238,12 @@ class OuterAction:
 
     ``action_fn(n, i, m, j)`` gives the left action of the acting basis
     element (n, i) on the module basis element (m, j), as sparse module
-    coordinates {k: c} in degree n+m; ``act`` memoizes it.  ``chi_fn(n, i)``
-    gives the degree -1 twist of (n, i), as sparse module coordinates in
-    degree n-1; ``twist`` memoizes it.  ``operator(n, i, k)`` is the action
+    coordinates {k: c} in degree n+m.  ``operator(n, i, k)`` is the action
     of (n, i) on the whole degree-k module as one sparse operator, read
-    from ``act``.  Callers must not mutate any of them.
+    from ``action_fn`` and memoized; ``act`` reads one image of it.
+    ``chi_fn(n, i)`` gives the degree -1 twist of (n, i), as sparse module
+    coordinates in degree n-1; ``twist`` memoizes it.  Callers must not
+    mutate any of them.
     """
 
     def __init__(self, acting, module, action_fn, chi_fn=None):
@@ -250,17 +251,11 @@ class OuterAction:
         self.module = module
         self._action_fn = action_fn
         self._chi_fn = chi_fn
-        self._act_memo = {}
         self._chi_memo = {}
         self._op_memo = {}
 
     def act(self, n, i, m, j):
-        key = (n, i, m, j)
-        got = self._act_memo.get(key)
-        if got is None:
-            got = self._action_fn(n, i, m, j)
-            self._act_memo[key] = got
-        return got
+        return self.operator(n, i, m).get(j, {})
 
     def act_vectors(self, n, x, m, y):
         """Bilinear extension of the action to sparse vectors."""
@@ -270,14 +265,14 @@ class OuterAction:
         """rho(e_i^(n)) on the degree-k module: {l: image of e_l^(k)}.
 
         Holds only the nonzero images, so it is empty exactly when (n, i)
-        acts by zero on degree k.  Memoized.
+        acts by zero on degree k.  Memoized: the one reader of ``action_fn``.
         """
         key = (n, i, k)
         got = self._op_memo.get(key)
         if got is None:
             got = {}
             for l in range(self.module.dim(k)):
-                v = self.act(n, i, k, l)
+                v = self._action_fn(n, i, k, l)
                 if v:
                     got[l] = v
             self._op_memo[key] = got
@@ -352,16 +347,10 @@ def outer_action_check(a, window=None):
     lo = max(g.lo, window[0]) if window else g.lo
     hi = min(g.hi, window[1]) if window else g.hi
 
-    def mod_ok(d):
-        return L.lo <= d <= L.hi
-
-    def g_ok(d):
-        return g.lo <= d <= g.hi
-
     def lie_map_failures():
         for n, m in combinations_with_replacement(range(lo, hi + 1), 2):
-            ks = [k for k in range(L.lo, L.hi + 1) if mod_ok(n + m + k)]
-            if not (g_ok(n + m) and ks):
+            ks = [k for k in range(L.lo, L.hi + 1) if L.in_window(n + m + k)]
+            if not (g.in_window(n + m) and ks):
                 continue
             sign = -1 if (n * m) % 2 else 1
             if n == m:
@@ -392,7 +381,7 @@ def outer_action_check(a, window=None):
 
     def chi_chain_failures():
         for n in range(max(lo, g.lo + 1), hi + 1):
-            if not (mod_ok(n - 1) and mod_ok(n - 2)):
+            if not (L.in_window(n - 1) and L.in_window(n - 2)):
                 continue
             for i in range(g.dim(n)):
                 # d chi(t) + chi(dt) = 0
@@ -408,15 +397,14 @@ def outer_action_check(a, window=None):
         got = untwisted.get(d)
         if got is None:
             got = untwisted[d] = not (
-                mod_ok(d - 1) and any(a.twist(d, i) for i in range(g.dim(d)))
+                L.in_window(d - 1) and any(a.twist(d, i) for i in range(g.dim(d)))
             )
         return got
 
     def chi_bracket_failures():
         for n, m in product(range(lo, hi + 1), repeat=2):
-            chi_n = mod_ok(n - 1) or (n - 1 < L.lo and L.zero_below)
-            chi_m = mod_ok(m - 1) or (m - 1 < L.lo and L.zero_below)
-            if not (g_ok(n + m) and mod_ok(n + m - 1) and chi_n and chi_m):
+            if not (g.in_window(n + m) and L.in_window(n + m - 1)
+                    and L.knows(n - 1) and L.knows(m - 1)):
                 continue
             if all(untwisted_degree(d) for d in (n, m, n + m)):
                 continue  # chi vanishes on g_n, g_m and g_{n+m}: every identity is 0 = 0
@@ -425,31 +413,28 @@ def outer_action_check(a, window=None):
             sgn2 = -1 if n % 2 else 1
             for i, j in product(range(g.dim(n)), range(g.dim(m))):
                 terms = [(c, a.twist(n + m, k)) for k, c in g.bracket(n, i, m, j).items()]
-                if mod_ok(n - 1):
+                if L.in_window(n - 1):
                     terms.append((-sgn1, bilinear(a.act, m, {j: 1}, n - 1, a.twist(n, i))))
-                if mod_ok(m - 1):
+                if L.in_window(m - 1):
                     terms.append((-sgn2, bilinear(a.act, n, {i: 1}, m - 1, a.twist(m, j))))
                 if combination(terms):
                     yield ("axiom_chi_bracket", n, i, m, j)
 
     def d_of_action_failures():
         for n, k in product(range(lo, hi + 1), range(L.lo, L.hi + 1)):
-            chi_known = mod_ok(n - 1) or (n - 1 < L.lo and L.zero_below)
-            dx_known = mod_ok(k - 1) or (k - 1 < L.lo and L.zero_below)
-            dtheta_known = n - 1 >= g.lo or g.zero_below
-            if not (mod_ok(n + k) and mod_ok(n + k - 1)
-                    and chi_known and dx_known and dtheta_known):
+            if not (L.in_window(n + k) and L.in_window(n + k - 1)
+                    and L.knows(n - 1) and L.knows(k - 1) and g.knows(n - 1)):
                 continue
             sgn = -1 if n % 2 else 1
             for i in range(g.dim(n)):
                 # d rho(t) - rho(dt) - (-1)^{|t|} rho(t) d - ad(chi(t)) = 0 on L_k
                 terms = [(1, {l: combination((c, L_d[n + k][p]) for p, c in v.items())
                               for l, v in a.operator(n, i, k).items()})]
-                if n - 1 >= g.lo:
+                if g.in_window(n - 1):
                     terms += [(-c, a.operator(n - 1, q, k)) for q, c in g_d[n][i].items()]
-                if mod_ok(k - 1) and a.operator(n, i, k - 1):
+                if L.in_window(k - 1) and a.operator(n, i, k - 1):
                     terms.append((-sgn, _after(a, n, i, k - 1, d_ops[k])))
-                chi = a.twist(n, i) if mod_ok(n - 1) else {}
+                chi = a.twist(n, i) if L.in_window(n - 1) else {}
                 if chi:
                     terms.append((-1, {l: bilinear(L.bracket, n - 1, chi, k, {l: 1})
                                        for l in range(L.dim(k))}))
@@ -550,7 +535,9 @@ class _HomModule:
     product (``module``, whose degree 0 is the cycles ``z0`` of ``full``)
     and the raw Hom coordinates of ``full`` that the action formulas
     produce.  The suspension has degrees raised by one and differential
-    negated: d(s x) = -s(d x).
+    negated: d(s x) = -s(d x).  The functional E(t, s x) of degree d sits at
+    raw position ``position[(d, x, t)]``, and ``functional[(d, pos)]`` is
+    its (x, t): this constructor alone reads the suspended names.
     """
 
     def __init__(self, p, sub, pi, window):
@@ -564,11 +551,12 @@ class _HomModule:
             if src and tgt:
                 s_blocks[d + 1] = linear_part_block(lambda n: p.d_gen(n).scale(-1), src, tgt)
         lo = min(window[0] - 1, -1)
-        self.full, self.index = hom_slice(shifted_basis(basis.entries), s_blocks, pi,
-                                          (lo, window[1]))
+        self.full, index = hom_slice(shifted_basis(basis.entries), s_blocks, pi,
+                                     (lo, window[1]))
         self.module, self.z0 = self.full.truncate_nonneg()
-        # (degree, raw position) -> (source name, target name)
-        self.functional = {(d, pos): (s, t) for (d, s, t), pos in self.index.items()}
+        # shifted_basis names s x "s" + x: keyed by x, with the "s" cut
+        self.position = {(d, s[1:], t): pos for (d, s, t), pos in index.items()}
+        self.functional = {(d, pos): (x, t) for (d, x, t), pos in self.position.items()}
 
     def raw_basis_vector(self, m, j):
         """The sparse raw Hom coordinates of module basis element j in degree m."""
@@ -609,14 +597,13 @@ class _HomModule:
         sign = -1 if n % 2 else 1
         terms = []
         for pos, c in fvec.items():
-            sname, tname = self.functional[m, pos]
-            xf = sname[1:]
+            xf, tname = self.functional[m, pos]
             # the linear part of theta(x) lives in degree |x| + n, so a
             # nonzero coefficient on xf puts x in degree |xf| - n
             for x, lin in induced.items():
                 lam = lin.get(xf)
                 if lam:
-                    tgt = self.index.get((m + n, "s%s" % x, tname))
+                    tgt = self.position.get((m + n, x, tname))
                     if tgt is not None:
                         terms.append((sign * c * lam, {tgt: 1}))
         return combination(terms)
@@ -631,7 +618,7 @@ class _HomModule:
         degree = self.indec_basis.degree
         for x, lin in induced.items():
             for tname, c in _rho_of_linear(rho, degree(x) + n, lin).items():
-                tgt = self.index.get((n - 1, "s%s" % x, tname))
+                tgt = self.position.get((n - 1, x, tname))
                 if tgt is not None:
                     terms.append((sign * c, {tgt: 1}))
         return combination(terms)

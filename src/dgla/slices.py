@@ -341,7 +341,7 @@ class SliceElement:
 
 
 def shifted_basis(entries):
-    """Suspension of a graded basis: names kept, degrees raised by one."""
+    """Suspension of a graded basis: each name n becomes "s" + n, degrees raised by one."""
     return GradedBasis([("s%s" % n, d + 1) for n, d in entries])
 
 

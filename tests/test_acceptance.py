@@ -669,14 +669,36 @@ def test_twisted_report_bodies_match_pinned_digests(cmd, files, flags, digest, m
     assert _report_digest(cmd, files, flags, monkeypatch, tmp_path) == digest
 
 
-def _report_digest(cmd, files, flags, monkeypatch, tmp_path):
-    """SHA-256 of one command's report body, run from the repository root."""
+# Report SHA-256 of `check` on a presentation whose element-generated subs
+# have d != 0 on their elements, so that `validate` asks
+# DgLaPresentation.subalgebra_span whether d keeps each closed, which no
+# other pinned command does: "closed" (on u and [x,y], d u = [x,y]) passes,
+# "open" (on u alone) fails at element 0, and the command exits 1.  Pinned
+# from an earlier commit, as CORPUS_REPORT_SHA256 is.
+SUB_CLOSED_REPORT_SHA256 = [
+    ("check", ["presentation_closed_sub.json"], [], 1,
+     "858e506c133dc5514e9f780e74f58995668b4c88424c3a58ea5ca325bfd04cb5"),
+]
+
+
+@pytest.mark.parametrize("cmd, files, flags, code, digest", SUB_CLOSED_REPORT_SHA256,
+                         ids=["check-closed-sub"])
+def test_sub_closed_report_bodies_match_pinned_digests(cmd, files, flags, code, digest,
+                                                       monkeypatch, tmp_path):
+    assert _report_digest(cmd, files, flags, monkeypatch, tmp_path, code) == digest
+
+
+def _report_digest(cmd, files, flags, monkeypatch, tmp_path, code=0):
+    """SHA-256 of one command's report body, run from the repository root.
+
+    The command must exit with ``code``.
+    """
     monkeypatch.chdir(os.path.join(os.path.dirname(__file__), ".."))
     argv = [cmd] + [os.path.join("fixtures", f) for f in files]
     argv += [os.path.join("fixtures", a[1:]) if a.startswith("@") else a for a in flags]
     out = tmp_path / "r.json"
-    code, _ = cli_run(argv + ["--out", str(out)])
-    assert code == 0, (cmd, code)
+    got, _ = cli_run(argv + ["--out", str(out)])
+    assert got == code, (cmd, got)
     body = io_mod.canonical_dumps(json.loads(out.read_text())["report"])
     return hashlib.sha256(body.encode()).hexdigest()
 

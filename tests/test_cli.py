@@ -435,6 +435,15 @@ def test_a_rho_that_does_not_kill_d_is_a_failed_verdict(tmp_path, fixture_path, 
     ]
 
 
+def test_der_refuses_rho_without_deru(fixture_path, capsys):
+    # rho cuts only Der_u's degree 0: without --deru the report would name
+    # the rho file and hold the tables of the run without it
+    code, payload = _run("der", fixture_path("presentation_twisted9.json"),
+                         "--rho", fixture_path("rho_twisted9.json"), "--min", "0", "--max", "2")
+    assert code == 2 and payload is None
+    assert "error: --rho needs --deru" in capsys.readouterr().err
+
+
 def test_window_too_narrow_is_exit_2(tmp_path):
     f = tmp_path / "narrow.json"
     f.write_text(
@@ -465,6 +474,21 @@ def test_ce_assumes_nothing_below_a_window_above_0(tmp_path, capsys):
     }))
     code, payload = _run("ce", str(ext), *window)
     assert code == 0 and _body(payload)["tables"]["betti"] == {"0": 1, "1": 0, "2": 0}
+
+
+def test_ce_names_a_window_that_suffices(fixture_path, tmp_path, capsys):
+    # a slice on [-2, 0] is refused for its degrees below 0; the window
+    # named must also reach degree 1 for words up to degree 2, so that a
+    # slice on it runs, where one on [0, 0] is refused again
+    code, payload = _run("ce", fixture_path("mc_slice.json"), "--min", "0", "--max", "2")
+    assert code == 2 and payload is None
+    assert "required window: [0, 2]" in capsys.readouterr().err
+    f = tmp_path / "from0.json"
+    for window, code_wanted in (([0, 0], 2), ([0, 2], 0)):
+        f.write_text(json.dumps({"window": window, "basis": [{"name": "x", "degree": 0}]}))
+        code, payload = _run("ce", str(f), "--min", "0", "--max", "2")
+        assert code == code_wanted
+    assert _body(payload)["tables"]["betti"] == {"0": 1, "1": 1, "2": 0}
 
 
 def test_ce_of_a_bracket_failing_jacobi_is_a_failed_verdict(tmp_path):

@@ -581,7 +581,7 @@ def test_twist_entries_match_the_defining_formula():
     g = build_block_g(m, (0, 2))
     acting = g.acting
     hm = g.hom_module
-    pos = hm.index[(0, "sa", "pi3")]
+    pos = hm.position[(0, "a", "pi3")]
     for i in range(acting.dim(1)):
         th = acting.derivations[1][i]
         c = th.value("a").linear_part().get("x", Fraction(0))

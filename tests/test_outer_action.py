@@ -175,10 +175,10 @@ def test_build_g_reads_a_nonzero_action_from_each_derivation_once():
                     # (f.theta)(s x) = (-1)^|theta| f(s theta(x)), one x at a time
                     raw = {}
                     for pos, c in hm.raw_basis_vector(m, j).items():
-                        sname, tname = hm.functional[m, pos]
+                        xf, tname = hm.functional[m, pos]
                         for x, _ in hm.indec_basis.entries:
-                            lam = theta.value(x).linear_part().get(sname[1:])
-                            tgt = hm.index.get((m + n, "s" + x, tname))
+                            lam = theta.value(x).linear_part().get(xf)
+                            tgt = hm.position.get((m + n, x, tname))
                             if lam and tgt is not None:
                                 raw[tgt] = raw.get(tgt, 0) + sign * c * lam
                     sgn = -1 if (n * m) % 2 == 0 else 1
