@@ -114,6 +114,9 @@ def cmd_indec(args, inputs):
 def cmd_der(args, inputs):
     if args.rho and not args.deru:
         raise SchemaError("--rho needs --deru: rho cuts only Der_u's degree 0")
+    if args.assert_semisimple and not args.deru:
+        raise SchemaError("--assert-semisimple needs --deru: only Der_u's degree 0 "
+                          "rests on semisimplicity")
     p = _load(inputs, args.file, io_mod.load_presentation)
     rho = None
     if args.rho:

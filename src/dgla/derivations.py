@@ -335,12 +335,16 @@ class _HomLayout:
 
 
 def _condition_space(ncols, unit, conditions):
-    """The subspace of Q^ncols on which every condition vanishes.
+    """The subspace of Q^ncols on which every condition vanishes, assembled per unit.
 
     Column k of the one condition matrix stacks, under ``conditions``, the
     images of ``unit(k)``: the k-th coordinate vector's derivation, built
     on its one generator (``_HomLayout.unit``), or pair of them.  The space
     is that matrix's kernel basis; units are built only for a condition.
+    Degree 0 of Der and Der_u (whose cycle, indecomposables and rho
+    conditions read each unit's values or D(unit)), the f-derivations and
+    the forgetful pullback's pair conditions are assembled so; every other
+    degree of ``_der_slice`` per Hom slot (``_vanishing_space``).
     """
     tops = [0]
     for height, _ in conditions:
@@ -351,6 +355,73 @@ def _condition_space(ncols, unit, conditions):
         for top, (_, image) in zip(tops, conditions):
             ents += [(top + i, k, c) for i, c in image(u).items()]
     return linalg.Subspace.from_kernel(linalg.matrix(tops[-1], ncols, ents), ncols)
+
+
+def _vanishing_space(p, rel, layout):
+    """Degree n != 0 of Der(L rel L'): the kernel of theta -> theta(e) over the listed e.
+
+    The matrix of ``_condition_space`` on ``layout.unit`` and
+    ``_vanishing_conditions``, assembled per Hom slot (x, offset) with no
+    unit derivation: column offset + k, the unit x -> b_k, stacks u_k(e)
+    over the elements e an ElementGenerated sub lists.  Each term c * t of
+    e that ``reach`` keeps for x adds c u_k(t) from the slot's one walk
+    (``_slot_images``), whose memo goes with the slot, and
+    ``linalg.matrix`` sums the entries that terms share.
+    """
+    spec = p.sub(rel)
+    elements = () if isinstance(spec, GeneratorSplit) else spec.elements
+    n = layout.n
+    tops = [0]
+    for e in elements:
+        tops.append(tops[-1] + p.dim(e.degree + n))
+    ents = []
+    for name, deg, off, dim in layout.slots:
+        g = p.generators.index[name]
+        images = _slot_images(p, n, g, dim)
+        for top, e in zip(tops, elements):
+            basis = p.lie_basis(e.degree)
+            for i, c in p.reach(e, 1 << g)[0].items():
+                for k, image in enumerate(images(basis[i].tree)):
+                    ents += [(top + r, off + k, c * x) for r, x in image.items()]
+    return linalg.Subspace.from_kernel(linalg.matrix(tops[-1], layout.total, ents), layout.total)
+
+
+def _slot_images(p, n, g, dim):
+    """The walk t -> [u_k(t) for k < dim] over the basis trees t of p, None where all vanish.
+
+    u_k is the degree-n unit sending generator g to b_k, the k-th basis
+    element of degree |g| + n, and every other generator to 0.  A leaf
+    gives b_k at g; a tree [t1, t2] gives
+    u_k[t1, t2] = [u_k t1, m t2] + (-1)^{n |t1|} [m t1, u_k t2], with m
+    = ``tree_element``, each bracket added by ``add_bracket`` into one
+    coordinate dict per k.  Each tree's list is memoized for the walk's life.
+    """
+    units = [{k: 1} for k in range(dim)]
+    memo = {}
+
+    def walk(t):
+        if isinstance(t, int):
+            return units if t == g else None
+        if t in memo:
+            return memo[t]
+        a, b = walk(t[0]), walk(t[1])
+        images = None
+        if a is not None or b is not None:
+            m1, m2 = p.tree_element(t[0]), p.tree_element(t[1])
+            d1, d2 = m1.degree, m2.degree
+            sign = -1 if n * d1 % 2 else 1
+            images = []
+            for k in range(dim):
+                out = {}
+                if a is not None:
+                    p.add_bracket(out, 1, d1 + n, a[k], d2, m2.coords)
+                if b is not None:
+                    p.add_bracket(out, sign, d1, m1.coords, d2 + n, b[k])
+                images.append(nonzeros(out))
+        memo[t] = images
+        return images
+
+    return walk
 
 
 def _evaluation(e):
@@ -413,15 +484,16 @@ class DerSlice(DgLieSlice):
     """A windowed derivation complex with its dg Lie structure.
 
     Basis elements are Derivation objects, in each degree the kernel basis
-    of that degree's stacked conditions (see ``linalg.Subspace``); the
-    differential and bracket are realized as exact matrices and memoized
-    tables in the subspace coordinates.  The structure constants sum the
-    tree images memoized by each basis derivation's one Leibniz extension,
-    kept for the slice's life, through the one evaluator ``add_eval_at``
-    (``eval_at`` adds into a fresh sum): no element per pair or term.  The
-    differential's columns are taken on memo-free copies of the basis
-    (``Derivation._trusted`` on the same values), so only the bracket
-    fills the basis derivations' memos.
+    of that degree's stacked conditions (see ``linalg.Subspace``), whose
+    matrix ``_der_slice`` assembles per unit in degree 0 and per Hom slot
+    in every other degree; the differential and bracket are realized as
+    exact matrices and memoized tables in the subspace coordinates.  The
+    structure constants sum the tree images memoized by each basis
+    derivation's one Leibniz extension, kept for the slice's life, through
+    the one evaluator ``add_eval_at`` (``eval_at`` adds into a fresh sum):
+    no element per pair or term.  The differential's columns are taken on
+    memo-free copies of the basis (``Derivation._trusted`` on the same
+    values), so only the bracket fills the basis derivations' memos.
     """
 
     def __init__(self, p, rel, window, spaces, layouts, zero_below=False):
@@ -478,18 +550,22 @@ def _der_slice(p, rel, window, degree0=lambda: [], zero_below=False):
     """Der(L rel L') on [lo, hi], degree 0 also cut by the conditions ``degree0()``.
 
     Each degree is the kernel of its conditions: the rel-vanishing ones,
-    and at degree 0 those ``degree0`` returns.  ``zero_below`` says that
-    the complex vanishes below the window.
+    and at degree 0 those ``degree0`` returns.  Degree 0 stacks them per
+    unit (``_condition_space``), since ``degree0``'s conditions read each
+    unit's values or D(unit); every other degree assembles its
+    rel-vanishing matrix by one walk per Hom slot (``_vanishing_space``).
+    ``zero_below`` says that the complex vanishes below the window.
     """
     lo, hi = window
     spaces = {}
     layouts = {}
     for n in range(lo, hi + 1):
         layout = layouts[n] = _HomLayout(p, rel, n)
-        conditions = _vanishing_conditions(p, rel, p, n)
-        if n == 0:
-            conditions += degree0()
-        spaces[n] = _condition_space(layout.total, layout.unit, conditions)
+        if n:
+            spaces[n] = _vanishing_space(p, rel, layout)
+        else:
+            conditions = _vanishing_conditions(p, rel, p, 0) + degree0()
+            spaces[n] = _condition_space(layout.total, layout.unit, conditions)
     return DerSlice(p, rel, (lo, hi), spaces, layouts, zero_below)
 
 

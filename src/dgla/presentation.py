@@ -495,14 +495,11 @@ class DgLaPresentation:
     def bracket_sum(self, terms):
         """The sum of c * [x, y] over the (c, x, y) in a nonempty ``terms``.
 
-        Every c * cx * cy * [bx, by] over the coordinates cx of x and cy of y
-        is added into one dict, each basis bracket read from the bracket
-        cache (``basis_bracket`` only on a miss), and one element is built
-        from its nonzeros.  The degree is that of the first term whose
-        factors are both nonzero, or of the first term when none is; such a
-        term of another degree raises InhomogeneousExpression.
+        Every c * [x, y] is added into one dict (``add_bracket``), and one
+        element is built from its nonzeros.  The degree is that of the first
+        term whose factors are both nonzero, or of the first term when none
+        is; such a term of another degree raises InhomogeneousExpression.
         """
-        cache = self._bracket_cache
         out = {}
         first = degree = None
         for c, x, y in terms:
@@ -514,16 +511,26 @@ class DgLaPresentation:
             if not (x.coords and y.coords):
                 continue
             degree = common_degree(degree, dx + dy)
-            ycoords = y.coords.items()
-            for i, ci in x.coords.items():
-                if c != 1:
-                    ci = ci * c
-                for j, cj in ycoords:
-                    b = cache.get((dx, i, dy, j))
-                    if b is None:
-                        b = self.basis_bracket(dx, i, dy, j)
-                    accumulate(out, ci * cj, b.coords)
+            self.add_bracket(out, c, dx, x.coords, dy, y.coords)
         return LieElement._trusted(self, first if degree is None else degree, nonzeros(out))
+
+    def add_bracket(self, out, c, dx, x, dy, y):
+        """Add c * [x, y] into ``out`` for the coordinates x of degree dx and y of dy.
+
+        Every c * cx * cy * [bx, by] is added with ``linalg.accumulate``,
+        each basis bracket read from the bracket cache (``basis_bracket``
+        only on a miss).
+        """
+        cache = self._bracket_cache
+        ycoords = y.items()
+        for i, ci in x.items():
+            if c != 1:
+                ci = ci * c
+            for j, cj in ycoords:
+                b = cache.get((dx, i, dy, j))
+                if b is None:
+                    b = self.basis_bracket(dx, i, dy, j)
+                accumulate(out, ci * cj, b.coords)
 
     def d_gen(self, name):
         return self.differential.get(

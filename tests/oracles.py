@@ -782,6 +782,44 @@ def random_presentation(rng, max_gens=4, max_degree=5):
     return DgLaPresentation(gens, diff)
 
 
+def fuzz_split_presentations():
+    """The 12 seeded random presentations of ``test_fuzz``'s slice test.
+
+    Each carries a sub "s" split off by a random set of generators whose
+    differentials stay in it; presentations with many low-degree
+    generators are skipped, to keep coverage broad rather than large.
+    """
+    from dgla.presentation import DgLaPresentation, GeneratorSplit
+
+    rng = random.Random(60606)
+    built = 0
+    while built < 12:
+        p = random_presentation(rng, max_gens=3, max_degree=4)
+        names = [n for n, _ in p.generators.entries]
+        subnames = [n for n in names if rng.random() < 0.35]
+        ok = all(
+            p.d_gen(n).is_zero() or p.in_generator_span(p.d_gen(n), subnames)
+            for n in subnames
+        )
+        if not ok or sum(p.dim(d + 2) for _, d in p.generators.entries) > 60:
+            continue
+        yield DgLaPresentation(p.generators.entries, p.differential,
+                               {"s": GeneratorSplit(subnames)})
+        built += 1
+
+
+def fuzz_presentations():
+    """The 8 seeded random presentations of ``test_fuzz``'s Der_u test."""
+    rng = random.Random(70707)
+    built = 0
+    while built < 8:
+        p = random_presentation(rng, max_gens=3, max_degree=4)
+        if sum(p.dim(d + 2) for _, d in p.generators.entries) > 60:
+            continue
+        yield p
+        built += 1
+
+
 def random_unipotent_automorphism(rng, p, rel=None):
     """id + random corrections of word length >= 2, d-compatible on d = 0."""
     from dgla.morphisms import GeneratorMorphism

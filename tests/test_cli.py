@@ -444,6 +444,15 @@ def test_der_refuses_rho_without_deru(fixture_path, capsys):
     assert "error: --rho needs --deru" in capsys.readouterr().err
 
 
+def test_der_refuses_assert_semisimple_without_deru(fixture_path, capsys):
+    # only Der_u's degree 0 rests on semisimplicity: without --deru the
+    # report would record the flag and hold the tables of the run without it
+    code, payload = _run("der", fixture_path("presentation_cp2.json"), "--assert-semisimple",
+                         "--min", "0", "--max", "2")
+    assert code == 2 and payload is None
+    assert "error: --assert-semisimple needs --deru" in capsys.readouterr().err
+
+
 def test_window_too_narrow_is_exit_2(tmp_path):
     f = tmp_path / "narrow.json"
     f.write_text(

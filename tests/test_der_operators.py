@@ -11,7 +11,10 @@ value and order, for every factor and multiple.  A unit is built on its one
 generator as ``from_vector`` builds it.  ``eval_at``, and so each condition
 of a derivation space, evaluates a unit only on the terms of its element
 that the unit reaches; ``oracles.unrestricted_evaluation`` evaluates it on
-the whole element.  Each pair must agree entry for entry.
+the whole element.  Degrees other than 0 of Der and Der_u assemble their
+condition matrix per Hom slot, with no unit (``_vanishing_space``): each of
+its columns holds, by value, what the unit's ``eval_at`` gives, and it has
+the kernel of the per-unit matrix.  Each pair must agree entry for entry.
 """
 
 import random
@@ -20,7 +23,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from dgla import derivations, io
+from dgla import derivations, io, linalg
+from dgla.cli import run
 from dgla.derivations import (
     Derivation, FDerivation, _HomLayout, der_complex, deru, f_der_dims, forget_pullback,
 )
@@ -33,6 +37,8 @@ from dgla.presentation import DgLaPresentation, LieElement
 from oracles import (
     condition_columns,
     der_bracket_structure_constants,
+    fuzz_presentations,
+    fuzz_split_presentations,
     random_presentation,
     unrestricted_evaluation,
 )
@@ -392,7 +398,11 @@ def test_a_unit_is_evaluated_only_on_the_trees_it_reaches(monkeypatch):
 
 def _fuzz_with_sub(rng):
     """A random presentation with a random sub of brackets of its cycle generators."""
-    p = random_presentation(rng, max_gens=4, max_degree=4)
+    return _with_bracket_sub(random_presentation(rng, max_gens=4, max_degree=4), rng)
+
+
+def _with_bracket_sub(p, rng):
+    """p with its subs replaced by a random sub "s" of brackets of its cycle generators."""
     cycles = [g for g, _ in p.generators.entries if g not in p.differential]
     terms = []
     for _ in range(rng.randint(1, 3)):
@@ -421,3 +431,117 @@ def test_fuzz_condition_matrices_match_the_unrestricted_evaluation(monkeypatch):
             matrices = _same_condition_matrices(build, monkeypatch)
             nonzero += any(any(col) for cols in matrices for col in cols)
     assert nonzero >= 10
+
+
+# -- the per-slot walk against the per-unit columns ----------------------------------------
+
+
+def _walked(p, rel, layout, monkeypatch):
+    """The one condition matrix ``_vanishing_space`` assembles, and its space."""
+    built = []
+    plain = linalg.matrix
+
+    def recorded(nrows, ncols, entries=()):
+        built.append(plain(nrows, ncols, entries))
+        return built[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "matrix", recorded)
+        space = derivations._vanishing_space(p, rel, layout)
+    (m,) = built
+    return m, space
+
+
+def _walk_matches_the_units(p, rel, monkeypatch):
+    """Each walked column of degrees 1..6 against the units' evaluations, and the kernels.
+
+    Column k, cut at each listed element e, holds the entries of
+    ``layout.unit(k).eval_at(e)``, compared by value; ``Subspace.from_kernel``
+    returns the same vectors, at the same pivots, from the walked matrix
+    and from the per-unit one.  True when some walked matrix is nonzero.
+    """
+    elements = p.sub(rel).elements
+    nonzero = False
+    for n in range(1, 7):
+        layout = _HomLayout(p, rel, n)
+        m, space = _walked(p, rel, layout, monkeypatch)
+        cols = linalg.columns(m, layout.total)
+        for k in range(layout.total):
+            unit, top = layout.unit(k), 0
+            for e in elements:
+                height = p.dim(e.degree + n)
+                got = sorted((i - top, c) for i, c in cols[k].items() if top <= i < top + height)
+                assert got == sorted(unit.eval_at(e).coords.items()), (n, k, e.terms())
+                top += height
+            assert top == len(m)
+        conditions = derivations._vanishing_conditions(p, rel, p, n)
+        want = derivations._condition_space(layout.total, layout.unit, conditions)
+        assert (space.vectors, space.pivots) == (want.vectors, want.pivots), n
+        nonzero = nonzero or any(m)
+    return nonzero
+
+
+def _odd_sub():
+    # odd letters on both sides of a bracket, squares of odd letters, and signs
+    return DgLaPresentation(
+        [("x", 1), ("a", 2), ("c", 3)],
+        None,
+        {"s": {"elements": ["[x,x]", "[c,[x,a]] - 2*[a,[x,c]]", "[c,c] + [x,[x,[a,a]]]"]}},
+    )
+
+
+def _walk_cases(fixture_path):
+    closed = io.load_presentation(_load(fixture_path, "presentation_closed_sub.json"))
+
+    def glued(m, n):
+        m, n = (io.load_manifold(_load(fixture_path, f)) for f in (m, n))
+        return boundary_connected_sum(m, n).presentation
+
+    return {
+        "w11 omega": lambda: (io.load_presentation(
+            _load(fixture_path, "presentation_w11.json")), "omega"),
+        "tilde_w11 omega": lambda: (io.load_presentation(
+            _load(fixture_path, "tilde_w11.json")), "omega"),
+        "twisted9 omega": lambda: (io.load_presentation(
+            _load(fixture_path, "presentation_twisted9.json")), "omega"),
+        "closed_sub closed": lambda: (closed, "closed"),
+        "closed_sub open": lambda: (closed, "open"),
+        "cubic": lambda: (_cubic_sub(), "s"),
+        "odd letters": lambda: (_odd_sub(), "s"),
+        "glue w21 w11": lambda: (glued("w21.json", "w11.json"), "omega"),
+        "glue action10 ab10": lambda: (glued("action10.json", "ab10.json"), "omega"),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "w11 omega", "tilde_w11 omega", "twisted9 omega", "closed_sub closed", "closed_sub open",
+    "cubic", "odd letters", "glue w21 w11", "glue action10 ab10",
+])
+def test_the_slot_walk_gives_each_units_column(case, fixture_path, monkeypatch):
+    p, rel = _walk_cases(fixture_path)[case]()
+    assert _walk_matches_the_units(p, rel, monkeypatch)
+
+
+def test_fuzz_slot_walk_gives_each_units_column(monkeypatch):
+    # the presentations of test_fuzz.py, each with a sub of brackets of its cycles
+    rng = random.Random(4040)
+    nonzero = 0
+    for p in list(fuzz_split_presentations()) + list(fuzz_presentations()):
+        nonzero += _walk_matches_the_units(_with_bracket_sub(p, rng), "s", monkeypatch)
+    assert nonzero >= 10
+
+
+def test_der_builds_units_only_in_degree_0(fixture_path, monkeypatch):
+    # degrees >= 1 are assembled per Hom slot; degree 0 evaluates each unit
+    degrees = []
+    plain = _HomLayout.unit
+
+    def recorded(layout, k):
+        degrees.append(layout.n)
+        return plain(layout, k)
+
+    monkeypatch.setattr(_HomLayout, "unit", recorded)
+    code, _ = run(["der", fixture_path("presentation_w11.json"), "--sub", "omega",
+                   "--min", "0", "--max", "8"])
+    assert code == 0
+    assert degrees and set(degrees) == {0}
