@@ -14,7 +14,7 @@ Leibniz rule forces vanishing on the whole generated subalgebra.
 from bisect import bisect_right
 
 from . import linalg
-from .errors import NotQuasiIso, RhoNotChainMap, SchemaError, SubMismatch, WindowTooNarrow
+from .errors import NotQuasiIso, RhoNotChainMap, SubMismatch, WindowTooNarrow
 from .graded import ChainComplexSlice
 from .linalg import accumulate, combination, exact, nonzeros
 from .morphisms import _rho_of
@@ -30,19 +30,8 @@ class Derivation:
 
     def __init__(self, ambient, degree, values, rel=None, check=True):
         degree = int(degree)
-        vals = {}
-        for name, v in values.items():
-            if name not in ambient.generators.index:
-                raise ValueError("value on unknown generator %r" % name)
-            at = "/values/%s" % name
-            v = ambient.normal_form_at(v, at)
-            if not v.is_zero():
-                expected = ambient.generators.degree(name) + degree
-                if v.degree != expected:
-                    raise SchemaError(
-                        "value on %r has degree %d, expected %d" % (name, v.degree, expected), at
-                    )
-                vals[name] = v
+        vals = ambient.values_on(ambient, values, degree, "/values")
+        vals = {n: v for n, v in vals.items() if not v.is_zero()}
         self._fields(ambient, degree, vals, rel, None)
         if check and rel is not None:
             self._verify_rel()
@@ -660,19 +649,11 @@ class FDerivation:
     def __init__(self, morphism, degree, values):
         self.morphism = morphism
         self.degree = int(degree)
-        self.values = {}
-        self._ext = None
-        self._mask = 0
         src = morphism.source
-        tgt = morphism.target
-        for name, v in values.items():
-            v = tgt.normal_form(v)
-            if not v.is_zero():
-                expected = src.generators.degree(name) + self.degree
-                if v.degree != expected:
-                    raise ValueError("f-derivation value degree mismatch at %r" % name)
-                self.values[name] = v
-                self._mask |= 1 << src.generators.index[name]
+        vals = morphism.target.values_on(src, values, self.degree, "/values")
+        self.values = {n: v for n, v in vals.items() if not v.is_zero()}
+        self._ext = None
+        self._mask = sum(1 << src.generators.index[n] for n in self.values)
 
     def eval_at(self, e):
         """Twisted Leibniz extension: th[u,v] = [th u, m v] + (-1)^{n|u|}[m u, th v].

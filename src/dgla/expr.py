@@ -5,7 +5,10 @@
     tree     := ident | '[' tree ',' tree ']'
     rational := int ['/' posint]
 
-Whitespace is insignificant.  ``ident`` is [A-Za-z_][A-Za-z0-9_']*; the
+Whitespace is insignificant between tokens.  A ``rational`` is one token,
+with no whitespace inside it, and its digits are the ASCII 0-9; a JSON
+rational string is read by the same production (``parse_rational``), so
+both accept exactly the same text.  ``ident`` is [A-Za-z_][A-Za-z0-9_']*; the
 apostrophe supports deterministic renaming in pushouts.  There is no
 leading-sign production: a leading negative term must spell its coefficient
 (``-1*a``), and that is what the serializer emits.
@@ -22,7 +25,8 @@ from .errors import GrammarError
 from .linalg import exact
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789'")
+_DIGITS = set("0123456789")
+_IDENT_CONT = _IDENT_START | _DIGITS | {"'"}
 
 # Deepest bracket nesting accepted; far below the interpreter's recursion
 # limit, so a malformed input is a GrammarError and never a RecursionError.
@@ -64,23 +68,24 @@ class _Parser:
         return self.text[start : self.pos]
 
     def parse_digits(self):
-        self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("expected digits")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's limit on digits
+            self.error("too many digits")
 
     def parse_rational(self):
-        self.skip_ws()
-        neg = False
-        if self.peek() == "-":
-            neg = True
+        """The ``rational`` token at the current position."""
+        neg = self.text.startswith("-", self.pos)
+        if neg:
             self.pos += 1
         num = self.parse_digits()
         den = 1
-        if self.peek() == "/":
+        if self.text.startswith("/", self.pos):
             self.pos += 1
             den = self.parse_digits()
             if den == 0:
@@ -104,7 +109,7 @@ class _Parser:
 
     def at_rational(self):
         c = self.peek()
-        return c == "-" or c.isdigit()
+        return c == "-" or c in _DIGITS
 
     def parse_term(self):
         if self.at_rational():
@@ -136,6 +141,15 @@ class _Parser:
 def parse_expression(text):
     """Parse an expression string into AST terms [(coefficient, tree), ...]."""
     return _Parser(text).parse_expr()
+
+
+def parse_rational(text):
+    """The whole of ``text`` read as one ``rational`` token."""
+    p = _Parser(text)
+    q = p.parse_rational()
+    if p.pos != len(text):
+        p.error("unexpected trailing input")
+    return q
 
 
 def tree_to_str(tree):

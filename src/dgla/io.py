@@ -6,7 +6,9 @@ document against it before anything is built.  A schema is one of:
 
     int, bool, str     a JSON value of that type (an int is never a boolean)
     Range(lo, hi)      a JSON integer in [lo, hi]
-    RATIONAL           a JSON integer or a string "p/q" (floats are rejected)
+    RATIONAL           a JSON integer or a string "p" or "p/q", read by the
+                       expression grammar's ``rational`` production (floats
+                       are rejected)
     Name(kind)         a string naming a declared ``kind``
     Expr(kind)         an expression string (grammar in dgla.expr) over
                        declared ``kind`` names, read as AST terms
@@ -32,7 +34,6 @@ import os
 import re
 import tempfile
 from collections import namedtuple
-from fractions import Fraction
 
 from . import expr as expr_mod
 from . import freelie, linalg
@@ -216,18 +217,10 @@ def parse_rational(value, pointer=""):
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        parts = value.split("/")
         try:
-            if len(parts) == 1:
-                return int(parts[0])
-            if len(parts) == 2:
-                num, den = int(parts[0]), int(parts[1])
-                if den <= 0:
-                    raise ValueError
-                return linalg.exact(Fraction(num, den))
-        except ValueError:
-            pass
-        raise SchemaError("malformed rational %r" % value, pointer)
+            return expr_mod.parse_rational(value)
+        except GrammarError:
+            raise SchemaError("malformed rational %r" % value, pointer) from None
     raise SchemaError("expected a rational (int or 'p/q'), got %r" % (value,), pointer)
 
 

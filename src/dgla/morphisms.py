@@ -10,14 +10,7 @@ until the fixpoint (which is reached because degrees are positive).
 """
 
 from . import linalg
-from .errors import (
-    NonMinimalAmbient,
-    NotInvertibleLinearPart,
-    SchemaError,
-    ValidationReport,
-    check_row,
-    json_pointer,
-)
+from .errors import NonMinimalAmbient, NotInvertibleLinearPart, ValidationReport, check_row
 from .graded import GradedBasis, GradedLinearMap
 from .presentation import GeneratorSplit, LieElement, TreeMap, linear_part_block
 
@@ -25,7 +18,8 @@ from .presentation import GeneratorSplit, LieElement, TreeMap, linear_part_block
 class GeneratorMorphism:
     """A degree-0 map of presentations determined by generator images.
 
-    Each nonzero image must have its generator's degree; one that does not
+    The images are admitted by ``target.values_on`` with shift 0: each
+    nonzero image must have its generator's degree, and one that does not
     is a SchemaError at the pointer of its name in ``images``.  A map built
     with ``certify`` keeps ``check_morphism(self, fixed_sub)``, run once on
     the finished map, as ``report``; another has the report None.
@@ -34,21 +28,10 @@ class GeneratorMorphism:
     def __init__(self, source, target, images, certify=False, fixed_sub=None):
         self.source = source
         self.target = target
-        self.images = {}
         for name, _ in source.generators.entries:
             if name not in images:
                 raise ValueError("missing image for generator %r" % name)
-        for name, img in images.items():
-            if name not in source.generators.index:
-                raise ValueError("image for unknown generator %r" % name)
-            at = json_pointer("", name)
-            img = target.normal_form_at(img, at)
-            degree = source.generators.degree(name)
-            if not img.is_zero() and img.degree != degree:
-                raise SchemaError(
-                    "image of %r has degree %d, not %d" % (name, img.degree, degree), at
-                )
-            self.images[name] = img
+        self.images = target.values_on(source, images, 0, "")
         # the generators not sent to themselves: every one, between two presentations
         self._moved = sum(1 << source.generators.index[n] for n, img in self.images.items()
                           if img != source.gen(n))

@@ -77,6 +77,38 @@ def test_schema_error_is_exit_2(fixture_path):
     assert code == 2
 
 
+_READS_A_PRESENTATION = [
+    ["check"],
+    ["homology", "--min", "1", "--max", "3"],
+    ["indec"],
+    ["der", "--min", "0", "--max", "2"],
+    ["ce", "--min", "0", "--max", "2"],
+    ["exp", "--derivation", "@"],
+    # the flag that a nonzero d asks for: the refusal shown is the loader's
+    ["g", "--min", "0", "--max", "2", "--assert-semisimple"],
+]
+
+
+@pytest.mark.parametrize("command", _READS_A_PRESENTATION, ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "name, pointer",
+    [("bad_d_degree_xy.json", "/differential/y"), ("bad_d_degree_abc.json", "/differential/c")],
+    ids=["xy", "abc"],
+)
+def test_a_differential_of_the_wrong_degree_is_exit_2(
+    tmp_path, capsys, fixture_path, name, pointer, command
+):
+    # d y = [x,x] raises degree 1 to 2, and d c = [a,b] keeps degree 4: each
+    # is refused when the presentation is built, before any command runs
+    derivation = tmp_path / "zero.json"
+    derivation.write_text(json.dumps({"degree": 0, "values": {}}))
+    argv = [a if a != "@" else str(derivation) for a in command]
+    code, payload = _run(argv[0], fixture_path(name), *argv[1:])
+    assert code == 2 and payload is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("(at %s)\n" % pointer)
+
+
 def test_missing_window_is_exit_2(fixture_path):
     code, _ = _run("homology", fixture_path("s2.json"), "--min", "1")
     assert code == 2
@@ -150,6 +182,13 @@ def test_rational_strings_rejected_floats():
     with pytest.raises(SchemaError):
         io_mod.parse_rational("1/0")
     assert io_mod.parse_rational("-3/6") == io_mod.parse_rational("-1/2")
+    # one grammar: a JSON rational is the expression grammar's rational token,
+    # with no underscores, whitespace, plus sign or non-ASCII digits
+    for text in ("1_0", " 3 ", "+3", "1/ 2", "\u0663", "1/-2", "3 "):
+        with pytest.raises(SchemaError) as raised:
+            io_mod.parse_rational(text, "/pairing/0/1")
+        assert raised.value.message == "malformed rational %r" % text
+        assert raised.value.pointer == "/pairing/0/1"
 
 
 def test_glue_and_forget_commands(fixture_path):
@@ -579,6 +618,21 @@ _NESTED = "[" * 3000 + "a" + ",a]" * 3000
             },
             "at /subalgebras/s/elements/1",
         ),
+        # digits are ASCII: a superscript two or an Arabic-Indic three is no coefficient
+        (
+            {
+                "generators": [{"name": "a", "degree": 2}],
+                "subalgebras": {"s": {"elements": ["\u00b2*[a,a]"]}},
+            },
+            "at /subalgebras/s/elements/0",
+        ),
+        (
+            {
+                "generators": [{"name": "a", "degree": 2}],
+                "subalgebras": {"s": {"elements": ["\u0663*a"]}},
+            },
+            "at /subalgebras/s/elements/0",
+        ),
     ],
 )
 def test_malformed_presentation_is_exit_2(tmp_path, capsys, obj, where):
@@ -591,8 +645,8 @@ def test_malformed_presentation_is_exit_2(tmp_path, capsys, obj, where):
 
 @pytest.mark.parametrize(
     "differential",
-    [{"b": "[a,zz]"}, {"zz": "[a,b]"}, {"b": "a + [a,b]"}],
-    ids=["unknown-in-value", "unknown-key", "inhomogeneous-value"],
+    [{"b": "[a,zz]"}, {"zz": "[a,b]"}, {"b": "a + [a,b]"}, {"b": "a"}],
+    ids=["unknown-in-value", "unknown-key", "inhomogeneous-value", "wrong-degree-value"],
 )
 @pytest.mark.parametrize(
     "command", [["model"], ["xi", "--min", "0", "--max", "3"]], ids=["model", "xi"]

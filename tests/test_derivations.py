@@ -22,7 +22,7 @@ from dgla.derivations import (
     forget_pullback,
     glue_derivations,
 )
-from dgla.errors import SubMismatch, WindowTooNarrow
+from dgla.errors import SchemaError, SubMismatch, UnknownGenerator, WindowTooNarrow
 from dgla.graded import betti_numbers
 from dgla.morphisms import GeneratorMorphism, indec_action
 from dgla.presentation import DgLaPresentation, LieElement, pushout
@@ -363,7 +363,7 @@ def _random_element(p, degree, rng):
 
 
 def test_f_derivation_along_identity_is_the_derivation():
-    p = DgLaPresentation([("x", 1), ("a", 2), ("y", 3)], {"y": "[x,a]"})
+    p = DgLaPresentation([("x", 1), ("a", 2), ("y", 3)], {"y": "[x,x]"})
     ident = GeneratorMorphism.identity(p)
     rng = random.Random(11)
     for n in (-1, 0, 1, 2):
@@ -378,6 +378,41 @@ def test_f_derivation_along_identity_is_the_derivation():
                 # a fresh derivation starts with an empty memo
                 assert Derivation(p, n, values).eval_at(e) == warm
                 assert theta.eval_at(e) == warm
+
+
+def test_every_map_on_generators_is_admitted_by_one_rule():
+    # the differential (shift -1), a derivation (shift n), an f-derivation
+    # (shift n, values in the target) and a morphism (shift 0) each refuse a
+    # value off its generator's degree plus the shift at that value's pointer,
+    # and a name that is no generator of the source
+    p = DgLaPresentation([("x", 1), ("a", 2), ("y", 3)], {"y": "[x,x]"})
+    q = DgLaPresentation([("u", 2)])
+    m = GeneratorMorphism(q, p, {"u": "a"})
+    cases = [
+        (lambda vals: DgLaPresentation(p.generators.entries, vals), "y", "/differential/y"),
+        (lambda vals: Derivation(p, 1, vals), "y", "/values/y"),
+        (lambda vals: FDerivation(m, 1, vals), "u", "/values/u"),
+        (lambda vals: GeneratorMorphism(p, p, {"x": "x", "a": "a", "y": "y", **vals}), "y",
+         "/y"),
+    ]
+    for build, name, pointer in cases:
+        # [a,y] has degree 5, which none of these expects
+        with pytest.raises(SchemaError) as raised:
+            build({name: "[a,y]"})
+        assert raised.value.pointer == pointer
+        with pytest.raises(UnknownGenerator):
+            build({"zz": "a"})
+    # an f-derivation of degree 0 along m takes values of u's degree 2
+    with pytest.raises(SchemaError) as raised:
+        FDerivation(m, 0, {"u": "[x,a]"})
+    assert raised.value.pointer == "/values/u"
+    assert FDerivation(m, 0, {"u": "2*a"}).values == {"u": p.normal_form("2*a")}
+    # zero values are dropped by derivations and the differential, and kept by morphisms
+    assert Derivation(p, 1, {"x": "0*[x,x]"}).values == {}
+    assert FDerivation(m, 1, {"u": p.zero(3)}).values == {}
+    assert DgLaPresentation(p.generators.entries, {"a": p.zero(1)}).differential == {}
+    zero = GeneratorMorphism(p, p, {"x": "x", "a": "a", "y": p.zero(3)})
+    assert zero.images["y"].is_zero()
 
 
 # -- each derivation degree is one kernel -------------------------------------------

@@ -42,6 +42,28 @@ def test_grammar_errors_carry_offsets():
         expr.parse_expression("a b")
 
 
+def test_digits_are_ascii_and_a_rational_is_one_token():
+    # str.isdigit() holds for a superscript two and an Arabic-Indic three, and
+    # int() reads the latter as 3: neither is a digit of the grammar
+    for text in ("\u00b2*[a,a]", "\u0663*a", "2*[a,a]+\u0663*a", "1/\u0663*a"):
+        with pytest.raises(GrammarError):
+            expr.parse_expression(text)
+    # whitespace separates tokens but never splits a rational
+    for text in ("1 / 2*a", "- 3*a", "1/ 2*a"):
+        with pytest.raises(GrammarError):
+            expr.parse_expression(text)
+    assert expr.parse_expression(" 1/2 * a ") == [(Fraction(1, 2), "a")]
+    # a number past the interpreter's digit limit is malformed, not a ValueError
+    with pytest.raises(GrammarError):
+        expr.parse_expression("1" * 5000 + "*a")
+    # a JSON rational string is the whole of one such token
+    assert expr.parse_rational("-3/6") == Fraction(-1, 2)
+    assert expr.parse_rational("007") == 7 and type(expr.parse_rational("4/2")) is int
+    for text in ("", "1_0", " 3", "3 ", "+3", "1/ 2", "1/-2", "1/0", "\u0663", "3*a"):
+        with pytest.raises(GrammarError):
+            expr.parse_rational(text)
+
+
 def test_serializer_emits_grammar():
     terms = [(Fraction(-1), "a"), (Fraction(1, 2), ("a", "b")), (Fraction(-3), "c")]
     s = expr.terms_to_str(terms)

@@ -12,9 +12,9 @@ from dgla.errors import (
     AxiomFailure,
     BadPontryaginDegrees,
     NotAComplex,
-    NotMinimal,
     NotUnimodular,
     OmegaNotClosed,
+    SchemaError,
 )
 from dgla.expmc import exp_automorphism
 from dgla.gluing import boundary_connected_sum
@@ -123,9 +123,10 @@ def test_dual_basis_matrix_inverts_the_pairing(fixture_path, name):
 def test_manifold_validation_errors():
     with pytest.raises(NotUnimodular):
         manifold_model(6, [("a", 2), ("b", 2)], linalg.matrix(2, 2))
-    # degree-raising differential: rejected (d must lower degree by one)
-    with pytest.raises(NotMinimal):
+    # a differential that keeps degree: refused when built (d must lower degree by one)
+    with pytest.raises(SchemaError) as raised:
         manifold_model(6, [("a", 2), ("b", 2)], _hyperbolic(), {"a": "b"})
+    assert raised.value.pointer == "/differential/a"
     with pytest.raises(BadPontryaginDegrees):
         manifold_model(6, [("a", 2), ("b", 2)], _hyperbolic(), None, {2: [1, 1]})
     # degree-7 generator with a p_2 functional: accepted

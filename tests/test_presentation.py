@@ -71,9 +71,11 @@ def test_validate_degree_rules():
     # d(v) = w lowers degree by one: valid (though not minimal)
     p = DgLaPresentation([("v", 3), ("w", 2)], {"v": "w"})
     assert p.validate().passed
-    # equal degrees: flagged
-    q = DgLaPresentation([("v", 3), ("w", 3)], {"v": "w"})
-    assert ("d_lowers_degree", "v") in q.validate().failures()
+    assert ("d_lowers_degree", True, None) in p.validate().checks
+    # equal degrees: refused when built, at the value's pointer
+    with pytest.raises(SchemaError) as raised:
+        DgLaPresentation([("v", 3), ("w", 3)], {"v": "w"})
+    assert raised.value.pointer == "/differential/v"
 
 
 def test_sub_closure():

@@ -195,6 +195,25 @@ def test_derivations_are_checked_only_where_they_come_from_outside():
     ]
 
 
+def test_maps_on_generators_are_admitted_by_one_rule():
+    # the differential, derivations, f-derivations and morphisms read their
+    # values through DgLaPresentation.values_on, the one place that checks a
+    # value's degree against its generator's plus a shift; the other readers
+    # of an input value at its pointer are sub elements and a homotopy's h
+    # parts, which are keyed by powers of t, not by generators
+    assert _scan(_callers("normal_form_at")) == [
+        "io.py:load_homotopy.part",
+        "presentation.py:DgLaPresentation._normalize_sub",
+        "presentation.py:DgLaPresentation.values_on",
+    ]
+    assert _scan(_callers("values_on")) == [
+        "derivations.py:Derivation.__init__",
+        "derivations.py:FDerivation.__init__",
+        "morphisms.py:GeneratorMorphism.__init__",
+        "presentation.py:DgLaPresentation.__init__",
+    ]
+
+
 def test_each_derivation_has_one_leibniz_extension():
     # a derivation or f-derivation is evaluated only through the one
     # extension it makes for itself; the other is the presentation's differential
