@@ -16,8 +16,10 @@ document against it before anything is built.  A schema is one of:
     (s, t)             an array of exactly these entries
     {key: s}           an object with exactly these keys; Opt(s) marks an
                        optional one
+    Key(what, pattern) a string that the regex ``pattern`` matches whole,
+                       described as ``what``
     Map(key, s)        an object whose keys are ``key`` (str, a Name or a
-                       Key pattern) and whose values are s
+                       Key) and whose values are s
     One({key: s})      an object with exactly one of these keys
     Declare(kind, s)   s, whose names (the "name" of each entry of an array,
                        or the keys of an object) are the declared ``kind``
@@ -57,11 +59,13 @@ Range = namedtuple("Range", "lo hi")
 RATIONAL = "rational"
 
 _ENTRIES = [{"name": str, "degree": int}]
+# generators are named in expressions, so their names are the grammar's ident
+_GENERATORS = [{"name": Key("an identifier", "[A-Za-z_][A-Za-z0-9_']*"), "degree": int}]
 
 
 def _presentation_schema(gen, sub):
     return {
-        "generators": Declare(gen, _ENTRIES),
+        "generators": Declare(gen, _GENERATORS),
         "differential": Opt(Map(Name(gen), Expr(gen))),
         "subalgebras": Opt(
             Declare(sub, Map(str, One({"generators": [Name(gen)], "elements": [Expr(gen)]})))
@@ -73,7 +77,7 @@ PRESENTATION = _presentation_schema("generator", "subalgebra")
 
 MANIFOLD = {
     "dimension": int,
-    "generators": Declare("generator", _ENTRIES),
+    "generators": Declare("generator", _GENERATORS),
     "pairing": [[RATIONAL]],
     "differential": Opt(Map(Name("generator"), Expr("generator"))),
     "pontryagin": Opt(Map(Key("a degree", "0|-?[1-9][0-9]*"), [RATIONAL])),
@@ -156,10 +160,7 @@ def _walk(schema, value, pointer, names):
         out = {}
         for key, item in _typed(value, dict, pointer).items():
             at = _at(pointer, key)
-            if type(schema.key) is Name:
-                _declared(schema.key.kind, key, at, names)
-            elif type(schema.key) is Key and not re.fullmatch(schema.key.pattern, key):
-                raise SchemaError("key %r is not %s" % (key, schema.key.what), at)
+            _walk(schema.key, key, at, names)
             if item is not None:
                 out[key] = _walk(schema.value, item, at, names)
         return out
@@ -184,6 +185,10 @@ def _walk(schema, value, pointer, names):
         return [_walk(s, x, _at(pointer, i), names) for i, (s, x) in enumerate(zip(subs, items))]
     if kind is Name:
         return _declared(schema.kind, _typed(value, str, pointer), pointer, names)
+    if kind is Key:
+        if not re.fullmatch(schema.pattern, _typed(value, str, pointer)):
+            raise SchemaError("%r is not %s" % (value, schema.what), pointer)
+        return value
     if kind is Expr:
         try:
             terms = expr_mod.parse_expression(_typed(value, str, pointer))

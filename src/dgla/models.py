@@ -22,17 +22,13 @@ from .errors import (
     SchemaError,
     ValidationReport,
     check_row,
+    json_pointer,
 )
 from .graded import GradedBasis, GradedLinearMap
 from .morphisms import GeneratorMorphism, _rho_of, _rho_of_linear
-from .presentation import (
-    DgLaPresentation,
-    ElementGenerated,
-    GeneratorSplit,
-    linear_part_block,
-)
+from .presentation import DgLaPresentation, ElementGenerated, GeneratorSplit
 from .linalg import combination
-from .slices import DgLieSlice, bilinear, hom_slice, shifted_basis
+from .slices import DgLieSlice, bilinear
 
 
 class SymplecticGVS:
@@ -191,7 +187,8 @@ def tilde_model(model):
     beta, and "omega", generated by omega.  Returns (tilde_presentation,
     include_beta, project) where project sends beta to omega and gamma to
     zero.  A dimension that puts beta or gamma outside the generator degrees
-    [1, freelie.MAX_DEGREE] is a SchemaError at /dimension.
+    [1, freelie.MAX_DEGREE] is a SchemaError at /dimension, and a generator
+    of the model named beta or gamma is one at its name.
     """
     p = model.presentation
     m = model.v.m
@@ -201,6 +198,10 @@ def tilde_model(model):
             % freelie.MAX_DEGREE,
             "/dimension",
         )
+    for k, (name, _) in enumerate(p.generators.entries):
+        if name in ("beta", "gamma"):
+            raise SchemaError("%r is a generator the stabilized model adjoins" % name,
+                              json_pointer("/generators", k, "name"))
     gens = list(p.generators.entries) + [("beta", m), ("gamma", m + 1)]
     diff = {n: v.terms() for n, v in p.differential.items()}
     omega_terms = model.omega.terms()
@@ -534,29 +535,40 @@ class _HomModule:
     Mediates between the truncated module coordinates used by the semidirect
     product (``module``, whose degree 0 is the cycles ``z0`` of ``full``)
     and the raw Hom coordinates of ``full`` that the action formulas
-    produce.  The suspension has degrees raised by one and differential
-    negated: d(s x) = -s(d x).  The functional E(t, s x) of degree d sits at
-    raw position ``position[(d, x, t)]``, and ``functional[(d, pos)]`` is
-    its (x, t): this constructor alone reads the suspended names.
+    produce.  The functional E(t, s x) of degree n = |t| - |x| - 1 sits at
+    raw position ``position[(n, x, t)]``, and ``functional[(n, pos)]`` is
+    its (x, t); each degree lists the indecomposable generators x in
+    presentation order, and the pi lines t in basis order under each.  The
+    suspension has d(s x) = -s(d x), so (df)(c) = -(-1)^{|f|} f(dc) gives
+    d E(t, s x) = (-1)^n sum_y c E(t, s y), over the coefficients c of x in
+    the linear parts of the dy.
     """
 
     def __init__(self, p, sub, pi, window):
-        self.p = p
-        self.sub = sub
-        self.pi = pi
         basis = self.indec_basis = GradedBasis(p.nonsub_generators(sub))
-        s_blocks = {}
-        for d in basis.degrees():
-            src, tgt = basis.in_degree(d), basis.in_degree(d - 1)
-            if src and tgt:
-                s_blocks[d + 1] = linear_part_block(lambda n: p.d_gen(n).scale(-1), src, tgt)
-        lo = min(window[0] - 1, -1)
-        self.full, index = hom_slice(shifted_basis(basis.entries), s_blocks, pi,
-                                     (lo, window[1]))
+        lo, hi = min(window[0] - 1, -1), window[1]
+        labels = {n: [] for n in range(lo, hi + 1)}
+        self.position = {}
+        self.functional = {}
+        for n in range(lo, hi + 1):
+            for x, d in basis.entries:
+                for t in pi.in_degree(d + 1 + n):
+                    pos = self.position[n, x, t] = len(labels[n])
+                    self.functional[n, pos] = (x, t)
+                    labels[n].append("%s>%s" % (x, t))
+        lin = {y: dy.linear_part() for y, dy in p.differential.items()}
+        entries = {n: [] for n in range(lo + 1, hi + 1)}
+        for (n, y, t), row in self.position.items():
+            # E(t, s x) of degree n + 1 has (-1)^{n+1} c on E(t, s y)
+            for x, c in lin.get(y, {}).items():
+                col = self.position.get((n + 1, x, t))
+                if col is not None:
+                    entries[n + 1].append((row, col, c if n % 2 else -c))
+        self.full = DgLieSlice((lo, hi), labels, {
+            n: linalg.matrix(len(labels[n - 1]), len(labels[n]), ents)
+            for n, ents in entries.items()
+        })
         self.module, self.z0 = self.full.truncate_nonneg()
-        # shifted_basis names s x "s" + x: keyed by x, with the "s" cut
-        self.position = {(d, s[1:], t): pos for (d, s, t), pos in index.items()}
-        self.functional = {(d, pos): (x, t) for (d, x, t), pos in self.position.items()}
 
     def raw_basis_vector(self, m, j):
         """The sparse raw Hom coordinates of module basis element j in degree m."""

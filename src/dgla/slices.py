@@ -18,7 +18,7 @@ from itertools import chain, combinations_with_replacement, groupby, product
 
 from . import linalg
 from .errors import AxiomFailure, NotAComplex
-from .graded import ChainComplexSlice, DegreeWindow, GradedBasis
+from .graded import ChainComplexSlice, DegreeWindow
 from .linalg import combination, exact
 
 
@@ -338,52 +338,3 @@ class SliceElement:
             and self.degree == other.degree
             and self.vector == other.vector
         )
-
-
-def shifted_basis(entries):
-    """Suspension of a graded basis: each name n becomes "s" + n, degrees raised by one."""
-    return GradedBasis([("s%s" % n, d + 1) for n, d in entries])
-
-
-def hom_slice(source_basis, source_d_blocks, target_basis, window):
-    """(Hom(source, target) as an abelian dg Lie slice on a degree window, index).
-
-    ``source_d_blocks[d]`` is the matrix of the source differential
-    C_d -> C_{d-1} in the source basis order.  The target has zero
-    differential.  Hom degree n holds the functionals E(t, s): s -> t over
-    pairs with deg t = deg s + n, and ``index[(n, s, t)]`` is the position
-    of E(t, s) in degree n; the differential is (df)(s) = -(-1)^{|f|} f(ds).
-    """
-    lo, hi = window
-    labels = {}
-    index = {}
-    for n in range(lo, hi + 1):
-        labels[n] = []
-        for s, sd in source_basis.entries:
-            for t, td in target_basis.entries:
-                if td == sd + n:
-                    index[(n, s, t)] = len(labels[n])
-                    labels[n].append("%s>%s" % (s, t))
-    d_blocks = {}
-    src_names = source_basis.names()
-    src_deg = {n: d for n, d in source_basis.entries}
-    dmat = {}
-    for d, m in (source_d_blocks or {}).items():
-        cols = [n for n in src_names if src_deg[n] == d]
-        rows = [n for n in src_names if src_deg[n] == d - 1]
-        for i, j, c in linalg.entries(m):
-            dmat[(rows[i], cols[j])] = c
-    for n in range(lo + 1, hi + 1):
-        rows = len(labels[n - 1])
-        cols = len(labels[n])
-        if rows == 0 or cols == 0:
-            continue
-        # (d E(t,s))(s1) = -(-1)^n E(t,s)(d s1), so E(t,s1) picks up the
-        # coefficient of s in d(s1).
-        sign = -1 if n % 2 == 0 else 1
-        d_blocks[n] = linalg.matrix(rows, cols, (
-            (index[(n - 1, s1, t)], j, sign * c)
-            for (nn, s, t), j in index.items() if nn == n
-            for (s2, s1), c in dmat.items() if s2 == s and (n - 1, s1, t) in index
-        ))
-    return DgLieSlice((lo, hi), labels, d_blocks), index

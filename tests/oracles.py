@@ -27,7 +27,8 @@ Der's structure constants through ``der_bracket`` and conditions on the
 whole of their element instead of from the basis derivations' own
 extensions and on the terms a unit reaches, and gluing's extension of a
 derivation by a round trip through generator names instead of through an
-inclusion morphism.
+inclusion morphism, and the Hom module's differential through suspended
+names and matrices instead of from the linear part of d directly.
 Tests compare library output against these.
 The helpers that are not oracles are ``sub_contains``, membership in a
 designated subalgebra through the library's own spans,
@@ -1360,6 +1361,62 @@ def full_hom_outer_action(hm, acting, rho):
         return hm.chi_induced(n, hm.induced_map(acting.derivations[n][i]), rho)
 
     return OuterAction(acting, hm.full, action_fn, chi_fn)
+
+
+# -- Hom(s indec, pi) through suspended names and matrices --------------------------
+# ``models._HomModule`` lists the functionals E(t, s x) and reads each d-block
+# straight from the linear part of d.  This is the construction it replaced:
+# the suspension named "s" + x, d's linear part made into matrices, and the
+# matrices turned back into name pairs, one (functional, entry) pair at a time.
+
+
+def suspended_hom_reference(p, sub, pi, window):
+    """(labels, position, d_blocks) of Hom(s indec_sub(p), pi) on ``_HomModule``'s window.
+
+    ``labels[n]`` lists the degree-n functionals, ``position[(n, x, t)]`` is
+    the place of E(t, s x) in degree n, and ``d_blocks[n]`` is the matrix of
+    d out of degree n, left out where it is empty: (df)(c) = -(-1)^{|f|} f(dc)
+    on the suspension s x of degree |x| + 1 with d(s x) = -s(d x).
+    """
+    from dgla import linalg
+    from dgla.presentation import linear_part_block
+
+    basis = p.nonsub_generators(sub)
+    source = [("s%s" % x, d + 1) for x, d in basis]
+    # the source differential, one matrix per degree, read back as
+    # {(s y, s x): c} for c the coefficient of s y in d(s x) = -s(dx)
+    dmat = {}
+    for d in sorted({d for _, d in basis}):
+        src = [x for x, e in basis if e == d]
+        tgt = [y for y, e in basis if e == d - 1]
+        if src and tgt:
+            m = linear_part_block(lambda n: p.d_gen(n).scale(-1), src, tgt)
+            for i, j, c in linalg.entries(m):
+                dmat[("s%s" % tgt[i], "s%s" % src[j])] = c
+    lo, hi = min(window[0] - 1, -1), window[1]
+    labels, index = {}, {}
+    for n in range(lo, hi + 1):
+        labels[n] = []
+        for s, sd in source:
+            for t, td in pi.entries:
+                if td == sd + n:
+                    index[(n, s, t)] = len(labels[n])
+                    labels[n].append("%s>%s" % (s, t))
+    d_blocks = {}
+    for n in range(lo + 1, hi + 1):
+        rows, cols = len(labels[n - 1]), len(labels[n])
+        if rows == 0 or cols == 0:
+            continue
+        # (d E(t,s))(s1) = -(-1)^n E(t,s)(d s1): E(t,s1) picks up the
+        # coefficient of s in d(s1)
+        sign = -1 if n % 2 == 0 else 1
+        d_blocks[n] = linalg.matrix(rows, cols, (
+            (index[(n - 1, s1, t)], j, sign * c)
+            for (nn, s, t), j in index.items() if nn == n
+            for (s2, s1), c in dmat.items() if s2 == s and (n - 1, s1, t) in index
+        ))
+    position = {(n, s[1:], t): pos for (n, s, t), pos in index.items()}
+    return labels, position, d_blocks
 
 
 # -- gluing's extension by zero through generator names --------------------------------

@@ -688,6 +688,24 @@ def test_sub_closed_report_bodies_match_pinned_digests(cmd, files, flags, code, 
     assert _report_digest(cmd, files, flags, monkeypatch, tmp_path, code) == digest
 
 
+# Report SHA-256 of `g` on a presentation whose differential has a linear
+# part off the designated sub (d y = x on x, y, z), so that the Hom module
+# has a nonzero differential, which no other pinned command builds: dims
+# 2, 1, 1, 2, 3 and betti 1, 0, 0, 0.  Pinned from an earlier commit, as
+# CORPUS_REPORT_SHA256 is.
+HOM_LINEAR_D_REPORT_SHA256 = [
+    ("g", ["hom_linear_d.json"], ["--sub", "A", "--min", "0", "--max", "4", "--assert-semisimple"],
+     "275fa5f280118792bb577f6d168adc670688ca175ad6a667804612bc2235b3cf"),
+]
+
+
+@pytest.mark.parametrize("cmd, files, flags, digest", HOM_LINEAR_D_REPORT_SHA256,
+                         ids=["g-hom-linear-d"])
+def test_hom_linear_d_report_bodies_match_pinned_digests(cmd, files, flags, digest,
+                                                         monkeypatch, tmp_path):
+    assert _report_digest(cmd, files, flags, monkeypatch, tmp_path) == digest
+
+
 def _report_digest(cmd, files, flags, monkeypatch, tmp_path, code=0):
     """SHA-256 of one command's report body, run from the repository root.
 

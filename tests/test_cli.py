@@ -723,6 +723,18 @@ _TWISTED9_G = ["g", "presentation_twisted9.json", "--sub", "omega", "--min", "0"
          "/h/u/one/1"),
         ("homotopy_interp.json", ["target", "differential", "w"], "z + [z,z]",
          ["homotopy", "@"], "/target/differential/w"),
+        # the stabilized model adjoins beta and gamma of its own
+        ("w11.json", ["generators", 0, "name"], "beta", ["tilde", "@"], "/generators/0/name"),
+        ("w11.json", ["generators", 1, "name"], "gamma", ["xi", "@", "--min", "0", "--max", "2"],
+         "/generators/1/name"),
+        ("w11.json", ["generators", 0, "name"], "beta",
+         ["forget", "@", "--min", "0", "--max", "2"], "/generators/0/name"),
+        # a generator's name is the grammar's ident
+        ("w11.json", ["generators", 0, "name"], "a b", ["model", "@"], "/generators/0/name"),
+        ("presentation_w11.json", ["generators", 1, "name"], "1b", ["check", "@"],
+         "/generators/1/name"),
+        ("homotopy_interp.json", ["source", "generators", 0, "name"], "u-", ["homotopy", "@"],
+         "/source/generators/0/name"),
     ],
     ids=["slice-differential", "slice-brackets", "candidate-unknown-name",
          "candidate-wrong-degree", "rho-values", "derivation-values", "huge-degree",
@@ -734,7 +746,8 @@ _TWISTED9_G = ["g", "presentation_twisted9.json", "--sub", "omega", "--min", "0"
          "homotopy-f-image-degree", "homotopy-g-image-degree", "homotopy-h-one-degree",
          "homotopy-h-dt-degree", "derivation-inhomogeneous-value",
          "homotopy-f-image-inhomogeneous", "homotopy-h-one-inhomogeneous",
-         "homotopy-nested-inhomogeneous-differential"],
+         "homotopy-nested-inhomogeneous-differential", "tilde-beta", "xi-gamma",
+         "forget-beta", "model-non-ident", "check-non-ident", "homotopy-non-ident"],
 )
 def test_malformed_value_is_exit_2_at_its_pointer(
     tmp_path, capsys, fixture_path, name, path, value, command, pointer
@@ -750,6 +763,21 @@ def test_malformed_value_is_exit_2_at_its_pointer(
     code, payload = _run(*argv)
     assert code == 2 and payload is None
     assert capsys.readouterr().err.endswith("(at %s)\n" % pointer)
+
+
+@pytest.mark.parametrize("command", [
+    ["block-g", "@", "--min", "0", "--max", "2"],
+    ["glue", "@", "@", "--min", "0", "--max", "2", "--assert-semisimple"],
+], ids=["block-g", "glue"])
+def test_a_generator_named_beta_is_refused_only_by_the_stabilized_model(
+        tmp_path, fixture_path, command):
+    # block-g and glue never adjoin beta and gamma, so the name is free there
+    obj = io_mod.load_json_file(fixture_path("w11.json"))
+    obj["generators"][0]["name"] = "beta"
+    f = tmp_path / "beta.json"
+    f.write_text(json.dumps(obj))
+    code, _ = _run(*[str(f) if a == "@" else a for a in command])
+    assert code == 0
 
 
 @pytest.mark.parametrize(
@@ -905,7 +933,8 @@ def _mutated_fixture(draw):
     elif kind == "wrong-type":
         parent[key] = draw(st.sampled_from([v for v in _WRONG_TYPES if type(v) is not type(value)]))
     elif kind == "name":
-        new = draw(st.sampled_from(["", "zz"]))
+        # "a b" is no ident, and beta is a name the stabilized model adjoins
+        new = draw(st.sampled_from(["", "zz", "a b", "beta"]))
         if isinstance(value, str):
             parent[key] = new
         else:  # rename an object key

@@ -37,6 +37,8 @@ from dgla.morphisms import check_morphism
 from dgla.presentation import DgLaPresentation, ElementGenerated, lie_chain_slice
 from dgla.slices import DgLieSlice
 
+from oracles import suspended_hom_reference
+
 
 def _hyperbolic():
     return linalg.matrix(2, 2, [(0, 1, 1), (1, 0, -1)])
@@ -592,3 +594,34 @@ def test_twist_entries_match_the_defining_formula():
         chi = g.action.twist(1, i)
         for k in range(g.module.dim(0)):
             assert d1.get((acting.dim(0) + k, i), 0) == chi.get(k, 0)
+
+
+@pytest.mark.parametrize("name", ["hom_linear_d", "tilde_w11", "twisted9", "action10"])
+def test_hom_module_matches_the_suspended_name_reference(name, fixture_path):
+    # _HomModule reads each d-block from the linear part of d; the reference
+    # builds it through the names s x and matrices.  They must agree entry
+    # for entry, signs included: a whole-block sign flip keeps every rank
+    obj = io.load_json_file(fixture_path(name + ".json"))
+    if "pairing" in obj:
+        m = io.load_manifold(obj)
+        p, pi = m.presentation, pi_so_basis(max(d for _, d in m.v.basis.entries) + 1)
+    else:
+        p, pi = io.load_presentation(obj), pi_so_basis(4 if name == "hom_linear_d" else 10)
+    hm = models._HomModule(p, None, pi, (0, 6))
+    labels, position, d_blocks = suspended_hom_reference(p, None, pi, (0, 6))
+    full = hm.full
+    assert [full.dim(n) for n in range(full.lo, full.hi + 1)] == [
+        len(labels[n]) for n in range(min(labels), max(labels) + 1)]
+    assert (full.lo, full.hi) == (min(labels), max(labels))
+    assert hm.position == position
+    blocks = {n: full.d_matrix(n) for n in range(full.lo + 1, full.hi + 1)}
+    assert blocks == {
+        n: d_blocks.get(n, linalg.matrix(len(labels[n - 1]), len(labels[n]))) for n in blocks
+    }
+    nonzero = [n for n, b in blocks.items() if any(b)]
+    # minimal manifold models have d with no linear part
+    assert nonzero == {"hom_linear_d": [0], "tilde_w11": [2]}.get(name, [])
+    if name == "hom_linear_d":
+        # d y = x: d E(pi3, s x) = (-1)^0 E(pi3, s y)
+        row, col = hm.position[(-1, "y", "pi3")], hm.position[(0, "x", "pi3")]
+        assert blocks[0][row] == {col: 1}

@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from dgla import linalg
 from dgla.derivations import Derivation
 from dgla.errors import NonMinimalAmbient, NotInvertibleLinearPart
+from dgla.graded import GradedLinearMap
+from dgla.models import pi_so_basis
 from dgla.morphisms import (
     GeneratorMorphism,
     check_morphism,
@@ -63,6 +66,22 @@ def test_d_commutation_checked():
         t, t, {"a": "b", "b": "a", "beta": "-1*beta", "gamma": "-1*gamma"}
     )
     assert check_morphism(g).passed
+
+
+@pytest.mark.parametrize("images, witness", [
+    ({"y": "y+[u,v]"}, None),  # rho kills decomposables
+    ({"x": "x+[u,v]", "y": "y+2*x"}, "y"),
+    ({"x": "y", "y": "x"}, "x"),
+], ids=["invariant", "moves-y", "moves-both"])
+def test_rho_invariance_names_the_first_generator_that_moves(images, witness):
+    # rho(x) = pi3 and rho(y) = 0: rho . f = rho on generators, or the
+    # first generator in presentation order where it fails
+    p = DgLaPresentation([("x", 3), ("y", 3), ("u", 1), ("v", 2)])
+    rho = GradedLinearMap(p.generators, pi_so_basis(3), 0, {3: linalg.matrix(1, 2, [(0, 0, 1)])})
+    f = GeneratorMorphism(p, p, {n: images.get(n, n) for n in ("x", "y", "u", "v")})
+    rep = check_morphism(f, rho=rho)
+    assert rep.checks[-1] == ("rho_invariant", witness is None, witness)
+    assert rep.passed == (witness is None)
 
 
 def test_invert_identity_and_linear():

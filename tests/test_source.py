@@ -91,21 +91,6 @@ def _foreign_store(node):
     )
 
 
-def _suspended_name_built(node):
-    """node builds a name with the prefix "s": "s%s" % x, "s" + x or f"s{x}"."""
-    if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant):
-        return ((isinstance(node.op, ast.Mod) and node.left.value == "s%s")
-                or (isinstance(node.op, ast.Add) and node.left.value == "s"))
-    return (isinstance(node, ast.JoinedStr) and len(node.values) > 1
-            and getattr(node.values[0], "value", None) == "s")
-
-
-def _first_dropped(node):
-    """node is a slice [1:], which cuts one leading item (a prefix "s") off."""
-    return (isinstance(node, ast.Slice) and node.upper is None and node.step is None
-            and isinstance(node.lower, ast.Constant) and node.lower.value == 1)
-
-
 def _callers(callee):
     """A finder of the qualified name of the function around each call of ``callee``."""
     return _scopes(lambda node: isinstance(node, ast.Call) and _named(node.func, callee))
@@ -170,17 +155,6 @@ def test_only_an_objects_own_methods_write_its_attributes():
     # values are built whole: every field is given to its constructor, and a
     # memo is made only by a method of the object that holds it
     assert _scan(_scopes(_foreign_store)) == []
-
-
-def test_suspended_names_have_one_writer_and_one_reader():
-    # the suspension s x of a Hom source is named "s" + x by shifted_basis
-    # alone, and only _HomModule's constructor cuts that "s" off again: the
-    # action, the twist and the gluing map read its (generator, pi line) keys
-    assert _scan(_scopes(_suspended_name_built)) == ["slices.py:shifted_basis"]
-    assert _scan(_scopes(_first_dropped)) == [
-        "cli.py:main",  # sys.argv[1:]: the arguments after the program name
-        "models.py:_HomModule.__init__",
-    ]
 
 
 def test_derivations_are_checked_only_where_they_come_from_outside():
@@ -431,21 +405,3 @@ def test_the_scan_sees_every_store_on_another_object():
         "deleted", "set_by_name", "del_by_name", "nested", "C.method",
         "zero_below_set", "zero_below_chained", "zero_below_chained", "zero_below_and",
     ]
-
-
-def test_the_scan_sees_suspended_names_built_and_cut():
-    source = [
-        "def percent(n): return 's%s' % n",
-        "def plus(n): return 's' + n",
-        "def formatted(n): return f's{n}'",
-        "def cut(name): return name[1:]",
-        "class H:",
-        "    def get(self, x): return self.index[(0, 's%s' % x, 't')]",
-        # none of these builds or cuts a suspended name
-        "def label(s, t): return '%s>%s' % (s, t)",
-        "def other(i): return 'theta%d' % i + 's' + f'x{i}' + f's'",
-        "def slices(a): return a[1:3], a[2:], a[1], a[::1], a[:1]",
-    ]
-    tree = ast.parse("\n".join(source))
-    assert list(_scopes(_suspended_name_built)(tree)) == ["percent", "plus", "formatted", "H.get"]
-    assert list(_scopes(_first_dropped)(tree)) == ["cut"]
