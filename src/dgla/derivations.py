@@ -16,7 +16,7 @@ from bisect import bisect_right
 from . import linalg
 from .errors import NotQuasiIso, RhoNotChainMap, SubMismatch, WindowTooNarrow
 from .graded import ChainComplexSlice
-from .linalg import accumulate, combination, exact, nonzeros
+from .linalg import combination, exact, nonzeros
 from .morphisms import _rho_of
 from .presentation import GeneratorSplit, LieElement, leibniz_extension, lie_chain_slice
 from .slices import DgLieSlice
@@ -25,8 +25,7 @@ from .slices import DgLieSlice
 class Derivation:
     """A degree-homogeneous derivation given by its generator values."""
 
-    __slots__ = ("ambient", "rel", "degree", "values", "_mask", "_letters", "_ext", "_base",
-                 "_brackets")
+    __slots__ = ("ambient", "rel", "degree", "values", "_mask", "_ext", "_base", "_brackets")
 
     def __init__(self, ambient, degree, values, rel=None, check=True):
         degree = int(degree)
@@ -61,9 +60,7 @@ class Derivation:
         self._mask = 0
         for name in values:
             self._mask |= 1 << index[name]
-        # memos made on first use by the methods named: ``_value_letters``,
-        # ``_extension``, ``_bracket``
-        self._letters = None
+        # memos made on first use by the methods named: ``_extension``, ``_bracket``
         self._ext = None
         # (base, q) when this is q * base for a nonzero q (see ``scale``)
         self._base = base
@@ -140,21 +137,15 @@ class Derivation:
         return LieElement._trusted(p, degree, coords) if coords else p.zero(degree)
 
     def add_eval_at(self, out, c, e):
-        """Add c * self(e) into ``out`` (``_reached_add``); q * base adds c q * base(e)."""
+        """Add c * self(e) into ``out`` (``_reached_add`` on e's term list); q * base adds c q * base(e)."""
         base, q = self._base or (self, 1)
-        _reached_add(out, c * q, base, e, self.ambient)
+        _reached_add(out, 0, c * q, base, self.ambient.term_list(e))
 
     def _extension(self):
         """The one Leibniz extension, made on the first evaluation that reaches a term."""
         if self._ext is None:
             self._ext = leibniz_extension(self.ambient, self.ambient, self.degree, self.values.get)
         return self._ext
-
-    def _value_letters(self):
-        """{n: letter mask of self(n)}, made on the first bracket (``_bracket_slots``)."""
-        if self._letters is None:
-            self._letters = {n: self.ambient.letters(v) for n, v in self.values.items()}
-        return self._letters
 
     def _bracket(self, psi):
         """[self, psi] (``_der_bracket``), held in {id(psi): (psi, [self, psi])} once taken."""
@@ -166,20 +157,58 @@ class Derivation:
         return hit[1]
 
 
-def _reached_add(out, c, th, e, source):
-    """out += c * th(e), by th's Leibniz extension, on the terms of e (in source) th reaches.
+def _reached_add(out, off, c, th, terms):
+    """out[off + k] += c * th(e)_k for every k, by th's Leibniz extension: the one evaluator.
 
-    Those are the terms ``DgLaPresentation.reach`` keeps for th's
-    generators; th kills the rest.  th's one extension (``_extension``),
-    whose memo holds th's image of every basis tree it has reached, is
-    built on the first call that reaches a term, and each reached term
-    x * b adds c x times b's memoized image: no element is built.
+    ``terms`` is e's ``DgLaPresentation.term_list``: th kills each term
+    whose letter mask misses its generators (``reach``), and each other
+    term x * b adds c x times b's image, read from th's one extension
+    (``_extension``), whose memo holds th's image of every basis tree it
+    has reached and is built on the first term reached.  The products are
+    summed in place into the caller's dict, as ``linalg.accumulate`` sums
+    them (so every entry has the same value and type), at ``off`` plus the
+    image's index: no element, no split dict, and no call per term but the
+    tree memo's.
     """
-    part, _ = source.reach(e, th._mask)
-    if not part:
-        return
-    for x, image in th._extension().terms(e.degree, part):
-        accumulate(out, c * x, image.coords)
+    mask, tree = th._mask, None
+    get = out.get
+    for t, x, m in terms:
+        if not m & mask:
+            continue
+        if tree is None:
+            tree = th._extension().tree
+        cx = c * x
+        image = tree(t).coords
+        if cx == 1:
+            for k, y in image.items():
+                k += off
+                z = get(k)
+                out[k] = y if z is None else z + y
+        elif cx == -1:
+            for k, y in image.items():
+                k += off
+                z = get(k)
+                out[k] = -y if z is None else z - y
+        else:
+            for k, y in image.items():
+                k += off
+                z = get(k)
+                out[k] = y * cx if z is None else z + y * cx
+
+
+def _value_terms(theta, mask=-1):
+    """[term list of theta(n)] over the generators n in order (``term_list``).
+
+    None where theta(n) is 0 or has no letter in ``mask``: an evaluation
+    by a derivation on the generators of ``mask`` kills it (``reach``).
+    """
+    p = theta.ambient
+    index = p.generators.index
+    out = [None] * len(index)
+    for n, v in theta.values.items():
+        if p.letters(v) & mask:
+            out[index[n]] = p.term_list(v)
+    return out
 
 
 def der_bracket(theta, psi):
@@ -201,33 +230,34 @@ def _der_bracket(theta, psi):
     """[theta, psi], from its value on each generator (``_bracket_slots``)."""
     p = theta.ambient
     degree = theta.degree + psi.degree
+    slots = [{} for _ in p.generators.entries]
+    _bracket_slots(theta, _value_terms(theta, psi._mask), psi, _value_terms(psi, theta._mask),
+                   slots, [0] * len(slots))
     vals = {}
-    for n, coords in _bracket_slots(theta, psi):
-        coords = nonzeros(coords)
+    for (n, deg), coords in zip(p.generators.entries, slots):
+        coords = coords and nonzeros(coords)
         if coords:
-            vals[n] = LieElement._trusted(p, p.generators.degree(n) + degree, coords)
+            vals[n] = LieElement._trusted(p, deg + degree, coords)
     return Derivation._trusted(p, degree, vals, theta.rel)
 
 
-def _bracket_slots(theta, psi):
-    """[(n, coords)] for each generator n where theta or psi is nonzero, in order.
+def _bracket_slots(theta, theta_terms, psi, psi_terms, outs, offsets):
+    """Add [theta, psi](n) into outs[g] at offsets[g], for each generator n = g in order.
 
-    coords holds theta(psi n) - (-1)^{|theta||psi|} psi(theta n), zeros kept:
-    each term added by ``add_eval_at`` where the letters of its inner value
-    meet the outer derivation's generators, and skipped, as zero, elsewhere.
+    [theta, psi](n) = theta(psi n) - (-1)^{|theta||psi|} psi(theta n) is
+    two ``_reached_add`` of the value term lists ``psi_terms`` and
+    ``theta_terms`` (``_value_terms``): q * base adds through base with the
+    factor q.  Zeros are kept.
     """
     sign = 1 if (theta.degree * psi.degree) % 2 else -1
-    lt, lp = theta._value_letters(), psi._value_letters()
-    slots = []
-    for n, _ in theta.ambient.generators.entries:
-        if n in lp or n in lt:
-            out = {}
-            if lp.get(n, 0) & theta._mask:
-                theta.add_eval_at(out, 1, psi.values[n])
-            if lt.get(n, 0) & psi._mask:
-                psi.add_eval_at(out, sign, theta.values[n])
-            slots.append((n, out))
-    return slots
+    bt, qt = theta._base or (theta, 1)
+    bp, qp = psi._base or (psi, 1)
+    qp *= sign
+    for out, off, at_psi, at_theta in zip(outs, offsets, psi_terms, theta_terms):
+        if at_psi is not None:
+            _reached_add(out, off, qt, bt, at_psi)
+        if at_theta is not None:
+            _reached_add(out, off, qp, bp, at_theta)
 
 
 def der_differential(theta):
@@ -479,10 +509,12 @@ class DerSlice(DgLieSlice):
     exact matrices and memoized tables in the subspace coordinates.  The
     structure constants sum the tree images memoized by each basis
     derivation's one Leibniz extension, kept for the slice's life, through
-    the one evaluator ``add_eval_at`` (``eval_at`` adds into a fresh sum):
-    no element per pair or term.  The differential's columns are taken on
-    memo-free copies of the basis (``Derivation._trusted`` on the same
-    values), so only the bracket fills the basis derivations' memos.
+    the one evaluator ``_reached_add``: no element per pair or term.  The
+    slice lists each basis derivation's values once (``_basis_terms``),
+    keyed by (degree, index) and kept for its life, and each pair sums into
+    one Hom vector (``_bracket_coords``).  The differential's columns are
+    taken on memo-free copies of the basis (``Derivation._trusted`` on the
+    same values), so only the bracket fills the basis derivations' memos.
     """
 
     def __init__(self, p, rel, window, spaces, layouts, zero_below=False):
@@ -491,6 +523,10 @@ class DerSlice(DgLieSlice):
         self.spaces = spaces
         self.layouts = layouts
         self.derivations = {}
+        self._terms = {}  # memo of ``_basis_terms``
+        # the Hom offset of each generator's slot, in generator order, per degree
+        self._offsets = {n: [layouts[n].offset.get(x) for x in p.generators.names()]
+                         for n in layouts}
         lo, hi = window
         labels = {}
         for n in range(lo, hi + 1):
@@ -525,14 +561,22 @@ class DerSlice(DgLieSlice):
     def _bracket_coords(self, n, i, m, j):
         """[theta, psi] for basis derivations theta = (n, i), psi = (m, j).
 
-        Its value on each generator (``_bracket_slots``) fills that Hom slot
-        of degree n + m; ``Subspace.coords`` gives and certifies the result.
+        Its value on each generator (``_bracket_slots``) is summed straight
+        into one Hom vector of degree n + m, at that generator's offset;
+        ``Subspace.coords`` gives and certifies the result.
         """
-        offset = self.layouts[n + m].offset
-        vec = {}
-        for name, coords in _bracket_slots(self.derivations[n][i], self.derivations[m][j]):
-            vec.update((offset[name] + k, c) for k, c in coords.items() if c)
-        return self._vector_coords(vec, n + m)
+        offsets, vec = self._offsets[n + m], {}
+        _bracket_slots(self.derivations[n][i], self._basis_terms(n, i),
+                       self.derivations[m][j], self._basis_terms(m, j),
+                       [vec] * len(offsets), offsets)
+        return self._vector_coords(nonzeros(vec), n + m)
+
+    def _basis_terms(self, n, i):
+        """The value term lists of basis derivation (n, i) (``_value_terms``), kept for the slice's life."""
+        got = self._terms.get((n, i))
+        if got is None:
+            got = self._terms[n, i] = _value_terms(self.derivations[n][i])
+        return got
 
 
 def _der_slice(p, rel, window, degree0=lambda: [], zero_below=False):
@@ -662,7 +706,7 @@ class FDerivation:
         (``_reached_add``), and built into one element.
         """
         m, out, degree = self.morphism, {}, e.degree + self.degree
-        _reached_add(out, 1, self, e, m.source)
+        _reached_add(out, 0, 1, self, m.source.term_list(e))
         coords = nonzeros(out)
         return LieElement._trusted(m.target, degree, coords) if coords else m.target.zero(degree)
 

@@ -381,11 +381,16 @@ class Subspace:
         """Coordinates of v in the basis; None if v is not a member.
 
         Certified on every call: the vector rebuilt from the coordinates
-        must be v.
+        must be v.  So v less that combination, summed into a copy of v,
+        must vanish, and v must hold no zero entry, as a rebuilt vector
+        holds none.
         """
-        index = self._index
+        index, vectors = self._index, self.vectors
         c = {index[j]: x for j, x in v.items() if j in index}
-        return c if self.vector(c) == v else None
+        rest = dict(v)
+        for i, x in c.items():
+            accumulate(rest, -x, vectors[i])
+        return None if any(rest.values()) or not all(v.values()) else c
 
     def contains(self, v):
         return self.coords(v) is not None

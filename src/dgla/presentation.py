@@ -185,7 +185,8 @@ class TreeMap:
     memoized per tree for the map's life, so images must be immutable.  The
     call on an element of ``source`` sums its tree images (``terms``) with
     one ``zero.add_scaled``.  d, derivations and morphisms walk trees only
-    on the coordinates that ``DgLaPresentation.reach`` keeps for them.
+    on the terms that the reach filter keeps for them
+    (``DgLaPresentation.reach``, or its data ``term_list``).
     """
 
     __slots__ = ("source", "leaf", "node", "memo")
@@ -372,6 +373,18 @@ class DgLaPresentation:
         for i, c in x.coords.items():
             split[not masks[i] & mask][i] = c
         return split
+
+    def term_list(self, x):
+        """[(basis tree, c, letter mask)] of x's terms, in coordinate order.
+
+        The data of the reach filter, listed once: an evaluation keeps the
+        terms whose mask meets its generators (``derivations._reached_add``),
+        and a caller that evaluates x many times keeps the list.
+        """
+        if x.presentation is not self:
+            raise ValueError("element not in the map's source presentation")
+        basis, masks = self.lie_basis(x.degree), self.letter_masks(x.degree)
+        return [(basis[i].tree, c, masks[i]) for i, c in x.coords.items()]
 
     def tree_names(self, tree):
         """Convert an index tree to a name tree."""

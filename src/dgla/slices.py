@@ -52,11 +52,20 @@ class DgLieSlice(DegreeWindow):
         """The structure constants of [e_i^(n), e_j^(m)]: a sparse {k: c} in degree n+m.
 
         Memoized; callers must not mutate the result.  ``bracket_fn``
-        returns the same sparse form; without one the bracket is zero.
+        returns the same sparse form; without one the bracket is zero.  A
+        pair is checked once, on its first read: a degree n, m or n + m
+        outside the window raises WindowTooNarrow, and an index outside its
+        degree's basis IndexError.
         """
         key = (n, i, m, j)
         got = self._structure.get(key)
         if got is None:
+            labels = self.labels  # one list per degree of the window
+            if not (n + m in labels and 0 <= i < len(labels.get(n, ()))
+                    and 0 <= j < len(labels.get(m, ()))):
+                for d in (n, m, n + m):
+                    self.dim(d)  # raises WindowTooNarrow at the first outside
+                raise IndexError("no basis pair (%d,%d),(%d,%d) in the slice" % key)
             got = {} if self._bracket_fn is None else self._bracket_fn(n, i, m, j)
             self._structure[key] = got
         return got

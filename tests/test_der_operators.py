@@ -1,13 +1,16 @@
 """Derivation slices as sparse operators, against the paths they replaced.
 
-A ``DerSlice`` sums its structure constants into one coordinate dict per
-generator with its basis derivations' ``add_eval_at``, which adds memoized
-tree images and builds no element per term;
+A ``DerSlice`` sums each structure constant's Hom vector straight into
+one dict, each generator's slot at its offset, from the term lists it
+keeps per basis derivation, through the one evaluator ``_reached_add``,
+which adds memoized tree images in place and builds no element per term;
 ``oracles.der_bracket_structure_constants`` builds each one from
-``der_bracket``, a new Derivation and its Hom vector.  Every evaluation
-goes through the one evaluator ``_reached_add``: ``eval_at`` adds into a
+``der_bracket``, a new Derivation and its Hom vector.  Both orders of
+every pair that the antisymmetry walk compares are evaluated on their own.
+Every evaluation goes through ``_reached_add``: ``eval_at`` adds into a
 fresh sum, and ``add_eval_at`` into any sum adds what ``eval_at`` gives, in
-value and order, for every factor and multiple.  A unit is built on its one
+value and order, for every factor and multiple, as does ``_reached_add``
+at an offset.  A unit is built on its one
 generator as ``from_vector`` builds it.  ``eval_at``, and so each condition
 of a derivation space, evaluates a unit only on the terms of its element
 that the unit reaches; ``oracles.unrestricted_evaluation`` evaluates it on
@@ -33,6 +36,7 @@ from dgla.linalg import accumulate as _accumulate, nonzeros
 from dgla.models import build_block_g, tilde_model
 from dgla.morphisms import GeneratorMorphism
 from dgla.presentation import DgLaPresentation, LieElement
+from dgla.slices import DgLieSlice
 
 from oracles import (
     condition_columns,
@@ -63,6 +67,13 @@ def _genus(g):
     return DgLaPresentation(names, None, {"omega": {"elements": [omega]}})
 
 
+def _glued_deru(fixture_path, left, right, window):
+    """The Der_u of the block g of the boundary connected sum of two manifold fixtures."""
+    mn = boundary_connected_sum(io.load_manifold(_load(fixture_path, left)),
+                                io.load_manifold(_load(fixture_path, right)))
+    return build_block_g(mn, window).acting
+
+
 def _table_slice(case, fixture_path):
     w11 = io.load_presentation(_load(fixture_path, "presentation_w11.json"))
     w21 = io.load_manifold(_load(fixture_path, "w21.json"))
@@ -77,18 +88,23 @@ def _table_slice(case, fixture_path):
         "twisted9 deru rho": lambda: deru(t9, "omega", rho, (0, 4)),
         "tilde_w11 beta": lambda: der_complex(_tilde_w11(), "beta", (-1, 3)),
         "tilde_w11 deru beta": lambda: deru(_tilde_w11(), "beta", None, (0, 3)),
-        "glued w21 w11": lambda: build_block_g(
-            boundary_connected_sum(w21, io.load_manifold(_load(fixture_path, "w11.json"))),
-            (0, 4),
-        ).acting,
+        "glued w21 w11": lambda: _glued_deru(fixture_path, "w21.json", "w11.json", (0, 4)),
         "genus 4": lambda: deru(_genus(4), "omega", None, (0, 4)),
+        "glued action10 ab10": lambda: _glued_deru(fixture_path, "action10.json", "ab10.json",
+                                                   (0, 4)),
+        "glued hp2 hp2": lambda: _glued_deru(fixture_path, "hp2.json", "hp2.json", (0, 6)),
     }[case]()
 
 
 _TABLE_CASES = [
     "w11 der", "w21 der", "w21 deru", "twisted9 der", "twisted9 deru",
     "twisted9 deru rho", "tilde_w11 beta", "tilde_w11 deru beta", "glued w21 w11", "genus 4",
+    "glued action10 ab10", "glued hp2 hp2",
 ]
+
+# (pairs, nonzero brackets) of the tables whose size is pinned: generators of
+# degrees 2, 3, 5, 6, 2, 6, of both parities, and two of degree 3
+_TABLE_SIZES = {"glued action10 ab10": (556, 276), "glued hp2 hp2": (16, 6)}
 
 
 def _entries(coords):
@@ -101,6 +117,8 @@ def test_structure_constants_match_der_bracket(case, fixture_path):
     slc = _table_slice(case, fixture_path)
     want = der_bracket_structure_constants(slc)
     assert any(want.values())
+    if case in _TABLE_SIZES:
+        assert (len(want), sum(map(bool, want.values()))) == _TABLE_SIZES[case]
     for (n, i, m, j), w in want.items():
         got = slc.bracket(n, i, m, j)
         # the same entries, in the same order, each of the same type
@@ -152,6 +170,42 @@ def test_the_glued_bracket_table_builds_no_derivation_per_pair(fixture_path, mon
     assert any(acting.bracket(2, i, 2, j) for i in range(acting.dim(2)) for j in range(acting.dim(2)))
     assert nonzero and calls == []
     assert read and evaluations == []
+
+
+def test_the_antisymmetry_walk_evaluates_both_orders_of_every_pair(fixture_path, monkeypatch):
+    # the walk compares [x, y] with [y, x]; a table that filled one order
+    # from the other by the sign would compare a value with itself, so each
+    # order that Der_u's own walk reads, while g is built, must have been
+    # evaluated by the slice on its own
+    evaluated, walked, inside = set(), [], []
+    plain_coords, plain_bracket = derivations.DerSlice._bracket_coords, DgLieSlice.bracket
+    plain_walk = DgLieSlice._antisymmetry_failures
+
+    def evaluating(slc, *pair):
+        evaluated.add(pair)
+        return plain_coords(slc, *pair)
+
+    def reading(slc, *pair):
+        if inside and inside[-1] is slc and isinstance(slc, derivations.DerSlice):
+            walked.append(pair)
+        return plain_bracket(slc, *pair)
+
+    def walking(slc, degree_pairs):
+        inside.append(slc)
+        try:
+            yield from plain_walk(slc, degree_pairs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(derivations.DerSlice, "_bracket_coords", evaluating)
+    monkeypatch.setattr(DgLieSlice, "bracket", reading)
+    monkeypatch.setattr(DgLieSlice, "_antisymmetry_failures", walking)
+    acting = _glued_deru(fixture_path, "w21.json", "w11.json", (0, 4))
+    assert (2, 2) in acting._antisymmetric
+    assert any(plain_bracket(acting, *pair) for pair in walked)
+    for n, i, m, j in walked:
+        assert {(n, i, m, j), (m, j, n, i)} <= evaluated
+        assert (m, j, n, i) in walked
 
 
 @pytest.mark.parametrize("case", _TABLE_CASES)
@@ -226,6 +280,15 @@ def _sum(out):
     return list(nonzeros(out).items())
 
 
+def _same_at_an_offset(th, p, elements):
+    """The evaluator at an offset adds eval_at's entries, each index shifted, in order and type."""
+    base, q = th._base or (th, 1)
+    for e in elements:
+        got = {}
+        derivations._reached_add(got, 7, 1 * q, base, p.term_list(e))
+        assert _entries(nonzeros(got)) == [(7 + k, t, c) for k, t, c in _entries(th.eval_at(e).coords)]
+
+
 def _check_derivations(p, rng):
     """Derivations of p, and their multiples q theta, against eval_at."""
     elements = _elements(p, rng)
@@ -234,6 +297,7 @@ def _check_derivations(p, rng):
             th = Derivation(p, n, values, check=False)
             for d in [th] + [th.scale(q) for q in (-1, Fraction(1, 2), 3)]:
                 _same_accumulation(d, d.add_eval_at, p, elements, rng)
+                _same_at_an_offset(d, p, elements)
 
 
 def _fixture_presentations(fixture_path):
@@ -274,7 +338,7 @@ def test_the_accumulating_form_serves_f_derivations(case, fixture_path):
             th = FDerivation(m, n, values)
 
             def add(out, c, e, th=th):
-                derivations._reached_add(out, c, th, e, m.source)
+                derivations._reached_add(out, 0, c, th, m.source.term_list(e))
 
             _same_accumulation(th, add, m.target, elements, rng)
 

@@ -79,6 +79,19 @@ def test_subspace_coords_roundtrip():
     assert s.coords({0: 1}) is None
 
 
+def test_subspace_coords_certifies_by_the_rebuilt_vector():
+    # v is a member exactly when it is the vector its pivot entries rebuild:
+    # a sparse vector, with no zero entry, equal to that combination
+    s = linalg.Subspace.from_vectors([{0: 1, 1: 2}, {1: 1, 2: 1}], 3)
+    assert s.vectors == [{0: 1, 2: -2}, {1: 1, 2: 1}]
+    assert s.coords({0: 1, 1: 3, 2: 1}) == {0: 1, 1: 3}
+    assert s.coords({2: -2, 0: 1}) == {0: 1}
+    assert s.coords({}) == {}
+    assert s.coords({0: 1, 1: 2, 2: 1}) is None
+    assert s.coords({0: 1, 1: 2, 2: 0}) is None
+    assert s.coords({2: 1}) is None
+
+
 def test_kernel_of_no_conditions_is_the_full_space():
     for n in range(4):
         k = linalg.Subspace.from_kernel(linalg.matrix(0, n), n)

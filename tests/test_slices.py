@@ -310,3 +310,46 @@ def test_to_chain_keeps_the_window_of_a_slice_not_known_to_vanish_below():
     assert (chain.lo, chain.hi) == (0, 2)
     assert chain.labels == slc.labels
     assert chain.d_matrix(1) is slc.d_matrix(1)
+
+
+def _out_of_window_cases(fixture_path):
+    """(slice, reads outside its window, reads outside its basis) for each slice kind."""
+    from dgla import io
+    from dgla.derivations import der_complex
+    from dgla.models import build_block_g
+
+    def load(name):
+        return io.load_json_file(fixture_path(name))
+
+    der = der_complex(io.load_presentation(load("presentation_w11.json")), "omega", (0, 4))
+    g = build_block_g(io.load_manifold(load("w11.json")), (0, 4))
+    loaded = io.load_slice(load("mc_slice.json"))
+    return {
+        "der": (der, [(4, 0, 4, 0), (-1, 0, 0, 0), (0, 0, 5, 0)], [(0, 0, 0, 5), (0, -1, 0, 0)]),
+        "block g": (g, [(2, 0, 3, 0), (0, 0, 9, 0)], [(0, 0, 0, 9), (0, 2, 0, 0)]),
+        "loaded": (loaded, [(1, 0, 0, 0), (-2, 0, -2, 99), (-2, 0, -1, 0)],
+                   [(0, 0, -1, 0), (-1, 99, 0, 0), (-1, 0, -1, -1)]),
+    }
+
+
+@pytest.mark.parametrize("kind", ["der", "block g", "loaded"])
+def test_a_bracket_read_outside_the_slice_raises_and_is_not_kept(kind, fixture_path):
+    from dgla.errors import WindowTooNarrow
+
+    slc, outside_window, outside_basis = _out_of_window_cases(fixture_path)[kind]
+    for key in outside_window:
+        with pytest.raises(WindowTooNarrow):
+            slc.bracket(*key)
+    for key in outside_basis:
+        with pytest.raises(IndexError):
+            slc.bracket(*key)
+    for key in outside_window + outside_basis:
+        assert key not in slc._structure
+    # every pair inside still reads, and a second read is the memoized answer
+    lo, hi = slc.window()
+    for n in range(lo, hi + 1):
+        for m in range(lo, hi + 1):
+            if lo <= n + m <= hi:
+                for i in range(slc.dim(n)):
+                    for j in range(slc.dim(m)):
+                        assert slc.bracket(n, i, m, j) is slc.bracket(n, i, m, j)

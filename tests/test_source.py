@@ -199,27 +199,48 @@ def test_each_derivation_has_one_leibniz_extension():
 
 
 def test_every_derivation_evaluation_has_one_entry_point():
-    # eval_at adds into a fresh sum, add_eval_at into the caller's, through
-    # one evaluator that adds memoized tree images and builds no element
+    # eval_at adds into a fresh sum, add_eval_at into the caller's, and a
+    # bracket each of its two evaluations per generator into its Hom vector,
+    # through one evaluator that sums memoized tree images over a term list
+    # in place: it builds no element, and per term it calls only the tree
+    # memo (no accumulate, no split of the element)
     assert _scan(_callers("_reached_add")) == [
         "derivations.py:Derivation.add_eval_at",
+        "derivations.py:_bracket_slots",
+        "derivations.py:_bracket_slots",
         "derivations.py:FDerivation.eval_at",
     ]
     with open(os.path.join(SRC, "derivations.py")) as fh:
         tree = ast.parse(fh.read())
-    assert _callees(_function(tree, "_reached_add")) == [
-        "_extension", "accumulate", "reach", "terms",
-    ]
+    assert _callees(_function(tree, "_reached_add")) == ["_extension", "get", "items", "tree"]
 
 
 def test_only_the_presentation_reads_letter_masks():
-    # one reach filter: derivations, the differential and morphisms split an
-    # element's terms through DgLaPresentation.reach (and value masks through
-    # letters), never through a filter of their own over the mask list
+    # one reach filter: the differential and morphisms split an element's
+    # terms through DgLaPresentation.reach, derivations read the masks that
+    # term_list lists with each term, and value masks come from letters;
+    # none reads the mask list of its own
     assert _scan(_callers("letter_masks")) == [
         "presentation.py:DgLaPresentation.letters",
         "presentation.py:DgLaPresentation.reach",
+        "presentation.py:DgLaPresentation.term_list",
     ]
+
+
+def test_values_gain_no_memo():
+    # a memo is owned by the computation that reads it: a derivation slice
+    # keeps its basis derivations' term lists, so neither a derivation nor
+    # an element gains a field for them (and neither has a __dict__)
+    from dgla.derivations import Derivation
+    from dgla.presentation import LieElement
+
+    assert set(Derivation.__slots__) <= {
+        "ambient", "rel", "degree", "values", "_mask", "_ext", "_base", "_brackets",
+    }
+    assert set(LieElement.__slots__) <= {"presentation", "degree", "coords"}
+    for cls in (Derivation, LieElement):
+        assert all("__slots__" in vars(base) for base in cls.__mro__[:-1])
+        assert "__dict__" not in cls.__slots__
 
 
 def test_generators_are_renamed_only_by_the_pushout():
