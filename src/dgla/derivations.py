@@ -137,7 +137,10 @@ class Derivation:
         return LieElement._trusted(p, degree, coords) if coords else p.zero(degree)
 
     def add_eval_at(self, out, c, e):
-        """Add c * self(e) into ``out`` (``_reached_add`` on e's term list); q * base adds c q * base(e)."""
+        """Add c * self(e) into ``out`` (``_reached_add`` on e's ``term_list``).
+
+        q * base adds c q * base(e).
+        """
         base, q = self._base or (self, 1)
         _reached_add(out, 0, c * q, base, self.ambient.term_list(e))
 
@@ -572,7 +575,7 @@ class DerSlice(DgLieSlice):
         return self._vector_coords(nonzeros(vec), n + m)
 
     def _basis_terms(self, n, i):
-        """The value term lists of basis derivation (n, i) (``_value_terms``), kept for the slice's life."""
+        """The value term lists of basis derivation (n, i), kept for the slice's life."""
         got = self._terms.get((n, i))
         if got is None:
             got = self._terms[n, i] = _value_terms(self.derivations[n][i])

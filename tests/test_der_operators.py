@@ -286,7 +286,8 @@ def _same_at_an_offset(th, p, elements):
     for e in elements:
         got = {}
         derivations._reached_add(got, 7, 1 * q, base, p.term_list(e))
-        assert _entries(nonzeros(got)) == [(7 + k, t, c) for k, t, c in _entries(th.eval_at(e).coords)]
+        want = _entries(th.eval_at(e).coords)
+        assert _entries(nonzeros(got)) == [(7 + k, t, c) for k, t, c in want]
 
 
 def _check_derivations(p, rng):
