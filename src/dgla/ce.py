@@ -1,13 +1,14 @@
 """Chevalley-Eilenberg (co)homology of finite dg Lie slices.
 
 Chains are graded-symmetric words in the shifted basis s g (letters of
-shifted degree |x|+1; odd letters never repeat), with the standard two-part
-coderivation differential
+shifted degree |x|+1; odd letters never repeat), grown one degree at a
+time (``_words``), with the standard two-part coderivation differential
 
     d1(s x) = -s(d x)          d2(s x ^ s y) = (-1)^{|x|} s [x, y]
 
-extended by the Koszul rule.  A CESlice is a ``graded.ChainComplexSlice``
-whose labels are these words, so the sign conventions are certified by its
+extended by the Koszul rule, each term of either part sorted to its word
+by ``_sort_word``.  A CESlice is a ``graded.ChainComplexSlice`` whose
+labels are these words, so the sign conventions are certified by its
 d^2 = 0 check on every window it is built on, rather than trusted.
 Coefficients are plain vector spaces with trivial action, so
 Hom(C, Q^r) = Hom(C, Q)^r and cochain Betti numbers scale linearly in the
@@ -20,12 +21,9 @@ from .graded import ChainComplexSlice
 
 
 def _letters(g, max_sdeg):
-    """Letters (d, i) of s g with shifted degree d+1 <= max_sdeg."""
-    out = []
-    for d in range(max(g.lo, 0), min(g.hi, max_sdeg - 1) + 1):
-        for i in range(g.dim(d)):
-            out.append((d, i))
-    return out
+    """Letters (d, i) of s g with shifted degree d+1 <= max_sdeg, in order."""
+    degrees = range(max(g.lo, 0), min(g.hi, max_sdeg - 1) + 1)
+    return [(d, i) for d in degrees for i in range(g.dim(d))]
 
 
 def _sdeg(letter):
@@ -54,30 +52,27 @@ def _sort_word(letters):
     return tuple(lst), sign
 
 
+def _words(g, top):
+    """{k: the canonical words of shifted degree k, sorted} for 0 <= k <= top.
+
+    Grown one degree at a time: a word of degree k is a letter l followed
+    by a word of degree k - |l| that starts at l or later, and at l only
+    when l is even.  Letters come in order, so each degree's list is sorted.
+    """
+    words = {0: [()]}
+    for k in range(1, top + 1):
+        words[k] = [
+            (l,) + w
+            for l in _letters(g, k)
+            for w in words[k - _sdeg(l)]
+            if not w or w[0] > l or (w[0] == l and not _sdeg(l) % 2)
+        ]
+    return words
+
+
 def ce_words(g, degree):
     """Canonical words of total shifted degree ``degree``, sorted."""
-    if degree == 0:
-        return [()]
-    letters = _letters(g, degree)
-    out = []
-
-    def rec(start, remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for k in range(start, len(letters)):
-            sd = _sdeg(letters[k])
-            if sd > remaining:
-                continue
-            if acc and letters[k] == acc[-1] and sd % 2:
-                continue
-            acc.append(letters[k])
-            rec(k, remaining - sd, acc)
-            acc.pop()
-
-    rec(0, degree, [])
-    out.sort()
-    return out
+    return _words(g, degree).get(degree, [])
 
 
 class CESlice(ChainComplexSlice):
@@ -105,9 +100,9 @@ class CESlice(ChainComplexSlice):
             )
         self.g = g
         self._g_cols = {  # the columns of g's differential out of each degree
-            d: linalg.columns(g.d_matrix(d), g.dim(d)) for d in range(g.lo + 1, g.hi + 1)
+            d: linalg.columns(g.d_matrix(d), g.dim(d)) for d in range(1, g.hi + 1)
         }
-        words = {k: ce_words(g, k) for k in range(top_degree + 1)}
+        words = _words(g, top_degree)
         self.index = {k: {w: i for i, w in enumerate(ws)} for k, ws in words.items()}
         blocks = {
             k: linalg.matrix(len(words[k - 1]), len(words[k]), self._d_terms(k))
@@ -115,50 +110,36 @@ class CESlice(ChainComplexSlice):
         }
         super().__init__((0, top_degree), words, blocks, zero_below=True)
 
-    def _d1_letter(self, letter):
-        """delta_1(s x) = -s(d x) as a list of (letter, coeff)."""
-        d, i = letter
-        if d - 1 < self.g.lo:
-            return []
-        return [((d - 1, k), -c) for k, c in self._g_cols[d][i].items()]
-
-    def _d2_pair(self, la, lb):
-        """delta_2(s x ^ s y) = (-1)^{|x|} s [x, y] as (letter, coeff) list."""
-        (da, ia), (db, ib) = la, lb
-        v = self.g.bracket(da, ia, db, ib)
-        sign = -1 if da % 2 else 1
-        return [((da + db, k), sign * c) for k, c in v.items()]
-
     def _d_terms(self, k):
-        """The (row, column, coefficient) terms of the CE differential out of C_k."""
+        """The (row, column, coefficient) terms of the CE differential out of C_k.
+
+        On a word, d1 replaces the letter s x at a by -s(d x), and d2 the
+        letters s x at a and s y at b by (-1)^{|x|} s [x, y] in front, each
+        with the Koszul sign of moving the letters it reads to the front.
+        Each term, a coefficient and a list of letters, goes through
+        ``_sort_word`` to its row of C_{k-1}.
+        """
+        rows = self.index[k - 1]
         for j, w in enumerate(self.index[k]):
-            for letter_pos in range(len(w)):
-                eps = sum(_sdeg(l) for l in w[:letter_pos]) % 2
-                outer_sign = -1 if eps else 1
-                for letter2, c in self._d1_letter(w[letter_pos]):
-                    rest = w[:letter_pos] + (letter2,) + w[letter_pos + 1 :]
-                    sorted_ = _sort_word(rest)
-                    if sorted_ is None:
-                        continue
-                    ww, s = sorted_
-                    i = self.index[k - 1].get(ww)
-                    if i is not None:
-                        yield i, j, outer_sign * s * c
-            for a in range(len(w)):
+            terms = []
+            pre_a = 0  # the shifted degree of the letters before a
+            for a, (da, ia) in enumerate(w):
+                sign_a = -1 if pre_a % 2 else 1
+                for r, c in self._g_cols[da][ia].items() if da else ():
+                    terms.append((-sign_a * c, w[:a] + ((da - 1, r),) + w[a + 1 :]))
+                pre_b = pre_a  # the shifted degree of the letters before b but a
                 for b in range(a + 1, len(w)):
-                    pre_a = sum(_sdeg(l) for l in w[:a])
-                    pre_b = sum(_sdeg(l) for l in w[:b]) - _sdeg(w[a])
-                    eps = (_sdeg(w[a]) * pre_a + _sdeg(w[b]) * pre_b) % 2
-                    outer_sign = -1 if eps else 1
-                    rest = tuple(l for t, l in enumerate(w) if t != a and t != b)
-                    for letter2, c in self._d2_pair(w[a], w[b]):
-                        sorted_ = _sort_word((letter2,) + rest)
-                        if sorted_ is None:
-                            continue
-                        ww, s = sorted_
-                        i = self.index[k - 1].get(ww)
-                        if i is not None:
-                            yield i, j, outer_sign * s * c
+                    db, ib = w[b]
+                    sign = -1 if ((da + 1) * pre_a + (db + 1) * pre_b + da) % 2 else 1
+                    rest = w[:a] + w[a + 1 : b] + w[b + 1 :]
+                    for r, c in self.g.bracket(da, ia, db, ib).items():
+                        terms.append((sign * c, ((da + db, r),) + rest))
+                    pre_b += db + 1
+                pre_a += da + 1
+            for c, letters in terms:
+                got = _sort_word(letters)
+                if got is not None:
+                    yield rows[got[0]], j, got[1] * c
 
 
 def ce_cohomology(g, coefficient_dim, degree_range):

@@ -18,7 +18,7 @@ from .errors import NotQuasiIso, RhoNotChainMap, SubMismatch, WindowTooNarrow
 from .graded import ChainComplexSlice
 from .linalg import combination, exact, nonzeros
 from .morphisms import _rho_of
-from .presentation import GeneratorSplit, LieElement, leibniz_extension, lie_chain_slice
+from .presentation import GeneratorSplit, LieElement, TreeMap, leibniz_extension, lie_chain_slice
 from .slices import DgLieSlice
 
 
@@ -385,65 +385,62 @@ def _vanishing_space(p, rel, layout):
     The matrix of ``_condition_space`` on ``layout.unit`` and
     ``_vanishing_conditions``, assembled per Hom slot (x, offset) with no
     unit derivation: column offset + k, the unit x -> b_k, stacks u_k(e)
-    over the elements e an ElementGenerated sub lists.  Each term c * t of
-    e that ``reach`` keeps for x adds c u_k(t) from the slot's one walk
-    (``_slot_images``), whose memo goes with the slot, and
-    ``linalg.matrix`` sums the entries that terms share.
+    over the elements e an ElementGenerated sub lists.  Each e's
+    ``term_list`` is listed once; each term c * t whose letter mask holds x
+    adds c u_k(t) from the slot's one ``TreeMap`` (``_slot_images``), whose
+    memo goes with the slot, and ``linalg.matrix`` sums the entries that
+    terms share.
     """
     spec = p.sub(rel)
     elements = () if isinstance(spec, GeneratorSplit) else spec.elements
     n = layout.n
-    tops = [0]
+    tops, lists = [0], []
     for e in elements:
+        lists.append((tops[-1], p.term_list(e)))
         tops.append(tops[-1] + p.dim(e.degree + n))
     ents = []
     for name, deg, off, dim in layout.slots:
         g = p.generators.index[name]
-        images = _slot_images(p, n, g, dim)
-        for top, e in zip(tops, elements):
-            basis = p.lie_basis(e.degree)
-            for i, c in p.reach(e, 1 << g)[0].items():
-                for k, image in enumerate(images(basis[i].tree)):
-                    ents += [(top + r, off + k, c * x) for r, x in image.items()]
+        images = _slot_images(p, n, name, dim).tree
+        for top, terms in lists:
+            for t, c, mask in terms:
+                if mask >> g & 1:
+                    for k, image in enumerate(images(t)):
+                        ents += [(top + r, off + k, c * x) for r, x in image.items()]
     return linalg.Subspace.from_kernel(linalg.matrix(tops[-1], layout.total, ents), layout.total)
 
 
-def _slot_images(p, n, g, dim):
-    """The walk t -> [u_k(t) for k < dim] over the basis trees t of p, None where all vanish.
+def _slot_images(p, n, x, dim):
+    """The TreeMap t -> [u_k(t) for k < dim] over the basis trees t of p, () where all vanish.
 
-    u_k is the degree-n unit sending generator g to b_k, the k-th basis
-    element of degree |g| + n, and every other generator to 0.  A leaf
-    gives b_k at g; a tree [t1, t2] gives
+    u_k is the degree-n unit sending the generator x to b_k, the k-th basis
+    element of degree |x| + n, and every other generator to 0.  A leaf
+    gives b_k at x; a tree [t1, t2] gives
     u_k[t1, t2] = [u_k t1, m t2] + (-1)^{n |t1|} [m t1, u_k t2], with m
     = ``tree_element``, each bracket added by ``add_bracket`` into one
-    coordinate dict per k.  Each tree's list is memoized for the walk's life.
+    coordinate dict per k.  The empty tuple marks no image, since the
+    TreeMap memo takes None for a miss.
     """
     units = [{k: 1} for k in range(dim)]
-    memo = {}
 
-    def walk(t):
-        if isinstance(t, int):
-            return units if t == g else None
-        if t in memo:
-            return memo[t]
-        a, b = walk(t[0]), walk(t[1])
-        images = None
-        if a is not None or b is not None:
-            m1, m2 = p.tree_element(t[0]), p.tree_element(t[1])
-            d1, d2 = m1.degree, m2.degree
-            sign = -1 if n * d1 % 2 else 1
-            images = []
-            for k in range(dim):
-                out = {}
-                if a is not None:
-                    p.add_bracket(out, 1, d1 + n, a[k], d2, m2.coords)
-                if b is not None:
-                    p.add_bracket(out, sign, d1, m1.coords, d2 + n, b[k])
-                images.append(nonzeros(out))
-        memo[t] = images
+    def node(t1, t2, f):
+        a, b = f(t1), f(t2)
+        if not (a or b):
+            return ()
+        m1, m2 = p.tree_element(t1), p.tree_element(t2)
+        d1, d2 = m1.degree, m2.degree
+        sign = -1 if n * d1 % 2 else 1
+        images = []
+        for k in range(dim):
+            out = {}
+            if a:
+                p.add_bracket(out, 1, d1 + n, a[k], d2, m2.coords)
+            if b:
+                p.add_bracket(out, sign, d1, m1.coords, d2 + n, b[k])
+            images.append(nonzeros(out))
         return images
 
-    return walk
+    return TreeMap(p, lambda name: units if name == x else (), node)
 
 
 def _evaluation(e):

@@ -184,9 +184,9 @@ class TreeMap:
     image of the index tree (u, v), where ``f`` maps subtrees; one image is
     memoized per tree for the map's life, so images must be immutable.  The
     call on an element of ``source`` sums its tree images (``terms``) with
-    one ``zero.add_scaled``.  d, derivations and morphisms walk trees only
-    on the terms that the reach filter keeps for them
-    (``DgLaPresentation.reach``, or its data ``term_list``).
+    one ``zero.add_scaled``.  Tree normal forms, d, derivations, morphisms,
+    letter masks and Hom slot units are all TreeMaps; they walk trees only
+    on the terms that the reach filter keeps (``reach`` or ``term_list``).
     """
 
     __slots__ = ("source", "leaf", "node", "memo")
@@ -285,6 +285,9 @@ class DgLaPresentation:
         self._bracket_cache = {}
         self._tree_index = {}
         self._letter_masks = {}
+        self._tree_masks = TreeMap(
+            self, lambda name: 1 << self.generators.index[name], lambda u, v, f: f(u) | f(v)
+        )
         self._indecomposables = {}
         self._tree_elements = TreeMap(
             self, self.gen, lambda u, v, f: self.bracket(f(u), f(v))
@@ -341,15 +344,12 @@ class DgLaPresentation:
     def letter_masks(self, degree):
         """[the generators at the leaves of basis tree i, as a bitmask] for one degree (memoized).
 
-        Bit g is set when generator g (its index) is a letter of the tree.
+        Bit g is set when generator g (its index) is a letter of the tree:
+        one ``TreeMap`` sends g to 1 << g and a bracket to the OR of its sides.
         """
         got = self._letter_masks.get(degree)
         if got is None:
-            def mask(tree):
-                if isinstance(tree, int):
-                    return 1 << tree
-                return mask(tree[0]) | mask(tree[1])
-
+            mask = self._tree_masks.tree
             got = self._letter_masks[degree] = [mask(b.tree) for b in self.lie_basis(degree)]
         return got
 

@@ -28,7 +28,10 @@ whole of their element instead of from the basis derivations' own
 extensions and on the terms a unit reaches, and gluing's extension of a
 derivation by a round trip through generator names instead of through an
 inclusion morphism, and the Hom module's differential through suspended
-names and matrices instead of from the linear part of d directly.
+names and matrices instead of from the linear part of d directly, and
+CE words by one recursive search per degree and the CE differential's two
+parts by separate loops, each sign counted from odd inversions, instead of
+words grown degree by degree and one sort for every term.
 Tests compare library output against these.
 The helpers that are not oracles are ``sub_contains``, membership in a
 designated subalgebra through the library's own spans,
@@ -539,6 +542,93 @@ def exterior_polynomial_ce_betti(sdegrees, k0, k1):
                     k += 1
         counts = nxt
     return {k: counts.get(k, 0) for k in range(k0, k1 + 1)}
+
+
+# -- CE chains by one recursive search per degree ----------------------------------
+
+
+def ce_words_by_search(g, degree):
+    """Canonical CE words of shifted degree ``degree``, by one recursive search, sorted.
+
+    A word is a nondecreasing run of letters (d, i) of g, of shifted degree
+    d + 1 each, in which no odd letter repeats.
+    """
+    if degree == 0:
+        return [()]
+    letters = [(d, i) for d in range(max(g.lo, 0), min(g.hi, degree - 1) + 1)
+               for i in range(g.dim(d))]
+    out = []
+
+    def rec(start, remaining, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        for k in range(start, len(letters)):
+            sd = letters[k][0] + 1
+            if sd > remaining:
+                continue
+            if acc and letters[k] == acc[-1] and sd % 2:
+                continue
+            acc.append(letters[k])
+            rec(k, remaining - sd, acc)
+            acc.pop()
+
+    rec(0, degree, [])
+    out.sort()
+    return out
+
+
+def _koszul_sorted(letters):
+    """The sorted word of ``letters`` and its Koszul sign; None when an odd letter repeats.
+
+    The sign is -1 to the number of pairs of odd letters out of order.
+    """
+    odd = [l for l in letters if l[0] % 2 == 0]
+    word = tuple(sorted(letters))
+    if len(set(odd)) < len(odd):
+        return None
+    inversions = sum(1 for i, a in enumerate(odd) for b in odd[i + 1:] if a > b)
+    return word, -1 if inversions % 2 else 1
+
+
+def ce_d_block_by_parts(g, k):
+    """{(row, column): c} of the CE differential out of C_k, summed, with no zeros.
+
+    d1(s x) = -s(d x) on each letter and d2(s x ^ s y) = (-1)^{|x|} s [x, y]
+    on each pair, with the Koszul sign of moving the letters read to the
+    front; the two parts are listed by two separate loops, reading g's
+    differential from its dense matrices.
+    """
+    sdeg = lambda letter: letter[0] + 1
+    rows = {w: i for i, w in enumerate(ce_words_by_search(g, k - 1))}
+    out = {}
+
+    def emit(j, c, letters):
+        got = _koszul_sorted(letters)
+        if got is not None:
+            key = (rows[got[0]], j)
+            out[key] = out.get(key, 0) + got[1] * c
+
+    for j, w in enumerate(ce_words_by_search(g, k)):
+        for pos, (d, i) in enumerate(w):
+            if d == 0:
+                continue
+            sign = -1 if sum(sdeg(l) for l in w[:pos]) % 2 else 1
+            dx = g.d_matrix(d)
+            for r in range(g.dim(d - 1)):
+                c = dx[r].get(i, 0)
+                if c:
+                    emit(j, -sign * c, w[:pos] + ((d - 1, r),) + w[pos + 1:])
+        for a in range(len(w)):
+            for b in range(a + 1, len(w)):
+                pre_a = sum(sdeg(l) for l in w[:a])
+                pre_b = sum(sdeg(l) for l in w[:b]) - sdeg(w[a])
+                eps = (sdeg(w[a]) * pre_a + sdeg(w[b]) * pre_b + w[a][0]) % 2
+                rest = tuple(l for t, l in enumerate(w) if t != a and t != b)
+                (da, ia), (db, ib) = w[a], w[b]
+                for r, c in g.bracket(da, ia, db, ib).items():
+                    emit(j, -c if eps else c, ((da + db, r),) + rest)
+    return {key: c for key, c in out.items() if c}
 
 
 # -- matrix oracle for BCH ---------------------------------------------------------

@@ -1,13 +1,19 @@
 
 import pytest
 
-from dgla import linalg
+from dgla import io, linalg
 from dgla.ce import CESlice, ce_cohomology, ce_product_check, ce_words
 from dgla.derivations import deru
 from dgla.errors import NotAComplex, WindowTooNarrow
-from dgla.models import manifold_model, tilde_model
+from dgla.models import build_block_g, manifold_model, tilde_model
+from dgla.presentation import presentation_slice
 from dgla.slices import DgLieSlice
-from oracles import exterior_polynomial_ce_betti
+from oracles import (
+    ce_d_block_by_parts,
+    ce_words_by_search,
+    exterior_polynomial_ce_betti,
+    fuzz_presentations,
+)
 
 
 def sl2():
@@ -130,3 +136,39 @@ def test_nonabelian_two_dimensional():
     g = DgLieSlice((0, 0), {0: ["x", "y"]},
                    bracket_fn=lambda *pair: tab.get(pair, {})).pad_to(0, 3)
     assert ce_cohomology(g, 1, (0, 2)) == {0: 1, 1: 1, 2: 0}
+
+
+def _oracle_slices(fixture_path):
+    """(name, g, top): dg Lie slices from degree 0 with CE chains to build through top."""
+    def load(name):
+        return io.load_json_file(fixture_path(name + ".json"))
+
+    for name in ["sl2", "heisenberg", "abelian_deg2"]:
+        yield name, io.load_slice_or_presentation(load(name)).pad_to(0, 5), 6
+    for name in ["s2", "presentation_w11"]:
+        yield name, presentation_slice(io.load_presentation(load(name)), 0, 5), 6
+    w21 = io.load_manifold(load("w21"))
+    yield "deru w21", deru(w21.presentation, "omega", None, (0, 5)), 6
+    for name in ["w11", "twisted9"]:
+        yield "block-g " + name, build_block_g(io.load_manifold(load(name)), (0, 5)), 6
+    for t, p in enumerate(fuzz_presentations()):
+        yield "fuzz deru %d" % t, deru(p, None, None, (0, 3)), 4
+
+
+def test_words_and_blocks_match_the_search_and_two_part_oracle(fixture_path):
+    parities = set()
+    for name, g, top in _oracle_slices(fixture_path):
+        ce = CESlice(g, top)
+        sdegrees = [d + 1 for d in range(top) for _ in range(g.dim(d))]
+        # dim C_k is the t^k coefficient of prod_odd (1 + t^s) prod_even (1 - t^s)^-1,
+        # the count of free graded-commutative monomials in the letters
+        dims = exterior_polynomial_ce_betti(sdegrees, 0, top)
+        for k in range(top + 1):
+            words = ce_words(g, k)
+            assert words == ce_words_by_search(g, k) == ce.labels[k], (name, k)
+            assert len(words) == dims[k], (name, k)
+            parities |= {d % 2 for w in words for d, _ in w}
+        for k in range(1, top + 1):
+            got = {(i, j): c for i, row in enumerate(ce.d_matrix(k)) for j, c in row.items()}
+            assert got == ce_d_block_by_parts(g, k), (name, k)
+    assert parities == {0, 1}

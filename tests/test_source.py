@@ -111,6 +111,25 @@ def _callees(node):
                    for call in ast.walk(node) if isinstance(call, ast.Call)})
 
 
+def _self_calling_nested(tree):
+    """The qualified name of each function defined in a function that calls itself by name."""
+
+    def find(node, scope=(), in_function=False):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from find(child, scope, in_function)
+                continue
+            is_function = not isinstance(child, ast.ClassDef)
+            if in_function and is_function and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == child.name
+                for call in ast.walk(child)
+            ):
+                yield ".".join(scope + (child.name,))
+            yield from find(child, scope + (child.name,), in_function or is_function)
+
+    return find(tree)
+
+
 def _raisers(exc):
     """A finder of the qualified name of the function around each ``raise exc``."""
 
@@ -268,6 +287,13 @@ def test_only_cold_brackets_read_tensors():
     ]
 
 
+def test_trees_and_words_are_walked_by_their_engines():
+    # a map on bracket trees is a TreeMap, CE words grow one degree at a
+    # time, and free-Lie tensors expand in freelie: no nested function
+    # recurses but the one that lists the compositions of a Dynkin weight
+    assert _scan(_self_calling_nested) == ["expmc.py:_dynkin_weight.compositions"]
+
+
 def test_only_the_series_loop_certifies_nilpotency():
     # e(theta) and both gauge actions sum one exponential series, whose
     # loop alone caps its nonzero terms
@@ -292,6 +318,32 @@ def test_the_scan_names_each_function_that_raises_an_error():
     ]
     tree = ast.parse("\n".join(source))
     assert list(_raisers("NotNilpotent")(tree)) == ["exp", "Gauge.act.step"]
+
+
+def test_the_scan_names_each_nested_function_that_calls_itself():
+    source = [
+        "def top(n):",
+        "    return top(n - 1)",
+        "class C:",
+        "    def method(self):",
+        "        return self.method()",
+        "    def walker(self):",
+        "        def mask(t):",
+        "            return mask(t[0]) | mask(t[1])",
+        "        return mask",
+        "def outer():",
+        "    def rec(k):",
+        "        def deeper(j):",
+        "            return deeper(j) + outer()",
+        "        return [rec(k - 1) for _ in range(k)]",
+        "    def once(k):",
+        "        return rec(k)",
+        "    return once",
+    ]
+    tree = ast.parse("\n".join(source))
+    assert list(_self_calling_nested(tree)) == [
+        "C.walker.mask", "outer.rec", "outer.rec.deeper",
+    ]
 
 
 def test_the_scan_sees_calls_in_every_scope():
