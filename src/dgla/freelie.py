@@ -35,7 +35,15 @@ Some brackets of basis elements need no tensor at all (see
 (t1, t2) is the tree of a basis element b, the bracket of the elements with
 trees t1 and t2 is b, and if (t2, t1) is, it is -(-1)^{|t1||t2|} b by
 antisymmetry; the squares [b(w), b(w)] are such trees.  Every other bracket
-is expanded here and solved against the basis.
+is expanded here and solved against the basis once per letter pattern, and
+moved from there to every letter set with that pattern.  An injection of
+alphabets that keeps the letters' order and degrees sends Lyndon words to
+Lyndon words and keeps their standard factorizations (Reutenauer, *Free Lie
+Algebras*, 1993, ch. 4-5), so it extends to an injective morphism of free
+graded Lie algebras that commutes with the tensor embedding, sends each
+basis element to a basis element and keeps every Koszul sign.  So a bracket
+whose trees rename (``relabel``) to those of a bracket already solved has
+that bracket's coordinates, on the renamed basis trees.
 """
 
 from fractions import Fraction
@@ -164,6 +172,13 @@ def tree_word(tree):
     return tree_word(tree[0]) + tree_word(tree[1])
 
 
+def relabel(tree, letters):
+    """The bracket tree with each letter g renamed to ``letters[g]``."""
+    if isinstance(tree, int):
+        return letters[tree]
+    return (relabel(tree[0], letters), relabel(tree[1], letters))
+
+
 def expand_tree(tree, degrees, memo=None, factor_degrees=None):
     """Tensor-algebra expansion of a bracket tree: dict packed word -> int.
 
@@ -219,11 +234,15 @@ class BasisBracket:
     factor is b(w) or [b(w), b(w)] for one Lyndon word w, and such a bracket
     is zero exactly when the two coefficients cancel.
 
+    ``letters`` is the letter mask of the tree: bit g is set when generator
+    g occurs in it, so it is 1 << g for a generator and the OR of the
+    factors' masks for a bracket.
+
     ``expansion`` is the product of the factors' expansions, built on its
     first read and then kept in the memo's ``expansions`` (``BasisMemo.expansion``).
     """
 
-    __slots__ = ("tree", "degree", "length", "lead", "lead_coeff", "factors", "memo")
+    __slots__ = ("tree", "degree", "length", "lead", "lead_coeff", "letters", "factors", "memo")
 
     def __init__(self, tree, memo):
         self.tree = tree
@@ -234,10 +253,12 @@ class BasisBracket:
             self.length = 1
             self.lead = 1 << memo.width | tree
             self.lead_coeff = 1
+            self.letters = 1 << tree
             return
         u, v = self.factors = (memo.element(tree[0]), memo.element(tree[1]))
         self.degree = u.degree + v.degree
         self.length = u.length + v.length
+        self.letters = u.letters | v.letters
         su, sv = u.length * memo.width, v.length * memo.width  # bits below the sentinel
         uv = u.lead << sv | v.lead ^ 1 << sv
         vu = v.lead << su | u.lead ^ 1 << su

@@ -8,14 +8,15 @@ super-Lyndon basis of their degree.
 
 Presentations and elements are immutable after construction (the subs
 too: ``subalgebras`` is a read-only mapping); the basis, tree index, letter
-mask, generator, zero, bracket, tree and indecomposables caches, and the
-free-Lie ``BasisMemo`` (Witt table, trees, basis elements, expansions), are
-per-presentation dicts of values that are never mutated (atomic updates
-under the GIL), so instances may be shared freely across threads.  Every
-expression is normalized through the bracket table, and only a cold basis
-bracket expands and solves a tensor.  Basis elements carry leads certified
-from their factors' leads; the expansion memo holds the expansion of a
-composite basis element only once such a solve has read it, and nothing else.
+mask, generator, zero, bracket, bracket pattern, tree and indecomposables
+caches, and the free-Lie ``BasisMemo`` (Witt table, trees, basis elements,
+expansions), are per-presentation dicts of values that are never mutated
+(atomic updates under the GIL), so instances may be shared freely across
+threads.  Every expression is normalized through the bracket table, and
+only a cold basis bracket of a new letter pattern expands and solves a
+tensor.  Basis elements carry leads certified from their factors' leads;
+the expansion memo holds the expansion of a composite basis element only
+once such a solve has read it, and nothing else.
 
 Sums are accumulated at the coordinate level: a bracket, a sum of scaled
 elements (``LieElement.add_scaled``, and ``+`` through it) and a sum of
@@ -184,8 +185,8 @@ class TreeMap:
     image of the index tree (u, v), where ``f`` maps subtrees; one image is
     memoized per tree for the map's life, so images must be immutable.  The
     call on an element of ``source`` sums its tree images (``terms``) with
-    one ``zero.add_scaled``.  Tree normal forms, d, derivations, morphisms,
-    letter masks and Hom slot units are all TreeMaps; they walk trees only
+    one ``zero.add_scaled``.  Tree normal forms, d, derivations, morphisms
+    and Hom slot units are all TreeMaps; they walk trees only
     on the terms that the reach filter keeps (``reach`` or ``term_list``).
     """
 
@@ -283,11 +284,10 @@ class DgLaPresentation:
         self._zeros = {}
         self._bases = freelie.BasisMemo(self._deg_list)
         self._bracket_cache = {}
+        self._bracket_patterns = {}
+        self._alphabet = (1 << len(self._deg_list)) - 1
         self._tree_index = {}
         self._letter_masks = {}
-        self._tree_masks = TreeMap(
-            self, lambda name: 1 << self.generators.index[name], lambda u, v, f: f(u) | f(v)
-        )
         self._indecomposables = {}
         self._tree_elements = TreeMap(
             self, self.gen, lambda u, v, f: self.bracket(f(u), f(v))
@@ -345,12 +345,11 @@ class DgLaPresentation:
         """[the generators at the leaves of basis tree i, as a bitmask] for one degree (memoized).
 
         Bit g is set when generator g (its index) is a letter of the tree:
-        one ``TreeMap`` sends g to 1 << g and a bracket to the OR of its sides.
+        the basis element's ``letters``, set with its lead.
         """
         got = self._letter_masks.get(degree)
         if got is None:
-            mask = self._tree_masks.tree
-            got = self._letter_masks[degree] = [mask(b.tree) for b in self.lie_basis(degree)]
+            got = self._letter_masks[degree] = [b.letters for b in self.lie_basis(degree)]
         return got
 
     def letters(self, x):
@@ -496,9 +495,16 @@ class DgLaPresentation:
 
         With t1, t2 their trees, the bracket needs no tensor when (t1, t2) or
         (t2, t1) is the tree of a basis element b of degree d1 + d2: it is b,
-        or -(-1)^{d1 d2} b.  Any other bracket reads both factors' expansions
-        through their basis elements, expands their one product and solves it
-        against the basis; the product is not kept.
+        or -(-1)^{d1 d2} b.  Any other bracket is solved once per letter
+        pattern: the degrees of its letters, in generator order, and both
+        trees with each letter renamed to its rank among them.  On a new
+        pattern it reads both factors' expansions through their basis
+        elements, expands their one product and solves it against the basis
+        (the product is not kept), and keeps the solution's terms as
+        (renamed tree, coefficient).  A repeat renames those trees back to
+        this bracket's letters (the free-Lie module docstring says why that
+        is exact); a renamed tree that is no basis tree raises.  A bracket
+        on every generator has a pattern that cannot recur and is solved.
         """
         key = (d1, i1, d2, i2)
         cached = self._bracket_cache.get(key)
@@ -513,8 +519,28 @@ class DgLaPresentation:
             elif (t2, t1) in trees:
                 coords = {trees[t2, t1]: 1 if d1 * d2 % 2 else -1}
             else:
-                tensor = self._bases.product(b1, b2)
-                coords = freelie.solve_against_basis(self.lie_basis(d), tensor)
+                mask = b1.letters | b2.letters
+                pattern = moved = None
+                if mask != self._alphabet:
+                    letters = [g for g in range(mask.bit_length()) if mask >> g & 1]
+                    rank = {g: r for r, g in enumerate(letters)}
+                    pattern = (tuple(self._deg_list[g] for g in letters),
+                             freelie.relabel(t1, rank), freelie.relabel(t2, rank))
+                    moved = self._bracket_patterns.get(pattern)
+                if moved is None:
+                    basis = self.lie_basis(d)
+                    coords = freelie.solve_against_basis(basis, self._bases.product(b1, b2))
+                    if pattern is not None:
+                        self._bracket_patterns[pattern] = [
+                            (freelie.relabel(basis[i].tree, rank), c) for i, c in coords.items()
+                        ]
+                else:
+                    coords = {}
+                    for t, c in moved:
+                        i = trees.get(freelie.relabel(t, letters))
+                        if i is None:
+                            raise AssertionError("moved bracket term is no basis tree: %r" % (t,))
+                        coords[i] = c
             cached = LieElement._trusted(self, d, coords)
             self._bracket_cache[key] = cached
         return cached

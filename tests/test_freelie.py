@@ -488,6 +488,16 @@ def _fixture_presentations(fixture_path):
     return out
 
 
+def test_letter_masks_are_the_letters_of_the_tree_words(fixture_path):
+    # each basis element's mask is set with its lead, from its factors' masks
+    for p in _fixture_presentations(fixture_path):
+        for d in range(1, 9):
+            basis = p.lie_basis(d)
+            assert p.letter_masks(d) == [b.letters for b in basis]
+            for b in basis:
+                assert b.letters == sum(1 << g for g in set(freelie.tree_word(b.tree))), b.tree
+
+
 def test_leads_from_factor_leads_match_the_oracle_expansion(fixture_path):
     """lead, lead_coeff and length are those of the least word of the tuple-word expansion.
 
