@@ -1,10 +1,11 @@
 """Exponential groups, Maurer-Cartan machinery, and interval homotopies.
 
-BCH coefficients are hard-coded through weight 4 and produced by the Dynkin
-formula beyond; the nilpotency class caps the weight exactly, so every
-series here is a finite exact sum.  e(theta) and both gauge actions take
-their terms from one loop, ``_series``, which caps the nonzero terms, and
-sum them once (``linalg.accumulate``).  The class itself is certified on a
+BCH has one path for every class: each weight's terms are read once in the
+Lyndon basis on {x < y} and summed from the images that the class check
+takes too.  The nilpotency class caps the weight exactly, so every series
+here is a finite exact sum.  e(theta) and both gauge actions take their
+terms from one loop, ``_series``, which caps the nonzero terms, and sum
+them once (``linalg.accumulate``).  The class itself is certified on a
 spanning set of each weight of the lower central series (``_check_class``
 for a pair, on the images of the two-letter Lyndon basis;
 ``NilpotentElementGroup`` for all of degree 0).
@@ -21,7 +22,6 @@ from fractions import Fraction
 from itertools import chain
 from math import factorial
 
-from . import freelie
 from .errors import (
     AxiomFailure,
     ClassExceeded,
@@ -30,95 +30,81 @@ from .errors import (
     ValidationReport,
     check_row,
 )
-from .linalg import combination, exact, extend_independent
+from .linalg import accumulate, combination, exact, extend_independent
 from .morphisms import GeneratorMorphism
-from .presentation import GeneratorSplit, TreeMap, common_degree
+from .presentation import DgLaPresentation, GeneratorSplit, TreeMap, common_degree
 from .slices import SliceElement
 
 
 # -- Baker-Campbell-Hausdorff ----------------------------------------------------
 
+# The free Lie algebra on x < y.  Both letters have one even degree, so every
+# sign is the degree-0 sign, and the basis trees of degree 2w are the standard
+# bracketings of the Lyndon words of weight w.
+_FREE_XY = DgLaPresentation([("x", 2), ("y", 2)])
+_BCH_TERMS = {}
 
-def _dynkin_weight(x, y, bracket, weight):
-    """The weight-w part of BCH(x, y) by the Dynkin formula.
 
-    Sums over blocks (r_1,s_1),...,(r_n,s_n) != (0,0) with total weight w:
-    coefficient (-1)^{n-1} / (n * w * prod r_i! s_i!) on the right-nested
-    bracketing of x^{r_1} y^{s_1} ... x^{r_n} y^{s_n}.  Blocks that spell
-    the same word add into one coefficient, and each word with a nonzero
-    coefficient is bracketed once.
+def _bch_terms(weight):
+    """[(c, basis tree of _FREE_XY)]: the weight-w part of BCH(x, y) in the Lyndon basis.
+
+    It is the weight-w part of log(e^x e^y) = sum (-1)^(n-1) Z^n / n in the
+    free associative algebra, with Z = e^x e^y - 1.  That is a Lie element,
+    so by the Dynkin-Specht-Wever map (Dynkin 1947) it is 1/w times the sum
+    of its words' coefficients on their right-nested brackets, which
+    ``normal_form`` writes in the basis.  Memoized per weight, on first use.
     """
-
-    def compositions(rem, blocks):
-        if rem == 0:
-            yield list(blocks)
-            return
-        for r in range(rem + 1):
-            for s in range(rem - r + 1):
-                if r == 0 and s == 0:
-                    continue
-                blocks.append((r, s))
-                yield from compositions(rem - r - s, blocks)
-                blocks.pop()
-
-    coeffs = {}
-    for blocks in compositions(weight, []):
-        n = len(blocks)
-        denom = n * weight
-        word = ()
-        for r, s in blocks:
-            word += (0,) * r + (1,) * s
-            denom *= factorial(r) * factorial(s)
-        coeffs[word] = coeffs.get(word, 0) + Fraction((-1) ** (n - 1), denom)
-
-    letters = (x, y)
-    total = None
-    for word, coeff in coeffs.items():
-        if coeff:
-            term = letters[word[-1]]
-            for z in reversed(word[:-1]):
-                term = bracket(letters[z], term)
-            term = term.scale(coeff)
-            total = term if total is None else total + term
-    return total
+    got = _BCH_TERMS.get(weight)
+    if got is None:
+        blocks = {"x" * r + "y" * s: Fraction(1, factorial(r) * factorial(s))
+                  for r in range(weight + 1) for s in range(weight + 1 - r) if r + s}
+        power, pairs = {"": 1}, []
+        for n in range(1, weight + 1):
+            step = {}
+            for u, cu in power.items():
+                accumulate(step, cu, {u + v: c for v, c in blocks.items()
+                                      if len(u) + len(v) <= weight})
+            power = step
+            for word, c in power.items():
+                if len(word) == weight:
+                    tree = word[-1]
+                    for a in reversed(word[:-1]):
+                        tree = (a, tree)
+                    pairs.append((c * Fraction((-1) ** (n - 1), n * weight), tree))
+        basis = _FREE_XY.lie_basis(2 * weight)
+        got = _BCH_TERMS[weight] = [
+            (c, basis[i].tree) for i, c in sorted(_FREE_XY.normal_form(pairs).coords.items())
+        ]
+    return got
 
 
-_BCH_LOW = {
-    2: lambda x, y, br: br(x, y).scale(Fraction(1, 2)),
-    3: lambda x, y, br: (br(x, br(x, y)) + br(br(x, y), y)).scale(Fraction(1, 12)),
-    4: lambda x, y, br: br(x, br(br(x, y), y)).scale(Fraction(1, 24)),
-}
+def _images(x, y, bracket):
+    """The TreeMap of x and y over the basis trees of ``_FREE_XY``.
+
+    The image of a tree is the bracket of its factors' images, and zero,
+    with no bracket taken, when a factor is zero.
+    """
+    def node(u, v, f):
+        a, b = f(u), f(v)
+        return a if a.is_zero() else b if b.is_zero() else bracket(a, b)
+
+    return TreeMap(_FREE_XY, {"x": x, "y": y}.__getitem__, node)
 
 
 def bch(x, y, bracket, class_bound):
     """BCH(x, y) truncated (exactly, by nilpotency) at the given class.
 
-    Each bracket is taken once per call: a memo keyed by the identities of
-    the operands (and holding them, so the ids stay valid) lets the weights
-    share their inner brackets, the Dynkin words above weight 4 included.
-    At class 3 that is [x,y], [x,[x,y]] and [[x,y],y].  The terms of weights
-    3 and 4 are written in the images of the Lyndon basis that
-    ``_check_class`` takes: (1/12)([x,[x,y]] + [[x,y],y]) for
-    (1/12)([x,[x,y]] - [y,[x,y]]), by antisymmetry, and (1/24)[x,[[x,y],y]]
-    for -(1/24)[y,[x,[x,y]]], by Jacobi; both are exact in degree 0.
+    x + y plus c times the image (``_images``) of each basis tree of each
+    weight's terms (``_bch_terms``), so each bracket is taken once per call.
+    At class 3 that is [x,y], [x,[x,y]] and [[x,y],y], for 1/2, 1/12 and
+    1/12; class 4 adds (1/24)[x,[[x,y],y]].  These are images that
+    ``_check_class`` takes too.
     """
-    memo = {}
-
-    def br(a, b):
-        key = (id(a), id(b))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = (a, b, bracket(a, b))
-        return hit[2]
-
+    images = _images(x, y, bracket)
     out = x + y
     for w in range(2, class_bound + 1):
-        if w in _BCH_LOW:
-            out = out + _BCH_LOW[w](x, y, br)
-        else:
-            term = _dynkin_weight(x, y, br, w)
-            if term is not None:
-                out = out + term
+        for c, tree in _bch_terms(w):
+            out = out + images.tree(tree).scale(c)
     return out
 
 
@@ -127,34 +113,26 @@ def _check_class(x, y, bracket, class_bound):
 
     For degree-0 elements x and y the Lie algebra they generate is the image
     of the free Lie algebra on {x < y}, whose weight-k part the standard
-    bracketings of the Lyndon words of weight k span, so their images span
-    the weight-k part of the lower central series.  Weight by weight up to
-    class_bound + 1, each image is the bracket of the images of its two
-    standard factors, and zero, with no bracket taken, when a factor is
-    zero.  The check returns as soon as a whole weight vanishes (every
-    higher weight then vanishes too), and raises ClassExceeded when weight
-    class_bound + 1 does not.  At class 3 that is at most 6 brackets:
-    [x,y], [x,[x,y]], [[x,y],y], [x,[x,[x,y]]], [x,[[x,y],y]] and
-    [[[x,y],y],y].  The walk needs only ``is_zero`` of the elements.
+    bracketings of the Lyndon words of weight k span, so their images
+    (``_images``) span the weight-k part of the lower central series.  The
+    check walks them weight by weight up to class_bound + 1, returns as soon
+    as a whole weight vanishes (every higher weight then vanishes too), and
+    raises ClassExceeded when weight class_bound + 1 does not.  At class 3
+    that is at most 6 brackets: [x,y], [x,[x,y]], [[x,y],y], [x,[x,[x,y]]],
+    [x,[[x,y],y]] and [[[x,y],y],y].  The walk needs only ``is_zero`` of
+    the elements.
 
     The brackets of weights 2 and 3 are those, on the same operands, that
     ``bch`` takes at class 3, so a bracket that memoizes per operand pair
     (``der_bracket``) serves them to ``bch`` without computing them again.
     """
-    images = {0: x, 1: y}  # standard bracketing tree -> its image
-    trees = {}
+    images = _images(x, y, bracket)
     level = [e for e in (x, y) if not e.is_zero()]
     for weight in range(2, class_bound + 2):
         if not level:
             return
-        level = []
-        for w in sorted(freelie.lyndon_words([1, 1], weight)):
-            u, v = tree = freelie.standard_bracketing(w, trees)
-            a, b = images[u], images[v]
-            # a zero factor stands for the zero image
-            z = images[tree] = a if a.is_zero() else b if b.is_zero() else bracket(a, b)
-            if not z.is_zero():
-                level.append(z)
+        level = [z for z in (images.tree(b.tree) for b in _FREE_XY.lie_basis(2 * weight))
+                 if not z.is_zero()]
     if level:
         raise ClassExceeded(
             "brackets of weight %d do not vanish" % (class_bound + 1)

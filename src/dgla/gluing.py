@@ -61,8 +61,8 @@ class HeadlineGluingMap:
     """The dg Lie map g(M) x g(N) -> g(M natural-sum N) on a window.
 
     ``blocks[d]`` maps the concatenated (gM_d, gN_d) coordinates to
-    g_glued_d coordinates; ``apply`` takes and returns sparse vectors.
-    ``report`` certifies d- and bracket-compatibility on the window.
+    g_glued_d coordinates.  ``report`` certifies d- and
+    bracket-compatibility on the window.
     """
 
     def __init__(self, g_left, g_right, g_glued, blocks, report):
@@ -71,12 +71,6 @@ class HeadlineGluingMap:
         self.g_glued = g_glued
         self.blocks = blocks
         self.report = report
-
-    def apply(self, d, left_vec, right_vec):
-        off = self.g_left.dim(d)
-        joined = dict(left_vec)
-        joined.update((off + j, x) for j, x in right_vec.items())
-        return linalg.matvec(self.blocks[d], joined)
 
 
 def _factor_entries(g_factor, g_glued, inc, d, col):

@@ -768,8 +768,8 @@ def _d_block(p, d):
 def presentation_slice(p, lo, hi):
     """The presentation's dg Lie algebra as an explicit slice.
 
-    Positively graded, so degrees <= 0 are genuinely empty and the window
-    may start anywhere below 1.
+    Positively graded, so degrees <= 0 are genuinely empty, the window may
+    start anywhere below 1, and the slice is ``zero_below``.
     """
     from .slices import DgLieSlice
 
@@ -781,7 +781,7 @@ def presentation_slice(p, lo, hi):
     def bracket_fn(n, i, m_, j):
         return p.basis_bracket(n, i, m_, j).coords
 
-    return DgLieSlice((lo, hi), labels, d_blocks, bracket_fn=bracket_fn)
+    return DgLieSlice((lo, hi), labels, d_blocks, bracket_fn, zero_below=True)
 
 
 def fresh_names(taken, names):

@@ -277,14 +277,15 @@ class DgLieSlice(DegreeWindow):
 
         Only sound when the algebra really vanishes outside the original
         window (e.g. a Lie algebra concentrated in degree 0, or a tau_{>=0}
-        truncation below 0); the caller asserts that by calling this.
+        truncation below 0); the caller asserts that by calling this, so the
+        widened slice is ``zero_below``.
         """
         window = (min(lo, self.lo), max(hi, self.hi))
 
         def bracket_fn(n, i, m, j):
             return self.bracket(n, i, m, j) if self.in_window(n + m) else {}
 
-        return DgLieSlice(window, self.labels, self._d, bracket_fn)
+        return DgLieSlice(window, self.labels, self._d, bracket_fn, zero_below=True)
 
 
 class SliceElement:

@@ -8,7 +8,9 @@ expansion instead of leads from factor leads and the memoized expansion,
 tuple words from the full word list
 instead of packed words from the Lyndon search, a Fraction triangular solve
 instead of the integer one, generating-function dimension counts instead of
-basis enumeration, matrix exponentials as ground truth for BCH, every
+basis enumeration, matrix exponentials as ground truth for BCH, and the
+Dynkin formula on right-nested words and the terms of weights 2 to 4 by
+hand instead of BCH in the two-letter Lyndon basis, every
 right-nested word for the nilpotency class instead of the images of the
 two-letter Lyndon basis,
 normal forms by one tensor expansion and solve instead of through the
@@ -743,6 +745,62 @@ def full_word_class_check(x, y, bracket, class_bound):
         if not term.is_zero():
             return False
     return True
+
+
+# -- BCH by the Dynkin formula and by hand ---------------------------------------------
+
+
+def dynkin_weight(x, y, bracket, weight):
+    """The weight-w part of BCH(x, y) by the Dynkin formula.
+
+    Sums over blocks (r_1,s_1),...,(r_n,s_n) != (0,0) with total weight w:
+    coefficient (-1)^{n-1} / (n * w * prod r_i! s_i!) on the right-nested
+    bracketing of x^{r_1} y^{s_1} ... x^{r_n} y^{s_n}.  Blocks that spell
+    the same word add into one coefficient, and each word with a nonzero
+    coefficient is bracketed once.
+    """
+
+    def compositions(rem, blocks):
+        if rem == 0:
+            yield list(blocks)
+            return
+        for r in range(rem + 1):
+            for s in range(rem - r + 1):
+                if r == 0 and s == 0:
+                    continue
+                blocks.append((r, s))
+                yield from compositions(rem - r - s, blocks)
+                blocks.pop()
+
+    coeffs = {}
+    for blocks in compositions(weight, []):
+        n = len(blocks)
+        denom = n * weight
+        word = ()
+        for r, s in blocks:
+            word += (0,) * r + (1,) * s
+            denom *= _fact(r) * _fact(s)
+        coeffs[word] = coeffs.get(word, 0) + Fraction((-1) ** (n - 1), denom)
+
+    letters = (x, y)
+    total = None
+    for word, coeff in coeffs.items():
+        if coeff:
+            term = letters[word[-1]]
+            for z in reversed(word[:-1]):
+                term = bracket(letters[z], term)
+            term = term.scale(coeff)
+            total = term if total is None else total + term
+    return total
+
+
+# the weight-w parts of BCH(x, y) for w = 2, 3, 4, written by hand: weights 3
+# and 4 in the standard bracketings of the Lyndon words xxy, xyy and xxyy
+BCH_LOW = {
+    2: lambda x, y, br: br(x, y).scale(Fraction(1, 2)),
+    3: lambda x, y, br: (br(x, br(x, y)) + br(br(x, y), y)).scale(Fraction(1, 12)),
+    4: lambda x, y, br: br(x, br(br(x, y), y)).scale(Fraction(1, 24)),
+}
 
 
 # -- graded Lie axioms over ordered tuples -------------------------------------------

@@ -10,8 +10,9 @@ from dgla.errors import ClassExceeded, NotNilpotent
 from dgla.expmc import (
     NilpotentElementGroup,
     PolyLie,
+    _bch_terms,
     _check_class,
-    _dynkin_weight,
+    _images,
     bch,
     exp_automorphism,
     gauge_action,
@@ -30,7 +31,9 @@ from dgla.morphisms import GeneratorMorphism, check_morphism, indec_action
 from dgla.presentation import DgLaPresentation, LieElement
 from dgla.slices import DgLieSlice, SliceElement
 from oracles import (
+    BCH_LOW,
     NilMatrix,
+    dynkin_weight,
     exp_series_images,
     full_hom_outer_action,
     full_word_class_check,
@@ -60,7 +63,7 @@ def test_bch_abelian_and_heisenberg():
 
 def test_bch_matches_matrix_logarithm():
     # strictly upper triangular n x n matrices have class n - 1, so the last
-    # two sizes need the Dynkin words of weights 5 and 6
+    # two sizes need the terms of weights 5 and 6
     rng = random.Random(23)
     for n, cls in ((3, 2), (4, 3), (5, 4), (6, 5), (7, 6)):
         for _ in range(4):
@@ -71,18 +74,52 @@ def test_bch_matches_matrix_logarithm():
             assert got == expected, (n, cls)
 
 
+def memo_bracket():
+    """A NilMatrix bracket that takes each pair of operands once, by identity."""
+    memo = {}
+
+    def br(a, b):
+        key = (id(a), id(b))
+        if key not in memo:
+            memo[key] = (a, b, a.bracket(b))
+        return memo[key][2]
+
+    return br
+
+
 def test_dynkin_matches_hardcoded_weights():
+    # each weight's terms in the Lyndon basis, mapped to 8 x 8 matrices (class
+    # 7), equal the Dynkin formula on right-nested words, and the formulas of
+    # weights 2 to 4 written by hand
     rng = random.Random(29)
     for _ in range(3):
-        X = NilMatrix.random(rng, 5)
-        Y = NilMatrix.random(rng, 5)
-        br = lambda a, b: a.bracket(b)
-        from dgla.expmc import _BCH_LOW
+        X = NilMatrix.random(rng, 8)
+        Y = NilMatrix.random(rng, 8)
+        br = memo_bracket()
+        images = _images(X, Y, br)
+        for w in range(2, 8):
+            terms = [images.tree(t).scale(c) for c, t in _bch_terms(w)]
+            got = sum(terms[1:], terms[0])
+            assert not got.is_zero()
+            assert got == dynkin_weight(X, Y, br, w), w
+            if w in BCH_LOW:
+                assert got == BCH_LOW[w](X, Y, br), w
 
-        for w in (2, 3, 4):
-            hard = _BCH_LOW[w](X, Y, br)
-            dyn = _dynkin_weight(X, Y, br, w)
-            assert hard == dyn, w
+
+def test_bch_takes_each_lyndon_image_it_needs_once():
+    # generic pairs of strictly upper triangular (c + 1) x (c + 1) matrices,
+    # whose brackets of weight <= c do not vanish: class 3 takes [x,y],
+    # [x,[x,y]] and [[x,y],y], class 4 adds [x,[[x,y],y]], and classes 5 and
+    # 6 take 12 and 17, where the right-nested Dynkin words took 60 and 88;
+    # a zero factor takes no bracket, so no pair takes more
+    rng = random.Random(61)
+    for cls, most in ((3, 3), (4, 4), (5, 12), (6, 17)):
+        for k in range(3):
+            X = NilMatrix.random(rng, cls + 1)
+            Y = NilMatrix.random(rng, cls + 1).scale(int(k < 2))
+            calls = []
+            bch(X, Y, lambda a, b: calls.append(1) or a.bracket(b), cls)
+            assert len(calls) == (most if k < 2 else 0), (cls, k)
 
 
 def test_bch_associative_class3():

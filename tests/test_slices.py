@@ -292,6 +292,24 @@ def test_truncation_and_products_say_whether_they_vanish_below():
     assert not t.product(high).zero_below  # t is not zero in degree 0
 
 
+def test_presentation_slices_and_padded_slices_vanish_below(fixture_path):
+    # a presentation is positively graded, and pad_to's caller asserts that
+    # the slice vanishes outside its window: both know the degree below
+    from dgla import io
+    from dgla.presentation import presentation_slice
+
+    p = io.load_presentation(io.load_json_file(fixture_path("presentation_w11.json")))
+    sl2 = io.load_slice_or_presentation(io.load_json_file(fixture_path("sl2.json")))
+    assert not sl2.zero_below
+    for slc, lo in ((presentation_slice(p, 0, 4), 0), (presentation_slice(p, -2, 3), -2),
+                    (sl2.pad_to(0, 3), 0), (sl2.pad_to(-1, 2), -1)):
+        assert slc.zero_below and slc.lo == lo
+        assert slc.knows(lo - 1) and not slc.knows(slc.hi + 1)
+        chain = slc.to_chain()
+        assert (chain.lo, chain.hi) == (lo - 1, slc.hi) and chain.dim(lo - 1) == 0
+        assert chain.labels == {lo - 1: [], **slc.labels}
+
+
 def test_to_chain_pads_a_zero_below_slice_and_keeps_its_blocks():
     one = linalg.matrix(1, 1, [(0, 0, 1)])
     slc = DgLieSlice((0, 2), {0: ["x"], 1: ["y"], 2: []}, {1: one}, zero_below=True)

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 
 import dgla
 
@@ -249,13 +250,17 @@ def test_only_the_presentation_reads_letter_masks():
 def test_values_gain_no_memo():
     # a memo is owned by the computation that reads it: a derivation slice
     # keeps its basis derivations' term lists, so neither a derivation nor
-    # an element gains a field for them (and neither has a __dict__)
+    # an element gains a field for them (and neither has a __dict__); README
+    # lists every memo slot a derivation has beside its data, and no other
     from dgla.derivations import Derivation
     from dgla.presentation import LieElement
 
-    assert set(Derivation.__slots__) <= {
-        "ambient", "rel", "degree", "values", "_mask", "_ext", "_base", "_brackets",
-    }
+    data = {"ambient", "rel", "degree", "values", "_mask"}
+    assert set(Derivation.__slots__) <= data | {"_ext", "_base", "_brackets"}
+    with open(os.path.join(SRC, "..", "..", "README.md")) as fh:
+        readme = fh.read()
+    listed = readme[readme.index("`Derivation._"):readme.index("`FDerivation._ext`")]
+    assert set(re.findall(r"`(?:Derivation\.)?(_\w+)`", listed)) == set(Derivation.__slots__) - data
     assert set(LieElement.__slots__) <= {"presentation", "degree", "coords"}
     for cls in (Derivation, LieElement):
         assert all("__slots__" in vars(base) for base in cls.__mro__[:-1])
@@ -289,9 +294,9 @@ def test_only_cold_brackets_read_tensors():
 
 def test_trees_and_words_are_walked_by_their_engines():
     # a map on bracket trees is a TreeMap, CE words grow one degree at a
-    # time, and free-Lie tensors expand in freelie: no nested function
-    # recurses but the one that lists the compositions of a Dynkin weight
-    assert _scan(_self_calling_nested) == ["expmc.py:_dynkin_weight.compositions"]
+    # time, BCH words one block at a time, and free-Lie tensors expand in
+    # freelie: no nested function recurses
+    assert _scan(_self_calling_nested) == []
 
 
 def test_only_the_series_loop_certifies_nilpotency():
