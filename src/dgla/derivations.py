@@ -293,6 +293,16 @@ def eval_at(theta, e):
 # -- Hom coordinates -----------------------------------------------------------
 
 
+def _slot_generators(p, rel):
+    """[(name, degree)] of the generators of p that a derivation rel rel determines.
+
+    A GeneratorSplit sub's generators are left out: a derivation vanishes there.
+    """
+    spec = p.sub(rel)
+    skip = set(spec.names) if isinstance(spec, GeneratorSplit) else set()
+    return [(name, deg) for name, deg in p.generators.entries if name not in skip]
+
+
 class _HomLayout:
     """Coordinates on Hom(determined generators of p, target_{* + n}).
 
@@ -305,16 +315,9 @@ class _HomLayout:
         self.rel = rel
         self.n = n
         self.target = p if target is None else target
-        spec = p.sub(rel)
-        if isinstance(spec, GeneratorSplit):
-            skip = set(spec.names)
-        else:
-            skip = set()
         self.slots = []
         offset = 0
-        for name, deg in p.generators.entries:
-            if name in skip:
-                continue
+        for name, deg in _slot_generators(p, rel):
             dim = self.target.dim(deg + n)
             self.slots.append((name, deg, offset, dim))
             offset += dim
@@ -583,13 +586,18 @@ def _der_slice(p, rel, window, degree0=lambda: [], zero_below=False):
     """Der(L rel L') on [lo, hi], degree 0 also cut by the conditions ``degree0()``.
 
     Each degree is the kernel of its conditions: the rel-vanishing ones,
-    and at degree 0 those ``degree0`` returns.  Degree 0 stacks them per
-    unit (``_condition_space``), since ``degree0``'s conditions read each
-    unit's values or D(unit); every other degree assembles its
-    rel-vanishing matrix by one walk per Hom slot (``_vanishing_space``).
-    ``zero_below`` says that the complex vanishes below the window.
+    and at degree 0 the cycle condition when the slice is ``zero_below``
+    (it vanishes below the window, so D must kill degree 0) and d is
+    nonzero, then those ``degree0`` returns.  Degree 0 stacks them per unit
+    (``_condition_space``), since those conditions read each unit's values
+    or D(unit); every other degree assembles its rel-vanishing matrix by one
+    walk per Hom slot (``_vanishing_space``).  A window that reaches a
+    free-Lie degree too large to build is refused before any degree is built
+    (``_window_degrees``).
     """
     lo, hi = window
+    cycles = zero_below and bool(p.differential)
+    p.refuse_oversized(_window_degrees(p, rel, window, cycles))
     spaces = {}
     layouts = {}
     for n in range(lo, hi + 1):
@@ -597,9 +605,33 @@ def _der_slice(p, rel, window, degree0=lambda: [], zero_below=False):
         if n:
             spaces[n] = _vanishing_space(p, rel, layout)
         else:
-            conditions = _vanishing_conditions(p, rel, p, 0) + degree0()
+            conditions = _vanishing_conditions(p, rel, p, 0)
+            if cycles:
+                conditions.append(_cycle_condition(p, rel))
+            conditions += degree0()
             spaces[n] = _condition_space(layout.total, layout.unit, conditions)
     return DerSlice(p, rel, (lo, hi), spaces, layouts, zero_below)
+
+
+def _window_degrees(p, rel, window, cycles):
+    """The free-Lie degrees ``_der_slice`` builds, in the order it first reads their sizes.
+
+    Per degree n of the window: each Hom slot's |x| + n (``_HomLayout``),
+    then each listed sub element's |e| + n, the target of its condition
+    (``_vanishing_space``, ``_vanishing_conditions``); at n = 0 with the
+    cycle condition, the Hom slots of degree -1 follow.  The degrees that
+    a slot walk reads in between, those of subtrees of e's terms, are left
+    to the build.
+    """
+    lo, hi = window
+    spec = p.sub(rel)
+    elements = () if isinstance(spec, GeneratorSplit) else spec.elements
+    slots = [deg for _, deg in _slot_generators(p, rel)]
+    for n in range(lo, hi + 1):
+        yield from (deg + n for deg in slots)
+        yield from (e.degree + n for e in elements)
+        if n == 0 and cycles:
+            yield from (deg - 1 for deg in slots)
 
 
 def der_complex(p, rel, window):
@@ -633,8 +665,7 @@ def deru(p, rel, rho, window):
         check_rho_chain_map(p, rho)
 
     def degree0():
-        conditions = [_cycle_condition(p, rel)] if p.differential else []
-        conditions.append(_indec_condition(p, rel))
+        conditions = [_indec_condition(p, rel)]
         if rho is not None:
             conditions.append(_rho_condition(p, rel, rho))
         return conditions

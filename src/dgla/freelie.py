@@ -42,8 +42,9 @@ Lyndon words and keeps their standard factorizations (Reutenauer, *Free Lie
 Algebras*, 1993, ch. 4-5), so it extends to an injective morphism of free
 graded Lie algebras that commutes with the tensor embedding, sends each
 basis element to a basis element and keeps every Koszul sign.  So a bracket
-whose trees rename (``relabel``) to those of a bracket already solved has
-that bracket's coordinates, on the renamed basis trees.
+whose factors' leads rename (``rename_letters``) to those of a bracket
+already solved has that bracket's coordinates, on the basis elements whose
+leads are the renamed ones: a basis element's lead is the word of its tree.
 """
 
 from fractions import Fraction
@@ -172,20 +173,29 @@ def tree_word(tree):
     return tree_word(tree[0]) + tree_word(tree[1])
 
 
-def relabel(tree, letters):
-    """The bracket tree with each letter g renamed to ``letters[g]``."""
-    if isinstance(tree, int):
-        return letters[tree]
-    return (relabel(tree[0], letters), relabel(tree[1], letters))
+def rename_letters(packed, width, letters):
+    """The packed word with each letter field g renamed to ``letters[g]``.
+
+    ``width`` is the bits per letter (``letter_width``); the renamed word keeps it.
+    """
+    mask = (1 << width) - 1
+    out = shift = 0
+    while packed > 1:
+        out |= letters[packed & mask] << shift
+        packed >>= width
+        shift += width
+    return out | 1 << shift
 
 
 def expand_tree(tree, degrees, memo=None, factor_degrees=None):
-    """Tensor-algebra expansion of a bracket tree: dict packed word -> int.
+    """Tensor-algebra expansion of a bracket tree: dict packed word -> nonzero int.
 
     A subtree found in ``memo`` (tree -> expansion) is taken from it rather
-    than expanded again.  The memo is only read here, and the expansion
-    returned may be the memo's own dict, so callers must not mutate it.
-    The degrees of the two factors are ``factor_degrees``, or the tree's.
+    than expanded again.  The memo is only read here.  A tree found in it
+    returns the memo's own dict, which callers must not mutate; any other
+    tree returns a new dict, built here and then the caller's own, which it
+    may consume (``solve_against_basis`` does).  The degrees of the two
+    factors are ``factor_degrees``, or the tree's.
     """
     if isinstance(tree, int):
         return {1 << letter_width(degrees) | tree: 1}
@@ -215,7 +225,10 @@ def expand_tree(tree, degrees, memo=None, factor_degrees=None):
             out[w] = get(w, 0) + cu * cv
             w = vhead | letters
             out[w] = get(w, 0) + cu * vu_cv
-    return {w: c for w, c in out.items() if c}
+    if 0 in out.values():
+        for w in [w for w, c in out.items() if not c]:
+            del out[w]
+    return out
 
 
 class BasisBracket:
@@ -304,6 +317,16 @@ class BasisMemo:
             self.witt = witt_dimensions(self.degrees, max(d, 2 * (len(self.witt) - 1)))
         return self.witt[d]
 
+    def size(self, d):
+        """dim L_d (``dimension``), or a SchemaError naming d when it is above MAX_BASIS_SIZE."""
+        got = self.dimension(d)
+        if got > MAX_BASIS_SIZE:
+            raise SchemaError(
+                "degree %d of the free Lie algebra has %d basis elements, more than the %d"
+                " allowed" % (d, got, MAX_BASIS_SIZE)
+            )
+        return got
+
     def element(self, tree):
         """The basis element with this tree, built with its factors on first use."""
         got = self.elements.get(tree)
@@ -312,10 +335,16 @@ class BasisMemo:
         return got
 
     def expansion(self, b):
-        """i(b) of a composite basis element b, kept in ``expansions`` once read."""
+        """i(b) of a composite basis element b, kept in ``expansions`` once read.
+
+        The memo keeps a copy of the product built by insertion, so sized to
+        its words: the product's own dict still holds the slots of the words
+        that cancelled in it, and ``dict.copy`` would keep them.
+        """
         got = self.expansions.get(b.tree)
         if got is None:
-            got = self.expansions[b.tree] = self.product(*b.factors)
+            product = self.product(*b.factors)
+            got = self.expansions[b.tree] = {w: c for w, c in product.items()}
         return got
 
     def product(self, u, v):
@@ -368,12 +397,7 @@ def basis_in_degree(degrees, d, memo=None):
         return []
     if memo is None:
         memo = BasisMemo(degrees)
-    expected = memo.dimension(d)
-    if expected > MAX_BASIS_SIZE:
-        raise SchemaError(
-            "degree %d of the free Lie algebra has %d basis elements, more than the %d"
-            " allowed" % (d, expected, MAX_BASIS_SIZE)
-        )
+    expected = memo.size(d)
     trees = [standard_bracketing(w, memo.trees) for w in lyndon_words(degrees, d)]
     if d % 4 == 2:
         # [b(w), b(w)] for the Lyndon words w of odd degree d / 2
@@ -399,24 +423,27 @@ def basis_in_degree(degrees, d, memo=None):
 def solve_against_basis(basis, tensor):
     """Coordinates of tensor in the span of the basis expansions.
 
-    ``tensor`` maps packed words to integers; ``basis`` is one degree's
-    basis, in its order.  Triangular substitution on integers, walking the
-    basis once: each lead's entry is read once and cleared by its element,
-    whose expansion touches no smaller word.  When a leading coefficient does
-    not divide the entry it must clear, everything is scaled by the missing
-    factor, and that one denominator is divided out at the end.  Raises
-    ValueError if any word is left over, i.e. the vector is not in the span
-    (which certifies exactness: the residual must vanish term by term).
-    Returns a dict index -> coefficient: ``c // scale`` as an ``int``
-    wherever the scale divides it, else the ``Fraction``.
+    ``tensor`` maps packed words to nonzero integers, and the solve takes it
+    over: it is the work dict that the solve clears, so the caller passes a
+    dict it owns (a cold bracket's product) and does not read it again.
+    ``basis`` is one degree's basis, in its order.  Triangular substitution
+    on integers, walking the basis once: each lead's entry is read once and
+    cleared by its element, whose expansion touches no smaller word.  When a
+    leading coefficient does not divide the entry it must clear, everything
+    is scaled by the missing factor, and that one denominator is divided out
+    at the end.  Raises ValueError if any word is left over, i.e. the vector
+    is not in the span (which certifies exactness: the residual must vanish
+    term by term).  Returns a dict index -> coefficient: ``c // scale`` as
+    an ``int`` wherever the scale divides it, else the ``Fraction``.
     """
-    work = {w: c for w, c in tensor.items() if c}
+    work = tensor
+    if not work:
+        return {}
     scale = 1
     coords = {}
+    get = work.get
     for i, b in enumerate(basis):
-        if not work:
-            break
-        c = work.get(b.lead)
+        c = get(b.lead)
         if c is None:
             continue
         lc = b.lead_coeff
@@ -424,17 +451,35 @@ def solve_against_basis(basis, tensor):
             m = abs(lc) // gcd(c, lc)
             scale *= m
             c *= m
-            work = {u: v * m for u, v in work.items()}
+            for u, v in work.items():
+                work[u] = v * m
             coords = {j: v * m for j, v in coords.items()}
         f = c // lc
         coords[i] = f
-        get = work.get
-        for u, cu in b.expansion.items():
-            nv = get(u, 0) - f * cu
-            if nv:
-                work[u] = nv
-            else:
-                del work[u]
+        # the residual is checked once per subtraction; +-1 multiples need no product
+        if f == 1:
+            for u, cu in b.expansion.items():
+                nv = get(u, 0) - cu
+                if nv:
+                    work[u] = nv
+                else:
+                    del work[u]
+        elif f == -1:
+            for u, cu in b.expansion.items():
+                nv = get(u, 0) + cu
+                if nv:
+                    work[u] = nv
+                else:
+                    del work[u]
+        else:
+            for u, cu in b.expansion.items():
+                nv = get(u, 0) - f * cu
+                if nv:
+                    work[u] = nv
+                else:
+                    del work[u]
+        if not work:
+            break
     if work:
         raise ValueError("vector outside the free Lie span (packed word %#x)" % min(work))
     if scale == 1:

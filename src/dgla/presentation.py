@@ -286,7 +286,7 @@ class DgLaPresentation:
         self._bracket_cache = {}
         self._bracket_patterns = {}
         self._alphabet = (1 << len(self._deg_list)) - 1
-        self._tree_index = {}
+        self._lead_index = {}
         self._letter_masks = {}
         self._indecomposables = {}
         self._tree_elements = TreeMap(
@@ -332,12 +332,27 @@ class DgLaPresentation:
     def dim(self, degree):
         return len(self.lie_basis(degree))
 
-    def basis_trees(self, degree):
-        """{tree: index} of the basis of one degree (memoized)."""
-        got = self._tree_index.get(degree)
+    def refuse_oversized(self, degrees):
+        """Raise, at the first of these degrees whose basis would be too large
+        to build, the SchemaError that building it raises (``BasisMemo.size``).
+
+        Sizes are read from the Witt table: no basis is built.
+        """
+        for d in degrees:
+            if d >= 1:
+                self._bases.size(d)
+
+    def basis_leads(self, degree):
+        """{lead: index} of the basis of one degree (memoized).
+
+        A basis element's lead is the packed word of its tree, and the leads
+        of one degree are distinct (``freelie.basis_in_degree``), so a lead
+        names its element.
+        """
+        got = self._lead_index.get(degree)
         if got is None:
-            got = self._tree_index[degree] = {
-                b.tree: i for i, b in enumerate(self.lie_basis(degree))
+            got = self._lead_index[degree] = {
+                b.lead: i for i, b in enumerate(self.lie_basis(degree))
             }
         return got
 
@@ -412,7 +427,7 @@ class DgLaPresentation:
             if name not in self.generators.index:
                 raise UnknownGenerator("unknown generator %r" % name)
             d = self.generators.degree(name)
-            i = self.basis_trees(d)[self.generators.index[name]]
+            i = self.basis_leads(d)[freelie.pack((self.generators.index[name],), self._deg_list)]
             got = self._gens[name] = LieElement._trusted(self, d, {i: 1})
         return got
 
@@ -495,51 +510,58 @@ class DgLaPresentation:
 
         With t1, t2 their trees, the bracket needs no tensor when (t1, t2) or
         (t2, t1) is the tree of a basis element b of degree d1 + d2: it is b,
-        or -(-1)^{d1 d2} b.  Any other bracket is solved once per letter
+        or -(-1)^{d1 d2} b.  Such a b is found by its tree among the basis
+        elements the basis memo has built (every one of degree d1 + d2 is,
+        once ``basis_leads`` has listed them), and its index by its lead
+        (``basis_leads``).  Any other bracket is solved once per letter
         pattern: the degrees of its letters, in generator order, and both
-        trees with each letter renamed to its rank among them.  On a new
-        pattern it reads both factors' expansions through their basis
-        elements, expands their one product and solves it against the basis
-        (the product is not kept), and keeps the solution's terms as
-        (renamed tree, coefficient).  A repeat renames those trees back to
-        this bracket's letters (the free-Lie module docstring says why that
-        is exact); a renamed tree that is no basis tree raises.  A bracket
-        on every generator has a pattern that cannot recur and is solved.
+        factors' leads with each letter renamed to its rank among them.  On
+        a new pattern it reads both factors' expansions through their basis
+        elements, expands their one product and hands it to the solve as its
+        work dict (the product is not kept), and keeps the solution's terms
+        as (renamed lead, coefficient).  A repeat renames those leads back to
+        this bracket's letters and reads their indices from the lead index
+        (the free-Lie module docstring says why that is exact); a renamed
+        lead that is no basis lead raises.  A bracket on every generator has
+        a pattern that cannot recur and is solved.
         """
         key = (d1, i1, d2, i2)
         cached = self._bracket_cache.get(key)
         if cached is None:
             b1 = self.lie_basis(d1)[i1]
             b2 = self.lie_basis(d2)[i2]
-            t1, t2 = b1.tree, b2.tree
             d = d1 + d2
-            trees = self.basis_trees(d)
-            if (t1, t2) in trees:
-                coords = {trees[t1, t2]: 1}
-            elif (t2, t1) in trees:
-                coords = {trees[t2, t1]: 1 if d1 * d2 % 2 else -1}
+            leads = self.basis_leads(d)
+            elements = self._bases.elements  # every basis element built, by tree
+            b = elements.get((b1.tree, b2.tree))
+            if b is not None:
+                coords = {leads[b.lead]: 1}
+            elif (b2.tree, b1.tree) in elements:
+                coords = {leads[elements[b2.tree, b1.tree].lead]: 1 if d1 * d2 % 2 else -1}
             else:
+                basis, width = self.lie_basis(d), self._bases.width
                 mask = b1.letters | b2.letters
                 pattern = moved = None
                 if mask != self._alphabet:
                     letters = [g for g in range(mask.bit_length()) if mask >> g & 1]
                     rank = {g: r for r, g in enumerate(letters)}
                     pattern = (tuple(self._deg_list[g] for g in letters),
-                             freelie.relabel(t1, rank), freelie.relabel(t2, rank))
+                               freelie.rename_letters(b1.lead, width, rank),
+                               freelie.rename_letters(b2.lead, width, rank))
                     moved = self._bracket_patterns.get(pattern)
                 if moved is None:
-                    basis = self.lie_basis(d)
                     coords = freelie.solve_against_basis(basis, self._bases.product(b1, b2))
                     if pattern is not None:
                         self._bracket_patterns[pattern] = [
-                            (freelie.relabel(basis[i].tree, rank), c) for i, c in coords.items()
+                            (freelie.rename_letters(basis[i].lead, width, rank), c)
+                            for i, c in coords.items()
                         ]
                 else:
                     coords = {}
-                    for t, c in moved:
-                        i = trees.get(freelie.relabel(t, letters))
+                    for w, c in moved:
+                        i = leads.get(freelie.rename_letters(w, width, letters))
                         if i is None:
-                            raise AssertionError("moved bracket term is no basis tree: %r" % (t,))
+                            raise AssertionError("moved bracket term is no basis lead: %#x" % w)
                         coords[i] = c
             cached = LieElement._trusted(self, d, coords)
             self._bracket_cache[key] = cached

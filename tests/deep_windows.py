@@ -6,17 +6,21 @@ Each report body's SHA-256 (canonical JSON of its "report", as
 ``tests/test_acceptance.py:_report_digest`` computes it) is compared with
 its pin.  Beside each it prints the raw wall time and the peak RSS of the
 process, which are leads only: raw times drift between runs and hosts.
+``--repeat N`` runs each command N times (default 1), checks every run's
+digest, and prints the median and, in brackets, the range of both.
 Exits 1 on any mismatch or unexpected exit code, else 0.
 
-    python tests/deep_windows.py
+    python tests/deep_windows.py [--repeat N]
 
 The six take about 15 s together on a shared 2-vCPU host; the deepest
 (``der ... --max 26``) peaks near 240 MB.
 """
 
+import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -69,19 +73,39 @@ def report_digest(path):
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def main():
+def spread(values, fmt):
+    """The median of ``values`` in ``fmt``, then their range in brackets when there are several."""
+    text = fmt % statistics.median(values)
+    if len(values) > 1:
+        text += " [%s..%s]" % ((fmt % min(values)).strip(), (fmt % max(values)).strip())
+    return text
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Check the deep-window report digests.")
+    parser.add_argument("--repeat", type=int, default=1, metavar="N",
+                        help="runs of each command, each digest checked (default 1)")
+    repeat = parser.parse_args(argv).repeat
+    if repeat < 1:
+        parser.error("--repeat must be at least 1")
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         for k, (argv, pinned) in enumerate(DEEP_WINDOWS):
-            out = os.path.join(tmp, "report%d.json" % k)
-            code, wall, rss = run_one(argv, out)
-            digest = report_digest(out) if code == 0 else "exit %d" % code
-            ok = digest == pinned
-            bad += not ok
-            print("%-8s %s  lead: %6.2f s %7.1f MB  %s" % (
-                "ok" if ok else "MISMATCH", digest[:16], wall, rss, " ".join(argv)))
-            if not ok:
-                print("         pinned %s\n         got    %s" % (pinned, digest))
+            digests, walls, rsss = [], [], []
+            for r in range(repeat):
+                out = os.path.join(tmp, "report%d_%d.json" % (k, r))
+                code, wall, rss = run_one(argv, out)
+                digests.append(report_digest(out) if code == 0 else "exit %d" % code)
+                walls.append(wall)
+                rsss.append(rss)
+            wrong = [d for d in digests if d != pinned]
+            bad += bool(wrong)
+            print("%-8s %s  lead: %s s %s MB  %s" % (
+                "MISMATCH" if wrong else "ok", (wrong or digests)[0][:16],
+                spread(walls, "%6.2f"), spread(rsss, "%7.1f"), " ".join(argv)))
+            if wrong:
+                print("         pinned %s\n         got    %s (%d of %d runs)" % (
+                    pinned, wrong[0], len(wrong), repeat))
     print("%d of %d digests match" % (len(DEEP_WINDOWS) - bad, len(DEEP_WINDOWS)))
     return 1 if bad else 0
 

@@ -33,7 +33,8 @@ inclusion morphism, and the Hom module's differential through suspended
 names and matrices instead of from the linear part of d directly, and
 CE words by one recursive search per degree and the CE differential's two
 parts by separate loops, each sign counted from odd inversions, instead of
-words grown degree by degree and one sort for every term.
+words grown degree by degree and one sort for every term, and letter
+patterns and basis indices by trees instead of by packed leads.
 Tests compare library output against these.
 The helpers that are not oracles are ``sub_contains``, membership in a
 designated subalgebra through the library's own spans,
@@ -353,6 +354,22 @@ def _expand_bracket(tree, degrees):
     return out
 
 
+def relabel(tree, letters):
+    """The bracket tree with each letter g renamed to ``letters[g]``.
+
+    The letter-pattern key by trees, where the library renames the packed
+    leads of the trees (``freelie.rename_letters``).
+    """
+    if isinstance(tree, int):
+        return letters[tree]
+    return (relabel(tree[0], letters), relabel(tree[1], letters))
+
+
+def basis_trees(p, degree):
+    """{tree: index} of p's basis in one degree, where the library indexes it by lead."""
+    return {b.tree: i for i, b in enumerate(p.lie_basis(degree))}
+
+
 def words_of_degree(degrees, d):
     """All words (tuples of generator indices) with total degree d.
 
@@ -460,6 +477,7 @@ def tensor_normal_form(p, expression):
         k = c.numerator * (scale // c.denominator)
         for w, x in freelie.expand_tree(t, p._deg_list).items():
             tensor[w] = tensor.get(w, 0) + k * x
+    tensor = {w: x for w, x in tensor.items() if x}  # the solve takes nonzero entries
     coords = freelie.solve_against_basis(p.lie_basis(degree), tensor)
     coords = {i: exact(Fraction(c) / scale) for i, c in coords.items()}
     return LieElement._trusted(p, degree, coords)

@@ -1,10 +1,11 @@
 """Cold free-Lie brackets solved once per letter pattern and moved to each letter set.
 
 ``DgLaPresentation.basis_bracket`` keys a bracket that no tree decides by the
-degrees of its letters, in generator order, and both trees with each letter
-renamed to its rank among them; a repeat of the key is read from the first
-solve's terms, renamed back.  These tests hold the table to the tensor path
-and pin how many tensors a run solves.
+degrees of its letters, in generator order, and both factors' packed leads
+with each letter renamed to its rank among them; a repeat of the key is read
+from the first solve's terms, stored as renamed leads and renamed back.
+These tests hold the table to the tensor path, pin how many tensors a run
+solves, and check that each solve consumes only its own product.
 """
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from dgla import cli, freelie, io
 from dgla.gluing import boundary_connected_sum
 from dgla.presentation import DgLaPresentation
+from oracles import basis_trees, relabel
 
 
 def _presentation(degrees):
@@ -41,7 +43,7 @@ def _counting_solves(monkeypatch):
 def _cold(p, d1, i1, d2, i2):
     """Whether no tree decides the bracket of basis elements i1 of d1 and i2 of d2."""
     t1, t2 = p.lie_basis(d1)[i1].tree, p.lie_basis(d2)[i2].tree
-    trees = p.basis_trees(d1 + d2)
+    trees = basis_trees(p, d1 + d2)
     return (t1, t2) not in trees and (t2, t1) not in trees
 
 
@@ -60,7 +62,7 @@ def _expected_solves(p):
             continue
         rank = {g: r for r, g in enumerate(letters)}
         patterns.add((tuple(p._deg_list[g] for g in letters),
-                      freelie.relabel(t1, rank), freelie.relabel(t2, rank)))
+                      relabel(t1, rank), relabel(t2, rank)))
     return len(patterns) + whole
 
 
@@ -91,7 +93,7 @@ def test_moved_brackets_match_the_tensor_path(monkeypatch, fixture_path, degrees
     assert solves == _expected_solves(p)
 
 
-def test_a_moved_tree_that_is_no_basis_tree_raises():
+def test_a_moved_lead_that_is_no_basis_lead_raises():
     p = _presentation([1, 2, 1, 2])
 
     def bracket_all():
@@ -101,11 +103,83 @@ def test_a_moved_tree_that_is_no_basis_tree_raises():
 
     bracket_all()
     pattern, terms = next((k, v) for k, v in p._bracket_patterns.items() if v)
-    # every term is of degree 5, so composite, and no swapped basis tree is one
-    p._bracket_patterns[pattern] = [((t[1], t[0]), c) for t, c in terms]
+    # every term is of odd degree 5, so its lead is a Lyndon word of two or
+    # more letters, and no reversed one is Lyndon, nor any basis lead
+    degs = p._deg_list
+    p._bracket_patterns[pattern] = [
+        (freelie.pack(freelie.unpack(w, degs)[::-1], degs), c) for w, c in terms]
     p._bracket_cache.clear()
-    with pytest.raises(AssertionError, match="no basis tree"):
+    with pytest.raises(AssertionError, match="no basis lead"):
         bracket_all()
+
+
+def _cold_pair(p, d1, d2):
+    """The first key (d1, i1, d2, i2) of a bracket that is solved, on every generator."""
+    for i1, b1 in enumerate(p.lie_basis(d1)):
+        for i2, b2 in enumerate(p.lie_basis(d2)):
+            if _cold(p, d1, i1, d2, i2) and b1.letters | b2.letters == p._alphabet:
+                return d1, i1, d2, i2
+    raise AssertionError("no cold bracket of degrees %d, %d" % (d1, d2))
+
+
+def test_a_planted_word_outside_the_span_raises(monkeypatch):
+    p = _presentation([1, 1])
+    key = _cold_pair(p, 3, 4)
+    # a word over one letter is no word of a bracket of both letters
+    planted = freelie.pack((0,) * 7, p._deg_list)
+    product = freelie.BasisMemo.product
+
+    def planting(self, u, v):
+        tensor = product(self, u, v)
+        assert planted not in tensor
+        tensor[planted] = 1
+        return tensor
+
+    monkeypatch.setattr(freelie.BasisMemo, "product", planting)
+    with pytest.raises(ValueError, match="outside the free Lie span"):
+        p.basis_bracket(*key)
+    assert key not in p._bracket_cache
+
+
+def test_a_changed_memoized_expansion_raises():
+    # the solve subtracts the memoized expansion of every basis element it
+    # clears; one changed coefficient leaves a word that no element can
+    # clear, since a single word of two or more letters is no Lie element
+    p = _presentation([1, 1])
+    key = _cold_pair(p, 3, 4)
+    d = key[0] + key[2]
+    coords = _presentation([1, 1]).basis_bracket(*key).coords  # a fresh presentation's
+    i = max(coords)
+    expansion = p.lie_basis(d)[i].expansion
+    w = max(expansion)  # a word after the lead
+    expansion[w] += 1
+    with pytest.raises(ValueError, match="outside the free Lie span"):
+        p.basis_bracket(*key)
+
+
+@pytest.mark.parametrize("argv", [
+    ["der", "presentation_w11.json", "--sub", "omega", "--min", "0", "--max", "12"],
+    ["glue", "w21.json", "w11.json", "--min", "0", "--max", "4", "--assert-semisimple"],
+], ids=["der", "glue"])
+def test_each_solve_consumes_only_its_own_product(monkeypatch, fixture_path, argv):
+    # every cold product is the solve's work dict; the memoized expansions
+    # the solve subtracts are left as a memo-free expansion builds them
+    seen = {}
+    basis_bracket = DgLaPresentation.basis_bracket
+
+    def recorded(self, *key):
+        seen.setdefault(self._bases, self)
+        return basis_bracket(self, *key)
+
+    monkeypatch.setattr(DgLaPresentation, "basis_bracket", recorded)
+    code, _ = cli.run([fixture_path(a) if a.endswith(".json") else a for a in argv])
+    assert code == 0
+    checked = 0
+    for p in seen.values():
+        for tree, expansion in p._bases.expansions.items():
+            assert expansion == freelie.expand_tree(tree, p._deg_list), tree
+            checked += 1
+    assert checked > 20
 
 
 @pytest.mark.parametrize("argv, total", [

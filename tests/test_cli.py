@@ -858,6 +858,18 @@ def test_window_whose_basis_passes_the_cap_is_exit_2(capsys, fixture_path):
     assert "error: degree 128 of the free Lie algebra has" in capsys.readouterr().err
 
 
+def test_der_window_past_the_cap_is_refused_before_any_degree_is_built(capsys, fixture_path):
+    # degree 38 has 27,594 basis elements, and der reads it first at n = 34,
+    # as the target of omega's condition; every degree below it fits
+    start = time.monotonic()
+    code, payload = _run("der", fixture_path("presentation_w11.json"), "--sub", "omega",
+                         "--min", "0", "--max", "40")
+    assert code == 2 and payload is None
+    assert time.monotonic() - start < 1
+    assert ("error: degree 38 of the free Lie algebra has 27594 basis elements, more than"
+            " the 20000 allowed") in capsys.readouterr().err
+
+
 def test_window_at_max_degree_runs(fixture_path):
     code, payload = _run("homology", fixture_path("s2.json"), "--min", "127", "--max", "128")
     assert code == 0

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dgla import derivations, io, linalg
+from dgla import derivations, freelie, io, linalg
 from dgla.cli import run
 from dgla.derivations import (
     Derivation, FDerivation, _HomLayout, der_complex, deru, f_der_dims, forget_pullback,
@@ -544,6 +544,36 @@ def _walk_matches_the_units(p, rel, monkeypatch):
         assert (space.vectors, space.pivots) == (want.vectors, want.pivots), n
         nonzero = nonzero or any(m)
     return nonzero
+
+
+@pytest.mark.parametrize("name, rel, window, unipotent", [
+    ("presentation_w11.json", "omega", (0, 12), False),
+    ("presentation_twisted9.json", "omega", (-3, 5), False),
+    ("presentation_w11.json", "omega", (0, 8), True),
+    ("tilde_w11.json", "beta", (0, 6), True),
+])
+def test_window_degrees_are_built_in_their_order(monkeypatch, fixture_path, name, rel, window,
+                                                  unipotent):
+    # the refusal reads only degrees the build reads, in the order it first
+    # reads them, so it refuses no window the build completes
+    p = io.load_presentation(_load(fixture_path, name))
+    built = []
+    basis_in_degree = freelie.basis_in_degree
+
+    def recording(degrees, d, memo=None):
+        built.append(d)
+        return basis_in_degree(degrees, d, memo)
+
+    monkeypatch.setattr(freelie, "basis_in_degree", recording)
+    cycles = unipotent and bool(p.differential)
+    listed = list(dict.fromkeys(d for d in derivations._window_degrees(p, rel, window, cycles)
+                                if d >= 1 and d not in p._basis_cache))
+    if unipotent:
+        deru(p, rel, None, window)
+    else:
+        der_complex(p, rel, window)
+    assert listed and set(listed) <= set(built)
+    assert [d for d in built if d in listed] == listed
 
 
 def _odd_sub():
