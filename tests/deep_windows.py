@@ -81,11 +81,11 @@ def spread(values, fmt):
     return text
 
 
-def main(argv=None):
+def main(args=None):
     parser = argparse.ArgumentParser(description="Check the deep-window report digests.")
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
                         help="runs of each command, each digest checked (default 1)")
-    repeat = parser.parse_args(argv).repeat
+    repeat = parser.parse_args(args).repeat
     if repeat < 1:
         parser.error("--repeat must be at least 1")
     bad = 0
