@@ -70,11 +70,6 @@ def _words(g, top):
     return words
 
 
-def ce_words(g, degree):
-    """Canonical words of total shifted degree ``degree``, sorted."""
-    return _words(g, degree).get(degree, [])
-
-
 class CESlice(ChainComplexSlice):
     """A window of the CE chain complex of a dg Lie slice, through ``top_degree``.
 

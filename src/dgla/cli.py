@@ -222,9 +222,11 @@ def cmd_glue(args, inputs):
         raise SchemaError("glue needs --assert-semisimple")
     mn = boundary_connected_sum(m, n)
     w = _nonneg_window(args)
+    # the glued model has both factors' generators, so a window too deep
+    # for either is refused by its build, before any factor is built
+    gmn = build_block_g(mn, w)
     gm = build_block_g(m, w)
     gn = build_block_g(n, w)
-    gmn = build_block_g(mn, w)
     gmap = glue_headline_g(
         gm, gn, gmn, *mn.inclusions, assert_semisimple=True
     )

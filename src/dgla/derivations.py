@@ -304,21 +304,16 @@ def _slot_generators(p, rel):
 
 
 class _HomLayout:
-    """Coordinates on Hom(determined generators of p, target_{* + n}).
+    """Coordinates on Hom(determined generators of p, p_{* + n}): one slot per generator."""
 
-    The target is p itself unless given (f-derivations take their values in
-    the target of a morphism).
-    """
-
-    def __init__(self, p, rel, n, target=None):
+    def __init__(self, p, rel, n):
         self.p = p
         self.rel = rel
         self.n = n
-        self.target = p if target is None else target
         self.slots = []
         offset = 0
         for name, deg in _slot_generators(p, rel):
-            dim = self.target.dim(deg + n)
+            dim = p.dim(deg + n)
             self.slots.append((name, deg, offset, dim))
             offset += dim
         self.total = offset
@@ -340,7 +335,7 @@ class _HomLayout:
         for k in sorted(vec):
             name, deg, off, _ = self.slots[bisect_right(self.offsets, k) - 1]
             coords.setdefault((name, deg), {})[k - off] = vec[k]
-        return {name: LieElement(self.target, deg + self.n, c) for (name, deg), c in coords.items()}
+        return {name: LieElement(self.p, deg + self.n, c) for (name, deg), c in coords.items()}
 
     def from_vector(self, vec):
         """The derivation with the sparse Hom coordinates vec."""
@@ -348,7 +343,7 @@ class _HomLayout:
 
     def unit(self, k):
         name, deg, off, _ = self.slots[bisect_right(self.offsets, k) - 1]
-        value = LieElement._trusted(self.target, deg + self.n, {k - off: 1})
+        value = LieElement._trusted(self.p, deg + self.n, {k - off: 1})
         return Derivation._trusted(self.p, self.n, {name: value}, self.rel)
 
 
@@ -367,9 +362,9 @@ def _condition_space(ncols, unit, conditions):
     on its one generator (``_HomLayout.unit``), or pair of them.  The space
     is that matrix's kernel basis; units are built only for a condition.
     Degree 0 of Der and Der_u (whose cycle, indecomposables and rho
-    conditions read each unit's values or D(unit)), the f-derivations and
-    the forgetful pullback's pair conditions are assembled so; every other
-    degree of ``_der_slice`` per Hom slot (``_vanishing_space``).
+    conditions read each unit's values or D(unit)) and the forgetful
+    pullback's pair conditions are assembled so; every other degree of
+    ``_der_slice`` per Hom slot (``_vanishing_space``).
     """
     tops = [0]
     for height, _ in conditions:
@@ -451,7 +446,7 @@ def _evaluation(e):
     return lambda th: th.eval_at(e).coords
 
 
-def _vanishing_conditions(p, rel, target, n):
+def _vanishing_conditions(p, rel, n):
     """theta(e) = 0 for each element e listed by an ElementGenerated sub of p.
 
     By the Leibniz rule these force vanishing on the generated subalgebra;
@@ -460,7 +455,7 @@ def _vanishing_conditions(p, rel, target, n):
     spec = p.sub(rel)
     if isinstance(spec, GeneratorSplit):
         return []
-    return [(target.dim(e.degree + n), _evaluation(e)) for e in spec.elements]
+    return [(p.dim(e.degree + n), _evaluation(e)) for e in spec.elements]
 
 
 def _cycle_condition(p, rel):
@@ -605,7 +600,7 @@ def _der_slice(p, rel, window, degree0=lambda: [], zero_below=False):
         if n:
             spaces[n] = _vanishing_space(p, rel, layout)
         else:
-            conditions = _vanishing_conditions(p, rel, p, 0)
+            conditions = _vanishing_conditions(p, rel, 0)
             if cycles:
                 conditions.append(_cycle_condition(p, rel))
             conditions += degree0()
@@ -749,24 +744,6 @@ class FDerivation:
         return self._ext
 
 
-def f_der_dims(m, rel_source, window):
-    """Dimensions of the f-derivation complex Der_m(L', L rel A') per degree.
-
-    Coordinates: values on the non-rel source generators, in the target.
-    For an ElementGenerated rel, the finitely many equations th(element) = 0
-    are imposed.
-    """
-    dims = {}
-    for n in range(window[0], window[1] + 1):
-        layout = _HomLayout(m.source, rel_source, n, m.target)
-        conditions = _vanishing_conditions(m.source, rel_source, m.target, n)
-        space = _condition_space(
-            layout.total, lambda k: FDerivation(m, n, layout.values({k: 1})), conditions
-        )
-        dims[n] = space.dim
-    return dims
-
-
 def homology_map_is_iso(m, lo, hi):
     """Rank check: does m induce isomorphisms H_k for lo <= k <= hi?
 
@@ -804,7 +781,10 @@ def forget_pullback(m, rel_target, rel_source, window):
     """The pullback complex of the forgetful cospan, as a chain slice.
 
     m : L' -> L must be a quasi-isomorphism of presentations on the window
-    (checked by ranks; NotQuasiIso otherwise).  The pullback consists of
+    (checked by ranks; NotQuasiIso otherwise).  The check runs after both
+    Der_u slices are built, so that a window too deep for either is refused
+    before any work; a non-quasi-isomorphism m costs both builds before it
+    is refused.  The pullback consists of
     pairs (theta, theta') in
     Der_u(L rel rel_target)_n x Der_u(L' rel rel_source)_n with
     theta . m = m . theta' as f-derivations, with the restricted product
@@ -817,10 +797,10 @@ def forget_pullback(m, rel_target, rel_source, window):
     """
     lo, hi = max(0, int(window[0])), int(window[1])
     qlo = max(1, lo)
-    if not homology_map_is_iso(m, qlo, max(qlo, hi)):
-        raise NotQuasiIso("m is not a quasi-isomorphism on the window")
     left = deru(m.target, rel_target, None, (lo, hi))
     right = deru(m.source, rel_source, None, (lo, hi))
+    if not homology_map_is_iso(m, qlo, max(qlo, hi)):
+        raise NotQuasiIso("m is not a quasi-isomorphism on the window")
     src_gens = m.source.generators.entries
     pair_spaces = {}
     pairs = {}

@@ -127,16 +127,6 @@ def lyndon_words(degrees, d):
     return out
 
 
-def is_lyndon(w):
-    """Lyndon iff strictly smaller than each of its proper suffixes."""
-    if not w:
-        return False
-    for k in range(1, len(w)):
-        if w[k:] <= w:
-            return False
-    return True
-
-
 def standard_bracketing(w, memo=None):
     """Standard (right) bracketing of a Lyndon word.
 

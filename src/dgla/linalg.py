@@ -168,10 +168,11 @@ def _echelon(rows, ncols):
     return _primitive_echelon(int_rows, ncols)
 
 
-def _rref(rows, ncols):
-    """Sparse reduced row echelon form of sparse rows.
+def rref(rows, ncols):
+    """Reduced row echelon form over Q of a list of sparse rows.
 
-    Returns (rows with 1 at the pivot, pivot columns).  Back-substitution
+    Returns (rref_rows, pivot_cols): sparse rows with entry 1 at their
+    pivot column and no entry in the other pivot columns.  Back-substitution
     runs bottom-up on the primitive echelon rows, with the echelon's row
     operation (``_clear``): each row clears its entries at the pivots of
     the rows below it, which are already reduced and so vanish at every
@@ -196,15 +197,6 @@ def rank(rows, ncols):
     return len(_echelon(rows, ncols)[1])
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form over Q.
-
-    Returns (rref_rows, pivot_cols); rref_rows are sparse rows with entry 1
-    at their pivot column and no entry in the other pivot columns.
-    """
-    return _rref(rows, ncols)
-
-
 def pivot_columns(rows, ncols):
     """Columns of an independent subset of the matrix's columns.
 
@@ -215,8 +207,8 @@ def pivot_columns(rows, ncols):
     return _echelon(rows, ncols)[1]
 
 
-def _kernel(rows, ncols):
-    """Sparse kernel basis of sparse rows.
+def kernel_basis(rows, ncols):
+    """Basis of {x : A x = 0} as sparse vectors, for a list of sparse rows.
 
     The basis vector attached to free column f has entry 1 at f and 0 at all
     other free columns, so reading off the free coordinates of any kernel
@@ -224,7 +216,7 @@ def _kernel(rows, ncols):
     negated entries at f of the RREF rows, at their pivots.  Returns
     (vectors, free_cols).
     """
-    red, pivots = _rref(rows, ncols)
+    red, pivots = rref(rows, ncols)
     pivset = set(pivots)
     free = [c for c in range(ncols) if c not in pivset]
     vecs = {f: {f: 1} for f in free}
@@ -235,18 +227,10 @@ def _kernel(rows, ncols):
     return [vecs[f] for f in free], free
 
 
-def kernel_basis(rows, ncols):
-    """Basis of {x : A x = 0} as sparse vectors; see ``_kernel``.
-
-    Returns (vectors, free_cols).
-    """
-    return _kernel(rows, ncols)
-
-
 def solve(rows, ncols, rhs):
     """One sparse solution x of A x = rhs for a sparse rhs, or None if inconsistent."""
-    aug = ({**r, ncols: rhs[i]} if i in rhs else r for i, r in enumerate(rows))
-    red, pivots = _rref(aug, ncols + 1)
+    aug = [{**r, ncols: rhs[i]} if i in rhs else r for i, r in enumerate(rows)]
+    red, pivots = rref(aug, ncols + 1)
     if ncols in pivots:
         return None
     return {pc: r[ncols] for r, pc in zip(red, pivots) if ncols in r}
@@ -255,7 +239,7 @@ def solve(rows, ncols, rhs):
 def inverse(rows):
     """The inverse of a square matrix, or None if it is singular."""
     n = len(rows)
-    red, pivots = _rref(({**r, n + i: 1} for i, r in enumerate(rows)), 2 * n)
+    red, pivots = rref([{**r, n + i: 1} for i, r in enumerate(rows)], 2 * n)
     if pivots[:n] != list(range(n)):
         return None
     return [{j - n: x for j, x in r.items() if j >= n} for r in red]
@@ -346,7 +330,7 @@ class Subspace:
     own pivot and 0 at the others' pivots, so the coordinates of a member
     are read off at the pivot columns.  ``from_vectors`` keeps the reduced
     row echelon basis of a span; ``from_kernel`` keeps the kernel basis of
-    ``_kernel``, whose pivots are the free columns.  Every basis value is
+    ``kernel_basis``, whose pivots are the free columns.  Every basis value is
     an ``int`` where it is integral and a ``Fraction`` only where there is
     a denominator, as ``exact`` gives it; the pivot 1 is the int 1.
     Members are sparse vectors with no zero entries, and coordinates are
@@ -361,12 +345,12 @@ class Subspace:
 
     @classmethod
     def from_kernel(cls, rows, ncols):
-        vecs, free = _kernel(rows, ncols)
+        vecs, free = kernel_basis(rows, ncols)
         return cls(ncols, vecs, free)
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim):
-        red, pivots = _rref(vectors, ambient_dim)
+        red, pivots = rref(vectors, ambient_dim)
         return cls(ambient_dim, red, pivots)
 
     @classmethod
@@ -405,7 +389,7 @@ class Subspace:
         if not self.vectors or not other.vectors:
             return Subspace(self.ambient_dim, [], [])
         stacked = from_columns(self.ambient_dim, self.vectors + other.vectors)
-        sol, _ = _kernel(stacked, self.dim + other.dim)
+        sol, _ = kernel_basis(stacked, self.dim + other.dim)
         vecs = [self.vector({i: c for i, c in s.items() if i < self.dim}) for s in sol]
         return Subspace.from_vectors(vecs, self.ambient_dim)
 

@@ -1,19 +1,22 @@
-"""Deep-window report digests, checked outside the tier-1 suite.
+"""Deep-window report digests and refusals, checked outside the tier-1 suite.
 
 Runs six CLI commands whose windows are deeper than any that tier-1 pins,
 each in a fresh process with PYTHONHASHSEED=0, from the repository root.
 Each report body's SHA-256 (canonical JSON of its "report", as
 ``tests/test_acceptance.py:_report_digest`` computes it) is compared with
-its pin.  Beside each it prints the raw wall time and the peak RSS of the
-process, which are leads only: raw times drift between runs and hosts.
-``--repeat N`` runs each command N times (default 1), checks every run's
-digest, and prints the median and, in brackets, the range of both.
-Exits 1 on any mismatch or unexpected exit code, else 0.
+its pin.  Then it runs four commands whose windows reach a free-Lie degree
+too large to build, each of which must exit 2 with its refusal as the last
+line on stderr.  Beside each it prints the raw wall time and the peak RSS of
+the process, which are leads only: raw times drift between runs and hosts.
+``--repeat N`` runs each command N times (default 1), checks every run, and
+prints the median and, in brackets, the range of both.  Exits 1 on any
+mismatch or unexpected exit code, else 0.
 
     python tests/deep_windows.py [--repeat N]
 
-The six take about 15 s together on a shared 2-vCPU host; the deepest
-(``der ... --max 26``) peaks near 240 MB.
+The six digests take about 15 s together on a shared 2-vCPU host; the
+deepest (``der ... --max 26``) peaks near 240 MB.  Each refusal takes about
+0.1 s, most of it the interpreter's start.
 """
 
 import argparse
@@ -51,20 +54,38 @@ DEEP_WINDOWS = [
 ]
 
 
+def _refusal(degree, size):
+    return ("error: degree %d of the free Lie algebra has %d basis elements, more than the"
+            " 20000 allowed" % (degree, size))
+
+
+# (argv, the last line on stderr); every command exits 2 before it builds
+# the degree it names
+REFUSALS = [
+    (["der", "fixtures/presentation_w11.json", "--sub", "omega", "--min", "0", "--max", "40"],
+     _refusal(38, 27594)),
+    (["xi", "fixtures/w21.json", "--min", "0", "--max", "14"], _refusal(18, 29120)),
+    (["glue", "fixtures/w21.json", "fixtures/w21.json", "--min", "0", "--max", "10",
+      "--assert-semisimple"], _refusal(12, 43596)),
+    (["forget", "fixtures/w21.json", "--min", "0", "--max", "14"], _refusal(18, 29120)),
+]
+
+
 def run_one(argv, out):
-    """(exit code, wall seconds, peak RSS in MB) of one CLI process writing to ``out``."""
+    """(exit code, wall seconds, peak RSS in MB, stderr) of one CLI process writing to ``out``."""
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    t0 = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "dgla.cli"] + argv + ["--out", out],
-                            cwd=ROOT, env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    # wait4 gives this child's own rusage, so each peak is its own
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - t0
-    return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024
+    with tempfile.TemporaryFile("w+") as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "dgla.cli"] + argv + ["--out", out],
+                                cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        # wait4 gives this child's own rusage, so each peak is its own
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        err.seek(0)
+        return os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss / 1024, err.read()
 
 
 def report_digest(path):
@@ -81,6 +102,40 @@ def spread(values, fmt):
     return text
 
 
+def check(runs, expected, outcome, tmp):
+    """Run each (argv, expected) ``runs`` times and print it; the number that mismatch.
+
+    ``outcome(code, out, stderr)`` is what a run gave, to compare with expected.
+    """
+    bad = 0
+    for k, (argv, want) in enumerate(expected):
+        got, walls, rsss = [], [], []
+        for r in range(runs):
+            out = os.path.join(tmp, "report%d_%d.json" % (k, r))
+            code, wall, rss, err = run_one(argv, out)
+            got.append(outcome(code, out, err))
+            walls.append(wall)
+            rsss.append(rss)
+        wrong = [g for g in got if g != want]
+        bad += bool(wrong)
+        print("%-8s %s  lead: %s s %s MB  %s" % (
+            "MISMATCH" if wrong else "ok", (wrong or got)[0][:16],
+            spread(walls, "%6.2f"), spread(rsss, "%7.1f"), " ".join(argv)))
+        if wrong:
+            print("         pinned %s\n         got    %s (%d of %d runs)" % (
+                want, wrong[0], len(wrong), runs))
+    return bad
+
+
+def digest_outcome(code, out, err):
+    return report_digest(out) if code == 0 else "exit %d" % code
+
+
+def refusal_outcome(code, out, err):
+    lines = err.splitlines()
+    return lines[-1] if code == 2 and lines else "exit %d" % code
+
+
 def main(args=None):
     parser = argparse.ArgumentParser(description="Check the deep-window report digests.")
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
@@ -88,26 +143,12 @@ def main(args=None):
     repeat = parser.parse_args(args).repeat
     if repeat < 1:
         parser.error("--repeat must be at least 1")
-    bad = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for k, (argv, pinned) in enumerate(DEEP_WINDOWS):
-            digests, walls, rsss = [], [], []
-            for r in range(repeat):
-                out = os.path.join(tmp, "report%d_%d.json" % (k, r))
-                code, wall, rss = run_one(argv, out)
-                digests.append(report_digest(out) if code == 0 else "exit %d" % code)
-                walls.append(wall)
-                rsss.append(rss)
-            wrong = [d for d in digests if d != pinned]
-            bad += bool(wrong)
-            print("%-8s %s  lead: %s s %s MB  %s" % (
-                "MISMATCH" if wrong else "ok", (wrong or digests)[0][:16],
-                spread(walls, "%6.2f"), spread(rsss, "%7.1f"), " ".join(argv)))
-            if wrong:
-                print("         pinned %s\n         got    %s (%d of %d runs)" % (
-                    pinned, wrong[0], len(wrong), repeat))
-    print("%d of %d digests match" % (len(DEEP_WINDOWS) - bad, len(DEEP_WINDOWS)))
-    return 1 if bad else 0
+        bad = check(repeat, DEEP_WINDOWS, digest_outcome, tmp)
+        print("%d of %d digests match" % (len(DEEP_WINDOWS) - bad, len(DEEP_WINDOWS)))
+        refused = check(repeat, REFUSALS, refusal_outcome, tmp)
+        print("%d of %d refusals match" % (len(REFUSALS) - refused, len(REFUSALS)))
+    return 1 if bad or refused else 0
 
 
 if __name__ == "__main__":

@@ -244,7 +244,7 @@ def rref_all_fractions(rows, ncols, echelon=None):
 
 
 def kernel_all_fractions(rows, ncols):
-    """(kernel vectors, free columns) as ``linalg._kernel`` reads them, every value a Fraction."""
+    """(kernel vectors, free columns) as ``linalg.kernel_basis`` reads them, every value a Fraction."""
     red, pivots = rref_all_fractions(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     vecs = {f: {f: Fraction(1)} for f in free}
@@ -392,15 +392,16 @@ def words_of_degree(degrees, d):
     return out
 
 
-def _is_lyndon(w):
-    return all(w < w[k:] for k in range(1, len(w)))
+def is_lyndon(w):
+    """Lyndon iff nonempty and strictly smaller than each of its proper suffixes."""
+    return bool(w) and all(w < w[k:] for k in range(1, len(w)))
 
 
 def _standard_bracketing(w):
     """b(w) = [b(u), b(v)] with v the longest proper Lyndon suffix of w."""
     if len(w) == 1:
         return w[0]
-    k = next(k for k in range(1, len(w)) if _is_lyndon(w[k:]))
+    k = next(k for k in range(1, len(w)) if is_lyndon(w[k:]))
     return (_standard_bracketing(w[:k]), _standard_bracketing(w[k:]))
 
 
@@ -415,9 +416,9 @@ def tuple_word_basis(degrees, d):
     ``_expand_bracket``, and the elements sorted by (lead length, lead)
     with tuple comparison.
     """
-    trees = [_standard_bracketing(w) for w in words_of_degree(degrees, d) if _is_lyndon(w)]
+    trees = [_standard_bracketing(w) for w in words_of_degree(degrees, d) if is_lyndon(w)]
     if d % 2 == 0 and d // 2 % 2 == 1:
-        halves = [_standard_bracketing(w) for w in words_of_degree(degrees, d // 2) if _is_lyndon(w)]
+        halves = [_standard_bracketing(w) for w in words_of_degree(degrees, d // 2) if is_lyndon(w)]
         trees += [(t, t) for t in halves]
     out = []
     for t in trees:

@@ -135,8 +135,8 @@ def test_criterion_1_structural_soundness(fixture_path):
 
 def test_criterion_2_free_lie_dimensions():
     start = time.monotonic()
-    from dgla.freelie import basis_in_degree, is_lyndon
-    from oracles import words_of_degree
+    from dgla.freelie import basis_in_degree
+    from oracles import is_lyndon, words_of_degree
 
     multisets = []
     for size in (1, 2, 3):
@@ -703,6 +703,23 @@ HOM_LINEAR_D_REPORT_SHA256 = [
                          ids=["g-hom-linear-d"])
 def test_hom_linear_d_report_bodies_match_pinned_digests(cmd, files, flags, digest,
                                                          monkeypatch, tmp_path):
+    assert _report_digest(cmd, files, flags, monkeypatch, tmp_path) == digest
+
+
+# Report SHA-256 of `exp` of a derivation relative to an element-generated
+# sub ("rel": "omega"), so that loading it checks that the derivation kills
+# omega and the automorphism's report has an exp_fixes_sub row, which no
+# other pinned command does.  Pinned from an earlier commit, as
+# CORPUS_REPORT_SHA256 is.
+EXP_REL_REPORT_SHA256 = [
+    ("exp", ["presentation_w11.json"], ["--derivation", "@exp_derivation_rel.json"],
+     "c5f7a21b97246f8ef04b97adf14a4d84fedcbfb26494dc0b2aac98b23f01eac8"),
+]
+
+
+@pytest.mark.parametrize("cmd, files, flags, digest", EXP_REL_REPORT_SHA256, ids=["exp-rel"])
+def test_exp_rel_report_bodies_match_pinned_digests(cmd, files, flags, digest,
+                                                    monkeypatch, tmp_path):
     assert _report_digest(cmd, files, flags, monkeypatch, tmp_path) == digest
 
 

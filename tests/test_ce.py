@@ -2,7 +2,7 @@
 import pytest
 
 from dgla import io, linalg
-from dgla.ce import CESlice, ce_cohomology, ce_product_check, ce_words
+from dgla.ce import CESlice, _words, ce_cohomology, ce_product_check
 from dgla.derivations import deru
 from dgla.errors import NotAComplex, WindowTooNarrow
 from dgla.models import build_block_g, manifold_model, tilde_model
@@ -123,11 +123,10 @@ def test_kunneth_on_der_slices():
 def test_ce_words_respect_odd_letter_exclusion():
     # letters of odd shifted degree never repeat
     g = abelian(2, hi=8)  # s-degree 3, odd
-    for k in range(0, 8):
-        for w in ce_words(g, k):
-            assert len(w) <= 1
+    for words in _words(g, 7).values():
+        assert all(len(w) <= 1 for w in words)
     h = abelian(1, hi=8)  # s-degree 2, even: powers allowed
-    assert any(len(w) == 3 for w in ce_words(h, 6))
+    assert any(len(w) == 3 for w in _words(h, 6)[6])
 
 
 def test_nonabelian_two_dimensional():
@@ -163,8 +162,9 @@ def test_words_and_blocks_match_the_search_and_two_part_oracle(fixture_path):
         # dim C_k is the t^k coefficient of prod_odd (1 + t^s) prod_even (1 - t^s)^-1,
         # the count of free graded-commutative monomials in the letters
         dims = exterior_polynomial_ce_betti(sdegrees, 0, top)
+        by_degree = _words(g, top)
         for k in range(top + 1):
-            words = ce_words(g, k)
+            words = by_degree[k]
             assert words == ce_words_by_search(g, k) == ce.labels[k], (name, k)
             assert len(words) == dims[k], (name, k)
             parities |= {d % 2 for w in words for d, _ in w}

@@ -870,6 +870,35 @@ def test_der_window_past_the_cap_is_refused_before_any_degree_is_built(capsys, f
             " the 20000 allowed") in capsys.readouterr().err
 
 
+def test_glue_window_past_the_cap_is_refused_before_a_factor_is_built(
+        monkeypatch, capsys, fixture_path):
+    # the glued model is built first, and its build refuses degree 12
+    from dgla import cli
+
+    calls = _count_calls(monkeypatch, [cli], "build_block_g")
+    code, payload = _run("glue", fixture_path("w21.json"), fixture_path("w21.json"),
+                         "--min", "0", "--max", "10", "--assert-semisimple")
+    assert code == 2 and payload is None
+    assert len(calls) == 1
+    assert ("error: degree 12 of the free Lie algebra has 43596 basis elements, more than"
+            " the 20000 allowed") in capsys.readouterr().err
+
+
+def test_forget_window_past_the_cap_is_refused_before_the_rank_check(
+        monkeypatch, capsys, fixture_path):
+    # both Der_u slices are built before the quasi-isomorphism check, and
+    # the first refuses degree 18
+    from dgla import derivations
+
+    calls = _count_calls(monkeypatch, [derivations], "homology_map_is_iso")
+    code, payload = _run("forget", fixture_path("w21.json"), "--min", "0", "--max", "14",
+                         "--assert-semisimple")
+    assert code == 2 and payload is None
+    assert calls == []
+    assert ("error: degree 18 of the free Lie algebra has 29120 basis elements, more than"
+            " the 20000 allowed") in capsys.readouterr().err
+
+
 def test_window_at_max_degree_runs(fixture_path):
     code, payload = _run("homology", fixture_path("s2.json"), "--min", "127", "--max", "128")
     assert code == 0

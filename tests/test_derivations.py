@@ -18,7 +18,6 @@ from dgla.derivations import (
     deru,
     eval_at,
     FDerivation,
-    f_der_dims,
     forget_pullback,
     glue_derivations,
 )
@@ -284,15 +283,6 @@ def test_forget_pullback_rel_everything_is_zero():
     ident = GeneratorMorphism.identity(p)
     slc, left, right, _ = forget_pullback(ident, "all", "all", (0, 3))
     assert all(slc.dim(n) == 0 for n in range(0, 4))
-
-
-def test_f_der_dims_match_identity_case():
-    p = w11()
-    ident = GeneratorMorphism.identity(p)
-    dims = f_der_dims(ident, "omega", (0, 2))
-    slc = der_complex(p, "omega", (0, 2))
-    for n in range(0, 3):
-        assert dims[n] == slc.dim(n)
 
 
 def test_glue_image_is_derivations_vanishing_on_opposite_side():

@@ -405,9 +405,9 @@ def test_integer_kernels_agree_with_the_all_fraction_path(case):
     """
     rows, ncols = case
     m = _matrix(rows, ncols)
-    red, pivots = linalg._rref(m, ncols)
+    red, pivots = linalg.rref(m, ncols)
     assert (red, pivots) == rref_all_fractions(m, ncols) and _all_exact(red)
-    vecs, free = linalg._kernel(m, ncols)
+    vecs, free = linalg.kernel_basis(m, ncols)
     assert (vecs, free) == kernel_all_fractions(m, ncols) and _all_exact(vecs)
     assert _all_exact(m)
 
