@@ -293,29 +293,31 @@ def eval_at(theta, e):
 # -- Hom coordinates -----------------------------------------------------------
 
 
-def _slot_generators(p, rel):
-    """[(name, degree)] of the generators of p that a derivation rel rel determines.
-
-    A GeneratorSplit sub's generators are left out: a derivation vanishes there.
-    """
-    spec = p.sub(rel)
-    skip = set(spec.names) if isinstance(spec, GeneratorSplit) else set()
-    return [(name, deg) for name, deg in p.generators.entries if name not in skip]
-
-
 class _HomLayout:
-    """Coordinates on Hom(determined generators of p, p_{* + n}): one slot per generator."""
+    """Coordinates on Hom(determined generators of p, p_{* + n}); the build's reader of ``rel``.
+
+    A derivation rel a GeneratorSplit sub vanishes on the sub generators,
+    which get no slot; one rel an ElementGenerated sub must kill each of
+    its ``elements`` (empty for a split sub).  Every other generator x has
+    one slot, of the size of degree |x| + n read from the Witt table
+    (``p.dim``): no basis is built.
+    """
 
     def __init__(self, p, rel, n):
         self.p = p
         self.rel = rel
         self.n = n
+        spec = p.sub(rel)
+        split = isinstance(spec, GeneratorSplit)
+        self.elements = () if split else spec.elements
+        skip = set(spec.names) if split else ()
         self.slots = []
         offset = 0
-        for name, deg in _slot_generators(p, rel):
-            dim = p.dim(deg + n)
-            self.slots.append((name, deg, offset, dim))
-            offset += dim
+        for name, deg in p.generators.entries:
+            if name not in skip:
+                dim = p.dim(deg + n)
+                self.slots.append((name, deg, offset, dim))
+                offset += dim
         self.total = offset
         self.offsets = [off for _, _, off, _ in self.slots]
         self.offset = {name: off for name, _, off, _ in self.slots}
@@ -361,10 +363,11 @@ def _condition_space(ncols, unit, conditions):
     images of ``unit(k)``: the k-th coordinate vector's derivation, built
     on its one generator (``_HomLayout.unit``), or pair of them.  The space
     is that matrix's kernel basis; units are built only for a condition.
-    Degree 0 of Der and Der_u (whose cycle, indecomposables and rho
-    conditions read each unit's values or D(unit)) and the forgetful
-    pullback's pair conditions are assembled so; every other degree of
-    ``_der_slice`` per Hom slot (``_vanishing_space``).
+    Degree 0 of Der and Der_u (the sub's elements evaluated by
+    ``_evaluation``, and the cycle, indecomposables and rho conditions,
+    which read each unit's values or D(unit)) and the forgetful pullback's
+    pair conditions are assembled so; every other degree of ``_der_slice``
+    per Hom slot (``_vanishing_space``).
     """
     tops = [0]
     for height, _ in conditions:
@@ -377,25 +380,23 @@ def _condition_space(ncols, unit, conditions):
     return linalg.Subspace.from_kernel(linalg.matrix(tops[-1], ncols, ents), ncols)
 
 
-def _vanishing_space(p, rel, layout):
-    """Degree n != 0 of Der(L rel L'): the kernel of theta -> theta(e) over the listed e.
+def _vanishing_space(p, layout, heights):
+    """Degree n != 0 of Der(L rel L'): the kernel of theta -> theta(e) over ``layout.elements``.
 
-    The matrix of ``_condition_space`` on ``layout.unit`` and
-    ``_vanishing_conditions``, assembled per Hom slot (x, offset) with no
-    unit derivation: column offset + k, the unit x -> b_k, stacks u_k(e)
-    over the elements e an ElementGenerated sub lists.  Each e's
-    ``term_list`` is listed once; each term c * t whose letter mask holds x
-    adds c u_k(t) from the slot's one ``TreeMap`` (``_slot_images``), whose
-    memo goes with the slot, and ``linalg.matrix`` sums the entries that
-    terms share.
+    The matrix of ``_condition_space`` on ``layout.unit`` and the
+    evaluations at those elements, assembled per Hom slot (x, offset) with
+    no unit derivation: column offset + k, the unit x -> b_k, stacks u_k(e)
+    over the elements e, each in ``heights`` rows (dim p_{|e| + n}).  Each
+    e's ``term_list`` is listed once; each term c * t whose letter mask
+    holds x adds c u_k(t) from the slot's one ``TreeMap``
+    (``_slot_images``), whose memo goes with the slot, and
+    ``linalg.matrix`` sums the entries that terms share.
     """
-    spec = p.sub(rel)
-    elements = () if isinstance(spec, GeneratorSplit) else spec.elements
     n = layout.n
     tops, lists = [0], []
-    for e in elements:
+    for e, height in zip(layout.elements, heights):
         lists.append((tops[-1], p.term_list(e)))
-        tops.append(tops[-1] + p.dim(e.degree + n))
+        tops.append(tops[-1] + height)
     ents = []
     for name, deg, off, dim in layout.slots:
         g = p.generators.index[name]
@@ -446,24 +447,6 @@ def _evaluation(e):
     return lambda th: th.eval_at(e).coords
 
 
-def _vanishing_conditions(p, rel, n):
-    """theta(e) = 0 for each element e listed by an ElementGenerated sub of p.
-
-    By the Leibniz rule these force vanishing on the generated subalgebra;
-    a GeneratorSplit sub is already left out of the Hom coordinates.
-    """
-    spec = p.sub(rel)
-    if isinstance(spec, GeneratorSplit):
-        return []
-    return [(p.dim(e.degree + n), _evaluation(e)) for e in spec.elements]
-
-
-def _cycle_condition(p, rel):
-    """Degree 0: D(theta) = 0, in the Hom coordinates of degree -1."""
-    layout = _HomLayout(p, rel, -1)
-    return layout.total, lambda th: layout.to_vector(der_differential(th))
-
-
 def _indec_condition(p, rel):
     """Degree 0: the induced map on the relative indecomposables vanishes."""
     gens = p.nonsub_generators(rel)
@@ -500,10 +483,11 @@ def _rho_condition(p, rel, rho):
 class DerSlice(DgLieSlice):
     """A windowed derivation complex with its dg Lie structure.
 
-    Basis elements are Derivation objects, in each degree the kernel basis
-    of that degree's stacked conditions (see ``linalg.Subspace``), whose
-    matrix ``_der_slice`` assembles per unit in degree 0 and per Hom slot
-    in every other degree; the differential and bracket are realized as
+    Basis elements are Derivation objects, in each degree n the kernel
+    basis of that degree's stacked conditions (see ``linalg.Subspace``) in
+    the Hom coordinates of ``layouts[n]``, sized before any degree is built,
+    whose matrix ``_der_slice`` assembles per unit in degree 0 and per Hom
+    slot in every other degree; the differential and bracket are realized as
     exact matrices and memoized tables in the subspace coordinates.  The
     structure constants sum the tree images memoized by each basis
     derivation's one Leibniz extension, kept for the slice's life, through
@@ -580,53 +564,38 @@ class DerSlice(DgLieSlice):
 def _der_slice(p, rel, window, degree0=lambda: [], zero_below=False):
     """Der(L rel L') on [lo, hi], degree 0 also cut by the conditions ``degree0()``.
 
-    Each degree is the kernel of its conditions: the rel-vanishing ones,
-    and at degree 0 the cycle condition when the slice is ``zero_below``
-    (it vanishes below the window, so D must kill degree 0) and d is
-    nonzero, then those ``degree0`` returns.  Degree 0 stacks them per unit
-    (``_condition_space``), since those conditions read each unit's values
-    or D(unit); every other degree assembles its rel-vanishing matrix by one
-    walk per Hom slot (``_vanishing_space``).  A window that reaches a
-    free-Lie degree too large to build is refused before any degree is built
-    (``_window_degrees``).
+    Every size is read first from the Witt table, per degree n: the Hom
+    slots (``_HomLayout``), the images of the sub's elements, and at n = 0
+    of a cycle condition the slots of degree -1.  So a window that reaches
+    a free-Lie degree too large to build is refused (``p.dim``) before any
+    degree is built.  Each degree is then the kernel of its conditions:
+    theta(e) = 0 on the sub's elements e, and at degree 0 D(theta) = 0 when
+    the slice is ``zero_below`` (it vanishes below the window, so D must
+    kill degree 0) and d is nonzero, then those ``degree0`` returns.
+    Degree 0 stacks them per unit (``_condition_space``), since those
+    conditions read each unit's values or D(unit); every other degree
+    walks each Hom slot once (``_vanishing_space``).
     """
     lo, hi = window
     cycles = zero_below and bool(p.differential)
-    p.refuse_oversized(_window_degrees(p, rel, window, cycles))
-    spaces = {}
-    layouts = {}
+    layouts, heights = {}, {}
     for n in range(lo, hi + 1):
         layout = layouts[n] = _HomLayout(p, rel, n)
-        if n:
-            spaces[n] = _vanishing_space(p, rel, layout)
-        else:
-            conditions = _vanishing_conditions(p, rel, 0)
-            if cycles:
-                conditions.append(_cycle_condition(p, rel))
-            conditions += degree0()
-            spaces[n] = _condition_space(layout.total, layout.unit, conditions)
-    return DerSlice(p, rel, (lo, hi), spaces, layouts, zero_below)
-
-
-def _window_degrees(p, rel, window, cycles):
-    """The free-Lie degrees ``_der_slice`` builds, in the order it first reads their sizes.
-
-    Per degree n of the window: each Hom slot's |x| + n (``_HomLayout``),
-    then each listed sub element's |e| + n, the target of its condition
-    (``_vanishing_space``, ``_vanishing_conditions``); at n = 0 with the
-    cycle condition, the Hom slots of degree -1 follow.  The degrees that
-    a slot walk reads in between, those of subtrees of e's terms, are left
-    to the build.
-    """
-    lo, hi = window
-    spec = p.sub(rel)
-    elements = () if isinstance(spec, GeneratorSplit) else spec.elements
-    slots = [deg for _, deg in _slot_generators(p, rel)]
-    for n in range(lo, hi + 1):
-        yield from (deg + n for deg in slots)
-        yield from (e.degree + n for e in elements)
+        heights[n] = [p.dim(e.degree + n) for e in layout.elements]
         if n == 0 and cycles:
-            yield from (deg - 1 for deg in slots)
+            below = _HomLayout(p, rel, -1)
+    spaces = {}
+    for n in range(lo, hi + 1):
+        layout = layouts[n]
+        if n:
+            spaces[n] = _vanishing_space(p, layout, heights[n])
+            continue
+        conditions = [(h, _evaluation(e)) for h, e in zip(heights[0], layout.elements)]
+        if cycles:
+            conditions.append((below.total, lambda th: below.to_vector(der_differential(th))))
+        conditions += degree0()
+        spaces[n] = _condition_space(layout.total, layout.unit, conditions)
+    return DerSlice(p, rel, (lo, hi), spaces, layouts, zero_below)
 
 
 def der_complex(p, rel, window):

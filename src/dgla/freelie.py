@@ -301,15 +301,12 @@ class BasisMemo:
         self.elements = {}
         self.expansions = {}
 
-    def dimension(self, d):
-        """dim L_d by the Witt formula (``witt_dimensions``), for d >= 0."""
+    def size(self, d):
+        """dim L_d by the Witt formula (``witt_dimensions``), for d >= 0, or a
+        SchemaError naming d when it is above MAX_BASIS_SIZE."""
         if d >= len(self.witt):
             self.witt = witt_dimensions(self.degrees, max(d, 2 * (len(self.witt) - 1)))
-        return self.witt[d]
-
-    def size(self, d):
-        """dim L_d (``dimension``), or a SchemaError naming d when it is above MAX_BASIS_SIZE."""
-        got = self.dimension(d)
+        got = self.witt[d]
         if got > MAX_BASIS_SIZE:
             raise SchemaError(
                 "degree %d of the free Lie algebra has %d basis elements, more than the %d"

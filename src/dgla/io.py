@@ -300,7 +300,7 @@ def load_slice(obj):
     """An explicit finite dg Lie slice (SLICE; this tool's own file kind).
 
     Brackets may be given in one order; the graded-antisymmetric partner is
-    filled in automatically.  "bounded": true asserts the algebra vanishes
+    filled in where the file lists none.  "bounded": true asserts the algebra vanishes
     outside the window; the slice does not keep it, and ``ce`` reads it
     from the file to pad the slice for CE computations.
     """
@@ -361,10 +361,10 @@ def _slice(doc):
                 raise SchemaError(
                     "bracket value must be in degree %d" % (dn + dm), _at(pt, "value", tgt)
                 )
-        vec = {where[nm][1]: c for nm, c in br["value"].items() if c}
-        table[(dn, i, dm, j)] = vec
-        # graded-antisymmetric partner, unless given
-        if not table.get((dm, j, dn, i)):
+        table[(dn, i, dm, j)] = {where[nm][1]: c for nm, c in br["value"].items() if c}
+    # the graded-antisymmetric partner of each bracket, where the file lists none
+    for (dn, i, dm, j), vec in list(table.items()):
+        if (dm, j, dn, i) not in table:
             sign = 1 if (dn * dm) % 2 else -1
             table[(dm, j, dn, i)] = {t: sign * c for t, c in vec.items()}
     return DgLieSlice(

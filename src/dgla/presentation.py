@@ -330,17 +330,13 @@ class DgLaPresentation:
         return self._basis_cache[degree]
 
     def dim(self, degree):
-        return len(self.lie_basis(degree))
+        """The size of ``lie_basis(degree)``, read from the Witt table (``BasisMemo.size``).
 
-    def refuse_oversized(self, degrees):
-        """Raise, at the first of these degrees whose basis would be too large
-        to build, the SchemaError that building it raises (``BasisMemo.size``).
-
-        Sizes are read from the Witt table: no basis is built.
+        0 below degree 1.  No basis is built, so a caller can size a whole
+        window first; a degree whose basis is too large to build raises the
+        SchemaError that building it raises.
         """
-        for d in degrees:
-            if d >= 1:
-                self._bases.size(d)
+        return self._bases.size(degree) if degree >= 1 else 0
 
     def basis_leads(self, degree):
         """{lead: index} of the basis of one degree (memoized).

@@ -518,7 +518,7 @@ def test_fuzz_condition_matrices_match_the_unrestricted_evaluation(monkeypatch):
 # -- the per-slot walk against the per-unit columns ----------------------------------------
 
 
-def _walked(p, rel, layout, monkeypatch):
+def _walked(p, layout, heights, monkeypatch):
     """The one condition matrix ``_vanishing_space`` assembles, and its space."""
     built = []
     plain = linalg.matrix
@@ -529,7 +529,7 @@ def _walked(p, rel, layout, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "matrix", recorded)
-        space = derivations._vanishing_space(p, rel, layout)
+        space = derivations._vanishing_space(p, layout, heights)
     (m,) = built
     return m, space
 
@@ -546,51 +546,58 @@ def _walk_matches_the_units(p, rel, monkeypatch):
     nonzero = False
     for n in range(1, 7):
         layout = _HomLayout(p, rel, n)
-        m, space = _walked(p, rel, layout, monkeypatch)
+        assert layout.elements == elements
+        heights = [p.dim(e.degree + n) for e in elements]
+        m, space = _walked(p, layout, heights, monkeypatch)
         cols = linalg.columns(m, layout.total)
         for k in range(layout.total):
             unit, top = layout.unit(k), 0
-            for e in elements:
-                height = p.dim(e.degree + n)
+            for e, height in zip(elements, heights):
                 got = sorted((i - top, c) for i, c in cols[k].items() if top <= i < top + height)
                 assert got == sorted(unit.eval_at(e).coords.items()), (n, k, e.terms())
                 top += height
             assert top == len(m)
-        conditions = derivations._vanishing_conditions(p, rel, n)
+        conditions = [(h, derivations._evaluation(e)) for h, e in zip(heights, elements)]
         want = derivations._condition_space(layout.total, layout.unit, conditions)
         assert (space.vectors, space.pivots) == (want.vectors, want.pivots), n
         nonzero = nonzero or any(m)
     return nonzero
 
 
-@pytest.mark.parametrize("name, rel, window, unipotent", [
-    ("presentation_w11.json", "omega", (0, 12), False),
-    ("presentation_twisted9.json", "omega", (-3, 5), False),
-    ("presentation_w11.json", "omega", (0, 8), True),
-    ("tilde_w11.json", "beta", (0, 6), True),
+@pytest.mark.parametrize("name, rel, window, unipotent, sized", [
+    ("presentation_w11.json", "omega", (0, 12), False,
+     [2, 4, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]),
+    ("presentation_twisted9.json", "omega", (-3, 5), False,
+     [1, 2, 4, 3, 5, 6, 7, 8, 9, 10, 11, 12]),
+    ("presentation_w11.json", "omega", (0, 8), True, [2, 4, 3, 5, 6, 7, 8, 9, 10, 11, 12]),
+    ("tilde_w11.json", "beta", (0, 6), True, [2, 5, 1, 4, 3, 6, 7, 8, 9, 10, 11]),
 ])
-def test_window_degrees_are_built_in_their_order(monkeypatch, fixture_path, name, rel, window,
-                                                  unipotent):
-    # the refusal reads only degrees the build reads, in the order it first
-    # reads them, so it refuses no window the build completes
+def test_a_window_is_sized_before_any_basis_is_built(monkeypatch, fixture_path, name, rel,
+                                                      window, unipotent, sized):
+    # _der_slice reads every size from the Witt table before it builds a
+    # basis, so a window too deep to build is refused before any work: per
+    # degree n the Hom slots |x| + n, the sub elements' images |e| + n, and
+    # at n = 0 of a cycle condition the slots |x| - 1 (the degrees pinned)
     p = io.load_presentation(_load(fixture_path, name))
-    built = []
-    basis_in_degree = freelie.basis_in_degree
+    events = []
+    basis_in_degree, size = freelie.basis_in_degree, freelie.BasisMemo.size
 
-    def recording(degrees, d, memo=None):
-        built.append(d)
+    def building(degrees, d, memo=None):
+        events.append(("build", d))
         return basis_in_degree(degrees, d, memo)
 
-    monkeypatch.setattr(freelie, "basis_in_degree", recording)
-    cycles = unipotent and bool(p.differential)
-    listed = list(dict.fromkeys(d for d in derivations._window_degrees(p, rel, window, cycles)
-                                if d >= 1 and d not in p._basis_cache))
+    def sizing(memo, d):
+        events.append(("size", d))
+        return size(memo, d)
+
+    monkeypatch.setattr(freelie, "basis_in_degree", building)
+    monkeypatch.setattr(freelie.BasisMemo, "size", sizing)
     if unipotent:
         deru(p, rel, None, window)
     else:
         der_complex(p, rel, window)
-    assert listed and set(listed) <= set(built)
-    assert [d for d in built if d in listed] == listed
+    first = [kind for kind, _ in events].index("build")
+    assert list(dict.fromkeys(d for _, d in events[:first])) == sized
 
 
 def _odd_sub():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgla import io, linalg
+from dgla import freelie, io, linalg
 from dgla.derivations import Derivation, FDerivation, der_bracket
 from dgla.errors import IncompatibleSubs, InhomogeneousExpression, SchemaError, UnsupportedSub
 from dgla.expmc import PolyLie
@@ -37,6 +37,7 @@ from oracles import (
     sub_contains,
     tensor_normal_form,
 )
+from test_derivation_reuse import _fixture_presentations
 
 
 def tilde_w11():
@@ -95,6 +96,37 @@ def test_tilde_model_checks():
     assert t.validate().passed
     assert t.is_minimal("beta")
     assert not t.is_minimal(None)
+
+
+def test_dim_is_the_basis_size_read_with_no_basis_built(monkeypatch, fixture_path):
+    # p.dim reads the Witt table: len(lie_basis) in every degree, 0 below 1,
+    # and not one basis_in_degree call of its own
+    built = []
+    basis_in_degree = freelie.basis_in_degree
+
+    def recording(degrees, d, memo=None):
+        built.append(d)
+        return basis_in_degree(degrees, d, memo)
+
+    monkeypatch.setattr(freelie, "basis_in_degree", recording)
+    presentations = {**_fixture_presentations(), "no generators": DgLaPresentation([])}
+    for name, p in presentations.items():
+        for d in range(-2, 15):
+            built.clear()
+            dim = p.dim(d)
+            assert not built, (name, d)
+            assert dim == len(p.lie_basis(d)), (name, d)
+    # above the cap, dim raises the message that building the basis raises
+    p = io.load_presentation(io.load_json_file(fixture_path("presentation_w11.json")))
+    built.clear()
+    with pytest.raises(SchemaError) as sized:
+        p.dim(38)
+    assert not built
+    with pytest.raises(SchemaError) as building:
+        p.lie_basis(38)
+    assert built == [38]
+    assert str(sized.value) == str(building.value)
+    assert "degree 38 of the free Lie algebra has 27594 basis elements" in str(sized.value)
 
 
 def test_indecomposables_basis_and_differential():
@@ -611,7 +643,7 @@ def test_normal_form_matches_the_tensor_solve_on_fuzz_presentations():
         expressions = [v.terms() for v in p.differential.values()]
         while len(expressions) < 8:
             leaves = [rng.choice(names) for _ in range(rng.randint(1, 4))]
-            if p._bases.dimension(sum(p.generators.degree(n) for n in leaves)) > 200:
+            if p.dim(sum(p.generators.degree(n) for n in leaves)) > 200:
                 continue
             terms = []
             for _ in range(rng.randint(1, 4)):

@@ -371,3 +371,20 @@ def test_a_bracket_read_outside_the_slice_raises_and_is_not_kept(kind, fixture_p
                 for i in range(slc.dim(n)):
                     for j in range(slc.dim(m)):
                         assert slc.bracket(n, i, m, j) is slc.bracket(n, i, m, j)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_a_loaded_slice_keeps_a_listed_partner_in_either_order(order):
+    # [x,y] = z with [y,x] = 0 listed too is no Lie bracket: only an unlisted
+    # partner is filled in, so both orders of the list load the same table
+    # and fail antisymmetry at that pair
+    from dgla import io
+
+    listed = [{"left": "x", "right": "y", "value": {"z": "1"}},
+              {"left": "y", "right": "x", "value": {}}]
+    slc = io.load_slice({"window": [0, 0], "basis": [{"name": n, "degree": 0} for n in "xyz"],
+                         "brackets": [listed[k] for k in order]})
+    assert (slc.bracket(0, 0, 0, 1), slc.bracket(0, 1, 0, 0)) == ({2: 1}, {})
+    assert slc.bracket(0, 0, 0, 2) == slc.bracket(0, 2, 0, 0) == {}
+    with pytest.raises(AxiomFailure, match=r"antisymmetry fails at \(0,0,0,1\)"):
+        slc.check_bracket_axioms()
