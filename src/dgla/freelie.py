@@ -3,15 +3,25 @@
 Generators carry positive integer degrees.  The canonical basis of the free
 graded Lie algebra in each degree is the super-Lyndon scheme: standard
 bracketings b(w) of Lyndon words w in the generator order, together with the
-square [b(w), b(w)] for each Lyndon word w of odd total degree.  Basis
-elements are certified, not trusted: their expansions in the tensor algebra
-are triangular with distinct leading words, which is an echelon-form proof
-of linear independence and drives the normal-form solver; the size of each
-basis is checked against the graded Witt formula, which sees no word.  The
-leading words are certified at construction from the leads of each
-element's two factors, with no expansion (``BasisBracket``); an element's
-expansion is built, from its factors' expansions, only once the solve of a
-cold bracket (``DgLaPresentation.basis_bracket``) reads it.
+square [b(w), b(w)] for each Lyndon word w of odd total degree.
+
+Lyndon words form a Hall set (Lothaire, *Combinatorics on Words*, 1983,
+ch. 5; Reutenauer, *Free Lie Algebras*, 1993, ch. 4-5).  For Lyndon words
+u < v, the pair (u, v) is the standard factorization of the Lyndon word uv
+(v its longest proper Lyndon suffix) exactly when u is a letter or u's own
+right factor is >= v, and then b(uv) = [b(u), b(v)].  So each degree's
+Lyndon elements are read off as such pairs of lower ones (``BasisMemo``),
+with no word search and no bracketing walk.
+
+Basis elements are certified, not trusted: their expansions in the tensor
+algebra are triangular with distinct leading words, which is an
+echelon-form proof of linear independence and drives the normal-form
+solver; the size of each basis is checked against the graded Witt formula,
+which sees no word.  The leading words are certified at construction from
+the leads of each element's two factors, with no expansion
+(``BasisBracket``); an element's expansion is built, from its factors'
+expansions, only once the solve of a cold bracket
+(``DgLaPresentation.basis_bracket``) reads it.
 
 Sign conventions (the convention sheet; everything else follows by the
 Koszul rule):
@@ -19,11 +29,10 @@ Koszul rule):
   - Jacobi: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]]
   - tensor embedding: i([u,v]) = i(u)i(v) - (-1)^{|u||v|} i(v)i(u)
 
-Lyndon words, and the trees built from them, are tuples of generator
-indices, lexicographically ordered by the generator input order.  Words of
-the tensor algebra are packed into one ``int``: a sentinel bit, then one
-field of ``letter_width`` bits per letter, the first letter highest (see
-``pack``).  Concatenating two words is one shift and one or, and comparing
+Words are tuples of generator indices, ordered lexicographically by the
+generator input order, and trees nest pairs of them.  Words of the tensor
+algebra are packed into one ``int``: a sentinel bit, then one field of
+``letter_width`` bits per letter, the first letter highest (see ``pack``).  Concatenating two words is one shift and one or, and comparing
 packed words orders them by length, then lexicographically.  Every word of
 one bracket's expansion has the same letters, hence the same length, so the
 leads, the (length, lead) basis order and the coordinates are those of
@@ -47,16 +56,18 @@ already solved has that bracket's coordinates, on the basis elements whose
 leads are the renamed ones: a basis element's lead is the word of its tree.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import comb, gcd
+from operator import attrgetter, itemgetter
 
 from .errors import SchemaError
 
-# Largest generator degree and window bound accepted.  Lyndon words are
-# found iteratively, but the tree walks (standard bracketing, expansion,
-# tree maps) recurse once per nesting level, up to once per letter; the
-# bound keeps them far below the interpreter's recursion limit, so a larger
-# degree is a SchemaError, never a RecursionError.
+# Largest generator degree and window bound accepted.  Bases are built
+# iteratively, degree by degree, but the tree walks (expansion, tree maps)
+# recurse once per nesting level, up to once per letter; the bound keeps
+# them far below the interpreter's recursion limit, so a larger degree is a
+# SchemaError, never a RecursionError.
 MAX_DEGREE = 128
 
 # Largest basis of one degree that is built.  The Witt formula gives each
@@ -92,75 +103,10 @@ def unpack(packed, degrees):
     return tuple(reversed(letters))
 
 
-def lyndon_words(degrees, d):
-    """The Lyndon words of total degree d, as tuples, in no fixed order.
-
-    Iterative search over prenecklaces (prefixes of necklaces; Cattell,
-    Ruskey, Sawada, Serra and Miers 2000), pruned by degree: a prefix is
-    extended only while the rest of the degree is still a sum of generator
-    degrees.  Each prefix carries its period p, the length of its longest
-    Lyndon prefix; a letter a extends a prefix w of length t iff
-    a >= w[t - p], keeping p when equal and making the extension Lyndon
-    (p = t + 1) when larger.  A word is Lyndon iff p is its length.
-    """
-    n = len(degrees)
-    reachable = [True] + [False] * max(d, 0)
-    for r in range(1, d + 1):
-        reachable[r] = any(g <= r and reachable[r - g] for g in degrees)
-    out = []
-    if d < 1 or not reachable[d]:
-        return out
-    stack = [((), 0, 1)]  # (prenecklace, its degree, its period)
-    while stack:
-        word, weight, p = stack.pop()
-        t = len(word)
-        floor = word[t - p] if t else 0
-        for a in range(floor, n):
-            w = weight + degrees[a]
-            if w > d or not reachable[d - w]:
-                continue
-            q = p if t and a == floor else t + 1
-            if w < d:
-                stack.append((word + (a,), w, q))
-            elif q == t + 1:
-                out.append(word + (a,))
-    return out
-
-
-def standard_bracketing(w, memo=None):
-    """Standard (right) bracketing of a Lyndon word.
-
-    For |w| > 1, w = uv with v the longest proper Lyndon suffix, and
-    b(w) = [b(u), b(v)].  That suffix is the least proper suffix: the least
-    is Lyndon, since its own proper suffixes are suffixes of w, and a longer
-    Lyndon suffix would be less than it.  Trees are nested pairs of
-    generator indices.  A tree found in ``memo`` (word -> tree) is taken
-    from it, and every composite tree built is stored there.
-    """
-    if len(w) == 1:
-        return w[0]
-    if memo is not None:
-        got = memo.get(w)
-        if got is not None:
-            return got
-    k = len(w) - len(min(w[j:] for j in range(1, len(w))))
-    tree = (standard_bracketing(w[:k], memo), standard_bracketing(w[k:], memo))
-    if memo is not None:
-        memo[w] = tree
-    return tree
-
-
 def tree_degree(tree, degrees):
     if isinstance(tree, int):
         return degrees[tree]
     return tree_degree(tree[0], degrees) + tree_degree(tree[1], degrees)
-
-
-def tree_word(tree):
-    """The letters of a bracket tree, left to right, as a tuple."""
-    if isinstance(tree, int):
-        return (tree,)
-    return tree_word(tree[0]) + tree_word(tree[1])
 
 
 def rename_letters(packed, width, letters):
@@ -224,6 +170,9 @@ def expand_tree(tree, degrees, memo=None, factor_degrees=None):
 class BasisBracket:
     """One canonical basis element: a tree, its factors and its certified lead.
 
+    ``BasisBracket(memo, g)`` is generator g, and ``BasisBracket(memo, u, v)``
+    is [u, v] for basis elements u, v, with tree (u.tree, v.tree).
+
     ``lead`` is the least word of the expansion i(b) (packed), ``lead_coeff``
     its coefficient and ``length`` its number of letters.  For a generator
     they are its letter and 1.  For b = [U, V] with leads lu, lv they follow
@@ -247,18 +196,13 @@ class BasisBracket:
 
     __slots__ = ("tree", "degree", "length", "lead", "lead_coeff", "letters", "factors", "memo")
 
-    def __init__(self, tree, memo):
-        self.tree = tree
+    def __init__(self, memo, u, v=None):
         self.memo = memo
-        if isinstance(tree, int):
-            self.factors = ()
-            self.degree = memo.degrees[tree]
-            self.length = 1
-            self.lead = 1 << memo.width | tree
-            self.lead_coeff = 1
-            self.letters = 1 << tree
+        if v is None:
+            self.tree, self.factors, self.degree, self.length = u, (), memo.degrees[u], 1
+            self.lead, self.lead_coeff, self.letters = 1 << memo.width | u, 1, 1 << u
             return
-        u, v = self.factors = (memo.element(tree[0]), memo.element(tree[1]))
+        self.tree, self.factors = (u.tree, v.tree), (u, v)
         self.degree = u.degree + v.degree
         self.length = u.length + v.length
         self.letters = u.letters | v.letters
@@ -274,7 +218,7 @@ class BasisBracket:
         else:
             self.lead, self.lead_coeff = vu, vu_c
         if not self.lead_coeff:
-            raise ValueError("basis bracket expands to zero: %r" % (tree,))
+            raise ValueError("basis bracket expands to zero: %r" % (self.tree,))
 
     @property
     def expansion(self):
@@ -286,9 +230,10 @@ class BasisMemo:
     """What the bases of one list of generator degrees share, built on demand.
 
     ``witt`` is the Witt table [dim L_0, ..., dim L_top], recomputed to at
-    least twice its top when a higher degree is asked for; ``trees`` maps
-    each Lyndon word met to its standard bracketing; ``elements`` maps the
-    tree of each basis element built so far to that element; and
+    least twice its top when a higher degree is asked for; ``lyndon`` maps
+    each degree listed so far to its Lyndon words (tuples, in lexicographic
+    order) and the element b(w) of each; ``elements`` maps the tree of each
+    basis element built so far (``build``) to that element; and
     ``expansions`` maps the tree of each composite basis element whose
     expansion has been read to that expansion.  One presentation keeps one.
     """
@@ -297,7 +242,7 @@ class BasisMemo:
         self.degrees = degrees
         self.width = letter_width(degrees)
         self.witt = []
-        self.trees = {}
+        self.lyndon = {}
         self.elements = {}
         self.expansions = {}
 
@@ -314,12 +259,55 @@ class BasisMemo:
             )
         return got
 
-    def element(self, tree):
-        """The basis element with this tree, built with its factors on first use."""
-        got = self.elements.get(tree)
-        if got is None:
-            got = self.elements[tree] = BasisBracket(tree, self)
-        return got
+    def lyndon_elements(self, d):
+        """``lyndon[d]``, built lowest degree first with the lists it is read from.
+
+        Those are the lists of a and d - a for each 0 < a < d where both Witt
+        sizes are nonzero, and theirs.  A degree of Witt size 0 builds none.
+        """
+        if d not in self.lyndon:
+            if not self.size(d):
+                return (), ()
+            witt, need = self.witt, {d}
+            for e in range(d, 1, -1):
+                if e in need and e not in self.lyndon:
+                    need.update(a for a in range(1, e) if witt[a] and witt[e - a])
+            for e in sorted(need.difference(self.lyndon)):
+                self.lyndon[e] = self._pairs(e)
+        return self.lyndon[d]
+
+    def _pairs(self, e):
+        """``lyndon[e]``: the letters of degree e and the standard factorizations
+        (u, v) with |u| + |v| = e (module docstring).  For each u the v run
+        over one interval of the degree e - |u| list, found by bisection."""
+        witt, lists = self.witt, self.lyndon
+        found = [((g,), g, None) for g, degree in enumerate(self.degrees) if degree == e]
+        for a in range(1, e):
+            if witt[a] and witt[e - a]:
+                vwords, vs = lists[e - a]
+                for uw, u in zip(*lists[a]):
+                    lo = bisect_right(vwords, uw)
+                    hi = bisect_right(vwords, uw[-u.factors[1].length:]) if u.factors else len(vwords)
+                    found += [(uw + vwords[k], u, vs[k]) for k in range(lo, hi)]
+        found.sort(key=itemgetter(0))
+        return [w for w, _, _ in found], [self.build(u, v) for _, u, v in found]
+
+    def build(self, u, v=None):
+        """The basis element of generator u, or [u, v], kept by its tree.
+
+        A bracket's lead is certified to be the concatenation of its factors'
+        leads, so the word of its tree once theirs are: uv for b(uv), ww for a square.
+        """
+        b = BasisBracket(self, u, v)
+        if b.factors:
+            u, v = b.factors
+            sv = v.length * self.width
+            if b.lead != u.lead << sv | v.lead ^ 1 << sv:
+                raise AssertionError(
+                    "leading word is not the word of the tree in degree %d: %r" % (b.degree, b.tree)
+                )
+        self.elements[b.tree] = b
+        return b
 
     def expansion(self, b):
         """i(b) of a composite basis element b, kept in ``expansions`` once read.
@@ -370,35 +358,33 @@ def basis_in_degree(degrees, d, memo=None):
     """Canonical basis of the degree-d piece, as BasisBracket objects.
 
     Deterministic order: by leading word, that is by word length, then
-    lexicographically.  Certifies the triangular structure (distinct leading
-    words, each a nonzero lead certified from the leads of its factors, and
-    each lead the word of its own tree: the Lyndon word w of b(w), or ww of
-    a square [b(w), b(w)]) and the size (the graded Witt formula), with no
-    tensor expansion.  A size above MAX_BASIS_SIZE is a SchemaError naming
-    the degree, raised before any word is listed.  Witt table, trees and
-    elements are read from and stored in ``memo``, a BasisMemo of these
-    degrees (a fresh one when None); an element's expansion is built only
-    when it is first read.
+    lexicographically.  The Lyndon elements of degree d, and for d = 2 mod 4
+    the squares [b(w), b(w)] of those of degree d / 2, come from the lists
+    of ``memo``, a BasisMemo of these degrees (a fresh one when None).
+    Certifies the triangular structure (distinct leading words, each a
+    nonzero lead certified from the leads of its factors, and each lead the
+    word of its own tree, checked as it is built: ``BasisMemo.build``) and
+    the size (the graded Witt formula), with no tensor expansion.  A size
+    above MAX_BASIS_SIZE is a SchemaError naming the degree, and a size of 0
+    returns [], both before any list is built.
     """
     if d < 1:
         return []
     if memo is None:
         memo = BasisMemo(degrees)
     expected = memo.size(d)
-    trees = [standard_bracketing(w, memo.trees) for w in lyndon_words(degrees, d)]
+    if not expected:
+        return []
+    elems = list(memo.lyndon_elements(d)[1])
     if d % 4 == 2:
-        # [b(w), b(w)] for the Lyndon words w of odd degree d / 2
-        trees += [(t, t) for t in (standard_bracketing(w, memo.trees)
-                                   for w in lyndon_words(degrees, d // 2))]
-    elems = sorted(map(memo.element, trees), key=lambda b: b.lead)
-    for i, b in enumerate(elems):
-        if i and elems[i - 1].lead == b.lead:
+        built = memo.elements.get
+        elems += [built((u.tree, u.tree)) or memo.build(u, u)
+                  for u in memo.lyndon_elements(d // 2)[1]]
+    elems.sort(key=attrgetter("lead"))
+    for a, b in zip(elems, elems[1:]):
+        if a.lead == b.lead:
             raise AssertionError(
                 "leading-word collision in degree %d: %r" % (d, unpack(b.lead, degrees))
-            )
-        if b.lead != pack(tree_word(b.tree), degrees):
-            raise AssertionError(
-                "leading word is not the word of the tree in degree %d: %r" % (d, b.tree)
             )
     if len(elems) != expected:
         raise AssertionError(
@@ -415,10 +401,11 @@ def solve_against_basis(basis, tensor):
     dict it owns (a cold bracket's product) and does not read it again.
     ``basis`` is one degree's basis, in its order.  Triangular substitution
     on integers, walking the basis once: each lead's entry is read once and
-    cleared by its element, whose expansion touches no smaller word.  When a
-    leading coefficient does not divide the entry it must clear, everything
-    is scaled by the missing factor, and that one denominator is divided out
-    at the end.  Raises ValueError if any word is left over, i.e. the vector
+    cleared by its element, whose expansion touches no smaller word, so the
+    walk starts at the first lead not below the tensor's least word
+    (bisected).  When a leading coefficient does not divide the entry it
+    must clear, everything is scaled by the missing factor, and that one
+    denominator is divided out at the end.  Raises ValueError if any word is left over, i.e. the vector
     is not in the span (which certifies exactness: the residual must vanish
     term by term).  Returns a dict index -> coefficient: ``c // scale`` as
     an ``int`` wherever the scale divides it, else the ``Fraction``.
@@ -429,7 +416,8 @@ def solve_against_basis(basis, tensor):
     scale = 1
     coords = {}
     get = work.get
-    for i, b in enumerate(basis):
+    for i in range(bisect_left(basis, min(work), key=attrgetter("lead")), len(basis)):
+        b = basis[i]
         c = get(b.lead)
         if c is None:
             continue

@@ -33,9 +33,10 @@ basis, members and coordinates in that form.  Callers read a matrix's
 
 A sparse sum of vectors adds each c * v with ``accumulate`` into a dict of
 its own and reads the result with ``nonzeros``: ``combination`` is that
-loop over a list of terms, and elimination's row operations and the sums
-of Lie elements and derivation values are such sums.  Only ``matmul`` and
-the free-Lie tensor kernels keep loops of their own.
+loop over a list of terms, and the sums of Lie elements and derivation
+values are such sums.  Only ``matmul``, elimination's row operation
+(``_clear``, one pass over its two rows) and the free-Lie tensor kernels
+keep loops of their own.
 
 Desk scale only: matrices of a few thousand rows/columns.
 """
@@ -144,9 +145,14 @@ def _clear(r, s, col):
 
     (s[col] / g) * r - (r[col] / g) * s with g = gcd(s[col], r[col]), a
     positive multiple of s[col] * r - r[col] * s, divided by its content.
+    One pass over each row, r's columns first; rows hold no zeros, so only
+    a column of both can cancel.
     """
     g = gcd(s[col], r[col])
-    return _primitive(combination(((s[col] // g, r), (-(r[col] // g), s))))
+    a, b, get = s[col] // g, r[col] // g, s.get
+    out = {j: v for j, x in r.items() if (v := a * x - b * get(j, 0))}
+    out.update({j: -b * y for j, y in s.items() if j not in r})
+    return _primitive(out)
 
 
 def _primitive(r):

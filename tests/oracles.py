@@ -5,9 +5,11 @@ plain Gaussian elimination, and Bareiss elimination, instead of the
 primitive-row core, homology with its own eliminations per degree
 instead of one kernel per differential block, a fresh tensor
 expansion instead of leads from factor leads and the memoized expansion,
-tuple words from the full word list
-instead of packed words from the Lyndon search, a Fraction triangular solve
-instead of the integer one, generating-function dimension counts instead of
+tuple words from the full word list, bracketed at each word's longest
+proper Lyndon suffix, instead of packed words from pairs of lower Lyndon
+elements, a Fraction triangular solve instead of the integer one, a solve
+that walks the whole basis instead of from a bisected start,
+generating-function dimension counts instead of
 basis enumeration, matrix exponentials as ground truth for BCH, and the
 Dynkin formula on right-nested words and the terms of weights 2 to 4 by
 hand instead of BCH in the two-letter Lyndon basis, every
@@ -284,6 +286,47 @@ def solve_all_fractions(basis, tensor):
     return {i: Fraction(c, scale) for i, c in coords.items()}
 
 
+def full_walk_solve(basis, tensor):
+    """``freelie.solve_against_basis`` walking the whole basis from its first element.
+
+    The library bisects the basis for its first lead at or above the
+    tensor's least word and starts there.  Takes the tensor over, as the
+    library does.
+    """
+    work = tensor
+    if not work:
+        return {}
+    scale = 1
+    coords = {}
+    for i, b in enumerate(basis):
+        c = work.get(b.lead)
+        if c is None:
+            continue
+        lc = b.lead_coeff
+        if c % lc:
+            m = abs(lc) // gcd(c, lc)
+            scale *= m
+            c *= m
+            for u, v in work.items():
+                work[u] = v * m
+            coords = {j: v * m for j, v in coords.items()}
+        f = c // lc
+        coords[i] = f
+        for u, cu in b.expansion.items():
+            nv = work.get(u, 0) - f * cu
+            if nv:
+                work[u] = nv
+            else:
+                del work[u]
+        if not work:
+            break
+    if work:
+        raise ValueError("vector outside the free Lie span (packed word %#x)" % min(work))
+    if scale == 1:
+        return coords
+    return {i: c // scale if c % scale == 0 else Fraction(c, scale) for i, c in coords.items()}
+
+
 # -- free graded Lie algebra dimensions -----------------------------------------
 
 
@@ -363,6 +406,13 @@ def relabel(tree, letters):
     if isinstance(tree, int):
         return letters[tree]
     return (relabel(tree[0], letters), relabel(tree[1], letters))
+
+
+def tree_word(tree):
+    """The letters of a bracket tree, left to right, as a tuple."""
+    if isinstance(tree, int):
+        return (tree,)
+    return tree_word(tree[0]) + tree_word(tree[1])
 
 
 def basis_trees(p, degree):

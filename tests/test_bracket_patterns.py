@@ -13,7 +13,7 @@ import pytest
 from dgla import cli, freelie, io
 from dgla.gluing import boundary_connected_sum
 from dgla.presentation import DgLaPresentation
-from oracles import basis_trees, relabel
+from oracles import basis_trees, full_walk_solve, relabel, tree_word
 
 
 def _presentation(degrees):
@@ -56,7 +56,7 @@ def _expected_solves(p):
             continue
         d1, i1, d2, i2 = key
         t1, t2 = p.lie_basis(d1)[i1].tree, p.lie_basis(d2)[i2].tree
-        letters = sorted(set(freelie.tree_word(t1) + freelie.tree_word(t2)))
+        letters = sorted(set(tree_word(t1) + tree_word(t2)))
         if len(letters) == len(p._deg_list):
             whole += 1
             continue
@@ -204,3 +204,26 @@ def test_each_letter_pattern_is_solved_once(monkeypatch, fixture_path, argv, tot
     assert {memo: counts.get(memo, 0) for memo in seen} == {
         memo: _expected_solves(p) for memo, p in seen.items()}
     assert sum(counts.values()) == total
+
+
+def test_the_bisected_walk_matches_the_full_walk(monkeypatch, fixture_path):
+    # every cold bracket of a glue run: the walk from the first lead at or
+    # above the product's least word gives the same coordinates, in the
+    # same order and with the same int or Fraction, as the walk from the
+    # first basis element
+    solve = freelie.solve_against_basis
+    skipped = []
+
+    def both(basis, tensor):
+        expected = full_walk_solve(basis, dict(tensor))
+        skipped.append(sum(b.lead < min(tensor) for b in basis) if tensor else 0)
+        got = solve(basis, tensor)
+        assert ([(i, c, type(c)) for i, c in got.items()]
+                == [(i, c, type(c)) for i, c in expected.items()])
+        return got
+
+    monkeypatch.setattr(freelie, "solve_against_basis", both)
+    argv = ["glue", "w21.json", "w11.json", "--min", "0", "--max", "4", "--assert-semisimple"]
+    code, _ = cli.run([fixture_path(a) if a.endswith(".json") else a for a in argv])
+    assert code == 0
+    assert len(skipped) == 44 and sum(skipped) > 0

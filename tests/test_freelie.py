@@ -19,6 +19,7 @@ from oracles import (
     random_presentation,
     solve_against_basis_fractions,
     solve_all_fractions,
+    tree_word,
     tuple_word_basis,
     witt_dimensions,
     words_of_degree,
@@ -296,7 +297,7 @@ def test_solve_divides_by_an_odd_square_lead():
     assert q.normal_form("[x,y] + 1/2*[y,y]").coords == {1: 1, 2: Fraction(1, 2)}
 
 
-# -- packed words, the Lyndon search and the Witt count -------------------------
+# -- packed words, the Lyndon pair lists and the Witt count --------------------
 
 
 def test_packed_order_is_length_then_lexicographic():
@@ -313,11 +314,27 @@ def test_packed_order_is_length_then_lexicographic():
 
 
 def test_lyndon_search_matches_filtering_every_word():
+    # each degree's list, in order, is the Lyndon words of the full word list
+    # (which lists them lexicographically), and each element is b(w) of its
+    # word; from the top down, so the top builds every list it needs at once
+    # and a degree it does not need is built on its own
     for degs in [(1,), (1, 1), (1, 2), (2, 3), (3, 3), (1, 2, 3), (2, 2, 2), (4, 1, 3)]:
-        for d in range(0, 17):
+        memo = freelie.BasisMemo(list(degs))
+        for d in range(16, -1, -1):
             brute = [w for w in words_of_degree(list(degs), d) if is_lyndon(w)]
-            got = freelie.lyndon_words(list(degs), d)
-            assert len(got) == len(set(got)) and sorted(got) == brute, (degs, d)
+            words, elements = memo.lyndon_elements(d)
+            assert list(words) == brute, (degs, d)
+            assert [tree_word(b.tree) for b in elements] == brute, (degs, d)
+            assert [b.lead for b in elements] == [freelie.pack(w, degs) for w in brute]
+
+
+def test_a_degree_of_witt_size_zero_builds_no_list():
+    for degs, d in [([2, 2], 5), ([1], 3), ([2, 4], 3), ([3, 5], 7)]:
+        memo = freelie.BasisMemo(degs)
+        assert freelie.basis_in_degree(degs, d, memo) == []
+        assert memo.witt[d] == 0
+        assert memo.lyndon == {} and memo.elements == {}
+        assert memo.lyndon_elements(d) == ((), ()) and memo.lyndon == {}
 
 
 def test_witt_count_matches_the_bigraded_oracle():
@@ -342,21 +359,38 @@ def test_basis_size_is_checked_against_the_witt_count(monkeypatch):
         freelie.basis_in_degree([1, 2], 5)
 
 
+def test_basis_leads_must_be_distinct(monkeypatch):
+    # one Lyndon element listed twice in place of another: the Witt count
+    # holds, so only the distinct leads can catch it
+    listed = freelie.BasisMemo.lyndon_elements
+
+    def doubled(self, d):
+        words, elements = listed(self, d)
+        return words, elements[:-1] + elements[:1]
+
+    freelie.basis_in_degree([1, 1], 5)
+    monkeypatch.setattr(freelie.BasisMemo, "lyndon_elements", doubled)
+    with pytest.raises(AssertionError, match="leading-word collision in degree 5"):
+        freelie.basis_in_degree([1, 1], 5)
+
+
 @pytest.mark.parametrize(
     "degrees, d, word", [([1, 1], 3, (0, 1, 1)), ([1, 2], 4, (0, 0, 1)), ([2, 2], 6, (0, 1, 1))]
 )
 def test_basis_lead_must_be_the_word_of_its_tree(monkeypatch, degrees, d, word):
     # b(w) with its factors swapped is +-b(w): the same lead, the same Witt
-    # count and the same span, but its tree reads another word
-    bracketing = freelie.standard_bracketing
+    # count and the same span, but its tree reads another word; the swap is
+    # planted where the pair (b(u), b(v)) of w = uv becomes an element
+    build = freelie.BasisBracket
 
-    def swapped(w, memo=None):
-        tree = bracketing(w, memo)
-        return (tree[1], tree[0]) if w == word else tree
+    def swapped(memo, u, v=None):
+        if v is not None and tree_word(u.tree) + tree_word(v.tree) == word:
+            u, v = v, u
+        return build(memo, u, v)
 
-    assert word in freelie.lyndon_words(degrees, d)
+    assert word in freelie.BasisMemo(degrees).lyndon_elements(d)[0]
     freelie.basis_in_degree(degrees, d)
-    monkeypatch.setattr(freelie, "standard_bracketing", swapped)
+    monkeypatch.setattr(freelie, "BasisBracket", swapped)
     with pytest.raises(AssertionError, match="word of the tree"):
         freelie.basis_in_degree(degrees, d)
 
@@ -364,7 +398,10 @@ def test_basis_lead_must_be_the_word_of_its_tree(monkeypatch, degrees, d, word):
 def test_basis_matches_the_tuple_word_oracle():
     rng = random.Random(11)
     for degs, top in [((1,), 6), ((1, 1), 8), ((1, 2, 3), 8), ((2, 3), 12), ((3, 3), 12),
-                      ((1, 1, 2, 2), 6), ((1, 2, 1, 3, 2), 5)]:
+                      ((1, 1, 2, 2), 6), ((1, 2, 1, 3, 2), 5),
+                      # odd letters of different degrees: squares of several
+                      # words and of both letter degrees
+                      ((3, 1), 9), ((1, 2, 3, 1), 9)]:
         p = _presentation(degs)
         for d in range(1, top + 1):
             lib, ref = p.lie_basis(d), tuple_word_basis(list(degs), d)
@@ -497,7 +534,7 @@ def test_letter_masks_are_the_letters_of_the_tree_words(fixture_path):
             basis = p.lie_basis(d)
             assert p.letter_masks(d) == [b.letters for b in basis]
             for b in basis:
-                assert b.letters == sum(1 << g for g in set(freelie.tree_word(b.tree))), b.tree
+                assert b.letters == sum(1 << g for g in set(tree_word(b.tree))), b.tree
 
 
 def test_leads_from_factor_leads_match_the_oracle_expansion(fixture_path):
@@ -505,7 +542,9 @@ def test_leads_from_factor_leads_match_the_oracle_expansion(fixture_path):
 
     They are computed from the factors' leads with no expansion.  The swapped
     tree (t2, t1) of each composite basis element (t1, t2) is no basis tree,
-    and its lead is the other product v.u: it is built in a memo of its own.
+    and its lead is the other product v.u: it is built from the swapped
+    factors, in a memo of its own, which keeps no element the constructor
+    builds.
     """
     rng = random.Random(2828)
     presentations = _fixture_presentations(fixture_path)
@@ -518,7 +557,7 @@ def test_leads_from_factor_leads_match_the_oracle_expansion(fixture_path):
             for b in p.lie_basis(d):
                 elements = [b]
                 if not isinstance(b.tree, int):
-                    elements.append(swapped.element((b.tree[1], b.tree[0])))
+                    elements.append(freelie.BasisBracket(swapped, *reversed(b.factors)))
                 for e in elements:
                     expansion = {w: c for w, c in _expand_bracket(e.tree, degs).items() if c}
                     lead = min(expansion)

@@ -285,6 +285,37 @@ def test_combination_is_the_naive_sum(terms):
     assert terms == inputs  # the summands are read, not changed
 
 
+def _combination_clear(r, s, col):
+    """``linalg._clear`` through ``combination``: two scaled rows summed, then made primitive."""
+    g = gcd(s[col], r[col])
+    return linalg._primitive(linalg.combination(((s[col] // g, r), (-(r[col] // g), s))))
+
+
+@pytest.mark.parametrize("r, s, col, cleared", [
+    # r is -2 times s, its columns in another order: the whole row cancels
+    ({3: 4, 1: -6, 7: -2}, {1: 3, 3: -2, 7: 1}, 1, {}),
+    # column 5 cancels beside the pivot, and s brings column 9, which r lacks
+    ({0: 2, 5: 4, 2: 1}, {2: 3, 0: 1, 5: 2, 9: -5}, 0, {2: -1, 9: 2}),
+])
+def test_clear_is_the_combination_of_its_two_rows(r, s, col, cleared):
+    got = linalg._clear(r, s, col)
+    assert list(got.items()) == list(_combination_clear(r, s, col).items()) == list(cleared.items())
+
+
+_int_rows = st.dictionaries(st.integers(0, 6), st.integers(-4, 4).filter(bool), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_rows, _int_rows, st.integers(-3, 3).filter(bool), st.integers(-3, 3).filter(bool))
+def test_clear_matches_the_combination_form(r, s, a, b):
+    # a shared column, scaled so that other columns cancel now and then
+    r, s = {**r, 7: a}, {**s, 7: b}
+    s = {j: v * a for j, v in s.items()} if abs(b) == 1 else s
+    got = linalg._clear(r, s, 7)
+    assert list(got.items()) == list(_combination_clear(r, s, 7).items())
+    assert 7 not in got and all(type(v) is int and v for v in got.values())
+
+
 @pytest.mark.parametrize(
     "base, candidates, kept",
     [
