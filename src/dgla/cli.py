@@ -3,7 +3,8 @@
 Every command reads JSON inputs, runs a computation over an explicit degree
 window, and emits a machine-readable report.  Exit codes: 0 when all
 verdicts pass, 1 when a verification fails (the report is still written),
-2 on malformed input (with a position-annotated message on stderr).
+2 on malformed input (with a position-annotated message on stderr) or when
+memory runs out (with one line naming the command and its window).
 
 Homology tables for a window [min, max] come from chains built from min - 1;
 a slice adds a zero degree below itself only when it vanishes there.
@@ -356,8 +357,13 @@ def run(argv):
         return (2 if e.code not in (0, None) else 0), None
     start = time.monotonic()
     inputs = []
+    exhausted = False
     try:
         tables, verdicts = args.fn(args, inputs)
+    except MemoryError:
+        # reported once this handler has ended and released the exception,
+        # with the frames, work dicts and memos that its traceback holds
+        exhausted = True
     except SchemaError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2, None
@@ -375,6 +381,10 @@ def run(argv):
     except DglaError as e:
         verdicts = [_verdict(type(e).__name__, False, e)]
         tables = {}
+    if exhausted:
+        window = " on the window [%d, %d]" % (args.min, args.max) if hasattr(args, "min") else ""
+        print("error: %s ran out of memory%s" % (args.command, window), file=sys.stderr)
+        return 2, None
     body = {
         "command": [args.command] + _echo_args(args),
         "inputs": {path: io_mod.file_sha256(path) for path in inputs},

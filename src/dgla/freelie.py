@@ -71,10 +71,12 @@ from .errors import SchemaError
 MAX_DEGREE = 128
 
 # Largest basis of one degree that is built.  The Witt formula gives each
-# size before any word is listed, so a window whose bases would exhaust
-# memory is refused at once.  Far above every window in use: two generators
-# of degree 2 need 4,080 elements in degree 32 for `der --max 30`, and the
-# bound first stops them at degree 38 (27,594).
+# size before any word is listed, so a window that needs a larger basis is
+# refused at once.  It bounds the bases, not memory: in a deep window the
+# expansions that cold brackets read, and their solves' work dicts, are far
+# larger.  Far above every window in use: two generators of degree 2 need
+# 7,710 elements in degree 34 for `der --max 30`, and the bound first stops
+# them at degree 38 (27,594).
 MAX_BASIS_SIZE = 20000
 
 
@@ -127,11 +129,12 @@ def expand_tree(tree, degrees, memo=None, factor_degrees=None):
     """Tensor-algebra expansion of a bracket tree: dict packed word -> nonzero int.
 
     A subtree found in ``memo`` (tree -> expansion) is taken from it rather
-    than expanded again.  The memo is only read here.  A tree found in it
-    returns the memo's own dict, which callers must not mutate; any other
-    tree returns a new dict, built here and then the caller's own, which it
-    may consume (``solve_against_basis`` does).  The degrees of the two
-    factors are ``factor_degrees``, or the tree's.
+    than expanded again.  The memo is only read here, and its entries are
+    pairs (words, coefficients) of tuples (``BasisMemo.expansion``).  A tree
+    found in it returns the memo's own pair; any other tree returns a new
+    dict, built here and then the caller's own, which it may consume
+    (``solve_against_basis`` does).  The degrees of the two factors are
+    ``factor_degrees``, or the tree's.
     """
     if isinstance(tree, int):
         return {1 << letter_width(degrees) | tree: 1}
@@ -139,22 +142,25 @@ def expand_tree(tree, degrees, memo=None, factor_degrees=None):
         got = memo.get(tree)
         if got is not None:
             return got
+    # a memo entry is (words, coefficients); a dict iterates its words
     left = expand_tree(tree[0], degrees, memo)
+    lwords, lcoeffs = left if type(left) is tuple else (left, left.values())
     right = expand_tree(tree[1], degrees, memo)
-    if not left or not right:
+    rwords, rcoeffs = right if type(right) is tuple else (right, right.values())
+    if not lwords or not rwords:
         return {}
     # all words of one expansion have the same letters, hence one length
-    wu, wv = next(iter(left)), next(iter(right))
+    wu, wv = next(iter(lwords)), next(iter(rwords))
     su, sv = wu.bit_length() - 1, wv.bit_length() - 1  # bits below the sentinel
     du, dv = factor_degrees or (tree_degree(tree[0], degrees), tree_degree(tree[1], degrees))
     # i([u,v]) = uv - (-1)^{|u||v|} vu; each v is split into v << su, which
     # heads vu, and its letters alone, which end uv
     vu_sign = 1 if du * dv % 2 else -1
-    rights = [(wv << su, wv ^ 1 << sv, cv, vu_sign * cv) for wv, cv in right.items()]
+    rights = [(wv << su, wv ^ 1 << sv, cv, vu_sign * cv) for wv, cv in zip(rwords, rcoeffs)]
     top_u = 1 << su
     out = {}
     get = out.get
-    for wu, cu in left.items():
+    for wu, cu in zip(lwords, lcoeffs):
         head, letters = wu << sv, wu ^ top_u
         for vhead, vletters, cv, vu_cv in rights:
             w = head | vletters
@@ -190,8 +196,10 @@ class BasisBracket:
     g occurs in it, so it is 1 << g for a generator and the OR of the
     factors' masks for a bracket.
 
-    ``expansion`` is the product of the factors' expansions, built on its
-    first read and then kept in the memo's ``expansions`` (``BasisMemo.expansion``).
+    ``expansion`` is i(b) as a pair (words, coefficients) of tuples: for a
+    generator ((lead,), (1,)), and for a bracket the product of the
+    factors' expansions, built on its first read and then kept in the
+    memo's ``expansions`` (``BasisMemo.expansion``).
     """
 
     __slots__ = ("tree", "degree", "length", "lead", "lead_coeff", "letters", "factors", "memo")
@@ -222,8 +230,8 @@ class BasisBracket:
 
     @property
     def expansion(self):
-        """i(b) as {packed word: int}, which callers must not mutate."""
-        return {self.lead: 1} if not self.factors else self.memo.expansion(self)
+        """i(b) as (packed words, int coefficients), two tuples of one length."""
+        return ((self.lead,), (1,)) if not self.factors else self.memo.expansion(self)
 
 
 class BasisMemo:
@@ -233,9 +241,12 @@ class BasisMemo:
     least twice its top when a higher degree is asked for; ``lyndon`` maps
     each degree listed so far to its Lyndon words (tuples, in lexicographic
     order) and the element b(w) of each; ``elements`` maps the tree of each
-    basis element built so far (``build``) to that element; and
+    basis element built so far (``build``) to that element;
     ``expansions`` maps the tree of each composite basis element whose
-    expansion has been read to that expansion.  One presentation keeps one.
+    expansion has been read to that expansion, an immutable pair of tuples
+    (``expansion``); and ``words`` interns every word of those expansions,
+    so that a word shared by many of them is one ``int``.  One presentation
+    keeps one.
     """
 
     def __init__(self, degrees):
@@ -245,6 +256,7 @@ class BasisMemo:
         self.lyndon = {}
         self.elements = {}
         self.expansions = {}
+        self.words = {}
 
     def size(self, d):
         """dim L_d by the Witt formula (``witt_dimensions``), for d >= 0, or a
@@ -312,14 +324,17 @@ class BasisMemo:
     def expansion(self, b):
         """i(b) of a composite basis element b, kept in ``expansions`` once read.
 
-        The memo keeps a copy of the product built by insertion, so sized to
-        its words: the product's own dict still holds the slots of the words
-        that cancelled in it, and ``dict.copy`` would keep them.
+        The memo keeps the product as two tuples, its words (each one taken
+        from ``words``) and their coefficients, in the product's order: 16
+        bytes a word, where a dict would hold a table slot and a key of its
+        own for each.
         """
         got = self.expansions.get(b.tree)
         if got is None:
             product = self.product(*b.factors)
-            got = self.expansions[b.tree] = {w: c for w, c in product.items()}
+            intern = self.words.setdefault  # intern(w, w): the table's own w
+            got = self.expansions[b.tree] = (
+                tuple(map(intern, product, product)), tuple(product.values()))
         return got
 
     def product(self, u, v):
@@ -433,21 +448,21 @@ def solve_against_basis(basis, tensor):
         coords[i] = f
         # the residual is checked once per subtraction; +-1 multiples need no product
         if f == 1:
-            for u, cu in b.expansion.items():
+            for u, cu in zip(*b.expansion):
                 nv = get(u, 0) - cu
                 if nv:
                     work[u] = nv
                 else:
                     del work[u]
         elif f == -1:
-            for u, cu in b.expansion.items():
+            for u, cu in zip(*b.expansion):
                 nv = get(u, 0) + cu
                 if nv:
                     work[u] = nv
                 else:
                     del work[u]
         else:
-            for u, cu in b.expansion.items():
+            for u, cu in zip(*b.expansion):
                 nv = get(u, 0) - f * cu
                 if nv:
                     work[u] = nv

@@ -10,13 +10,14 @@ Presentations and elements are immutable after construction (the subs
 too: ``subalgebras`` is a read-only mapping); the basis, tree index, letter
 mask, generator, zero, bracket, bracket pattern, tree and indecomposables
 caches, and the free-Lie ``BasisMemo`` (Witt table, trees, basis elements,
-expansions), are per-presentation dicts of values that are never mutated
-(atomic updates under the GIL), so instances may be shared freely across
-threads.  Every expression is normalized through the bracket table, and
-only a cold basis bracket of a new letter pattern expands and solves a
-tensor.  Basis elements carry leads certified from their factors' leads;
-the expansion memo holds the expansion of a composite basis element only
-once such a solve has read it, and nothing else.
+expansions and their interned words), are per-presentation dicts of values
+that are never mutated (atomic updates under the GIL), so instances may be
+shared freely across threads.  Every expression is normalized through the
+bracket table, and only a cold basis bracket of a new letter pattern
+expands and solves a tensor.  Basis elements carry leads certified from
+their factors' leads; the expansion memo holds the expansion of a
+composite basis element only once such a solve has read it, and nothing
+else.
 
 Sums are accumulated at the coordinate level: a bracket, a sum of scaled
 elements (``LieElement.add_scaled``, and ``+`` through it) and a sum of

@@ -8,6 +8,9 @@ its pin.  Then it runs four commands whose windows reach a free-Lie degree
 too large to build, each of which must exit 2 with its refusal as the last
 line on stderr.  Beside each it prints the raw wall time and the peak RSS of
 the process, which are leads only: raw times drift between runs and hosts.
+Last, every report with d = 0 rel omega (``der --sub omega``, and ``xi``'s
+left side in degrees >= 1) is checked against the closed form
+``der_rel_omega_dims`` of ``tests/oracles.py``, which builds no basis.
 ``--repeat N`` runs each command N times (default 1), checks every run, and
 prints the median and, in brackets, the range of both.  Exits 1 on any
 mismatch or unexpected exit code, else 0.
@@ -15,7 +18,7 @@ mismatch or unexpected exit code, else 0.
     python tests/deep_windows.py [--repeat N]
 
 The six digests take about 15 s together on a shared 2-vCPU host; the
-deepest (``der ... --max 26``) peaks near 240 MB.  Each refusal takes about
+deepest (``der ... --max 26``) peaks near 110 MB.  Each refusal takes about
 0.1 s, most of it the interpreter's start.
 """
 
@@ -127,6 +130,68 @@ def check(runs, expected, outcome, tmp):
     return bad
 
 
+def closed_form_subject(argv):
+    """(presentation, which report entries to check) for a command that the
+    closed form ``der_rel_omega_dims`` (``tests/oracles.py``) applies to,
+    else None.
+
+    It applies where d = 0, rel omega: to every ``dims`` and ``betti`` entry
+    of ``der --sub omega``, whose differential is zero, and to the ``left``
+    Betti numbers of ``xi`` in degrees >= 1, where Der_u is all of Der.
+    ``which(tables)`` is {(table, degree): reported value}.
+    """
+    doc = io.load_json_file(os.path.join(ROOT, argv[1]))
+    sub = argv[argv.index("--sub") + 1] if "--sub" in argv else None
+    if argv[0] == "der" and sub == "omega" and "--deru" not in argv:
+        p = io.load_presentation(doc)
+
+        def which(tables):
+            return {(t, int(n)): v for t in ("dims", "betti") for n, v in tables[t].items()}
+    elif argv[0] == "xi":
+        p = io.load_manifold(doc).presentation
+
+        def which(tables):
+            return {("left", int(n)): v for n, v in tables["left"].items() if int(n) >= 1}
+    else:
+        return None
+    return None if p.differential else (p, which)
+
+
+def check_closed_forms(runs, tmp):
+    """Check every report of ``DEEP_WINDOWS`` that the closed form applies
+    to, print each command, and return (how many were checked, how many
+    disagree).
+
+    Run after every command: a child's peak RSS includes this process's at
+    the fork, and importing the oracles raises it by about 5 MB.
+    """
+    from oracles import der_rel_omega_dims
+
+    checked = bad = 0
+    for k, (argv, _) in enumerate(DEEP_WINDOWS):
+        subject = closed_form_subject(argv)
+        if subject is None:
+            continue
+        p, which = subject
+        wrong = []
+        for r in range(runs):
+            path = os.path.join(tmp, "report%d_%d.json" % (k, r))
+            if not os.path.exists(path):
+                wrong.append("run %d wrote no report" % r)
+                continue
+            with open(path) as fh:
+                entries = which(json.load(fh)["report"]["tables"])
+            expected = der_rel_omega_dims(p, "omega", (0, max(n for _, n in entries)))
+            wrong += ["run %d: %s[%d] is %d, the closed form %d" % (r, t, n, v, expected[n])
+                      for (t, n), v in sorted(entries.items()) if v != expected[n]]
+        checked += 1
+        bad += bool(wrong)
+        print("%-8s closed form  %s" % ("MISMATCH" if wrong else "ok", " ".join(argv)))
+        for line in wrong[:5]:
+            print("         " + line)
+    return checked, bad
+
+
 def digest_outcome(code, out, err):
     return report_digest(out) if code == 0 else "exit %d" % code
 
@@ -148,7 +213,9 @@ def main(args=None):
         print("%d of %d digests match" % (len(DEEP_WINDOWS) - bad, len(DEEP_WINDOWS)))
         refused = check(repeat, REFUSALS, refusal_outcome, tmp)
         print("%d of %d refusals match" % (len(REFUSALS) - refused, len(REFUSALS)))
-    return 1 if bad or refused else 0
+        closed, contradicted = check_closed_forms(repeat, tmp)
+        print("%d of %d closed forms match" % (closed - contradicted, closed))
+    return 1 if bad or contradicted or refused else 0
 
 
 if __name__ == "__main__":

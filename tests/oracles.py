@@ -36,13 +36,15 @@ names and matrices instead of from the linear part of d directly, and
 CE words by one recursive search per degree and the CE differential's two
 parts by separate loops, each sign counted from odd inversions, instead of
 words grown degree by degree and one sort for every term, and letter
-patterns and basis indices by trees instead of by packed leads.
+patterns and basis indices by trees instead of by packed leads, and
+the dimensions of Der(L rel omega) by a closed form in Witt sizes instead
+of a kernel per degree.
 Tests compare library output against these.
 The helpers that are not oracles are ``sub_contains``, membership in a
 designated subalgebra through the library's own spans,
-``full_hom_outer_action``, the block action on the whole of Hom, and the
+``full_hom_outer_action``, the block action on the whole of Hom, the
 coefficient predicates ``is_coefficient`` and ``is_exact``, which only tests
-call.
+call, and ``expansion_dict``, through which tests read every expansion.
 """
 
 import random
@@ -257,6 +259,21 @@ def kernel_all_fractions(rows, ncols):
     return [vecs[f] for f in free], free
 
 
+def expansion_dict(expansion):
+    """{word: coefficient} of a basis element's expansion, as a new dict.
+
+    The library keeps an expansion as a pair (words, coefficients) of tuples
+    of one length, with no word twice; a ``TupleBracket`` keeps a dict.
+    """
+    if isinstance(expansion, dict):
+        return dict(expansion)
+    words, coeffs = expansion
+    assert type(words) is tuple and type(coeffs) is tuple
+    out = dict(zip(words, coeffs))
+    assert len(out) == len(words) == len(coeffs)
+    return out
+
+
 def solve_all_fractions(basis, tensor):
     """``freelie.solve_against_basis`` as it was before it returned ints: every value a Fraction."""
     work = {w: c for w, c in tensor.items() if c}
@@ -275,7 +292,7 @@ def solve_all_fractions(basis, tensor):
             coords = {j: v * m for j, v in coords.items()}
         f = c // lc
         coords[i] = f
-        for u, cu in b.expansion.items():
+        for u, cu in expansion_dict(b.expansion).items():
             nv = work.get(u, 0) - f * cu
             if nv:
                 work[u] = nv
@@ -312,7 +329,7 @@ def full_walk_solve(basis, tensor):
             coords = {j: v * m for j, v in coords.items()}
         f = c // lc
         coords[i] = f
-        for u, cu in b.expansion.items():
+        for u, cu in expansion_dict(b.expansion).items():
             nv = work.get(u, 0) - f * cu
             if nv:
                 work[u] = nv
@@ -374,6 +391,37 @@ def witt_dimensions(degrees, max_length, max_degree):
             if val:
                 L[(l, d)] = int(val)
     return L
+
+
+def der_rel_omega_dims(p, rel, window):
+    """{n: dim Der(L rel omega)_n} for the degrees n >= 0 of ``window``, by a
+    closed form in Witt sizes, with no basis and no derivation built.
+
+    For d = 0 and a sub ``rel`` generated by one quadratic element omega =
+    1/2 sum_{i,j} omega_ij [x_i, x_j] with (omega_ij) non-degenerate (the
+    intersection pairing of a manifold's model), theta -> theta(omega) maps
+    Hom(V, L)_n onto L_{|omega|+n}: its image holds [L, sum_j omega_ij x_j]
+    for every i, so [L, V], which is all of L_{|omega|+n} when n >= 0, since
+    every generator pairs with one of positive degree and so has degree
+    below |omega|.  So
+
+      dim Der(L rel omega)_n = sum_x dim L_{|x|+n} - dim L_{|omega|+n},
+
+    read from ``freelie.witt_dimensions``.  For q letters of degree 2 it is
+    q W(k+1) - W(k+2) at n = 2k, the dimension of the symplectic derivation
+    algebra h_{g,1} (Kontsevich, "Formal (non)commutative symplectic
+    geometry", 1993; Morita, "Structure of the mapping class groups of
+    surfaces: a survey and a prospect", 1999).
+    """
+    from dgla import freelie
+
+    assert not p.differential
+    (omega,) = p.subalgebras[rel].elements
+    degrees = p._deg_list
+    lo, hi = max(0, window[0]), window[1]
+    witt = freelie.witt_dimensions(degrees, max(max(degrees), omega.degree) + hi)
+    return {n: sum(witt[x + n] for x in degrees) - witt[omega.degree + n]
+            for n in range(lo, hi + 1)}
 
 
 def _expand_bracket(tree, degrees):
@@ -494,7 +542,7 @@ def solve_against_basis_fractions(basis, tensor):
             raise ValueError("vector outside the free Lie span (word %r)" % (w,))
         f = work[w] / basis[i].lead_coeff
         coords[i] = coords.get(i, Fraction(0)) + f
-        for u, c in basis[i].expansion.items():
+        for u, c in expansion_dict(basis[i].expansion).items():
             nv = work.get(u, Fraction(0)) - f * c
             if nv:
                 work[u] = nv

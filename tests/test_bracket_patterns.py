@@ -13,7 +13,7 @@ import pytest
 from dgla import cli, freelie, io
 from dgla.gluing import boundary_connected_sum
 from dgla.presentation import DgLaPresentation
-from oracles import basis_trees, full_walk_solve, relabel, tree_word
+from oracles import basis_trees, expansion_dict, full_walk_solve, relabel, tree_word
 
 
 def _presentation(degrees):
@@ -144,15 +144,17 @@ def test_a_planted_word_outside_the_span_raises(monkeypatch):
 def test_a_changed_memoized_expansion_raises():
     # the solve subtracts the memoized expansion of every basis element it
     # clears; one changed coefficient leaves a word that no element can
-    # clear, since a single word of two or more letters is no Lie element
+    # clear, since a single word of two or more letters is no Lie element.
+    # An expansion is immutable, so the changed one replaces it in the memo
     p = _presentation([1, 1])
     key = _cold_pair(p, 3, 4)
     d = key[0] + key[2]
     coords = _presentation([1, 1]).basis_bracket(*key).coords  # a fresh presentation's
-    i = max(coords)
-    expansion = p.lie_basis(d)[i].expansion
-    w = max(expansion)  # a word after the lead
-    expansion[w] += 1
+    b = p.lie_basis(d)[max(coords)]
+    words, coeffs = b.expansion
+    k = words.index(max(words))  # a word after the lead
+    p._bases.expansions[b.tree] = (words, coeffs[:k] + (coeffs[k] + 1,) + coeffs[k + 1:])
+    assert expansion_dict(b.expansion)[words[k]] == coeffs[k] + 1
     with pytest.raises(ValueError, match="outside the free Lie span"):
         p.basis_bracket(*key)
 
@@ -177,7 +179,7 @@ def test_each_solve_consumes_only_its_own_product(monkeypatch, fixture_path, arg
     checked = 0
     for p in seen.values():
         for tree, expansion in p._bases.expansions.items():
-            assert expansion == freelie.expand_tree(tree, p._deg_list), tree
+            assert expansion_dict(expansion) == freelie.expand_tree(tree, p._deg_list), tree
             checked += 1
     assert checked > 20
 

@@ -870,6 +870,41 @@ def test_der_window_past_the_cap_is_refused_before_any_degree_is_built(capsys, f
             " the 20000 allowed") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["der", "presentation_w11.json", "--sub", "omega", "--min", "0", "--max", "8"],
+     "error: der ran out of memory on the window [0, 8]"),
+    (["glue", "w21.json", "w11.json", "--min", "0", "--max", "4", "--assert-semisimple"],
+     "error: glue ran out of memory on the window [0, 4]"),
+], ids=["der", "glue"])
+def test_memory_running_out_in_a_cold_bracket_is_exit_2(monkeypatch, capsys, fixture_path,
+                                                         argv, line):
+    # planted in the product that a cold bracket solves, deep in the stack;
+    # nothing is exhausted for real
+    from dgla import freelie
+
+    planted = []
+
+    def exhausting(self, u, v):
+        planted.append((u.tree, v.tree))
+        raise MemoryError
+
+    monkeypatch.setattr(freelie.BasisMemo, "product", exhausting)
+    code, payload = _run(*[fixture_path(a) if a.endswith(".json") else a for a in argv])
+    assert code == 2 and payload is None and len(planted) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
+def test_memory_running_out_in_a_command_with_no_window_is_exit_2(
+        monkeypatch, capsys, fixture_path):
+    def exhausting(obj):
+        raise MemoryError
+
+    monkeypatch.setattr(io_mod, "load_presentation", exhausting)
+    code, payload = _run("check", fixture_path("presentation_cp2.json"))
+    assert code == 2 and payload is None
+    assert capsys.readouterr().err == "error: check ran out of memory\n"
+
+
 def test_glue_window_past_the_cap_is_refused_before_a_factor_is_built(
         monkeypatch, capsys, fixture_path):
     # the glued model is built first, and its build refuses degree 12

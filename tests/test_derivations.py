@@ -28,6 +28,7 @@ from dgla.presentation import DgLaPresentation, LieElement, pushout
 from oracles import (
     all_generator_der_bracket,
     all_generator_der_differential,
+    der_rel_omega_dims,
     deru_degree0_by_intersection,
     random_presentation,
 )
@@ -81,6 +82,22 @@ def test_der_dims_of_w11_rel_omega_match_the_witt_formula(fixture_path, window):
     assert dims == {n: 2 * witt[n + 2] - witt[n + 4] if n >= 0 else 0 for n in dims}
     if window == (0, 20):
         assert (dims[0], dims[20]) == (3, 37)
+
+
+@pytest.mark.parametrize("name, top", [
+    ("w11.json", 12), ("w21.json", 10), ("s4s4.json", 12), ("hp2.json", 12),
+    ("hp2_sum.json", 12), ("twisted9.json", 12), ("action10.json", 12), ("ab10.json", 12),
+    ("presentation_w11.json", 20), ("presentation_twisted9.json", 16),
+])
+def test_der_dims_rel_omega_match_the_closed_form(fixture_path, name, top):
+    # every fixture with d = 0 and an omega: odd letters, squares, the
+    # omega = 1/2 [u, u] of hp2, and letters of four degrees
+    doc = io.load_json_file(fixture_path(name))
+    p = io.load_manifold(doc).presentation if "pairing" in doc else io.load_presentation(doc)
+    slc = der_complex(p, "omega", (0, top))
+    expected = der_rel_omega_dims(p, "omega", (0, top))
+    assert {n: slc.dim(n) for n in range(top + 1)} == expected
+    assert sum(expected.values()) > 0
 
 
 def test_derivation_rejects_nonvanishing_on_rel():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -8,12 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dgla import freelie, io
+from dgla.derivations import der_complex
 from dgla.errors import InhomogeneousExpression, UnknownGenerator
 from dgla.presentation import DgLaPresentation
 from oracles import (
     _expand_bracket,
     basis_trees,
     brute_force_lie_dims,
+    expansion_dict,
     is_exact,
     is_lyndon,
     random_presentation,
@@ -144,10 +147,11 @@ def test_tensor_embedding_certified():
 
     p = DgLaPresentation([("x", 1), ("y", 1)])
     basis = p.lie_basis(4)
-    support = sorted({w for b in basis for w in b.expansion})
+    expansions = [expansion_dict(b.expansion) for b in basis]
+    support = sorted({w for e in expansions for w in e})
     pos = {w: i for i, w in enumerate(support)}
     rows = linalg.matrix(len(basis), len(support), (
-        (i, pos[w], c) for i, b in enumerate(basis) for w, c in b.expansion.items()
+        (i, pos[w], c) for i, e in enumerate(expansions) for w, c in e.items()
     ))
     assert linalg.rank(rows, len(support)) == len(basis)
 
@@ -181,7 +185,7 @@ def test_normal_form_tensor_faithful_random():
         got = {}
         basis = p.lie_basis(nf.degree) if not nf.is_zero() else []
         for i, c in nf.coords.items():
-            for w, cc in basis[i].expansion.items():
+            for w, cc in expansion_dict(basis[i].expansion).items():
                 got[w] = got.get(w, Fraction(0)) + c * cc
         got = {w: c for w, c in got.items() if c}
         assert got == expected
@@ -218,7 +222,7 @@ def _rational_combination(draw):
 def _tensor(basis, coords):
     out = {}
     for i, c in coords.items():
-        for w, cw in basis[i].expansion.items():
+        for w, cw in expansion_dict(basis[i].expansion).items():
             out[w] = out.get(w, Fraction(0)) + c * cw
     return {w: c for w, c in out.items() if c}
 
@@ -410,7 +414,8 @@ def test_basis_matches_the_tuple_word_oracle():
             assert [b.lead_coeff for b in lib] == [b.lead_coeff for b in ref]
             assert [b.length for b in lib] == [len(b.lead) for b in ref]
             for b, r in zip(lib, ref):
-                assert {freelie.unpack(w, degs): c for w, c in b.expansion.items()} == r.expansion
+                assert ({freelie.unpack(w, degs): c for w, c in expansion_dict(b.expansion).items()}
+                        == r.expansion)
             if not lib:
                 continue
             coords = {i: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
@@ -429,8 +434,9 @@ def test_basis_expansions_are_int_and_match_a_memo_free_expansion():
     degs = [1, 2, 3]
     for d in range(1, 11):
         for b in p.lie_basis(d):
-            assert all(type(c) is int for c in b.expansion.values()), b.tree
-            assert b.expansion == freelie.expand_tree(b.tree, degs)
+            expansion = expansion_dict(b.expansion)
+            assert all(type(c) is int for c in expansion.values()), b.tree
+            assert expansion == freelie.expand_tree(b.tree, degs)
 
 
 def _building(monkeypatch):
@@ -454,7 +460,7 @@ def test_cold_basis_bracket_is_one_product_step(monkeypatch):
     # and those its solve clears
     for d in (d1, d2, d1 + d2):
         for b in p.lie_basis(d):
-            assert b.expansion
+            assert expansion_dict(b.expansion)
     built = _building(monkeypatch)
     pairs = 0
     for i1, b1 in enumerate(p.lie_basis(d1)):
@@ -507,12 +513,32 @@ def test_expansion_memo_holds_only_composite_basis_elements():
     composite = {t for t in basis if not isinstance(t, int)}
     assert len(p._bracket_cache) > 10 and len(composite) > 10
     # no bracket product or parsed subtree is retained, only the expansions
-    # of basis elements that were read, and the memo shares their dicts
+    # of basis elements that were read, and the memo shares their pairs
     memo = p._bases.expansions
     assert memo and set(memo) < composite
     for t in memo:
         assert memo[t] is basis[t].expansion
-        assert memo[t] == freelie.expand_tree(t, [1, 2, 3])
+        assert expansion_dict(memo[t]) == freelie.expand_tree(t, [1, 2, 3])
+
+
+def test_the_expansion_memo_is_compact_after_a_deep_der(fixture_path):
+    # each expansion is two tuples, words and coefficients, whose words are
+    # interned: a tuple slot of 8 bytes in each, and each distinct word one
+    # int shared by every expansion that holds it.  A dict per expansion
+    # costs a table slot and a key object per word, and fails every check
+    p = io.load_presentation(io.load_json_file(fixture_path("presentation_w11.json")))
+    der_complex(p, "omega", (0, 16))  # the work of `der ... --sub omega --min 0 --max 16`
+    memo = p._bases.expansions
+    words = [w for words, _ in memo.values() for w in words]
+    assert len(memo) > 50 and len(set(words)) < len(words)
+    for tree, expansion in memo.items():
+        assert type(expansion) is tuple and len(expansion) == 2, tree
+        assert expansion_dict(expansion) == freelie.expand_tree(tree, p._deg_list), tree
+    assert len({id(w) for w in words}) == len(set(words))
+    # the pair's header and the two tuples' headers, then 8 bytes a slot in each
+    per_entry = sys.getsizeof((0, 0)) + 2 * sys.getsizeof(())
+    held = sum(sys.getsizeof(t) for pair in memo.values() for t in (pair, *pair))
+    assert held <= 16 * len(words) + per_entry * len(memo)
 
 
 def _fixture_presentations(fixture_path):
